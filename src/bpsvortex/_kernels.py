@@ -35,10 +35,20 @@ if not _FORCE_NUMPY:
 
 def _plane_laplacian_numpy(v, h, boundary):
     # 5-point stencil; ghost nodes outside the grid carry the constant value.
-    n0, n1 = v.shape
-    p = np.full((n0 + 2, n1 + 2), boundary, dtype=v.dtype)
-    p[1:-1, 1:-1] = v
-    return (p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * v) / (h * h)
+    # Neighbours are summed into one output in the order up, down, left,
+    # right, then the centre term, with no padded copy.
+    out = np.empty_like(v)
+    out[0] = boundary
+    out[1:] = v[:-1]
+    out[:-1] += v[1:]
+    out[-1] += boundary
+    out[:, 1:] += v[:, :-1]
+    out[:, 0] += boundary
+    out[:, :-1] += v[:, 1:]
+    out[:, -1] += boundary
+    out -= 4.0 * v
+    out /= h * h
+    return out
 
 
 def _bump_sum_numpy(x, y, cx, cy, tau):

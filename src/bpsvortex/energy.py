@@ -260,24 +260,39 @@ class EnergyModel:
             return _torus_hessian_apply(state, direction, self.bg, self.cfg, self.params)
         return _plane_hessian_apply(state, direction, self.bg, self.cfg, self.params)
 
-    def hessian_operator(self, state):
-        """Hessian application with the exponential factors frozen at ``state``."""
-        eU, eV = _exp_pair(state, self.bg)
+    def _hessian_scales(self):
+        # (c, c * lam) for Hessian = c * [[-Delta + lam (2e^U + e^V), -lam e^V],
+        #                                 [-lam e^V, -Delta/2 + lam e^V]];
+        # c * lam is exactly 1.0 on the plane
         lam = self.params.lam
+        return (1.0, lam) if self.mode == "torus" else (1.0 / lam, 1.0)
+
+    def hessian_operator(self, state):
+        """Hessian application with the exponential factors frozen at ``state``.
+
+        Same values as :meth:`hessian_apply` (to roundoff), with the
+        coefficient fields computed once per state.
+        """
+        eU, eV = _exp_pair(state, self.bg)
         grid = self.grid
-        if self.mode == "torus":
+        c, c_lam = self._hessian_scales()
+        off = c_lam * eV
+        diag = 2.0 * c_lam * eU
+        diag += off
+        plane = self.mode == "plane"
 
-            def apply_h(d):
-                h0 = -grid.laplacian(d[0]) + (2.0 * lam * eU + lam * eV) * d[0] - lam * eV * d[1]
-                h1 = -0.5 * grid.laplacian(d[1]) + lam * eV * (d[1] - d[0])
-                return np.stack([h0, h1])
-
-        else:
-
-            def apply_h(d):
-                h0 = (-1.0 / lam) * grid.laplacian(d[0]) + (2.0 * eU + eV) * d[0] - eV * d[1]
-                h1 = (-0.5 / lam) * grid.laplacian(d[1]) + eV * (d[1] - d[0])
-                return np.stack([_zero_boundary(h0), _zero_boundary(h1)])
+        def apply_h(d):
+            out = np.empty_like(d)
+            h0, h1 = out
+            np.multiply(grid.laplacian(d[0]), -c, out=h0)
+            h0 += diag * d[0]
+            h0 -= off * d[1]
+            np.multiply(grid.laplacian(d[1]), -0.5 * c, out=h1)
+            h1 += off * (d[1] - d[0])
+            if plane:
+                _zero_boundary(h0)
+                _zero_boundary(h1)
+            return out
 
         return apply_h
 
@@ -294,21 +309,48 @@ class EnergyModel:
         return float(np.sum(a * b)) * self.grid.h ** 2
 
     def preconditioner(self):
-        """Approximate inverse of the Hessian's constant-coefficient part.
+        """Exact per-mode inverse of the Hessian in the far field.
 
-        Torus: exact spectral inverse of (-Delta + lambda) per component.
-        Plane: identity (plain CG; benchmarked faster than sine-transform
-        inversion at the target sizes).
+        At e^U = e^V = 1 the Hessian has constant coefficients.  On a mode of
+        ``-laplacian`` with eigenvalue K (Fourier modes on the torus, sine
+        modes of the interior on the plane; see ``grid.modal_forward``) it is
+        the 2x2 block
+
+            c * [[K + 3 lam, -lam], [-lam, K/2 + lam]]
+              = c * lam * [[2d + 1, -1], [-1, d]],     d = K / (2 lam) + 1,
+
+        with c = 1 on the torus and 1/lam on the plane.  Its determinant
+        (c lam)^2 (2d - 1)(d + 1) is positive for every K >= 0, the constant
+        torus mode included, so the inverse
+
+            [[d, 1], [1, 2d + 1]] / (c lam (2d - 1)(d + 1))
+
+        is symmetric positive definite on both grids.  The returned callable
+        applies it to a stacked residual; on the plane the result vanishes on
+        the boundary ring.
         """
-        if self.mode == "torus":
-            grid = self.grid
-            lam = self.params.lam
-            k2 = grid.workspace.k2
+        grid = self.grid
+        c_lam = self._hessian_scales()[1]
+        d = grid.laplacian_eigenvalues() / (2.0 * self.params.lam)
+        d += 1.0
+        inv_det = 1.0 / ((2.0 * d - 1.0) * (d + 1.0) * c_lam)
 
-            def apply_minv(r):
-                out0 = np.fft.irfft2(np.fft.rfft2(r[0]) / (k2 + lam), s=grid.shape)
-                out1 = np.fft.irfft2(np.fft.rfft2(r[1]) / (0.5 * k2 + lam), s=grid.shape)
-                return np.stack([out0, out1])
+        def apply_minv(r):
+            out = np.empty_like(r)
+            a = grid.modal_forward(r[0])
+            b = grid.modal_forward(r[1])
+            t = d * a
+            t += b
+            t *= inv_det
+            grid.modal_inverse(t, out=out[0])
+            del t
+            # a + (2d + 1) b, built in place
+            a += b
+            b *= d
+            b *= 2.0
+            a += b
+            a *= inv_det
+            grid.modal_inverse(a, out=out[1])
+            return out
 
-            return apply_minv
-        return lambda r: r
+        return apply_minv

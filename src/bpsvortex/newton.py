@@ -60,28 +60,35 @@ class Solution:
 
 
 def _pcg(apply_a, b, apply_minv, tol, max_iters):
-    """Preconditioned conjugate gradients on stacked state pairs."""
+    """Preconditioned conjugate gradients on stacked state pairs.
+
+    ``b`` is consumed: it becomes the residual.  Updates are in place and each
+    operator result is dropped before the next operator call, so the loop
+    holds x, r, p and one operator result at a time.
+    """
     x = np.zeros_like(b)
-    r = b.copy()
-    z = apply_minv(r)
-    p = z.copy()
-    rz = float(np.sum(r * z))
-    b_norm = float(np.sqrt(np.sum(b * b)))
+    b_norm = float(np.sqrt(np.vdot(b, b)))
     if b_norm == 0.0:
         return x
+    r = b
+    p = apply_minv(r)
+    rz = float(np.vdot(r, p))
     for _ in range(max_iters):
         ap = apply_a(p)
-        pap = float(np.sum(p * ap))
+        pap = float(np.vdot(p, ap))
         if pap <= 0.0:
             break  # cannot happen for an SPD Hessian; guard against roundoff
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if float(np.sqrt(np.sum(r * r))) <= tol * b_norm:
+        del ap
+        if float(np.sqrt(np.vdot(r, r))) <= tol * b_norm:
             break
         z = apply_minv(r)
-        rz_new = float(np.sum(r * z))
-        p = z + (rz_new / rz) * p
+        rz_new = float(np.vdot(r, z))
+        p *= rz_new / rz
+        p += z
+        del z
         rz = rz_new
     return x
 

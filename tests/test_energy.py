@@ -142,6 +142,41 @@ class TestFirstVariation:
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), scale)
 
 
+    @pytest.mark.parametrize("mode,variant", VARIANTS)
+    def test_hessian_operator_matches_hessian_apply(self, mode, variant):
+        model = make_model(mode, variant)
+        s = random_state(model.grid, seed=7)
+        apply_h = model.hessian_operator(s)
+        for seed in range(3):
+            d = random_state(model.grid, seed=300 + seed, amplitude=1.0)
+            hd = model.hessian_apply(s, d)
+            assert np.max(np.abs(apply_h(d) - hd)) <= 1e-13 * np.max(np.abs(hd))
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_inverts_far_field_hessian(self, mode):
+        # A0: the Hessian at e^U = e^V = 1, built from the grid's Laplacian
+        model = make_model(mode, "base")
+        grid = model.grid
+        lam = model.params.lam
+        c = 1.0 if mode == "torus" else 1.0 / lam
+        apply_minv = model.preconditioner()
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            d = rng.standard_normal((2,) + grid.shape)
+            if mode == "plane":
+                d[:, 0, :] = d[:, -1, :] = 0.0
+                d[:, :, 0] = d[:, :, -1] = 0.0
+            a0d = c * np.stack([-grid.laplacian(d[0]) + 3.0 * lam * d[0] - lam * d[1],
+                                -0.5 * grid.laplacian(d[1]) + lam * (d[1] - d[0])])
+            if mode == "plane":
+                a0d[:, 0, :] = a0d[:, -1, :] = 0.0
+                a0d[:, :, 0] = a0d[:, :, -1] = 0.0
+            assert np.max(np.abs(apply_minv(a0d) - d)) <= 1e-10
+            assert np.vdot(d, apply_minv(d)) > 0.0
+
+
 class TestGradientResidualCorrespondence:
     @pytest.mark.parametrize("mode,variant", VARIANTS)
     def test_gradient_zero_is_the_discrete_system(self, mode, variant):
