@@ -10,7 +10,6 @@ constraints, flux quantization, pointwise bounds and exponential decay.
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED
 from .backgrounds import (Background, PhysicalParams, ThresholdReport,
                           VortexConfig, build_background,
                           build_background_plane, build_background_torus,
@@ -21,13 +20,7 @@ from .diagnostics import (BoundReport, DiagnosticsReport, PhysicalFields,
                           pde_residual, pointwise_bounds, radial_profile,
                           reconstruct_physical, uniqueness_probe,
                           verify_lagrange_multipliers)
-from .energy import (EnergyBreakdown, EnergyModel, energy_plane_base,
-                     energy_plane_extended, energy_torus_base,
-                     energy_torus_extended, gradient_plane_base,
-                     gradient_plane_extended, gradient_torus_base,
-                     gradient_torus_extended, hessian_apply_plane_base,
-                     hessian_apply_plane_extended, hessian_apply_torus_base,
-                     hessian_apply_torus_extended)
+from .energy import EnergyBreakdown, EnergyModel
 from .errors import (AnnulusTooThin, BpsVortexError, NonZeroMeanRhs, Overflow,
                      ParseError, PointOutsideDomain, ThresholdViolated,
                      ValidationError)

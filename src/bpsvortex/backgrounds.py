@@ -5,7 +5,7 @@ solve.  On the plane the background is known in closed form:
 
     v0(x)   = sum_s ln( r_s^2 / (r_s^2 + tau) ),      r_s = |x - p_s|,
     e^{v0}  = prod_s r_s^2 / (r_s^2 + tau)            (exactly 0 at each p_s),
-    h(x)    = sum_s 4 tau / (tau + r_s^2)^2           (integral 4*pi per vortex).
+    h2(x)   = sum_s 4 tau / (tau + r_s^2)^2           (integral 4*pi per vortex).
 
 On the torus each point source is regularized by the same bump profile,
 periodized over the 5x5 nearest image cells and renormalized so that its cell
@@ -18,12 +18,11 @@ identically trivial when that set is empty.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .errors import PointOutsideDomain
 from .grids import PlaneGrid, TorusGrid
 
@@ -133,7 +132,7 @@ class Background:
     """Smooth background data for one configuration on one grid.
 
     ``exp_u0``/``u0``/``h1`` come from the kappa zero set and are trivial
-    (ones/zeros) in the base model; ``h`` aliases ``h2`` (the phi source).
+    (ones/zeros) in the base model; ``h2`` is the phi source.
     ``neutralized_source`` is the torus Poisson right-hand side for v0
     (regularized phi source minus its mean); None on the plane.
     """
@@ -145,14 +144,36 @@ class Background:
     v0: np.ndarray
     exp_u0: np.ndarray
     u0: np.ndarray
-    h: np.ndarray
     h1: np.ndarray
-    h2: np.ndarray = field(default=None)
+    h2: np.ndarray
     neutralized_source: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        if self.h2 is None:
-            self.h2 = self.h
+
+def _bump_sum(x, y, cx, cy, tau):
+    # sum over centres (cx, cy) of 4*tau / (tau + r^2)^2; centres include
+    # periodic images when the caller periodizes.
+    acc = np.zeros((x.size, y.size))
+    X = x[:, None]
+    Y = y[None, :]
+    for k in range(cx.size):
+        r2 = (X - cx[k]) ** 2 + (Y - cy[k]) ** 2
+        acc += 4.0 * tau / (tau + r2) ** 2
+    return acc
+
+
+def _log_factors(x, y, cx, cy, tau):
+    # product of r^2/(r^2+tau) over centres plus the clamped log of the same
+    # product; the product form is exact (0.0) at nodes coinciding with a centre.
+    X = x[:, None]
+    Y = y[None, :]
+    prod = np.ones((x.size, y.size))
+    logsum = np.zeros((x.size, y.size))
+    for k in range(cx.size):
+        r2 = (X - cx[k]) ** 2 + (Y - cy[k]) ** 2
+        fac = r2 / (r2 + tau)
+        prod *= fac
+        logsum += np.where(fac > 0.0, np.log(np.maximum(fac, 1e-320)), -750.0)
+    return prod, np.maximum(logsum, -700.0)
 
 
 def _check_points_plane(points, grid: PlaneGrid):
@@ -181,14 +202,14 @@ def build_background_plane(cfg: VortexConfig, grid: PlaneGrid, params: PhysicalP
             return ones, zeros, zeros.copy()
         cx = np.array([p[0] for p in points])
         cy = np.array([p[1] for p in points])
-        prod, logsum = _kernels.log_factors(x, y, cx, cy, tau)
-        dens = _kernels.bump_sum(x, y, cx, cy, tau)
+        prod, logsum = _log_factors(x, y, cx, cy, tau)
+        dens = _bump_sum(x, y, cx, cy, tau)
         return prod, logsum, dens
 
     exp_v0, v0, h2 = one_set(cfg.phi_zeros)
     exp_u0, u0, h1 = one_set(cfg.kappa_zeros)
     return Background(grid=grid, cfg=cfg, tau=tau, exp_v0=exp_v0, v0=v0,
-                      exp_u0=exp_u0, u0=u0, h=h2, h1=h1, h2=h2)
+                      exp_u0=exp_u0, u0=u0, h1=h1, h2=h2)
 
 
 def _periodized_source(points, grid: TorusGrid, tau: float) -> np.ndarray:
@@ -209,7 +230,7 @@ def _periodized_source(points, grid: TorusGrid, tau: float) -> np.ndarray:
         dxw -= grid.Lx * np.round(dxw / grid.Lx)
         dyw = y - py
         dyw -= grid.Ly * np.round(dyw / grid.Ly)
-        bump = _kernels.bump_sum(dxw, dyw, cx, cy, tau)
+        bump = _bump_sum(dxw, dyw, cx, cy, tau)
         total += bump * (4.0 * math.pi / grid.integrate(bump))
     return total
 
@@ -233,7 +254,7 @@ def build_background_torus(cfg: VortexConfig, grid: TorusGrid, params: PhysicalP
     exp_v0, v0, h2, neutral = one_set(cfg.phi_zeros)
     exp_u0, u0, h1, _ = one_set(cfg.kappa_zeros)
     return Background(grid=grid, cfg=cfg, tau=tau, exp_v0=exp_v0, v0=v0,
-                      exp_u0=exp_u0, u0=u0, h=h2, h1=h1, h2=h2,
+                      exp_u0=exp_u0, u0=u0, h1=h1, h2=h2,
                       neutralized_source=neutral)
 
 

@@ -14,9 +14,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .backgrounds import (Background, PhysicalParams, VortexConfig,
                           build_background, check_existence)
+from .energy import _exp_pair
 from .errors import AnnulusTooThin
 from .grids import PlaneGrid, TorusGrid, random_smooth_field
 from .newton import SolverSettings, solve
@@ -25,18 +25,12 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
 
-def _exp_fields(state, bg: Background):
-    eU = bg.exp_u0 * np.exp(state[0])
-    eV = bg.exp_v0 * np.exp(state[1] - state[0])
-    return eU, eV
-
-
 def pde_residual(state, mode: str, bg: Background, cfg: VortexConfig,
                  params: PhysicalParams):
     """(l2, sup) residual of each governing equation; interior-only on the plane."""
     lam = params.lam
     grid = bg.grid
-    eU, eV = _exp_fields(state, bg)
+    eU, eV = _exp_pair(state, bg)
     n, m = cfg.n, cfg.m
     if mode == "torus":
         r1 = grid.laplacian(state[0]) - lam * (2.0 * eU - eV - 1.0) - FOUR_PI * m / grid.area
@@ -56,7 +50,7 @@ def flux_report(state, bg: Background, params: PhysicalParams) -> Tuple[float, f
     """Total fluxes of the two gauge fields from the algebraic curvature densities."""
     lam = params.lam
     grid = bg.grid
-    eU, eV = _exp_fields(state, bg)
+    eU, eV = _exp_pair(state, bg)
     a12 = -(lam / 2.0) * (2.0 * eU - eV - 1.0)
     b12 = -lam * (eV - 1.0)
     return grid.integrate(a12), grid.integrate(b12)
@@ -73,7 +67,7 @@ class BoundReport:
 
 def pointwise_bounds(state, bg: Background, tolerance: float = 0.05) -> BoundReport:
     """Maximum-principle bounds e^u <= 1, e^v <= 1 (and 2 e^u <= max e^v + 1)."""
-    eU, eV = _exp_fields(state, bg)
+    eU, eV = _exp_pair(state, bg)
     exc_u = float(eU.max()) - 1.0
     exc_v = float(eV.max()) - 1.0
     inter = float((2.0 * eU).max()) - (float(eV.max()) + 1.0)
@@ -94,7 +88,7 @@ def verify_lagrange_multipliers(state, bg: Background, cfg: VortexConfig,
     """
     lam = params.lam
     grid: TorusGrid = bg.grid
-    eU, eV = _exp_fields(state, bg)
+    eU, eV = _exp_pair(state, bg)
     a = grid.laplacian(state[0]) + lam
     b = grid.laplacian(state[1]) + 2.0 * lam - FOUR_PI * cfg.n / grid.area
     ip = grid.inner
@@ -128,8 +122,9 @@ def radial_profile(state, bg: Background, r_min: float, r_max: float,
     g2 = (ux ** 2 + uy ** 2 + vx ** 2 + vy ** 2).ravel()
     edges = np.linspace(r_min, r_max, nbins + 1)
     rf = r.ravel()
-    sums_f, counts = _kernels.radial_bin(rf, f2, edges)
-    sums_g, _ = _kernels.radial_bin(rf, g2, edges)
+    sums_f, _ = np.histogram(rf, bins=edges, weights=f2)
+    sums_g, _ = np.histogram(rf, bins=edges, weights=g2)
+    counts, _ = np.histogram(rf, bins=edges)
     keep = counts > 0
     centers = 0.5 * (edges[:-1] + edges[1:])[keep]
     return RadialProfile(centers, sums_f[keep] / counts[keep], sums_g[keep] / counts[keep])
@@ -197,7 +192,7 @@ def reconstruct_physical(state, bg: Background, params: PhysicalParams) -> Physi
     lam = params.lam
     kappa = np.sqrt(bg.exp_u0) * np.exp(0.5 * state[0])
     phi_abs = np.sqrt(bg.exp_v0) * np.exp(0.5 * (state[1] - state[0]))
-    eU, eV = _exp_fields(state, bg)
+    eU, eV = _exp_pair(state, bg)
     a12 = -(lam / 2.0) * (2.0 * eU - eV - 1.0)
     b12 = -lam * (eV - 1.0)
     return PhysicalFields(kappa, phi_abs, a12, b12)
@@ -269,7 +264,7 @@ def build_diagnostics(state, mode: str, model: str, bg: Background,
     grid = bg.grid
     if mode == "torus":
         thr = check_existence(cfg, grid, params, model=model)
-        eU, eV = _exp_fields(state, bg)
+        eU, eV = _exp_pair(state, bg)
         int_v = grid.integrate(eV)
         int_u = grid.integrate(eU)
         t1 = thr.c1 if model == "base" else thr.alpha1

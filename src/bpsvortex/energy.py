@@ -4,8 +4,8 @@ States are arrays of shape ``(2, nx, ny)``.  The slices hold the two unknowns
 of each variant: ``(u, f)`` for the base model and ``(g, f)`` for the extended
 one (``g`` absorbs the kappa background, so ``u = u0 + g``).  The extended
 formulas reduce literally to the base formulas when the kappa zero set is
-empty; both variants therefore share one implementation per domain and the
-public per-variant entry points differ only in validation.
+empty; both variants therefore share one implementation per domain, and
+:class:`EnergyModel` differs between them only in validation.
 
 Torus functional (extended form, scaled so the m = 0 case coincides exactly
 with the base functional):
@@ -154,69 +154,6 @@ def _plane_hessian_apply(state, direction, bg, cfg, params) -> np.ndarray:
     return np.stack([_zero_boundary(h0), _zero_boundary(h1)])
 
 
-# ---------------------------------------------------------------------------
-# public per-variant entry points
-# ---------------------------------------------------------------------------
-
-def _require_base(cfg):
-    if cfg.m != 0:
-        raise ValueError("base model requires an empty kappa zero set")
-
-
-def energy_torus_base(state, bg, cfg, params):
-    _require_base(cfg)
-    return _torus_energy(state, bg, cfg, params)
-
-
-def gradient_torus_base(state, bg, cfg, params):
-    _require_base(cfg)
-    return _torus_gradient(state, bg, cfg, params)
-
-
-def hessian_apply_torus_base(state, direction, bg, cfg, params):
-    _require_base(cfg)
-    return _torus_hessian_apply(state, direction, bg, cfg, params)
-
-
-def energy_torus_extended(state, bg, cfg, params):
-    return _torus_energy(state, bg, cfg, params)
-
-
-def gradient_torus_extended(state, bg, cfg, params):
-    return _torus_gradient(state, bg, cfg, params)
-
-
-def hessian_apply_torus_extended(state, direction, bg, cfg, params):
-    return _torus_hessian_apply(state, direction, bg, cfg, params)
-
-
-def energy_plane_base(state, bg, cfg, params):
-    _require_base(cfg)
-    return _plane_energy(state, bg, cfg, params)
-
-
-def gradient_plane_base(state, bg, cfg, params):
-    _require_base(cfg)
-    return _plane_gradient(state, bg, cfg, params)
-
-
-def hessian_apply_plane_base(state, direction, bg, cfg, params):
-    _require_base(cfg)
-    return _plane_hessian_apply(state, direction, bg, cfg, params)
-
-
-def energy_plane_extended(state, bg, cfg, params):
-    return _plane_energy(state, bg, cfg, params)
-
-
-def gradient_plane_extended(state, bg, cfg, params):
-    return _plane_gradient(state, bg, cfg, params)
-
-
-def hessian_apply_plane_extended(state, direction, bg, cfg, params):
-    return _plane_hessian_apply(state, direction, bg, cfg, params)
-
-
 @dataclass
 class EnergyModel:
     """Bundles one variant's energy, gradient and Hessian over fixed data."""
@@ -232,8 +169,8 @@ class EnergyModel:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.model not in ("base", "extended"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "base":
-            _require_base(self.cfg)
+        if self.model == "base" and self.cfg.m != 0:
+            raise ValueError("base model requires an empty kappa zero set")
         is_torus = isinstance(self.bg.grid, TorusGrid)
         if is_torus != (self.mode == "torus"):
             raise ValueError("background grid does not match mode")

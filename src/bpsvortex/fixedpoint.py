@@ -30,7 +30,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .backgrounds import Background, PhysicalParams, VortexConfig, check_existence
-from .errors import NonZeroMeanRhs, Overflow, ThresholdViolated
+from .energy import _checked_exp
+from .errors import NonZeroMeanRhs, ThresholdViolated
 from .grids import TorusGrid
 from .newton import Solution
 
@@ -61,13 +62,6 @@ def zero_mean_pair(u_prime: np.ndarray, w_prime: np.ndarray) -> np.ndarray:
         if abs(float(pair[k].mean())) > 1e-12 * scale:
             raise NonZeroMeanRhs(f"component {k} of pair is not zero-mean")
     return pair
-
-
-def _checked_exp(arg: np.ndarray) -> np.ndarray:
-    m = float(arg.max())
-    if m > 700.0:
-        raise Overflow(f"exponent argument {m:.3g} exceeds 700")
-    return np.exp(arg)
 
 
 def apply_T(pair: np.ndarray, t: float, bg: Background, cfg: VortexConfig,

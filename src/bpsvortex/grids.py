@@ -29,7 +29,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _kernels
 from .errors import NonZeroMeanRhs
 
 
@@ -150,8 +149,6 @@ class TorusGrid:
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((a * b).sum()) * self.dx * self.dy
 
-    inner_product = inner
-
     def norm_l2(self, values: np.ndarray) -> float:
         return float(np.sqrt(self.inner(values, values)))
 
@@ -212,8 +209,23 @@ class PlaneGrid:
     # -- operators ---------------------------------------------------------
 
     def laplacian(self, values: np.ndarray, boundary: float = 0.0) -> np.ndarray:
-        """5-point Laplacian; ghost nodes outside the grid hold ``boundary``."""
-        return _kernels.plane_laplacian(np.ascontiguousarray(values), self.h, float(boundary))
+        """5-point Laplacian; ghost nodes outside the grid hold ``boundary``.
+
+        Neighbours are summed into one output in a fixed order (up, down,
+        left, right, then the centre term), so results are bitwise stable.
+        """
+        out = np.empty_like(values)
+        out[0] = boundary
+        out[1:] = values[:-1]
+        out[:-1] += values[1:]
+        out[-1] += boundary
+        out[:, 1:] += values[:, :-1]
+        out[:, 0] += boundary
+        out[:, :-1] += values[:, 1:]
+        out[:, -1] += boundary
+        out -= 4.0 * values
+        out /= self.h * self.h
+        return out
 
     # -- Laplacian eigenbasis ------------------------------------------------
     #
@@ -260,8 +272,6 @@ class PlaneGrid:
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((a * b * self.trapezoid_weights).sum())
-
-    inner_product = inner
 
     def norm_l2(self, values: np.ndarray) -> float:
         return float(np.sqrt(self.inner(values, values)))

@@ -67,23 +67,18 @@ def _solution_summary(sol: Solution) -> dict:
     }
 
 
-def _write_report(report: dict, cfg: RunConfig, out_dir: Optional[Path]):
-    path = cfg.output.get("report_path")
-    if not path:
-        return
-    path = Path(path)
-    if out_dir is not None and not path.is_absolute():
-        path = out_dir / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-
-
 def _resolve(path_text: str, out_dir: Optional[Path]) -> Path:
     path = Path(path_text)
     if out_dir is not None and not path.is_absolute():
         path = out_dir / path
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _write_report(report: dict, cfg: RunConfig, out_dir: Optional[Path]):
+    path = cfg.output.get("report_path")
+    if path:
+        _resolve(path, out_dir).write_text(json.dumps(report, indent=2) + "\n")
 
 
 def dump_fields(state, physical, bg, path_text: str, config_hash: str,

@@ -75,7 +75,7 @@ class TestPlaneBackground:
         grid = bv.PlaneGrid(4.0, 33)
         bg = bv.build_background_plane(bv.VortexConfig(), grid, bv.PhysicalParams(lam=1.0))
         assert np.all(bg.exp_v0 == 1.0)
-        assert np.all(bg.h == 0.0)
+        assert np.all(bg.h2 == 0.0)
         assert np.all(bg.v0 == 0.0)
 
     def test_single_vortex_closed_form(self):
@@ -106,7 +106,7 @@ class TestPlaneBackground:
         tau = 1.0
         bg = bv.build_background_plane(cfg, grid, bv.PhysicalParams(lam=1.0, tau=tau))
         target = 4.0 * math.pi * cfg.n
-        assert abs(grid.integrate(bg.h) - target) <= 3.0 * target * tau / grid.R ** 2
+        assert abs(grid.integrate(bg.h2) - target) <= 3.0 * target * tau / grid.R ** 2
 
     def test_v0_floor(self):
         grid = bv.PlaneGrid(4.0, 33)
@@ -134,12 +134,12 @@ class TestTorusBackground:
         grid = bv.TorusGrid(L20, L20, 64, 64)
         cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0),))
         bg = bv.build_background_torus(cfg, grid, bv.PhysicalParams(lam=1.0))
-        assert grid.integrate(bg.h) == pytest.approx(4.0 * math.pi, rel=1e-14)
+        assert grid.integrate(bg.h2) == pytest.approx(4.0 * math.pi, rel=1e-14)
 
     def test_poisson_residual(self, torus_criterion_setup):
         grid, params, cfg, bg = torus_criterion_setup
-        res = grid.laplacian(bg.v0) + 4.0 * math.pi * cfg.n / grid.area - bg.h
-        assert grid.norm_l2(res) / grid.norm_l2(bg.h) <= 1e-10
+        res = grid.laplacian(bg.v0) + 4.0 * math.pi * cfg.n / grid.area - bg.h2
+        assert grid.norm_l2(res) / grid.norm_l2(bg.h2) <= 1e-10
 
     def test_v0_gauge_mean_zero(self, torus_criterion_setup):
         grid, params, cfg, bg = torus_criterion_setup

@@ -42,7 +42,8 @@ class TestTrivialValues:
         cfg = bv.VortexConfig()
         params = bv.PhysicalParams(lam=1.3)
         bg = bv.build_background(cfg, grid, params)
-        e = bv.energy_torus_base(np.zeros((2, 32, 32)), bg, cfg, params)
+        model = EnergyModel(mode="torus", model="base", bg=bg, cfg=cfg, params=params)
+        e = model.energy(np.zeros((2, 32, 32)))
         assert e.total == pytest.approx(3.0 * params.lam * grid.area, rel=1e-12)
         assert e.gradient_part == 0.0
 
@@ -51,7 +52,8 @@ class TestTrivialValues:
         cfg = bv.VortexConfig()
         params = bv.PhysicalParams(lam=1.3)
         bg = bv.build_background(cfg, grid, params)
-        g = bv.gradient_torus_base(np.zeros((2, 32, 32)), bg, cfg, params)
+        model = EnergyModel(mode="torus", model="base", bg=bg, cfg=cfg, params=params)
+        g = model.gradient(np.zeros((2, 32, 32)))
         assert np.max(np.abs(g)) < 1e-13
 
     def test_plane_base_zero_state(self):
@@ -59,10 +61,11 @@ class TestTrivialValues:
         cfg = bv.VortexConfig()
         params = bv.PhysicalParams(lam=1.3)
         bg = bv.build_background(cfg, grid, params)
+        model = EnergyModel(mode="plane", model="base", bg=bg, cfg=cfg, params=params)
         state = np.zeros((2, 32, 32))
-        e = bv.energy_plane_base(state, bg, cfg, params)
+        e = model.energy(state)
         assert e.total == 0.0
-        g = bv.gradient_plane_base(state, bg, cfg, params)
+        g = model.gradient(state)
         assert np.max(np.abs(g)) == 0.0
 
     def test_extended_zero_config_zero_state_gradient(self):
@@ -249,9 +252,9 @@ class TestReduction:
 
     def test_base_entry_points_reject_kappa_zeros(self):
         model = make_model("torus", "extended")
-        state = model.zero_state()
         with pytest.raises(ValueError):
-            bv.energy_torus_base(state, model.bg, model.cfg, model.params)
+            EnergyModel(mode="torus", model="base", bg=model.bg, cfg=model.cfg,
+                        params=model.params)
 
 
 class TestOverflowGuard:

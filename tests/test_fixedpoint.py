@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
-from bpsvortex.errors import NonZeroMeanRhs, ThresholdViolated
+from bpsvortex.errors import NonZeroMeanRhs, Overflow, ThresholdViolated
 
 L20 = math.sqrt(20.0)
 
@@ -52,6 +52,13 @@ class TestApplyT:
         for t in (0.2, 1.0):
             out = bv.apply_T(np.zeros((2, 32, 32)), t, bg, cfg, params)
             assert np.max(np.abs(out)) < 1e-13
+
+    def test_overflow_raised(self, fp_setup):
+        grid, params, cfg, bg = fp_setup
+        pair = np.zeros((2,) + grid.shape)
+        pair[0] += 800.0
+        with pytest.raises(Overflow):
+            bv.apply_T(pair, 1.0, bg, cfg, params)
 
     def test_zero_mean_pair_validation(self, fp_setup):
         grid, params, cfg, bg = fp_setup
