@@ -7,7 +7,7 @@ import json
 import sys
 
 from .config import apply_overrides, validate_config
-from .errors import ParseError, ThresholdViolated, ValidationError
+from .errors import NonZeroMeanRhs, Overflow, ParseError, ThresholdViolated, ValidationError
 from .runner import run
 
 
@@ -51,6 +51,9 @@ def main(argv=None) -> int:
     except ThresholdViolated as exc:
         print(f"threshold violated: {exc}", file=sys.stderr)
         return 2
+    except (Overflow, NonZeroMeanRhs) as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

@@ -224,6 +224,19 @@ def validate_config(raw: dict) -> RunConfig:
                 problems.append(("sweep.values2", "expected a non-empty list"))
         if sweep.get("action") not in ("check", "solve"):
             problems.append(("sweep.action", "must be 'check' or 'solve'"))
+        # a sweep point keeps the first n (m) configured points, so a larger
+        # value would label a row with a count it does not solve
+        for param_key, values_key in (("param", "values"), ("param2", "values2")):
+            param, values = sweep.get(param_key), sweep.get(values_key)
+            if param not in ("n", "m") or not isinstance(values, list):
+                continue
+            limit = len(phi) if param == "n" else len(kappa)
+            for i, v in enumerate(values):
+                if (isinstance(v, bool) or not isinstance(v, (int, float))
+                        or not 0 <= v <= limit or int(v) != v):
+                    problems.append((f"sweep.{values_key}[{i}]",
+                                     f"{param} must be an integer in [0, {limit}], "
+                                     f"the number of configured points"))
 
     if problems:
         raise ValidationError(problems)

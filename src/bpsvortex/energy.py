@@ -50,11 +50,11 @@ class EnergyBreakdown(NamedTuple):
     linear_part: float
 
 
-def _checked_exp(arg: np.ndarray) -> np.ndarray:
+def _checked_exp(arg: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     m = float(arg.max())
     if m > MAX_EXPONENT:
         raise Overflow(f"exponent argument {m:.3g} exceeds {MAX_EXPONENT:g}")
-    return np.exp(arg)
+    return np.exp(arg, out=out)
 
 
 def _exp_pair(state, bg: Background):
@@ -213,18 +213,20 @@ class EnergyModel:
         eU, eV = _exp_pair(state, self.bg)
         grid = self.grid
         c, c_lam = self._hessian_scales()
-        off = c_lam * eV
-        diag = 2.0 * c_lam * eU
+        off = np.multiply(eV, c_lam, out=eV)
+        diag = np.multiply(eU, 2.0 * c_lam, out=eU)
         diag += off
         plane = self.mode == "plane"
 
         def apply_h(d):
             out = np.empty_like(d)
             h0, h1 = out
-            np.multiply(grid.laplacian(d[0]), -c, out=h0)
+            grid.laplacian(d[0], out=h0)
+            h0 *= -c
             h0 += diag * d[0]
             h0 -= off * d[1]
-            np.multiply(grid.laplacian(d[1]), -0.5 * c, out=h1)
+            grid.laplacian(d[1], out=h1)
+            h1 *= -0.5 * c
             h1 += off * (d[1] - d[0])
             if plane:
                 _zero_boundary(h0)
@@ -264,23 +266,28 @@ class EnergyModel:
 
         is symmetric positive definite on both grids.  The returned callable
         applies it to a stacked residual; on the plane the result vanishes on
-        the boundary ring.
+        the boundary ring.  Its three coefficient buffers, in the grid's
+        modal layout, are allocated here once and reused by every apply.
         """
         grid = self.grid
         c_lam = self._hessian_scales()[1]
         d = grid.laplacian_eigenvalues() / (2.0 * self.params.lam)
         d += 1.0
         inv_det = 1.0 / ((2.0 * d - 1.0) * (d + 1.0) * c_lam)
+        # shape and dtype of the grid's coefficients (complex rfft2 layout on
+        # the torus, real interior sine modes on the plane)
+        coeffs = grid.modal_forward(np.zeros(grid.shape))
+        buffers = (coeffs, np.empty_like(coeffs), np.empty_like(coeffs))
 
         def apply_minv(r):
+            a, b, t = buffers
             out = np.empty_like(r)
-            a = grid.modal_forward(r[0])
-            b = grid.modal_forward(r[1])
-            t = d * a
+            grid.modal_forward(r[0], out=a)
+            grid.modal_forward(r[1], out=b)
+            np.multiply(d, a, out=t)
             t += b
             t *= inv_det
             grid.modal_inverse(t, out=out[0])
-            del t
             # a + (2d + 1) b, built in place
             a += b
             b *= d

@@ -66,52 +66,86 @@ def zero_mean_pair(u_prime: np.ndarray, w_prime: np.ndarray) -> np.ndarray:
 
 def apply_T(pair: np.ndarray, t: float, bg: Background, cfg: VortexConfig,
             params: PhysicalParams, c1: Optional[float] = None,
-            c2: Optional[float] = None) -> np.ndarray:
-    """One application of the homotopy map at parameter ``t`` (factor included)."""
+            c2: Optional[float] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """One application of the homotopy map at parameter ``t`` (factor included).
+
+    The result is written to ``out`` (a new array when it is ``None``), which
+    must not overlap ``pair``; ``pair`` is only read.
+    """
     grid: TorusGrid = bg.grid
     if c1 is None or c2 is None:
         report = check_existence(cfg, grid, params, model="base")
         c1, c2 = report.c1, report.c2
     lam = params.lam
     area = grid.area
+    if out is None:
+        out = np.empty_like(pair)
+    r1, r2 = out
 
-    eu = _checked_exp(pair[0])
-    ev = _checked_exp(t * bg.v0 + pair[1])
+    # dens_u in r1 and dens_v in r2; R1 needs both, so it goes to a new
+    # field, then R2 is built in r2 and each Poisson solve writes its slice
+    eu = _checked_exp(pair[0], out=r1)
+    np.multiply(bg.v0, t, out=r2)
+    r2 += pair[1]
+    ev = _checked_exp(r2, out=r2)
     iu = grid.integrate(eu)
     iv = grid.integrate(ev)
-    dens_u = (2.0 * c2 / iu) * eu
-    dens_v = (c1 / iv) * ev
-    r1 = lam * t * (dens_u - dens_v - 1.0)
-    r2 = lam * t * (-dens_u + 3.0 * dens_v - 1.0) + FOUR_PI * cfg.n * t / area
+    dens_u = np.multiply(eu, 2.0 * c2 / iu, out=r1)
+    dens_v = np.multiply(ev, c1 / iv, out=r2)
+    lam_t = lam * t
+    rhs1 = np.subtract(dens_u, dens_v)
+    rhs1 -= 1.0
+    rhs1 *= lam_t
+    rhs2 = dens_v
+    rhs2 *= 3.0
+    rhs2 -= dens_u
+    rhs2 -= 1.0
+    rhs2 *= lam_t
+    rhs2 += FOUR_PI * cfg.n * t / area
 
-    out = np.empty_like(pair)
-    for k, r in enumerate((r1, r2)):
+    for k, r in enumerate((rhs1, rhs2)):
         m = float(r.mean())
-        scale = float(np.max(np.abs(r))) + 1e-300
+        scale = max(float(r.max()), -float(r.min())) + 1e-300
         if abs(m) > 1e-8 * scale:
             # zero mean holds analytically; a large projection residual is a bug
             raise NonZeroMeanRhs(f"rhs {k} mean {m:.3e} too large relative to {scale:.3e}")
-        out[k] = grid.poisson_solve_zero_mean(r - m)
+        r -= m
+        grid.poisson_solve_zero_mean(r, out=out[k])
     return out
 
 
-def _residual(pair: np.ndarray, t_pair: np.ndarray) -> float:
-    scale = 1.0 + float(np.max(np.abs(pair)))
-    return float(np.max(np.abs(pair - t_pair))) / scale
+def _residual(pair: np.ndarray, t_pair: np.ndarray, work: np.ndarray) -> float:
+    scale = 1.0 + max(float(pair.max()), -float(pair.min()))
+    diff = np.subtract(pair, t_pair, out=work)
+    return max(float(diff.max()), -float(diff.min())) / scale
 
 
 def _solve_stage(pair, t, bg, cfg, params, c1, c2, schedule, residual_log):
+    """Damped Picard iteration at one ``t``; returns (converged, pair, trials).
+
+    Works in four pair buffers (the iterate, its image, the trial and the
+    trial's image), swapped when a trial is accepted, plus one work buffer;
+    the caller's ``pair`` is copied, not modified.
+    """
     omega = schedule.omega
-    t_pair = apply_T(pair, t, bg, cfg, params, c1, c2)
-    res = _residual(pair, t_pair)
+    pair = pair.copy()
+    t_pair = apply_T(pair, t, bg, cfg, params, c1, c2, out=np.empty_like(pair))
+    trial = np.empty_like(pair)
+    t_trial = np.empty_like(pair)
+    work = np.empty_like(pair)
+    res = _residual(pair, t_pair, work)
     iters = 0
     while res > schedule.inner_tol and iters < schedule.inner_max_iters:
-        trial = (1.0 - omega) * pair + omega * t_pair
-        t_trial = apply_T(trial, t, bg, cfg, params, c1, c2)
-        res_trial = _residual(trial, t_trial)
+        # (1 - omega) * pair + omega * t_pair
+        np.multiply(pair, 1.0 - omega, out=trial)
+        trial += np.multiply(t_pair, omega, out=work)
+        apply_T(trial, t, bg, cfg, params, c1, c2, out=t_trial)
+        res_trial = _residual(trial, t_trial, work)
         iters += 1
         if res_trial <= res * (1.0 + 1e-12):
-            pair, t_pair, res = trial, t_trial, res_trial
+            pair, trial = trial, pair
+            t_pair, t_trial = t_trial, t_pair
+            res = res_trial
             residual_log.append(res)
             omega = min(1.0, omega * 1.2)
         else:

@@ -62,9 +62,10 @@ class Solution:
 def _pcg(apply_a, b, apply_minv, tol, max_iters):
     """Preconditioned conjugate gradients on stacked state pairs.
 
-    ``b`` is consumed: it becomes the residual.  Updates are in place and each
-    operator result is dropped before the next operator call, so the loop
-    holds x, r, p and one operator result at a time.
+    ``b`` is consumed: it becomes the residual.  Updates are in place, with
+    the operator result as the scratch of the ``x`` update, and each operator
+    result is dropped before the next operator call, so the loop holds x, r,
+    p and one operator result at a time.
     """
     x = np.zeros_like(b)
     b_norm = float(np.sqrt(np.vdot(b, b)))
@@ -79,8 +80,9 @@ def _pcg(apply_a, b, apply_minv, tol, max_iters):
         if pap <= 0.0:
             break  # cannot happen for an SPD Hessian; guard against roundoff
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
+        x += np.multiply(p, alpha, out=ap)
         del ap
         if float(np.sqrt(np.vdot(r, r))) <= tol * b_norm:
             break

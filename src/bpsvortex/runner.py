@@ -4,7 +4,11 @@
 and returns ``(exit_code, report)``; the report is also written to
 ``output.report_path``.  Exit codes: 0 success, 2 existence threshold
 violated (non-existence is a definite outcome, not an error), 3 solver
-failed to converge.
+failed to converge.  A solver that fails outright (``Overflow`` from a
+divergent iterate, ``NonZeroMeanRhs`` from a broken zero-mean invariant)
+raises out of ``run`` without a report; ``cli.main`` prints it as
+``solver error: ...`` and also returns 3.  ``cli.main`` returns 1 for an
+unreadable or invalid configuration and for i/o errors.
 
 Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings`` so

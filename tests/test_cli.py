@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
+from bpsvortex import runner
 from bpsvortex.cli import main
 from bpsvortex.config import apply_overrides, parse_config
-from bpsvortex.errors import ParseError, ValidationError
+from bpsvortex.errors import NonZeroMeanRhs, Overflow, ParseError, ValidationError
 from bpsvortex.runner import run
 
 L20 = math.sqrt(20.0)
@@ -87,6 +88,26 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(raw))
         assert cfg.solver["tol"] == 1e-10
         assert cfg.grid["nx"] == 64
+
+    @pytest.mark.parametrize("sweep,path", [
+        ({"param": "n", "values": [1, 2, 5]}, "sweep.values[2]"),
+        ({"param": "n", "values": [1.5]}, "sweep.values[0]"),
+        ({"param": "n", "values": [-1]}, "sweep.values[0]"),
+        ({"param": "n", "values": [True]}, "sweep.values[0]"),
+        ({"param": "lambda", "values": [1.0], "param2": "m", "values2": [1]},
+         "sweep.values2[0]"),
+    ])
+    def test_sweep_counts_beyond_configured_points_rejected(self, sweep, path):
+        # a row labelled n=5 on a two-point config would report the n=2 margin
+        raw = minimal_torus(phi_zeros=[[1.0, 1.0], [2.0, 2.0]], sweep=sweep)
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(raw))
+        assert path in [p for p, _ in exc.value.problems]
+
+    def test_sweep_counts_within_configured_points_accepted(self):
+        raw = minimal_torus(phi_zeros=[[1.0, 1.0], [2.0, 2.0]],
+                            sweep={"param": "n", "values": [0, 1, 2.0]})
+        assert parse_config(json.dumps(raw)).sweep["values"] == [0, 1, 2.0]
 
     def test_config_hash_ignores_output_paths(self):
         a = parse_config(json.dumps(minimal_torus()))
@@ -244,6 +265,30 @@ class TestCliMain:
         cfg_path.write_text(json.dumps(minimal_torus(**{"lambda": -2.0})))
         code = main(["--config", str(cfg_path), "--command", "check"])
         assert code == 1
+
+    @pytest.mark.parametrize("error", [Overflow, NonZeroMeanRhs])
+    def test_solver_error_exit_3_without_traceback(self, tmp_path, capsys,
+                                                    monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error("exponent argument 812 exceeds 700")
+
+        monkeypatch.setattr(runner, "continuation_solve", failing)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_torus(phi_zeros=[[1.0, 1.0]])))
+        code = main(["--config", str(cfg_path), "--command", "compare",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: exponent argument 812")
+        assert "Traceback" not in err
+
+    def test_sweep_count_beyond_points_exit_1(self, tmp_path, capsys):
+        raw = minimal_torus(phi_zeros=[[1.0, 1.0], [2.0, 2.0]],
+                            sweep={"param": "n", "values": [1, 2, 5]})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "sweep"]) == 1
+        assert "sweep.values[2]" in capsys.readouterr().err
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"),

@@ -180,6 +180,19 @@ class TestPreconditioner:
             assert np.vdot(d, apply_minv(d)) > 0.0
 
 
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_reused_buffers_do_not_leak_between_applies(self, mode):
+        model = make_model(mode, "base")
+        apply_minv = model.preconditioner()
+        a = random_state(model.grid, seed=12)
+        b = random_state(model.grid, seed=13)
+        first = apply_minv(a)
+        second = apply_minv(b)
+        assert not np.shares_memory(first, second)
+        assert apply_minv(a).tobytes() == first.tobytes()
+        assert model.preconditioner()(b).tobytes() == second.tobytes()
+
+
 class TestGradientResidualCorrespondence:
     @pytest.mark.parametrize("mode,variant", VARIANTS)
     def test_gradient_zero_is_the_discrete_system(self, mode, variant):

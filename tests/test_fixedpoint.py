@@ -5,6 +5,7 @@ import pytest
 
 import bpsvortex as bv
 from bpsvortex.errors import NonZeroMeanRhs, Overflow, ThresholdViolated
+from bpsvortex.fixedpoint import _solve_stage
 
 L20 = math.sqrt(20.0)
 
@@ -60,6 +61,19 @@ class TestApplyT:
         with pytest.raises(Overflow):
             bv.apply_T(pair, 1.0, bg, cfg, params)
 
+    def test_out_buffer_bitwise_and_pair_unmodified(self, fp_setup):
+        grid, params, cfg, bg = fp_setup
+        rng = np.random.default_rng(5)
+        u = bv.random_smooth_field(grid, rng, 0.3)
+        w = bv.random_smooth_field(grid, rng, 0.3)
+        pair = bv.zero_mean_pair(u - u.mean(), w - w.mean())
+        before = pair.copy()
+        fresh = bv.apply_T(pair, 0.7, bg, cfg, params)
+        buf = np.full_like(pair, np.nan)
+        assert bv.apply_T(pair, 0.7, bg, cfg, params, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        assert pair.tobytes() == before.tobytes()
+
     def test_zero_mean_pair_validation(self, fp_setup):
         grid, params, cfg, bg = fp_setup
         with pytest.raises(NonZeroMeanRhs):
@@ -93,6 +107,24 @@ class TestContinuationSolve:
         fp = bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
         assert fp.converged
         assert np.max(np.abs(newton.state - fp.state)) <= 1e-6
+
+    def test_repeat_runs_bitwise_identical(self, fp_setup):
+        grid, params, cfg, bg = fp_setup
+        runs = [bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+                for _ in range(2)]
+        assert runs[0].state.tobytes() == runs[1].state.tobytes()
+        assert runs[0].grad_history == runs[1].grad_history
+
+    def test_stage_leaves_warm_start_unmodified(self, fp_setup):
+        grid, params, cfg, bg = fp_setup
+        rep = bv.check_existence(cfg, grid, params)
+        pair = 0.5 * bv.apply_T(np.zeros((2,) + grid.shape), 0.5, bg, cfg, params)
+        before = pair.copy()
+        ok, out, iters = _solve_stage(pair, 0.5, bg, cfg, params, rep.c1, rep.c2,
+                                      bv.ContinuationSchedule(), [])
+        assert ok and iters > 0
+        assert out is not pair
+        assert pair.tobytes() == before.tobytes()
 
     def test_residual_history_non_increasing(self, fp_setup):
         grid, params, cfg, bg = fp_setup

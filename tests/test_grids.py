@@ -181,3 +181,74 @@ class TestValidation:
         ws = torus_small.workspace
         assert ws.k2[0, 0] == 0.0
         assert ws.k2_safe[0, 0] == 1.0
+
+
+class TestBuffers:
+    """Caller-owned ``out`` buffers and the private scratch spectrum."""
+
+    @pytest.mark.parametrize("shape", [(16, 24), (96, 96), (256, 256)])
+    def test_torus_operators_bitwise_equal_to_plain_fft(self, shape):
+        g = bv.TorusGrid(2.0, 3.0, *shape)
+        k2, k2_safe = g.workspace.k2, g.workspace.k2_safe
+        rng = np.random.default_rng(shape[0])
+        v = rng.standard_normal(shape)
+        lap = np.fft.irfft2(-k2 * np.fft.rfft2(v), s=shape)
+        assert g.laplacian(v).tobytes() == lap.tobytes()
+        rhs = v - v.mean()
+        uhat = np.fft.rfft2(rhs) / (-k2_safe)
+        uhat[0, 0] = 0.0
+        poisson = np.fft.irfft2(uhat, s=shape)
+        assert g.poisson_solve_zero_mean(rhs).tobytes() == poisson.tobytes()
+        coeffs = np.fft.rfft2(v)
+        field = g.modal_inverse(coeffs, out=np.empty(shape))
+        assert field.tobytes() == np.fft.irfft2(coeffs, s=shape).tobytes()
+        assert g.modal_forward(v, out=np.empty_like(coeffs)).tobytes() == coeffs.tobytes()
+
+    def test_results_never_alias_the_workspace(self, torus_small):
+        g = torus_small
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(g.shape)
+        b = rng.standard_normal(g.shape)
+        lap_a = g.laplacian(a)
+        kept = lap_a.copy()
+        lap_b = g.laplacian(b)
+        assert lap_a is not lap_b
+        assert not np.shares_memory(lap_a, lap_b)
+        assert lap_a.tobytes() == kept.tobytes()
+
+    def test_inputs_untouched_and_out_returned(self, torus_small):
+        g = torus_small
+        rng = np.random.default_rng(2)
+        coeffs = np.fft.rfft2(rng.standard_normal(g.shape))
+        before = coeffs.copy()
+        g.modal_inverse(coeffs, out=np.empty(g.shape))
+        assert coeffs.tobytes() == before.tobytes()
+        rhs = rng.standard_normal(g.shape)
+        rhs -= rhs.mean()
+        rhs_before = rhs.copy()
+        buf = np.empty(g.shape)
+        assert g.poisson_solve_zero_mean(rhs, out=buf) is buf
+        assert rhs.tobytes() == rhs_before.tobytes()
+        assert g.laplacian(rhs, out=buf) is buf
+
+    def test_poisson_in_place(self, torus_small):
+        g = torus_small
+        rhs = band_limited(g, seed=4)
+        rhs -= rhs.mean()
+        expected = g.poisson_solve_zero_mean(rhs)
+        assert g.poisson_solve_zero_mean(rhs, out=rhs) is rhs
+        assert rhs.tobytes() == expected.tobytes()
+
+    def test_plane_transforms_bitwise_with_out(self, plane_32):
+        g = plane_32
+        s = g.sine_basis
+        v = np.random.default_rng(3).standard_normal(g.shape)
+        coeffs = s @ v[1:-1, 1:-1] @ s
+        buf = np.empty_like(coeffs)
+        assert g.modal_forward(v, out=buf) is buf
+        assert buf.tobytes() == coeffs.tobytes()
+        assert g.modal_forward(v).tobytes() == coeffs.tobytes()
+        lap = g.laplacian(v)
+        out = np.empty(g.shape)
+        assert g.laplacian(v, out=out) is out
+        assert out.tobytes() == lap.tobytes()
