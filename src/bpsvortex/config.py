@@ -115,6 +115,17 @@ def _number(obj, path, problems, positive=False, integer=False, optional=False):
     return val
 
 
+def _grid_points(obj, path, mode, problems):
+    """A grid size: even and at least 8 per torus axis, at least 16 on the plane."""
+    val = _number(obj, path, problems, positive=True, integer=True)
+    if val is not None:
+        if mode == "torus" and (val < 8 or val % 2):
+            problems.append((path, "must be even and at least 8"))
+        elif mode == "plane" and val < 16:
+            problems.append((path, "must be at least 16"))
+    return val
+
+
 def _points(obj, path, problems):
     if obj is None:
         return []
@@ -164,19 +175,13 @@ def validate_config(raw: dict) -> RunConfig:
     if mode == "torus":
         dom_out["Lx"] = _number(domain.get("Lx"), "domain.Lx", problems, positive=True)
         dom_out["Ly"] = _number(domain.get("Ly"), "domain.Ly", problems, positive=True)
-        nx = _number(grid.get("nx"), "grid.nx", problems, positive=True, integer=True)
+        nx = _grid_points(grid.get("nx"), "grid.nx", mode, problems)
         ny_default = nx if "ny" not in grid else grid.get("ny")
-        ny = _number(ny_default, "grid.ny", problems, positive=True, integer=True)
-        grid_out["nx"], grid_out["ny"] = nx, ny
-        for key, val in (("grid.nx", nx), ("grid.ny", ny)):
-            if val is not None and (val < 8 or val % 2):
-                problems.append((key, "must be even and at least 8"))
+        grid_out["nx"] = nx
+        grid_out["ny"] = _grid_points(ny_default, "grid.ny", mode, problems)
     elif mode == "plane":
         dom_out["R"] = _number(domain.get("R"), "domain.R", problems, positive=True)
-        npts = _number(grid.get("n"), "grid.n", problems, positive=True, integer=True)
-        grid_out["n"] = npts
-        if npts is not None and npts < 16:
-            problems.append(("grid.n", "must be at least 16"))
+        grid_out["n"] = _grid_points(grid.get("n"), "grid.n", mode, problems)
 
     phi = _points(raw.get("phi_zeros"), "phi_zeros", problems)
     kappa = _points(raw.get("kappa_zeros"), "kappa_zeros", problems)
@@ -224,19 +229,28 @@ def validate_config(raw: dict) -> RunConfig:
                 problems.append(("sweep.values2", "expected a non-empty list"))
         if sweep.get("action") not in ("check", "solve"):
             problems.append(("sweep.action", "must be 'check' or 'solve'"))
-        # a sweep point keeps the first n (m) configured points, so a larger
-        # value would label a row with a count it does not solve
+        # every sweep value obeys the rule of the field it replaces, so a bad
+        # value is refused before any row is solved
         for param_key, values_key in (("param", "values"), ("param2", "values2")):
             param, values = sweep.get(param_key), sweep.get(values_key)
-            if param not in ("n", "m") or not isinstance(values, list):
+            if not isinstance(values, list):
                 continue
             limit = len(phi) if param == "n" else len(kappa)
             for i, v in enumerate(values):
-                if (isinstance(v, bool) or not isinstance(v, (int, float))
+                path = f"sweep.{values_key}[{i}]"
+                if param == "lambda":
+                    _number(v, path, problems, positive=True)
+                elif param == "tau":
+                    _number(v, path, problems, positive=True, optional=True)
+                elif param == "resolution":
+                    _grid_points(v, path, mode, problems)
+                elif param in ("n", "m") and (
+                        isinstance(v, bool) or not isinstance(v, (int, float))
                         or not 0 <= v <= limit or int(v) != v):
-                    problems.append((f"sweep.{values_key}[{i}]",
-                                     f"{param} must be an integer in [0, {limit}], "
-                                     f"the number of configured points"))
+                    # a sweep point keeps the first n (m) configured points, so
+                    # a larger value would label a row with a count it does not solve
+                    problems.append((path, f"{param} must be an integer in [0, {limit}], "
+                                           f"the number of configured points"))
 
     if problems:
         raise ValidationError(problems)

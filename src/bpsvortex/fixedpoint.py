@@ -15,10 +15,16 @@ roundoff and inverts the Laplacian on each, so the output lies in X again.
 Fixed points of ``apply_T(., t)`` at ``t = 1`` solve the full system; the two
 field means are recovered from the integral constraints afterwards.
 
-Stages are solved by damped Picard iteration with adaptive relaxation
-(halved whenever the residual would increase, so the accepted residual
-sequence is non-increasing), warm-started along an increasing ``t`` schedule
-that is refined by midpoint insertion when a stage stalls.
+Stages are solved by depth-1 Anderson acceleration of the same map (Walker &
+Ni, SIAM J. Numer. Anal. 49, 2011) with a residual safeguard: a trial is
+accepted only when it does not increase the residual, so the accepted
+residual sequence of a stage is non-increasing, and a rejected Anderson
+trial falls back to a damped Picard step whose relaxation halves whenever
+the residual would increase.  Acceleration changes the path to a fixed
+point, not the fixed points, so the result stays independent of Newton.
+Stages are warm-started along an increasing ``t`` schedule that is refined
+by midpoint insertion when a stage stalls, and ``Solution.stages`` records
+every stage attempt.
 """
 
 from __future__ import annotations
@@ -120,39 +126,78 @@ def _residual(pair: np.ndarray, t_pair: np.ndarray, work: np.ndarray) -> float:
     return max(float(diff.max()), -float(diff.min())) / scale
 
 
-def _solve_stage(pair, t, bg, cfg, params, c1, c2, schedule, residual_log):
-    """Damped Picard iteration at one ``t``; returns (converged, pair, trials).
+def _solve_stage(pair, t, bg, cfg, params, c1, c2, schedule, residual_log,
+                 stage_log=None):
+    """Safeguarded Anderson iteration at one ``t``; returns (converged, pair, trials).
+
+    With f(x) = T(x) - x, a depth-1 Anderson step from the iterate x_k
+    mixes the last two images: ``T(x_k) - gamma*dG`` with ``dG = T(x_k) -
+    T(x_{k-1})``, ``dF = f_k - f_{k-1}`` and the scalar least-squares
+    coefficient ``gamma = <dF, f_k> / <dF, dF>``.  A trial is accepted only
+    when its residual does not exceed the current one (up to 1e-12
+    relative), so the accepted residuals of a stage never increase.  A rejected Anderson trial clears
+    the history, and the next trial is the damped Picard step
+    ``(1 - omega)*x + omega*T(x)``; omega grows by 1.2 (up to 1) on every
+    acceptance and halves on every rejected damped trial, and the stage
+    gives up once omega drops below 1e-8.  Every trial counts, fallbacks
+    included; each accepted residual is appended to ``residual_log`` and,
+    when ``stage_log`` is given, one entry describing the stage is appended
+    to it.
 
     Works in four pair buffers (the iterate, its image, the trial and the
-    trial's image), swapped when a trial is accepted, plus one work buffer;
-    the caller's ``pair`` is copied, not modified.
+    trial's image), swapped when a trial is accepted, plus the two history
+    slots; the dF slot is also the residual work buffer, since it is free
+    from the moment gamma is computed until the history is rebuilt on
+    acceptance.  The caller's ``pair`` is copied, not modified.
     """
     omega = schedule.omega
     pair = pair.copy()
     t_pair = apply_T(pair, t, bg, cfg, params, c1, c2, out=np.empty_like(pair))
     trial = np.empty_like(pair)
     t_trial = np.empty_like(pair)
-    work = np.empty_like(pair)
-    res = _residual(pair, t_pair, work)
-    iters = 0
-    while res > schedule.inner_tol and iters < schedule.inner_max_iters:
-        # (1 - omega) * pair + omega * t_pair
-        np.multiply(pair, 1.0 - omega, out=trial)
-        trial += np.multiply(t_pair, omega, out=work)
+    d_f = np.empty_like(pair)
+    d_g = np.empty_like(pair)
+    res = _residual(pair, t_pair, d_f)
+    have_history = False
+    trials = accepted = anderson_rejected = 0
+    while res > schedule.inner_tol and trials < schedule.inner_max_iters:
+        if have_history:
+            np.subtract(t_pair, pair, out=trial)  # f_k
+            d_f_sq = float(np.vdot(d_f, d_f))
+            gamma = float(np.vdot(d_f, trial)) / d_f_sq if d_f_sq > 0.0 else 0.0
+            np.multiply(d_g, gamma, out=trial)
+            np.subtract(t_pair, trial, out=trial)
+        else:
+            # (1 - omega) * pair + omega * t_pair
+            np.multiply(pair, 1.0 - omega, out=trial)
+            trial += np.multiply(t_pair, omega, out=d_f)
         apply_T(trial, t, bg, cfg, params, c1, c2, out=t_trial)
-        res_trial = _residual(trial, t_trial, work)
-        iters += 1
+        res_trial = _residual(trial, t_trial, d_f)
+        trials += 1
         if res_trial <= res * (1.0 + 1e-12):
+            # dG = T(trial) - T(pair), dF = dG - (trial - pair)
+            np.subtract(t_trial, t_pair, out=d_g)
+            np.subtract(trial, pair, out=d_f)
+            np.subtract(d_g, d_f, out=d_f)
+            have_history = True
             pair, trial = trial, pair
             t_pair, t_trial = t_trial, t_pair
             res = res_trial
             residual_log.append(res)
+            accepted += 1
             omega = min(1.0, omega * 1.2)
+        elif have_history:
+            have_history = False
+            anderson_rejected += 1
         else:
             omega *= 0.5
             if omega < 1e-8:
-                return False, pair, iters
-    return res <= schedule.inner_tol, pair, iters
+                break
+    converged = res <= schedule.inner_tol
+    if stage_log is not None:
+        stage_log.append({"t": t, "trials": trials, "accepted": accepted,
+                          "anderson_rejected": anderson_rejected, "converged": converged})
+    return converged, pair, trials
 
 
 def continuation_solve(schedule: ContinuationSchedule, bg: Background, cfg: VortexConfig,
@@ -168,6 +213,7 @@ def continuation_solve(schedule: ContinuationSchedule, bg: Background, cfg: Vort
 
     pair = np.zeros((2,) + grid.shape)
     residual_log: List[float] = []
+    stage_log: List[dict] = []
     pending = list(schedule.t_values)
     refinements = 0
     total_iters = 0
@@ -175,7 +221,7 @@ def continuation_solve(schedule: ContinuationSchedule, bg: Background, cfg: Vort
     while idx < len(pending):
         t = pending[idx]
         ok, pair_new, iters = _solve_stage(pair, t, bg, cfg, params, c1, c2,
-                                           schedule, residual_log)
+                                           schedule, residual_log, stage_log)
         total_iters += iters
         if ok:
             pair = pair_new
@@ -185,12 +231,12 @@ def continuation_solve(schedule: ContinuationSchedule, bg: Background, cfg: Vort
         if refinements > schedule.max_refinements:
             state = _recover_state(pair_new, bg, c1, c2)
             return Solution(state, total_iters, residual_log, [], False,
-                            f"stage t={t:.4g} exhausted iterations")
+                            f"stage t={t:.4g} exhausted iterations", stage_log)
         t_prev = pending[idx - 1] if idx > 0 else 0.0
         pending.insert(idx, 0.5 * (t_prev + t))
 
     state = _recover_state(pair, bg, c1, c2)
-    return Solution(state, total_iters, residual_log, [], True)
+    return Solution(state, total_iters, residual_log, [], True, "", stage_log)
 
 
 def _recover_state(pair: np.ndarray, bg: Background, c1: float, c2: float) -> np.ndarray:

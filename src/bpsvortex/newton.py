@@ -48,7 +48,9 @@ class Solution:
     energy_history: List[float]
     converged: bool
     message: str = ""
-    stages: Optional[List[int]] = None
+    # one entry per stage of a continuation: Newton iterations per vortex
+    # added (continuation_in_vortices), or a dict per fixed-point t stage
+    stages: Optional[list] = None
 
     @property
     def u(self):

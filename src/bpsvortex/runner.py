@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -62,13 +63,16 @@ def _threshold_dict(cfg: RunConfig, grid, params) -> dict:
 
 
 def _solution_summary(sol: Solution) -> dict:
-    return {
+    summary = {
         "converged": sol.converged,
         "iterations": sol.iterations,
         "grad_sup_final": sol.grad_history[-1] if sol.grad_history else None,
         "energy_final": sol.energy_history[-1] if sol.energy_history else None,
         "message": sol.message,
     }
+    if sol.stages is not None:
+        summary["stages"] = sol.stages
+    return summary
 
 
 def _resolve(path_text: str, out_dir: Optional[Path]) -> Path:
@@ -106,16 +110,20 @@ def dump_fields(state, physical, bg, path_text: str, config_hash: str,
         "a12": physical.a12, "b12": physical.b12,
     }
     names = list(columns)
+    field_names = names[2:]
+    # nodes() is an ij meshgrid: x is constant along a grid row, y repeats
+    # the same axis in every row, so both are formatted once
+    x_text = [repr(val) for val in X[:, 0].tolist()]
+    y_text = [repr(val) for val in Y[0].tolist()]
     with open(base.with_suffix(".csv"), "w") as fh:
         fh.write(",".join(names) + "\n")
-        flat = [columns[name].ravel() for name in names]
-        for row in zip(*flat):
-            fh.write(",".join(repr(float(val)) for val in row) + "\n")
+        for i, x_i in enumerate(x_text):
+            row = [map(repr, columns[name][i].tolist()) for name in field_names]
+            fh.write("\n".join(map(",".join, zip(repeat(x_i), y_text, *row))) + "\n")
 
-    field_names = names[2:]
     with open(base.with_suffix(".bin"), "wb") as fh:
         for name in field_names:
-            fh.write(np.ascontiguousarray(columns[name], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(columns[name], dtype="<f8").data)
     meta = {
         "dtype": "<f8",
         "order": "row-major",

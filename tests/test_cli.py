@@ -104,6 +104,32 @@ class TestParseConfig:
             parse_config(json.dumps(raw))
         assert path in [p for p, _ in exc.value.problems]
 
+    @pytest.mark.parametrize("mode,sweep,path", [
+        ("torus", {"param": "lambda", "values": [1.0, -2.0]}, "sweep.values[1]"),
+        ("torus", {"param": "lambda", "values": ["1"]}, "sweep.values[0]"),
+        ("torus", {"param": "tau", "values": [0.1, 0.0]}, "sweep.values[1]"),
+        ("torus", {"param": "resolution", "values": [32, 33]}, "sweep.values[1]"),
+        ("torus", {"param": "resolution", "values": [6]}, "sweep.values[0]"),
+        ("plane", {"param": "resolution", "values": [32, 12]}, "sweep.values[1]"),
+        ("plane", {"param": "resolution", "values": [32.5]}, "sweep.values[0]"),
+        ("torus", {"param": "n", "values": [1], "param2": "lambda", "values2": [1.0, 0]},
+         "sweep.values2[1]"),
+    ])
+    def test_sweep_values_follow_their_field_rule(self, mode, sweep, path):
+        raw = minimal_torus(phi_zeros=[[1.0, 1.0]], sweep=sweep)
+        if mode == "plane":
+            raw.update(mode="plane", domain={"R": 4.0}, grid={"n": 32})
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(raw))
+        assert [p for p, _ in exc.value.problems] == [path]
+
+    def test_sweep_values_within_field_rules_accepted(self):
+        for sweep in ({"param": "tau", "values": [0.1, None]},
+                      {"param": "resolution", "values": [8, 64.0],
+                       "param2": "lambda", "values2": [0.5, 2]}):
+            raw = minimal_torus(sweep=sweep)
+            assert parse_config(json.dumps(raw)).sweep["values"] == sweep["values"]
+
     def test_sweep_counts_within_configured_points_accepted(self):
         raw = minimal_torus(phi_zeros=[[1.0, 1.0], [2.0, 2.0]],
                             sweep={"param": "n", "values": [0, 1, 2.0]})
@@ -160,6 +186,56 @@ class TestRunCommands:
         code, report = run("compare", cfg, out_dir=str(tmp_path))
         assert code == 0
         assert report["results"]["cross_method_sup_diff"] <= 1e-6
+
+    def test_compare_reports_fixedpoint_stages(self, tmp_path):
+        raw = minimal_torus(phi_zeros=[[0.4 * L20, 0.5 * L20]])
+        raw["solver"] = {"continuation_steps": 4}
+        cfg = parse_config(json.dumps(raw))
+        code, report = run("compare", cfg, out_dir=str(tmp_path))
+        assert code == 0
+        fixed = report["results"]["fixedpoint"]
+        stages = fixed["stages"]
+        assert [s["t"] for s in stages] == [0.25, 0.5, 0.75, 1.0]
+        assert all(s["converged"] for s in stages)
+        assert sum(s["trials"] for s in stages) == fixed["iterations"]
+        for s in stages:
+            assert set(s) == {"t", "trials", "accepted", "anderson_rejected", "converged"}
+            assert s["accepted"] + s["anderson_rejected"] <= s["trials"]
+        assert "stages" not in report["results"]["newton"]
+        again = run("compare", cfg, out_dir=str(tmp_path))[1]
+        assert json.dumps(again["results"]) == json.dumps(report["results"])
+
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_field_dump_bytes_match_node_by_node_writer(self, tmp_path, mode):
+        if mode == "torus":
+            grid = bv.TorusGrid(3.0, 2.0, 12, 10)
+            vcfg = bv.VortexConfig(phi_zeros=((1.0, 1.0),))
+        else:
+            grid = bv.PlaneGrid(3.0, 17)
+            vcfg = bv.VortexConfig(phi_zeros=((0.5, -0.25),))
+        params = bv.PhysicalParams(lam=2.0)
+        bg = bv.build_background(vcfg, grid, params)
+        rng = np.random.default_rng(3)
+        state = 0.1 * rng.standard_normal((2,) + grid.shape)
+        state[0, 1, 2] = 0.1
+        phys = bv.reconstruct_physical(state, bg, params)
+        phys.a12[0, 0] = -0.0
+        phys.a12[3, 4] = 1e-5
+        phys.b12[2, 1] = 1e16
+        phys.kappa[4, 3] = 0.1
+        bv.dump_fields(state, phys, bg, "f.csv", "hash", tmp_path)
+
+        # the node-by-node writer the row writer replaced
+        X, Y = grid.nodes()
+        columns = [X, Y, bg.u0 + state[0], bg.v0 + state[1] - state[0], phys.kappa,
+                   phys.phi_abs, phys.a12, phys.b12]
+        lines = ["x,y,u,v,kappa,phi_abs,a12,b12\n"]
+        for row in zip(*[c.ravel() for c in columns]):
+            lines.append(",".join(repr(float(val)) for val in row) + "\n")
+        assert (tmp_path / "f.csv").read_text() == "".join(lines)
+        assert "-0.0," in lines[1] and "1e-05" in "".join(lines) and "1e+16" in "".join(lines)
+        blob = b"".join(np.ascontiguousarray(c, dtype="<f8").tobytes() for c in columns[2:])
+        assert (tmp_path / "f.bin").read_bytes() == blob
 
     def test_field_dumps_round_trip_bitwise(self, tmp_path):
         raw = minimal_torus(phi_zeros=[[0.4 * L20, 0.5 * L20]])
@@ -289,6 +365,21 @@ class TestCliMain:
         cfg_path.write_text(json.dumps(raw))
         assert main(["--config", str(cfg_path), "--command", "sweep"]) == 1
         assert "sweep.values[2]" in capsys.readouterr().err
+
+    def test_sweep_scalar_value_exit_1_before_any_row(self, tmp_path, capsys, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a sweep row was computed")
+
+        monkeypatch.setattr(runner, "_sweep_point_config", no_rows)
+        raw = minimal_torus(phi_zeros=[[1.0, 1.0]],
+                            sweep={"param": "lambda", "values": [1.0, -2.0]})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "sweep",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep.values[1]" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"),

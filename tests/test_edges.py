@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,9 +134,12 @@ class TestConsoleEntryPoint:
             "domain": {"Lx": L20, "Ly": L20}, "grid": {"nx": 16},
             "phi_zeros": [],
         }))
+        # the child imports the same package as this process, installed or not
+        src = str(Path(bv.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "bpsvortex", "--config", str(cfg_path),
              "--command", "check", "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert json.loads(proc.stdout.splitlines()[-1])["solvable"] is True

@@ -135,6 +135,41 @@ class TestContinuationSolve:
         ups = sum(1 for a, b in zip(res, res[1:]) if b > a * (1.0 + 1e-9))
         assert ups < len(bv.ContinuationSchedule().t_values)
 
+    def test_stage_trace_accounts_for_every_trial(self, fp_setup):
+        grid, params, cfg, bg = fp_setup
+        sched = bv.ContinuationSchedule()
+        fp = bv.continuation_solve(sched, bg, cfg, params)
+        assert [s["t"] for s in fp.stages] == list(sched.t_values)
+        assert all(s["converged"] for s in fp.stages)
+        assert sum(s["trials"] for s in fp.stages) == fp.iterations
+        assert sum(s["accepted"] for s in fp.stages) == len(fp.grad_history)
+        # the damped Picard iteration alone took 436 trials on this case
+        assert fp.iterations <= 0.7 * 436
+
+    def test_accepted_residuals_non_increasing_within_each_stage(self, fp_setup):
+        grid, params, cfg, bg = fp_setup
+        fp = bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+        start = 0
+        for stage in fp.stages:
+            res = fp.grad_history[start:start + stage["accepted"]]
+            start += stage["accepted"]
+            # the acceptance test allows a 1e-12 relative tie, nothing more
+            assert all(b <= a * (1.0 + 1e-12) for a, b in zip(res, res[1:]))
+        assert start == len(fp.grad_history)
+
+    def test_close_pair_converges_and_matches_newton(self):
+        # two vortices 0.24 apart at lambda = 3: damped Picard alone stalls
+        # at t = 0.6 and exhausts its refinements on this case
+        grid = bv.TorusGrid(L20, L20, 128, 128)
+        params = bv.PhysicalParams(lam=3.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.32 * L20, 0.45 * L20)))
+        bg = bv.build_background_torus(cfg, grid, params)
+        fp = bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+        assert fp.converged, fp.message
+        newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
+        assert newton.converged
+        assert np.max(np.abs(newton.state - fp.state)) <= 1e-6
+
     def test_iterates_stay_zero_mean(self, fp_setup):
         # run a few damped steps by hand and check the X-space invariant
         grid, params, cfg, bg = fp_setup
