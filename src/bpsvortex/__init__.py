@@ -26,8 +26,6 @@ from .errors import (AnnulusTooThin, BpsVortexError, NonZeroMeanRhs, Overflow,
                      ValidationError)
 from .fixedpoint import (ContinuationSchedule, apply_T, continuation_solve,
                          zero_mean_pair)
-from .grids import (PlaneGrid, SpectralWorkspace, TorusGrid,
-                    random_smooth_field, validate_field)
-from .newton import (Solution, SolverSettings, continuation_in_vortices,
-                     minimize, solve)
+from .grids import PlaneGrid, SpectralWorkspace, TorusGrid, random_smooth_field
+from .newton import Solution, SolverSettings, minimize, solve
 from .runner import dump_fields, emit_plot_data, run

@@ -48,6 +48,9 @@ def main(argv=None) -> int:
 
     try:
         exit_code, report = run(args.command, cfg, out_dir=args.out)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ThresholdViolated as exc:
         print(f"threshold violated: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ _SOLVER_DEFAULTS = {
     "tol": 1e-9,
     "max_iters": 100,
     "continuation_steps": 10,
-    "seed": 0,
 }
 
 _OUTPUT_DEFAULTS = {
@@ -152,6 +151,16 @@ def _points_in_domain(pts, mode, domain, path, problems):
                 problems.append((f"{path}[{i}]", "point outside (-R, R)^2"))
 
 
+def fixedpoint_problems(mode, model, path) -> List[Tuple[str, str]]:
+    """Why the fixed-point path cannot solve this variant (empty when it can)."""
+    problems = []
+    if mode == "plane":
+        problems.append((path, "fixed-point path requires mode='torus'"))
+    if model == "extended":
+        problems.append((path, "fixed-point path implements the base model only"))
+    return problems
+
+
 def validate_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON document; raises ValidationError listing all problems."""
     problems: List[Tuple[str, str]] = []
@@ -197,15 +206,11 @@ def validate_config(raw: dict) -> RunConfig:
     if solver["method"] not in ("newton", "fixedpoint", "both"):
         problems.append(("solver.method", "must be 'newton', 'fixedpoint' or 'both'"))
     elif solver["method"] in ("fixedpoint", "both"):
-        if mode == "plane":
-            problems.append(("solver.method", "fixed-point path requires mode='torus'"))
-        if model == "extended":
-            problems.append(("solver.method", "fixed-point path implements the base model only"))
+        problems += fixedpoint_problems(mode, model, "solver.method")
     _number(solver["tol"], "solver.tol", problems, positive=True)
     _number(solver["max_iters"], "solver.max_iters", problems, positive=True, integer=True)
     _number(solver["continuation_steps"], "solver.continuation_steps", problems,
             positive=True, integer=True)
-    _number(solver["seed"], "solver.seed", problems, integer=True)
 
     output_raw = _expect_mapping(raw.get("output", {}), "output", problems,
                                  set(_OUTPUT_DEFAULTS))

@@ -24,6 +24,20 @@ from .newton import SolverSettings, solve
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
 
+# allowed excess over the maximum-principle bounds: the continuum solution
+# obeys them exactly, the discrete one may overshoot 1 by a discretization
+# error that does not grow under refinement
+BOUND_TOLERANCE = 0.05
+# fewer radial bins (of about two cells each) leave the log-linear decay
+# fit to a handful of noisy points
+DECAY_MIN_BINS = 8
+# bins whose angular average is below this fraction of the peak are
+# roundoff, not decay, and are left out of the fit
+DECAY_FLOOR_REL = 1e-10
+# sup norm of each random initial field of the uniqueness probe: an O(1)
+# start away from the solution, small enough to stay far from overflow
+PROBE_AMPLITUDE = 0.5
+
 
 def pde_residual(state, mode: str, bg: Background, cfg: VortexConfig,
                  params: PhysicalParams):
@@ -61,18 +75,17 @@ class BoundReport:
     max_exp_u_excess: float  # max(e^u) - 1
     max_exp_v_excess: float  # max(e^v) - 1
     intermediate_excess: float  # max(2 e^u) - (max(e^v) + 1)
-    tolerance: float
-    ok: bool
+    ok: bool  # every excess is at most BOUND_TOLERANCE
 
 
-def pointwise_bounds(state, bg: Background, tolerance: float = 0.05) -> BoundReport:
+def pointwise_bounds(state, bg: Background) -> BoundReport:
     """Maximum-principle bounds e^u <= 1, e^v <= 1 (and 2 e^u <= max e^v + 1)."""
     eU, eV = _exp_pair(state, bg)
     exc_u = float(eU.max()) - 1.0
     exc_v = float(eV.max()) - 1.0
     inter = float((2.0 * eU).max()) - (float(eV.max()) + 1.0)
-    ok = exc_u <= tolerance and exc_v <= tolerance and inter <= tolerance
-    return BoundReport(exc_u, exc_v, inter, tolerance, ok)
+    ok = exc_u <= BOUND_TOLERANCE and exc_v <= BOUND_TOLERANCE and inter <= BOUND_TOLERANCE
+    return BoundReport(exc_u, exc_v, inter, ok)
 
 
 def verify_lagrange_multipliers(state, bg: Background, cfg: VortexConfig,
@@ -130,47 +143,46 @@ def radial_profile(state, bg: Background, r_min: float, r_max: float,
     return RadialProfile(centers, sums_f[keep] / counts[keep], sums_g[keep] / counts[keep])
 
 
-def _log_linear_rate(r, y, floor_rel, min_bins):
+def _log_linear_rate(r, y):
     # Beyond the profile minimum, Dirichlet truncation error (which grows
     # toward the boundary) dominates the exponentially small true fields,
     # so the fit stops there; a relative floor drops discretization noise.
     stop = int(np.argmin(y)) + 1
-    if stop < min_bins:
+    if stop < DECAY_MIN_BINS:
         stop = y.size
     r, y = r[:stop], y[:stop]
-    keep = y > floor_rel * float(y.max())
-    if int(keep.sum()) < min_bins:
-        raise AnnulusTooThin(f"only {int(keep.sum())} usable radial bins (need {min_bins})")
+    keep = y > DECAY_FLOOR_REL * float(y.max())
+    if int(keep.sum()) < DECAY_MIN_BINS:
+        raise AnnulusTooThin(f"only {int(keep.sum())} usable radial bins "
+                             f"(need {DECAY_MIN_BINS})")
     slope = np.polyfit(r[keep], np.log(y[keep]), 1)[0]
     return -float(slope)
 
 
-def decay_fit(state, bg: Background, cfg: VortexConfig, params: PhysicalParams,
-              r_min: Optional[float] = None, r_max: Optional[float] = None,
-              min_bins: int = 8, floor_rel: float = 1e-10):
+def decay_fit(state, bg: Background, cfg: VortexConfig, params: PhysicalParams):
     """Fitted radial decay rates of ln(u^2+v^2) and ln(|grad u|^2+|grad v|^2).
 
-    The fit annulus starts beyond every vortex plus a few core lengths and
-    stays inside the truncation boundary; bins whose angular average falls
-    below ``floor_rel`` of the peak are dropped (discretization noise floor).
+    The fit annulus runs from three core lengths 1/sqrt(lam) beyond the
+    outermost vortex to 0.8 R, inside the truncation boundary; bins whose
+    angular average falls below ``DECAY_FLOOR_REL`` of the peak are dropped
+    (discretization noise floor).
     """
     grid: PlaneGrid = bg.grid
     pts = list(cfg.phi_zeros) + list(cfg.kappa_zeros)
     r_v = max((math.hypot(px, py) for (px, py) in pts), default=0.0)
-    if r_min is None:
-        r_min = r_v + 3.0 / math.sqrt(params.lam)
-    if r_max is None:
-        r_max = 0.8 * grid.R
+    r_min = r_v + 3.0 / math.sqrt(params.lam)
+    r_max = 0.8 * grid.R
     if r_max <= r_min:
         raise AnnulusTooThin(f"empty annulus [{r_min:.3g}, {r_max:.3g}]")
     nbins = int((r_max - r_min) / (2.0 * grid.h))  # ~2 grid cells per bin
-    if nbins < min_bins:
-        raise AnnulusTooThin(f"annulus supports only {nbins} radial bins (need {min_bins})")
+    if nbins < DECAY_MIN_BINS:
+        raise AnnulusTooThin(f"annulus supports only {nbins} radial bins "
+                             f"(need {DECAY_MIN_BINS})")
     prof = radial_profile(state, bg, r_min, r_max, nbins)
-    if prof.r.size < min_bins:
-        raise AnnulusTooThin(f"only {prof.r.size} radial bins (need {min_bins})")
-    rate_fields = _log_linear_rate(prof.r, prof.mean_fields_sq, floor_rel, min_bins)
-    rate_grads = _log_linear_rate(prof.r, prof.mean_grads_sq, floor_rel, min_bins)
+    if prof.r.size < DECAY_MIN_BINS:
+        raise AnnulusTooThin(f"only {prof.r.size} radial bins (need {DECAY_MIN_BINS})")
+    rate_fields = _log_linear_rate(prof.r, prof.mean_fields_sq)
+    rate_grads = _log_linear_rate(prof.r, prof.mean_grads_sq)
     return rate_fields, rate_grads, (r_min, r_max)
 
 
@@ -200,15 +212,14 @@ def reconstruct_physical(state, bg: Background, params: PhysicalParams) -> Physi
 
 def uniqueness_probe(mode: str, model: str, cfg: VortexConfig, grid,
                      params: PhysicalParams, seeds: int,
-                     settings: Optional[SolverSettings] = None,
-                     amplitude: float = 0.5, seed0: int = 0) -> float:
-    """Largest pairwise sup-distance between solves from random initial states."""
+                     settings: Optional[SolverSettings] = None) -> float:
+    """Largest pairwise sup-distance between solves from random states (seeds 0, 1, ...)."""
     bg = build_background(cfg, grid, params)
     states = []
     for k in range(seeds):
-        rng = np.random.default_rng(seed0 + k)
-        init = np.stack([random_smooth_field(grid, rng, amplitude),
-                         random_smooth_field(grid, rng, amplitude)])
+        rng = np.random.default_rng(k)
+        init = np.stack([random_smooth_field(grid, rng, PROBE_AMPLITUDE),
+                         random_smooth_field(grid, rng, PROBE_AMPLITUDE)])
         sol = solve(mode, model, cfg, grid, params, settings=settings,
                     init=init, background=bg)
         if not sol.converged:

@@ -23,8 +23,8 @@ trial falls back to a damped Picard step whose relaxation halves whenever
 the residual would increase.  Acceleration changes the path to a fixed
 point, not the fixed points, so the result stays independent of Newton.
 Stages are warm-started along an increasing ``t`` schedule that is refined
-by midpoint insertion when a stage stalls, and ``Solution.stages`` records
-every stage attempt.
+by midpoint insertion when a stage stalls (at most ``MAX_REFINEMENTS``
+times), and ``Solution.stages`` records every stage attempt.
 """
 
 from __future__ import annotations
@@ -44,20 +44,33 @@ from .newton import Solution
 FOUR_PI = 4.0 * math.pi
 
 
+# relaxation of the first damped Picard step of every stage; it grows by 1.2
+# per accepted trial up to 1 and halves per rejected damped trial
+OMEGA0 = 0.5
+# stage tolerance on the relative sup residual |T(x) - x| / (1 + |x|):
+# tight enough that the two solvers agree far inside the 1e-6 of the
+# cross-method check (about 1e-9 on a 256^2 two-vortex torus)
+INNER_TOL = 1e-11
+# trials per stage before the stage counts as stalled
+INNER_MAX_TRIALS = 5000
+# midpoint insertions into the t schedule before the solve gives up
+MAX_REFINEMENTS = 3
+
+
 @dataclass(frozen=True)
 class ContinuationSchedule:
+    """The homotopy parameters t of the stages, increasing within (0, 1] to 1.
+
+    The per-stage iteration constants are module constants above; no run
+    sets them differently.
+    """
+
     t_values: Tuple[float, ...] = tuple((k + 1) / 10 for k in range(10))
-    omega: float = 0.5
-    inner_tol: float = 1e-11
-    inner_max_iters: int = 5000
-    max_refinements: int = 3
 
     def __post_init__(self):
         ts = self.t_values
         if not ts or ts[-1] != 1.0 or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 0.0:
             raise ValueError("t_values must increase strictly within (0, 1] and end at 1")
-        if not (0.0 < self.omega <= 1.0):
-            raise ValueError("omega must lie in (0, 1]")
 
 
 def zero_mean_pair(u_prime: np.ndarray, w_prime: np.ndarray) -> np.ndarray:
@@ -126,8 +139,7 @@ def _residual(pair: np.ndarray, t_pair: np.ndarray, work: np.ndarray) -> float:
     return max(float(diff.max()), -float(diff.min())) / scale
 
 
-def _solve_stage(pair, t, bg, cfg, params, c1, c2, schedule, residual_log,
-                 stage_log=None):
+def _solve_stage(pair, t, bg, cfg, params, c1, c2, residual_log, stage_log=None):
     """Safeguarded Anderson iteration at one ``t``; returns (converged, pair, trials).
 
     With f(x) = T(x) - x, a depth-1 Anderson step from the iterate x_k
@@ -135,11 +147,13 @@ def _solve_stage(pair, t, bg, cfg, params, c1, c2, schedule, residual_log,
     T(x_{k-1})``, ``dF = f_k - f_{k-1}`` and the scalar least-squares
     coefficient ``gamma = <dF, f_k> / <dF, dF>``.  A trial is accepted only
     when its residual does not exceed the current one (up to 1e-12
-    relative), so the accepted residuals of a stage never increase.  A rejected Anderson trial clears
-    the history, and the next trial is the damped Picard step
-    ``(1 - omega)*x + omega*T(x)``; omega grows by 1.2 (up to 1) on every
-    acceptance and halves on every rejected damped trial, and the stage
-    gives up once omega drops below 1e-8.  Every trial counts, fallbacks
+    relative), so the accepted residuals of a stage never increase.  A
+    rejected Anderson trial clears the history, and the next trial is the
+    damped Picard step ``(1 - omega)*x + omega*T(x)``, with omega starting at
+    ``OMEGA0``; omega grows by 1.2 (up to 1) on every acceptance and halves
+    on every rejected damped trial.  The stage converges once the residual
+    is at most ``INNER_TOL`` and gives up after ``INNER_MAX_TRIALS`` trials
+    or once omega drops below 1e-8.  Every trial counts, fallbacks
     included; each accepted residual is appended to ``residual_log`` and,
     when ``stage_log`` is given, one entry describing the stage is appended
     to it.
@@ -150,7 +164,7 @@ def _solve_stage(pair, t, bg, cfg, params, c1, c2, schedule, residual_log,
     from the moment gamma is computed until the history is rebuilt on
     acceptance.  The caller's ``pair`` is copied, not modified.
     """
-    omega = schedule.omega
+    omega = OMEGA0
     pair = pair.copy()
     t_pair = apply_T(pair, t, bg, cfg, params, c1, c2, out=np.empty_like(pair))
     trial = np.empty_like(pair)
@@ -160,7 +174,7 @@ def _solve_stage(pair, t, bg, cfg, params, c1, c2, schedule, residual_log,
     res = _residual(pair, t_pair, d_f)
     have_history = False
     trials = accepted = anderson_rejected = 0
-    while res > schedule.inner_tol and trials < schedule.inner_max_iters:
+    while res > INNER_TOL and trials < INNER_MAX_TRIALS:
         if have_history:
             np.subtract(t_pair, pair, out=trial)  # f_k
             d_f_sq = float(np.vdot(d_f, d_f))
@@ -193,7 +207,7 @@ def _solve_stage(pair, t, bg, cfg, params, c1, c2, schedule, residual_log,
             omega *= 0.5
             if omega < 1e-8:
                 break
-    converged = res <= schedule.inner_tol
+    converged = res <= INNER_TOL
     if stage_log is not None:
         stage_log.append({"t": t, "trials": trials, "accepted": accepted,
                           "anderson_rejected": anderson_rejected, "converged": converged})
@@ -221,14 +235,14 @@ def continuation_solve(schedule: ContinuationSchedule, bg: Background, cfg: Vort
     while idx < len(pending):
         t = pending[idx]
         ok, pair_new, iters = _solve_stage(pair, t, bg, cfg, params, c1, c2,
-                                           schedule, residual_log, stage_log)
+                                           residual_log, stage_log)
         total_iters += iters
         if ok:
             pair = pair_new
             idx += 1
             continue
         refinements += 1
-        if refinements > schedule.max_refinements:
+        if refinements > MAX_REFINEMENTS:
             state = _recover_state(pair_new, bg, c1, c2)
             return Solution(state, total_iters, residual_log, [], False,
                             f"stage t={t:.4g} exhausted iterations", stage_log)

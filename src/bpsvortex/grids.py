@@ -41,6 +41,11 @@ import numpy as np
 
 from .errors import NonZeroMeanRhs
 
+# largest |mean(rhs)| the zero-mean Poisson solve accepts, relative to the
+# field magnitude: callers project the mean out, so a mean above quadrature
+# roundoff means the right-hand side was built wrong
+POISSON_MEAN_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpectralWorkspace:
@@ -128,18 +133,18 @@ class TorusGrid:
         np.multiply(ws.neg_k2, spec, out=spec)
         return self._inverse(spec, out)
 
-    def poisson_solve_zero_mean(self, rhs: np.ndarray, tol_mean: float = 1e-10,
-                                out: np.ndarray = None) -> np.ndarray:
+    def poisson_solve_zero_mean(self, rhs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Unique zero-mean U with laplacian(U) = rhs - mean(rhs).
 
-        Raises :class:`NonZeroMeanRhs` when |mean(rhs)| exceeds ``tol_mean``
-        relative to the field magnitude.  ``out`` may be ``rhs`` itself.
+        Raises :class:`NonZeroMeanRhs` when |mean(rhs)| exceeds
+        ``POISSON_MEAN_TOL`` relative to the field magnitude.  ``out`` may be
+        ``rhs`` itself.
         """
         scale = max(float(rhs.max()), -float(rhs.min()))
         m = float(rhs.mean())
-        if abs(m) > tol_mean * (scale + 1e-300):
+        if abs(m) > POISSON_MEAN_TOL * (scale + 1e-300):
             raise NonZeroMeanRhs(
-                f"rhs mean {m:.3e} exceeds {tol_mean:.1e} relative tolerance"
+                f"rhs mean {m:.3e} exceeds {POISSON_MEAN_TOL:.1e} relative tolerance"
             )
         ws = self.workspace
         spec = np.fft.rfft2(rhs, out=ws.spec)
@@ -171,9 +176,6 @@ class TorusGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(values.sum()) * self.dx * self.dy
-
-    def mean(self, values: np.ndarray) -> float:
-        return float(values.mean())
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((a * b).sum()) * self.dx * self.dy
@@ -237,9 +239,8 @@ class PlaneGrid:
 
     # -- operators ---------------------------------------------------------
 
-    def laplacian(self, values: np.ndarray, boundary: float = 0.0,
-                  out: np.ndarray = None) -> np.ndarray:
-        """5-point Laplacian; ghost nodes outside the grid hold ``boundary``.
+    def laplacian(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """5-point Laplacian; ghost nodes outside the grid hold zero (Dirichlet).
 
         Neighbours are summed into one output in a fixed order (up, down,
         left, right, then the centre term), so results are bitwise stable.
@@ -247,14 +248,11 @@ class PlaneGrid:
         """
         if out is None:
             out = np.empty_like(values)
-        out[0] = boundary
+        out[0] = 0.0
         out[1:] = values[:-1]
         out[:-1] += values[1:]
-        out[-1] += boundary
         out[:, 1:] += values[:, :-1]
-        out[:, 0] += boundary
         out[:, :-1] += values[:, 1:]
-        out[:, -1] += boundary
         out -= 4.0 * values
         out /= self.h * self.h
         return out
@@ -299,9 +297,6 @@ class PlaneGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float((values * self.trapezoid_weights).sum())
 
-    def mean(self, values: np.ndarray) -> float:
-        return self.integrate(values) / self.area
-
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((a * b * self.trapezoid_weights).sum())
 
@@ -310,16 +305,6 @@ class PlaneGrid:
 
     def norm_sup(self, values: np.ndarray) -> float:
         return float(np.max(np.abs(values)))
-
-
-def validate_field(grid, values: np.ndarray) -> np.ndarray:
-    """Check shape and finiteness of a scalar field on ``grid``."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field contains non-finite values")
-    return values
 
 
 def random_smooth_field(grid, rng: np.random.Generator, amplitude: float = 0.5) -> np.ndarray:

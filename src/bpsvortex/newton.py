@@ -21,21 +21,34 @@ from .energy import EnergyModel
 from .errors import Overflow, ThresholdViolated
 
 
+# Armijo sufficient-decrease constant: any value in (0, 1/2) lets the full
+# Newton step through near the minimum; the usual 1e-4 accepts nearly
+# every descending step
+ARMIJO_C = 1e-4
+# the step length halves on every rejected line-search trial
+BACKTRACK_FACTOR = 0.5
+# CG stops at this residual relative to the Newton right-hand side: each
+# Newton system is solved nearly exactly, so the outer iteration keeps its
+# quadratic convergence and never waits on an inexact step
+CG_TOL = 1e-10
+# CG iteration cap per Newton step; the preconditioned systems take a few
+# tens of iterations, so it only stops a breakdown
+CG_MAX_ITERS = 2000
+
+
 @dataclass(frozen=True)
 class SolverSettings:
+    """Newton stopping rule: the sup-norm gradient tolerance and the iteration cap.
+
+    The line-search and CG constants are module constants above; no run
+    sets them differently.
+    """
+
     tol_grad_sup: float = 1e-9
     max_iters: int = 100
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    cg_tol: float = 1e-10
-    cg_max_iters: int = 2000
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c < 0.5):
-            raise ValueError("armijo_c must lie in (0, 1/2)")
-        if not (0.0 < self.backtrack_factor < 1.0):
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        for name in ("tol_grad_sup", "max_iters", "cg_tol", "cg_max_iters"):
+        for name in ("tol_grad_sup", "max_iters"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -48,20 +61,11 @@ class Solution:
     energy_history: List[float]
     converged: bool
     message: str = ""
-    # one entry per stage of a continuation: Newton iterations per vortex
-    # added (continuation_in_vortices), or a dict per fixed-point t stage
+    # fixed-point continuation only: one dict per t stage attempt
     stages: Optional[list] = None
 
-    @property
-    def u(self):
-        return self.state[0]
 
-    @property
-    def f(self):
-        return self.state[1]
-
-
-def _pcg(apply_a, b, apply_minv, tol, max_iters):
+def _pcg(apply_a, b, apply_minv):
     """Preconditioned conjugate gradients on stacked state pairs.
 
     ``b`` is consumed: it becomes the residual.  Updates are in place, with
@@ -76,7 +80,7 @@ def _pcg(apply_a, b, apply_minv, tol, max_iters):
     r = b
     p = apply_minv(r)
     rz = float(np.vdot(r, p))
-    for _ in range(max_iters):
+    for _ in range(CG_MAX_ITERS):
         ap = apply_a(p)
         pap = float(np.vdot(p, ap))
         if pap <= 0.0:
@@ -86,7 +90,7 @@ def _pcg(apply_a, b, apply_minv, tol, max_iters):
         r -= ap
         x += np.multiply(p, alpha, out=ap)
         del ap
-        if float(np.sqrt(np.vdot(r, r))) <= tol * b_norm:
+        if float(np.sqrt(np.vdot(r, r))) <= CG_TOL * b_norm:
             break
         z = apply_minv(r)
         rz_new = float(np.vdot(r, z))
@@ -117,8 +121,7 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         if gsup <= settings.tol_grad_sup:
             return Solution(state, it, grad_history, energy_history, True)
 
-        direction = _pcg(model.hessian_operator(state), -grad,
-                         apply_minv, settings.cg_tol, settings.cg_max_iters)
+        direction = _pcg(model.hessian_operator(state), -grad, apply_minv)
         slope = model.inner(grad, direction)
         if slope >= 0.0:  # roundoff-degenerate direction; fall back to steepest descent
             direction = -grad
@@ -132,7 +135,7 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
                 e_trial = model.energy(trial).total
             except Overflow:
                 e_trial = np.inf
-            if e_trial <= e_now + settings.armijo_c * alpha * slope:
+            if e_trial <= e_now + ARMIJO_C * alpha * slope:
                 accepted = True
                 break
             if alpha == 1.0 and np.isfinite(e_trial):
@@ -142,7 +145,7 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
                 if float(np.max(np.abs(model.gradient(trial)))) <= 0.5 * gsup:
                     accepted = True
                     break
-            alpha *= settings.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
         if not accepted:
             return Solution(state, it + 1, grad_history, energy_history, False,
                             "line search failed (step underflow)")
@@ -172,24 +175,3 @@ def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams
     emodel = EnergyModel(mode=mode, model=model, bg=bg, cfg=cfg, params=params)
     return minimize(emodel, settings, init=init)
 
-
-def continuation_in_vortices(mode: str, model: str, cfg: VortexConfig, grid,
-                             params: PhysicalParams,
-                             settings: Optional[SolverSettings] = None) -> Solution:
-    """Warm-started sequence of solves adding one vortex point at a time."""
-    settings = settings or SolverSettings()
-    stages = []
-    state = None
-    sol = None
-    steps = [VortexConfig(cfg.phi_zeros[: k + 1], ()) for k in range(cfg.n)]
-    steps += [VortexConfig(cfg.phi_zeros, cfg.kappa_zeros[: t + 1]) for t in range(cfg.m)]
-    if not steps:
-        steps = [cfg]
-    for stage_cfg in steps:
-        sol = solve(mode, model, stage_cfg, grid, params, settings=settings, init=state)
-        stages.append(sol.iterations)
-        state = sol.state
-        if not sol.converged:
-            break
-    sol.stages = stages
-    return sol

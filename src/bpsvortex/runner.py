@@ -7,8 +7,10 @@ violated (non-existence is a definite outcome, not an error), 3 solver
 failed to converge.  A solver that fails outright (``Overflow`` from a
 divergent iterate, ``NonZeroMeanRhs`` from a broken zero-mean invariant)
 raises out of ``run`` without a report; ``cli.main`` prints it as
-``solver error: ...`` and also returns 3.  ``cli.main`` returns 1 for an
-unreadable or invalid configuration and for i/o errors.
+``solver error: ...`` and also returns 3.  ``compare`` on a configuration
+the fixed-point path cannot solve raises :class:`ValidationError` before
+any work; ``cli.main`` returns 1 for that, for an unreadable or invalid
+configuration and for i/o errors.
 
 Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings`` so
@@ -17,6 +19,7 @@ bitwise comparison of reruns stays meaningful.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -28,9 +31,9 @@ import numpy as np
 
 from . import __version__
 from .backgrounds import build_background, check_existence
-from .config import RunConfig
+from .config import RunConfig, fixedpoint_problems
 from .diagnostics import build_diagnostics, radial_profile, reconstruct_physical
-from .errors import ThresholdViolated
+from .errors import ThresholdViolated, ValidationError
 from .fixedpoint import ContinuationSchedule, continuation_solve
 from .grids import PlaneGrid
 from .newton import SolverSettings, Solution, solve
@@ -156,11 +159,11 @@ def emit_plot_data(state, bg, cfg_obj, params, path_text: str,
             fh.write(f"{float(r)!r},{float(mf)!r},{float(mg)!r}\n")
 
 
-def _run_solvers(cfg: RunConfig, grid, params, vcfg, results: dict, timings: dict):
-    """Execute the requested solver methods; returns (exit_code, best_state, bg)."""
+def _run_solvers(cfg: RunConfig, method: str, grid, params, vcfg, results: dict,
+                 timings: dict):
+    """Execute the solver methods of ``method``; returns (exit_code, best_state, bg)."""
     settings = _solver_settings(cfg)
     bg = build_background(vcfg, grid, params)
-    method = cfg.solver["method"]
     exit_code = EXIT_OK
     newton_sol = fixed_sol = None
 
@@ -187,25 +190,25 @@ def _run_solvers(cfg: RunConfig, grid, params, vcfg, results: dict, timings: dic
 
 
 def _sweep_point_config(cfg: RunConfig, assignments: dict) -> RunConfig:
-    raw = cfg.echo()
+    """The validated config of one sweep point.
+
+    ``validate_config`` checked every sweep value against the rule of the
+    field it replaces, so the point applies the same conversions directly.
+    """
+    changes = {"sweep": None}
     for param, value in assignments.items():
         if param == "lambda":
-            raw["lambda"] = value
+            changes["lam"] = float(value)
         elif param == "tau":
-            raw["tau"] = value
+            changes["tau"] = None if value is None else float(value)
         elif param == "n":
-            raw["phi_zeros"] = raw["phi_zeros"][: int(value)]
+            changes["phi_zeros"] = cfg.phi_zeros[: int(value)]
         elif param == "m":
-            raw["kappa_zeros"] = raw["kappa_zeros"][: int(value)]
+            changes["kappa_zeros"] = cfg.kappa_zeros[: int(value)]
         elif param == "resolution":
-            if cfg.mode == "torus":
-                raw["grid"] = {"nx": int(value), "ny": int(value)}
-            else:
-                raw["grid"] = {"n": int(value)}
-    raw.pop("sweep", None)
-    from .config import validate_config
-
-    return validate_config(raw)
+            changes["grid"] = ({"nx": int(value), "ny": int(value)} if cfg.mode == "torus"
+                               else {"n": int(value)})
+    return dataclasses.replace(cfg, **changes)
 
 
 def _analytic_slack(vcfg, grid, params, model) -> float:
@@ -240,12 +243,12 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict, timings: 
         row["analytic_slack"] = (_analytic_slack(vcfg, grid, params, pcfg.model)
                                  if pcfg.mode == "torus" else None)
         if sweep.get("action") == "solve" and threshold["solvable"]:
+            bg = build_background(vcfg, grid, params)
             sol = solve(pcfg.mode, pcfg.model, vcfg, grid, params,
-                        settings=_solver_settings(pcfg))
+                        settings=_solver_settings(pcfg), background=bg)
             row["converged"] = sol.converged
             row["grad_sup_final"] = sol.grad_history[-1] if sol.grad_history else None
             if sol.converged:
-                bg = build_background(vcfg, grid, params)
                 diag = build_diagnostics(sol.state, pcfg.mode, pcfg.model, bg, vcfg,
                                          params, fit_decay=False)
                 row["residual_sup"] = max(diag.residual_sup)
@@ -270,6 +273,10 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
     """Execute one command; writes the report and returns (exit_code, report)."""
     if command not in ("check", "solve", "sweep", "compare"):
         raise ValueError(f"unknown command {command!r}")
+    if command == "compare":
+        problems = fixedpoint_problems(cfg.mode, cfg.model, "compare")
+        if problems:
+            raise ValidationError(problems)
     out = Path(out_dir) if out_dir else None
     grid = cfg.make_grid()
     params = cfg.make_params()
@@ -298,15 +305,9 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
         elif not threshold["solvable"]:
             exit_code = EXIT_THRESHOLD
         else:
-            run_cfg = cfg
-            if command == "compare":
-                raw = cfg.echo()
-                raw["solver"]["method"] = "both"
-                from .config import validate_config
-
-                run_cfg = validate_config(raw)
+            method = "both" if command == "compare" else cfg.solver["method"]
             try:
-                exit_code, best, bg = _run_solvers(run_cfg, grid, params, vcfg,
+                exit_code, best, bg = _run_solvers(cfg, method, grid, params, vcfg,
                                                    results, timings)
             except ThresholdViolated:  # pragma: no cover - gated above
                 exit_code, best, bg = EXIT_THRESHOLD, None, None

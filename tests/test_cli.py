@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
-from bpsvortex import runner
+from bpsvortex import newton, runner
 from bpsvortex.cli import main
-from bpsvortex.config import apply_overrides, parse_config
+from bpsvortex.config import apply_overrides, parse_config, validate_config
 from bpsvortex.errors import NonZeroMeanRhs, Overflow, ParseError, ValidationError
 from bpsvortex.runner import run
 
@@ -317,6 +317,82 @@ class TestRunCommands:
         assert blobs[0] == blobs[1]
 
 
+class TestSweepPoints:
+    """A sweep row equals a standalone run of the config written out for its point."""
+
+    EXTENDED = minimal_torus(model="extended", grid={"nx": 16}, **{"lambda": 2.0},
+                             phi_zeros=[[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]],
+                             kappa_zeros=[[0.5 * L20, 0.2 * L20]])
+    PLANE = {"mode": "plane", "model": "base", "lambda": 1.0, "domain": {"R": 6.0},
+             "grid": {"n": 32}, "phi_zeros": [[0.5, 0.0]]}
+
+    @staticmethod
+    def point_raw(base, param, value):
+        raw = json.loads(json.dumps(base))
+        if param == "lambda":
+            raw["lambda"] = value
+        elif param == "tau":
+            raw["tau"] = value
+        elif param == "n":
+            raw["phi_zeros"] = base["phi_zeros"][:value]
+        elif param == "m":
+            raw["kappa_zeros"] = base["kappa_zeros"][:value]
+        elif raw["mode"] == "torus":
+            raw["grid"] = {"nx": value}
+        else:
+            raw["grid"] = {"n": value}
+        return raw
+
+    @pytest.mark.parametrize("base,param,values,action", [
+        (EXTENDED, "lambda", [0.5, 2], "solve"),  # the first row is unsolvable
+        (EXTENDED, "tau", [None, 0.5], "solve"),
+        (EXTENDED, "n", [0, 1, 2], "solve"),
+        (EXTENDED, "m", [0, 1], "solve"),
+        (EXTENDED, "resolution", [12, 16], "solve"),
+        (PLANE, "resolution", [16, 24], "check"),
+    ], ids=["lambda", "tau", "n", "m", "resolution", "plane-resolution"])
+    def test_rows_match_standalone_runs_bitwise(self, tmp_path, base, param, values, action):
+        raw = dict(base, sweep={"param": param, "values": values, "action": action})
+        _, report = run("sweep", validate_config(raw), out_dir=str(tmp_path / "sweep"))
+        rows = report["results"]["rows"]
+        assert len(rows) == len(values)
+        for row, value in zip(rows, values):
+            pcfg = validate_config(self.point_raw(base, param, value))
+            _, alone = run(action, pcfg, out_dir=str(tmp_path / f"point{row['index']}"))
+            res = alone["results"]
+            grid, params, vcfg = pcfg.make_grid(), pcfg.make_params(), pcfg.make_vortex_config()
+            expected = {
+                "solvable": res["threshold"]["solvable"],
+                "margin": res["threshold"]["margin"],
+                "analytic_slack": (runner._analytic_slack(vcfg, grid, params, pcfg.model)
+                                   if pcfg.mode == "torus" else None),
+            }
+            if action == "solve" and expected["solvable"]:
+                expected["converged"] = res["newton"]["converged"]
+                expected["grad_sup_final"] = res["newton"]["grad_sup_final"]
+                expected["residual_sup"] = max(res["diagnostics"]["residual_sup"])
+            got = {key: row[key] for key in expected}
+            assert set(row) - {"index", param} == set(expected)
+            # repr tells -0.0 from 0.0 and round-trips every float exactly
+            assert repr(got) == repr(expected), (param, value)
+
+    def test_sweep_row_builds_its_background_once(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (runner, newton):
+            def counted(*args, _build=module.build_background, **kwargs):
+                calls.append(args)
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(module, "build_background", counted)
+        raw = minimal_torus(phi_zeros=[[0.4 * L20, 0.5 * L20]],
+                            sweep={"param": "lambda", "values": [0.2, 1.0, 2.0],
+                                   "action": "solve"})
+        code, report = run("sweep", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 0
+        assert [row["solvable"] for row in report["results"]["rows"]] == [False, True, True]
+        assert len(calls) == 2
+
+
 class TestCliMain:
     def test_end_to_end(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -380,6 +456,33 @@ class TestCliMain:
         err = capsys.readouterr().err
         assert "sweep.values[1]" in err and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("raw", [
+        {"mode": "plane", "model": "base", "lambda": 1.0, "domain": {"R": 6.0},
+         "grid": {"n": 32}, "phi_zeros": [[0.5, 0.0]]},
+        minimal_torus(model="extended", grid={"nx": 16}, phi_zeros=[[0.3 * L20, 0.4 * L20]],
+                      kappa_zeros=[[0.7 * L20, 0.6 * L20]]),
+    ], ids=["plane", "extended"])
+    def test_compare_without_fixedpoint_path_exit_1(self, tmp_path, capsys, monkeypatch, raw):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("compare started a solve")
+
+        monkeypatch.setattr(runner, "solve", no_solve)
+        monkeypatch.setattr(runner, "continuation_solve", no_solve)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "compare",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "fixed-point path" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_solver_seed_is_an_unknown_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_torus(solver={"seed": 0})))
+        assert main(["--config", str(cfg_path), "--command", "check"]) == 1
+        assert "solver.seed: unknown key" in capsys.readouterr().err
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
+from bpsvortex import fixedpoint
 from bpsvortex.config import parse_config
 from bpsvortex.runner import run
 
@@ -38,13 +39,17 @@ class TestSolverEdges:
         fa, fb = bv.flux_report(sol.state, bg, params)
         assert abs(fb - 4.0 * math.pi) / (4.0 * math.pi) <= 1e-6
 
-    def test_fixedpoint_refinement_exhaustion(self):
+    def test_fixedpoint_refinement_exhaustion(self, monkeypatch):
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((0.5 * L20, 0.5 * L20),))
         bg = bv.build_background_torus(cfg, grid, params)
-        sched = bv.ContinuationSchedule(t_values=(0.5, 1.0), inner_tol=1e-16,
-                                        inner_max_iters=2, max_refinements=2)
+        # an unreachable stage tolerance and two trials per stage stall
+        # every stage, so the refinements run out
+        monkeypatch.setattr(fixedpoint, "INNER_TOL", 1e-16)
+        monkeypatch.setattr(fixedpoint, "INNER_MAX_TRIALS", 2)
+        monkeypatch.setattr(fixedpoint, "MAX_REFINEMENTS", 2)
+        sched = bv.ContinuationSchedule(t_values=(0.5, 1.0))
         sol = bv.continuation_solve(sched, bg, cfg, params)
         assert not sol.converged
         assert "exhausted" in sol.message

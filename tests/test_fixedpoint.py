@@ -120,8 +120,7 @@ class TestContinuationSolve:
         rep = bv.check_existence(cfg, grid, params)
         pair = 0.5 * bv.apply_T(np.zeros((2,) + grid.shape), 0.5, bg, cfg, params)
         before = pair.copy()
-        ok, out, iters = _solve_stage(pair, 0.5, bg, cfg, params, rep.c1, rep.c2,
-                                      bv.ContinuationSchedule(), [])
+        ok, out, iters = _solve_stage(pair, 0.5, bg, cfg, params, rep.c1, rep.c2, [])
         assert ok and iters > 0
         assert out is not pair
         assert pair.tobytes() == before.tobytes()
@@ -220,5 +219,3 @@ class TestScheduleValidation:
             bv.ContinuationSchedule(t_values=(0.5, 0.4, 1.0))
         with pytest.raises(ValueError):
             bv.ContinuationSchedule(t_values=(0.5, 0.9))
-        with pytest.raises(ValueError):
-            bv.ContinuationSchedule(omega=0.0)

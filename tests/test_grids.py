@@ -94,7 +94,7 @@ class TestPoissonSolve:
 
 class TestPlaneLaplacian:
     def test_zero_field(self, plane_32):
-        out = plane_32.laplacian(np.zeros(plane_32.shape), boundary=0.0)
+        out = plane_32.laplacian(np.zeros(plane_32.shape))
         assert np.all(out == 0.0)
 
     def test_exact_on_quadratics_away_from_boundary(self, plane_32):
@@ -121,11 +121,13 @@ class TestPlaneLaplacian:
         assert errs[1] / errs[0] < 0.3  # halving dx divides the error by 4
 
     def test_constant_boundary_value_used_at_ghosts(self):
+        # the ghost nodes hold the Dirichlet value zero: a constant field
+        # loses one neighbour on an edge and two in a corner
         g = bv.PlaneGrid(1.0, 16)
-        v = np.zeros(g.shape)
-        out = g.laplacian(v, boundary=2.0)
-        assert out[0, 5] == pytest.approx(2.0 / g.h ** 2)
-        assert out[0, 0] == pytest.approx(4.0 / g.h ** 2)
+        v = np.ones(g.shape)
+        out = g.laplacian(v)
+        assert out[0, 5] == pytest.approx(-1.0 / g.h ** 2)
+        assert out[0, 0] == pytest.approx(-2.0 / g.h ** 2)
         assert np.all(out[1:-1, 1:-1] == 0.0)
 
 
@@ -140,7 +142,8 @@ class TestQuadrature:
         assert abs(g.integrate(np.cos(2 * np.pi * x / g.Lx))) < 1e-10 * g.area
 
     def test_mean_of_constant(self, torus_small):
-        assert torus_small.mean(np.full(torus_small.shape, 2.5)) == pytest.approx(2.5)
+        g = torus_small
+        assert g.integrate(np.full(g.shape, 2.5)) / g.area == pytest.approx(2.5, rel=1e-14)
 
     def test_norm_of_zero(self, torus_small):
         assert torus_small.norm_l2(np.zeros(torus_small.shape)) == 0.0
@@ -168,14 +171,6 @@ class TestValidation:
             bv.TorusGrid(-1.0, 1.0, 16, 16)
         with pytest.raises(ValueError):
             bv.PlaneGrid(1.0, 8)
-
-    def test_validate_field(self, torus_small):
-        with pytest.raises(ValueError):
-            bv.validate_field(torus_small, np.zeros((3, 3)))
-        bad = np.zeros(torus_small.shape)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            bv.validate_field(torus_small, bad)
 
     def test_workspace_zero_mode_addressable(self, torus_small):
         ws = torus_small.workspace
