@@ -159,22 +159,33 @@ def _log_linear_rate(r, y):
     return -float(slope)
 
 
+def decay_annulus(grid: PlaneGrid, cfg: VortexConfig,
+                  params: PhysicalParams) -> Tuple[float, float]:
+    """``(r_min, r_max)`` of the decay fit: from three core lengths
+    1/sqrt(lam) beyond the outermost vortex to 0.8 R, inside the truncation
+    boundary."""
+    pts = list(cfg.phi_zeros) + list(cfg.kappa_zeros)
+    r_v = max((math.hypot(px, py) for (px, py) in pts), default=0.0)
+    return r_v + 3.0 / math.sqrt(params.lam), 0.8 * grid.R
+
+
+def annulus_bins(grid: PlaneGrid, r_min: float, r_max: float) -> int:
+    """Number of radial bins of about two grid cells each in [r_min, r_max]."""
+    return int((r_max - r_min) / (2.0 * grid.h))
+
+
 def decay_fit(state, bg: Background, cfg: VortexConfig, params: PhysicalParams):
     """Fitted radial decay rates of ln(u^2+v^2) and ln(|grad u|^2+|grad v|^2).
 
-    The fit annulus runs from three core lengths 1/sqrt(lam) beyond the
-    outermost vortex to 0.8 R, inside the truncation boundary; bins whose
-    angular average falls below ``DECAY_FLOOR_REL`` of the peak are dropped
-    (discretization noise floor).
+    The fit runs over the :func:`decay_annulus`; bins whose angular average
+    falls below ``DECAY_FLOOR_REL`` of the peak are dropped (discretization
+    noise floor).
     """
     grid: PlaneGrid = bg.grid
-    pts = list(cfg.phi_zeros) + list(cfg.kappa_zeros)
-    r_v = max((math.hypot(px, py) for (px, py) in pts), default=0.0)
-    r_min = r_v + 3.0 / math.sqrt(params.lam)
-    r_max = 0.8 * grid.R
+    r_min, r_max = decay_annulus(grid, cfg, params)
     if r_max <= r_min:
         raise AnnulusTooThin(f"empty annulus [{r_min:.3g}, {r_max:.3g}]")
-    nbins = int((r_max - r_min) / (2.0 * grid.h))  # ~2 grid cells per bin
+    nbins = annulus_bins(grid, r_min, r_max)
     if nbins < DECAY_MIN_BINS:
         raise AnnulusTooThin(f"annulus supports only {nbins} radial bins "
                              f"(need {DECAY_MIN_BINS})")

@@ -297,15 +297,6 @@ class PlaneGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float((values * self.trapezoid_weights).sum())
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float((a * b * self.trapezoid_weights).sum())
-
-    def norm_l2(self, values: np.ndarray) -> float:
-        return float(np.sqrt(self.inner(values, values)))
-
-    def norm_sup(self, values: np.ndarray) -> float:
-        return float(np.max(np.abs(values)))
-
 
 def random_smooth_field(grid, rng: np.random.Generator, amplitude: float = 0.5) -> np.ndarray:
     """Band-limited random field, used for property tests and probe initials.

@@ -1,11 +1,17 @@
 """Globally convergent damped Newton minimization of the convex functionals.
 
-Newton directions come from conjugate gradients on the Hessian (positive
-definite by strict convexity), step lengths from Armijo backtracking on the
-energy.  A torus solve first checks the existence threshold and refuses to
-iterate when it fails.  Failure to converge is reported through the returned
-:class:`Solution` (``converged = False`` plus a message), not an exception,
-so partial results stay inspectable.
+Newton directions come from preconditioned conjugate gradients on the
+Hessian (positive definite by strict convexity), step lengths from Armijo
+backtracking on the energy.  The method is an inexact Newton method: CG stops
+at a relative residual, the forcing term, chosen per step by choice 2 of
+Eisenstat & Walker ("Choosing the forcing terms in an inexact Newton method",
+SIAM J. Sci. Comput. 17, 1996).  Early steps are solved loosely; the forcing
+term shrinks with the gradient, which keeps the local convergence
+superlinear, and a step that may be the last is solved tightly enough to land
+well under the gradient tolerance.  A torus solve first checks the existence
+threshold and refuses to iterate when it fails.  Failure to converge is
+reported through the returned :class:`Solution` (``converged = False`` plus
+a message), not an exception, so partial results stay inspectable.
 """
 
 from __future__ import annotations
@@ -27,10 +33,28 @@ from .errors import Overflow, ThresholdViolated
 ARMIJO_C = 1e-4
 # the step length halves on every rejected line-search trial
 BACKTRACK_FACTOR = 0.5
-# CG stops at this residual relative to the Newton right-hand side: each
-# Newton system is solved nearly exactly, so the outer iteration keeps its
-# quadratic convergence and never waits on an inexact step
+# smallest forcing term: the last-step rule asks for less only when a
+# gradient above 1e8 times the tolerance is predicted to drop under it in one
+# step, and a relative CG residual far below 1e-10 is at roundoff level
 CG_TOL = 1e-10
+# forcing term of the first Newton step and cap on every later one: far from
+# the minimum the quadratic model is a rough guide, so a tighter solve there
+# buys no better step, and a 1e-2 relative residual still gives a descent
+# direction close to the Newton step
+ETA_MAX = 1e-2
+# Eisenstat-Walker choice 2 with gamma = 0.9, alpha = 2:
+# eta_k = 0.9 (|g_k| / |g_{k-1}|)^2 follows the observed quadratic decrease
+# of the gradient.  Their safeguard max(eta_k, 0.9 eta_{k-1}^2), applied when
+# 0.9 eta_{k-1}^2 > 0.1, never fires under the ETA_MAX cap (0.9 eta^2 <= 9e-5),
+# so it is left out
+EW_GAMMA = 0.9
+# last-step rule: a step whose predicted gradient eta_k |g_k|_sup lies within
+# LAST_STEP_WINDOW times the tolerance may be the last one, so it is solved
+# to put the predicted gradient at LAST_STEP_MARGIN times the tolerance; a
+# forcing term that only just reaches the tolerance can stop a hair above it
+# and cost a whole extra Newton iteration
+LAST_STEP_WINDOW = 10.0
+LAST_STEP_MARGIN = 0.01
 # CG iteration cap per Newton step; the preconditioned systems take a few
 # tens of iterations, so it only stops a breakdown
 CG_MAX_ITERS = 2000
@@ -63,10 +87,22 @@ class Solution:
     message: str = ""
     # fixed-point continuation only: one dict per t stage attempt
     stages: Optional[list] = None
+    # Newton only: one dict per Newton iteration (forcing term, CG and line
+    # search work, fallback taken)
+    newton_steps: Optional[list] = None
 
 
-def _pcg(apply_a, b, apply_minv):
+def _norm(x) -> float:
+    """Plain 2-norm of a stacked state pair."""
+    return float(np.sqrt(np.vdot(x, x)))
+
+
+def _pcg(apply_a, b, apply_minv, rel_tol):
     """Preconditioned conjugate gradients on stacked state pairs.
+
+    Stops once the residual is at most ``rel_tol`` times ``|b|``.  Returns
+    ``(x, iterations, final relative residual)``; ``iterations`` counts
+    applies of ``apply_a``.
 
     ``b`` is consumed: it becomes the residual.  Updates are in place, with
     the operator result as the scratch of the ``x`` update, and each operator
@@ -74,14 +110,17 @@ def _pcg(apply_a, b, apply_minv):
     p and one operator result at a time.
     """
     x = np.zeros_like(b)
-    b_norm = float(np.sqrt(np.vdot(b, b)))
+    b_norm = _norm(b)
     if b_norm == 0.0:
-        return x
+        return x, 0, 0.0
     r = b
     p = apply_minv(r)
     rz = float(np.vdot(r, p))
-    for _ in range(CG_MAX_ITERS):
+    rel_res = 1.0
+    iters = 0
+    while iters < CG_MAX_ITERS:
         ap = apply_a(p)
+        iters += 1
         pap = float(np.vdot(p, ap))
         if pap <= 0.0:
             break  # cannot happen for an SPD Hessian; guard against roundoff
@@ -90,7 +129,8 @@ def _pcg(apply_a, b, apply_minv):
         r -= ap
         x += np.multiply(p, alpha, out=ap)
         del ap
-        if float(np.sqrt(np.vdot(r, r))) <= CG_TOL * b_norm:
+        rel_res = _norm(r) / b_norm
+        if rel_res <= rel_tol:
             break
         z = apply_minv(r)
         rz_new = float(np.vdot(r, z))
@@ -98,7 +138,19 @@ def _pcg(apply_a, b, apply_minv):
         p += z
         del z
         rz = rz_new
-    return x
+    return x, iters, rel_res
+
+
+def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
+                  tol: float) -> float:
+    """CG relative tolerance of one Newton step (see the constants above)."""
+    if g_norm_prev is None:
+        eta = ETA_MAX
+    else:
+        eta = min(ETA_MAX, EW_GAMMA * (g_norm / g_norm_prev) ** 2)
+    if eta * gsup <= LAST_STEP_WINDOW * tol:
+        eta = min(eta, LAST_STEP_MARGIN * tol / gsup)
+    return max(eta, CG_TOL)
 
 
 def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None) -> Solution:
@@ -107,30 +159,44 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     apply_minv = model.preconditioner()
     grad_history: List[float] = []
     energy_history: List[float] = []
+    steps: List[dict] = []
+
+    def finish(iterations, converged, message=""):
+        return Solution(state, iterations, grad_history, energy_history, converged,
+                        message, newton_steps=steps)
 
     try:
         e_now = model.energy(state).total
     except Overflow as exc:
-        return Solution(state, 0, [], [], False, f"overflow at initial state: {exc}")
+        return finish(0, False, f"overflow at initial state: {exc}")
 
+    g_norm_prev = None
     for it in range(settings.max_iters):
         grad = model.gradient(state)
         gsup = float(np.max(np.abs(grad)))
         grad_history.append(gsup)
         energy_history.append(e_now)
         if gsup <= settings.tol_grad_sup:
-            return Solution(state, it, grad_history, energy_history, True)
+            return finish(it, True)
 
-        direction = _pcg(model.hessian_operator(state), -grad, apply_minv)
+        g_norm = _norm(grad)
+        eta = _forcing_term(g_norm, g_norm_prev, gsup, settings.tol_grad_sup)
+        g_norm_prev = g_norm
+        direction, cg_iters, cg_rel_res = _pcg(model.hessian_operator(state), -grad,
+                                               apply_minv, eta)
+        fallback = None
         slope = model.inner(grad, direction)
         if slope >= 0.0:  # roundoff-degenerate direction; fall back to steepest descent
             direction = -grad
             slope = model.inner(grad, direction)
+            fallback = "steepest_descent"
 
         alpha = 1.0
+        evals = 0
         accepted = False
         while alpha > 1e-14:
             trial = state + alpha * direction
+            evals += 1
             try:
                 e_trial = model.energy(trial).total
             except Overflow:
@@ -144,11 +210,13 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
                 # gradient (quadratic local convergence takes over there)
                 if float(np.max(np.abs(model.gradient(trial)))) <= 0.5 * gsup:
                     accepted = True
+                    fallback = fallback or "gradient_halved"
                     break
             alpha *= BACKTRACK_FACTOR
+        steps.append({"eta": eta, "cg_iters": cg_iters, "cg_rel_residual": cg_rel_res,
+                      "alpha": alpha, "linesearch_evals": evals, "fallback": fallback})
         if not accepted:
-            return Solution(state, it + 1, grad_history, energy_history, False,
-                            "line search failed (step underflow)")
+            return finish(it + 1, False, "line search failed (step underflow)")
         state = trial
         e_now = e_trial
 
@@ -157,9 +225,9 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     grad_history.append(gsup)
     energy_history.append(e_now)
     if gsup <= settings.tol_grad_sup:
-        return Solution(state, settings.max_iters, grad_history, energy_history, True)
-    return Solution(state, settings.max_iters, grad_history, energy_history, False,
-                    f"max_iters reached with sup gradient {gsup:.3e}")
+        return finish(settings.max_iters, True)
+    return finish(settings.max_iters, False,
+                  f"max_iters reached with sup gradient {gsup:.3e}")
 
 
 def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams,

@@ -32,7 +32,8 @@ import numpy as np
 from . import __version__
 from .backgrounds import build_background, check_existence
 from .config import RunConfig, fixedpoint_problems
-from .diagnostics import build_diagnostics, radial_profile, reconstruct_physical
+from .diagnostics import (annulus_bins, build_diagnostics, decay_annulus, radial_profile,
+                          reconstruct_physical)
 from .errors import ThresholdViolated, ValidationError
 from .fixedpoint import ContinuationSchedule, continuation_solve
 from .grids import PlaneGrid
@@ -65,17 +66,27 @@ def _threshold_dict(cfg: RunConfig, grid, params) -> dict:
     return out
 
 
-def _solution_summary(sol: Solution) -> dict:
-    summary = {
+def _newton_summary(sol: Solution) -> dict:
+    return {
         "converged": sol.converged,
         "iterations": sol.iterations,
         "grad_sup_final": sol.grad_history[-1] if sol.grad_history else None,
         "energy_final": sol.energy_history[-1] if sol.energy_history else None,
         "message": sol.message,
+        "steps": sol.newton_steps,
     }
-    if sol.stages is not None:
-        summary["stages"] = sol.stages
-    return summary
+
+
+def _fixedpoint_summary(sol: Solution) -> dict:
+    # continuation_solve logs the relative residual |T(x) - x| / (1 + |x|)
+    # of every accepted trial in grad_history and counts trials as iterations
+    return {
+        "converged": sol.converged,
+        "trials": sol.iterations,
+        "residual_final": sol.grad_history[-1] if sol.grad_history else None,
+        "message": sol.message,
+        "stages": sol.stages,
+    }
 
 
 def _resolve(path_text: str, out_dir: Optional[Path]) -> Path:
@@ -146,11 +157,10 @@ def emit_plot_data(state, bg, cfg_obj, params, path_text: str,
     grid = bg.grid
     if not isinstance(grid, PlaneGrid):
         return
-    pts = list(cfg_obj.phi_zeros) + list(cfg_obj.kappa_zeros)
-    r_v = max((math.hypot(px, py) for (px, py) in pts), default=0.0)
-    r_min = r_v + 3.0 / math.sqrt(params.lam) if pts else grid.h
-    r_max = 0.8 * grid.R
-    nbins = max(8, int((r_max - r_min) / (2.0 * grid.h)))
+    r_min, r_max = decay_annulus(grid, cfg_obj, params)
+    if not (cfg_obj.phi_zeros or cfg_obj.kappa_zeros):
+        r_min = grid.h  # no vortex core to stay clear of
+    nbins = max(8, annulus_bins(grid, r_min, r_max))
     prof = radial_profile(state, bg, r_min, r_max, nbins)
     path = _resolve(path_text, out_dir)
     with open(path, "w") as fh:
@@ -172,14 +182,14 @@ def _run_solvers(cfg: RunConfig, method: str, grid, params, vcfg, results: dict,
         newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params,
                            settings=settings, background=bg)
         timings["newton_s"] = time.perf_counter() - t0
-        results["newton"] = _solution_summary(newton_sol)
+        results["newton"] = _newton_summary(newton_sol)
         if not newton_sol.converged:
             exit_code = EXIT_NOT_CONVERGED
     if method in ("fixedpoint", "both"):
         t0 = time.perf_counter()
         fixed_sol = continuation_solve(_schedule(cfg), bg, vcfg, params)
         timings["fixedpoint_s"] = time.perf_counter() - t0
-        results["fixedpoint"] = _solution_summary(fixed_sol)
+        results["fixedpoint"] = _fixedpoint_summary(fixed_sol)
         if not fixed_sol.converged:
             exit_code = EXIT_NOT_CONVERGED
     if newton_sol is not None and fixed_sol is not None:

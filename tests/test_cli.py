@@ -197,7 +197,8 @@ class TestRunCommands:
         stages = fixed["stages"]
         assert [s["t"] for s in stages] == [0.25, 0.5, 0.75, 1.0]
         assert all(s["converged"] for s in stages)
-        assert sum(s["trials"] for s in stages) == fixed["iterations"]
+        assert set(fixed) == {"converged", "trials", "residual_final", "message", "stages"}
+        assert sum(s["trials"] for s in stages) == fixed["trials"]
         for s in stages:
             assert set(s) == {"t", "trials", "accepted", "anderson_rejected", "converged"}
             assert s["accepted"] + s["anderson_rejected"] <= s["trials"]

@@ -1,15 +1,46 @@
+import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bpsvortex as bv
+from bpsvortex import newton
+from bpsvortex.config import parse_config
 from bpsvortex.energy import EnergyModel
 from bpsvortex.errors import ThresholdViolated
+from bpsvortex.runner import run
 
 from conftest import random_state
 
 L20 = math.sqrt(20.0)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def count_hessian_applies(monkeypatch):
+    """Count every Hessian apply of every EnergyModel; returns a one-item list."""
+    applies = [0]
+    make_operator = EnergyModel.hessian_operator
+
+    def counting_operator(self, state):
+        apply_h = make_operator(self, state)
+
+        def counted(d):
+            applies[0] += 1
+            return apply_h(d)
+
+        return counted
+
+    monkeypatch.setattr(EnergyModel, "hessian_operator", counting_operator)
+    return applies
+
+
+def compare_workload_config(seed):
+    """The torus-compare benchmark configuration of ``seed``."""
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+    return workloads["compare_config"](seed)
 
 
 class TestTrivialSolves:
@@ -105,31 +136,18 @@ class TestPlaneSolve:
                                np.abs(u[1:-1, 1]), np.abs(u[1:-1, -2])])
         assert ring.max() <= 1e-4
 
-    def test_preconditioned_cg_applies_per_newton_iteration(self):
-        # the per-mode block inverse leaves ~8 Hessian applies per Newton
+    def test_preconditioned_cg_applies_per_newton_iteration(self, monkeypatch):
+        # the per-mode block inverse leaves ~5 Hessian applies per Newton
         # step here; plain CG took ~250
         grid = bv.PlaneGrid(8.0, 192)
         params = bv.PhysicalParams(lam=4.0)
         cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0),))
         bg = bv.build_background(cfg, grid, params)
         model = EnergyModel(mode="plane", model="base", bg=bg, cfg=cfg, params=params)
-        applies = 0
-        make_operator = model.hessian_operator
-
-        def counting_operator(state):
-            apply_h = make_operator(state)
-
-            def counted(d):
-                nonlocal applies
-                applies += 1
-                return apply_h(d)
-
-            return counted
-
-        model.hessian_operator = counting_operator
+        applies = count_hessian_applies(monkeypatch)
         sol = bv.minimize(model, bv.SolverSettings())
         assert sol.converged
-        assert 0 < applies <= 15 * sol.iterations
+        assert 0 < applies[0] <= 15 * sol.iterations
 
     def test_solution_energy_below_random_states(self):
         grid = bv.PlaneGrid(6.0, 32)
@@ -169,6 +187,65 @@ class TestExtendedVariants:
         base = bv.solve("plane", "base", cfg, grid, params, background=bg)
         ext = bv.solve("plane", "extended", cfg, grid, params, background=bg)
         assert np.max(np.abs(base.state - ext.state)) <= 1e-10
+
+
+class TestInexactNewton:
+    def test_torus_compare_workload_forcing_terms(self, monkeypatch):
+        # the torus-compare benchmark configuration, Newton only: solving
+        # every system to CG_TOL took 61 Hessian applies; a last forcing term
+        # that only just reaches tol stops at a sup gradient of 1.1e-9 and
+        # needs a sixth iteration
+        cfg = parse_config(json.dumps(compare_workload_config(1)))
+        grid, params, vcfg = cfg.make_grid(), cfg.make_params(), cfg.make_vortex_config()
+        applies = count_hessian_applies(monkeypatch)
+        sol = bv.solve("torus", "base", vcfg, grid, params,
+                       settings=bv.SolverSettings(tol_grad_sup=cfg.solver["tol"]))
+        assert sol.converged
+        assert sol.iterations == 5
+        assert sol.grad_history[-1] <= cfg.solver["tol"]
+        assert applies[0] <= 30
+
+    @pytest.mark.parametrize("variant", ["plane", "extended-torus"])
+    def test_state_matches_solves_at_cg_tol(self, monkeypatch, variant):
+        if variant == "plane":
+            mode, model = "plane", "base"
+            grid = bv.PlaneGrid(8.0, 64)
+            params = bv.PhysicalParams(lam=4.0)
+            cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
+        else:
+            mode, model = "torus", "extended"
+            grid = bv.TorusGrid(L20, L20, 48, 48)
+            params = bv.PhysicalParams(lam=1.5)
+            cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)),
+                                  kappa_zeros=((0.5 * L20, 0.2 * L20),))
+        bg = bv.build_background(cfg, grid, params)
+        inexact = bv.solve(mode, model, cfg, grid, params, background=bg)
+        exact_pcg = newton._pcg
+        monkeypatch.setattr(newton, "_pcg",
+                            lambda a, b, m, rel_tol: exact_pcg(a, b, m, newton.CG_TOL))
+        exact = bv.solve(mode, model, cfg, grid, params, background=bg)
+        assert inexact.converged and exact.converged
+        assert np.max(np.abs(inexact.state - exact.state)) <= 1e-9
+
+    def test_report_lists_newton_steps(self, tmp_path, monkeypatch):
+        raw = {"mode": "torus", "model": "base", "lambda": 1.0,
+               "domain": {"Lx": L20, "Ly": L20}, "grid": {"nx": 64},
+               "phi_zeros": [[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]]}
+        cfg = parse_config(json.dumps(raw))
+        applies = count_hessian_applies(monkeypatch)
+        code, report = run("solve", cfg, out_dir=str(tmp_path))
+        assert code == 0
+        summary = report["results"]["newton"]
+        steps = summary["steps"]
+        assert len(steps) == summary["iterations"] > 0
+        assert sum(step["cg_iters"] for step in steps) == applies[0]
+        for step in steps:
+            assert set(step) == {"eta", "cg_iters", "cg_rel_residual", "alpha",
+                                 "linesearch_evals", "fallback"}
+            assert newton.CG_TOL <= step["eta"] <= newton.ETA_MAX
+            assert step["cg_rel_residual"] <= step["eta"]
+            assert step["fallback"] in (None, "steepest_descent", "gradient_halved")
+        assert steps[0]["eta"] == newton.ETA_MAX
 
 
 class TestSettingsValidation:
