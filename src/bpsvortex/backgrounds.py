@@ -135,6 +135,15 @@ class Background:
     (ones/zeros) in the base model; ``h2`` is the phi source.
     ``neutralized_source`` is the torus Poisson right-hand side for v0
     (regularized phi source minus its mean); None on the plane.
+
+    With the background split off, the smooth remainder ``(s0, s1)`` of the
+    fields solves the same reduced system on both grids,
+
+        lap s0 = lam (2 e^u - e^v - 1) + src_u,
+        lap s1 = 2 lam (e^v - 1) + src_f,
+
+    and only the remainder sources ``(src_u, src_f)`` = :meth:`sources`
+    depend on the domain.
     """
 
     grid: object
@@ -147,6 +156,19 @@ class Background:
     h1: np.ndarray
     h2: np.ndarray
     neutralized_source: Optional[np.ndarray] = None
+
+    def sources(self):
+        """The remainder sources ``(src_u, src_f)``, computed per call.
+
+        On the torus the background potentials absorb the point sources
+        less their means, which leaves the constants 4 pi m/|Omega| and
+        4 pi (m+n)/|Omega|; on the plane they are the fields ``h1`` and
+        ``h1 + h2``.
+        """
+        if isinstance(self.grid, TorusGrid):
+            m, n, area = self.cfg.m, self.cfg.n, self.grid.area
+            return 4.0 * math.pi * m / area, 4.0 * math.pi * (m + n) / area
+        return self.h1, self.h1 + self.h2
 
 
 def _bump_sum(x, y, cx, cy, tau):

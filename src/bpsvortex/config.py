@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -103,6 +104,13 @@ def _number(obj, path, problems, positive=False, integer=False, optional=False):
         return None
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         problems.append((path, f"expected a number, got {type(obj).__name__}"))
+        return None
+    try:
+        finite = math.isfinite(obj)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        problems.append((path, "must be a finite number"))
         return None
     if integer and int(obj) != obj:
         problems.append((path, "expected an integer"))
@@ -283,11 +291,11 @@ def apply_overrides(raw: dict, overrides: List[str]) -> dict:
             value = json.loads(value_text)
         except json.JSONDecodeError:
             value = value_text
+        *parents, leaf = path.split(".")
         node = raw
-        keys = path.split(".")
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ParseError(f"override path {path!r} crosses a non-object value")
-        node[keys[-1]] = value
+        for key in parents:
+            node = node.setdefault(key, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            raise ParseError(f"override path {path!r} crosses a non-object value")
+        node[leaf] = value
     return raw

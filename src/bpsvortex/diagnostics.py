@@ -1,9 +1,10 @@
 """Executable checks on computed solutions and physical field reconstruction.
 
 Everything here consumes converged states uniformly through the two weighted
-exponentials ``e^u = e^{u0} e^{s0}`` and ``e^v = e^{v0} e^{s1 - s0}``, which
-cover base and extended variants on both domains.  Fluxes are integrals of
-the algebraic right-hand sides (never of numerical second derivatives).
+exponentials ``e^u = e^{u0} e^{s0}`` and ``e^v = e^{v0} e^{s1 - s0}`` and the
+background's remainder sources, which cover base and extended variants on
+both domains.  Fluxes are integrals of the algebraic right-hand sides (never
+of numerical second derivatives).
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .errors import AnnulusTooThin
 from .grids import PlaneGrid, TorusGrid, random_smooth_field
 from .newton import SolverSettings, solve
 
-TWO_PI = 2.0 * math.pi
-FOUR_PI = 4.0 * math.pi
-
 # allowed excess over the maximum-principle bounds: the continuum solution
 # obeys them exactly, the discrete one may overshoot 1 by a discretization
 # error that does not grow under refinement
@@ -39,35 +37,31 @@ DECAY_FLOOR_REL = 1e-10
 PROBE_AMPLITUDE = 0.5
 
 
-def pde_residual(state, mode: str, bg: Background, cfg: VortexConfig,
-                 params: PhysicalParams):
-    """(l2, sup) residual of each governing equation; interior-only on the plane."""
+def pde_residual(state, bg: Background, params: PhysicalParams):
+    """(l2, sup) residual of each governing equation over the grid's interior.
+
+    The reduced system is restated here from the background's sources,
+    independently of the energy gradient that it checks.
+    """
     lam = params.lam
     grid = bg.grid
     eU, eV = _exp_pair(state, bg)
-    n, m = cfg.n, cfg.m
-    if mode == "torus":
-        r1 = grid.laplacian(state[0]) - lam * (2.0 * eU - eV - 1.0) - FOUR_PI * m / grid.area
-        r2 = grid.laplacian(state[1]) - 2.0 * lam * (eV - 1.0) - FOUR_PI * (m + n) / grid.area
-        return ((grid.norm_l2(r1), grid.norm_sup(r1)),
-                (grid.norm_l2(r2), grid.norm_sup(r2)))
-    r1 = grid.laplacian(state[0]) - lam * (2.0 * eU - eV - 1.0) - bg.h1
-    r2 = grid.laplacian(state[1]) - 2.0 * lam * (eV - 1.0) - (bg.h1 + bg.h2)
-    r1i = r1[1:-1, 1:-1]
-    r2i = r2[1:-1, 1:-1]
-    h2 = grid.h ** 2
-    return ((float(np.sqrt(np.sum(r1i ** 2) * h2)), float(np.max(np.abs(r1i)))),
-            (float(np.sqrt(np.sum(r2i ** 2) * h2)), float(np.max(np.abs(r2i)))))
+    src_u, src_f = bg.sources()
+    r1 = grid.interior(grid.laplacian(state[0]) - lam * (2.0 * eU - eV - 1.0) - src_u)
+    r2 = grid.interior(grid.laplacian(state[1]) - 2.0 * lam * (eV - 1.0) - src_f)
+    return tuple((math.sqrt(grid.inner(r, r)), float(np.max(np.abs(r)))) for r in (r1, r2))
+
+
+def _curvatures(state, bg: Background, lam: float):
+    # curvature densities (a12, b12) from the algebraic right-hand sides
+    eU, eV = _exp_pair(state, bg)
+    return -(lam / 2.0) * (2.0 * eU - eV - 1.0), -lam * (eV - 1.0)
 
 
 def flux_report(state, bg: Background, params: PhysicalParams) -> Tuple[float, float]:
     """Total fluxes of the two gauge fields from the algebraic curvature densities."""
-    lam = params.lam
-    grid = bg.grid
-    eU, eV = _exp_pair(state, bg)
-    a12 = -(lam / 2.0) * (2.0 * eU - eV - 1.0)
-    b12 = -lam * (eV - 1.0)
-    return grid.integrate(a12), grid.integrate(b12)
+    a12, b12 = _curvatures(state, bg, params.lam)
+    return bg.grid.integrate(a12), bg.grid.integrate(b12)
 
 
 @dataclass(frozen=True)
@@ -88,22 +82,24 @@ def pointwise_bounds(state, bg: Background) -> BoundReport:
     return BoundReport(exc_u, exc_v, inter, ok)
 
 
-def verify_lagrange_multipliers(state, bg: Background, cfg: VortexConfig,
+def verify_lagrange_multipliers(state, bg: Background,
                                 params: PhysicalParams) -> Tuple[float, float]:
     """Least-squares fit of the two constraint multipliers on a torus base solution.
 
     The constrained first-order conditions read
 
-        lap u = -lam - l1 * e^{v0+f-u} + l2 * e^u
-        lap f = -2 lam + 2 l1 * e^{v0+f-u} + 4 pi n / |Omega|
+        lap u = -lam - l1 * e^{v0+f-u} + l2 * e^u + src_u
+        lap f = -2 lam + 2 l1 * e^{v0+f-u} + src_f
 
-    and the analytic values are l1 = lam, l2 = 2 lam.
+    with the background's sources (0 and 4 pi n / |Omega| here), and the
+    analytic values are l1 = lam, l2 = 2 lam.
     """
     lam = params.lam
     grid: TorusGrid = bg.grid
     eU, eV = _exp_pair(state, bg)
-    a = grid.laplacian(state[0]) + lam
-    b = grid.laplacian(state[1]) + 2.0 * lam - FOUR_PI * cfg.n / grid.area
+    src_u, src_f = bg.sources()
+    a = grid.laplacian(state[0]) + lam - src_u
+    b = grid.laplacian(state[1]) + 2.0 * lam - src_f
     ip = grid.inner
     mat = np.array([
         [5.0 * ip(eV, eV), -ip(eV, eU)],
@@ -212,13 +208,9 @@ def reconstruct_physical(state, bg: Background, params: PhysicalParams) -> Physi
     exactly at plane vortex points; the curvature densities come from the
     algebraic right-hand sides.
     """
-    lam = params.lam
     kappa = np.sqrt(bg.exp_u0) * np.exp(0.5 * state[0])
     phi_abs = np.sqrt(bg.exp_v0) * np.exp(0.5 * (state[1] - state[0]))
-    eU, eV = _exp_pair(state, bg)
-    a12 = -(lam / 2.0) * (2.0 * eU - eV - 1.0)
-    b12 = -lam * (eV - 1.0)
-    return PhysicalFields(kappa, phi_abs, a12, b12)
+    return PhysicalFields(kappa, phi_abs, *_curvatures(state, bg, params.lam))
 
 
 def uniqueness_probe(mode: str, model: str, cfg: VortexConfig, grid,
@@ -253,7 +245,6 @@ class DiagnosticsReport:
     bound_violation: Optional[Dict[str, float]] = None
     lagrange: Optional[Tuple[float, float]] = None
     decay: Optional[Dict[str, float]] = None
-    uniqueness_spread: Optional[float] = None
 
     def to_dict(self) -> Dict:
         out = {
@@ -270,8 +261,6 @@ class DiagnosticsReport:
             out["lagrange"] = list(self.lagrange)
         if self.decay is not None:
             out["decay"] = self.decay
-        if self.uniqueness_spread is not None:
-            out["uniqueness_spread"] = self.uniqueness_spread
         return out
 
 
@@ -279,7 +268,7 @@ def build_diagnostics(state, mode: str, model: str, bg: Background,
                       cfg: VortexConfig, params: PhysicalParams,
                       fit_decay: bool = True) -> DiagnosticsReport:
     """Aggregate every check applicable to the given variant."""
-    (l2_1, sup_1), (l2_2, sup_2) = pde_residual(state, mode, bg, cfg, params)
+    (l2_1, sup_1), (l2_2, sup_2) = pde_residual(state, bg, params)
     fa, fb = flux_report(state, bg, params)
     report = DiagnosticsReport(residual_l2=(l2_1, l2_2), residual_sup=(sup_1, sup_2),
                                flux_a=fa, flux_b=fb)
@@ -299,7 +288,7 @@ def build_diagnostics(state, mode: str, model: str, bg: Background,
             "intermediate_excess": bounds.intermediate_excess,
         }
         if model == "base":
-            report.lagrange = verify_lagrange_multipliers(state, bg, cfg, params)
+            report.lagrange = verify_lagrange_multipliers(state, bg, params)
     elif fit_decay and (cfg.n + cfg.m) > 0:
         try:
             rate_f, rate_g, window = decay_fit(state, bg, cfg, params)

@@ -4,26 +4,34 @@ States are arrays of shape ``(2, nx, ny)``.  The slices hold the two unknowns
 of each variant: ``(u, f)`` for the base model and ``(g, f)`` for the extended
 one (``g`` absorbs the kappa background, so ``u = u0 + g``).  The extended
 formulas reduce literally to the base formulas when the kappa zero set is
-empty; both variants therefore share one implementation per domain, and
-:class:`EnergyModel` differs between them only in validation.
+empty, so both variants share one implementation and :class:`EnergyModel`
+differs between them only in validation.
 
-Torus functional (extended form, scaled so the m = 0 case coincides exactly
-with the base functional):
+With ``(s0, s1)`` the state, ``e^U = e^{u0 + s0}``, ``e^V = e^{v0 + s1 - s0}``
+and ``(src_u, src_f)`` the background's remainder sources
+(:meth:`Background.sources`), both grids minimize
 
-    E = 1/2 ||grad g||^2 + 1/4 ||grad f||^2
-        + int [ lam*e^{v0+f-g} + 2*lam*e^{u0+g} ] dx
-        + int [ (4 pi m/|O| - lam)*g + (2 pi (m+n)/|O| - lam)*f ] dx
+    E = c int [ 1/2 |grad s0|^2 + 1/4 |grad s1|^2 + lam (2 e^U + e^V)
+                + (src_u - lam) s0 + (src_f / 2 - lam) s1 ] dA,
 
-Plane functional:
+with c = 1 on the torus and c = 1/lam on the plane, where the exponential
+term is taken relative to the background, 2 (e^U - e^{u0}) + (e^V - e^{v0}),
+so that it is integrable.  The gradient
 
-    E = int [ 1/(2 lam)|grad g|^2 + 1/(4 lam)|grad f|^2
-              + 2(e^{u0+g} - e^{u0}) + (e^{v0+f-g} - e^{v0})
-              + (h1/lam - 1)*g + ((h1+h2)/(2 lam) - 1)*f ] dx
+    c [ -lap s0 + lam (2 e^U - e^V - 1) + src_u,
+        -lap s1 / 2 + lam (e^V - 1) + src_f / 2 ]
 
-Gradients are the exact first variations of these discrete energies in the
-L^2 pairing with the area element, so a zero gradient is the discrete
-Euler-Lagrange system; the plane gradient carries the 1/lam factors of the
-plane functional (PDE residual = -lam * gradient componentwise there).
+vanishes exactly on the reduced system, and the Hessian is
+
+    c [[-lap + lam (2 e^U + e^V), -lam e^V], [-lam e^V, -lap / 2 + lam e^V]].
+
+Both are written once, in the scale pair (c, c lam): (1, lam) on the torus,
+(1/lam, 1) on the plane.  They are the exact first and second variations of
+the discrete energies in the grid's L^2 pairing ``grid.inner``; on the plane
+they vanish on the Dirichlet boundary ring, where states are held at zero.
+Only the energy quadratures differ per grid: sum s lap s dA with the spectral
+Laplacian on the torus, squared edge differences and trapezoid weights on the
+plane.
 """
 
 from __future__ import annotations
@@ -35,12 +43,9 @@ import numpy as np
 
 from .backgrounds import Background, PhysicalParams, VortexConfig
 from .errors import Overflow
-from .grids import PlaneGrid, TorusGrid
+from .grids import TorusGrid
 
 MAX_EXPONENT = 700.0
-
-TWO_PI = 2.0 * np.pi
-FOUR_PI = 4.0 * np.pi
 
 
 class EnergyBreakdown(NamedTuple):
@@ -66,47 +71,21 @@ def _exp_pair(state, bg: Background):
 
 
 # ---------------------------------------------------------------------------
-# torus
+# energy quadratures, the one part that differs per grid; each returns the
+# gradient, exponential and linear parts of E from the weighted exponentials
+# and the linear coefficients c (src_u - lam), c (src_f / 2 - lam)
 # ---------------------------------------------------------------------------
 
-def _torus_energy(state, bg, cfg, params) -> EnergyBreakdown:
+def _torus_quadrature(bg, lam, state, eU, eV, coef_u, coef_f):
     grid: TorusGrid = bg.grid
-    lam = params.lam
-    n, m = cfg.n, cfg.m
     dA = grid.dx * grid.dy
-    eU, eV = _exp_pair(state, bg)
     lap0 = grid.laplacian(state[0])
     lap1 = grid.laplacian(state[1])
     grad_part = dA * (-0.5 * float(np.sum(state[0] * lap0)) - 0.25 * float(np.sum(state[1] * lap1)))
     exp_part = dA * float(np.sum(lam * eV + 2.0 * lam * eU))
-    lin_part = dA * ((FOUR_PI * m / grid.area - lam) * float(np.sum(state[0]))
-                     + (TWO_PI * (m + n) / grid.area - lam) * float(np.sum(state[1])))
-    return EnergyBreakdown(grad_part + exp_part + lin_part, grad_part, exp_part, lin_part)
+    lin_part = dA * (coef_u * float(np.sum(state[0])) + coef_f * float(np.sum(state[1])))
+    return grad_part, exp_part, lin_part
 
-
-def _torus_gradient(state, bg, cfg, params) -> np.ndarray:
-    grid: TorusGrid = bg.grid
-    lam = params.lam
-    n, m = cfg.n, cfg.m
-    eU, eV = _exp_pair(state, bg)
-    g0 = -grid.laplacian(state[0]) + lam * (2.0 * eU - eV - 1.0) + FOUR_PI * m / grid.area
-    g1 = -0.5 * grid.laplacian(state[1]) + lam * (eV - 1.0) + TWO_PI * (m + n) / grid.area
-    return np.stack([g0, g1])
-
-
-def _torus_hessian_apply(state, direction, bg, cfg, params) -> np.ndarray:
-    grid: TorusGrid = bg.grid
-    lam = params.lam
-    eU, eV = _exp_pair(state, bg)
-    d0, d1 = direction[0], direction[1]
-    h0 = -grid.laplacian(d0) + (2.0 * lam * eU + lam * eV) * d0 - lam * eV * d1
-    h1 = -0.5 * grid.laplacian(d1) + lam * eV * (d1 - d0)
-    return np.stack([h0, h1])
-
-
-# ---------------------------------------------------------------------------
-# plane
-# ---------------------------------------------------------------------------
 
 def _edge_energy(v: np.ndarray) -> float:
     # sum of squared forward differences over in-grid edges; with Dirichlet
@@ -115,43 +94,12 @@ def _edge_energy(v: np.ndarray) -> float:
     return float(np.sum(np.diff(v, axis=0) ** 2)) + float(np.sum(np.diff(v, axis=1) ** 2))
 
 
-def _zero_boundary(a: np.ndarray) -> np.ndarray:
-    a[0, :] = 0.0
-    a[-1, :] = 0.0
-    a[:, 0] = 0.0
-    a[:, -1] = 0.0
-    return a
-
-
-def _plane_energy(state, bg, cfg, params) -> EnergyBreakdown:
-    grid: PlaneGrid = bg.grid
-    lam = params.lam
-    w = grid.trapezoid_weights
-    eU, eV = _exp_pair(state, bg)
+def _plane_quadrature(bg, lam, state, eU, eV, coef_u, coef_f):
+    w = bg.grid.trapezoid_weights
     grad_part = (0.5 / lam) * _edge_energy(state[0]) + (0.25 / lam) * _edge_energy(state[1])
     exp_part = float(np.sum(w * (2.0 * (eU - bg.exp_u0) + (eV - bg.exp_v0))))
-    lin_part = float(np.sum(w * ((bg.h1 / lam - 1.0) * state[0]
-                                 + ((bg.h1 + bg.h2) / (2.0 * lam) - 1.0) * state[1])))
-    return EnergyBreakdown(grad_part + exp_part + lin_part, grad_part, exp_part, lin_part)
-
-
-def _plane_gradient(state, bg, cfg, params) -> np.ndarray:
-    grid: PlaneGrid = bg.grid
-    lam = params.lam
-    eU, eV = _exp_pair(state, bg)
-    g0 = (-1.0 / lam) * grid.laplacian(state[0]) + (2.0 * eU - eV - 1.0) + bg.h1 / lam
-    g1 = (-0.5 / lam) * grid.laplacian(state[1]) + (eV - 1.0) + (bg.h1 + bg.h2) / (2.0 * lam)
-    return np.stack([_zero_boundary(g0), _zero_boundary(g1)])
-
-
-def _plane_hessian_apply(state, direction, bg, cfg, params) -> np.ndarray:
-    grid: PlaneGrid = bg.grid
-    lam = params.lam
-    eU, eV = _exp_pair(state, bg)
-    d0, d1 = direction[0], direction[1]
-    h0 = (-1.0 / lam) * grid.laplacian(d0) + (2.0 * eU + eV) * d0 - eV * d1
-    h1 = (-0.5 / lam) * grid.laplacian(d1) + eV * (d1 - d0)
-    return np.stack([_zero_boundary(h0), _zero_boundary(h1)])
+    lin_part = float(np.sum(w * (coef_u * state[0] + coef_f * state[1])))
+    return grad_part, exp_part, lin_part
 
 
 @dataclass
@@ -174,6 +122,12 @@ class EnergyModel:
         is_torus = isinstance(self.bg.grid, TorusGrid)
         if is_torus != (self.mode == "torus"):
             raise ValueError("background grid does not match mode")
+        # the scale pair (c, c lam) of the module docstring, with c also held
+        # as its inverse: the sources are divided by 1/c (on the plane that
+        # is h1 / lam), and the plane's c lam is exactly 1
+        lam = self.params.lam
+        self._inv_c, self._c_lam = (1.0, lam) if is_torus else (lam, 1.0)
+        self._c = 1.0 / self._inv_c
 
     @property
     def grid(self):
@@ -182,27 +136,38 @@ class EnergyModel:
     def zero_state(self) -> np.ndarray:
         return np.zeros((2,) + self.grid.shape)
 
+    def _scaled_sources(self):
+        # c src_u and c src_f / 2
+        src_u, src_f = self.bg.sources()
+        return src_u / self._inv_c, src_f / (2.0 * self._inv_c)
+
     def energy(self, state) -> EnergyBreakdown:
-        if self.mode == "torus":
-            return _torus_energy(state, self.bg, self.cfg, self.params)
-        return _plane_energy(state, self.bg, self.cfg, self.params)
+        eU, eV = _exp_pair(state, self.bg)
+        lin_u, lin_f = self._scaled_sources()
+        quadrature = _torus_quadrature if self.mode == "torus" else _plane_quadrature
+        grad_part, exp_part, lin_part = quadrature(self.bg, self.params.lam, state, eU, eV,
+                                                   lin_u - self._c_lam, lin_f - self._c_lam)
+        return EnergyBreakdown(grad_part + exp_part + lin_part, grad_part, exp_part, lin_part)
 
     def gradient(self, state) -> np.ndarray:
-        if self.mode == "torus":
-            return _torus_gradient(state, self.bg, self.cfg, self.params)
-        return _plane_gradient(state, self.bg, self.cfg, self.params)
+        grid, c, c_lam = self.grid, self._c, self._c_lam
+        eU, eV = _exp_pair(state, self.bg)
+        lin_u, lin_f = self._scaled_sources()
+        g0 = -c * grid.laplacian(state[0]) + c_lam * (2.0 * eU - eV - 1.0) + lin_u
+        g1 = -0.5 * c * grid.laplacian(state[1]) + c_lam * (eV - 1.0) + lin_f
+        return np.stack([grid.zero_boundary(g0), grid.zero_boundary(g1)])
 
     def hessian_apply(self, state, direction) -> np.ndarray:
-        if self.mode == "torus":
-            return _torus_hessian_apply(state, direction, self.bg, self.cfg, self.params)
-        return _plane_hessian_apply(state, direction, self.bg, self.cfg, self.params)
+        """Hessian times ``direction``, straight from the formula.
 
-    def _hessian_scales(self):
-        # (c, c * lam) for Hessian = c * [[-Delta + lam (2e^U + e^V), -lam e^V],
-        #                                 [-lam e^V, -Delta/2 + lam e^V]];
-        # c * lam is exactly 1.0 on the plane
-        lam = self.params.lam
-        return (1.0, lam) if self.mode == "torus" else (1.0 / lam, 1.0)
+        The reference that :meth:`hessian_operator` is checked against.
+        """
+        grid, c, c_lam = self.grid, self._c, self._c_lam
+        eU, eV = _exp_pair(state, self.bg)
+        d0, d1 = direction[0], direction[1]
+        h0 = -c * grid.laplacian(d0) + (2.0 * c_lam * eU + c_lam * eV) * d0 - c_lam * eV * d1
+        h1 = -0.5 * c * grid.laplacian(d1) + c_lam * eV * (d1 - d0)
+        return np.stack([grid.zero_boundary(h0), grid.zero_boundary(h1)])
 
     def hessian_operator(self, state):
         """Hessian application with the exponential factors frozen at ``state``.
@@ -211,12 +176,10 @@ class EnergyModel:
         coefficient fields computed once per state.
         """
         eU, eV = _exp_pair(state, self.bg)
-        grid = self.grid
-        c, c_lam = self._hessian_scales()
+        grid, c, c_lam = self.grid, self._c, self._c_lam
         off = np.multiply(eV, c_lam, out=eV)
         diag = np.multiply(eU, 2.0 * c_lam, out=eU)
         diag += off
-        plane = self.mode == "plane"
 
         def apply_h(d):
             out = np.empty_like(d)
@@ -228,24 +191,11 @@ class EnergyModel:
             grid.laplacian(d[1], out=h1)
             h1 *= -0.5 * c
             h1 += off * (d[1] - d[0])
-            if plane:
-                _zero_boundary(h0)
-                _zero_boundary(h1)
+            grid.zero_boundary(h0)
+            grid.zero_boundary(h1)
             return out
 
         return apply_h
-
-    def inner(self, a, b) -> float:
-        """L^2 pairing of state pairs (area element included).
-
-        On the plane the pairing uses the interior cell measure h^2 (states
-        and gradients vanish on the boundary ring), which is the metric in
-        which the gradient is the exact first variation of the energy.
-        """
-        if self.mode == "torus":
-            g = self.grid
-            return float(np.sum(a * b)) * g.dx * g.dy
-        return float(np.sum(a * b)) * self.grid.h ** 2
 
     def preconditioner(self):
         """Exact per-mode inverse of the Hessian in the far field.
@@ -258,7 +208,7 @@ class EnergyModel:
             c * [[K + 3 lam, -lam], [-lam, K/2 + lam]]
               = c * lam * [[2d + 1, -1], [-1, d]],     d = K / (2 lam) + 1,
 
-        with c = 1 on the torus and 1/lam on the plane.  Its determinant
+        with the scale pair (c, c lam) of the module docstring.  Its determinant
         (c lam)^2 (2d - 1)(d + 1) is positive for every K >= 0, the constant
         torus mode included, so the inverse
 
@@ -269,8 +219,7 @@ class EnergyModel:
         the boundary ring.  Its three coefficient buffers, in the grid's
         modal layout, are allocated here once and reused by every apply.
         """
-        grid = self.grid
-        c_lam = self._hessian_scales()[1]
+        grid, c_lam = self.grid, self._c_lam
         d = grid.laplacian_eigenvalues() / (2.0 * self.params.lam)
         d += 1.0
         inv_det = 1.0 / ((2.0 * d - 1.0) * (d + 1.0) * c_lam)

@@ -22,16 +22,16 @@ residual sequence of a stage is non-increasing, and a rejected Anderson
 trial falls back to a damped Picard step whose relaxation halves whenever
 the residual would increase.  Acceleration changes the path to a fixed
 point, not the fixed points, so the result stays independent of Newton.
-Stages are warm-started along an increasing ``t`` schedule that is refined
-by midpoint insertion when a stage stalls (at most ``MAX_REFINEMENTS``
-times), and ``Solution.stages`` records every stage attempt.
+Stages are warm-started along the uniform schedule ``t = 1/steps, 2/steps,
+..., 1``, which is refined by midpoint insertion when a stage stalls (at most
+``MAX_REFINEMENTS`` times), and ``Solution.stages`` records every stage
+attempt.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -55,22 +55,6 @@ INNER_TOL = 1e-11
 INNER_MAX_TRIALS = 5000
 # midpoint insertions into the t schedule before the solve gives up
 MAX_REFINEMENTS = 3
-
-
-@dataclass(frozen=True)
-class ContinuationSchedule:
-    """The homotopy parameters t of the stages, increasing within (0, 1] to 1.
-
-    The per-stage iteration constants are module constants above; no run
-    sets them differently.
-    """
-
-    t_values: Tuple[float, ...] = tuple((k + 1) / 10 for k in range(10))
-
-    def __post_init__(self):
-        ts = self.t_values
-        if not ts or ts[-1] != 1.0 or any(b <= a for a, b in zip(ts, ts[1:])) or ts[0] <= 0.0:
-            raise ValueError("t_values must increase strictly within (0, 1] and end at 1")
 
 
 def zero_mean_pair(u_prime: np.ndarray, w_prime: np.ndarray) -> np.ndarray:
@@ -214,9 +198,11 @@ def _solve_stage(pair, t, bg, cfg, params, c1, c2, residual_log, stage_log=None)
     return converged, pair, trials
 
 
-def continuation_solve(schedule: ContinuationSchedule, bg: Background, cfg: VortexConfig,
+def continuation_solve(steps: int, bg: Background, cfg: VortexConfig,
                        params: PhysicalParams) -> Solution:
-    """Track the fixed-point branch along the ``t`` schedule up to ``t = 1``."""
+    """Track the fixed-point branch over ``steps`` uniform ``t`` stages up to ``t = 1``."""
+    if not isinstance(steps, int) or steps < 1:
+        raise ValueError("steps must be a positive integer")
     grid: TorusGrid = bg.grid
     if cfg.m != 0:
         raise ValueError("the fixed-point path implements the base model only")
@@ -228,7 +214,7 @@ def continuation_solve(schedule: ContinuationSchedule, bg: Background, cfg: Vort
     pair = np.zeros((2,) + grid.shape)
     residual_log: List[float] = []
     stage_log: List[dict] = []
-    pending = list(schedule.t_values)
+    pending = [(k + 1) / steps for k in range(steps)]
     refinements = 0
     total_iters = 0
     idx = 0

@@ -15,6 +15,9 @@ and ``modal_inverse`` map fields to mode coefficients and back, and
 ``laplacian_eigenvalues`` gives the eigenvalue of ``-laplacian`` per mode in
 the same layout (Fourier modes on the torus, the sine modes of the interior
 nodes on the plane).  Operators with constant coefficients are diagonal there.
+Each grid also owns its boundary: ``zero_boundary`` zeroes the plane's
+Dirichlet ring (a no-op on the torus) and ``interior`` views the nodes that
+carry an equation.
 
 Scalar fields are plain ``float64`` arrays of shape ``(nx, ny)`` (torus) or
 ``(n, n)`` (plane), laid out row-major with node ``(i, j)`` at
@@ -172,6 +175,16 @@ class TorusGrid:
         """|k|^2, the eigenvalue of ``-laplacian`` per Fourier mode."""
         return self.workspace.k2
 
+    # -- boundary ------------------------------------------------------------
+
+    def zero_boundary(self, values: np.ndarray) -> np.ndarray:
+        """``values`` unchanged: a periodic grid has no boundary."""
+        return values
+
+    def interior(self, values: np.ndarray) -> np.ndarray:
+        """``values`` itself: every node carries an equation."""
+        return values
+
     # -- reductions ----------------------------------------------------------
 
     def integrate(self, values: np.ndarray) -> float:
@@ -182,9 +195,6 @@ class TorusGrid:
 
     def norm_l2(self, values: np.ndarray) -> float:
         return float(np.sqrt(self.inner(values, values)))
-
-    def norm_sup(self, values: np.ndarray) -> float:
-        return float(np.max(np.abs(values)))
 
 
 @dataclass(frozen=True)
@@ -280,9 +290,7 @@ class PlaneGrid:
         """
         s = self.sine_basis
         np.matmul(s @ coeffs, s, out=out[1:-1, 1:-1])
-        out[0, :] = out[-1, :] = 0.0
-        out[:, 0] = out[:, -1] = 0.0
-        return out
+        return self.zero_boundary(out)
 
     def laplacian_eigenvalues(self) -> np.ndarray:
         """Eigenvalue of ``-laplacian`` per sine mode, shape (n-2, n-2).
@@ -292,10 +300,30 @@ class PlaneGrid:
         s2 = (2.0 / self.h * np.sin(0.5 * np.pi * np.arange(1, self.n - 1) / (self.n - 1))) ** 2
         return s2[:, None] + s2[None, :]
 
+    # -- boundary ------------------------------------------------------------
+
+    def zero_boundary(self, values: np.ndarray) -> np.ndarray:
+        """Set the Dirichlet boundary ring of ``values`` to zero, in place."""
+        values[0, :] = values[-1, :] = 0.0
+        values[:, 0] = values[:, -1] = 0.0
+        return values
+
+    def interior(self, values: np.ndarray) -> np.ndarray:
+        """View of the interior nodes, where the equations are imposed."""
+        return values[1:-1, 1:-1]
+
     # -- reductions ----------------------------------------------------------
 
     def integrate(self, values: np.ndarray) -> float:
         return float((values * self.trapezoid_weights).sum())
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """L^2 pairing with the cell measure h^2.
+
+        For fields that vanish on the boundary ring this is the pairing in
+        which the energy gradient is the exact first variation.
+        """
+        return float((a * b).sum()) * self.h ** 2
 
 
 def random_smooth_field(grid, rng: np.random.Generator, amplitude: float = 0.5) -> np.ndarray:
@@ -318,9 +346,7 @@ def random_smooth_field(grid, rng: np.random.Generator, amplitude: float = 0.5) 
         kern /= kern.sum()
         for axis in (0, 1):
             noise = np.apply_along_axis(lambda m: np.convolve(m, kern, mode="same"), axis, noise)
-        field = noise * (window[:, None] * window[None, :]) ** 2
-        field[0, :] = field[-1, :] = 0.0
-        field[:, 0] = field[:, -1] = 0.0
+        field = grid.zero_boundary(noise * (window[:, None] * window[None, :]) ** 2)
     sup = np.max(np.abs(field))
     if sup > 0:
         field *= amplitude / sup

@@ -185,10 +185,10 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         direction, cg_iters, cg_rel_res = _pcg(model.hessian_operator(state), -grad,
                                                apply_minv, eta)
         fallback = None
-        slope = model.inner(grad, direction)
+        slope = model.grid.inner(grad, direction)
         if slope >= 0.0:  # roundoff-degenerate direction; fall back to steepest descent
             direction = -grad
-            slope = model.inner(grad, direction)
+            slope = model.grid.inner(grad, direction)
             fallback = "steepest_descent"
 
         alpha = 1.0

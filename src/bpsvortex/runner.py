@@ -35,7 +35,7 @@ from .config import RunConfig, fixedpoint_problems
 from .diagnostics import (annulus_bins, build_diagnostics, decay_annulus, radial_profile,
                           reconstruct_physical)
 from .errors import ThresholdViolated, ValidationError
-from .fixedpoint import ContinuationSchedule, continuation_solve
+from .fixedpoint import continuation_solve
 from .grids import PlaneGrid
 from .newton import SolverSettings, Solution, solve
 
@@ -46,11 +46,6 @@ EXIT_NOT_CONVERGED = 3
 
 def _solver_settings(cfg: RunConfig) -> SolverSettings:
     return SolverSettings(tol_grad_sup=cfg.solver["tol"], max_iters=cfg.solver["max_iters"])
-
-
-def _schedule(cfg: RunConfig) -> ContinuationSchedule:
-    steps = int(cfg.solver["continuation_steps"])
-    return ContinuationSchedule(t_values=tuple((k + 1) / steps for k in range(steps)))
 
 
 def _threshold_dict(cfg: RunConfig, grid, params) -> dict:
@@ -187,7 +182,7 @@ def _run_solvers(cfg: RunConfig, method: str, grid, params, vcfg, results: dict,
             exit_code = EXIT_NOT_CONVERGED
     if method in ("fixedpoint", "both"):
         t0 = time.perf_counter()
-        fixed_sol = continuation_solve(_schedule(cfg), bg, vcfg, params)
+        fixed_sol = continuation_solve(int(cfg.solver["continuation_steps"]), bg, vcfg, params)
         timings["fixedpoint_s"] = time.perf_counter() - t0
         results["fixedpoint"] = _fixedpoint_summary(fixed_sol)
         if not fixed_sol.converged:

@@ -164,7 +164,7 @@ def test_criterion_05_cross_method_equivalence():
         cfg = bv.VortexConfig(phi_zeros=all_pts[:n])
         bg = bv.build_background_torus(cfg, grid, params)
         newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
-        fp = bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, cfg, params)
         diff = float(np.max(np.abs(newton.state - fp.state)))
         diffs.append(f"n={n}: {diff:.2e}")
         ok &= newton.converged and fp.converged and diff <= 1e-6
@@ -205,7 +205,7 @@ def test_criterion_07_gradient_hessian_correctness():
         for seed in range(10):
             s = random_state(model.grid, seed=seed)
             d = random_state(model.grid, seed=seed + 500)
-            ip = model.inner(model.gradient(s), d)
+            ip = model.grid.inner(model.gradient(s), d)
             cd = (model.energy(s + eps * d).total
                   - model.energy(s - eps * d).total) / (2.0 * eps)
             worst_grad = max(worst_grad, abs(cd - ip) / max(abs(ip), abs(cd)))
@@ -229,7 +229,7 @@ def test_criterion_08_convexity():
         s = random_state(model.grid, seed=9)
         for seed in range(100):
             d = random_state(model.grid, seed=4000 + seed, amplitude=1.0)
-            q = model.inner(d, model.hessian_apply(s, d))
+            q = model.grid.inner(d, model.hessian_apply(s, d))
             min_q = min(min_q, q)
             ok &= q > 0.0
         for seed in range(100):
@@ -287,7 +287,7 @@ def test_criterion_11_lagrange_multipliers(torus_criterion_setup,
     t0 = time.perf_counter()
     grid, params, cfg, bg = torus_criterion_setup
     l1, l2 = bv.verify_lagrange_multipliers(torus_criterion_solution.state,
-                                            bg, cfg, params)
+                                            bg, params)
     e1 = abs(l1 / params.lam - 1.0)
     e2 = abs(l2 / (2.0 * params.lam) - 1.0)
     ok = e1 <= 1e-4 and e2 <= 1e-4

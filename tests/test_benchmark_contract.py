@@ -26,10 +26,19 @@ COMPARE = {
 }
 SWEEP = dict(COMPARE, model="extended", kappa_zeros=[[0.5 * L20, 0.2 * L20]],
              sweep={"param": "lambda", "values": [0.5, 1.5, 2.5], "action": "solve"})
+# a small plane-solve: Newton on the 5-point stencil, decay fit, field dump
+# and radial profile
+PLANE = {
+    "mode": "plane", "model": "base", "lambda": 4.0,
+    "domain": {"R": 8.0}, "grid": {"n": 96},
+    "phi_zeros": [[0.5, 0.0], [-0.5, 0.3]],
+    "output": {"fields_path": "fields", "plots_path": "profile.csv"},
+}
+RUNS = (("compare", COMPARE, "compare"), ("plane", PLANE, "solve"), ("sweep", SWEEP, "sweep"))
 
-# Instruments the package as `perfbench/run.py --trace 1` does, runs both
-# commands through cli.main, and prints the exit codes, the span names and
-# the library-side gates of the sweep workload.
+# Instruments the package as `perfbench/run.py --trace 1` does, runs every
+# command through cli.main, and prints the exit codes, the span names of each
+# run and the library-side gates of the sweep workload (the last run).
 TRACED = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -38,12 +47,14 @@ from bpsvortex import cli
 
 tracer = tracing.Tracer()
 tracing.instrument(tracer)
-codes = [cli.main(["--config", cfg, "--command", command, "--out", out])
-         for cfg, command, out in zip(sys.argv[2::3], sys.argv[3::3], sys.argv[4::3])]
+codes, spans = [], []
+for cfg, command, out in zip(sys.argv[2::3], sys.argv[3::3], sys.argv[4::3]):
+    start = len(tracer.spans)
+    codes.append(cli.main(["--config", cfg, "--command", command, "--out", out]))
+    spans.append(sorted({s["name"] for s in tracer.spans[start:]}))
 with open(sys.argv[-1] + "/report.json") as fh:
     failures = workloads.check_sweep_rows(json.load(fh))
-print(json.dumps({"codes": codes, "spans": sorted({s["name"] for s in tracer.spans}),
-                  "failures": failures}))
+print(json.dumps({"codes": codes, "spans": spans, "failures": failures}))
 """
 
 
@@ -55,7 +66,7 @@ def _results(out_dir):
 
 def test_traced_cli_runs_match_untraced(tmp_path):
     args = []
-    for name, raw, command in (("compare", COMPARE, "compare"), ("sweep", SWEEP, "sweep")):
+    for name, raw, command in RUNS:
         cfg = tmp_path / f"{name}.json"
         cfg.write_text(json.dumps(raw))
         assert main(["--config", str(cfg), "--command", command,
@@ -70,8 +81,16 @@ def test_traced_cli_runs_match_untraced(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(proc.stdout.splitlines()[-1])
-    assert traced["codes"] == [0, 0]
-    assert {"newton.solve", "fixedpoint.apply_T", "backgrounds.build"} <= set(traced["spans"])
+    assert traced["codes"] == [0, 0, 0]
+    spans = dict(zip([name for name, _, _ in RUNS], map(set, traced["spans"])))
+    assert {"newton.solve", "fixedpoint.apply_T", "backgrounds.build"} <= spans["compare"]
+    assert {"runner.dump_fields", "runner.emit_plot_data", "diagnostics.decay_fit",
+            "energy.hessian_apply"} <= spans["plane"]
     assert traced["failures"] == []
-    for name in ("compare", "sweep"):
+    for name, _, _ in RUNS:
         assert _results(tmp_path / f"{name}-traced") == _results(tmp_path / f"{name}-plain")
+    report = json.loads((tmp_path / "plane-plain" / "report.json").read_text())
+    assert "decay" in report["results"]["diagnostics"]
+    for output in ("fields.csv", "fields.bin", "profile.csv"):
+        plain = (tmp_path / "plane-plain" / output).read_bytes()
+        assert plain and (tmp_path / "plane-traced" / output).read_bytes() == plain

@@ -485,6 +485,38 @@ class TestCliMain:
         assert main(["--config", str(cfg_path), "--command", "check"]) == 1
         assert "solver.seed: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,path", [
+        ("grid.nx=Infinity", "grid.nx"),
+        ("grid.nx=NaN", "grid.nx"),
+        ("grid.nx=1e400", "grid.nx"),
+        ("lambda=1" + "0" * 400, "lambda"),  # an integer beyond the float range
+        ("solver.max_iters=Infinity", "solver.max_iters"),
+        ("lambda=Infinity", "lambda"),
+        ("domain.Lx=Infinity", "domain.Lx"),
+        ("tau=Infinity", "tau"),
+        ('sweep={"param": "resolution", "values": [Infinity]}', "sweep.values[0]"),
+    ], ids=["nx-inf", "nx-nan", "nx-1e400", "lambda-huge-int", "max_iters-inf",
+            "lambda-inf", "Lx-inf", "tau-inf", "sweep-resolution-inf"])
+    def test_non_finite_number_exit_1(self, tmp_path, capsys, override, path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_torus(phi_zeros=[[1.0, 1.0]])))
+        assert main(["--config", str(cfg_path), "--command", "solve",
+                     "--override", override, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: must be a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_override_on_non_object_config_exit_1(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert main(["--config", str(cfg_path), "--command", "check",
+                     "--override", "lambda=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-object" in err
+        with pytest.raises(ParseError):
+            apply_overrides([1, 2], ["solver.tol=1e-10"])
+
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"),
                      "--command", "check"]) == 1

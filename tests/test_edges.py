@@ -49,8 +49,7 @@ class TestSolverEdges:
         monkeypatch.setattr(fixedpoint, "INNER_TOL", 1e-16)
         monkeypatch.setattr(fixedpoint, "INNER_MAX_TRIALS", 2)
         monkeypatch.setattr(fixedpoint, "MAX_REFINEMENTS", 2)
-        sched = bv.ContinuationSchedule(t_values=(0.5, 1.0))
-        sol = bv.continuation_solve(sched, bg, cfg, params)
+        sol = bv.continuation_solve(2, bg, cfg, params)
         assert not sol.converged
         assert "exhausted" in sol.message
 

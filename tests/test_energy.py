@@ -114,7 +114,7 @@ class TestFirstVariation:
         for seed in range(10):
             s = random_state(model.grid, seed=seed)
             d = random_state(model.grid, seed=seed + 100)
-            ip = model.inner(model.gradient(s), d)
+            ip = model.grid.inner(model.gradient(s), d)
             cd = (model.energy(s + eps * d).total
                   - model.energy(s - eps * d).total) / (2.0 * eps)
             assert abs(cd - ip) <= 1e-6 * max(abs(ip), abs(cd))
@@ -139,9 +139,9 @@ class TestFirstVariation:
         s = random_state(model.grid, seed=3)
         d1 = random_state(model.grid, seed=4)
         d2 = random_state(model.grid, seed=5)
-        lhs = model.inner(d1, model.hessian_apply(s, d2))
-        rhs = model.inner(d2, model.hessian_apply(s, d1))
-        scale = (model.inner(d1, d1) * model.inner(d2, d2)) ** 0.5
+        lhs = model.grid.inner(d1, model.hessian_apply(s, d2))
+        rhs = model.grid.inner(d2, model.hessian_apply(s, d1))
+        scale = (model.grid.inner(d1, d1) * model.grid.inner(d2, d2)) ** 0.5
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), scale)
 
 
@@ -228,7 +228,7 @@ class TestConvexity:
         s = random_state(model.grid, seed=6)
         for seed in range(100):
             d = random_state(model.grid, seed=1000 + seed, amplitude=1.0)
-            q = model.inner(d, model.hessian_apply(s, d))
+            q = model.grid.inner(d, model.hessian_apply(s, d))
             assert q > 0.0
 
     @pytest.mark.parametrize("mode,variant", VARIANTS)

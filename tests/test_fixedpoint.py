@@ -86,8 +86,7 @@ class TestContinuationSolve:
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig()
         bg = bv.build_background_torus(cfg, grid, params)
-        sched = bv.ContinuationSchedule(t_values=(1.0,))
-        sol = bv.continuation_solve(sched, bg, cfg, params)
+        sol = bv.continuation_solve(1, bg, cfg, params)
         assert sol.converged
         # recovered means: u_bar = ln(C2/|Omega|) = 0, v_bar = 0
         assert np.max(np.abs(sol.state)) < 1e-12
@@ -99,18 +98,18 @@ class TestContinuationSolve:
         cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0),))
         bg = bv.build_background_torus(cfg, grid, params)
         with pytest.raises(ThresholdViolated):
-            bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+            bv.continuation_solve(10, bg, cfg, params)
 
     def test_matches_newton_solution(self, fp_setup):
         grid, params, cfg, bg = fp_setup
         newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
-        fp = bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, cfg, params)
         assert fp.converged
         assert np.max(np.abs(newton.state - fp.state)) <= 1e-6
 
     def test_repeat_runs_bitwise_identical(self, fp_setup):
         grid, params, cfg, bg = fp_setup
-        runs = [bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+        runs = [bv.continuation_solve(10, bg, cfg, params)
                 for _ in range(2)]
         assert runs[0].state.tobytes() == runs[1].state.tobytes()
         assert runs[0].grad_history == runs[1].grad_history
@@ -127,18 +126,17 @@ class TestContinuationSolve:
 
     def test_residual_history_non_increasing(self, fp_setup):
         grid, params, cfg, bg = fp_setup
-        fp = bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, cfg, params)
         res = fp.grad_history
         # within each stage accepted residuals never increase; stage breaks
         # (warm starts at a new t) may step up, so count violations loosely
         ups = sum(1 for a, b in zip(res, res[1:]) if b > a * (1.0 + 1e-9))
-        assert ups < len(bv.ContinuationSchedule().t_values)
+        assert ups < 10  # stages
 
     def test_stage_trace_accounts_for_every_trial(self, fp_setup):
         grid, params, cfg, bg = fp_setup
-        sched = bv.ContinuationSchedule()
-        fp = bv.continuation_solve(sched, bg, cfg, params)
-        assert [s["t"] for s in fp.stages] == list(sched.t_values)
+        fp = bv.continuation_solve(10, bg, cfg, params)
+        assert [s["t"] for s in fp.stages] == [(k + 1) / 10 for k in range(10)]
         assert all(s["converged"] for s in fp.stages)
         assert sum(s["trials"] for s in fp.stages) == fp.iterations
         assert sum(s["accepted"] for s in fp.stages) == len(fp.grad_history)
@@ -147,7 +145,7 @@ class TestContinuationSolve:
 
     def test_accepted_residuals_non_increasing_within_each_stage(self, fp_setup):
         grid, params, cfg, bg = fp_setup
-        fp = bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, cfg, params)
         start = 0
         for stage in fp.stages:
             res = fp.grad_history[start:start + stage["accepted"]]
@@ -163,7 +161,7 @@ class TestContinuationSolve:
         params = bv.PhysicalParams(lam=3.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.32 * L20, 0.45 * L20)))
         bg = bv.build_background_torus(cfg, grid, params)
-        fp = bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, cfg, params)
         assert fp.converged, fp.message
         newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
         assert newton.converged
@@ -182,7 +180,7 @@ class TestContinuationSolve:
     def test_max_principle_densities_bounded(self, fp_setup):
         # at the converged end state e^u <= 1 + eps and e^v <= 1 + eps
         grid, params, cfg, bg = fp_setup
-        fp = bv.continuation_solve(bv.ContinuationSchedule(), bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, cfg, params)
         eU = np.exp(fp.state[0])
         eV = bg.exp_v0 * np.exp(fp.state[1] - fp.state[0])
         assert eU.max() <= 1.05
@@ -198,7 +196,7 @@ class TestContinuationSolve:
             rep = bv.check_existence(cfg, grid, params)
             pair = np.zeros((2,) + grid.shape)
             ceiling = 0.0
-            for t in bv.ContinuationSchedule().t_values:
+            for t in [(k + 1) / 10 for k in range(10)]:
                 for _ in range(200):
                     new = 0.5 * pair + 0.5 * bv.apply_T(pair, t, bg, cfg, params,
                                                         rep.c1, rep.c2)
@@ -215,7 +213,10 @@ class TestContinuationSolve:
 
 class TestScheduleValidation:
     def test_bad_schedules_rejected(self):
-        with pytest.raises(ValueError):
-            bv.ContinuationSchedule(t_values=(0.5, 0.4, 1.0))
-        with pytest.raises(ValueError):
-            bv.ContinuationSchedule(t_values=(0.5, 0.9))
+        grid = bv.TorusGrid(L20, L20, 16, 16)
+        params = bv.PhysicalParams(lam=1.0)
+        cfg = bv.VortexConfig()
+        bg = bv.build_background_torus(cfg, grid, params)
+        for steps in (0, -1, 2.0, 2.5):
+            with pytest.raises(ValueError):
+                bv.continuation_solve(steps, bg, cfg, params)

@@ -75,7 +75,7 @@ class TestConvergedProperties:
     def test_pde_residual_within_tolerance(self, torus_criterion_setup,
                                            torus_criterion_solution):
         grid, params, cfg, bg = torus_criterion_setup
-        res = bv.pde_residual(torus_criterion_solution.state, "torus", bg, cfg, params)
+        res = bv.pde_residual(torus_criterion_solution.state, bg, params)
         assert max(res[0][1], res[1][1]) <= 1e-8
 
     def test_energy_monotone_descent(self, torus_criterion_solution):
@@ -172,7 +172,7 @@ class TestExtendedVariants:
         bg = bv.build_background_plane(cfg, grid, params)
         sol = bv.solve("plane", "extended", cfg, grid, params, background=bg)
         assert sol.converged
-        res = bv.pde_residual(sol.state, "plane", bg, cfg, params)
+        res = bv.pde_residual(sol.state, bg, params)
         assert max(res[0][1], res[1][1]) <= 2.0 * 2.0 * params.lam * 1e-9
         phys = bv.reconstruct_physical(sol.state, bg, params)
         # kappa vanishes exactly at its prescribed zero (background factor)
