@@ -131,44 +131,29 @@ def check_existence(cfg: VortexConfig, domain: TorusGrid, params: PhysicalParams
 class Background:
     """Smooth background data for one configuration on one grid.
 
-    ``exp_u0``/``u0``/``h1`` come from the kappa zero set and are trivial
-    (ones/zeros) in the base model; ``h2`` is the phi source.
-    ``neutralized_source`` is the torus Poisson right-hand side for v0
-    (regularized phi source minus its mean); None on the plane.
-
-    With the background split off, the smooth remainder ``(s0, s1)`` of the
-    fields solves the same reduced system on both grids,
+    ``exp_u0``/``u0`` come from the kappa zero set and are trivial
+    (ones/zeros) in the base model.  With the background split off, the
+    smooth remainder ``(s0, s1)`` of the fields solves the same reduced
+    system on both grids,
 
         lap s0 = lam (2 e^u - e^v - 1) + src_u,
         lap s1 = 2 lam (e^v - 1) + src_f,
 
-    and only the remainder sources ``(src_u, src_f)`` = :meth:`sources`
-    depend on the domain.
+    and only the remainder sources ``(src_u, src_f)`` depend on the domain.
+    On the torus the background potentials absorb the point sources less
+    their means, which leaves the constants 4 pi m/|Omega| and
+    4 pi (m+n)/|Omega|; on the plane they are the kappa source density h1
+    and h1 + h2, with h2 the phi source density.
     """
 
     grid: object
     cfg: VortexConfig
-    tau: float
     exp_v0: np.ndarray
     v0: np.ndarray
     exp_u0: np.ndarray
     u0: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-    neutralized_source: Optional[np.ndarray] = None
-
-    def sources(self):
-        """The remainder sources ``(src_u, src_f)``, computed per call.
-
-        On the torus the background potentials absorb the point sources
-        less their means, which leaves the constants 4 pi m/|Omega| and
-        4 pi (m+n)/|Omega|; on the plane they are the fields ``h1`` and
-        ``h1 + h2``.
-        """
-        if isinstance(self.grid, TorusGrid):
-            m, n, area = self.cfg.m, self.cfg.n, self.grid.area
-            return 4.0 * math.pi * m / area, 4.0 * math.pi * (m + n) / area
-        return self.h1, self.h1 + self.h2
+    src_u: object  # float on the torus, array on the plane
+    src_f: object
 
 
 def _bump_sum(x, y, cx, cy, tau):
@@ -230,8 +215,8 @@ def build_background_plane(cfg: VortexConfig, grid: PlaneGrid, params: PhysicalP
 
     exp_v0, v0, h2 = one_set(cfg.phi_zeros)
     exp_u0, u0, h1 = one_set(cfg.kappa_zeros)
-    return Background(grid=grid, cfg=cfg, tau=tau, exp_v0=exp_v0, v0=v0,
-                      exp_u0=exp_u0, u0=u0, h1=h1, h2=h2)
+    return Background(grid=grid, cfg=cfg, exp_v0=exp_v0, v0=v0, exp_u0=exp_u0, u0=u0,
+                      src_u=h1, src_f=h1 + h2)
 
 
 def _periodized_source(points, grid: TorusGrid, tau: float) -> np.ndarray:
@@ -265,19 +250,18 @@ def build_background_torus(cfg: VortexConfig, grid: TorusGrid, params: PhysicalP
 
     def one_set(points):
         if not points:
-            zeros = np.zeros(grid.shape)
-            return np.ones(grid.shape), zeros, zeros.copy(), zeros.copy()
-        src = _periodized_source(points, grid, tau)
-        rhs = src - 4.0 * math.pi * len(points) / grid.area
-        rhs = rhs - rhs.mean()  # kill quadrature roundoff in the mean
-        pot = grid.poisson_solve_zero_mean(rhs)
-        return np.exp(pot), pot, src, rhs
+            return np.ones(grid.shape), np.zeros(grid.shape)
+        rhs = _periodized_source(points, grid, tau)
+        rhs -= 4.0 * math.pi * len(points) / grid.area
+        rhs -= rhs.mean()  # kill quadrature roundoff in the mean
+        pot = grid.poisson_solve_zero_mean(rhs, out=rhs)
+        return np.exp(pot), pot
 
-    exp_v0, v0, h2, neutral = one_set(cfg.phi_zeros)
-    exp_u0, u0, h1, _ = one_set(cfg.kappa_zeros)
-    return Background(grid=grid, cfg=cfg, tau=tau, exp_v0=exp_v0, v0=v0,
-                      exp_u0=exp_u0, u0=u0, h1=h1, h2=h2,
-                      neutralized_source=neutral)
+    exp_v0, v0 = one_set(cfg.phi_zeros)
+    exp_u0, u0 = one_set(cfg.kappa_zeros)
+    m, n, area = cfg.m, cfg.n, grid.area
+    return Background(grid=grid, cfg=cfg, exp_v0=exp_v0, v0=v0, exp_u0=exp_u0, u0=u0,
+                      src_u=4.0 * math.pi * m / area, src_f=4.0 * math.pi * (m + n) / area)
 
 
 def build_background(cfg: VortexConfig, grid, params: PhysicalParams) -> Background:

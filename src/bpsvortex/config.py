@@ -215,10 +215,10 @@ def validate_config(raw: dict) -> RunConfig:
         problems.append(("solver.method", "must be 'newton', 'fixedpoint' or 'both'"))
     elif solver["method"] in ("fixedpoint", "both"):
         problems += fixedpoint_problems(mode, model, "solver.method")
-    _number(solver["tol"], "solver.tol", problems, positive=True)
-    _number(solver["max_iters"], "solver.max_iters", problems, positive=True, integer=True)
-    _number(solver["continuation_steps"], "solver.continuation_steps", problems,
-            positive=True, integer=True)
+    # keep the converted values, so that 100.0 iterations is the integer 100
+    solver["tol"] = _number(solver["tol"], "solver.tol", problems, positive=True)
+    for key in ("max_iters", "continuation_steps"):
+        solver[key] = _number(solver[key], f"solver.{key}", problems, positive=True, integer=True)
 
     output_raw = _expect_mapping(raw.get("output", {}), "output", problems,
                                  set(_OUTPUT_DEFAULTS))

@@ -46,9 +46,8 @@ def pde_residual(state, bg: Background, params: PhysicalParams):
     lam = params.lam
     grid = bg.grid
     eU, eV = _exp_pair(state, bg)
-    src_u, src_f = bg.sources()
-    r1 = grid.interior(grid.laplacian(state[0]) - lam * (2.0 * eU - eV - 1.0) - src_u)
-    r2 = grid.interior(grid.laplacian(state[1]) - 2.0 * lam * (eV - 1.0) - src_f)
+    r1 = grid.interior(grid.laplacian(state[0]) - lam * (2.0 * eU - eV - 1.0) - bg.src_u)
+    r2 = grid.interior(grid.laplacian(state[1]) - 2.0 * lam * (eV - 1.0) - bg.src_f)
     return tuple((math.sqrt(grid.inner(r, r)), float(np.max(np.abs(r)))) for r in (r1, r2))
 
 
@@ -97,9 +96,8 @@ def verify_lagrange_multipliers(state, bg: Background,
     lam = params.lam
     grid: TorusGrid = bg.grid
     eU, eV = _exp_pair(state, bg)
-    src_u, src_f = bg.sources()
-    a = grid.laplacian(state[0]) + lam - src_u
-    b = grid.laplacian(state[1]) + 2.0 * lam - src_f
+    a = grid.laplacian(state[0]) + lam - bg.src_u
+    b = grid.laplacian(state[1]) + 2.0 * lam - bg.src_f
     ip = grid.inner
     mat = np.array([
         [5.0 * ip(eV, eV), -ip(eV, eU)],

@@ -4,19 +4,18 @@ States are arrays of shape ``(2, nx, ny)``.  The slices hold the two unknowns
 of each variant: ``(u, f)`` for the base model and ``(g, f)`` for the extended
 one (``g`` absorbs the kappa background, so ``u = u0 + g``).  The extended
 formulas reduce literally to the base formulas when the kappa zero set is
-empty, so both variants share one implementation and :class:`EnergyModel`
-differs between them only in validation.
+empty, so both variants share one implementation: :class:`EnergyModel`
+takes the variant and the domain from its background.
 
 With ``(s0, s1)`` the state, ``e^U = e^{u0 + s0}``, ``e^V = e^{v0 + s1 - s0}``
-and ``(src_u, src_f)`` the background's remainder sources
-(:meth:`Background.sources`), both grids minimize
+and ``(src_u, src_f)`` the background's remainder sources, both grids minimize
 
     E = c int [ 1/2 |grad s0|^2 + 1/4 |grad s1|^2 + lam (2 e^U + e^V)
                 + (src_u - lam) s0 + (src_f / 2 - lam) s1 ] dA,
 
 with c = 1 on the torus and c = 1/lam on the plane, where the exponential
 term is taken relative to the background, 2 (e^U - e^{u0}) + (e^V - e^{v0}),
-so that it is integrable.  The gradient
+so that it is integrable and E(0) = 0.  The gradient
 
     c [ -lap s0 + lam (2 e^U - e^V - 1) + src_u,
         -lap s1 / 2 + lam (e^V - 1) + src_f / 2 ]
@@ -29,9 +28,8 @@ Both are written once, in the scale pair (c, c lam): (1, lam) on the torus,
 (1/lam, 1) on the plane.  They are the exact first and second variations of
 the discrete energies in the grid's L^2 pairing ``grid.inner``; on the plane
 they vanish on the Dirichlet boundary ring, where states are held at zero.
-Only the energy quadratures differ per grid: sum s lap s dA with the spectral
-Laplacian on the torus, squared edge differences and trapezoid weights on the
-plane.
+The energy is written once too, with the grid's quadrature ``grid.integrate``
+and the grid's Dirichlet form ``grid.dirichlet_form`` for int |grad s|^2.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backgrounds import Background, PhysicalParams, VortexConfig
+from .backgrounds import Background, PhysicalParams
 from .errors import Overflow
 from .grids import TorusGrid
 
@@ -70,63 +68,22 @@ def _exp_pair(state, bg: Background):
     return eU, eV
 
 
-# ---------------------------------------------------------------------------
-# energy quadratures, the one part that differs per grid; each returns the
-# gradient, exponential and linear parts of E from the weighted exponentials
-# and the linear coefficients c (src_u - lam), c (src_f / 2 - lam)
-# ---------------------------------------------------------------------------
-
-def _torus_quadrature(bg, lam, state, eU, eV, coef_u, coef_f):
-    grid: TorusGrid = bg.grid
-    dA = grid.dx * grid.dy
-    lap0 = grid.laplacian(state[0])
-    lap1 = grid.laplacian(state[1])
-    grad_part = dA * (-0.5 * float(np.sum(state[0] * lap0)) - 0.25 * float(np.sum(state[1] * lap1)))
-    exp_part = dA * float(np.sum(lam * eV + 2.0 * lam * eU))
-    lin_part = dA * (coef_u * float(np.sum(state[0])) + coef_f * float(np.sum(state[1])))
-    return grad_part, exp_part, lin_part
-
-
-def _edge_energy(v: np.ndarray) -> float:
-    # sum of squared forward differences over in-grid edges; with Dirichlet
-    # zero states this equals h^2 * sum |grad v|^2 (midpoint rule) and its
-    # exact derivative at interior nodes is -2 h^2 * (5-point Laplacian).
-    return float(np.sum(np.diff(v, axis=0) ** 2)) + float(np.sum(np.diff(v, axis=1) ** 2))
-
-
-def _plane_quadrature(bg, lam, state, eU, eV, coef_u, coef_f):
-    w = bg.grid.trapezoid_weights
-    grad_part = (0.5 / lam) * _edge_energy(state[0]) + (0.25 / lam) * _edge_energy(state[1])
-    exp_part = float(np.sum(w * (2.0 * (eU - bg.exp_u0) + (eV - bg.exp_v0))))
-    lin_part = float(np.sum(w * (coef_u * state[0] + coef_f * state[1])))
-    return grad_part, exp_part, lin_part
-
-
 @dataclass
 class EnergyModel:
-    """Bundles one variant's energy, gradient and Hessian over fixed data."""
+    """One variant's energy, gradient and Hessian over fixed background data.
 
-    mode: str  # "torus" | "plane"
-    model: str  # "base" | "extended"
+    The variant (base or extended) and the domain are those of ``bg``.
+    """
+
     bg: Background
-    cfg: VortexConfig
     params: PhysicalParams
 
     def __post_init__(self):
-        if self.mode not in ("torus", "plane"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.model not in ("base", "extended"):
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.model == "base" and self.cfg.m != 0:
-            raise ValueError("base model requires an empty kappa zero set")
-        is_torus = isinstance(self.bg.grid, TorusGrid)
-        if is_torus != (self.mode == "torus"):
-            raise ValueError("background grid does not match mode")
         # the scale pair (c, c lam) of the module docstring, with c also held
         # as its inverse: the sources are divided by 1/c (on the plane that
         # is h1 / lam), and the plane's c lam is exactly 1
         lam = self.params.lam
-        self._inv_c, self._c_lam = (1.0, lam) if is_torus else (lam, 1.0)
+        self._inv_c, self._c_lam = (1.0, lam) if isinstance(self.grid, TorusGrid) else (lam, 1.0)
         self._c = 1.0 / self._inv_c
 
     @property
@@ -138,15 +95,16 @@ class EnergyModel:
 
     def _scaled_sources(self):
         # c src_u and c src_f / 2
-        src_u, src_f = self.bg.sources()
-        return src_u / self._inv_c, src_f / (2.0 * self._inv_c)
+        return self.bg.src_u / self._inv_c, self.bg.src_f / (2.0 * self._inv_c)
 
     def energy(self, state) -> EnergyBreakdown:
-        eU, eV = _exp_pair(state, self.bg)
+        grid, c, c_lam, bg = self.grid, self._c, self._c_lam, self.bg
+        eU, eV = _exp_pair(state, bg)
         lin_u, lin_f = self._scaled_sources()
-        quadrature = _torus_quadrature if self.mode == "torus" else _plane_quadrature
-        grad_part, exp_part, lin_part = quadrature(self.bg, self.params.lam, state, eU, eV,
-                                                   lin_u - self._c_lam, lin_f - self._c_lam)
+        grad_part = ((0.5 * c) * grid.dirichlet_form(state[0])
+                     + (0.25 * c) * grid.dirichlet_form(state[1]))
+        exp_part = c_lam * grid.integrate(2.0 * (eU - bg.exp_u0) + (eV - bg.exp_v0))
+        lin_part = grid.integrate((lin_u - c_lam) * state[0] + (lin_f - c_lam) * state[1])
         return EnergyBreakdown(grad_part + exp_part + lin_part, grad_part, exp_part, lin_part)
 
     def gradient(self, state) -> np.ndarray:

@@ -17,7 +17,10 @@ the same layout (Fourier modes on the torus, the sine modes of the interior
 nodes on the plane).  Operators with constant coefficients are diagonal there.
 Each grid also owns its boundary: ``zero_boundary`` zeroes the plane's
 Dirichlet ring (a no-op on the torus) and ``interior`` views the nodes that
-carry an equation.
+carry an equation.  Next to ``integrate`` and the L^2 pairing ``inner``, each
+grid gives its Dirichlet form ``dirichlet_form(v)`` = int |grad v|^2 dA,
+which equals ``-inner(v, laplacian(v))`` on both grids (on the plane for
+fields that vanish on the boundary ring).
 
 Scalar fields are plain ``float64`` arrays of shape ``(nx, ny)`` (torus) or
 ``(n, n)`` (plane), laid out row-major with node ``(i, j)`` at
@@ -193,8 +196,9 @@ class TorusGrid:
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((a * b).sum()) * self.dx * self.dy
 
-    def norm_l2(self, values: np.ndarray) -> float:
-        return float(np.sqrt(self.inner(values, values)))
+    def dirichlet_form(self, values: np.ndarray) -> float:
+        """int |grad v|^2 dA = -inner(v, laplacian(v)) on the periodic cell."""
+        return -self.inner(values, self.laplacian(values))
 
 
 @dataclass(frozen=True)
@@ -324,6 +328,17 @@ class PlaneGrid:
         which the energy gradient is the exact first variation.
         """
         return float((a * b).sum()) * self.h ** 2
+
+    def dirichlet_form(self, values: np.ndarray) -> float:
+        """int |grad v|^2 dA for a field that vanishes on the boundary ring.
+
+        Sum of squared forward differences over the in-grid edges, which is
+        h^2 sum |grad v|^2 (midpoint rule).  By summation by parts it equals
+        -inner(v, laplacian(v)), so its exact derivative at interior nodes is
+        -2 h^2 times the 5-point Laplacian, as on the torus.
+        """
+        return (float(np.sum(np.diff(values, axis=0) ** 2))
+                + float(np.sum(np.diff(values, axis=1) ** 2)))
 
 
 def random_smooth_field(grid, rng: np.random.Generator, amplitude: float = 0.5) -> np.ndarray:

@@ -25,6 +25,7 @@ from .backgrounds import (PhysicalParams, VortexConfig, build_background,
                           check_existence)
 from .energy import EnergyModel
 from .errors import Overflow, ThresholdViolated
+from .grids import TorusGrid
 
 
 # Armijo sufficient-decrease constant: any value in (0, 1/2) lets the full
@@ -233,13 +234,22 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
 def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams,
           settings: Optional[SolverSettings] = None, init: Optional[np.ndarray] = None,
           background=None) -> Solution:
-    """Solve one variant; torus variants are gated by the existence threshold."""
+    """Solve one variant; torus variants are gated by the existence threshold.
+
+    Raises ``ValueError`` when ``mode`` is not the kind of ``grid`` or
+    ``model`` is unknown, or when the base model is given kappa zeros.
+    """
+    if mode != ("torus" if isinstance(grid, TorusGrid) else "plane"):
+        raise ValueError(f"mode {mode!r} does not match the {type(grid).__name__}")
+    if model not in ("base", "extended"):
+        raise ValueError(f"unknown model {model!r}")
+    if model == "base" and cfg.m != 0:
+        raise ValueError("base model requires an empty kappa zero set")
     settings = settings or SolverSettings()
     if mode == "torus":
         report = check_existence(cfg, grid, params, model=model)
         if not report.solvable:
             raise ThresholdViolated(report)
     bg = background if background is not None else build_background(cfg, grid, params)
-    emodel = EnergyModel(mode=mode, model=model, bg=bg, cfg=cfg, params=params)
-    return minimize(emodel, settings, init=init)
+    return minimize(EnergyModel(bg, params), settings, init=init)
 

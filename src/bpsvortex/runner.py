@@ -182,7 +182,7 @@ def _run_solvers(cfg: RunConfig, method: str, grid, params, vcfg, results: dict,
             exit_code = EXIT_NOT_CONVERGED
     if method in ("fixedpoint", "both"):
         t0 = time.perf_counter()
-        fixed_sol = continuation_solve(int(cfg.solver["continuation_steps"]), bg, vcfg, params)
+        fixed_sol = continuation_solve(cfg.solver["continuation_steps"], bg, vcfg, params)
         timings["fixedpoint_s"] = time.perf_counter() - t0
         results["fixedpoint"] = _fixedpoint_summary(fixed_sol)
         if not fixed_sol.converged:

@@ -43,7 +43,7 @@ def _variant_model(mode, variant):
                           kappa_zeros=kpts if variant == "extended" else ())
     params = bv.PhysicalParams(lam=1.3)
     bg = bv.build_background(cfg, grid, params)
-    return EnergyModel(mode=mode, model=variant, bg=bg, cfg=cfg, params=params)
+    return EnergyModel(bg, params)
 
 
 VARIANTS = [("torus", "base"), ("torus", "extended"),

@@ -485,6 +485,22 @@ class TestCliMain:
         assert main(["--config", str(cfg_path), "--command", "check"]) == 1
         assert "solver.seed: unknown key" in capsys.readouterr().err
 
+    def test_integral_float_counts_solve(self, tmp_path, capsys):
+        # 100.0 iterations and 10.0 stages are integers: both solvers run and
+        # the echo carries the integers
+        raw = minimal_torus(phi_zeros=[[1.0, 1.0]],
+                            solver={"method": "both", "max_iters": 100.0,
+                                    "continuation_steps": 10.0})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "solve",
+                     "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        text = (tmp_path / "report.json").read_text()
+        assert '"max_iters": 100,' in text and '"continuation_steps": 10' in text
+        solver = json.loads(text)["config"]["solver"]
+        assert type(solver["max_iters"]) is int and type(solver["continuation_steps"]) is int
+
     @pytest.mark.parametrize("override,path", [
         ("grid.nx=Infinity", "grid.nx"),
         ("grid.nx=NaN", "grid.nx"),

@@ -28,7 +28,7 @@ def make_model(mode, model, seed_points=True):
                           kappa_zeros=kpts if model == "extended" else ())
     params = bv.PhysicalParams(lam=1.3)
     bg = bv.build_background(cfg, grid, params)
-    return EnergyModel(mode=mode, model=model, bg=bg, cfg=cfg, params=params)
+    return EnergyModel(bg, params)
 
 
 VARIANTS = [("torus", "base"), ("torus", "extended"),
@@ -36,23 +36,20 @@ VARIANTS = [("torus", "base"), ("torus", "extended"),
 
 
 class TestTrivialValues:
-    def test_torus_base_zero_state_energy(self):
-        # n = 0, state (0,0): only the exponential part survives, 3*lam*|Omega|
-        grid = bv.TorusGrid(L20, L20, 32, 32)
-        cfg = bv.VortexConfig()
-        params = bv.PhysicalParams(lam=1.3)
-        bg = bv.build_background(cfg, grid, params)
-        model = EnergyModel(mode="torus", model="base", bg=bg, cfg=cfg, params=params)
-        e = model.energy(np.zeros((2, 32, 32)))
-        assert e.total == pytest.approx(3.0 * params.lam * grid.area, rel=1e-12)
-        assert e.gradient_part == 0.0
+    def test_zero_state_energy_is_zero(self):
+        # the exponential term is relative to the background, so the zero
+        # remainder has zero energy on every variant, vortices or not
+        for mode, variant in VARIANTS:
+            model = make_model(mode, variant)
+            e = model.energy(model.zero_state())
+            assert e == (0.0, 0.0, 0.0, 0.0)
 
     def test_torus_base_zero_state_gradient(self):
         grid = bv.TorusGrid(L20, L20, 32, 32)
         cfg = bv.VortexConfig()
         params = bv.PhysicalParams(lam=1.3)
         bg = bv.build_background(cfg, grid, params)
-        model = EnergyModel(mode="torus", model="base", bg=bg, cfg=cfg, params=params)
+        model = EnergyModel(bg, params)
         g = model.gradient(np.zeros((2, 32, 32)))
         assert np.max(np.abs(g)) < 1e-13
 
@@ -61,7 +58,7 @@ class TestTrivialValues:
         cfg = bv.VortexConfig()
         params = bv.PhysicalParams(lam=1.3)
         bg = bv.build_background(cfg, grid, params)
-        model = EnergyModel(mode="plane", model="base", bg=bg, cfg=cfg, params=params)
+        model = EnergyModel(bg, params)
         state = np.zeros((2, 32, 32))
         e = model.energy(state)
         assert e.total == 0.0
@@ -101,7 +98,7 @@ class TestBreakdown:
         predicted = (model.energy(state).total
                      + 2.0 * model.params.lam * (math.exp(c) - 1.0) * grid.integrate(eU)
                      + (-2.0 * model.params.lam * grid.area
-                        + 2.0 * math.pi * model.cfg.n) * c)
+                        + 2.0 * math.pi * model.bg.cfg.n) * c)
         shifted = model.energy(state + c).total
         assert shifted == pytest.approx(predicted, rel=1e-10)
 
@@ -205,15 +202,14 @@ class TestGradientResidualCorrespondence:
         grid = model.grid
         eU = model.bg.exp_u0 * np.exp(s[0])
         eV = model.bg.exp_v0 * np.exp(s[1] - s[0])
+        m, n = model.bg.cfg.m, model.bg.cfg.n
         if mode == "torus":
-            r1 = grid.laplacian(s[0]) - lam * (2 * eU - eV - 1) \
-                - 4 * np.pi * model.cfg.m / grid.area
-            r2 = grid.laplacian(s[1]) - 2 * lam * (eV - 1) \
-                - 4 * np.pi * (model.cfg.m + model.cfg.n) / grid.area
+            r1 = grid.laplacian(s[0]) - lam * (2 * eU - eV - 1) - 4 * np.pi * m / grid.area
+            r2 = grid.laplacian(s[1]) - 2 * lam * (eV - 1) - 4 * np.pi * (m + n) / grid.area
             expected = np.stack([-r1, -0.5 * r2])
         else:
-            r1 = grid.laplacian(s[0]) - lam * (2 * eU - eV - 1) - model.bg.h1
-            r2 = grid.laplacian(s[1]) - 2 * lam * (eV - 1) - (model.bg.h1 + model.bg.h2)
+            r1 = grid.laplacian(s[0]) - lam * (2 * eU - eV - 1) - model.bg.src_u
+            r2 = grid.laplacian(s[1]) - 2 * lam * (eV - 1) - model.bg.src_f
             expected = np.stack([-r1 / lam, -0.5 * r2 / lam])
             expected[:, 0, :] = expected[:, -1, :] = 0.0
             expected[:, :, 0] = expected[:, :, -1] = 0.0
@@ -243,31 +239,17 @@ class TestConvexity:
 
 
 class TestReduction:
-    @pytest.mark.parametrize("mode", ["torus", "plane"])
-    def test_extended_equals_base_when_m_zero(self, mode):
-        if mode == "torus":
-            grid = bv.TorusGrid(L20, L20, 32, 32)
-            pts = ((0.3 * L20, 0.4 * L20),)
-        else:
-            grid = bv.PlaneGrid(6.0, 32)
-            pts = ((0.5, -0.3),)
-        cfg = bv.VortexConfig(phi_zeros=pts)
-        params = bv.PhysicalParams(lam=1.3)
-        bg = bv.build_background(cfg, grid, params)
-        base = EnergyModel(mode=mode, model="base", bg=bg, cfg=cfg, params=params)
-        ext = EnergyModel(mode=mode, model="extended", bg=bg, cfg=cfg, params=params)
-        for seed in range(5):
-            s = random_state(grid, seed=seed)
-            eb = base.energy(s).total
-            ee = ext.energy(s).total
-            assert abs(ee - eb) <= 1e-12 * (1.0 + abs(eb))
-            assert np.array_equal(base.gradient(s), ext.gradient(s))
-
     def test_base_entry_points_reject_kappa_zeros(self):
-        model = make_model("torus", "extended")
-        with pytest.raises(ValueError):
-            EnergyModel(mode="torus", model="base", bg=model.bg, cfg=model.cfg,
-                        params=model.params)
+        for mode in ("torus", "plane"):
+            model = make_model(mode, "extended")
+            with pytest.raises(ValueError):
+                bv.solve(mode, "base", model.bg.cfg, model.grid, model.params)
+
+    def test_solve_rejects_mode_of_the_other_grid(self):
+        for mode, other in (("torus", "plane"), ("plane", "torus")):
+            model = make_model(mode, "base")
+            with pytest.raises(ValueError):
+                bv.solve(other, "base", model.bg.cfg, model.grid, model.params)
 
 
 class TestOverflowGuard:

@@ -143,7 +143,7 @@ class TestPlaneSolve:
         params = bv.PhysicalParams(lam=4.0)
         cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0),))
         bg = bv.build_background(cfg, grid, params)
-        model = EnergyModel(mode="plane", model="base", bg=bg, cfg=cfg, params=params)
+        model = EnergyModel(bg, params)
         applies = count_hessian_applies(monkeypatch)
         sol = bv.minimize(model, bv.SolverSettings())
         assert sol.converged
@@ -154,7 +154,7 @@ class TestPlaneSolve:
         params = bv.PhysicalParams(lam=1.3)
         cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3),))
         bg = bv.build_background(cfg, grid, params)
-        model = EnergyModel(mode="plane", model="base", bg=bg, cfg=cfg, params=params)
+        model = EnergyModel(bg, params)
         sol = bv.solve("plane", "base", cfg, grid, params, background=bg)
         assert sol.converged
         e_min = model.energy(sol.state).total

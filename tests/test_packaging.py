@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -44,3 +45,14 @@ def test_declared_dependencies_are_the_imported_ones():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}).stdout
     assert set(json.loads(out)) == _declared_dependencies()
+
+
+def test_readme_library_example_runs():
+    # the "Library use" block of the README, run as written
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert namespace["sol"].converged
+    assert namespace["fb"] == pytest.approx(4.0 * math.pi, rel=1e-6)
