@@ -4,14 +4,21 @@ The canonical interchange format is JSON.  ``parse_config`` either returns a
 fully defaulted :class:`RunConfig` or raises :class:`ValidationError`
 carrying every field-level problem at once (``ParseError`` for malformed
 text).  Unknown keys are rejected at every nesting level.
+
+A sweep value passes the rule of the field it replaces, and the converted
+value is kept: a validated sweep config carries its points in
+``RunConfig.sweep_points``, one ``(assignment, RunConfig)`` per row, each the
+configuration with the swept fields replaced and no sweep.  The runner
+evaluates a row exactly as it runs ``check`` or ``solve`` on that config.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 from .backgrounds import PhysicalParams, VortexConfig
@@ -47,6 +54,10 @@ class RunConfig:
     solver: dict
     output: dict
     sweep: Optional[dict] = None
+    # derived by validate_config: one (assignment, point config) per sweep
+    # row, the config with the swept fields replaced
+    sweep_points: List[Tuple[dict, RunConfig]] = field(
+        init=False, default_factory=list, repr=False, compare=False)
 
     def make_grid(self):
         if self.mode == "torus":
@@ -159,6 +170,26 @@ def _points_in_domain(pts, mode, domain, path, problems):
                 problems.append((f"{path}[{i}]", "point outside (-R, R)^2"))
 
 
+def _sweep_field(param, value, path, mode, phi, kappa, problems) -> dict:
+    """The ``RunConfig`` field one sweep value replaces, converted by that field's rule."""
+    if param == "lambda":
+        return {"lam": _number(value, path, problems, positive=True)}
+    if param == "tau":
+        return {"tau": _number(value, path, problems, positive=True, optional=True)}
+    if param == "resolution":
+        points = _grid_points(value, path, mode, problems)
+        return {"grid": {"nx": points, "ny": points} if mode == "torus" else {"n": points}}
+    # n or m: a point keeps the first n (m) configured points, so a larger
+    # value would label a row with a count it does not solve
+    zeros, name = (phi, "phi_zeros") if param == "n" else (kappa, "kappa_zeros")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= len(zeros) or int(value) != value):
+        problems.append((path, f"{param} must be an integer in [0, {len(zeros)}], "
+                               f"the number of configured points"))
+        return {}
+    return {name: zeros[:int(value)]}
+
+
 def fixedpoint_problems(mode, model, path) -> List[Tuple[str, str]]:
     """Why the fixed-point path cannot solve this variant (empty when it can)."""
     problems = []
@@ -226,6 +257,7 @@ def validate_config(raw: dict) -> RunConfig:
     output.update(output_raw)
 
     sweep = raw.get("sweep")
+    axes = []
     if sweep is not None:
         sweep = _expect_mapping(sweep, "sweep", problems,
                                 {"param", "values", "param2", "values2", "action"})
@@ -243,33 +275,29 @@ def validate_config(raw: dict) -> RunConfig:
         if sweep.get("action") not in ("check", "solve"):
             problems.append(("sweep.action", "must be 'check' or 'solve'"))
         # every sweep value obeys the rule of the field it replaces, so a bad
-        # value is refused before any row is solved
+        # value is refused before any row is solved; each axis keeps, per
+        # value, its row label and the converted field it replaces
         for param_key, values_key in (("param", "values"), ("param2", "values2")):
             param, values = sweep.get(param_key), sweep.get(values_key)
-            if not isinstance(values, list):
-                continue
-            limit = len(phi) if param == "n" else len(kappa)
-            for i, v in enumerate(values):
-                path = f"sweep.{values_key}[{i}]"
-                if param == "lambda":
-                    _number(v, path, problems, positive=True)
-                elif param == "tau":
-                    _number(v, path, problems, positive=True, optional=True)
-                elif param == "resolution":
-                    _grid_points(v, path, mode, problems)
-                elif param in ("n", "m") and (
-                        isinstance(v, bool) or not isinstance(v, (int, float))
-                        or not 0 <= v <= limit or int(v) != v):
-                    # a sweep point keeps the first n (m) configured points, so
-                    # a larger value would label a row with a count it does not solve
-                    problems.append((path, f"{param} must be an integer in [0, {limit}], "
-                                           f"the number of configured points"))
+            if param in _SWEEP_PARAMS and isinstance(values, list):
+                axes.append([({param: v}, _sweep_field(param, v, f"sweep.{values_key}[{i}]",
+                                                       mode, phi, kappa, problems))
+                             for i, v in enumerate(values)])
 
     if problems:
         raise ValidationError(problems)
-    return RunConfig(mode=mode, model=model, lam=lam, tau=tau, domain=dom_out,
-                     grid=grid_out, phi_zeros=phi, kappa_zeros=kappa,
-                     solver=solver, output=output, sweep=sweep)
+    cfg = RunConfig(mode=mode, model=model, lam=lam, tau=tau, domain=dom_out,
+                    grid=grid_out, phi_zeros=phi, kappa_zeros=kappa,
+                    solver=solver, output=output, sweep=sweep)
+    if sweep is not None:
+        # param is the outer loop, param2 the inner one
+        for combo in itertools.product(*axes):
+            assignment, changes = {}, {"sweep": None}
+            for label, replaced in combo:
+                assignment.update(label)
+                changes.update(replaced)
+            cfg.sweep_points.append((assignment, replace(cfg, **changes)))
+    return cfg
 
 
 def parse_config(text: str) -> RunConfig:

@@ -172,13 +172,15 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         return finish(0, False, f"overflow at initial state: {exc}")
 
     g_norm_prev = None
-    for it in range(settings.max_iters):
+    for it in range(settings.max_iters + 1):
         grad = model.gradient(state)
         gsup = float(np.max(np.abs(grad)))
         grad_history.append(gsup)
         energy_history.append(e_now)
         if gsup <= settings.tol_grad_sup:
             return finish(it, True)
+        if it == settings.max_iters:
+            return finish(it, False, f"max_iters reached with sup gradient {gsup:.3e}")
 
         g_norm = _norm(grad)
         eta = _forcing_term(g_norm, g_norm_prev, gsup, settings.tol_grad_sup)
@@ -220,15 +222,6 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
             return finish(it + 1, False, "line search failed (step underflow)")
         state = trial
         e_now = e_trial
-
-    grad = model.gradient(state)
-    gsup = float(np.max(np.abs(grad)))
-    grad_history.append(gsup)
-    energy_history.append(e_now)
-    if gsup <= settings.tol_grad_sup:
-        return finish(settings.max_iters, True)
-    return finish(settings.max_iters, False,
-                  f"max_iters reached with sup gradient {gsup:.3e}")
 
 
 def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams,

@@ -12,14 +12,21 @@ the fixed-point path cannot solve raises :class:`ValidationError` before
 any work; ``cli.main`` returns 1 for that, for an unreadable or invalid
 configuration and for i/o errors.
 
+One step, ``_evaluate``, turns a configuration into results: the threshold
+gate, the solvers, the cross-method difference and the diagnostics.
+``check``, ``solve`` and ``compare`` call it on the configuration; a
+``sweep`` row calls it on its point configuration (``RunConfig.sweep_points``)
+as ``check`` does, or as a Newton ``solve`` with action ``solve``, and reads
+the row from the results.
+
 Every numeric entry under the report's ``results`` key is a deterministic
-function of the configuration; wall-clock data lives under ``timings`` so
-bitwise comparison of reruns stays meaningful.
+function of the configuration; wall-clock data lives under ``timings``
+(solvers, diagnostics, field and plot output, total) so bitwise comparison of
+reruns stays meaningful.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
@@ -34,7 +41,7 @@ from .backgrounds import build_background, check_existence
 from .config import RunConfig, fixedpoint_problems
 from .diagnostics import (annulus_bins, build_diagnostics, decay_annulus, radial_profile,
                           reconstruct_physical)
-from .errors import ThresholdViolated, ValidationError
+from .errors import ValidationError
 from .fixedpoint import continuation_solve
 from .grids import PlaneGrid
 from .newton import SolverSettings, Solution, solve
@@ -42,10 +49,6 @@ from .newton import SolverSettings, Solution, solve
 EXIT_OK = 0
 EXIT_THRESHOLD = 2
 EXIT_NOT_CONVERGED = 3
-
-
-def _solver_settings(cfg: RunConfig) -> SolverSettings:
-    return SolverSettings(tol_grad_sup=cfg.solver["tol"], max_iters=cfg.solver["max_iters"])
 
 
 def _threshold_dict(cfg: RunConfig, grid, params) -> dict:
@@ -164,16 +167,28 @@ def emit_plot_data(state, bg, cfg_obj, params, path_text: str,
             fh.write(f"{float(r)!r},{float(mf)!r},{float(mg)!r}\n")
 
 
-def _run_solvers(cfg: RunConfig, method: str, grid, params, vcfg, results: dict,
-                 timings: dict):
-    """Execute the solver methods of ``method``; returns (exit_code, best_state, bg)."""
-    settings = _solver_settings(cfg)
+def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dict,
+              fit_decay: bool = True):
+    """Threshold gate, the solvers of ``method`` and the diagnostics of the best state.
+
+    ``method`` is ``None`` (threshold only), ``"newton"``, ``"fixedpoint"`` or
+    ``"both"``.  Fills ``results`` and ``timings``; returns ``(exit_code,
+    best, bg)``, where ``best`` and ``bg`` are ``None`` unless a solver ran.
+    """
+    grid, params, vcfg = cfg.make_grid(), cfg.make_params(), cfg.make_vortex_config()
+    threshold = results["threshold"] = _threshold_dict(cfg, grid, params)
+    if not threshold["solvable"]:
+        return EXIT_THRESHOLD, None, None
+    if method is None:
+        return EXIT_OK, None, None
+
     bg = build_background(vcfg, grid, params)
     exit_code = EXIT_OK
     newton_sol = fixed_sol = None
-
     if method in ("newton", "both"):
         t0 = time.perf_counter()
+        settings = SolverSettings(tol_grad_sup=cfg.solver["tol"],
+                                  max_iters=cfg.solver["max_iters"])
         newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params,
                            settings=settings, background=bg)
         timings["newton_s"] = time.perf_counter() - t0
@@ -191,29 +206,12 @@ def _run_solvers(cfg: RunConfig, method: str, grid, params, vcfg, results: dict,
         results["cross_method_sup_diff"] = float(
             np.max(np.abs(newton_sol.state - fixed_sol.state)))
     best = newton_sol if newton_sol is not None else fixed_sol
+    if best.converged:
+        t0 = time.perf_counter()
+        results["diagnostics"] = build_diagnostics(best.state, cfg.mode, cfg.model, bg, vcfg,
+                                                   params, fit_decay=fit_decay).to_dict()
+        timings["diagnostics_s"] = time.perf_counter() - t0
     return exit_code, best, bg
-
-
-def _sweep_point_config(cfg: RunConfig, assignments: dict) -> RunConfig:
-    """The validated config of one sweep point.
-
-    ``validate_config`` checked every sweep value against the rule of the
-    field it replaces, so the point applies the same conversions directly.
-    """
-    changes = {"sweep": None}
-    for param, value in assignments.items():
-        if param == "lambda":
-            changes["lam"] = float(value)
-        elif param == "tau":
-            changes["tau"] = None if value is None else float(value)
-        elif param == "n":
-            changes["phi_zeros"] = cfg.phi_zeros[: int(value)]
-        elif param == "m":
-            changes["kappa_zeros"] = cfg.kappa_zeros[: int(value)]
-        elif param == "resolution":
-            changes["grid"] = ({"nx": int(value), "ny": int(value)} if cfg.mode == "torus"
-                               else {"n": int(value)})
-    return dataclasses.replace(cfg, **changes)
 
 
 def _analytic_slack(vcfg, grid, params, model) -> float:
@@ -225,40 +223,27 @@ def _analytic_slack(vcfg, grid, params, model) -> float:
                lam_area - math.pi * (3 * vcfg.m + vcfg.n))
 
 
-def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict, timings: dict) -> int:
-    sweep = cfg.sweep or {}
-    params1 = [(sweep["param"], v) for v in sweep["values"]]
-    if "param2" in sweep:
-        points = [{p1: v1, sweep["param2"]: v2}
-                  for (p1, v1) in params1 for v2 in sweep["values2"]]
-    else:
-        points = [{p1: v1} for (p1, v1) in params1]
-
+def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
+    """One row per sweep point: a ``check``, or with action ``solve`` a Newton solve."""
+    method = "newton" if cfg.sweep["action"] == "solve" else None
     rows = []
     worst_exit = EXIT_OK
-    for index, assignment in enumerate(points):
-        pcfg = _sweep_point_config(cfg, assignment)
-        grid = pcfg.make_grid()
-        params = pcfg.make_params()
-        vcfg = pcfg.make_vortex_config()
-        row = {"index": index, **assignment}
-        threshold = _threshold_dict(pcfg, grid, params)
-        row["solvable"] = threshold["solvable"]
-        row["margin"] = threshold["margin"]
-        row["analytic_slack"] = (_analytic_slack(vcfg, grid, params, pcfg.model)
-                                 if pcfg.mode == "torus" else None)
-        if sweep.get("action") == "solve" and threshold["solvable"]:
-            bg = build_background(vcfg, grid, params)
-            sol = solve(pcfg.mode, pcfg.model, vcfg, grid, params,
-                        settings=_solver_settings(pcfg), background=bg)
-            row["converged"] = sol.converged
-            row["grad_sup_final"] = sol.grad_history[-1] if sol.grad_history else None
-            if sol.converged:
-                diag = build_diagnostics(sol.state, pcfg.mode, pcfg.model, bg, vcfg,
-                                         params, fit_decay=False)
-                row["residual_sup"] = max(diag.residual_sup)
-            else:
-                worst_exit = EXIT_NOT_CONVERGED
+    for index, (assignment, pcfg) in enumerate(cfg.sweep_points):
+        point: dict = {}
+        exit_code, _, _ = _evaluate(pcfg, method, point, {}, fit_decay=False)
+        row = {"index": index, **assignment,
+               "solvable": point["threshold"]["solvable"],
+               "margin": point["threshold"]["margin"],
+               "analytic_slack": (_analytic_slack(pcfg.make_vortex_config(), pcfg.make_grid(),
+                                                  pcfg.make_params(), pcfg.model)
+                                  if pcfg.mode == "torus" else None)}
+        if "newton" in point:
+            row["converged"] = point["newton"]["converged"]
+            row["grad_sup_final"] = point["newton"]["grad_sup_final"]
+            if "diagnostics" in point:
+                row["residual_sup"] = max(point["diagnostics"]["residual_sup"])
+        if exit_code == EXIT_NOT_CONVERGED:
+            worst_exit = exit_code
         rows.append(row)
     results["rows"] = rows
 
@@ -282,11 +267,9 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
         problems = fixedpoint_problems(cfg.mode, cfg.model, "compare")
         if problems:
             raise ValidationError(problems)
+    if command == "sweep" and cfg.sweep is None:
+        raise ValueError("sweep command requires a 'sweep' section in the config")
     out = Path(out_dir) if out_dir else None
-    grid = cfg.make_grid()
-    params = cfg.make_params()
-    vcfg = cfg.make_vortex_config()
-
     report = {
         "artifact": {"name": "bpsvortex", "version": __version__,
                      "config_hash": cfg.config_hash()},
@@ -296,36 +279,22 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
     results: dict = {}
     timings: dict = {}
     t_start = time.perf_counter()
-    exit_code = EXIT_OK
 
     if command == "sweep":
-        if cfg.sweep is None:
-            raise ValueError("sweep command requires a 'sweep' section in the config")
-        exit_code = _run_sweep(cfg, out, results, timings)
+        exit_code = _run_sweep(cfg, out, results)
     else:
-        threshold = _threshold_dict(cfg, grid, params)
-        results["threshold"] = threshold
-        if command == "check":
-            exit_code = EXIT_OK if threshold["solvable"] else EXIT_THRESHOLD
-        elif not threshold["solvable"]:
-            exit_code = EXIT_THRESHOLD
-        else:
-            method = "both" if command == "compare" else cfg.solver["method"]
-            try:
-                exit_code, best, bg = _run_solvers(cfg, method, grid, params, vcfg,
-                                                   results, timings)
-            except ThresholdViolated:  # pragma: no cover - gated above
-                exit_code, best, bg = EXIT_THRESHOLD, None, None
-            if best is not None and best.converged:
-                diag = build_diagnostics(best.state, cfg.mode, cfg.model, bg, vcfg, params)
-                results["diagnostics"] = diag.to_dict()
+        method = {"check": None, "compare": "both"}.get(command, cfg.solver["method"])
+        exit_code, best, bg = _evaluate(cfg, method, results, timings)
+        if best is not None and best.converged:
+            t0 = time.perf_counter()
+            params = cfg.make_params()
+            if cfg.output.get("fields_path"):
                 physical = reconstruct_physical(best.state, bg, params)
-                if cfg.output.get("fields_path"):
-                    dump_fields(best.state, physical, bg, cfg.output["fields_path"],
-                                cfg.config_hash(), out)
-                if cfg.output.get("plots_path"):
-                    emit_plot_data(best.state, bg, vcfg, params,
-                                   cfg.output["plots_path"], out)
+                dump_fields(best.state, physical, bg, cfg.output["fields_path"],
+                            cfg.config_hash(), out)
+            if cfg.output.get("plots_path"):
+                emit_plot_data(best.state, bg, bg.cfg, params, cfg.output["plots_path"], out)
+            timings["output_s"] = time.perf_counter() - t0
 
     timings["total_s"] = time.perf_counter() - t_start
     report["results"] = results

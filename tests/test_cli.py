@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -179,6 +180,16 @@ class TestRunCommands:
         assert code == 2
         assert (tmp_path / "report.json").exists()
 
+    def test_diagnostics_and_output_are_timed(self, tmp_path):
+        raw = {"mode": "plane", "model": "base", "lambda": 1.0, "domain": {"R": 6.0},
+               "grid": {"n": 32}, "phi_zeros": [[0.5, 0.0]],
+               "output": {"report_path": "r.json", "fields_path": "fields"}}
+        code, report = run("solve", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 0 and (tmp_path / "fields.csv").exists()
+        for key in ("diagnostics_s", "output_s"):
+            assert report["timings"][key] >= 0.0
+            assert key not in report["results"]
+
     def test_compare_reports_cross_method_difference(self, tmp_path):
         raw = minimal_torus(phi_zeros=[[0.4 * L20, 0.5 * L20]])
         raw["grid"] = {"nx": 64}
@@ -328,37 +339,48 @@ class TestSweepPoints:
              "grid": {"n": 32}, "phi_zeros": [[0.5, 0.0]]}
 
     @staticmethod
-    def point_raw(base, param, value):
+    def point_raw(base, assignment):
         raw = json.loads(json.dumps(base))
-        if param == "lambda":
-            raw["lambda"] = value
-        elif param == "tau":
-            raw["tau"] = value
-        elif param == "n":
-            raw["phi_zeros"] = base["phi_zeros"][:value]
-        elif param == "m":
-            raw["kappa_zeros"] = base["kappa_zeros"][:value]
-        elif raw["mode"] == "torus":
-            raw["grid"] = {"nx": value}
-        else:
-            raw["grid"] = {"n": value}
+        for param, value in assignment.items():
+            if param == "lambda":
+                raw["lambda"] = value
+            elif param == "tau":
+                raw["tau"] = value
+            elif param == "n":
+                raw["phi_zeros"] = base["phi_zeros"][:value]
+            elif param == "m":
+                raw["kappa_zeros"] = base["kappa_zeros"][:value]
+            elif raw["mode"] == "torus":
+                raw["grid"] = {"nx": value}
+            else:
+                raw["grid"] = {"n": value}
         return raw
 
-    @pytest.mark.parametrize("base,param,values,action", [
-        (EXTENDED, "lambda", [0.5, 2], "solve"),  # the first row is unsolvable
-        (EXTENDED, "tau", [None, 0.5], "solve"),
-        (EXTENDED, "n", [0, 1, 2], "solve"),
-        (EXTENDED, "m", [0, 1], "solve"),
-        (EXTENDED, "resolution", [12, 16], "solve"),
-        (PLANE, "resolution", [16, 24], "check"),
-    ], ids=["lambda", "tau", "n", "m", "resolution", "plane-resolution"])
-    def test_rows_match_standalone_runs_bitwise(self, tmp_path, base, param, values, action):
-        raw = dict(base, sweep={"param": param, "values": values, "action": action})
+    @pytest.mark.parametrize("base,sweep", [
+        # the first row is unsolvable
+        (EXTENDED, {"param": "lambda", "values": [0.5, 2], "action": "solve"}),
+        (EXTENDED, {"param": "tau", "values": [None, 0.5], "action": "solve"}),
+        (EXTENDED, {"param": "n", "values": [0, 1, 2], "action": "solve"}),
+        (EXTENDED, {"param": "m", "values": [0, 1], "action": "solve"}),
+        (EXTENDED, {"param": "resolution", "values": [12, 16], "action": "solve"}),
+        (PLANE, {"param": "resolution", "values": [16, 24], "action": "check"}),
+        # param is the outer loop; lambda 0.5 is below the threshold
+        (EXTENDED, {"param": "resolution", "values": [12, 16],
+                    "param2": "lambda", "values2": [0.5, 2], "action": "solve"}),
+    ], ids=["lambda", "tau", "n", "m", "resolution", "plane-resolution",
+            "resolution-lambda"])
+    def test_rows_match_standalone_runs_bitwise(self, tmp_path, base, sweep):
+        action = sweep["action"]
+        axes = [[(sweep[param], v) for v in sweep[values]]
+                for param, values in (("param", "values"), ("param2", "values2"))
+                if param in sweep]
+        points = [dict(combo) for combo in itertools.product(*axes)]
+        raw = dict(base, sweep=sweep)
         _, report = run("sweep", validate_config(raw), out_dir=str(tmp_path / "sweep"))
         rows = report["results"]["rows"]
-        assert len(rows) == len(values)
-        for row, value in zip(rows, values):
-            pcfg = validate_config(self.point_raw(base, param, value))
+        assert len(rows) == len(points)
+        for row, assignment in zip(rows, points):
+            pcfg = validate_config(self.point_raw(base, assignment))
             _, alone = run(action, pcfg, out_dir=str(tmp_path / f"point{row['index']}"))
             res = alone["results"]
             grid, params, vcfg = pcfg.make_grid(), pcfg.make_params(), pcfg.make_vortex_config()
@@ -373,9 +395,10 @@ class TestSweepPoints:
                 expected["grad_sup_final"] = res["newton"]["grad_sup_final"]
                 expected["residual_sup"] = max(res["diagnostics"]["residual_sup"])
             got = {key: row[key] for key in expected}
-            assert set(row) - {"index", param} == set(expected)
+            assert {key: row[key] for key in assignment} == assignment
+            assert set(row) - {"index", *assignment} == set(expected)
             # repr tells -0.0 from 0.0 and round-trips every float exactly
-            assert repr(got) == repr(expected), (param, value)
+            assert repr(got) == repr(expected), assignment
 
     def test_sweep_row_builds_its_background_once(self, tmp_path, monkeypatch):
         calls = []
@@ -447,7 +470,7 @@ class TestCliMain:
         def no_rows(*args, **kwargs):
             raise AssertionError("a sweep row was computed")
 
-        monkeypatch.setattr(runner, "_sweep_point_config", no_rows)
+        monkeypatch.setattr(runner, "_evaluate", no_rows)
         raw = minimal_torus(phi_zeros=[[1.0, 1.0]],
                             sweep={"param": "lambda", "values": [1.0, -2.0]})
         cfg_path = tmp_path / "cfg.json"

@@ -248,6 +248,29 @@ class TestInexactNewton:
         assert steps[0]["eta"] == newton.ETA_MAX
 
 
+class TestIterationCap:
+    def test_cap_at_the_converging_iteration(self):
+        # a solve that converges at iteration k still converges with
+        # max_iters = k, with the same state; k - 1 stops unconverged
+        grid = bv.TorusGrid(L20, L20, 32, 32)
+        params = bv.PhysicalParams(lam=1.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
+        bg = bv.build_background(cfg, grid, params)
+        free = bv.solve("torus", "base", cfg, grid, params, background=bg)
+        k = free.iterations
+        assert free.converged and k >= 2
+        capped = bv.solve("torus", "base", cfg, grid, params, background=bg,
+                          settings=bv.SolverSettings(max_iters=k))
+        assert capped.converged and capped.iterations == k and capped.message == ""
+        assert capped.state.tobytes() == free.state.tobytes()
+        assert capped.grad_history == free.grad_history
+        short = bv.solve("torus", "base", cfg, grid, params, background=bg,
+                         settings=bv.SolverSettings(max_iters=k - 1))
+        assert not short.converged and short.iterations == k - 1
+        assert short.message.startswith("max_iters reached")
+        assert short.grad_history == free.grad_history[:k]
+
+
 class TestSettingsValidation:
     def test_invalid_settings_rejected(self):
         with pytest.raises(ValueError):

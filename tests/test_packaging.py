@@ -56,3 +56,20 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), namespace)
     assert namespace["sol"].converged
     assert namespace["fb"] == pytest.approx(4.0 * math.pi, rel=1e-6)
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "compare"])
+def test_readme_cli_example_runs(tmp_path, command):
+    # the example configuration of the README "CLI" section, on a 32² grid
+    section = (ROOT / "README.md").read_text().split("## CLI", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(example)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "bpsvortex", "--config", str(cfg),
+                           "--command", command, "--override", "grid.nx=32",
+                           "--override", "grid.ny=32", "--out", str(tmp_path / "out")],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "report.json").exists()
