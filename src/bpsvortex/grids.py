@@ -59,12 +59,11 @@ class SpectralWorkspace:
 
     ``neg_k2`` is -|k|^2, the symbol of the Laplacian.  Entry ``[0, 0]`` is
     the mean (k = 0) mode; ``neg_k2_safe`` replaces it by -1.0 so divisions
-    stay finite while the mode is zeroed explicitly.  ``k2`` and ``k2_safe``
-    are their negations, built on each access.  ``spec`` is the complex
+    stay finite while the mode is zeroed explicitly.  ``k2`` is the negation
+    of ``neg_k2``, built on each access.  ``spec`` is the complex
     scratch spectrum every transform passes through; it never leaves a call.
     """
 
-    shape: tuple
     neg_k2: np.ndarray
     neg_k2_safe: np.ndarray
     spec: np.ndarray
@@ -72,10 +71,6 @@ class SpectralWorkspace:
     @property
     def k2(self) -> np.ndarray:
         return -self.neg_k2
-
-    @property
-    def k2_safe(self) -> np.ndarray:
-        return -self.neg_k2_safe
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ class TorusGrid:
         neg_k2_safe = neg_k2.copy()
         neg_k2_safe[0, 0] = -1.0
         spec = np.empty(neg_k2.shape, dtype=complex)
-        return SpectralWorkspace(self.shape, neg_k2, neg_k2_safe, spec)
+        return SpectralWorkspace(neg_k2, neg_k2_safe, spec)
 
     def axes(self):
         x = np.arange(self.nx) * self.dx

@@ -1,4 +1,4 @@
-"""Command dispatch, result persistence and plot-data emission.
+"""Command dispatch, result persistence (report and exact field dump) and plot data.
 
 ``run(command, config)`` executes one of ``check | solve | sweep | compare``
 and returns ``(exit_code, report)``; the report is also written to
@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -101,62 +100,48 @@ def _write_report(report: dict, cfg: RunConfig, out_dir: Optional[Path]):
         _resolve(path, out_dir).write_text(json.dumps(report, indent=2) + "\n")
 
 
-def dump_fields(state, physical, bg, path_text: str, config_hash: str,
+def dump_fields(state, bg, params, path_text: str, config_hash: str,
                 out_dir: Optional[Path] = None) -> None:
-    """Write field dumps: CSV (full precision) plus raw binary with sidecar.
+    """Exact field dump: ``<base>.bin`` plus its ``<base>.meta.json`` sidecar.
 
-    ``<base>.csv`` holds ``x,y,u,v,kappa,phi_abs,a12,b12`` in row-major node
-    order; ``<base>.bin`` holds the same field columns as consecutive
-    little-endian float64 blocks, described by ``<base>.meta.json``.
+    ``<base>`` is ``path_text`` without its last suffix (``fields.csv`` and
+    ``fields`` both give ``fields``; ``run.a.csv`` gives ``run.a``).  The
+    ``.bin`` holds ``u, v, kappa, phi_abs, a12, b12`` as consecutive
+    little-endian float64 blocks in row-major node order; the sidecar names
+    the fields, their shape and the grid the node coordinates follow from.
     """
-    base = _resolve(path_text, out_dir)
-    if base.suffix:
-        base = base.with_suffix("")
+    base = _resolve(path_text, out_dir).with_suffix("")
     grid = bg.grid
-    X, Y = grid.nodes()
-    u = bg.u0 + state[0]
-    v = bg.v0 + state[1] - state[0]
+    physical = reconstruct_physical(state, bg, params)
     columns = {
-        "x": X, "y": Y, "u": u, "v": v,
+        "u": bg.u0 + state[0], "v": bg.v0 + state[1] - state[0],
         "kappa": physical.kappa, "phi_abs": physical.phi_abs,
         "a12": physical.a12, "b12": physical.b12,
     }
-    names = list(columns)
-    field_names = names[2:]
-    # nodes() is an ij meshgrid: x is constant along a grid row, y repeats
-    # the same axis in every row, so both are formatted once
-    x_text = [repr(val) for val in X[:, 0].tolist()]
-    y_text = [repr(val) for val in Y[0].tolist()]
-    with open(base.with_suffix(".csv"), "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for i, x_i in enumerate(x_text):
-            row = [map(repr, columns[name][i].tolist()) for name in field_names]
-            fh.write("\n".join(map(",".join, zip(repeat(x_i), y_text, *row))) + "\n")
-
-    with open(base.with_suffix(".bin"), "wb") as fh:
-        for name in field_names:
-            fh.write(np.ascontiguousarray(columns[name], dtype="<f8").data)
+    with open(base.with_name(base.name + ".bin"), "wb") as fh:
+        for values in columns.values():
+            fh.write(np.ascontiguousarray(values, dtype="<f8").data)
     meta = {
         "dtype": "<f8",
         "order": "row-major",
         "shape": list(grid.shape),
-        "fields": field_names,
+        "fields": list(columns),
         "grid": ({"mode": "torus", "Lx": grid.Lx, "Ly": grid.Ly, "nx": grid.nx, "ny": grid.ny}
                  if not isinstance(grid, PlaneGrid)
                  else {"mode": "plane", "R": grid.R, "n": grid.n}),
         "config_hash": config_hash,
     }
-    base.with_suffix(".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    base.with_name(base.name + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def emit_plot_data(state, bg, cfg_obj, params, path_text: str,
+def emit_plot_data(state, bg, params, path_text: str,
                    out_dir: Optional[Path] = None) -> None:
     """Radial-profile CSV (``r,mean_u2v2,mean_grad2``) for plane runs."""
     grid = bg.grid
     if not isinstance(grid, PlaneGrid):
         return
-    r_min, r_max = decay_annulus(grid, cfg_obj, params)
-    if not (cfg_obj.phi_zeros or cfg_obj.kappa_zeros):
+    r_min, r_max = decay_annulus(grid, bg.cfg, params)
+    if not (bg.cfg.phi_zeros or bg.cfg.kappa_zeros):
         r_min = grid.h  # no vortex core to stay clear of
     nbins = max(8, annulus_bins(grid, r_min, r_max))
     prof = radial_profile(state, bg, r_min, r_max, nbins)
@@ -255,7 +240,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
             fh.write(",".join(keys) + "\n")
             for row in rows:
                 fh.write(",".join(repr(float(row[k])) if isinstance(row.get(k), float)
-                                  else str(row.get(k, "")) for k in keys) + "\n")
+                                  else "" if row.get(k) is None else str(row[k])
+                                  for k in keys) + "\n")
     return worst_exit
 
 
@@ -289,11 +275,10 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
             t0 = time.perf_counter()
             params = cfg.make_params()
             if cfg.output.get("fields_path"):
-                physical = reconstruct_physical(best.state, bg, params)
-                dump_fields(best.state, physical, bg, cfg.output["fields_path"],
+                dump_fields(best.state, bg, params, cfg.output["fields_path"],
                             cfg.config_hash(), out)
             if cfg.output.get("plots_path"):
-                emit_plot_data(best.state, bg, bg.cfg, params, cfg.output["plots_path"], out)
+                emit_plot_data(best.state, bg, params, cfg.output["plots_path"], out)
             timings["output_s"] = time.perf_counter() - t0
 
     timings["total_s"] = time.perf_counter() - t_start

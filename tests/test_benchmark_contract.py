@@ -91,6 +91,6 @@ def test_traced_cli_runs_match_untraced(tmp_path):
         assert _results(tmp_path / f"{name}-traced") == _results(tmp_path / f"{name}-plain")
     report = json.loads((tmp_path / "plane-plain" / "report.json").read_text())
     assert "decay" in report["results"]["diagnostics"]
-    for output in ("fields.csv", "fields.bin", "profile.csv"):
+    for output in ("fields.bin", "fields.meta.json", "profile.csv"):
         plain = (tmp_path / "plane-plain" / output).read_bytes()
         assert plain and (tmp_path / "plane-traced" / output).read_bytes() == plain

@@ -15,6 +15,12 @@ from bpsvortex.runner import run
 L20 = math.sqrt(20.0)
 
 
+def sweep_cells(path):
+    """The rows of a sweep CSV as dicts from column name to cell text."""
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
 def minimal_torus(**kw):
     raw = {
         "mode": "torus",
@@ -185,7 +191,7 @@ class TestRunCommands:
                "grid": {"n": 32}, "phi_zeros": [[0.5, 0.0]],
                "output": {"report_path": "r.json", "fields_path": "fields"}}
         code, report = run("solve", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
-        assert code == 0 and (tmp_path / "fields.csv").exists()
+        assert code == 0 and (tmp_path / "fields.bin").exists()
         for key in ("diagnostics_s", "output_s"):
             assert report["timings"][key] >= 0.0
             assert key not in report["results"]
@@ -229,25 +235,31 @@ class TestRunCommands:
         bg = bv.build_background(vcfg, grid, params)
         rng = np.random.default_rng(3)
         state = 0.1 * rng.standard_normal((2,) + grid.shape)
-        state[0, 1, 2] = 0.1
-        phys = bv.reconstruct_physical(state, bg, params)
-        phys.a12[0, 0] = -0.0
-        phys.a12[3, 4] = 1e-5
-        phys.b12[2, 1] = 1e16
-        phys.kappa[4, 3] = 0.1
-        bv.dump_fields(state, phys, bg, "f.csv", "hash", tmp_path)
+        bv.dump_fields(state, bg, params, "f.csv", "hash", tmp_path)
 
-        # the node-by-node writer the row writer replaced
-        X, Y = grid.nodes()
-        columns = [X, Y, bg.u0 + state[0], bg.v0 + state[1] - state[0], phys.kappa,
+        phys = bv.reconstruct_physical(state, bg, params)
+        columns = [bg.u0 + state[0], bg.v0 + state[1] - state[0], phys.kappa,
                    phys.phi_abs, phys.a12, phys.b12]
-        lines = ["x,y,u,v,kappa,phi_abs,a12,b12\n"]
-        for row in zip(*[c.ravel() for c in columns]):
-            lines.append(",".join(repr(float(val)) for val in row) + "\n")
-        assert (tmp_path / "f.csv").read_text() == "".join(lines)
-        assert "-0.0," in lines[1] and "1e-05" in "".join(lines) and "1e+16" in "".join(lines)
-        blob = b"".join(np.ascontiguousarray(c, dtype="<f8").tobytes() for c in columns[2:])
+        blob = b"".join(np.ascontiguousarray(c, dtype="<f8").tobytes() for c in columns)
         assert (tmp_path / "f.bin").read_bytes() == blob
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.bin", "f.meta.json"]
+
+    def test_field_dump_names_strip_one_suffix(self, tmp_path):
+        grid = bv.TorusGrid(3.0, 2.0, 12, 10)
+        params = bv.PhysicalParams(lam=2.0)
+        bg = bv.build_background(bv.VortexConfig(phi_zeros=((1.0, 1.0),)), grid, params)
+        state = np.zeros((2,) + grid.shape)
+        for path_text, config_hash in (("run.a.csv", "a"), ("run.b.csv", "b")):
+            bv.dump_fields(state, bg, params, path_text, config_hash, tmp_path / "two")
+        assert sorted(p.name for p in (tmp_path / "two").iterdir()) == [
+            "run.a.bin", "run.a.meta.json", "run.b.bin", "run.b.meta.json"]
+        for name in ("a", "b"):
+            meta = json.loads((tmp_path / "two" / f"run.{name}.meta.json").read_text())
+            assert meta["config_hash"] == name
+        for path_text in ("fields", "fields.csv"):
+            out = tmp_path / path_text.replace(".", "-")
+            bv.dump_fields(state, bg, params, path_text, "hash", out)
+            assert sorted(p.name for p in out.iterdir()) == ["fields.bin", "fields.meta.json"]
 
     def test_field_dumps_round_trip_bitwise(self, tmp_path):
         raw = minimal_torus(phi_zeros=[[0.4 * L20, 0.5 * L20]])
@@ -256,6 +268,10 @@ class TestRunCommands:
         code, report = run("solve", cfg, out_dir=str(tmp_path))
         assert code == 0
         meta = json.loads((tmp_path / "fields.meta.json").read_text())
+        assert meta["fields"] == ["u", "v", "kappa", "phi_abs", "a12", "b12"]
+        assert meta["shape"] == [32, 32]
+        assert meta["grid"] == {"mode": "torus", "Lx": L20, "Ly": L20, "nx": 32, "ny": 32}
+        assert not (tmp_path / "fields.csv").exists()
         blob = (tmp_path / "fields.bin").read_bytes()
         arr = np.frombuffer(blob, dtype="<f8").reshape(
             len(meta["fields"]), *meta["shape"])
@@ -267,21 +283,15 @@ class TestRunCommands:
         phys = bv.reconstruct_physical(sol.state, bg, params)
         k = meta["fields"].index("kappa")
         assert arr[k].tobytes() == np.ascontiguousarray(phys.kappa, "<f8").tobytes()
-        # csv header and row count
-        lines = (tmp_path / "fields.csv").read_text().splitlines()
-        assert lines[0] == "x,y,u,v,kappa,phi_abs,a12,b12"
-        assert len(lines) == 1 + 32 * 32
 
     def test_empty_config_dump_zero_columns(self, tmp_path):
         raw = minimal_torus()
         raw["output"] = {"report_path": "r.json", "fields_path": "f.csv"}
         cfg = parse_config(json.dumps(raw))
         run("solve", cfg, out_dir=str(tmp_path))
-        lines = (tmp_path / "f.csv").read_text().splitlines()[1:]
-        for line in lines[:50]:
-            vals = line.split(",")
-            assert float(vals[2]) == 0.0  # u
-            assert float(vals[3]) == 0.0  # v
+        arr = np.fromfile(tmp_path / "f.bin", dtype="<f8").reshape(6, 32, 32)
+        assert np.all(arr[0] == 0.0)  # u
+        assert np.all(arr[1] == 0.0)  # v
 
     def test_sweep_classification_matches_margin_sign(self, tmp_path):
         raw = minimal_torus(phi_zeros=[[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]])
@@ -301,7 +311,29 @@ class TestRunCommands:
         for r in rows:
             assert r["solvable"] == (r["margin"] > 0.0)
             assert r["solvable"] == (r["analytic_slack"] > 0.0)
-        assert (tmp_path / "sweep.csv").exists()
+        cells = sweep_cells(tmp_path / "sweep.csv")
+        assert len(cells) == len(rows)
+        for row, got in zip(rows, cells):
+            assert set(got) == set(row)
+            for key in ("lambda", "margin", "analytic_slack"):
+                assert float(got[key]).hex() == row[key].hex()
+
+    def test_plane_sweep_csv_leaves_missing_values_empty(self, tmp_path):
+        raw = {"mode": "plane", "model": "base", "lambda": 1.0, "domain": {"R": 6.0},
+               "grid": {"n": 32}, "phi_zeros": [[0.5, 0.0]],
+               "sweep": {"param": "lambda", "values": [0.5, 1.0], "action": "solve"},
+               "output": {"report_path": "r.json", "plots_path": "sweep.csv"}}
+        code, report = run("sweep", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 0
+        rows = report["results"]["rows"]
+        cells = sweep_cells(tmp_path / "sweep.csv")
+        assert len(cells) == len(rows) == 2
+        for row, got in zip(rows, cells):
+            assert row["margin"] is None and row["analytic_slack"] is None
+            assert got["margin"] == got["analytic_slack"] == ""
+            assert got["converged"] == "True"
+            for key in ("lambda", "grad_sup_final", "residual_sup"):
+                assert float(got[key]).hex() == row[key].hex()
 
     def test_two_parameter_sweep(self, tmp_path):
         raw = minimal_torus(phi_zeros=[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])

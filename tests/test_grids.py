@@ -199,7 +199,7 @@ class TestValidation:
     def test_workspace_zero_mode_addressable(self, torus_small):
         ws = torus_small.workspace
         assert ws.k2[0, 0] == 0.0
-        assert ws.k2_safe[0, 0] == 1.0
+        assert -ws.neg_k2_safe[0, 0] == 1.0
 
 
 class TestBuffers:
@@ -208,7 +208,7 @@ class TestBuffers:
     @pytest.mark.parametrize("shape", [(16, 24), (96, 96), (256, 256)])
     def test_torus_operators_bitwise_equal_to_plain_fft(self, shape):
         g = bv.TorusGrid(2.0, 3.0, *shape)
-        k2, k2_safe = g.workspace.k2, g.workspace.k2_safe
+        k2, k2_safe = g.workspace.k2, -g.workspace.neg_k2_safe
         rng = np.random.default_rng(shape[0])
         v = rng.standard_normal(shape)
         lap = np.fft.irfft2(-k2 * np.fft.rfft2(v), s=shape)

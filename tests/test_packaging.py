@@ -58,6 +58,29 @@ def test_readme_library_example_runs():
     assert namespace["fb"] == pytest.approx(4.0 * math.pi, rel=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["torus", "plane"])
+def test_readme_field_dump_reader_runs(tmp_path, monkeypatch, mode):
+    # the numpy reader of the README "Field dumps" section, run as written
+    import numpy as np
+
+    import bpsvortex as bv
+
+    section = (ROOT / "README.md").read_text().split("## Field dumps", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    grid = bv.TorusGrid(3.0, 2.0, 12, 10) if mode == "torus" else bv.PlaneGrid(3.0, 17)
+    params = bv.PhysicalParams(lam=2.0)
+    bg = bv.build_background(bv.VortexConfig(phi_zeros=((1.0, 0.5),)), grid, params)
+    state = 0.1 * np.random.default_rng(5).standard_normal((2,) + grid.shape)
+    bv.dump_fields(state, bg, params, "fields.csv", "hash", tmp_path / "out")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    X, Y = grid.nodes()
+    assert namespace["X"].tobytes() == X.tobytes()
+    assert namespace["Y"].tobytes() == Y.tobytes()
+    assert namespace["u"].tobytes() == (bg.u0 + state[0]).tobytes()
+
+
 @pytest.mark.parametrize("command", ["check", "solve", "compare"])
 def test_readme_cli_example_runs(tmp_path, command):
     # the example configuration of the README "CLI" section, on a 32² grid
