@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -98,10 +98,18 @@ class ThresholdReport:
     alpha1: Optional[float] = None
     alpha2: Optional[float] = None
 
+    @property
+    def constraints(self) -> Tuple[float, float]:
+        """Targets of ``(int e^v, int e^u)``: ``(c1, c2)`` or ``(alpha1, alpha2)``."""
+        return (self.c1, self.c2) if self.model == "base" else (self.alpha1, self.alpha2)
+
 
 def check_existence(cfg: VortexConfig, domain: TorusGrid, params: PhysicalParams,
                     model: Optional[str] = None) -> ThresholdReport:
-    """Evaluate the torus existence thresholds; never raises.
+    """Evaluate the torus existence thresholds; ``model=None`` picks it by ``cfg.m``.
+
+    Raises ``ValueError`` for ``model="base"`` with a nonempty kappa zero set;
+    a configuration below the threshold is reported, not raised.
 
     The strict inequalities are evaluated in the multiplicative form
     (e.g. ``2 pi n < lambda |Omega|``) and the reported constants are divided

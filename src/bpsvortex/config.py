@@ -190,14 +190,9 @@ def _sweep_field(param, value, path, mode, phi, kappa, problems) -> dict:
     return {name: zeros[:int(value)]}
 
 
-def fixedpoint_problems(mode, model, path) -> List[Tuple[str, str]]:
-    """Why the fixed-point path cannot solve this variant (empty when it can)."""
-    problems = []
-    if mode == "plane":
-        problems.append((path, "fixed-point path requires mode='torus'"))
-    if model == "extended":
-        problems.append((path, "fixed-point path implements the base model only"))
-    return problems
+def fixedpoint_problems(mode, path) -> List[Tuple[str, str]]:
+    """Why the fixed-point path cannot solve this mode (empty when it can)."""
+    return [(path, "fixed-point path requires mode='torus'")] if mode == "plane" else []
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -245,7 +240,7 @@ def validate_config(raw: dict) -> RunConfig:
     if solver["method"] not in ("newton", "fixedpoint", "both"):
         problems.append(("solver.method", "must be 'newton', 'fixedpoint' or 'both'"))
     elif solver["method"] in ("fixedpoint", "both"):
-        problems += fixedpoint_problems(mode, model, "solver.method")
+        problems += fixedpoint_problems(mode, "solver.method")
     # keep the converted values, so that 100.0 iterations is the integer 100
     solver["tol"] = _number(solver["tol"], "solver.tol", problems, positive=True)
     for key in ("max_iters", "continuation_steps"):

@@ -83,15 +83,16 @@ def pointwise_bounds(state, bg: Background) -> BoundReport:
 
 def verify_lagrange_multipliers(state, bg: Background,
                                 params: PhysicalParams) -> Tuple[float, float]:
-    """Least-squares fit of the two constraint multipliers on a torus base solution.
+    """Least-squares fit of the two constraint multipliers on a torus solution.
 
-    The constrained first-order conditions read
+    With ``(s0, s1)`` the state, the constrained first-order conditions read
 
-        lap u = -lam - l1 * e^{v0+f-u} + l2 * e^u + src_u
-        lap f = -2 lam + 2 l1 * e^{v0+f-u} + src_f
+        lap s0 = -lam - l1 * e^v + l2 * e^u + src_u
+        lap s1 = -2 lam + 2 l1 * e^v + src_f
 
-    with the background's sources (0 and 4 pi n / |Omega| here), and the
-    analytic values are l1 = lam, l2 = 2 lam.
+    with the weighted exponentials e^u = e^{u0 + s0}, e^v = e^{v0 + s1 - s0}
+    and the background's sources (4 pi m / |Omega| and 4 pi (m + n) / |Omega|),
+    in both torus models; the analytic values are l1 = lam, l2 = 2 lam.
     """
     lam = params.lam
     grid: TorusGrid = bg.grid
@@ -272,21 +273,17 @@ def build_diagnostics(state, mode: str, model: str, bg: Background,
                                flux_a=fa, flux_b=fb)
     grid = bg.grid
     if mode == "torus":
-        thr = check_existence(cfg, grid, params, model=model)
+        targets = check_existence(cfg, grid, params, model=model).constraints
         eU, eV = _exp_pair(state, bg)
-        int_v = grid.integrate(eV)
-        int_u = grid.integrate(eU)
-        t1 = thr.c1 if model == "base" else thr.alpha1
-        t2 = thr.c2 if model == "base" else thr.alpha2
-        report.constraint_errors = (abs(int_v - t1) / abs(t1), abs(int_u - t2) / abs(t2))
+        report.constraint_errors = tuple(abs(grid.integrate(e) - c) / abs(c)
+                                         for e, c in zip((eV, eU), targets))
         bounds = pointwise_bounds(state, bg)
         report.bound_violation = {
             "max_exp_u_excess": bounds.max_exp_u_excess,
             "max_exp_v_excess": bounds.max_exp_v_excess,
             "intermediate_excess": bounds.intermediate_excess,
         }
-        if model == "base":
-            report.lagrange = verify_lagrange_multipliers(state, bg, params)
+        report.lagrange = verify_lagrange_multipliers(state, bg, params)
     elif fit_decay and (cfg.n + cfg.m) > 0:
         try:
             rate_f, rate_g, window = decay_fit(state, bg, cfg, params)

@@ -1,19 +1,22 @@
 """Fixed-point continuation: the second, independent route to the torus solution.
 
 The iteration works in the zero-mean space X of pairs ``(u', w')`` (arrays of
-shape ``(2, nx, ny)`` whose slices both have vanishing cell average), where
-``w'`` is the smooth remainder after splitting off the background,
-``v' = t*v0 + w'``.  For a homotopy parameter ``t`` the map ``apply_T``
-assembles the normalized right-hand sides
+shape ``(2, nx, ny)`` whose slices both have vanishing cell average), the
+remainders of ``u = u0 + u_bar + u'`` and ``v = v0 + v_bar + w'`` after the
+backgrounds and the field means.  For a homotopy parameter ``t`` the map
+``apply_T`` assembles the normalized right-hand sides
 
-    R1 = lam*t*( 2*C2*e^{u'}/I[e^{u'}] - C1*e^{t v0 + w'}/I[e^{t v0 + w'}] - 1 )
-    R2 = lam*t*( -2*C2*e^{u'}/I[e^{u'}] + 3*C1*e^{t v0 + w'}/I[e^{t v0 + w'}] - 1 )
-         + 4*pi*n*t/|Omega|
+    E_u = C2*e^{t u0 + u'}/I[e^{t u0 + u'}],   E_v = C1*e^{t v0 + w'}/I[e^{t v0 + w'}],
+    R1 = lam*t*( 2*E_u - E_v - 1 ) + t*src_u,
+    R2 = lam*t*( 3*E_v - 2*E_u - 1 ) + t*(src_f - src_u)
 
-(which have zero mean by construction of C1, C2), projects out quadrature
-roundoff and inverts the Laplacian on each, so the output lies in X again.
-Fixed points of ``apply_T(., t)`` at ``t = 1`` solve the full system; the two
-field means are recovered from the integral constraints afterwards.
+with the background's sources ``(src_u, src_f)`` (``u0`` and ``src_u`` vanish
+in the base model) and the constraint targets ``(C1, C2)`` of
+``ThresholdReport.constraints``, which give both zero mean.  The map projects
+out quadrature roundoff and inverts the Laplacian on each, so the output lies
+in X again.  Fixed points of ``apply_T(., t)`` at ``t = 1`` solve the full
+system; the two field means are recovered from the integral constraints
+afterwards.
 
 Stages are solved by depth-1 Anderson acceleration of the same map (Walker &
 Ni, SIAM J. Numer. Anal. 49, 2011) with a residual safeguard: a trial is
@@ -35,14 +38,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .backgrounds import Background, PhysicalParams, VortexConfig, check_existence
+from .backgrounds import Background, PhysicalParams, check_existence
 from .energy import _checked_exp
 from .errors import NonZeroMeanRhs, ThresholdViolated
 from .grids import TorusGrid
 from .newton import Solution
-
-FOUR_PI = 4.0 * math.pi
-
 
 # relaxation of the first damped Picard step of every stage; it grows by 1.2
 # per accepted trial up to 1 and halves per rejected damped trial
@@ -67,27 +67,28 @@ def zero_mean_pair(u_prime: np.ndarray, w_prime: np.ndarray) -> np.ndarray:
     return pair
 
 
-def apply_T(pair: np.ndarray, t: float, bg: Background, cfg: VortexConfig,
-            params: PhysicalParams, c1: Optional[float] = None,
-            c2: Optional[float] = None, out: Optional[np.ndarray] = None) -> np.ndarray:
+def apply_T(pair: np.ndarray, t: float, bg: Background, params: PhysicalParams,
+            c1: Optional[float] = None, c2: Optional[float] = None,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     """One application of the homotopy map at parameter ``t`` (factor included).
 
-    The result is written to ``out`` (a new array when it is ``None``), which
+    ``c1``, ``c2`` default to the constraint targets of ``bg.cfg``.  The
+    result is written to ``out`` (a new array when it is ``None``), which
     must not overlap ``pair``; ``pair`` is only read.
     """
     grid: TorusGrid = bg.grid
     if c1 is None or c2 is None:
-        report = check_existence(cfg, grid, params, model="base")
-        c1, c2 = report.c1, report.c2
+        c1, c2 = check_existence(bg.cfg, grid, params).constraints
     lam = params.lam
-    area = grid.area
     if out is None:
         out = np.empty_like(pair)
     r1, r2 = out
 
     # dens_u in r1 and dens_v in r2; R1 needs both, so it goes to a new
     # field, then R2 is built in r2 and each Poisson solve writes its slice
-    eu = _checked_exp(pair[0], out=r1)
+    np.multiply(bg.u0, t, out=r1)
+    r1 += pair[0]
+    eu = _checked_exp(r1, out=r1)
     np.multiply(bg.v0, t, out=r2)
     r2 += pair[1]
     ev = _checked_exp(r2, out=r2)
@@ -99,12 +100,13 @@ def apply_T(pair: np.ndarray, t: float, bg: Background, cfg: VortexConfig,
     rhs1 = np.subtract(dens_u, dens_v)
     rhs1 -= 1.0
     rhs1 *= lam_t
+    rhs1 += t * bg.src_u
     rhs2 = dens_v
     rhs2 *= 3.0
     rhs2 -= dens_u
     rhs2 -= 1.0
     rhs2 *= lam_t
-    rhs2 += FOUR_PI * cfg.n * t / area
+    rhs2 += t * (bg.src_f - bg.src_u)
 
     for k, r in enumerate((rhs1, rhs2)):
         m = float(r.mean())
@@ -123,7 +125,7 @@ def _residual(pair: np.ndarray, t_pair: np.ndarray, work: np.ndarray) -> float:
     return max(float(diff.max()), -float(diff.min())) / scale
 
 
-def _solve_stage(pair, t, bg, cfg, params, c1, c2, residual_log, stage_log=None):
+def _solve_stage(pair, t, bg, params, c1, c2, residual_log, stage_log=None):
     """Safeguarded Anderson iteration at one ``t``; returns (converged, pair, trials).
 
     With f(x) = T(x) - x, a depth-1 Anderson step from the iterate x_k
@@ -150,7 +152,7 @@ def _solve_stage(pair, t, bg, cfg, params, c1, c2, residual_log, stage_log=None)
     """
     omega = OMEGA0
     pair = pair.copy()
-    t_pair = apply_T(pair, t, bg, cfg, params, c1, c2, out=np.empty_like(pair))
+    t_pair = apply_T(pair, t, bg, params, c1, c2, out=np.empty_like(pair))
     trial = np.empty_like(pair)
     t_trial = np.empty_like(pair)
     d_f = np.empty_like(pair)
@@ -169,7 +171,7 @@ def _solve_stage(pair, t, bg, cfg, params, c1, c2, residual_log, stage_log=None)
             # (1 - omega) * pair + omega * t_pair
             np.multiply(pair, 1.0 - omega, out=trial)
             trial += np.multiply(t_pair, omega, out=d_f)
-        apply_T(trial, t, bg, cfg, params, c1, c2, out=t_trial)
+        apply_T(trial, t, bg, params, c1, c2, out=t_trial)
         res_trial = _residual(trial, t_trial, d_f)
         trials += 1
         if res_trial <= res * (1.0 + 1e-12):
@@ -198,18 +200,15 @@ def _solve_stage(pair, t, bg, cfg, params, c1, c2, residual_log, stage_log=None)
     return converged, pair, trials
 
 
-def continuation_solve(steps: int, bg: Background, cfg: VortexConfig,
-                       params: PhysicalParams) -> Solution:
+def continuation_solve(steps: int, bg: Background, params: PhysicalParams) -> Solution:
     """Track the fixed-point branch over ``steps`` uniform ``t`` stages up to ``t = 1``."""
     if not isinstance(steps, int) or steps < 1:
         raise ValueError("steps must be a positive integer")
     grid: TorusGrid = bg.grid
-    if cfg.m != 0:
-        raise ValueError("the fixed-point path implements the base model only")
-    report = check_existence(cfg, grid, params, model="base")
+    report = check_existence(bg.cfg, grid, params)
     if not report.solvable:
         raise ThresholdViolated(report)
-    c1, c2 = report.c1, report.c2
+    c1, c2 = report.constraints
 
     pair = np.zeros((2,) + grid.shape)
     residual_log: List[float] = []
@@ -220,7 +219,7 @@ def continuation_solve(steps: int, bg: Background, cfg: VortexConfig,
     idx = 0
     while idx < len(pending):
         t = pending[idx]
-        ok, pair_new, iters = _solve_stage(pair, t, bg, cfg, params, c1, c2,
+        ok, pair_new, iters = _solve_stage(pair, t, bg, params, c1, c2,
                                            residual_log, stage_log)
         total_iters += iters
         if ok:
@@ -242,9 +241,7 @@ def continuation_solve(steps: int, bg: Background, cfg: VortexConfig,
 def _recover_state(pair: np.ndarray, bg: Background, c1: float, c2: float) -> np.ndarray:
     """Recover the field means from the integral constraints at t = 1."""
     grid: TorusGrid = bg.grid
-    v_prime = bg.v0 + pair[1]
-    u_bar = math.log(c2) - math.log(grid.integrate(np.exp(pair[0])))
-    v_bar = math.log(c1) - math.log(grid.integrate(np.exp(v_prime)))
-    u = u_bar + pair[0]
-    f = u + (v_bar + pair[1])  # f = u + w, w = v - v0 = v_bar + w'
-    return np.stack([u, f])
+    u_bar = math.log(c2) - math.log(grid.integrate(np.exp(bg.u0 + pair[0])))
+    v_bar = math.log(c1) - math.log(grid.integrate(np.exp(bg.v0 + pair[1])))
+    g = u_bar + pair[0]  # g = u - u0
+    return np.stack([g, g + (v_bar + pair[1])])  # f = g + (v - v0)

@@ -7,10 +7,10 @@ violated (non-existence is a definite outcome, not an error), 3 solver
 failed to converge.  A solver that fails outright (``Overflow`` from a
 divergent iterate, ``NonZeroMeanRhs`` from a broken zero-mean invariant)
 raises out of ``run`` without a report; ``cli.main`` prints it as
-``solver error: ...`` and also returns 3.  ``compare`` on a configuration
-the fixed-point path cannot solve raises :class:`ValidationError` before
-any work; ``cli.main`` returns 1 for that, for an unreadable or invalid
-configuration and for i/o errors.
+``solver error: ...`` and also returns 3.  ``compare`` runs Newton and the
+fixed-point path on either torus model; on a plane configuration it raises
+:class:`ValidationError` before any work, and ``cli.main`` returns 1 for
+that, for an unreadable or invalid configuration and for i/o errors.
 
 One step, ``_evaluate``, turns a configuration into results: the threshold
 gate, the solvers, the cross-method difference and the diagnostics.
@@ -182,7 +182,7 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
             exit_code = EXIT_NOT_CONVERGED
     if method in ("fixedpoint", "both"):
         t0 = time.perf_counter()
-        fixed_sol = continuation_solve(cfg.solver["continuation_steps"], bg, vcfg, params)
+        fixed_sol = continuation_solve(cfg.solver["continuation_steps"], bg, params)
         timings["fixedpoint_s"] = time.perf_counter() - t0
         results["fixedpoint"] = _fixedpoint_summary(fixed_sol)
         if not fixed_sol.converged:
@@ -250,7 +250,7 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
     if command not in ("check", "solve", "sweep", "compare"):
         raise ValueError(f"unknown command {command!r}")
     if command == "compare":
-        problems = fixedpoint_problems(cfg.mode, cfg.model, "compare")
+        problems = fixedpoint_problems(cfg.mode, "compare")
         if problems:
             raise ValidationError(problems)
     if command == "sweep" and cfg.sweep is None:

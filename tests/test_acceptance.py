@@ -152,7 +152,7 @@ def test_criterion_04_flux_quantization(torus_criterion_setup,
             f"base (a,b)=({fa:.2e},{fb:.6f}); extended (a,b)=({fa2:.6f},{fb2:.6f})", t0)
 
 
-def test_criterion_05_cross_method_equivalence():
+def test_criterion_05_cross_method_equivalence(extended_50):
     # budget: <= 2 min
     t0 = time.perf_counter()
     grid = bv.TorusGrid(L20, L20, 128, 128)
@@ -164,10 +164,16 @@ def test_criterion_05_cross_method_equivalence():
         cfg = bv.VortexConfig(phi_zeros=all_pts[:n])
         bg = bv.build_background_torus(cfg, grid, params)
         newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
-        fp = bv.continuation_solve(10, bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, params)
         diff = float(np.max(np.abs(newton.state - fp.state)))
         diffs.append(f"n={n}: {diff:.2e}")
         ok &= newton.converged and fp.converged and diff <= 1e-6
+    # the extended model (n=2, m=1, |Omega|=50) through the same map
+    _, params, _, bg, newton = extended_50
+    fp = bv.continuation_solve(10, bg, params)
+    diff = float(np.max(np.abs(newton.state - fp.state)))
+    diffs.append(f"extended n=2, m=1: {diff:.2e}")
+    ok &= fp.converged and diff <= 1e-6
     _report(5, "cross-method equivalence", ok, "; ".join(diffs), t0)
 
 
@@ -282,17 +288,21 @@ def test_criterion_10_maximum_principle_bounds(torus_criterion_setup,
 
 
 def test_criterion_11_lagrange_multipliers(torus_criterion_setup,
-                                           torus_criterion_solution):
+                                           torus_criterion_solution, extended_50):
     # budget: <= 5 s
     t0 = time.perf_counter()
-    grid, params, cfg, bg = torus_criterion_setup
-    l1, l2 = bv.verify_lagrange_multipliers(torus_criterion_solution.state,
-                                            bg, params)
-    e1 = abs(l1 / params.lam - 1.0)
-    e2 = abs(l2 / (2.0 * params.lam) - 1.0)
-    ok = e1 <= 1e-4 and e2 <= 1e-4
-    _report(11, "lagrange multiplier recovery", ok,
-            f"|l1/lam-1|={e1:.2e}, |l2/(2lam)-1|={e2:.2e}", t0)
+    _, params_base, _, bg_base = torus_criterion_setup
+    _, params_ext, _, bg_ext, sol_ext = extended_50
+    ok, details = True, []
+    for name, state, bg, params in (
+            ("base", torus_criterion_solution.state, bg_base, params_base),
+            ("extended", sol_ext.state, bg_ext, params_ext)):
+        l1, l2 = bv.verify_lagrange_multipliers(state, bg, params)
+        e1 = abs(l1 / params.lam - 1.0)
+        e2 = abs(l2 / (2.0 * params.lam) - 1.0)
+        ok &= e1 <= 1e-4 and e2 <= 1e-4
+        details.append(f"{name} |l1/lam-1|={e1:.2e}, |l2/(2lam)-1|={e2:.2e}")
+    _report(11, "lagrange multiplier recovery", ok, "; ".join(details), t0)
 
 
 def test_criterion_12_reduction_consistency(torus_criterion_setup):

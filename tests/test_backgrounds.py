@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bpsvortex as bv
 from bpsvortex.backgrounds import _periodized_source
@@ -69,6 +70,27 @@ class TestCheckExistence:
         assert ext.alpha1 == base.c1
         assert ext.alpha2 == base.c2
         assert ext.solvable == base.solvable
+
+    @settings(deadline=None, database=None, derandomize=True, max_examples=200)
+    @given(n=st.integers(0, 8), m=st.integers(0, 8), area=st.floats(0.5, 500.0),
+           factor=st.floats(1.0, 50.0, exclude_min=True), extended=st.booleans())
+    def test_constraints_make_both_rhs_zero_mean(self, n, m, area, factor, extended):
+        # the fixed-point map's right-hand sides have zero mean exactly when
+        # lam (2 C2 - C1 - |Omega|) + 4 pi m = 0 and
+        # lam (3 C1 - 2 C2 - |Omega|) + 4 pi n = 0 for (C1, C2) = constraints
+        line = max(2.0 * math.pi * (m + n), math.pi * (3 * m + n)) / area
+        lam = factor * (line if line > 0.0 else 1.0)
+        grid = bv.TorusGrid(1.0, area, 8, 8)
+        cfg = bv.VortexConfig(phi_zeros=((0.5, 0.5),) * n, kappa_zeros=((0.5, 0.5),) * m)
+        rep = bv.check_existence(cfg, grid, bv.PhysicalParams(lam=lam),
+                                 model="extended" if extended else None)
+        assert rep.solvable
+        c1, c2 = rep.constraints
+        assert (c1, c2) == ((rep.alpha1, rep.alpha2) if rep.model == "extended"
+                            else (rep.c1, rep.c2))
+        scale = lam * grid.area
+        assert abs(lam * (2.0 * c2 - c1 - grid.area) + 4.0 * math.pi * m) <= 1e-13 * scale
+        assert abs(lam * (3.0 * c1 - 2.0 * c2 - grid.area) + 4.0 * math.pi * n) <= 1e-13 * scale
 
 
 class TestPlaneBackground:

@@ -516,9 +516,7 @@ class TestCliMain:
     @pytest.mark.parametrize("raw", [
         {"mode": "plane", "model": "base", "lambda": 1.0, "domain": {"R": 6.0},
          "grid": {"n": 32}, "phi_zeros": [[0.5, 0.0]]},
-        minimal_torus(model="extended", grid={"nx": 16}, phi_zeros=[[0.3 * L20, 0.4 * L20]],
-                      kappa_zeros=[[0.7 * L20, 0.6 * L20]]),
-    ], ids=["plane", "extended"])
+    ], ids=["plane"])
     def test_compare_without_fixedpoint_path_exit_1(self, tmp_path, capsys, monkeypatch, raw):
         def no_solve(*args, **kwargs):
             raise AssertionError("compare started a solve")
@@ -533,6 +531,26 @@ class TestCliMain:
         assert err.startswith("error: ") and "fixed-point path" in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    def test_extended_torus_fixedpoint_path_exit_0(self, tmp_path):
+        # compare, and a solve by the fixed-point path alone, on an
+        # extended-model torus; both run the same continuation
+        reports = {}
+        for command, method in (("compare", "newton"), ("solve", "fixedpoint")):
+            cfg_path = tmp_path / f"{command}.json"
+            cfg_path.write_text(json.dumps(dict(TestSweepPoints.EXTENDED,
+                                                solver={"method": method})))
+            out = tmp_path / command
+            assert main(["--config", str(cfg_path), "--command", command,
+                         "--out", str(out)]) == 0
+            reports[command] = json.loads((out / "report.json").read_text())["results"]
+        assert reports["compare"]["cross_method_sup_diff"] <= 1e-6
+        assert reports["solve"]["fixedpoint"] == reports["compare"]["fixedpoint"]
+        assert "newton" not in reports["solve"]
+        # the multipliers (lam, 2 lam) are recovered on the extended model too
+        lam = TestSweepPoints.EXTENDED["lambda"]
+        for results in reports.values():
+            assert results["diagnostics"]["lagrange"] == pytest.approx([lam, 2.0 * lam], rel=1e-4)
 
     def test_solver_seed_is_an_unknown_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -19,13 +19,24 @@ def fp_setup():
     return grid, params, cfg, bg
 
 
+@pytest.fixture(scope="module")
+def fp_extended():
+    # two phi zeros and one kappa zero: alpha1 = 20 - 6 pi / 1.3 > 0
+    grid = bv.TorusGrid(L20, L20, 64, 64)
+    params = bv.PhysicalParams(lam=1.3)
+    cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)),
+                          kappa_zeros=((0.5 * L20, 0.2 * L20),))
+    bg = bv.build_background_torus(cfg, grid, params)
+    return grid, params, cfg, bg
+
+
 class TestApplyT:
     def test_zero_pair_round_trip(self, fp_setup):
         # output of the map must invert back to the assembled right-hand side
         grid, params, cfg, bg = fp_setup
         t = 0.6
         pair = np.zeros((2,) + grid.shape)
-        out = bv.apply_T(pair, t, bg, cfg, params)
+        out = bv.apply_T(pair, t, bg, params)
         rep = bv.check_existence(cfg, grid, params)
         ev = np.exp(t * bg.v0)
         r1 = params.lam * t * (2.0 * rep.c2 / grid.area
@@ -34,16 +45,16 @@ class TestApplyT:
         res = grid.laplacian(out[0]) - r1
         assert np.sqrt(grid.inner(res, res) / grid.inner(r1, r1)) <= 1e-10
 
-    def test_output_means_vanish(self, fp_setup):
-        grid, params, cfg, bg = fp_setup
-        rng = np.random.default_rng(0)
-        u = bv.random_smooth_field(grid, rng, 0.3)
-        w = bv.random_smooth_field(grid, rng, 0.3)
-        pair = bv.zero_mean_pair(u - u.mean(), w - w.mean())
-        out = bv.apply_T(pair, 1.0, bg, cfg, params)
-        for k in (0, 1):
-            scale = np.max(np.abs(out[k])) + 1e-300
-            assert abs(out[k].mean()) <= 1e-12 * scale
+    def test_output_means_vanish(self, fp_setup, fp_extended):
+        for grid, params, cfg, bg in (fp_setup, fp_extended):
+            rng = np.random.default_rng(0)
+            u = bv.random_smooth_field(grid, rng, 0.3)
+            w = bv.random_smooth_field(grid, rng, 0.3)
+            pair = bv.zero_mean_pair(u - u.mean(), w - w.mean())
+            out = bv.apply_T(pair, 1.0, bg, params)
+            for k in (0, 1):
+                scale = np.max(np.abs(out[k])) + 1e-300
+                assert abs(out[k].mean()) <= 1e-12 * scale
 
     def test_empty_config_fixed_at_zero(self):
         grid = bv.TorusGrid(L20, L20, 32, 32)
@@ -51,7 +62,7 @@ class TestApplyT:
         cfg = bv.VortexConfig()
         bg = bv.build_background_torus(cfg, grid, params)
         for t in (0.2, 1.0):
-            out = bv.apply_T(np.zeros((2, 32, 32)), t, bg, cfg, params)
+            out = bv.apply_T(np.zeros((2, 32, 32)), t, bg, params)
             assert np.max(np.abs(out)) < 1e-13
 
     def test_overflow_raised(self, fp_setup):
@@ -59,20 +70,20 @@ class TestApplyT:
         pair = np.zeros((2,) + grid.shape)
         pair[0] += 800.0
         with pytest.raises(Overflow):
-            bv.apply_T(pair, 1.0, bg, cfg, params)
+            bv.apply_T(pair, 1.0, bg, params)
 
-    def test_out_buffer_bitwise_and_pair_unmodified(self, fp_setup):
-        grid, params, cfg, bg = fp_setup
-        rng = np.random.default_rng(5)
-        u = bv.random_smooth_field(grid, rng, 0.3)
-        w = bv.random_smooth_field(grid, rng, 0.3)
-        pair = bv.zero_mean_pair(u - u.mean(), w - w.mean())
-        before = pair.copy()
-        fresh = bv.apply_T(pair, 0.7, bg, cfg, params)
-        buf = np.full_like(pair, np.nan)
-        assert bv.apply_T(pair, 0.7, bg, cfg, params, out=buf) is buf
-        assert buf.tobytes() == fresh.tobytes()
-        assert pair.tobytes() == before.tobytes()
+    def test_out_buffer_bitwise_and_pair_unmodified(self, fp_setup, fp_extended):
+        for grid, params, cfg, bg in (fp_setup, fp_extended):
+            rng = np.random.default_rng(5)
+            u = bv.random_smooth_field(grid, rng, 0.3)
+            w = bv.random_smooth_field(grid, rng, 0.3)
+            pair = bv.zero_mean_pair(u - u.mean(), w - w.mean())
+            before = pair.copy()
+            fresh = bv.apply_T(pair, 0.7, bg, params)
+            buf = np.full_like(pair, np.nan)
+            assert bv.apply_T(pair, 0.7, bg, params, out=buf) is buf
+            assert buf.tobytes() == fresh.tobytes()
+            assert pair.tobytes() == before.tobytes()
 
     def test_zero_mean_pair_validation(self, fp_setup):
         grid, params, cfg, bg = fp_setup
@@ -86,7 +97,7 @@ class TestContinuationSolve:
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig()
         bg = bv.build_background_torus(cfg, grid, params)
-        sol = bv.continuation_solve(1, bg, cfg, params)
+        sol = bv.continuation_solve(1, bg, params)
         assert sol.converged
         # recovered means: u_bar = ln(C2/|Omega|) = 0, v_bar = 0
         assert np.max(np.abs(sol.state)) < 1e-12
@@ -98,18 +109,18 @@ class TestContinuationSolve:
         cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0),))
         bg = bv.build_background_torus(cfg, grid, params)
         with pytest.raises(ThresholdViolated):
-            bv.continuation_solve(10, bg, cfg, params)
+            bv.continuation_solve(10, bg, params)
 
     def test_matches_newton_solution(self, fp_setup):
         grid, params, cfg, bg = fp_setup
         newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
-        fp = bv.continuation_solve(10, bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, params)
         assert fp.converged
         assert np.max(np.abs(newton.state - fp.state)) <= 1e-6
 
     def test_repeat_runs_bitwise_identical(self, fp_setup):
         grid, params, cfg, bg = fp_setup
-        runs = [bv.continuation_solve(10, bg, cfg, params)
+        runs = [bv.continuation_solve(10, bg, params)
                 for _ in range(2)]
         assert runs[0].state.tobytes() == runs[1].state.tobytes()
         assert runs[0].grad_history == runs[1].grad_history
@@ -117,16 +128,16 @@ class TestContinuationSolve:
     def test_stage_leaves_warm_start_unmodified(self, fp_setup):
         grid, params, cfg, bg = fp_setup
         rep = bv.check_existence(cfg, grid, params)
-        pair = 0.5 * bv.apply_T(np.zeros((2,) + grid.shape), 0.5, bg, cfg, params)
+        pair = 0.5 * bv.apply_T(np.zeros((2,) + grid.shape), 0.5, bg, params)
         before = pair.copy()
-        ok, out, iters = _solve_stage(pair, 0.5, bg, cfg, params, rep.c1, rep.c2, [])
+        ok, out, iters = _solve_stage(pair, 0.5, bg, params, rep.c1, rep.c2, [])
         assert ok and iters > 0
         assert out is not pair
         assert pair.tobytes() == before.tobytes()
 
     def test_residual_history_non_increasing(self, fp_setup):
         grid, params, cfg, bg = fp_setup
-        fp = bv.continuation_solve(10, bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, params)
         res = fp.grad_history
         # within each stage accepted residuals never increase; stage breaks
         # (warm starts at a new t) may step up, so count violations loosely
@@ -135,7 +146,7 @@ class TestContinuationSolve:
 
     def test_stage_trace_accounts_for_every_trial(self, fp_setup):
         grid, params, cfg, bg = fp_setup
-        fp = bv.continuation_solve(10, bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, params)
         assert [s["t"] for s in fp.stages] == [(k + 1) / 10 for k in range(10)]
         assert all(s["converged"] for s in fp.stages)
         assert sum(s["trials"] for s in fp.stages) == fp.iterations
@@ -145,7 +156,7 @@ class TestContinuationSolve:
 
     def test_accepted_residuals_non_increasing_within_each_stage(self, fp_setup):
         grid, params, cfg, bg = fp_setup
-        fp = bv.continuation_solve(10, bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, params)
         start = 0
         for stage in fp.stages:
             res = fp.grad_history[start:start + stage["accepted"]]
@@ -161,7 +172,7 @@ class TestContinuationSolve:
         params = bv.PhysicalParams(lam=3.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.32 * L20, 0.45 * L20)))
         bg = bv.build_background_torus(cfg, grid, params)
-        fp = bv.continuation_solve(10, bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, params)
         assert fp.converged, fp.message
         newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
         assert newton.converged
@@ -172,7 +183,7 @@ class TestContinuationSolve:
         grid, params, cfg, bg = fp_setup
         pair = np.zeros((2,) + grid.shape)
         for _ in range(5):
-            pair = 0.5 * pair + 0.5 * bv.apply_T(pair, 1.0, bg, cfg, params)
+            pair = 0.5 * pair + 0.5 * bv.apply_T(pair, 1.0, bg, params)
             for k in (0, 1):
                 scale = np.max(np.abs(pair[k])) + 1e-300
                 assert abs(pair[k].mean()) <= 1e-12 * scale
@@ -180,7 +191,7 @@ class TestContinuationSolve:
     def test_max_principle_densities_bounded(self, fp_setup):
         # at the converged end state e^u <= 1 + eps and e^v <= 1 + eps
         grid, params, cfg, bg = fp_setup
-        fp = bv.continuation_solve(10, bg, cfg, params)
+        fp = bv.continuation_solve(10, bg, params)
         eU = np.exp(fp.state[0])
         eV = bg.exp_v0 * np.exp(fp.state[1] - fp.state[0])
         assert eU.max() <= 1.05
@@ -198,7 +209,7 @@ class TestContinuationSolve:
             ceiling = 0.0
             for t in [(k + 1) / 10 for k in range(10)]:
                 for _ in range(200):
-                    new = 0.5 * pair + 0.5 * bv.apply_T(pair, t, bg, cfg, params,
+                    new = 0.5 * pair + 0.5 * bv.apply_T(pair, t, bg, params,
                                                         rep.c1, rep.c2)
                     if np.max(np.abs(new - pair)) < 1e-10:
                         pair = new
@@ -219,4 +230,4 @@ class TestScheduleValidation:
         bg = bv.build_background_torus(cfg, grid, params)
         for steps in (0, -1, 2.0, 2.5):
             with pytest.raises(ValueError):
-                bv.continuation_solve(steps, bg, cfg, params)
+                bv.continuation_solve(steps, bg, params)
