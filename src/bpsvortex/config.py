@@ -29,7 +29,6 @@ _SOLVER_DEFAULTS = {
     "method": "newton",
     "tol": 1e-9,
     "max_iters": 100,
-    "continuation_steps": 10,
 }
 
 _OUTPUT_DEFAULTS = {
@@ -243,8 +242,8 @@ def validate_config(raw: dict) -> RunConfig:
         problems += fixedpoint_problems(mode, "solver.method")
     # keep the converted values, so that 100.0 iterations is the integer 100
     solver["tol"] = _number(solver["tol"], "solver.tol", problems, positive=True)
-    for key in ("max_iters", "continuation_steps"):
-        solver[key] = _number(solver[key], f"solver.{key}", problems, positive=True, integer=True)
+    solver["max_iters"] = _number(solver["max_iters"], "solver.max_iters", problems,
+                                  positive=True, integer=True)
 
     output_raw = _expect_mapping(raw.get("output", {}), "output", problems,
                                  set(_OUTPUT_DEFAULTS))

@@ -25,10 +25,16 @@ residual sequence of a stage is non-increasing, and a rejected Anderson
 trial falls back to a damped Picard step whose relaxation halves whenever
 the residual would increase.  Acceleration changes the path to a fixed
 point, not the fixed points, so the result stays independent of Newton.
-Stages are warm-started along the uniform schedule ``t = 1/steps, 2/steps,
-..., 1``, which is refined by midpoint insertion when a stage stalls (at most
-``MAX_REFINEMENTS`` times), and ``Solution.stages`` records every stage
-attempt.
+A trial whose map application overflows (``Overflow`` from a divergent
+iterate) counts as rejected, as an overflowing trial does in Newton's line
+search, so a stage that cannot proceed stalls instead of raising.
+
+The schedule starts as the single stage ``t = 1`` from the zero pair.  When
+a stage stalls, the midpoint between its ``t`` and the last converged one
+(0 at first) is inserted before it, solved first and used as the stalled
+stage's warm start, so ``t = 1/2, 1/4, ...`` are tried while every attempt
+stalls; after ``MAX_REFINEMENTS`` insertions the solve gives up.
+``Solution.stages`` records every stage attempt.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 
 from .backgrounds import Background, PhysicalParams, check_existence
 from .energy import _checked_exp
-from .errors import NonZeroMeanRhs, ThresholdViolated
+from .errors import NonZeroMeanRhs, Overflow, ThresholdViolated
 from .grids import TorusGrid
 from .newton import Solution
 
@@ -53,7 +59,7 @@ OMEGA0 = 0.5
 INNER_TOL = 1e-11
 # trials per stage before the stage counts as stalled
 INNER_MAX_TRIALS = 5000
-# midpoint insertions into the t schedule before the solve gives up
+# midpoint insertions below t = 1 before the solve gives up
 MAX_REFINEMENTS = 3
 
 
@@ -139,10 +145,11 @@ def _solve_stage(pair, t, bg, params, c1, c2, residual_log, stage_log=None):
     ``OMEGA0``; omega grows by 1.2 (up to 1) on every acceptance and halves
     on every rejected damped trial.  The stage converges once the residual
     is at most ``INNER_TOL`` and gives up after ``INNER_MAX_TRIALS`` trials
-    or once omega drops below 1e-8.  Every trial counts, fallbacks
-    included; each accepted residual is appended to ``residual_log`` and,
-    when ``stage_log`` is given, one entry describing the stage is appended
-    to it.
+    or once omega drops below 1e-8.  A trial whose map application raises
+    ``Overflow`` has an infinite residual, so it is rejected like any other.
+    Every trial counts, fallbacks included; each accepted residual is
+    appended to ``residual_log`` and, when ``stage_log`` is given, one entry
+    describing the stage (with the final omega) is appended to it.
 
     Works in four pair buffers (the iterate, its image, the trial and the
     trial's image), swapped when a trial is accepted, plus the two history
@@ -171,8 +178,10 @@ def _solve_stage(pair, t, bg, params, c1, c2, residual_log, stage_log=None):
             # (1 - omega) * pair + omega * t_pair
             np.multiply(pair, 1.0 - omega, out=trial)
             trial += np.multiply(t_pair, omega, out=d_f)
-        apply_T(trial, t, bg, params, c1, c2, out=t_trial)
-        res_trial = _residual(trial, t_trial, d_f)
+        try:
+            res_trial = _residual(trial, apply_T(trial, t, bg, params, c1, c2, out=t_trial), d_f)
+        except Overflow:
+            res_trial = math.inf
         trials += 1
         if res_trial <= res * (1.0 + 1e-12):
             # dG = T(trial) - T(pair), dF = dG - (trial - pair)
@@ -195,15 +204,13 @@ def _solve_stage(pair, t, bg, params, c1, c2, residual_log, stage_log=None):
                 break
     converged = res <= INNER_TOL
     if stage_log is not None:
-        stage_log.append({"t": t, "trials": trials, "accepted": accepted,
+        stage_log.append({"t": t, "omega": omega, "trials": trials, "accepted": accepted,
                           "anderson_rejected": anderson_rejected, "converged": converged})
     return converged, pair, trials
 
 
-def continuation_solve(steps: int, bg: Background, params: PhysicalParams) -> Solution:
-    """Track the fixed-point branch over ``steps`` uniform ``t`` stages up to ``t = 1``."""
-    if not isinstance(steps, int) or steps < 1:
-        raise ValueError("steps must be a positive integer")
+def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
+    """Solve ``x = T(x, 1)`` from the zero pair, refining towards ``t = 0`` on a stall."""
     grid: TorusGrid = bg.grid
     report = check_existence(bg.cfg, grid, params)
     if not report.solvable:
@@ -213,7 +220,7 @@ def continuation_solve(steps: int, bg: Background, params: PhysicalParams) -> So
     pair = np.zeros((2,) + grid.shape)
     residual_log: List[float] = []
     stage_log: List[dict] = []
-    pending = [(k + 1) / steps for k in range(steps)]
+    pending = [1.0]
     refinements = 0
     total_iters = 0
     idx = 0

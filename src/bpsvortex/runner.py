@@ -4,16 +4,22 @@
 and returns ``(exit_code, report)``; the report is also written to
 ``output.report_path``.  Exit codes: 0 success, 2 existence threshold
 violated (non-existence is a definite outcome, not an error), 3 solver
-failed to converge.  A solver that fails outright (``Overflow`` from a
-divergent iterate, ``NonZeroMeanRhs`` from a broken zero-mean invariant)
-raises out of ``run`` without a report; ``cli.main`` prints it as
-``solver error: ...`` and also returns 3.  ``compare`` runs Newton and the
-fixed-point path on either torus model; on a plane configuration it raises
-:class:`ValidationError` before any work, and ``cli.main`` returns 1 for
-that, for an unreadable or invalid configuration and for i/o errors.
+failed to converge.  Both solvers reject a trial state that overflows, so a
+divergent iteration ends as non-convergence with a report.  A solver that
+fails outright (``Overflow`` outside a trial, ``NonZeroMeanRhs`` from a
+broken zero-mean invariant) raises out of ``run`` without a report;
+``cli.main`` prints it as ``solver error: ...`` and also returns 3.
+
+A command the configuration cannot run raises :class:`ValidationError`
+before any work: ``compare`` (Newton and the fixed-point path, on either
+torus model) on a plane configuration, and ``sweep`` without a ``sweep``
+section.  ``cli.main`` returns 1 for that, for an unreadable or invalid
+configuration and for i/o errors.
 
 One step, ``_evaluate``, turns a configuration into results: the threshold
-gate, the solvers, the cross-method difference and the diagnostics.
+gate, the solvers (the fixed-point path takes no settings; its schedule and
+tolerances are fixed in :mod:`bpsvortex.fixedpoint`), the cross-method
+difference and the diagnostics.
 ``check``, ``solve`` and ``compare`` call it on the configuration; a
 ``sweep`` row calls it on its point configuration (``RunConfig.sweep_points``)
 as ``check`` does, or as a Newton ``solve`` with action ``solve``, and reads
@@ -182,7 +188,7 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
             exit_code = EXIT_NOT_CONVERGED
     if method in ("fixedpoint", "both"):
         t0 = time.perf_counter()
-        fixed_sol = continuation_solve(cfg.solver["continuation_steps"], bg, params)
+        fixed_sol = continuation_solve(bg, params)
         timings["fixedpoint_s"] = time.perf_counter() - t0
         results["fixedpoint"] = _fixedpoint_summary(fixed_sol)
         if not fixed_sol.converged:
@@ -254,7 +260,7 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
         if problems:
             raise ValidationError(problems)
     if command == "sweep" and cfg.sweep is None:
-        raise ValueError("sweep command requires a 'sweep' section in the config")
+        raise ValidationError([("sweep", "the sweep command requires a 'sweep' section")])
     out = Path(out_dir) if out_dir else None
     report = {
         "artifact": {"name": "bpsvortex", "version": __version__,

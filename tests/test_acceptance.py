@@ -164,13 +164,13 @@ def test_criterion_05_cross_method_equivalence(extended_50):
         cfg = bv.VortexConfig(phi_zeros=all_pts[:n])
         bg = bv.build_background_torus(cfg, grid, params)
         newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
-        fp = bv.continuation_solve(10, bg, params)
+        fp = bv.continuation_solve(bg, params)
         diff = float(np.max(np.abs(newton.state - fp.state)))
         diffs.append(f"n={n}: {diff:.2e}")
         ok &= newton.converged and fp.converged and diff <= 1e-6
     # the extended model (n=2, m=1, |Omega|=50) through the same map
     _, params, _, bg, newton = extended_50
-    fp = bv.continuation_solve(10, bg, params)
+    fp = bv.continuation_solve(bg, params)
     diff = float(np.max(np.abs(newton.state - fp.state)))
     diffs.append(f"extended n=2, m=1: {diff:.2e}")
     ok &= fp.converged and diff <= 1e-6

@@ -206,18 +206,18 @@ class TestRunCommands:
 
     def test_compare_reports_fixedpoint_stages(self, tmp_path):
         raw = minimal_torus(phi_zeros=[[0.4 * L20, 0.5 * L20]])
-        raw["solver"] = {"continuation_steps": 4}
         cfg = parse_config(json.dumps(raw))
         code, report = run("compare", cfg, out_dir=str(tmp_path))
         assert code == 0
         fixed = report["results"]["fixedpoint"]
         stages = fixed["stages"]
-        assert [s["t"] for s in stages] == [0.25, 0.5, 0.75, 1.0]
+        assert [s["t"] for s in stages] == [1.0]
         assert all(s["converged"] for s in stages)
         assert set(fixed) == {"converged", "trials", "residual_final", "message", "stages"}
         assert sum(s["trials"] for s in stages) == fixed["trials"]
         for s in stages:
-            assert set(s) == {"t", "trials", "accepted", "anderson_rejected", "converged"}
+            assert set(s) == {"t", "omega", "trials", "accepted", "anderson_rejected",
+                              "converged"}
             assert s["accepted"] + s["anderson_rejected"] <= s["trials"]
         assert "stages" not in report["results"]["newton"]
         again = run("compare", cfg, out_dir=str(tmp_path))[1]
@@ -513,22 +513,24 @@ class TestCliMain:
         assert "sweep.values[1]" in err and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("raw", [
-        {"mode": "plane", "model": "base", "lambda": 1.0, "domain": {"R": 6.0},
-         "grid": {"n": 32}, "phi_zeros": [[0.5, 0.0]]},
-    ], ids=["plane"])
-    def test_compare_without_fixedpoint_path_exit_1(self, tmp_path, capsys, monkeypatch, raw):
+    @pytest.mark.parametrize("command,raw,reason", [
+        ("compare", {"mode": "plane", "model": "base", "lambda": 1.0, "domain": {"R": 6.0},
+                     "grid": {"n": 32}, "phi_zeros": [[0.5, 0.0]]}, "fixed-point path"),
+        ("sweep", minimal_torus(phi_zeros=[[1.0, 1.0]]), "sweep: the sweep command requires"),
+    ], ids=["plane", "sweep-without-section"])
+    def test_compare_without_fixedpoint_path_exit_1(self, tmp_path, capsys, monkeypatch,
+                                                    command, raw, reason):
+        # a command the configuration cannot run is refused before any work
         def no_solve(*args, **kwargs):
-            raise AssertionError("compare started a solve")
+            raise AssertionError(f"{command} started a solve")
 
-        monkeypatch.setattr(runner, "solve", no_solve)
-        monkeypatch.setattr(runner, "continuation_solve", no_solve)
+        monkeypatch.setattr(runner, "_evaluate", no_solve)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
-        assert main(["--config", str(cfg_path), "--command", "compare",
+        assert main(["--config", str(cfg_path), "--command", command,
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "fixed-point path" in err
+        assert err.startswith("error: ") and reason in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
@@ -552,27 +554,27 @@ class TestCliMain:
         for results in reports.values():
             assert results["diagnostics"]["lagrange"] == pytest.approx([lam, 2.0 * lam], rel=1e-4)
 
-    def test_solver_seed_is_an_unknown_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key", ["seed", "continuation_steps"])
+    def test_solver_seed_is_an_unknown_key(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_torus(solver={"seed": 0})))
+        cfg_path.write_text(json.dumps(minimal_torus(solver={key: 10})))
         assert main(["--config", str(cfg_path), "--command", "check"]) == 1
-        assert "solver.seed: unknown key" in capsys.readouterr().err
+        assert f"solver.{key}: unknown key" in capsys.readouterr().err
 
     def test_integral_float_counts_solve(self, tmp_path, capsys):
-        # 100.0 iterations and 10.0 stages are integers: both solvers run and
-        # the echo carries the integers
+        # 100.0 iterations is an integer: both solvers run and the echo
+        # carries the integer
         raw = minimal_torus(phi_zeros=[[1.0, 1.0]],
-                            solver={"method": "both", "max_iters": 100.0,
-                                    "continuation_steps": 10.0})
+                            solver={"method": "both", "max_iters": 100.0})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         assert main(["--config", str(cfg_path), "--command", "solve",
                      "--out", str(tmp_path)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         text = (tmp_path / "report.json").read_text()
-        assert '"max_iters": 100,' in text and '"continuation_steps": 10' in text
+        assert '"max_iters": 100\n' in text
         solver = json.loads(text)["config"]["solver"]
-        assert type(solver["max_iters"]) is int and type(solver["continuation_steps"]) is int
+        assert type(solver["max_iters"]) is int
 
     @pytest.mark.parametrize("override,path", [
         ("grid.nx=Infinity", "grid.nx"),

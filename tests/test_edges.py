@@ -49,7 +49,7 @@ class TestSolverEdges:
         monkeypatch.setattr(fixedpoint, "INNER_TOL", 1e-16)
         monkeypatch.setattr(fixedpoint, "INNER_MAX_TRIALS", 2)
         monkeypatch.setattr(fixedpoint, "MAX_REFINEMENTS", 2)
-        sol = bv.continuation_solve(2, bg, params)
+        sol = bv.continuation_solve(bg, params)
         assert not sol.converged
         assert "exhausted" in sol.message
 
