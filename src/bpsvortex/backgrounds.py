@@ -13,6 +13,13 @@ integral is exactly 4*pi; the background then solves the zero-mean Poisson
 problem for (source - 4*pi*n/|Omega|) and is gauged to mean zero.  A second
 background (u0, from the kappa zero set) enters the extended model and is
 identically trivial when that set is empty.
+
+The zero sets pick the model: an empty kappa zero set is the base model, in
+the backgrounds, in the one threshold formula of :func:`check_existence`
+(whose :class:`ThresholdReport` carries one pair of constraint targets) and
+in everything that reads a :class:`Background`.  The labels ``mode`` and
+``model`` of a run are only checked against the grid and the zero sets, by
+:func:`check_labels`.
 """
 
 from __future__ import annotations
@@ -80,59 +87,62 @@ class VortexConfig:
 class ThresholdReport:
     """Solvability constants for the doubly periodic problem.
 
-    Base model (m = 0):      c1 = |Omega| - 2 pi n / lambda,   c2 = (c1 + |Omega|)/2,
-                             solvable iff 2 pi n < lambda |Omega|.
-    Extended model:          alpha1 = |Omega| - 2 pi (m+n)/lambda,
-                             alpha2 = (alpha1 + |Omega| - 4 pi m/lambda)/2,
-                             solvable iff both are positive.
+    With n phi zeros and m kappa zeros the constraint targets of
+    ``(int e^v, int e^u)`` are
 
-    ``margin`` is the smallest slack among the required strict inequalities
-    (in the same units as the constants, so margin = 0 exactly on the line).
+        alpha1 = |Omega| - 2 pi (m+n)/lambda,   alpha2 = |Omega| - pi (3m+n)/lambda,
+
+    and the problem is solvable iff both are positive.  An empty kappa zero
+    set is the base model: the targets are C1 = |Omega| - 2 pi n/lambda and
+    C2 = (C1 + |Omega|)/2, and the threshold is 2 pi n < lambda |Omega|.
+
+    ``margin`` is the smaller target, the smallest slack among the required
+    strict inequalities (margin = 0 exactly on the line).
     """
 
-    model: str
     solvable: bool
-    margin: float
-    c1: Optional[float] = None
-    c2: Optional[float] = None
-    alpha1: Optional[float] = None
-    alpha2: Optional[float] = None
+    constraints: Tuple[float, float]
 
     @property
-    def constraints(self) -> Tuple[float, float]:
-        """Targets of ``(int e^v, int e^u)``: ``(c1, c2)`` or ``(alpha1, alpha2)``."""
-        return (self.c1, self.c2) if self.model == "base" else (self.alpha1, self.alpha2)
+    def margin(self) -> float:
+        return min(self.constraints)
 
 
-def check_existence(cfg: VortexConfig, domain: TorusGrid, params: PhysicalParams,
-                    model: Optional[str] = None) -> ThresholdReport:
-    """Evaluate the torus existence thresholds; ``model=None`` picks it by ``cfg.m``.
+def check_existence(cfg: VortexConfig, domain: TorusGrid,
+                    params: PhysicalParams) -> ThresholdReport:
+    """Evaluate the torus existence thresholds of ``cfg``'s zero sets.
 
-    Raises ``ValueError`` for ``model="base"`` with a nonempty kappa zero set;
-    a configuration below the threshold is reported, not raised.
-
-    The strict inequalities are evaluated in the multiplicative form
-    (e.g. ``2 pi n < lambda |Omega|``) and the reported constants are divided
+    A configuration below the threshold is reported, not raised.  The strict
+    inequalities are evaluated in the multiplicative form (e.g.
+    ``2 pi (m+n) < lambda |Omega|``) and the reported constants are divided
     through by lambda afterwards, so the boolean and the sign of the margin
     agree bit-for-bit even exactly on the threshold line.
     """
-    lam = params.lam
-    area = domain.area
+    lam_area = params.lam * domain.area
     n, m = cfg.n, cfg.m
-    if model is None:
-        model = "extended" if m > 0 else "base"
-    if model == "base":
-        if m != 0:
-            raise ValueError("base model requires an empty kappa zero set")
-        c1 = (lam * area - 2.0 * math.pi * n) / lam
-        c2 = 0.5 * (c1 + area)
-        solvable = 2.0 * math.pi * n < lam * area
-        return ThresholdReport(model="base", solvable=solvable, margin=c1, c1=c1, c2=c2)
-    alpha1 = (lam * area - 2.0 * math.pi * (m + n)) / lam
-    alpha2 = (lam * area - math.pi * (3 * m + n)) / lam
-    solvable = (2.0 * math.pi * (m + n) < lam * area) and (math.pi * (3 * m + n) < lam * area)
-    return ThresholdReport(model="extended", solvable=solvable,
-                           margin=min(alpha1, alpha2), alpha1=alpha1, alpha2=alpha2)
+    alpha1 = (lam_area - 2.0 * math.pi * (m + n)) / params.lam
+    alpha2 = (lam_area - math.pi * (3 * m + n)) / params.lam
+    solvable = (2.0 * math.pi * (m + n) < lam_area) and (math.pi * (3 * m + n) < lam_area)
+    return ThresholdReport(solvable=solvable, constraints=(alpha1, alpha2))
+
+
+def check_labels(mode: str, model: str, cfg: VortexConfig, grid, bg=None) -> None:
+    """Raise ``ValueError`` unless the labels ``mode``, ``model`` fit ``grid``, ``cfg``.
+
+    ``mode`` names the grid's kind and ``model`` must be ``"extended"`` when
+    ``cfg`` has kappa zeros; ``"extended"`` with an empty kappa zero set is
+    the base model.  A given background must have been built for ``cfg`` on
+    ``grid``.  Nothing is computed from the labels: the problem is the
+    background's.
+    """
+    if mode != ("torus" if isinstance(grid, TorusGrid) else "plane"):
+        raise ValueError(f"mode {mode!r} does not match the {type(grid).__name__}")
+    if model not in ("base", "extended"):
+        raise ValueError(f"unknown model {model!r}")
+    if model == "base" and cfg.m != 0:
+        raise ValueError("base model requires an empty kappa zero set")
+    if bg is not None and (bg.cfg != cfg or bg.grid != grid):
+        raise ValueError("background was built for another configuration or grid")
 
 
 @dataclass

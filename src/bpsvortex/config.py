@@ -236,9 +236,10 @@ def validate_config(raw: dict) -> RunConfig:
                                  set(_SOLVER_DEFAULTS))
     solver = dict(_SOLVER_DEFAULTS)
     solver.update({k: v for k, v in solver_raw.items() if v is not None})
-    if solver["method"] not in ("newton", "fixedpoint", "both"):
-        problems.append(("solver.method", "must be 'newton', 'fixedpoint' or 'both'"))
-    elif solver["method"] in ("fixedpoint", "both"):
+    if solver["method"] not in ("newton", "fixedpoint"):
+        problems.append(("solver.method", "must be 'newton' or 'fixedpoint' "
+                                          "(--command compare runs both)"))
+    elif solver["method"] == "fixedpoint":
         problems += fixedpoint_problems(mode, "solver.method")
     # keep the converted values, so that 100.0 iterations is the integer 100
     solver["tol"] = _number(solver["tol"], "solver.tol", problems, positive=True)

@@ -3,8 +3,11 @@
 Everything here consumes converged states uniformly through the two weighted
 exponentials ``e^u = e^{u0} e^{s0}`` and ``e^v = e^{v0} e^{s1 - s0}`` and the
 background's remainder sources, which cover base and extended variants on
-both domains.  Fluxes are integrals of the algebraic right-hand sides (never
-of numerical second derivatives).
+both domains.  Every check reads its problem (grid, zero sets and sources)
+from the :class:`Background`; ``build_diagnostics`` keeps the run's labels
+only to check them against it.  Fluxes are integrals of the algebraic
+right-hand sides (never of numerical second derivatives); the residual and
+the multiplier fit share one Laplacian per state slice.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .backgrounds import (Background, PhysicalParams, VortexConfig,
-                          build_background, check_existence)
-from .energy import _exp_pair
+                          check_existence, check_labels)
+from .energy import EnergyModel, _exp_pair
 from .errors import AnnulusTooThin
 from .grids import PlaneGrid, TorusGrid, random_smooth_field
-from .newton import SolverSettings, solve
+from .newton import SolverSettings, minimize
 
 # allowed excess over the maximum-principle bounds: the continuum solution
 # obeys them exactly, the discrete one may overshoot 1 by a discretization
@@ -37,17 +40,26 @@ DECAY_FLOOR_REL = 1e-10
 PROBE_AMPLITUDE = 0.5
 
 
+def _laplacians(state, grid):
+    return grid.laplacian(state[0]), grid.laplacian(state[1])
+
+
 def pde_residual(state, bg: Background, params: PhysicalParams):
     """(l2, sup) residual of each governing equation over the grid's interior.
 
     The reduced system is restated here from the background's sources,
     independently of the energy gradient that it checks.
     """
+    return _pde_residual(state, _laplacians(state, bg.grid), bg, params)
+
+
+def _pde_residual(state, laps, bg: Background, params: PhysicalParams):
+    # pde_residual with the Laplacians of both state slices given
     lam = params.lam
     grid = bg.grid
     eU, eV = _exp_pair(state, bg)
-    r1 = grid.interior(grid.laplacian(state[0]) - lam * (2.0 * eU - eV - 1.0) - bg.src_u)
-    r2 = grid.interior(grid.laplacian(state[1]) - 2.0 * lam * (eV - 1.0) - bg.src_f)
+    r1 = grid.interior(laps[0] - lam * (2.0 * eU - eV - 1.0) - bg.src_u)
+    r2 = grid.interior(laps[1] - 2.0 * lam * (eV - 1.0) - bg.src_f)
     return tuple((math.sqrt(grid.inner(r, r)), float(np.max(np.abs(r)))) for r in (r1, r2))
 
 
@@ -94,11 +106,16 @@ def verify_lagrange_multipliers(state, bg: Background,
     and the background's sources (4 pi m / |Omega| and 4 pi (m + n) / |Omega|),
     in both torus models; the analytic values are l1 = lam, l2 = 2 lam.
     """
+    return _lagrange_fit(state, _laplacians(state, bg.grid), bg, params)
+
+
+def _lagrange_fit(state, laps, bg: Background, params: PhysicalParams):
+    # verify_lagrange_multipliers with the Laplacians of both state slices given
     lam = params.lam
     grid: TorusGrid = bg.grid
     eU, eV = _exp_pair(state, bg)
-    a = grid.laplacian(state[0]) + lam - bg.src_u
-    b = grid.laplacian(state[1]) + 2.0 * lam - bg.src_f
+    a = laps[0] + lam - bg.src_u
+    b = laps[1] + 2.0 * lam - bg.src_f
     ip = grid.inner
     mat = np.array([
         [5.0 * ip(eV, eV), -ip(eV, eU)],
@@ -154,14 +171,13 @@ def _log_linear_rate(r, y):
     return -float(slope)
 
 
-def decay_annulus(grid: PlaneGrid, cfg: VortexConfig,
-                  params: PhysicalParams) -> Tuple[float, float]:
+def decay_annulus(bg: Background, params: PhysicalParams) -> Tuple[float, float]:
     """``(r_min, r_max)`` of the decay fit: from three core lengths
     1/sqrt(lam) beyond the outermost vortex to 0.8 R, inside the truncation
     boundary."""
-    pts = list(cfg.phi_zeros) + list(cfg.kappa_zeros)
+    pts = bg.cfg.phi_zeros + bg.cfg.kappa_zeros
     r_v = max((math.hypot(px, py) for (px, py) in pts), default=0.0)
-    return r_v + 3.0 / math.sqrt(params.lam), 0.8 * grid.R
+    return r_v + 3.0 / math.sqrt(params.lam), 0.8 * bg.grid.R
 
 
 def annulus_bins(grid: PlaneGrid, r_min: float, r_max: float) -> int:
@@ -169,7 +185,7 @@ def annulus_bins(grid: PlaneGrid, r_min: float, r_max: float) -> int:
     return int((r_max - r_min) / (2.0 * grid.h))
 
 
-def decay_fit(state, bg: Background, cfg: VortexConfig, params: PhysicalParams):
+def decay_fit(state, bg: Background, params: PhysicalParams):
     """Fitted radial decay rates of ln(u^2+v^2) and ln(|grad u|^2+|grad v|^2).
 
     The fit runs over the :func:`decay_annulus`; bins whose angular average
@@ -177,7 +193,7 @@ def decay_fit(state, bg: Background, cfg: VortexConfig, params: PhysicalParams):
     noise floor).
     """
     grid: PlaneGrid = bg.grid
-    r_min, r_max = decay_annulus(grid, cfg, params)
+    r_min, r_max = decay_annulus(bg, params)
     if r_max <= r_min:
         raise AnnulusTooThin(f"empty annulus [{r_min:.3g}, {r_max:.3g}]")
     nbins = annulus_bins(grid, r_min, r_max)
@@ -212,18 +228,16 @@ def reconstruct_physical(state, bg: Background, params: PhysicalParams) -> Physi
     return PhysicalFields(kappa, phi_abs, *_curvatures(state, bg, params.lam))
 
 
-def uniqueness_probe(mode: str, model: str, cfg: VortexConfig, grid,
-                     params: PhysicalParams, seeds: int,
+def uniqueness_probe(bg: Background, params: PhysicalParams, seeds: int,
                      settings: Optional[SolverSettings] = None) -> float:
     """Largest pairwise sup-distance between solves from random states (seeds 0, 1, ...)."""
-    bg = build_background(cfg, grid, params)
+    model = EnergyModel(bg, params)
     states = []
     for k in range(seeds):
         rng = np.random.default_rng(k)
-        init = np.stack([random_smooth_field(grid, rng, PROBE_AMPLITUDE),
-                         random_smooth_field(grid, rng, PROBE_AMPLITUDE)])
-        sol = solve(mode, model, cfg, grid, params, settings=settings,
-                    init=init, background=bg)
+        init = np.stack([random_smooth_field(bg.grid, rng, PROBE_AMPLITUDE),
+                         random_smooth_field(bg.grid, rng, PROBE_AMPLITUDE)])
+        sol = minimize(model, settings or SolverSettings(), init=init)
         if not sol.converged:
             raise RuntimeError(f"probe solve {k} failed: {sol.message}")
         states.append(sol.state)
@@ -266,14 +280,20 @@ class DiagnosticsReport:
 def build_diagnostics(state, mode: str, model: str, bg: Background,
                       cfg: VortexConfig, params: PhysicalParams,
                       fit_decay: bool = True) -> DiagnosticsReport:
-    """Aggregate every check applicable to the given variant."""
-    (l2_1, sup_1), (l2_2, sup_2) = pde_residual(state, bg, params)
+    """Aggregate every check that applies to the problem of ``bg``.
+
+    ``mode``, ``model`` and ``cfg`` are checked by :func:`check_labels`
+    (``ValueError`` when they disagree with ``bg``) and otherwise unused.
+    """
+    check_labels(mode, model, cfg, bg.grid, bg)
+    grid = bg.grid
+    laps = _laplacians(state, grid)
+    (l2_1, sup_1), (l2_2, sup_2) = _pde_residual(state, laps, bg, params)
     fa, fb = flux_report(state, bg, params)
     report = DiagnosticsReport(residual_l2=(l2_1, l2_2), residual_sup=(sup_1, sup_2),
                                flux_a=fa, flux_b=fb)
-    grid = bg.grid
-    if mode == "torus":
-        targets = check_existence(cfg, grid, params, model=model).constraints
+    if isinstance(grid, TorusGrid):
+        targets = check_existence(bg.cfg, grid, params).constraints
         eU, eV = _exp_pair(state, bg)
         report.constraint_errors = tuple(abs(grid.integrate(e) - c) / abs(c)
                                          for e, c in zip((eV, eU), targets))
@@ -283,10 +303,10 @@ def build_diagnostics(state, mode: str, model: str, bg: Background,
             "max_exp_v_excess": bounds.max_exp_v_excess,
             "intermediate_excess": bounds.intermediate_excess,
         }
-        report.lagrange = verify_lagrange_multipliers(state, bg, params)
-    elif fit_decay and (cfg.n + cfg.m) > 0:
+        report.lagrange = _lagrange_fit(state, laps, bg, params)
+    elif fit_decay and (bg.cfg.n + bg.cfg.m) > 0:
         try:
-            rate_f, rate_g, window = decay_fit(state, bg, cfg, params)
+            rate_f, rate_g, window = decay_fit(state, bg, params)
             report.decay = {"rate_fields": rate_f, "rate_gradients": rate_g,
                             "r_min": window[0], "r_max": window[1]}
         except AnnulusTooThin:

@@ -59,6 +59,8 @@ OMEGA0 = 0.5
 INNER_TOL = 1e-11
 # trials per stage before the stage counts as stalled
 INNER_MAX_TRIALS = 5000
+# a stage whose damped-Picard relaxation halves below this counts as stalled
+OMEGA_MIN = 1e-8
 # midpoint insertions below t = 1 before the solve gives up
 MAX_REFINEMENTS = 3
 
@@ -74,17 +76,15 @@ def zero_mean_pair(u_prime: np.ndarray, w_prime: np.ndarray) -> np.ndarray:
 
 
 def apply_T(pair: np.ndarray, t: float, bg: Background, params: PhysicalParams,
-            c1: Optional[float] = None, c2: Optional[float] = None,
             out: Optional[np.ndarray] = None) -> np.ndarray:
     """One application of the homotopy map at parameter ``t`` (factor included).
 
-    ``c1``, ``c2`` default to the constraint targets of ``bg.cfg``.  The
-    result is written to ``out`` (a new array when it is ``None``), which
-    must not overlap ``pair``; ``pair`` is only read.
+    The constraint targets are those of ``bg.cfg``.  The result is written
+    to ``out`` (a new array when it is ``None``), which must not overlap
+    ``pair``; ``pair`` is only read.
     """
     grid: TorusGrid = bg.grid
-    if c1 is None or c2 is None:
-        c1, c2 = check_existence(bg.cfg, grid, params).constraints
+    c1, c2 = check_existence(bg.cfg, grid, params).constraints
     lam = params.lam
     if out is None:
         out = np.empty_like(pair)
@@ -131,7 +131,7 @@ def _residual(pair: np.ndarray, t_pair: np.ndarray, work: np.ndarray) -> float:
     return max(float(diff.max()), -float(diff.min())) / scale
 
 
-def _solve_stage(pair, t, bg, params, c1, c2, residual_log, stage_log=None):
+def _solve_stage(pair, t, bg, params, residual_log, stage_log=None):
     """Safeguarded Anderson iteration at one ``t``; returns (converged, pair, trials).
 
     With f(x) = T(x) - x, a depth-1 Anderson step from the iterate x_k
@@ -145,8 +145,9 @@ def _solve_stage(pair, t, bg, params, c1, c2, residual_log, stage_log=None):
     ``OMEGA0``; omega grows by 1.2 (up to 1) on every acceptance and halves
     on every rejected damped trial.  The stage converges once the residual
     is at most ``INNER_TOL`` and gives up after ``INNER_MAX_TRIALS`` trials
-    or once omega drops below 1e-8.  A trial whose map application raises
-    ``Overflow`` has an infinite residual, so it is rejected like any other.
+    or once omega drops below ``OMEGA_MIN``.  A trial whose map application
+    raises ``Overflow`` has an infinite residual, so it is rejected like any
+    other.
     Every trial counts, fallbacks included; each accepted residual is
     appended to ``residual_log`` and, when ``stage_log`` is given, one entry
     describing the stage (with the final omega) is appended to it.
@@ -159,7 +160,7 @@ def _solve_stage(pair, t, bg, params, c1, c2, residual_log, stage_log=None):
     """
     omega = OMEGA0
     pair = pair.copy()
-    t_pair = apply_T(pair, t, bg, params, c1, c2, out=np.empty_like(pair))
+    t_pair = apply_T(pair, t, bg, params, out=np.empty_like(pair))
     trial = np.empty_like(pair)
     t_trial = np.empty_like(pair)
     d_f = np.empty_like(pair)
@@ -179,7 +180,7 @@ def _solve_stage(pair, t, bg, params, c1, c2, residual_log, stage_log=None):
             np.multiply(pair, 1.0 - omega, out=trial)
             trial += np.multiply(t_pair, omega, out=d_f)
         try:
-            res_trial = _residual(trial, apply_T(trial, t, bg, params, c1, c2, out=t_trial), d_f)
+            res_trial = _residual(trial, apply_T(trial, t, bg, params, out=t_trial), d_f)
         except Overflow:
             res_trial = math.inf
         trials += 1
@@ -200,7 +201,7 @@ def _solve_stage(pair, t, bg, params, c1, c2, residual_log, stage_log=None):
             anderson_rejected += 1
         else:
             omega *= 0.5
-            if omega < 1e-8:
+            if omega < OMEGA_MIN:
                 break
     converged = res <= INNER_TOL
     if stage_log is not None:
@@ -215,7 +216,6 @@ def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
     report = check_existence(bg.cfg, grid, params)
     if not report.solvable:
         raise ThresholdViolated(report)
-    c1, c2 = report.constraints
 
     pair = np.zeros((2,) + grid.shape)
     residual_log: List[float] = []
@@ -226,8 +226,7 @@ def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
     idx = 0
     while idx < len(pending):
         t = pending[idx]
-        ok, pair_new, iters = _solve_stage(pair, t, bg, params, c1, c2,
-                                           residual_log, stage_log)
+        ok, pair_new, iters = _solve_stage(pair, t, bg, params, residual_log, stage_log)
         total_iters += iters
         if ok:
             pair = pair_new
@@ -235,13 +234,16 @@ def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
             continue
         refinements += 1
         if refinements > MAX_REFINEMENTS:
-            state = _recover_state(pair_new, bg, c1, c2)
+            reason = (f"relaxation omega fell below {OMEGA_MIN:g}"
+                      if stage_log[-1]["omega"] < OMEGA_MIN
+                      else f"it reached INNER_MAX_TRIALS = {INNER_MAX_TRIALS}")
+            state = _recover_state(pair_new, bg, *report.constraints)
             return Solution(state, total_iters, residual_log, [], False,
-                            f"stage t={t:.4g} exhausted iterations", stage_log)
+                            f"stage t={t:.4g} stalled after {iters} trials: {reason}", stage_log)
         t_prev = pending[idx - 1] if idx > 0 else 0.0
         pending.insert(idx, 0.5 * (t_prev + t))
 
-    state = _recover_state(pair, bg, c1, c2)
+    state = _recover_state(pair, bg, *report.constraints)
     return Solution(state, total_iters, residual_log, [], True, "", stage_log)
 
 

@@ -302,9 +302,12 @@ class PlaneGrid:
     # -- boundary ------------------------------------------------------------
 
     def zero_boundary(self, values: np.ndarray) -> np.ndarray:
-        """Set the Dirichlet boundary ring of ``values`` to zero, in place."""
-        values[0, :] = values[-1, :] = 0.0
-        values[:, 0] = values[:, -1] = 0.0
+        """Set the Dirichlet boundary ring of ``values`` to zero, in place.
+
+        ``values`` is one field or a stack of fields, such as a state.
+        """
+        values[..., 0, :] = values[..., -1, :] = 0.0
+        values[..., :, 0] = values[..., :, -1] = 0.0
         return values
 
     def interior(self, values: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .backgrounds import (PhysicalParams, VortexConfig, build_background,
-                          check_existence)
+                          check_existence, check_labels)
 from .energy import EnergyModel
 from .errors import Overflow, ThresholdViolated
 from .grids import TorusGrid
@@ -155,8 +155,19 @@ def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
 
 
 def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None) -> Solution:
-    """Damped Newton descent on one variant's energy."""
-    state = model.zero_state() if init is None else np.array(init, dtype=float)
+    """Damped Newton descent on the energy of ``model``'s background.
+
+    A torus problem is first gated by its existence threshold.  ``init`` is
+    copied, and on the plane its Dirichlet ring is set to zero, where states
+    are held.
+    """
+    bg = model.bg
+    if isinstance(bg.grid, TorusGrid):
+        report = check_existence(bg.cfg, bg.grid, model.params)
+        if not report.solvable:
+            raise ThresholdViolated(report)
+    state = (model.zero_state() if init is None
+             else model.grid.zero_boundary(np.array(init, dtype=float)))
     apply_minv = model.preconditioner()
     grad_history: List[float] = []
     energy_history: List[float] = []
@@ -227,22 +238,13 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
 def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams,
           settings: Optional[SolverSettings] = None, init: Optional[np.ndarray] = None,
           background=None) -> Solution:
-    """Solve one variant; torus variants are gated by the existence threshold.
+    """Minimize the problem of ``cfg`` on ``grid`` (or of ``background``, built for them).
 
-    Raises ``ValueError`` when ``mode`` is not the kind of ``grid`` or
-    ``model`` is unknown, or when the base model is given kappa zeros.
+    ``mode`` and ``model`` are labels: :func:`check_labels` raises
+    ``ValueError`` when they disagree with the grid, the zero set or
+    ``background``.  The variant is the zero set's and the threshold gate is
+    :func:`minimize`'s.
     """
-    if mode != ("torus" if isinstance(grid, TorusGrid) else "plane"):
-        raise ValueError(f"mode {mode!r} does not match the {type(grid).__name__}")
-    if model not in ("base", "extended"):
-        raise ValueError(f"unknown model {model!r}")
-    if model == "base" and cfg.m != 0:
-        raise ValueError("base model requires an empty kappa zero set")
-    settings = settings or SolverSettings()
-    if mode == "torus":
-        report = check_existence(cfg, grid, params, model=model)
-        if not report.solvable:
-            raise ThresholdViolated(report)
+    check_labels(mode, model, cfg, grid, background)
     bg = background if background is not None else build_background(cfg, grid, params)
-    return minimize(EnergyModel(bg, params), settings, init=init)
-
+    return minimize(EnergyModel(bg, params), settings or SolverSettings(), init=init)

@@ -19,7 +19,10 @@ configuration and for i/o errors.
 One step, ``_evaluate``, turns a configuration into results: the threshold
 gate, the solvers (the fixed-point path takes no settings; its schedule and
 tolerances are fixed in :mod:`bpsvortex.fixedpoint`), the cross-method
-difference and the diagnostics.
+difference and the diagnostics.  The zero sets name the variant in the
+threshold block (``c1``/``c2`` without kappa zeros, ``alpha1``/``alpha2``
+with them); the configured ``model`` only passes to the label checks of
+``solve`` and ``build_diagnostics``.
 ``check``, ``solve`` and ``compare`` call it on the configuration; a
 ``sweep`` row calls it on its point configuration (``RunConfig.sweep_points``)
 as ``check`` does, or as a Newton ``solve`` with action ``solve``, and reads
@@ -56,17 +59,16 @@ EXIT_THRESHOLD = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _threshold_dict(cfg: RunConfig, grid, params) -> dict:
-    if cfg.mode == "plane":
+def _threshold_dict(vcfg, grid, params) -> dict:
+    # the zero set names the variant: base when the kappa zero set is empty
+    model = "extended" if vcfg.m else "base"
+    if isinstance(grid, PlaneGrid):
         # plane solutions exist for every vortex distribution; no finite margin
-        return {"model": cfg.model, "solvable": True, "margin": None}
-    report = check_existence(cfg.make_vortex_config(), grid, params, model=cfg.model)
-    out = {"model": report.model, "solvable": report.solvable, "margin": report.margin}
-    if report.model == "base":
-        out["c1"], out["c2"] = report.c1, report.c2
-    else:
-        out["alpha1"], out["alpha2"] = report.alpha1, report.alpha2
-    return out
+        return {"model": model, "solvable": True, "margin": None}
+    report = check_existence(vcfg, grid, params)
+    keys = ("alpha1", "alpha2") if vcfg.m else ("c1", "c2")
+    return {"model": model, "solvable": report.solvable, "margin": report.margin,
+            **dict(zip(keys, report.constraints))}
 
 
 def _newton_summary(sol: Solution) -> dict:
@@ -146,7 +148,7 @@ def emit_plot_data(state, bg, params, path_text: str,
     grid = bg.grid
     if not isinstance(grid, PlaneGrid):
         return
-    r_min, r_max = decay_annulus(grid, bg.cfg, params)
+    r_min, r_max = decay_annulus(bg, params)
     if not (bg.cfg.phi_zeros or bg.cfg.kappa_zeros):
         r_min = grid.h  # no vortex core to stay clear of
     nbins = max(8, annulus_bins(grid, r_min, r_max))
@@ -163,11 +165,12 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
     """Threshold gate, the solvers of ``method`` and the diagnostics of the best state.
 
     ``method`` is ``None`` (threshold only), ``"newton"``, ``"fixedpoint"`` or
-    ``"both"``.  Fills ``results`` and ``timings``; returns ``(exit_code,
-    best, bg)``, where ``best`` and ``bg`` are ``None`` unless a solver ran.
+    ``"both"`` (the ``compare`` command).  Fills ``results`` and ``timings``;
+    returns ``(exit_code, best, bg)``, where ``best`` and ``bg`` are ``None``
+    unless a solver ran.
     """
     grid, params, vcfg = cfg.make_grid(), cfg.make_params(), cfg.make_vortex_config()
-    threshold = results["threshold"] = _threshold_dict(cfg, grid, params)
+    threshold = results["threshold"] = _threshold_dict(vcfg, grid, params)
     if not threshold["solvable"]:
         return EXIT_THRESHOLD, None, None
     if method is None:
@@ -205,11 +208,9 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
     return exit_code, best, bg
 
 
-def _analytic_slack(vcfg, grid, params, model) -> float:
-    """Distance of lambda*|Omega| above the analytic solvability line(s)."""
+def _analytic_slack(vcfg, grid, params) -> float:
+    """Distance of lambda*|Omega| above the analytic solvability lines."""
     lam_area = params.lam * grid.area
-    if model == "base" or vcfg.m == 0:
-        return lam_area - 2.0 * math.pi * vcfg.n
     return min(lam_area - 2.0 * math.pi * (vcfg.m + vcfg.n),
                lam_area - math.pi * (3 * vcfg.m + vcfg.n))
 
@@ -226,7 +227,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
                "solvable": point["threshold"]["solvable"],
                "margin": point["threshold"]["margin"],
                "analytic_slack": (_analytic_slack(pcfg.make_vortex_config(), pcfg.make_grid(),
-                                                  pcfg.make_params(), pcfg.model)
+                                                  pcfg.make_params())
                                   if pcfg.mode == "torus" else None)}
         if "newton" in point:
             row["converged"] = point["newton"]["converged"]

@@ -16,19 +16,19 @@ class TestCheckExistence:
         grid = bv.TorusGrid(L20, L20, 32, 32)
         cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0), (2.0, 2.0)))
         rep = bv.check_existence(cfg, grid, bv.PhysicalParams(lam=1.0))
-        assert rep.model == "base"
-        assert rep.c1 == pytest.approx(20.0 - 4.0 * math.pi, rel=1e-12)
-        assert rep.c2 == pytest.approx(0.5 * (rep.c1 + 20.0), rel=1e-12)
+        c1, c2 = rep.constraints
+        assert c1 == pytest.approx(20.0 - 4.0 * math.pi, rel=1e-12)
+        assert c2 == pytest.approx(0.5 * (c1 + 20.0), rel=1e-12)
         assert rep.solvable
-        assert rep.margin == rep.c1
+        assert rep.margin == c1
 
     def test_empty_configuration_always_solvable(self):
         grid = bv.TorusGrid(1.0, 1.0, 16, 16)
         for lam in (1e-6, 1.0, 1e6):
             rep = bv.check_existence(bv.VortexConfig(), grid, bv.PhysicalParams(lam=lam))
             assert rep.solvable
-            assert rep.c1 == pytest.approx(grid.area)
-            assert rep.c2 == pytest.approx(grid.area)
+            assert rep.constraints[0] == pytest.approx(grid.area)
+            assert rep.constraints[1] == pytest.approx(grid.area)
 
     def test_boundary_case_not_solvable(self):
         # lambda=1, |Omega|=2*pi, n=1: the threshold line itself
@@ -45,9 +45,9 @@ class TestCheckExistence:
         cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0), (2.0, 2.0)),
                               kappa_zeros=((3.0, 3.0),))
         rep = bv.check_existence(cfg, grid, bv.PhysicalParams(lam=1.0))
-        assert rep.model == "extended"
-        assert rep.alpha1 == pytest.approx(50.0 - 6.0 * math.pi, rel=1e-10)
-        assert rep.alpha2 == pytest.approx(0.5 * (rep.alpha1 + 50.0 - 4.0 * math.pi), rel=1e-10)
+        alpha1, alpha2 = rep.constraints
+        assert alpha1 == pytest.approx(50.0 - 6.0 * math.pi, rel=1e-10)
+        assert alpha2 == pytest.approx(0.5 * (alpha1 + 50.0 - 4.0 * math.pi), rel=1e-10)
         assert rep.solvable
 
     def test_monotone_in_vortex_number(self):
@@ -62,19 +62,22 @@ class TestCheckExistence:
             assert a or not b
 
     def test_extended_reduces_to_base_at_m_zero(self):
+        # with no kappa zeros the one formula gives the base model's
+        # C1 = |Omega| - 2 pi n / lam and C2 = (C1 + |Omega|) / 2
         grid = bv.TorusGrid(L20, L20, 16, 16)
         params = bv.PhysicalParams(lam=0.7)
         cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0), (2.0, 2.0)))
-        base = bv.check_existence(cfg, grid, params, model="base")
-        ext = bv.check_existence(cfg, grid, params, model="extended")
-        assert ext.alpha1 == base.c1
-        assert ext.alpha2 == base.c2
-        assert ext.solvable == base.solvable
+        rep = bv.check_existence(cfg, grid, params)
+        lam_area = params.lam * grid.area
+        c1 = (lam_area - 2.0 * math.pi * cfg.n) / params.lam
+        assert rep.constraints == (c1, 0.5 * (c1 + grid.area))
+        assert rep.margin == c1
+        assert rep.solvable == (2.0 * math.pi * cfg.n < lam_area)
 
     @settings(deadline=None, database=None, derandomize=True, max_examples=200)
     @given(n=st.integers(0, 8), m=st.integers(0, 8), area=st.floats(0.5, 500.0),
-           factor=st.floats(1.0, 50.0, exclude_min=True), extended=st.booleans())
-    def test_constraints_make_both_rhs_zero_mean(self, n, m, area, factor, extended):
+           factor=st.floats(1.0, 50.0, exclude_min=True))
+    def test_constraints_make_both_rhs_zero_mean(self, n, m, area, factor):
         # the fixed-point map's right-hand sides have zero mean exactly when
         # lam (2 C2 - C1 - |Omega|) + 4 pi m = 0 and
         # lam (3 C1 - 2 C2 - |Omega|) + 4 pi n = 0 for (C1, C2) = constraints
@@ -82,12 +85,14 @@ class TestCheckExistence:
         lam = factor * (line if line > 0.0 else 1.0)
         grid = bv.TorusGrid(1.0, area, 8, 8)
         cfg = bv.VortexConfig(phi_zeros=((0.5, 0.5),) * n, kappa_zeros=((0.5, 0.5),) * m)
-        rep = bv.check_existence(cfg, grid, bv.PhysicalParams(lam=lam),
-                                 model="extended" if extended else None)
-        assert rep.solvable
+        rep = bv.check_existence(cfg, grid, bv.PhysicalParams(lam=lam))
+        # a factor within an ulp of 1 can round lam |Omega| onto the line,
+        # so solvability is checked against the exact products, not assumed
+        lam_area = lam * grid.area
+        assert rep.solvable == (2.0 * math.pi * (m + n) < lam_area
+                                and math.pi * (3 * m + n) < lam_area)
         c1, c2 = rep.constraints
-        assert (c1, c2) == ((rep.alpha1, rep.alpha2) if rep.model == "extended"
-                            else (rep.c1, rep.c2))
+        assert rep.margin == min(c1, c2)
         scale = lam * grid.area
         assert abs(lam * (2.0 * c2 - c1 - grid.area) + 4.0 * math.pi * m) <= 1e-13 * scale
         assert abs(lam * (3.0 * c1 - 2.0 * c2 - grid.area) + 4.0 * math.pi * n) <= 1e-13 * scale

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bpsvortex.errors import NonZeroMeanRhs, Overflow, ParseError, ValidationErr
 from bpsvortex.runner import run
 
 L20 = math.sqrt(20.0)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def sweep_cells(path):
@@ -88,6 +91,14 @@ class TestParseConfig:
         }
         with pytest.raises(ValidationError):
             parse_config(json.dumps(raw))
+
+    @pytest.mark.parametrize("seed", [1, 2, 20261017])
+    def test_benchmark_workload_configs_validate(self, seed):
+        # a schema change that refuses a benchmark configuration fails here,
+        # not in the benchmark
+        workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+        for workload in workloads["WORKLOADS"].values():
+            validate_config(workload.make_config(seed))
 
     def test_overrides(self):
         raw = minimal_torus()
@@ -419,7 +430,7 @@ class TestSweepPoints:
             expected = {
                 "solvable": res["threshold"]["solvable"],
                 "margin": res["threshold"]["margin"],
-                "analytic_slack": (runner._analytic_slack(vcfg, grid, params, pcfg.model)
+                "analytic_slack": (runner._analytic_slack(vcfg, grid, params)
                                    if pcfg.mode == "torus" else None),
             }
             if action == "solve" and expected["solvable"]:
@@ -561,14 +572,23 @@ class TestCliMain:
         assert main(["--config", str(cfg_path), "--command", "check"]) == 1
         assert f"solver.{key}: unknown key" in capsys.readouterr().err
 
+    def test_solver_method_both_refused_naming_compare(self, tmp_path, capsys):
+        # compare is the one way to run both solvers
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_torus(solver={"method": "both"})))
+        assert main(["--config", str(cfg_path), "--command", "solve",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "solver.method" in err and "compare" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_integral_float_counts_solve(self, tmp_path, capsys):
-        # 100.0 iterations is an integer: both solvers run and the echo
-        # carries the integer
-        raw = minimal_torus(phi_zeros=[[1.0, 1.0]],
-                            solver={"method": "both", "max_iters": 100.0})
+        # 100.0 iterations is an integer: both solvers of compare run and the
+        # echo carries the integer
+        raw = minimal_torus(phi_zeros=[[1.0, 1.0]], solver={"max_iters": 100.0})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
-        assert main(["--config", str(cfg_path), "--command", "solve",
+        assert main(["--config", str(cfg_path), "--command", "compare",
                      "--out", str(tmp_path)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         text = (tmp_path / "report.json").read_text()

@@ -146,7 +146,7 @@ class TestLagrangeMultipliers:
 class TestDecayFit:
     def test_rates_meet_analytic_bounds(self, plane_solution):
         grid, params, cfg, bg, sol = plane_solution
-        rate_f, rate_g, window = bv.decay_fit(sol.state, bg, cfg, params)
+        rate_f, rate_g, window = bv.decay_fit(sol.state, bg, params)
         assert rate_f >= math.sqrt(0.9 * params.lam)
         assert rate_g >= math.sqrt(2.0 * 0.9 * params.lam)
         assert abs(rate_f - 2.0 * math.sqrt(params.lam)) <= 0.15 * 2.0 * math.sqrt(params.lam)
@@ -156,9 +156,9 @@ class TestDecayFit:
         # a vortex at radius 6.4 moves the annulus start to 6.4 + 3/sqrt(4) =
         # 7.9, just inside its end 0.8 R = 8: too few bins to fit
         grid, params, cfg, bg, sol = plane_solution
-        far = bv.VortexConfig(phi_zeros=((6.4, 0.0),))
+        far = bv.build_background(bv.VortexConfig(phi_zeros=((6.4, 0.0),)), grid, params)
         with pytest.raises(AnnulusTooThin):
-            bv.decay_fit(sol.state, bg, far, params)
+            bv.decay_fit(sol.state, far, params)
 
 
 class TestReconstruct:
@@ -207,13 +207,14 @@ class TestUniquenessProbe:
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((0.4 * L20, 0.5 * L20),))
-        assert bv.uniqueness_probe("torus", "base", cfg, grid, params, seeds=1) == 0.0
+        bg = bv.build_background(cfg, grid, params)
+        assert bv.uniqueness_probe(bg, params, seeds=1) == 0.0
 
     def test_three_seeds_agree(self):
         grid = bv.TorusGrid(L20, L20, 64, 64)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((0.4 * L20, 0.5 * L20),))
-        spread = bv.uniqueness_probe("torus", "base", cfg, grid, params, seeds=3)
+        spread = bv.uniqueness_probe(bv.build_background(cfg, grid, params), params, seeds=3)
         sol = bv.solve("torus", "base", cfg, grid, params)
         assert spread <= 1e-8 * (1.0 + np.max(np.abs(sol.state)))
 
@@ -235,3 +236,45 @@ class TestReportAssembly:
         d = rep.to_dict()
         assert d["decay"]["rate_fields"] > 1.0
         assert "constraint_errors" not in d
+
+    def test_torus_report_computes_two_laplacians(self, monkeypatch, torus_criterion_setup,
+                                                  torus_criterion_solution):
+        # the PDE residual and the multiplier fit share the Laplacians of
+        # the two state slices
+        grid, params, cfg, bg = torus_criterion_setup
+        calls = []
+        laplacian = bv.TorusGrid.laplacian
+
+        def counted(self, values, out=None):
+            calls.append(values.shape)
+            return laplacian(self, values, out=out)
+
+        monkeypatch.setattr(bv.TorusGrid, "laplacian", counted)
+        rep = bv.build_diagnostics(torus_criterion_solution.state, "torus", "base",
+                                   bg, cfg, params)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        state = torus_criterion_solution.state
+        assert rep.residual_sup == tuple(sup for _, sup in bv.pde_residual(state, bg, params))
+        assert rep.lagrange == bv.verify_lagrange_multipliers(state, bg, params)
+
+    @pytest.mark.parametrize("mode,model,other", [
+        ("plane", "base", None),
+        ("torus", "both", None),
+        ("torus", "base", "kappa"),
+        ("torus", "base", "phi"),
+    ], ids=["mode", "unknown-model", "base-with-kappa", "other-background"])
+    def test_labels_disagreeing_with_background_refused(self, torus_criterion_setup,
+                                                        torus_criterion_solution,
+                                                        mode, model, other):
+        grid, params, cfg, bg = torus_criterion_setup
+        state = torus_criterion_solution.state
+        if other == "kappa":
+            cfg = bv.VortexConfig(cfg.phi_zeros, kappa_zeros=((1.0, 1.0),))
+            bg = bv.build_background(cfg, grid, params)
+        elif other == "phi":
+            cfg = bv.VortexConfig(cfg.phi_zeros[:1])
+        with pytest.raises(ValueError):
+            bv.build_diagnostics(state, mode, model, bg, cfg, params)
+        with pytest.raises(ValueError):
+            bv.solve(mode, model, cfg, grid, params, background=bg)

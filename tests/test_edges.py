@@ -33,7 +33,7 @@ class TestSolverEdges:
         p = (0.5 * L20, 0.5 * L20)
         cfg = bv.VortexConfig(phi_zeros=(p, p))
         rep = bv.check_existence(cfg, grid, params)
-        assert rep.c1 == pytest.approx(grid.area - 4.0 * math.pi, rel=1e-12)
+        assert rep.constraints[0] == pytest.approx(grid.area - 4.0 * math.pi, rel=1e-12)
         bg = bv.build_background_torus(cfg, grid, params)
         sol = bv.solve("torus", "base", cfg, grid, params, background=bg)
         fa, fb = bv.flux_report(sol.state, bg, params)
@@ -51,7 +51,7 @@ class TestSolverEdges:
         monkeypatch.setattr(fixedpoint, "MAX_REFINEMENTS", 2)
         sol = bv.continuation_solve(bg, params)
         assert not sol.converged
-        assert "exhausted" in sol.message
+        assert sol.message.endswith("trials: it reached INNER_MAX_TRIALS = 2")
 
 
 class TestRunnerEdges:

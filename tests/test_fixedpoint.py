@@ -38,10 +38,9 @@ class TestApplyT:
         t = 0.6
         pair = np.zeros((2,) + grid.shape)
         out = bv.apply_T(pair, t, bg, params)
-        rep = bv.check_existence(cfg, grid, params)
+        c1, c2 = bv.check_existence(cfg, grid, params).constraints
         ev = np.exp(t * bg.v0)
-        r1 = params.lam * t * (2.0 * rep.c2 / grid.area
-                               - rep.c1 * ev / grid.integrate(ev) - 1.0)
+        r1 = params.lam * t * (2.0 * c2 / grid.area - c1 * ev / grid.integrate(ev) - 1.0)
         r1 -= r1.mean()
         res = grid.laplacian(out[0]) - r1
         assert np.sqrt(grid.inner(res, res) / grid.inner(r1, r1)) <= 1e-10
@@ -127,10 +126,9 @@ class TestContinuationSolve:
 
     def test_stage_leaves_warm_start_unmodified(self, fp_setup):
         grid, params, cfg, bg = fp_setup
-        rep = bv.check_existence(cfg, grid, params)
         pair = 0.5 * bv.apply_T(np.zeros((2,) + grid.shape), 0.5, bg, params)
         before = pair.copy()
-        ok, out, iters = _solve_stage(pair, 0.5, bg, params, rep.c1, rep.c2, [])
+        ok, out, iters = _solve_stage(pair, 0.5, bg, params, [])
         assert ok and iters > 0
         assert out is not pair
         assert pair.tobytes() == before.tobytes()
@@ -182,14 +180,17 @@ class TestContinuationSolve:
     def test_overflowing_trials_rejected_not_raised(self):
         # at lambda = 100 the first trials at t = 1 overflow exp; they count
         # as rejected, so every stage stalls by relaxation underflow and the
-        # solve reports non-convergence instead of raising Overflow
+        # solve reports non-convergence, and that reason, instead of raising
+        # Overflow
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=100.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
         bg = bv.build_background_torus(cfg, grid, params)
         fp = bv.continuation_solve(bg, params)
         assert not fp.converged
-        assert "exhausted" in fp.message
+        last = fp.stages[-1]
+        assert fp.message == (f"stage t={last['t']:.4g} stalled after {last['trials']} "
+                              f"trials: relaxation omega fell below 1e-08")
         assert sum(s["trials"] for s in fp.stages) == fp.iterations
         assert all(s["omega"] < 1e-8 for s in fp.stages)
 
@@ -239,13 +240,11 @@ class TestContinuationSolve:
         for nres in (32, 64):
             grid = bv.TorusGrid(L20, L20, nres, nres)
             bg = bv.build_background_torus(cfg, grid, params)
-            rep = bv.check_existence(cfg, grid, params)
             pair = np.zeros((2,) + grid.shape)
             ceiling = 0.0
             for t in [(k + 1) / 10 for k in range(10)]:
                 for _ in range(200):
-                    new = 0.5 * pair + 0.5 * bv.apply_T(pair, t, bg, params,
-                                                        rep.c1, rep.c2)
+                    new = 0.5 * pair + 0.5 * bv.apply_T(pair, t, bg, params)
                     if np.max(np.abs(new - pair)) < 1e-10:
                         pair = new
                         break

@@ -136,6 +136,27 @@ class TestPlaneSolve:
                                np.abs(u[1:-1, 1]), np.abs(u[1:-1, -2])])
         assert ring.max() <= 1e-4
 
+    def test_initial_state_boundary_ring_zeroed(self):
+        # states are held at zero on the Dirichlet ring; a nonzero ring in
+        # init is dropped, not carried into a "converged" state
+        grid = bv.PlaneGrid(6.0, 48)
+        params = bv.PhysicalParams(lam=1.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.5, 0.0),))
+        bg = bv.build_background(cfg, grid, params)
+        init = np.full((2,) + grid.shape, 0.3)
+        # a tolerance met at once returns the start state: only the ring is dropped
+        start = bv.solve("plane", "base", cfg, grid, params, init=init, background=bg,
+                         settings=bv.SolverSettings(tol_grad_sup=1e9)).state
+        assert np.all(start[:, 1:-1, 1:-1] == 0.3)
+        assert not start[:, [0, -1], :].any() and not start[:, :, [0, -1]].any()
+        sol = bv.solve("plane", "base", cfg, grid, params, init=init, background=bg)
+        ref = bv.solve("plane", "base", cfg, grid, params, background=bg)
+        assert sol.converged and ref.converged
+        ring = sol.state - np.stack([grid.zero_boundary(s.copy()) for s in sol.state])
+        assert np.all(ring == 0.0)
+        assert np.all(init == 0.3)  # the caller's array is copied
+        assert np.max(np.abs(sol.state - ref.state)) <= 1e-8
+
     def test_preconditioned_cg_applies_per_newton_iteration(self, monkeypatch):
         # the per-mode block inverse leaves ~5 Hessian applies per Newton
         # step here; plain CG took ~250
