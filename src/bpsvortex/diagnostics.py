@@ -6,8 +6,9 @@ background's remainder sources, which cover base and extended variants on
 both domains.  Every check reads its problem (grid, zero sets and sources)
 from the :class:`Background`; ``build_diagnostics`` keeps the run's labels
 only to check them against it.  Fluxes are integrals of the algebraic
-right-hand sides (never of numerical second derivatives); the residual and
-the multiplier fit share one Laplacian per state slice.
+right-hand sides (never of numerical second derivatives); within one report
+the checks share one Laplacian per state slice and one evaluation of the
+weighted exponentials.
 """
 
 from __future__ import annotations
@@ -50,29 +51,34 @@ def pde_residual(state, bg: Background, params: PhysicalParams):
     The reduced system is restated here from the background's sources,
     independently of the energy gradient that it checks.
     """
-    return _pde_residual(state, _laplacians(state, bg.grid), bg, params)
+    return _pde_residual(_laplacians(state, bg.grid), _exp_pair(state, bg), bg, params)
 
 
-def _pde_residual(state, laps, bg: Background, params: PhysicalParams):
-    # pde_residual with the Laplacians of both state slices given
+def _pde_residual(laps, exps, bg: Background, params: PhysicalParams):
+    # pde_residual with the Laplacians of both state slices and the
+    # weighted exponentials (e^u, e^v) given
     lam = params.lam
     grid = bg.grid
-    eU, eV = _exp_pair(state, bg)
+    eU, eV = exps
     r1 = grid.interior(laps[0] - lam * (2.0 * eU - eV - 1.0) - bg.src_u)
     r2 = grid.interior(laps[1] - 2.0 * lam * (eV - 1.0) - bg.src_f)
     return tuple((math.sqrt(grid.inner(r, r)), float(np.max(np.abs(r)))) for r in (r1, r2))
 
 
-def _curvatures(state, bg: Background, lam: float):
+def _curvatures(exps, lam: float):
     # curvature densities (a12, b12) from the algebraic right-hand sides
-    eU, eV = _exp_pair(state, bg)
+    eU, eV = exps
     return -(lam / 2.0) * (2.0 * eU - eV - 1.0), -lam * (eV - 1.0)
 
 
 def flux_report(state, bg: Background, params: PhysicalParams) -> Tuple[float, float]:
     """Total fluxes of the two gauge fields from the algebraic curvature densities."""
-    a12, b12 = _curvatures(state, bg, params.lam)
-    return bg.grid.integrate(a12), bg.grid.integrate(b12)
+    return _fluxes(_exp_pair(state, bg), bg.grid, params.lam)
+
+
+def _fluxes(exps, grid, lam: float) -> Tuple[float, float]:
+    a12, b12 = _curvatures(exps, lam)
+    return grid.integrate(a12), grid.integrate(b12)
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,11 @@ class BoundReport:
 
 def pointwise_bounds(state, bg: Background) -> BoundReport:
     """Maximum-principle bounds e^u <= 1, e^v <= 1 (and 2 e^u <= max e^v + 1)."""
-    eU, eV = _exp_pair(state, bg)
+    return _bounds(_exp_pair(state, bg))
+
+
+def _bounds(exps) -> BoundReport:
+    eU, eV = exps
     exc_u = float(eU.max()) - 1.0
     exc_v = float(eV.max()) - 1.0
     inter = float((2.0 * eU).max()) - (float(eV.max()) + 1.0)
@@ -106,14 +116,15 @@ def verify_lagrange_multipliers(state, bg: Background,
     and the background's sources (4 pi m / |Omega| and 4 pi (m + n) / |Omega|),
     in both torus models; the analytic values are l1 = lam, l2 = 2 lam.
     """
-    return _lagrange_fit(state, _laplacians(state, bg.grid), bg, params)
+    return _lagrange_fit(_laplacians(state, bg.grid), _exp_pair(state, bg), bg, params)
 
 
-def _lagrange_fit(state, laps, bg: Background, params: PhysicalParams):
-    # verify_lagrange_multipliers with the Laplacians of both state slices given
+def _lagrange_fit(laps, exps, bg: Background, params: PhysicalParams):
+    # verify_lagrange_multipliers with the Laplacians and the weighted
+    # exponentials given
     lam = params.lam
     grid: TorusGrid = bg.grid
-    eU, eV = _exp_pair(state, bg)
+    eU, eV = exps
     a = laps[0] + lam - bg.src_u
     b = laps[1] + 2.0 * lam - bg.src_f
     ip = grid.inner
@@ -225,7 +236,7 @@ def reconstruct_physical(state, bg: Background, params: PhysicalParams) -> Physi
     """
     kappa = np.sqrt(bg.exp_u0) * np.exp(0.5 * state[0])
     phi_abs = np.sqrt(bg.exp_v0) * np.exp(0.5 * (state[1] - state[0]))
-    return PhysicalFields(kappa, phi_abs, *_curvatures(state, bg, params.lam))
+    return PhysicalFields(kappa, phi_abs, *_curvatures(_exp_pair(state, bg), params.lam))
 
 
 def uniqueness_probe(bg: Background, params: PhysicalParams, seeds: int,
@@ -286,29 +297,37 @@ def build_diagnostics(state, mode: str, model: str, bg: Background,
     (``ValueError`` when they disagree with ``bg``) and otherwise unused.
     """
     check_labels(mode, model, cfg, bg.grid, bg)
-    grid = bg.grid
-    laps = _laplacians(state, grid)
-    (l2_1, sup_1), (l2_2, sup_2) = _pde_residual(state, laps, bg, params)
-    fa, fb = flux_report(state, bg, params)
-    report = DiagnosticsReport(residual_l2=(l2_1, l2_2), residual_sup=(sup_1, sup_2),
-                               flux_a=fa, flux_b=fb)
-    if isinstance(grid, TorusGrid):
-        targets = check_existence(bg.cfg, grid, params).constraints
-        eU, eV = _exp_pair(state, bg)
-        report.constraint_errors = tuple(abs(grid.integrate(e) - c) / abs(c)
-                                         for e, c in zip((eV, eU), targets))
-        bounds = pointwise_bounds(state, bg)
-        report.bound_violation = {
-            "max_exp_u_excess": bounds.max_exp_u_excess,
-            "max_exp_v_excess": bounds.max_exp_v_excess,
-            "intermediate_excess": bounds.intermediate_excess,
-        }
-        report.lagrange = _lagrange_fit(state, laps, bg, params)
-    elif fit_decay and (bg.cfg.n + bg.cfg.m) > 0:
+    report = _equation_checks(state, bg, params)
+    if isinstance(bg.grid, PlaneGrid) and fit_decay and (bg.cfg.n + bg.cfg.m) > 0:
         try:
             rate_f, rate_g, window = decay_fit(state, bg, params)
             report.decay = {"rate_fields": rate_f, "rate_gradients": rate_g,
                             "r_min": window[0], "r_max": window[1]}
         except AnnulusTooThin:
             report.decay = None
+    return report
+
+
+def _equation_checks(state, bg: Background, params: PhysicalParams) -> DiagnosticsReport:
+    # every check that reads the Laplacians or the weighted exponentials,
+    # each computed once here and released before the decay fit
+    grid = bg.grid
+    laps = _laplacians(state, grid)
+    exps = _exp_pair(state, bg)
+    (l2_1, sup_1), (l2_2, sup_2) = _pde_residual(laps, exps, bg, params)
+    fa, fb = _fluxes(exps, grid, params.lam)
+    report = DiagnosticsReport(residual_l2=(l2_1, l2_2), residual_sup=(sup_1, sup_2),
+                               flux_a=fa, flux_b=fb)
+    if isinstance(grid, TorusGrid):
+        targets = check_existence(bg.cfg, grid, params).constraints
+        eU, eV = exps
+        report.constraint_errors = tuple(abs(grid.integrate(e) - c) / abs(c)
+                                         for e, c in zip((eV, eU), targets))
+        bounds = _bounds(exps)
+        report.bound_violation = {
+            "max_exp_u_excess": bounds.max_exp_u_excess,
+            "max_exp_v_excess": bounds.max_exp_v_excess,
+            "intermediate_excess": bounds.intermediate_excess,
+        }
+        report.lagrange = _lagrange_fit(laps, exps, bg, params)
     return report

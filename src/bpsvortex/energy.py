@@ -30,11 +30,19 @@ the discrete energies in the grid's L^2 pairing ``grid.inner``; on the plane
 they vanish on the Dirichlet boundary ring, where states are held at zero.
 The energy is written once too, with the grid's quadrature ``grid.integrate``
 and the grid's Dirichlet form ``grid.dirichlet_form`` for int |grad s|^2.
+
+Newton's linear algebra runs on mode coefficients of the grid's Laplacian
+eigenbasis (``to_modes``/``from_modes``).  There the Hessian is the
+far-field block M (its value at e^U = e^V = 1), diagonal per mode, plus a
+pointwise part W that vanishes where the fields reach their vacuum:
+``hessian_operator`` applies M + W with two inverse and two forward
+transforms, and ``preconditioner`` inverts M mode by mode with none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -127,30 +135,78 @@ class EnergyModel:
         h1 = -0.5 * c * grid.laplacian(d1) + c_lam * eV * (d1 - d0)
         return np.stack([grid.zero_boundary(h0), grid.zero_boundary(h1)])
 
-    def hessian_operator(self, state):
-        """Hessian application with the exponential factors frozen at ``state``.
+    def to_modes(self, pair: np.ndarray) -> np.ndarray:
+        """Mode coefficients of a stacked pair of fields (``grid.modal_forward``)."""
+        # coefficients are complex on the torus (rfft2 layout), real on the plane
+        d = self._far_field[0]
+        out = np.empty((2,) + d.shape, complex if isinstance(self.grid, TorusGrid) else float)
+        self.grid.modal_forward(pair[0], out=out[0])
+        self.grid.modal_forward(pair[1], out=out[1])
+        return out
 
-        Same values as :meth:`hessian_apply` (to roundoff), with the
-        coefficient fields computed once per state.
+    def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
+        """The stacked pair of fields with mode coefficients ``coeffs``."""
+        out = self.zero_state()
+        self.grid.modal_inverse(coeffs[0], out=out[0])
+        self.grid.modal_inverse(coeffs[1], out=out[1])
+        return out
+
+    @cached_property
+    def _far_field(self):
+        # per mode d = K / (2 lam) + 1, 2d + 1 and 1 / (c lam (2d - 1)(d + 1)):
+        # the far-field block and its inverse, see preconditioner
+        d = self.grid.laplacian_eigenvalues() / (2.0 * self.params.lam)
+        d += 1.0
+        inv_det = 1.0 / ((2.0 * d - 1.0) * (d + 1.0) * self._c_lam)
+        return d, 2.0 * d + 1.0, inv_det
+
+    def hessian_operator(self, state):
+        """Hessian application on mode coefficients, frozen at ``state``.
+
+        The returned callable maps the coefficient pair of a direction (see
+        :meth:`to_modes`) to that of its Hessian product; through the
+        transforms it gives the values of :meth:`hessian_apply` to roundoff.
+        The Hessian splits as A = M + W.  M is the far-field block of
+        :meth:`preconditioner`, c lam [[2d + 1, -1], [-1, d]], diagonal per
+        mode.  W is pointwise: with wu = 2 c lam (e^U - 1) and
+        wv = c lam (e^V - 1) it maps (p0, p1) to (wu p0 - q1, q1),
+        q1 = wv (p1 - p0), and vanishes where the fields reach their vacuum.
+        One apply costs two inverse and two forward transforms; the
+        callable holds wu, wv and one physical field.
         """
         eU, eV = _exp_pair(state, self.bg)
-        grid, c, c_lam = self.grid, self._c, self._c_lam
-        off = np.multiply(eV, c_lam, out=eV)
-        diag = np.multiply(eU, 2.0 * c_lam, out=eU)
-        diag += off
+        grid, c_lam = self.grid, self._c_lam
+        wu = eU
+        wu -= 1.0
+        wu *= 2.0 * c_lam
+        wv = eV
+        wv -= 1.0
+        wv *= c_lam
+        d, d21, _ = self._far_field
+        field = np.zeros(grid.shape)
 
-        def apply_h(d):
-            out = np.empty_like(d)
+        def apply_h(p):
+            out = np.empty_like(p)
             h0, h1 = out
-            grid.laplacian(d[0], out=h0)
-            h0 *= -c
-            h0 += diag * d[0]
-            h0 -= off * d[1]
-            grid.laplacian(d[1], out=h1)
-            h1 *= -0.5 * c
-            h1 += off * (d[1] - d[0])
-            grid.zero_boundary(h0)
-            grid.zero_boundary(h1)
+            # W p through one physical field: the coefficients of
+            # q1 = wv (p1 - p0), then those of q0 = wu p0 - q1 by linearity
+            np.subtract(p[1], p[0], out=h0)
+            grid.modal_inverse(h0, out=field)
+            np.multiply(field, wv, out=field)
+            grid.modal_forward(field, out=h1)
+            grid.modal_inverse(p[0], out=field)
+            np.multiply(field, wu, out=field)
+            grid.modal_forward(field, out=h0)
+            h0 -= h1
+            # + M p = c lam [[2d + 1, -1], [-1, d]] p
+            m = np.multiply(d21, p[0])
+            m -= p[1]
+            m *= c_lam
+            h0 += m
+            np.multiply(d, p[1], out=m)
+            m -= p[0]
+            m *= c_lam
+            h1 += m
             return out
 
         return apply_h
@@ -173,35 +229,20 @@ class EnergyModel:
             [[d, 1], [1, 2d + 1]] / (c lam (2d - 1)(d + 1))
 
         is symmetric positive definite on both grids.  The returned callable
-        applies it to a stacked residual; on the plane the result vanishes on
-        the boundary ring.  Its three coefficient buffers, in the grid's
-        modal layout, are allocated here once and reused by every apply.
+        applies it to the coefficient pair of a residual, mode by mode, with
+        no transform.
         """
-        grid, c_lam = self.grid, self._c_lam
-        d = grid.laplacian_eigenvalues() / (2.0 * self.params.lam)
-        d += 1.0
-        inv_det = 1.0 / ((2.0 * d - 1.0) * (d + 1.0) * c_lam)
-        # shape and dtype of the grid's coefficients (complex rfft2 layout on
-        # the torus, real interior sine modes on the plane)
-        coeffs = grid.modal_forward(np.zeros(grid.shape))
-        buffers = (coeffs, np.empty_like(coeffs), np.empty_like(coeffs))
+        d, d21, inv_det = self._far_field
 
         def apply_minv(r):
-            a, b, t = buffers
             out = np.empty_like(r)
-            grid.modal_forward(r[0], out=a)
-            grid.modal_forward(r[1], out=b)
-            np.multiply(d, a, out=t)
-            t += b
-            t *= inv_det
-            grid.modal_inverse(t, out=out[0])
-            # a + (2d + 1) b, built in place
-            a += b
-            b *= d
-            b *= 2.0
-            a += b
-            a *= inv_det
-            grid.modal_inverse(a, out=out[1])
+            z0, z1 = out
+            np.multiply(d, r[0], out=z0)
+            z0 += r[1]
+            z0 *= inv_det
+            np.multiply(d21, r[1], out=z1)
+            z1 += r[0]
+            z1 *= inv_det
             return out
 
         return apply_minv

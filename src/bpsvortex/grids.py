@@ -11,10 +11,12 @@ Two domain types are supported:
   is the standard second-order 5-point stencil.
 
 Each grid also exposes the eigenbasis of its own Laplacian: ``modal_forward``
-and ``modal_inverse`` map fields to mode coefficients and back, and
+and ``modal_inverse`` map fields to mode coefficients and back,
 ``laplacian_eigenvalues`` gives the eigenvalue of ``-laplacian`` per mode in
 the same layout (Fourier modes on the torus, the sine modes of the interior
-nodes on the plane).  Operators with constant coefficients are diagonal there.
+nodes on the plane), and ``modal_inner`` is the pairing ``inner`` of the
+fields, computed from their coefficients.  Operators with constant
+coefficients are diagonal there.
 Each grid also owns its boundary: ``zero_boundary`` zeroes the plane's
 Dirichlet ring (a no-op on the torus) and ``interior`` views the nodes that
 carry an equation.  Next to ``integrate`` and the L^2 pairing ``inner``, each
@@ -33,9 +35,8 @@ to the caller.  A torus grid also owns one private complex scratch spectrum
 (``workspace.spec``) that all its transforms pass through.  It holds nothing
 between calls and is never returned, so results never alias it; it also
 makes a torus grid unsafe to share between threads.  The plane's sine
-transforms allocate their interior-sized intermediate product per call
-instead: kept on the grid it would stay resident next to the
-preconditioner's buffers and raise the peak memory of a plane solve.
+transforms allocate one interior-sized intermediate per call instead: kept
+on the grid it would stay resident for the life of the grid.
 """
 
 from __future__ import annotations
@@ -169,6 +170,22 @@ class TorusGrid:
         """Write the field with Fourier coefficients ``coeffs`` to ``out``."""
         return self._inverse(coeffs, out)
 
+    def modal_inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """``inner`` of the fields with Fourier coefficients ``a`` and ``b``.
+
+        Parseval in the rfft2 layout: a column of modes stands for itself and
+        its mirror image, so it counts twice, except column 0 and the Nyquist
+        column, which are their own mirrors.  Summed over float views of the
+        coefficients, without temporaries.  ``a`` and ``b`` may be stacked,
+        like a state.
+        """
+        width = 2 * (self.ny // 2 + 1)
+        af, bf = a.view(float).reshape(-1, width), b.view(float).reshape(-1, width)
+        # real and imaginary parts of column 0 and of the Nyquist column
+        once = sum(float(np.dot(af[:, i], bf[:, i])) for i in (0, 1, -2, -1))
+        total = 2.0 * float(np.vdot(af, bf)) - once
+        return total * self.dx * self.dy / (self.nx * self.ny)
+
     def laplacian_eigenvalues(self) -> np.ndarray:
         """|k|^2, the eigenvalue of ``-laplacian`` per Fourier mode."""
         return self.workspace.k2
@@ -241,7 +258,9 @@ class PlaneGrid:
         """Orthonormal DST-I matrix of the n - 2 interior nodes per axis.
 
         Column k samples sin(pi k j / (n - 1)) at the interior nodes j; the
-        matrix is symmetric and its own inverse.
+        matrix is symmetric and its own inverse.  The transforms use it
+        folded, in the mode order of ``sine_modes``; this dense form is their
+        reference.
         """
         k = np.arange(1, self.n - 1)
         return np.sqrt(2.0 / (self.n - 1)) * np.sin(np.pi * np.outer(k, k) / (self.n - 1))
@@ -269,34 +288,106 @@ class PlaneGrid:
     # -- Laplacian eigenbasis ------------------------------------------------
     #
     # The sine modes of the interior nodes diagonalize the 5-point Laplacian
-    # with zero ghost values.  The transforms are the dense products S @ x @ S
-    # with S = sine_basis; they cost O(n^3) per call, against O(n^2 log n) for
-    # an FFT-based DST-I, but at the sizes solved here they are faster: the
-    # FFT length 2(n - 1) has a large prime factor whenever n - 1 does, and
-    # BLAS products do not care.  At n = 384 (FFT length 766 = 2 * 383) the two
-    # products take about 5 ms against 17-20 ms for scipy.fft.dstn, with one
-    # BLAS thread on a 2-vCPU x86_64 Xeon virtual machine.
+    # with zero ghost values.  The transforms are dense products with the
+    # sine matrix S = sine_basis, folded: with N = n - 1 and interior nodes
+    # j = 1 .. N - 1, S[k, N - j] = (-1)^(k + 1) S[k, j], so odd modes see
+    # x_j + x_{N-j} and even modes x_j - x_{N-j} (an odd n has a middle node
+    # j = N / 2, which enters the odd modes only).  Per axis that leaves two
+    # products of half the size, with the blocks of ``_folded_basis``, and
+    # half the flops of S @ x @ S.  Coefficients are kept in that block
+    # layout per axis: odd modes 1, 3, 5, ... first, then even modes 2, 4, ...
+    # (``sine_modes``).  Dense products still beat an FFT-based DST-I at the
+    # sizes solved here: the FFT length 2(n - 1) has a large prime factor
+    # whenever n - 1 does, and BLAS products do not care.  At n = 384 (FFT
+    # length 766 = 2 * 383), with one BLAS thread on a 2-vCPU x86_64 Xeon
+    # virtual machine, an unfolded 2-D transform took about 5 ms against
+    # 17-20 ms for scipy.fft.dstn, and a folded one takes about 4 ms against
+    # 6 ms unfolded on the same host.  Each transform allocates one
+    # interior-sized intermediate and writes every other stage into its
+    # output.
+
+    @cached_property
+    def sine_modes(self) -> np.ndarray:
+        """Mode number k of each coefficient row (and column): odd, then even."""
+        return np.r_[1:self.n - 1:2, 2:self.n - 1:2]
+
+    @cached_property
+    def _folded_basis(self):
+        # rows of sine_basis at the odd and at the even modes, restricted to
+        # the nodes j = 1 .. ceil((n - 2) / 2) resp. 1 .. (n - 2) // 2
+        odd, even = (self.n - 1) // 2, (self.n - 2) // 2
+        k = self.sine_modes
+        j = np.arange(1, odd + 1)
+        s = np.sqrt(2.0 / (self.n - 1)) * np.sin(np.pi * np.outer(k, j) / (self.n - 1))
+        return s[:odd], np.ascontiguousarray(s[odd:, :even])
+
+    def _fold(self, x, out):
+        # rows j of x and N - j summed into the odd rows of out, subtracted
+        # into the even ones; the middle row of an odd n is copied
+        odd, even = (self.n - 1) // 2, (self.n - 2) // 2
+        top, mirror = x[:even], x[::-1][:even]
+        np.add(top, mirror, out=out[:even])
+        out[even:odd] = x[even:odd]
+        np.subtract(top, mirror, out=out[odd:])
+
+    def _unfold(self, y, out):
+        # the transpose of _fold: out_j = y_odd + y_even and
+        # out_{N-j} = y_odd - y_even; the middle row of an odd n is copied
+        odd, even = (self.n - 1) // 2, (self.n - 2) // 2
+        np.add(y[:even], y[odd:], out=out[:even])
+        out[even:odd] = y[even:odd]
+        np.subtract(y[:even], y[odd:], out=out[::-1][:even])
 
     def modal_forward(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Sine coefficients of the interior of ``values``, shape (n-2, n-2)."""
-        s = self.sine_basis
-        return np.matmul(s @ values[1:-1, 1:-1], s, out=out)
+        """Sine coefficients of the interior of ``values``, shape (n-2, n-2).
+
+        Rows and columns follow ``sine_modes``.
+        """
+        s_odd, s_even = self._folded_basis
+        odd = s_odd.shape[0]
+        if out is None:
+            out = np.empty((self.n - 2, self.n - 2))
+        t = np.empty_like(out)
+        self._fold(values[1:-1, 1:-1], t)
+        np.matmul(s_odd, t[:odd], out=out[:odd])
+        np.matmul(s_even, t[odd:], out=out[odd:])
+        self._fold(out.T, t.T)
+        np.matmul(t[:, :odd], s_odd.T, out=out[:, :odd])
+        np.matmul(t[:, odd:], s_even.T, out=out[:, odd:])
+        return out
 
     def modal_inverse(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the field with sine coefficients ``coeffs`` to ``out``.
 
         The boundary ring of ``out`` is set to zero.
         """
-        s = self.sine_basis
-        np.matmul(s @ coeffs, s, out=out[1:-1, 1:-1])
+        s_odd, s_even = self._folded_basis
+        odd = s_odd.shape[0]
+        x = out[1:-1, 1:-1]
+        t = np.empty(x.shape)
+        np.matmul(coeffs[:, :odd], s_odd, out=t[:, :odd])
+        np.matmul(coeffs[:, odd:], s_even, out=t[:, odd:])
+        self._unfold(t.T, x.T)
+        np.matmul(s_odd.T, x[:odd], out=t[:odd])
+        np.matmul(s_even.T, x[odd:], out=t[odd:])
+        self._unfold(t, x)
         return self.zero_boundary(out)
+
+    def modal_inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """``inner`` of the fields with sine coefficients ``a`` and ``b``.
+
+        The sine modes are orthonormal, so this is the plain sum of products
+        times h^2.  ``a`` and ``b`` may be stacked, like a state.
+        """
+        return float(np.vdot(a, b)) * self.h ** 2
 
     def laplacian_eigenvalues(self) -> np.ndarray:
         """Eigenvalue of ``-laplacian`` per sine mode, shape (n-2, n-2).
 
-        (4 / h^2) (sin^2(pi k / (2 (n - 1))) + sin^2(pi l / (2 (n - 1)))).
+        (4 / h^2) (sin^2(pi k / (2 (n - 1))) + sin^2(pi l / (2 (n - 1)))) with
+        k, l from ``sine_modes``.
         """
-        s2 = (2.0 / self.h * np.sin(0.5 * np.pi * np.arange(1, self.n - 1) / (self.n - 1))) ** 2
+        s2 = (2.0 / self.h * np.sin(0.5 * np.pi * self.sine_modes / (self.n - 1))) ** 2
         return s2[:, None] + s2[None, :]
 
     # -- boundary ------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 Newton directions come from preconditioned conjugate gradients on the
 Hessian (positive definite by strict convexity), step lengths from Armijo
-backtracking on the energy.  The method is an inexact Newton method: CG stops
+backtracking on the energy.  CG runs on mode coefficients of the grid's
+Laplacian eigenbasis, in the pairing ``grid.modal_inner``, where the
+preconditioner is diagonal per mode: each Newton step transforms its
+gradient once and its direction back once, and each CG iteration costs one
+Hessian apply (four transforms) and no others.  The method is an inexact Newton method: CG stops
 at a relative residual, the forcing term, chosen per step by choice 2 of
 Eisenstat & Walker ("Choosing the forcing terms in an inexact Newton method",
 SIAM J. Sci. Comput. 17, 1996).  Early steps are solved loosely; the forcing
@@ -16,6 +20,7 @@ a message), not an exception, so partial results stay inspectable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -93,13 +98,8 @@ class Solution:
     newton_steps: Optional[list] = None
 
 
-def _norm(x) -> float:
-    """Plain 2-norm of a stacked state pair."""
-    return float(np.sqrt(np.vdot(x, x)))
-
-
-def _pcg(apply_a, b, apply_minv, rel_tol):
-    """Preconditioned conjugate gradients on stacked state pairs.
+def _pcg(apply_a, b, apply_minv, inner, rel_tol):
+    """Preconditioned conjugate gradients in the pairing ``inner``.
 
     Stops once the residual is at most ``rel_tol`` times ``|b|``.  Returns
     ``(x, iterations, final relative residual)``; ``iterations`` counts
@@ -111,18 +111,18 @@ def _pcg(apply_a, b, apply_minv, rel_tol):
     p and one operator result at a time.
     """
     x = np.zeros_like(b)
-    b_norm = _norm(b)
+    b_norm = math.sqrt(inner(b, b))
     if b_norm == 0.0:
         return x, 0, 0.0
     r = b
     p = apply_minv(r)
-    rz = float(np.vdot(r, p))
+    rz = inner(r, p)
     rel_res = 1.0
     iters = 0
     while iters < CG_MAX_ITERS:
         ap = apply_a(p)
         iters += 1
-        pap = float(np.vdot(p, ap))
+        pap = inner(p, ap)
         if pap <= 0.0:
             break  # cannot happen for an SPD Hessian; guard against roundoff
         alpha = rz / pap
@@ -130,11 +130,11 @@ def _pcg(apply_a, b, apply_minv, rel_tol):
         r -= ap
         x += np.multiply(p, alpha, out=ap)
         del ap
-        rel_res = _norm(r) / b_norm
+        rel_res = math.sqrt(inner(r, r)) / b_norm
         if rel_res <= rel_tol:
             break
         z = apply_minv(r)
-        rz_new = float(np.vdot(r, z))
+        rz_new = inner(r, z)
         p *= rz_new / rz
         p += z
         del z
@@ -169,6 +169,7 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     state = (model.zero_state() if init is None
              else model.grid.zero_boundary(np.array(init, dtype=float)))
     apply_minv = model.preconditioner()
+    inner = model.grid.modal_inner
     grad_history: List[float] = []
     energy_history: List[float] = []
     steps: List[dict] = []
@@ -193,11 +194,16 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         if it == settings.max_iters:
             return finish(it, False, f"max_iters reached with sup gradient {gsup:.3e}")
 
-        g_norm = _norm(grad)
+        # the Newton system H d = -g, solved on mode coefficients
+        rhs = model.to_modes(grad)
+        np.negative(rhs, out=rhs)
+        g_norm = math.sqrt(inner(rhs, rhs))
         eta = _forcing_term(g_norm, g_norm_prev, gsup, settings.tol_grad_sup)
         g_norm_prev = g_norm
-        direction, cg_iters, cg_rel_res = _pcg(model.hessian_operator(state), -grad,
-                                               apply_minv, eta)
+        coeffs, cg_iters, cg_rel_res = _pcg(model.hessian_operator(state), rhs,
+                                            apply_minv, inner, eta)
+        direction = model.from_modes(coeffs)
+        del rhs, coeffs  # not needed by the line search
         fallback = None
         slope = model.grid.inner(grad, direction)
         if slope >= 0.0:  # roundoff-degenerate direction; fall back to steepest descent

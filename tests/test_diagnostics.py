@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
+from bpsvortex import diagnostics
 from bpsvortex.errors import AnnulusTooThin
 
 L20 = math.sqrt(20.0)
@@ -257,6 +258,37 @@ class TestReportAssembly:
         state = torus_criterion_solution.state
         assert rep.residual_sup == tuple(sup for _, sup in bv.pde_residual(state, bg, params))
         assert rep.lagrange == bv.verify_lagrange_multipliers(state, bg, params)
+
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_report_evaluates_the_exponentials_once(self, monkeypatch, mode):
+        # residual, fluxes, constraint errors, bounds and the multiplier fit
+        # share one evaluation of (e^u, e^v), with the bits of the public checks
+        if mode == "torus":
+            grid = bv.TorusGrid(L20, L20, 32, 32)
+            cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
+        else:
+            grid = bv.PlaneGrid(6.0, 32)
+            cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3),))
+        params = bv.PhysicalParams(lam=1.3)
+        bg = bv.build_background(cfg, grid, params)
+        state = bv.solve(mode, "base", cfg, grid, params, background=bg).state
+        calls = []
+        exp_pair = diagnostics._exp_pair
+
+        def counted(*args):
+            calls.append(1)
+            return exp_pair(*args)
+
+        monkeypatch.setattr(diagnostics, "_exp_pair", counted)
+        rep = bv.build_diagnostics(state, mode, "base", bg, cfg, params, fit_decay=False)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert rep.residual_sup == tuple(sup for _, sup in bv.pde_residual(state, bg, params))
+        assert (rep.flux_a, rep.flux_b) == bv.flux_report(state, bg, params)
+        if mode == "torus":
+            bounds = bv.pointwise_bounds(state, bg)
+            assert rep.bound_violation["max_exp_v_excess"] == bounds.max_exp_v_excess
+            assert rep.lagrange == bv.verify_lagrange_multipliers(state, bg, params)
 
     @pytest.mark.parametrize("mode,model,other", [
         ("plane", "base", None),

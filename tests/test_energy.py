@@ -150,7 +150,27 @@ class TestFirstVariation:
         for seed in range(3):
             d = random_state(model.grid, seed=300 + seed, amplitude=1.0)
             hd = model.hessian_apply(s, d)
-            assert np.max(np.abs(apply_h(d) - hd)) <= 1e-13 * np.max(np.abs(hd))
+            via_modes = model.from_modes(apply_h(model.to_modes(d)))
+            assert np.max(np.abs(via_modes - hd)) <= 1e-13 * np.max(np.abs(hd))
+
+    def test_torus_hessian_apply_is_four_transforms(self, monkeypatch):
+        # one Hessian apply: two inverse transforms, the pointwise part, two
+        # forward transforms and the per-mode far-field block; no Laplacian.
+        # One preconditioner apply is per-mode only.
+        model = make_model("torus", "extended")
+        apply_h = model.hessian_operator(random_state(model.grid, seed=9))
+        apply_minv = model.preconditioner()
+        p = model.to_modes(random_state(model.grid, seed=10))
+        calls = {"modal_forward": 0, "modal_inverse": 0, "laplacian": 0}
+        for name in calls:
+            def counted(self, *args, _name=name, _fn=getattr(bv.TorusGrid, name), **kwargs):
+                calls[_name] += 1
+                return _fn(self, *args, **kwargs)
+            monkeypatch.setattr(bv.TorusGrid, name, counted)
+        apply_h(p)
+        assert calls == {"modal_forward": 2, "modal_inverse": 2, "laplacian": 0}
+        apply_minv(p)
+        assert calls == {"modal_forward": 2, "modal_inverse": 2, "laplacian": 0}
 
 
 class TestPreconditioner:
@@ -173,16 +193,18 @@ class TestPreconditioner:
             if mode == "plane":
                 a0d[:, 0, :] = a0d[:, -1, :] = 0.0
                 a0d[:, :, 0] = a0d[:, :, -1] = 0.0
-            assert np.max(np.abs(apply_minv(a0d) - d)) <= 1e-10
-            assert np.vdot(d, apply_minv(d)) > 0.0
+            z = model.from_modes(apply_minv(model.to_modes(a0d)))
+            assert np.max(np.abs(z - d)) <= 1e-10
+            r = model.to_modes(d)
+            assert grid.modal_inner(r, apply_minv(r)) > 0.0
 
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     def test_reused_buffers_do_not_leak_between_applies(self, mode):
         model = make_model(mode, "base")
         apply_minv = model.preconditioner()
-        a = random_state(model.grid, seed=12)
-        b = random_state(model.grid, seed=13)
+        a = model.to_modes(random_state(model.grid, seed=12))
+        b = model.to_modes(random_state(model.grid, seed=13))
         first = apply_minv(a)
         second = apply_minv(b)
         assert not np.shares_memory(first, second)

@@ -260,14 +260,72 @@ class TestBuffers:
 
     def test_plane_transforms_bitwise_with_out(self, plane_32):
         g = plane_32
-        s = g.sine_basis
         v = np.random.default_rng(3).standard_normal(g.shape)
-        coeffs = s @ v[1:-1, 1:-1] @ s
+        coeffs = g.modal_forward(v)
         buf = np.empty_like(coeffs)
         assert g.modal_forward(v, out=buf) is buf
         assert buf.tobytes() == coeffs.tobytes()
-        assert g.modal_forward(v).tobytes() == coeffs.tobytes()
+        field = g.modal_inverse(coeffs, out=np.empty(g.shape))
+        assert g.modal_inverse(coeffs, out=np.full(g.shape, 7.0)).tobytes() == field.tobytes()
         lap = g.laplacian(v)
         out = np.empty(g.shape)
         assert g.laplacian(v, out=out) is out
         assert out.tobytes() == lap.tobytes()
+
+
+def block_layout(n):
+    """Indices of the sine modes 1, 3, 5, ..., 2, 4, ... among modes 1 .. n - 2."""
+    return np.r_[0:n - 2:2, 1:n - 2:2]
+
+
+class TestModalTransforms:
+    """The Laplacian eigenbasis: folded plane DST-I, modal Laplacian, pairing."""
+
+    @pytest.mark.parametrize("n", [16, 17, 33, 96])
+    def test_folded_sine_transform_matches_dense(self, n):
+        g = bv.PlaneGrid(3.0, n)
+        s = g.sine_basis
+        perm = block_layout(n)
+        assert np.array_equal(g.sine_modes, perm + 1)
+        v = np.random.default_rng(n).standard_normal(g.shape)
+        dense = (s @ v[1:-1, 1:-1] @ s)[np.ix_(perm, perm)]
+        coeffs = g.modal_forward(v)
+        assert np.max(np.abs(coeffs - dense)) <= 1e-13 * np.max(np.abs(dense))
+        # the inverse of dense coefficients, against the dense inverse
+        field = g.modal_inverse(dense, out=np.full(g.shape, 7.0))
+        inner = v[1:-1, 1:-1]
+        assert np.max(np.abs(field[1:-1, 1:-1] - inner)) <= 1e-13 * np.max(np.abs(inner))
+        assert np.all(g.zero_boundary(field.copy()) == field)
+
+    @pytest.mark.parametrize("grid", ["torus", "plane-16", "plane-17", "plane-33", "plane-96"])
+    def test_modal_laplacian_is_the_grid_laplacian(self, grid):
+        g = (bv.TorusGrid(2.0, 3.0, 32, 48) if grid == "torus"
+             else bv.PlaneGrid(3.0, int(grid.split("-")[1])))
+        v = g.zero_boundary(np.random.default_rng(5).standard_normal(g.shape))
+        k = g.laplacian_eigenvalues()
+        lap = g.laplacian(v)
+        modal = g.modal_inverse(k * g.modal_forward(v), out=np.empty(g.shape))
+        assert (np.max(np.abs(g.interior(modal) + g.interior(lap)))
+                <= 1e-12 * np.max(np.abs(lap)))
+
+    @pytest.mark.parametrize("grid", ["torus", "plane-32", "plane-33"])
+    def test_modal_inner_is_the_grid_inner(self, grid):
+        # on the torus the rfft2 layout weighs columns 1 .. ny/2 - 1 twice,
+        # column 0 and the Nyquist column once
+        g = (bv.TorusGrid(2.0, 3.0, 32, 48) if grid == "torus"
+             else bv.PlaneGrid(3.0, int(grid.split("-")[1])))
+        rng = np.random.default_rng(6)
+        a = np.stack([g.zero_boundary(rng.standard_normal(g.shape)) for _ in range(2)])
+        b = np.stack([g.zero_boundary(rng.standard_normal(g.shape)) for _ in range(2)])
+        ca = np.stack([g.modal_forward(x) for x in a])
+        cb = np.stack([g.modal_forward(x) for x in b])
+        expected = g.inner(a, b)
+        assert g.modal_inner(ca, cb) == pytest.approx(expected, rel=1e-12)
+        assert g.modal_inner(ca[0], ca[0]) == pytest.approx(g.inner(a[0], a[0]), rel=1e-12)
+        if grid == "torus":
+            # a field of the last column alone: cos(pi y / dy) counts once
+            x, y = g.nodes()
+            nyq = np.cos(np.pi * y / g.dy)
+            c = g.modal_forward(nyq)
+            assert np.count_nonzero(np.abs(c) > 1e-9) == 1 and abs(c[0, -1]) > 1.0
+            assert g.modal_inner(c, c) == pytest.approx(g.inner(nyq, nyq), rel=1e-12)

@@ -243,7 +243,8 @@ class TestInexactNewton:
         inexact = bv.solve(mode, model, cfg, grid, params, background=bg)
         exact_pcg = newton._pcg
         monkeypatch.setattr(newton, "_pcg",
-                            lambda a, b, m, rel_tol: exact_pcg(a, b, m, newton.CG_TOL))
+                            lambda a, b, m, inner, rel_tol: exact_pcg(a, b, m, inner,
+                                                                      newton.CG_TOL))
         exact = bv.solve(mode, model, cfg, grid, params, background=bg)
         assert inexact.converged and exact.converged
         assert np.max(np.abs(inexact.state - exact.state)) <= 1e-9
