@@ -18,23 +18,16 @@ in X again.  Fixed points of ``apply_T(., t)`` at ``t = 1`` solve the full
 system; the two field means are recovered from the integral constraints
 afterwards.
 
-Stages are solved by depth-1 Anderson acceleration of the same map (Walker &
-Ni, SIAM J. Numer. Anal. 49, 2011) with a residual safeguard: a trial is
-accepted only when it does not increase the residual, so the accepted
-residual sequence of a stage is non-increasing, and a rejected Anderson
-trial falls back to a damped Picard step whose relaxation halves whenever
-the residual would increase.  Acceleration changes the path to a fixed
-point, not the fixed points, so the result stays independent of Newton.
-A trial whose map application overflows (``Overflow`` from a divergent
-iterate) counts as rejected, as an overflowing trial does in Newton's line
-search, so a stage that cannot proceed stalls instead of raising.
-
-The schedule starts as the single stage ``t = 1`` from the zero pair.  When
-a stage stalls, the midpoint between its ``t`` and the last converged one
-(0 at first) is inserted before it, solved first and used as the stalled
-stage's warm start, so ``t = 1/2, 1/4, ...`` are tried while every attempt
-stalls; after ``MAX_REFINEMENTS`` insertions the solve gives up.
-``Solution.stages`` records every stage attempt.
+``continuation_solve`` iterates the map at ``t = 1`` from the zero pair,
+with Anderson acceleration of depth ``ANDERSON_DEPTH`` (Walker & Ni, SIAM J.
+Numer. Anal. 49, 2011) and a relaxation ``omega`` fixed in advance from a
+bound on the spectrum of the map's linearization.  Acceleration changes the
+path to a fixed point, not the fixed points, so the result stays
+independent of Newton.  A map application that overflows (``Overflow`` from
+a divergent iterate) ends the solve as non-convergence with a named message,
+as an overflowing initial state does in Newton, instead of raising.  The
+solver only passes ``t = 1``; other ``t`` give the paper's homotopy from the
+trivial map at ``t = 0``.
 """
 
 from __future__ import annotations
@@ -50,19 +43,14 @@ from .errors import NonZeroMeanRhs, Overflow, ThresholdViolated
 from .grids import TorusGrid
 from .newton import Solution
 
-# relaxation of the first damped Picard step of every stage; it grows by 1.2
-# per accepted trial up to 1 and halves per rejected damped trial
-OMEGA0 = 0.5
-# stage tolerance on the relative sup residual |T(x) - x| / (1 + |x|):
-# tight enough that the two solvers agree far inside the 1e-6 of the
-# cross-method check (about 1e-9 on a 256^2 two-vortex torus)
+# tolerance on the relative sup residual |T(x) - x| / (1 + |x|): tight
+# enough that the two solvers agree far inside the 1e-6 of the cross-method
+# check (about 1e-9 on a 256^2 two-vortex torus)
 INNER_TOL = 1e-11
-# trials per stage before the stage counts as stalled
-INNER_MAX_TRIALS = 5000
-# a stage whose damped-Picard relaxation halves below this counts as stalled
-OMEGA_MIN = 1e-8
-# midpoint insertions below t = 1 before the solve gives up
-MAX_REFINEMENTS = 3
+# map applications before the solve gives up
+MAX_APPLIES = 5000
+# differences in the Anderson window; each costs two held pairs
+ANDERSON_DEPTH = 3
 
 
 def zero_mean_pair(u_prime: np.ndarray, w_prime: np.ndarray) -> np.ndarray:
@@ -125,126 +113,99 @@ def apply_T(pair: np.ndarray, t: float, bg: Background, params: PhysicalParams,
     return out
 
 
-def _residual(pair: np.ndarray, t_pair: np.ndarray, work: np.ndarray) -> float:
-    scale = 1.0 + max(float(pair.max()), -float(pair.min()))
-    diff = np.subtract(pair, t_pair, out=work)
-    return max(float(diff.max()), -float(diff.min())) / scale
-
-
-def _solve_stage(pair, t, bg, params, residual_log, stage_log=None):
-    """Safeguarded Anderson iteration at one ``t``; returns (converged, pair, trials).
-
-    With f(x) = T(x) - x, a depth-1 Anderson step from the iterate x_k
-    mixes the last two images: ``T(x_k) - gamma*dG`` with ``dG = T(x_k) -
-    T(x_{k-1})``, ``dF = f_k - f_{k-1}`` and the scalar least-squares
-    coefficient ``gamma = <dF, f_k> / <dF, dF>``.  A trial is accepted only
-    when its residual does not exceed the current one (up to 1e-12
-    relative), so the accepted residuals of a stage never increase.  A
-    rejected Anderson trial clears the history, and the next trial is the
-    damped Picard step ``(1 - omega)*x + omega*T(x)``, with omega starting at
-    ``OMEGA0``; omega grows by 1.2 (up to 1) on every acceptance and halves
-    on every rejected damped trial.  The stage converges once the residual
-    is at most ``INNER_TOL`` and gives up after ``INNER_MAX_TRIALS`` trials
-    or once omega drops below ``OMEGA_MIN``.  A trial whose map application
-    raises ``Overflow`` has an infinite residual, so it is rejected like any
-    other.
-    Every trial counts, fallbacks included; each accepted residual is
-    appended to ``residual_log`` and, when ``stage_log`` is given, one entry
-    describing the stage (with the final omega) is appended to it.
-
-    Works in four pair buffers (the iterate, its image, the trial and the
-    trial's image), swapped when a trial is accepted, plus the two history
-    slots; the dF slot is also the residual work buffer, since it is free
-    from the moment gamma is computed until the history is rebuilt on
-    acceptance.  The caller's ``pair`` is copied, not modified.
-    """
-    omega = OMEGA0
-    pair = pair.copy()
-    t_pair = apply_T(pair, t, bg, params, out=np.empty_like(pair))
-    trial = np.empty_like(pair)
-    t_trial = np.empty_like(pair)
-    d_f = np.empty_like(pair)
-    d_g = np.empty_like(pair)
-    res = _residual(pair, t_pair, d_f)
-    have_history = False
-    trials = accepted = anderson_rejected = 0
-    while res > INNER_TOL and trials < INNER_MAX_TRIALS:
-        if have_history:
-            np.subtract(t_pair, pair, out=trial)  # f_k
-            d_f_sq = float(np.vdot(d_f, d_f))
-            gamma = float(np.vdot(d_f, trial)) / d_f_sq if d_f_sq > 0.0 else 0.0
-            np.multiply(d_g, gamma, out=trial)
-            np.subtract(t_pair, trial, out=trial)
-        else:
-            # (1 - omega) * pair + omega * t_pair
-            np.multiply(pair, 1.0 - omega, out=trial)
-            trial += np.multiply(t_pair, omega, out=d_f)
-        try:
-            res_trial = _residual(trial, apply_T(trial, t, bg, params, out=t_trial), d_f)
-        except Overflow:
-            res_trial = math.inf
-        trials += 1
-        if res_trial <= res * (1.0 + 1e-12):
-            # dG = T(trial) - T(pair), dF = dG - (trial - pair)
-            np.subtract(t_trial, t_pair, out=d_g)
-            np.subtract(trial, pair, out=d_f)
-            np.subtract(d_g, d_f, out=d_f)
-            have_history = True
-            pair, trial = trial, pair
-            t_pair, t_trial = t_trial, t_pair
-            res = res_trial
-            residual_log.append(res)
-            accepted += 1
-            omega = min(1.0, omega * 1.2)
-        elif have_history:
-            have_history = False
-            anderson_rejected += 1
-        else:
-            omega *= 0.5
-            if omega < OMEGA_MIN:
-                break
-    converged = res <= INNER_TOL
-    if stage_log is not None:
-        stage_log.append({"t": t, "omega": omega, "trials": trials, "accepted": accepted,
-                          "anderson_rejected": anderson_rejected, "converged": converged})
-    return converged, pair, trials
-
-
 def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
-    """Solve ``x = T(x, 1)`` from the zero pair, refining towards ``t = 0`` on a stall."""
+    """Solve ``x = T(x, 1)`` from the zero pair by damped, windowed Anderson steps.
+
+    With f(x) = T(x) - x, the step from x_k is
+
+        x_{k+1} = x_k + omega*f_k - sum_i gamma_i*(dX_i + omega*dF_i),
+
+    over the last ``ANDERSON_DEPTH`` differences dX_i = x_{i+1} - x_i and
+    dF_i = f_{i+1} - f_i, with gamma the least-squares minimizer of
+    |f_k - dF gamma| (Walker & Ni's Anderson(m) with mixing ``omega``).  The
+    Gram matrix of the dF_i is held and gets one row of dot products per
+    step, and the columns are stored as dX_i + omega*dF_i, so the loop
+    holds x, f, one scratch pair and the 2*ANDERSON_DEPTH history pairs and
+    allocates no other field.
+
+    The solve converges once the relative residual is at most
+    ``INNER_TOL``.  It gives up after ``MAX_APPLIES`` map applications, or
+    at the first application that raises ``Overflow`` (a divergent
+    iterate), and then reports the last iterate the map accepted.
+    ``iterations`` counts map applications, the overflowing one included;
+    ``grad_history`` logs the relative residual of every other one.
+    """
     grid: TorusGrid = bg.grid
     report = check_existence(bg.cfg, grid, params)
     if not report.solvable:
         raise ThresholdViolated(report)
 
-    pair = np.zeros((2,) + grid.shape)
-    residual_log: List[float] = []
-    stage_log: List[dict] = []
-    pending = [1.0]
-    refinements = 0
-    total_iters = 0
-    idx = 0
-    while idx < len(pending):
-        t = pending[idx]
-        ok, pair_new, iters = _solve_stage(pair, t, bg, params, residual_log, stage_log)
-        total_iters += iters
-        if ok:
-            pair = pair_new
-            idx += 1
-            continue
-        refinements += 1
-        if refinements > MAX_REFINEMENTS:
-            reason = (f"relaxation omega fell below {OMEGA_MIN:g}"
-                      if stage_log[-1]["omega"] < OMEGA_MIN
-                      else f"it reached INNER_MAX_TRIALS = {INNER_MAX_TRIALS}")
-            state = _recover_state(pair_new, bg, *report.constraints)
-            return Solution(state, total_iters, residual_log, [], False,
-                            f"stage t={t:.4g} stalled after {iters} trials: {reason}", stage_log)
-        t_prev = pending[idx - 1] if idx > 0 else 0.0
-        pending.insert(idx, 0.5 * (t_prev + t))
+    # T linearizes to -(Laplacian)^{-1} lam [[2, -1], [-2, 3]] acting on the
+    # normalized densities, which the maximum principle keeps at most about
+    # 1.  The coupling matrix has eigenvalues 1 and 4, and the inverse
+    # Laplacian is at most 1/k_min^2 on zero-mean fields, so the spectrum of
+    # T' lies in [-rho, 0] with rho = 4 lam / k_min^2.  Damping by
+    # omega = 1/(1 + rho) maps it into [0, 1 - omega].
+    k_min = 2.0 * math.pi / max(grid.Lx, grid.Ly)
+    omega = 1.0 / (1.0 + 4.0 * params.lam / k_min ** 2)
 
-    state = _recover_state(pair, bg, *report.constraints)
-    return Solution(state, total_iters, residual_log, [], True, "", stage_log)
+    depth = ANDERSON_DEPTH
+    x = np.zeros((2,) + grid.shape)
+    f = np.empty_like(x)
+    scratch = np.empty_like(x)
+    d_f = np.empty((depth,) + x.shape)
+    cols = np.empty((depth,) + x.shape)  # dX_i + omega*dF_i
+    gram = np.empty((depth, depth))
+    proj = np.empty(depth)
+    gamma = np.empty(depth)
+    residuals: List[float] = []
+    applies = 0
+    slot = 0  # history slot of the last step
+    while True:
+        applies += 1
+        try:
+            apply_T(x, 1.0, bg, params, out=scratch)
+        except Overflow as exc:
+            if applies > 1:
+                x -= cols[slot]  # back to the last iterate the map accepted
+            message = f"map application {applies} overflowed: {exc}"
+            break
+        scratch -= x
+        residuals.append(max(float(scratch.max()), -float(scratch.min()))
+                         / (1.0 + max(float(x.max()), -float(x.min()))))
+        if residuals[-1] <= INNER_TOL:
+            message = ""
+            break
+        if applies == MAX_APPLIES:
+            message = (f"no fixed point after {applies} map applications: "
+                       f"it reached MAX_APPLIES = {MAX_APPLIES}")
+            break
+        f, scratch = scratch, f
+        k = applies - 1
+        n = min(k, depth)
+        if k:
+            # complete column k - 1; its dX, the last step, is in cols[slot]
+            np.subtract(f, scratch, out=d_f[slot])
+            cols[slot] += np.multiply(d_f[slot], omega, out=scratch)
+            for i in range(n):
+                gram[slot, i] = gram[i, slot] = float(np.vdot(d_f[slot], d_f[i]))
+                proj[i] = float(np.vdot(d_f[i], f))
+            gamma[:n] = np.linalg.lstsq(gram[:n, :n], proj[:n], rcond=None)[0]
+        # the step goes to the next free slot or, once the window is full,
+        # to the oldest column's, whose own term is applied there first
+        slot = k % depth
+        if k >= depth:
+            cols[slot] *= -gamma[slot]
+            cols[slot] += np.multiply(f, omega, out=scratch)
+        else:
+            np.multiply(f, omega, out=cols[slot])
+        for i in range(n):
+            if i != slot:
+                cols[slot] -= np.multiply(cols[i], gamma[i], out=scratch)
+        x += cols[slot]
+
+    state = _recover_state(x, bg, *report.constraints)
+    return Solution(state, applies, residuals, [], not message, message, omega=omega)
 
 
 def _recover_state(pair: np.ndarray, bg: Background, c1: float, c2: float) -> np.ndarray:

@@ -209,8 +209,13 @@ class TorusGrid:
         return float((a * b).sum()) * self.dx * self.dy
 
     def dirichlet_form(self, values: np.ndarray) -> float:
-        """int |grad v|^2 dA = -inner(v, laplacian(v)) on the periodic cell."""
-        return -self.inner(values, self.laplacian(values))
+        """int |grad v|^2 dA = -inner(v, laplacian(v)) on the periodic cell.
+
+        Parseval on one forward transform: ``modal_inner(v_hat, |k|^2 v_hat)``.
+        """
+        ws = self.workspace
+        spec = np.fft.rfft2(values, out=ws.spec)
+        return -self.modal_inner(spec, ws.neg_k2 * spec)
 
 
 @dataclass(frozen=True)

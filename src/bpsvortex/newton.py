@@ -91,8 +91,8 @@ class Solution:
     energy_history: List[float]
     converged: bool
     message: str = ""
-    # fixed-point continuation only: one dict per t stage attempt
-    stages: Optional[list] = None
+    # fixed-point solve only: the relaxation omega of its Anderson steps
+    omega: Optional[float] = None
     # Newton only: one dict per Newton iteration (forcing term, CG and line
     # search work, fallback taken)
     newton_steps: Optional[list] = None

@@ -4,9 +4,10 @@
 and returns ``(exit_code, report)``; the report is also written to
 ``output.report_path``.  Exit codes: 0 success, 2 existence threshold
 violated (non-existence is a definite outcome, not an error), 3 solver
-failed to converge.  Both solvers reject a trial state that overflows, so a
-divergent iteration ends as non-convergence with a report.  A solver that
-fails outright (``Overflow`` outside a trial, ``NonZeroMeanRhs`` from a
+failed to converge.  Newton rejects a trial state that overflows and the
+fixed point stops at an overflowing map application, so a divergent
+iteration ends as non-convergence with a report.  A solver that fails
+outright (``Overflow`` outside an iteration, ``NonZeroMeanRhs`` from a
 broken zero-mean invariant) raises out of ``run`` without a report;
 ``cli.main`` prints it as ``solver error: ...`` and also returns 3.
 
@@ -17,12 +18,12 @@ section.  ``cli.main`` returns 1 for that, for an unreadable or invalid
 configuration and for i/o errors.
 
 One step, ``_evaluate``, turns a configuration into results: the threshold
-gate, the solvers (the fixed-point path takes no settings; its schedule and
-tolerances are fixed in :mod:`bpsvortex.fixedpoint`), the cross-method
-difference and the diagnostics.  The zero sets name the variant in the
-threshold block (``c1``/``c2`` without kappa zeros, ``alpha1``/``alpha2``
-with them); the configured ``model`` only passes to the label checks of
-``solve`` and ``build_diagnostics``.
+gate, the solvers (the fixed-point path takes no settings; its relaxation,
+window and tolerances are fixed in :mod:`bpsvortex.fixedpoint`), the
+cross-method difference and the diagnostics.  The zero sets name the
+variant in the threshold block (``c1``/``c2`` without kappa zeros,
+``alpha1``/``alpha2`` with them); the configured ``model`` only passes to
+the label checks of ``solve`` and ``build_diagnostics``.
 ``check``, ``solve`` and ``compare`` call it on the configuration; a
 ``sweep`` row calls it on its point configuration (``RunConfig.sweep_points``)
 as ``check`` does, or as a Newton ``solve`` with action ``solve``, and reads
@@ -84,13 +85,13 @@ def _newton_summary(sol: Solution) -> dict:
 
 def _fixedpoint_summary(sol: Solution) -> dict:
     # continuation_solve logs the relative residual |T(x) - x| / (1 + |x|)
-    # of every accepted trial in grad_history and counts trials as iterations
+    # of every map application in grad_history and counts them as iterations
     return {
         "converged": sol.converged,
         "trials": sol.iterations,
         "residual_final": sol.grad_history[-1] if sol.grad_history else None,
+        "omega": sol.omega,
         "message": sol.message,
-        "stages": sol.stages,
     }
 
 

@@ -37,8 +37,9 @@ PLANE = {
 RUNS = (("compare", COMPARE, "compare"), ("plane", PLANE, "solve"), ("sweep", SWEEP, "sweep"))
 
 # Instruments the package as `perfbench/run.py --trace 1` does, runs every
-# command through cli.main, and prints the exit codes, the span names of each
-# run and the library-side gates of the sweep workload (the last run).
+# command through cli.main, and prints the exit codes, the span names and
+# `fixedpoint.apply_T` span count of each run and the library-side gates of
+# the sweep workload (the last run).
 TRACED = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -47,14 +48,16 @@ from bpsvortex import cli
 
 tracer = tracing.Tracer()
 tracing.instrument(tracer)
-codes, spans = [], []
+codes, spans, applies = [], [], []
 for cfg, command, out in zip(sys.argv[2::3], sys.argv[3::3], sys.argv[4::3]):
     start = len(tracer.spans)
     codes.append(cli.main(["--config", cfg, "--command", command, "--out", out]))
     spans.append(sorted({s["name"] for s in tracer.spans[start:]}))
+    applies.append(sum(s["name"] == "fixedpoint.apply_T" for s in tracer.spans[start:]))
 with open(sys.argv[-1] + "/report.json") as fh:
     failures = workloads.check_sweep_rows(json.load(fh))
-print(json.dumps({"codes": codes, "spans": spans, "failures": failures}))
+print(json.dumps({"codes": codes, "spans": spans, "applies": applies,
+                  "failures": failures}))
 """
 
 
@@ -87,6 +90,9 @@ def test_traced_cli_runs_match_untraced(tmp_path):
     assert {"runner.dump_fields", "runner.emit_plot_data", "diagnostics.decay_fit",
             "energy.hessian_apply"} <= spans["plane"]
     assert traced["failures"] == []
+    # perfbench's fixedpoint.apply_T_calls counts what the report calls trials
+    compare = json.loads((tmp_path / "compare-traced" / "report.json").read_text())
+    assert traced["applies"][0] == compare["results"]["fixedpoint"]["trials"] > 0
     for name, _, _ in RUNS:
         assert _results(tmp_path / f"{name}-traced") == _results(tmp_path / f"{name}-plain")
     report = json.loads((tmp_path / "plane-plain" / "report.json").read_text())

@@ -215,22 +215,26 @@ class TestRunCommands:
         assert code == 0
         assert report["results"]["cross_method_sup_diff"] <= 1e-6
 
-    def test_compare_reports_fixedpoint_stages(self, tmp_path):
+    @pytest.mark.parametrize("lam", [8.0, 10.0, 20.0, 30.0])
+    def test_compare_converges_at_large_lambda(self, tmp_path, lam):
+        # the residual-safeguarded fixed point stalled here from lambda = 8 on
+        raw = minimal_torus(phi_zeros=[[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]],
+                            grid={"nx": 128}, **{"lambda": lam})
+        code, report = run("compare", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 0, report["results"]["fixedpoint"]["message"]
+        assert report["results"]["cross_method_sup_diff"] <= 1e-6
+
+    def test_compare_reports_fixedpoint_omega(self, tmp_path):
         raw = minimal_torus(phi_zeros=[[0.4 * L20, 0.5 * L20]])
         cfg = parse_config(json.dumps(raw))
         code, report = run("compare", cfg, out_dir=str(tmp_path))
         assert code == 0
         fixed = report["results"]["fixedpoint"]
-        stages = fixed["stages"]
-        assert [s["t"] for s in stages] == [1.0]
-        assert all(s["converged"] for s in stages)
-        assert set(fixed) == {"converged", "trials", "residual_final", "message", "stages"}
-        assert sum(s["trials"] for s in stages) == fixed["trials"]
-        for s in stages:
-            assert set(s) == {"t", "omega", "trials", "accepted", "anderson_rejected",
-                              "converged"}
-            assert s["accepted"] + s["anderson_rejected"] <= s["trials"]
-        assert "stages" not in report["results"]["newton"]
+        assert set(fixed) == {"converged", "trials", "residual_final", "omega", "message"}
+        side = max(raw["domain"]["Lx"], raw["domain"]["Ly"])
+        assert fixed["omega"] == pytest.approx(
+            1.0 / (1.0 + 4.0 * raw["lambda"] * side ** 2 / (4.0 * math.pi ** 2)), rel=1e-14)
+        assert "omega" not in report["results"]["newton"]
         again = run("compare", cfg, out_dir=str(tmp_path))[1]
         assert json.dumps(again["results"]) == json.dumps(report["results"])
 

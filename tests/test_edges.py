@@ -39,19 +39,19 @@ class TestSolverEdges:
         fa, fb = bv.flux_report(sol.state, bg, params)
         assert abs(fb - 4.0 * math.pi) / (4.0 * math.pi) <= 1e-6
 
-    def test_fixedpoint_refinement_exhaustion(self, monkeypatch):
+    def test_fixedpoint_max_applies_exhaustion(self, monkeypatch):
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((0.5 * L20, 0.5 * L20),))
         bg = bv.build_background_torus(cfg, grid, params)
-        # an unreachable stage tolerance and two trials per stage stall
-        # every stage, so the refinements run out
+        # an unreachable tolerance and two map applications
         monkeypatch.setattr(fixedpoint, "INNER_TOL", 1e-16)
-        monkeypatch.setattr(fixedpoint, "INNER_MAX_TRIALS", 2)
-        monkeypatch.setattr(fixedpoint, "MAX_REFINEMENTS", 2)
+        monkeypatch.setattr(fixedpoint, "MAX_APPLIES", 2)
         sol = bv.continuation_solve(bg, params)
         assert not sol.converged
-        assert sol.message.endswith("trials: it reached INNER_MAX_TRIALS = 2")
+        assert sol.iterations == 2 and len(sol.grad_history) == 2
+        assert sol.message == ("no fixed point after 2 map applications: "
+                               "it reached MAX_APPLIES = 2")
 
 
 class TestRunnerEdges:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import bpsvortex as bv
 from bpsvortex.errors import NonZeroMeanRhs, Overflow, ThresholdViolated
-from bpsvortex.fixedpoint import _solve_stage
+from bpsvortex import fixedpoint
 
 L20 = math.sqrt(20.0)
 
@@ -124,49 +124,42 @@ class TestContinuationSolve:
         assert runs[0].state.tobytes() == runs[1].state.tobytes()
         assert runs[0].grad_history == runs[1].grad_history
 
-    def test_stage_leaves_warm_start_unmodified(self, fp_setup):
-        grid, params, cfg, bg = fp_setup
-        pair = 0.5 * bv.apply_T(np.zeros((2,) + grid.shape), 0.5, bg, params)
-        before = pair.copy()
-        ok, out, iters = _solve_stage(pair, 0.5, bg, params, [])
-        assert ok and iters > 0
-        assert out is not pair
-        assert pair.tobytes() == before.tobytes()
-
-    def test_residual_history_non_increasing(self, fp_setup):
+    def test_every_application_logged(self, fp_setup):
         grid, params, cfg, bg = fp_setup
         fp = bv.continuation_solve(bg, params)
-        res = fp.grad_history
-        # within each stage accepted residuals never increase; only a stage
-        # break (a warm start at a new t) may step up
-        ups = sum(1 for a, b in zip(res, res[1:]) if b > a * (1.0 + 1e-9))
-        assert ups < len(fp.stages)
+        assert fp.converged and fp.message == ""
+        # one residual per map application, and only the last one is under
+        # the tolerance
+        assert len(fp.grad_history) == fp.iterations
+        assert fp.grad_history[-1] <= fixedpoint.INNER_TOL < min(fp.grad_history[:-1])
+        # the residual-safeguarded iteration took 25 trials on this case;
+        # damped Anderson(3) takes 21 map applications
+        assert fp.iterations <= 30
 
-    def test_stage_trace_accounts_for_every_trial(self, fp_setup):
+    def test_overflowing_application_reported_not_raised(self, fp_setup, monkeypatch):
         grid, params, cfg, bg = fp_setup
-        fp = bv.continuation_solve(bg, params)
-        assert [s["t"] for s in fp.stages] == [1.0]
-        assert all(s["converged"] for s in fp.stages)
-        assert sum(s["trials"] for s in fp.stages) == fp.iterations
-        assert sum(s["accepted"] for s in fp.stages) == len(fp.grad_history)
-        # ten uniform stages t = 0.1, ..., 1 took 143 trials on this case and
-        # the single stage at t = 1 takes 25
-        assert fp.iterations <= 50
+        apply_T = fixedpoint.apply_T
+        calls = []
 
-    def test_accepted_residuals_non_increasing_within_each_stage(self, fp_setup):
-        grid, params, cfg, bg = fp_setup
+        def second_call_overflows(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise Overflow("exponent argument 812 exceeds 700")
+            return apply_T(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, "apply_T", second_call_overflows)
         fp = bv.continuation_solve(bg, params)
-        start = 0
-        for stage in fp.stages:
-            res = fp.grad_history[start:start + stage["accepted"]]
-            start += stage["accepted"]
-            # the acceptance test allows a 1e-12 relative tie, nothing more
-            assert all(b <= a * (1.0 + 1e-12) for a, b in zip(res, res[1:]))
-        assert start == len(fp.grad_history)
+        assert not fp.converged
+        assert fp.message == "map application 2 overflowed: exponent argument 812 exceeds 700"
+        assert fp.iterations == 2 and len(fp.grad_history) == 1
+        # the state is recovered from the last iterate the map accepted: zero
+        zero = fixedpoint._recover_state(np.zeros((2,) + grid.shape), bg,
+                                         *bv.check_existence(cfg, grid, params).constraints)
+        assert fp.state.tobytes() == zero.tobytes()
 
     def test_close_pair_converges_and_matches_newton(self):
-        # two vortices 0.24 apart at lambda = 3: damped Picard alone stalls
-        # at t = 0.6 and exhausts its refinements on this case
+        # two vortices 0.24 apart at lambda = 3: the residual-safeguarded
+        # iteration rejected half of its 75 trials here
         grid = bv.TorusGrid(L20, L20, 128, 128)
         params = bv.PhysicalParams(lam=3.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.32 * L20, 0.45 * L20)))
@@ -177,22 +170,19 @@ class TestContinuationSolve:
         assert newton.converged
         assert np.max(np.abs(newton.state - fp.state)) <= 1e-6
 
-    def test_overflowing_trials_rejected_not_raised(self):
-        # at lambda = 100 the first trials at t = 1 overflow exp; they count
-        # as rejected, so every stage stalls by relaxation underflow and the
-        # solve reports non-convergence, and that reason, instead of raising
-        # Overflow
+    def test_large_lambda_converges_and_matches_newton(self):
+        # at lambda = 100 the map's linearization has spectral radius about
+        # 200; the a-priori damping omega = 1/(1 + rho) still converges
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=100.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
         bg = bv.build_background_torus(cfg, grid, params)
         fp = bv.continuation_solve(bg, params)
-        assert not fp.converged
-        last = fp.stages[-1]
-        assert fp.message == (f"stage t={last['t']:.4g} stalled after {last['trials']} "
-                              f"trials: relaxation omega fell below 1e-08")
-        assert sum(s["trials"] for s in fp.stages) == fp.iterations
-        assert all(s["omega"] < 1e-8 for s in fp.stages)
+        assert fp.converged, fp.message
+        assert fp.omega == pytest.approx(1.0 / (1.0 + 100.0 * 20.0 / math.pi ** 2), rel=1e-14)
+        newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
+        assert newton.converged
+        assert np.max(np.abs(newton.state - fp.state)) <= 1e-6
 
     @settings(deadline=None, database=None, derandomize=True, max_examples=25)
     @given(n=st.integers(1, 3), m=st.integers(0, 1), factor=st.floats(1.1, 3.0),

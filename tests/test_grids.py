@@ -179,6 +179,12 @@ class TestDirichletForm:
         d = g.dirichlet_form(np.cos(k * x))
         assert d == pytest.approx(0.5 * k ** 2 * g.area, rel=1e-12)
 
+    def test_torus_parseval_matches_laplacian_pairing(self, torus_small):
+        g = torus_small
+        for seed in range(3):
+            v = bv.random_smooth_field(g, np.random.default_rng(seed))
+            assert g.dirichlet_form(v) == pytest.approx(-g.inner(v, g.laplacian(v)), rel=1e-12)
+
     @pytest.mark.parametrize("grid", ["torus", "plane"])
     def test_zero_field(self, torus_small, plane_32, grid):
         g = torus_small if grid == "torus" else plane_32
