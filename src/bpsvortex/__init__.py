@@ -25,6 +25,6 @@ from .errors import (AnnulusTooThin, BpsVortexError, NonZeroMeanRhs, Overflow,
                      ParseError, PointOutsideDomain, ThresholdViolated,
                      ValidationError)
 from .fixedpoint import apply_T, continuation_solve, zero_mean_pair
-from .grids import PlaneGrid, SpectralWorkspace, TorusGrid, random_smooth_field
+from .grids import PlaneGrid, TorusGrid, random_smooth_field
 from .newton import Solution, SolverSettings, minimize, solve
 from .runner import dump_fields, emit_plot_data, run

@@ -39,6 +39,9 @@ _OUTPUT_DEFAULTS = {
 
 _SWEEP_PARAMS = ("lambda", "tau", "n", "m", "resolution")
 
+# the domain and grid keys of each mode; the other mode's keys are unknown
+_MODE_KEYS = {"torus": ({"Lx", "Ly"}, {"nx", "ny"}), "plane": ({"R"}, {"n"})}
+
 
 @dataclass
 class RunConfig:
@@ -211,8 +214,11 @@ def validate_config(raw: dict) -> RunConfig:
     lam = _number(raw.get("lambda"), "lambda", problems, positive=True)
     tau = _number(raw.get("tau"), "tau", problems, positive=True, optional=True)
 
-    domain = _expect_mapping(raw.get("domain", {}), "domain", problems, {"Lx", "Ly", "R"})
-    grid = _expect_mapping(raw.get("grid", {}), "grid", problems, {"nx", "ny", "n"})
+    # without a valid mode, only keys of neither mode are refused
+    domain_keys, grid_keys = (_MODE_KEYS[mode] if mode in ("torus", "plane")
+                              else ({"Lx", "Ly", "R"}, {"nx", "ny", "n"}))
+    domain = _expect_mapping(raw.get("domain", {}), "domain", problems, domain_keys)
+    grid = _expect_mapping(raw.get("grid", {}), "grid", problems, grid_keys)
     dom_out, grid_out = {}, {}
     if mode == "torus":
         dom_out["Lx"] = _number(domain.get("Lx"), "domain.Lx", problems, positive=True)
@@ -250,6 +256,10 @@ def validate_config(raw: dict) -> RunConfig:
                                  set(_OUTPUT_DEFAULTS))
     output = dict(_OUTPUT_DEFAULTS)
     output.update(output_raw)
+    for key in _OUTPUT_DEFAULTS:
+        if not (output[key] is None or isinstance(output[key], str)):
+            problems.append((f"output.{key}", f"expected a path string or null, "
+                                              f"got {type(output[key]).__name__}"))
 
     sweep = raw.get("sweep")
     axes = []

@@ -10,26 +10,27 @@ takes the variant and the domain from its background.
 With ``(s0, s1)`` the state, ``e^U = e^{u0 + s0}``, ``e^V = e^{v0 + s1 - s0}``
 and ``(src_u, src_f)`` the background's remainder sources, both grids minimize
 
-    E = c int [ 1/2 |grad s0|^2 + 1/4 |grad s1|^2 + lam (2 e^U + e^V)
-                + (src_u - lam) s0 + (src_f / 2 - lam) s1 ] dA,
+    E = int [ 1/2 |grad s0|^2 + 1/4 |grad s1|^2 + lam (2 e^U + e^V)
+              + (src_u - lam) s0 + (src_f / 2 - lam) s1 ] dA,
 
-with c = 1 on the torus and c = 1/lam on the plane, where the exponential
-term is taken relative to the background, 2 (e^U - e^{u0}) + (e^V - e^{v0}),
-so that it is integrable and E(0) = 0.  The gradient
+where the exponential term is taken relative to the background,
+2 (e^U - e^{u0}) + (e^V - e^{v0}), so that it is integrable and E(0) = 0.
+The gradient
 
-    c [ -lap s0 + lam (2 e^U - e^V - 1) + src_u,
-        -lap s1 / 2 + lam (e^V - 1) + src_f / 2 ]
+    [ -lap s0 + lam (2 e^U - e^V - 1) + src_u,
+      -lap s1 / 2 + lam (e^V - 1) + src_f / 2 ]
 
-vanishes exactly on the reduced system, and the Hessian is
+is minus the residuals (r1, r2 / 2) of the reduced system, so a sup-norm
+gradient tolerance bounds the first equation's residual by itself and the
+second's by twice itself, on both grids.  The Hessian is
 
-    c [[-lap + lam (2 e^U + e^V), -lam e^V], [-lam e^V, -lap / 2 + lam e^V]].
+    [[-lap + lam (2 e^U + e^V), -lam e^V], [-lam e^V, -lap / 2 + lam e^V]].
 
-Both are written once, in the scale pair (c, c lam): (1, lam) on the torus,
-(1/lam, 1) on the plane.  They are the exact first and second variations of
-the discrete energies in the grid's L^2 pairing ``grid.inner``; on the plane
-they vanish on the Dirichlet boundary ring, where states are held at zero.
-The energy is written once too, with the grid's quadrature ``grid.integrate``
-and the grid's Dirichlet form ``grid.dirichlet_form`` for int |grad s|^2.
+Both are the exact first and second variations of the discrete energies in
+the grid's L^2 pairing ``grid.inner``; on the plane they vanish on the
+Dirichlet boundary ring, where states are held at zero.  The energy is
+written once too, with the grid's quadrature ``grid.integrate`` and the
+grid's Dirichlet form ``grid.dirichlet_form`` for int |grad s|^2.
 
 Newton's linear algebra runs on mode coefficients of the grid's Laplacian
 eigenbasis (``to_modes``/``from_modes``).  There the Hessian is the
@@ -86,14 +87,6 @@ class EnergyModel:
     bg: Background
     params: PhysicalParams
 
-    def __post_init__(self):
-        # the scale pair (c, c lam) of the module docstring, with c also held
-        # as its inverse: the sources are divided by 1/c (on the plane that
-        # is h1 / lam), and the plane's c lam is exactly 1
-        lam = self.params.lam
-        self._inv_c, self._c_lam = (1.0, lam) if isinstance(self.grid, TorusGrid) else (lam, 1.0)
-        self._c = 1.0 / self._inv_c
-
     @property
     def grid(self):
         return self.bg.grid
@@ -101,26 +94,19 @@ class EnergyModel:
     def zero_state(self) -> np.ndarray:
         return np.zeros((2,) + self.grid.shape)
 
-    def _scaled_sources(self):
-        # c src_u and c src_f / 2
-        return self.bg.src_u / self._inv_c, self.bg.src_f / (2.0 * self._inv_c)
-
     def energy(self, state) -> EnergyBreakdown:
-        grid, c, c_lam, bg = self.grid, self._c, self._c_lam, self.bg
+        grid, lam, bg = self.grid, self.params.lam, self.bg
         eU, eV = _exp_pair(state, bg)
-        lin_u, lin_f = self._scaled_sources()
-        grad_part = ((0.5 * c) * grid.dirichlet_form(state[0])
-                     + (0.25 * c) * grid.dirichlet_form(state[1]))
-        exp_part = c_lam * grid.integrate(2.0 * (eU - bg.exp_u0) + (eV - bg.exp_v0))
-        lin_part = grid.integrate((lin_u - c_lam) * state[0] + (lin_f - c_lam) * state[1])
+        grad_part = 0.5 * grid.dirichlet_form(state[0]) + 0.25 * grid.dirichlet_form(state[1])
+        exp_part = lam * grid.integrate(2.0 * (eU - bg.exp_u0) + (eV - bg.exp_v0))
+        lin_part = grid.integrate((bg.src_u - lam) * state[0] + (bg.src_f / 2.0 - lam) * state[1])
         return EnergyBreakdown(grad_part + exp_part + lin_part, grad_part, exp_part, lin_part)
 
     def gradient(self, state) -> np.ndarray:
-        grid, c, c_lam = self.grid, self._c, self._c_lam
-        eU, eV = _exp_pair(state, self.bg)
-        lin_u, lin_f = self._scaled_sources()
-        g0 = -c * grid.laplacian(state[0]) + c_lam * (2.0 * eU - eV - 1.0) + lin_u
-        g1 = -0.5 * c * grid.laplacian(state[1]) + c_lam * (eV - 1.0) + lin_f
+        grid, lam, bg = self.grid, self.params.lam, self.bg
+        eU, eV = _exp_pair(state, bg)
+        g0 = -grid.laplacian(state[0]) + lam * (2.0 * eU - eV - 1.0) + bg.src_u
+        g1 = -0.5 * grid.laplacian(state[1]) + lam * (eV - 1.0) + bg.src_f / 2.0
         return np.stack([grid.zero_boundary(g0), grid.zero_boundary(g1)])
 
     def hessian_apply(self, state, direction) -> np.ndarray:
@@ -128,11 +114,11 @@ class EnergyModel:
 
         The reference that :meth:`hessian_operator` is checked against.
         """
-        grid, c, c_lam = self.grid, self._c, self._c_lam
+        grid, lam = self.grid, self.params.lam
         eU, eV = _exp_pair(state, self.bg)
         d0, d1 = direction[0], direction[1]
-        h0 = -c * grid.laplacian(d0) + (2.0 * c_lam * eU + c_lam * eV) * d0 - c_lam * eV * d1
-        h1 = -0.5 * c * grid.laplacian(d1) + c_lam * eV * (d1 - d0)
+        h0 = -grid.laplacian(d0) + (2.0 * lam * eU + lam * eV) * d0 - lam * eV * d1
+        h1 = -0.5 * grid.laplacian(d1) + lam * eV * (d1 - d0)
         return np.stack([grid.zero_boundary(h0), grid.zero_boundary(h1)])
 
     def to_modes(self, pair: np.ndarray) -> np.ndarray:
@@ -153,11 +139,12 @@ class EnergyModel:
 
     @cached_property
     def _far_field(self):
-        # per mode d = K / (2 lam) + 1, 2d + 1 and 1 / (c lam (2d - 1)(d + 1)):
+        # per mode d = K / (2 lam) + 1, 2d + 1 and 1 / (lam (2d - 1)(d + 1)):
         # the far-field block and its inverse, see preconditioner
-        d = self.grid.laplacian_eigenvalues() / (2.0 * self.params.lam)
+        lam = self.params.lam
+        d = self.grid.laplacian_eigenvalues() / (2.0 * lam)
         d += 1.0
-        inv_det = 1.0 / ((2.0 * d - 1.0) * (d + 1.0) * self._c_lam)
+        inv_det = 1.0 / ((2.0 * d - 1.0) * (d + 1.0) * lam)
         return d, 2.0 * d + 1.0, inv_det
 
     def hessian_operator(self, state):
@@ -167,21 +154,21 @@ class EnergyModel:
         :meth:`to_modes`) to that of its Hessian product; through the
         transforms it gives the values of :meth:`hessian_apply` to roundoff.
         The Hessian splits as A = M + W.  M is the far-field block of
-        :meth:`preconditioner`, c lam [[2d + 1, -1], [-1, d]], diagonal per
-        mode.  W is pointwise: with wu = 2 c lam (e^U - 1) and
-        wv = c lam (e^V - 1) it maps (p0, p1) to (wu p0 - q1, q1),
+        :meth:`preconditioner`, lam [[2d + 1, -1], [-1, d]], diagonal per
+        mode.  W is pointwise: with wu = 2 lam (e^U - 1) and
+        wv = lam (e^V - 1) it maps (p0, p1) to (wu p0 - q1, q1),
         q1 = wv (p1 - p0), and vanishes where the fields reach their vacuum.
         One apply costs two inverse and two forward transforms; the
         callable holds wu, wv and one physical field.
         """
         eU, eV = _exp_pair(state, self.bg)
-        grid, c_lam = self.grid, self._c_lam
+        grid, lam = self.grid, self.params.lam
         wu = eU
         wu -= 1.0
-        wu *= 2.0 * c_lam
+        wu *= 2.0 * lam
         wv = eV
         wv -= 1.0
-        wv *= c_lam
+        wv *= lam
         d, d21, _ = self._far_field
         field = np.zeros(grid.shape)
 
@@ -198,14 +185,14 @@ class EnergyModel:
             np.multiply(field, wu, out=field)
             grid.modal_forward(field, out=h0)
             h0 -= h1
-            # + M p = c lam [[2d + 1, -1], [-1, d]] p
+            # + M p = lam [[2d + 1, -1], [-1, d]] p
             m = np.multiply(d21, p[0])
             m -= p[1]
-            m *= c_lam
+            m *= lam
             h0 += m
             np.multiply(d, p[1], out=m)
             m -= p[0]
-            m *= c_lam
+            m *= lam
             h1 += m
             return out
 
@@ -219,14 +206,13 @@ class EnergyModel:
         modes of the interior on the plane; see ``grid.modal_forward``) it is
         the 2x2 block
 
-            c * [[K + 3 lam, -lam], [-lam, K/2 + lam]]
-              = c * lam * [[2d + 1, -1], [-1, d]],     d = K / (2 lam) + 1,
+            [[K + 3 lam, -lam], [-lam, K/2 + lam]]
+              = lam * [[2d + 1, -1], [-1, d]],     d = K / (2 lam) + 1.
 
-        with the scale pair (c, c lam) of the module docstring.  Its determinant
-        (c lam)^2 (2d - 1)(d + 1) is positive for every K >= 0, the constant
-        torus mode included, so the inverse
+        Its determinant lam^2 (2d - 1)(d + 1) is positive for every K >= 0,
+        the constant torus mode included, so the inverse
 
-            [[d, 1], [1, 2d + 1]] / (c lam (2d - 1)(d + 1))
+            [[d, 1], [1, 2d + 1]] / (lam (2d - 1)(d + 1))
 
         is symmetric positive definite on both grids.  The returned callable
         applies it to the coefficient pair of a residual, mode by mode, with

@@ -32,11 +32,11 @@ pairwise summation, so results are deterministic for a fixed grid.
 Buffers: operators that take ``out=`` write their result there and return
 it; without ``out`` they return a new array.  Either way the result belongs
 to the caller.  A torus grid also owns one private complex scratch spectrum
-(``workspace.spec``) that all its transforms pass through.  It holds nothing
-between calls and is never returned, so results never alias it; it also
-makes a torus grid unsafe to share between threads.  The plane's sine
-transforms allocate one interior-sized intermediate per call instead: kept
-on the grid it would stay resident for the life of the grid.
+that all its transforms pass through.  It holds nothing between calls and is
+never returned, so results never alias it; it also makes a torus grid unsafe
+to share between threads.  The plane's sine transforms allocate one
+interior-sized intermediate per call instead: kept on the grid it would stay
+resident for the life of the grid.
 """
 
 from __future__ import annotations
@@ -52,26 +52,6 @@ from .errors import NonZeroMeanRhs
 # field magnitude: callers project the mean out, so a mean above quadrature
 # roundoff means the right-hand side was built wrong
 POISSON_MEAN_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class SpectralWorkspace:
-    """Cached wavenumber tables and scratch for one torus grid (rfft2 layout).
-
-    ``neg_k2`` is -|k|^2, the symbol of the Laplacian.  Entry ``[0, 0]`` is
-    the mean (k = 0) mode; ``neg_k2_safe`` replaces it by -1.0 so divisions
-    stay finite while the mode is zeroed explicitly.  ``k2`` is the negation
-    of ``neg_k2``, built on each access.  ``spec`` is the complex
-    scratch spectrum every transform passes through; it never leaves a call.
-    """
-
-    neg_k2: np.ndarray
-    neg_k2_safe: np.ndarray
-    spec: np.ndarray
-
-    @property
-    def k2(self) -> np.ndarray:
-        return -self.neg_k2
 
 
 @dataclass(frozen=True)
@@ -108,14 +88,18 @@ class TorusGrid:
         return (self.nx, self.ny)
 
     @cached_property
-    def workspace(self) -> SpectralWorkspace:
+    def _neg_k2(self) -> np.ndarray:
+        # -|k|^2, the symbol of the Laplacian, in the rfft2 layout; entry
+        # [0, 0] is the mean (k = 0) mode
         kx = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
         ky = 2.0 * np.pi * np.fft.rfftfreq(self.ny, d=self.dy)
-        neg_k2 = -(kx[:, None] ** 2 + ky[None, :] ** 2)
-        neg_k2_safe = neg_k2.copy()
-        neg_k2_safe[0, 0] = -1.0
-        spec = np.empty(neg_k2.shape, dtype=complex)
-        return SpectralWorkspace(neg_k2, neg_k2_safe, spec)
+        return -(kx[:, None] ** 2 + ky[None, :] ** 2)
+
+    @cached_property
+    def _spec(self) -> np.ndarray:
+        # the complex scratch spectrum every transform passes through; it
+        # never leaves a call
+        return np.empty(self._neg_k2.shape, dtype=complex)
 
     def axes(self):
         x = np.arange(self.nx) * self.dx
@@ -130,9 +114,8 @@ class TorusGrid:
 
     def laplacian(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Spectral Laplacian (multiplication by -|k|^2 in transform space)."""
-        ws = self.workspace
-        spec = np.fft.rfft2(values, out=ws.spec)
-        np.multiply(ws.neg_k2, spec, out=spec)
+        spec = np.fft.rfft2(values, out=self._spec)
+        np.multiply(self._neg_k2, spec, out=spec)
         return self._inverse(spec, out)
 
     def poisson_solve_zero_mean(self, rhs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -148,16 +131,18 @@ class TorusGrid:
             raise NonZeroMeanRhs(
                 f"rhs mean {m:.3e} exceeds {POISSON_MEAN_TOL:.1e} relative tolerance"
             )
-        ws = self.workspace
-        spec = np.fft.rfft2(rhs, out=ws.spec)
-        spec /= ws.neg_k2_safe
+        neg_k2 = self._neg_k2
+        spec = np.fft.rfft2(rhs, out=self._spec)
+        # every mode but the mean one, which the solve sets to zero
+        spec[0, 1:] /= neg_k2[0, 1:]
+        spec[1:] /= neg_k2[1:]
         spec[0, 0] = 0.0
         return self._inverse(spec, out)
 
     def _inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         # irfft2 as its two 1-D passes, the complex one through the scratch
         # spectrum (bitwise equal to np.fft.irfft2(coeffs, s=self.shape))
-        spec = np.fft.ifft(coeffs, axis=0, out=self.workspace.spec)
+        spec = np.fft.ifft(coeffs, axis=0, out=self._spec)
         return np.fft.irfft(spec, n=self.ny, axis=1, out=out)
 
     # -- Laplacian eigenbasis ------------------------------------------------
@@ -187,8 +172,8 @@ class TorusGrid:
         return total * self.dx * self.dy / (self.nx * self.ny)
 
     def laplacian_eigenvalues(self) -> np.ndarray:
-        """|k|^2, the eigenvalue of ``-laplacian`` per Fourier mode."""
-        return self.workspace.k2
+        """|k|^2, the eigenvalue of ``-laplacian`` per Fourier mode (a new array)."""
+        return -self._neg_k2
 
     # -- boundary ------------------------------------------------------------
 
@@ -213,9 +198,8 @@ class TorusGrid:
 
         Parseval on one forward transform: ``modal_inner(v_hat, |k|^2 v_hat)``.
         """
-        ws = self.workspace
-        spec = np.fft.rfft2(values, out=ws.spec)
-        return -self.modal_inner(spec, ws.neg_k2 * spec)
+        spec = np.fft.rfft2(values, out=self._spec)
+        return -self.modal_inner(spec, self._neg_k2 * spec)
 
 
 @dataclass(frozen=True)
@@ -443,9 +427,8 @@ def random_smooth_field(grid, rng: np.random.Generator, amplitude: float = 0.5) 
     """
     if isinstance(grid, TorusGrid):
         noise = rng.standard_normal(grid.shape)
-        ws = grid.workspace
         kc2 = (6.0 * 2.0 * np.pi / min(grid.Lx, grid.Ly)) ** 2
-        fhat = np.fft.rfft2(noise) * np.exp(ws.neg_k2 / kc2)
+        fhat = np.fft.rfft2(noise) * np.exp(grid._neg_k2 / kc2)
         field = np.fft.irfft2(fhat, s=grid.shape)
     else:
         noise = rng.standard_normal(grid.shape)

@@ -70,8 +70,11 @@ CG_MAX_ITERS = 2000
 class SolverSettings:
     """Newton stopping rule: the sup-norm gradient tolerance and the iteration cap.
 
-    The line-search and CG constants are module constants above; no run
-    sets them differently.
+    The gradient is minus the residuals (r1, r2 / 2) of the reduced system on
+    both grids (see :mod:`bpsvortex.energy`), so a solve that stops at
+    ``tol_grad_sup`` has sup residuals at most ``tol_grad_sup`` for the first
+    equation and ``2 tol_grad_sup`` for the second.  The line-search and CG
+    constants are module constants above; no run sets them differently.
     """
 
     tol_grad_sup: float = 1e-9

@@ -576,6 +576,43 @@ class TestCliMain:
         assert main(["--config", str(cfg_path), "--command", "check"]) == 1
         assert f"solver.{key}: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode,override,path", [
+        ("torus", "domain.R=6.0", "domain.R"),
+        ("torus", "grid.n=32", "grid.n"),
+        ("plane", "domain.Lx=6.0", "domain.Lx"),
+        ("plane", "domain.Ly=6.0", "domain.Ly"),
+        ("plane", "grid.nx=32", "grid.nx"),
+        ("plane", "grid.ny=32", "grid.ny"),
+    ])
+    def test_other_modes_key_exit_1(self, tmp_path, capsys, mode, override, path):
+        # a key of the other mode would vanish from the echoed config
+        raw = (minimal_torus() if mode == "torus" else
+               {"mode": "plane", "lambda": 1.0, "domain": {"R": 6.0}, "grid": {"n": 32}})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "check",
+                     "--override", override, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: unknown key" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("override,path", [
+        ("output.fields_path=5", "output.fields_path"),
+        ('output.fields_path=["a"]', "output.fields_path"),
+        ("output.report_path=7", "output.report_path"),
+        ("output.plots_path=true", "output.plots_path"),
+    ], ids=["fields-int", "fields-list", "report-int", "plots-bool"])
+    def test_non_string_output_path_exit_1_before_any_work(self, tmp_path, capsys,
+                                                           monkeypatch, override, path):
+        monkeypatch.setattr("bpsvortex.cli.run", lambda *a, **k: pytest.fail("run called"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_torus(phi_zeros=[[1.0, 1.0]])))
+        assert main(["--config", str(cfg_path), "--command", "solve",
+                     "--override", override, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: expected a path string or null" in err
+        assert "Traceback" not in err
+
     def test_solver_method_both_refused_naming_compare(self, tmp_path, capsys):
         # compare is the one way to run both solvers
         cfg_path = tmp_path / "cfg.json"

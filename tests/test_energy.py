@@ -180,19 +180,13 @@ class TestPreconditioner:
         model = make_model(mode, "base")
         grid = model.grid
         lam = model.params.lam
-        c = 1.0 if mode == "torus" else 1.0 / lam
         apply_minv = model.preconditioner()
         rng = np.random.default_rng(11)
         for _ in range(3):
-            d = rng.standard_normal((2,) + grid.shape)
-            if mode == "plane":
-                d[:, 0, :] = d[:, -1, :] = 0.0
-                d[:, :, 0] = d[:, :, -1] = 0.0
-            a0d = c * np.stack([-grid.laplacian(d[0]) + 3.0 * lam * d[0] - lam * d[1],
-                                -0.5 * grid.laplacian(d[1]) + lam * (d[1] - d[0])])
-            if mode == "plane":
-                a0d[:, 0, :] = a0d[:, -1, :] = 0.0
-                a0d[:, :, 0] = a0d[:, :, -1] = 0.0
+            d = grid.zero_boundary(rng.standard_normal((2,) + grid.shape))
+            a0d = grid.zero_boundary(np.stack([
+                -grid.laplacian(d[0]) + 3.0 * lam * d[0] - lam * d[1],
+                -0.5 * grid.laplacian(d[1]) + lam * (d[1] - d[0])]))
             z = model.from_modes(apply_minv(model.to_modes(a0d)))
             assert np.max(np.abs(z - d)) <= 1e-10
             r = model.to_modes(d)
@@ -215,8 +209,8 @@ class TestPreconditioner:
 class TestGradientResidualCorrespondence:
     @pytest.mark.parametrize("mode,variant", VARIANTS)
     def test_gradient_zero_is_the_discrete_system(self, mode, variant):
-        # the energy gradient and the equation residuals are the same object
-        # up to variant-specific scaling: residuals = -(scale) * gradient
+        # the energy gradient is minus the equation residuals (r1, r2 / 2) on
+        # both grids, and zero on the plane's boundary ring
         model = make_model(mode, variant)
         s = random_state(model.grid, seed=8)
         g = model.gradient(s)
@@ -226,15 +220,12 @@ class TestGradientResidualCorrespondence:
         eV = model.bg.exp_v0 * np.exp(s[1] - s[0])
         m, n = model.bg.cfg.m, model.bg.cfg.n
         if mode == "torus":
-            r1 = grid.laplacian(s[0]) - lam * (2 * eU - eV - 1) - 4 * np.pi * m / grid.area
-            r2 = grid.laplacian(s[1]) - 2 * lam * (eV - 1) - 4 * np.pi * (m + n) / grid.area
-            expected = np.stack([-r1, -0.5 * r2])
+            src_u, src_f = 4 * np.pi * m / grid.area, 4 * np.pi * (m + n) / grid.area
         else:
-            r1 = grid.laplacian(s[0]) - lam * (2 * eU - eV - 1) - model.bg.src_u
-            r2 = grid.laplacian(s[1]) - 2 * lam * (eV - 1) - model.bg.src_f
-            expected = np.stack([-r1 / lam, -0.5 * r2 / lam])
-            expected[:, 0, :] = expected[:, -1, :] = 0.0
-            expected[:, :, 0] = expected[:, :, -1] = 0.0
+            src_u, src_f = model.bg.src_u, model.bg.src_f
+        r1 = grid.laplacian(s[0]) - lam * (2 * eU - eV - 1) - src_u
+        r2 = grid.laplacian(s[1]) - 2 * lam * (eV - 1) - src_f
+        expected = grid.zero_boundary(np.stack([-r1, -0.5 * r2]))
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(g - expected)) <= 1e-12 * scale
 

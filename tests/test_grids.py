@@ -202,10 +202,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             bv.PlaneGrid(1.0, 8)
 
-    def test_workspace_zero_mode_addressable(self, torus_small):
-        ws = torus_small.workspace
-        assert ws.k2[0, 0] == 0.0
-        assert -ws.neg_k2_safe[0, 0] == 1.0
+    def test_poisson_solve_zeroes_the_mean_mode(self, torus_small):
+        # the mean mode has eigenvalue 0 and is set to zero, not divided
+        g = torus_small
+        assert g.laplacian_eigenvalues()[0, 0] == 0.0
+        v = band_limited(g, seed=6) + 3.0
+        with np.errstate(all="raise"):
+            u = g.poisson_solve_zero_mean(g.laplacian(v))
+        assert abs(u.mean()) <= 1e-14 * np.max(np.abs(v))
+        assert np.max(np.abs(u - (v - v.mean()))) <= 1e-12 * np.max(np.abs(v))
 
 
 class TestBuffers:
@@ -214,7 +219,9 @@ class TestBuffers:
     @pytest.mark.parametrize("shape", [(16, 24), (96, 96), (256, 256)])
     def test_torus_operators_bitwise_equal_to_plain_fft(self, shape):
         g = bv.TorusGrid(2.0, 3.0, *shape)
-        k2, k2_safe = g.workspace.k2, -g.workspace.neg_k2_safe
+        k2 = g.laplacian_eigenvalues()
+        k2_safe = k2.copy()
+        k2_safe[0, 0] = 1.0
         rng = np.random.default_rng(shape[0])
         v = rng.standard_normal(shape)
         lap = np.fft.irfft2(-k2 * np.fft.rfft2(v), s=shape)
@@ -228,6 +235,17 @@ class TestBuffers:
         field = g.modal_inverse(coeffs, out=np.empty(shape))
         assert field.tobytes() == np.fft.irfft2(coeffs, s=shape).tobytes()
         assert g.modal_forward(v, out=np.empty_like(coeffs)).tobytes() == coeffs.tobytes()
+
+    def test_eigenvalues_cannot_change_the_operators(self):
+        g = bv.TorusGrid(2.0, 3.0, 32, 48)
+        v = band_limited(g, seed=7)
+        lap = g.laplacian(v)
+        k2 = g.laplacian_eigenvalues()
+        before = k2.copy()
+        if k2.flags.writeable:
+            k2 *= 2.0
+        assert g.laplacian_eigenvalues().tobytes() == before.tobytes()
+        assert g.laplacian(v).tobytes() == lap.tobytes()
 
     def test_results_never_alias_the_workspace(self, torus_small):
         g = torus_small

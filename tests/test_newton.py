@@ -78,6 +78,24 @@ class TestConvergedProperties:
         res = bv.pde_residual(torus_criterion_solution.state, bg, params)
         assert max(res[0][1], res[1][1]) <= 1e-8
 
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_tol_bounds_the_residual(self, mode, request):
+        # the gradient is minus (r1, r2 / 2) on both grids, so a converged
+        # solve has |r1| <= tol and |r2| <= 2 tol; at lambda = 200 a gradient
+        # scaled by 1 / lambda would leave residuals of order lambda tol
+        tol = bv.SolverSettings().tol_grad_sup
+        if mode == "torus":
+            grid, params, cfg, bg = request.getfixturevalue("torus_criterion_setup")
+            sol = request.getfixturevalue("torus_criterion_solution")
+        else:
+            grid, params = bv.PlaneGrid(2.0, 128), bv.PhysicalParams(lam=200.0)
+            cfg = bv.VortexConfig(phi_zeros=((0.3, 0.0), (-0.3, 0.2)))
+            bg = bv.build_background(cfg, grid, params)
+            sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
+        assert sol.converged
+        (_, sup1), (_, sup2) = bv.pde_residual(sol.state, bg, params)
+        assert sup1 <= tol and sup2 <= 2.0 * tol
+
     def test_energy_monotone_descent(self, torus_criterion_solution):
         e = torus_criterion_solution.energy_history
         # strictly decreasing while far from the minimum; roundoff-level slack
