@@ -24,7 +24,7 @@ from .energy import EnergyBreakdown, EnergyModel
 from .errors import (AnnulusTooThin, BpsVortexError, NonZeroMeanRhs, Overflow,
                      ParseError, PointOutsideDomain, ThresholdViolated,
                      ValidationError)
-from .fixedpoint import apply_T, continuation_solve, zero_mean_pair
+from .fixedpoint import apply_T, continuation_solve
 from .grids import PlaneGrid, TorusGrid, random_smooth_field
 from .newton import Solution, SolverSettings, minimize, solve
 from .runner import dump_fields, emit_plot_data, run

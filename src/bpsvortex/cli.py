@@ -8,7 +8,7 @@ import sys
 
 from .config import apply_overrides, validate_config
 from .errors import NonZeroMeanRhs, Overflow, ParseError, ThresholdViolated, ValidationError
-from .runner import run
+from .runner import EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_THRESHOLD, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,32 +34,32 @@ def main(argv=None) -> int:
             raw = json.load(fh)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INVALID
     except json.JSONDecodeError as exc:
         print(f"error: config parse failure at line {exc.lineno}: {exc.msg}", file=sys.stderr)
-        return 1
+        return EXIT_INVALID
 
     try:
         raw = apply_overrides(raw, args.override)
         cfg = validate_config(raw)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INVALID
 
     try:
         exit_code, report = run(args.command, cfg, out_dir=args.out)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INVALID
     except ThresholdViolated as exc:
         print(f"threshold violated: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_THRESHOLD
     except (Overflow, NonZeroMeanRhs) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+        return EXIT_NOT_CONVERGED
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INVALID
 
     summary = {"command": args.command, "exit_code": exit_code}
     if "threshold" in report.get("results", {}):

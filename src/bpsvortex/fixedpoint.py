@@ -53,16 +53,6 @@ MAX_APPLIES = 5000
 ANDERSON_DEPTH = 3
 
 
-def zero_mean_pair(u_prime: np.ndarray, w_prime: np.ndarray) -> np.ndarray:
-    """Stack two fields into an X element, verifying the zero-mean invariant."""
-    pair = np.stack([np.asarray(u_prime, dtype=float), np.asarray(w_prime, dtype=float)])
-    for k in (0, 1):
-        scale = float(np.max(np.abs(pair[k]))) + 1e-300
-        if abs(float(pair[k].mean())) > 1e-12 * scale:
-            raise NonZeroMeanRhs(f"component {k} of pair is not zero-mean")
-    return pair
-
-
 def apply_T(pair: np.ndarray, t: float, bg: Background, params: PhysicalParams,
             out: Optional[np.ndarray] = None) -> np.ndarray:
     """One application of the homotopy map at parameter ``t`` (factor included).

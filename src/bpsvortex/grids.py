@@ -29,14 +29,14 @@ Scalar fields are plain ``float64`` arrays of shape ``(nx, ny)`` (torus) or
 ``(i*dx, j*dy)`` resp. ``(-R + i*h, -R + j*h)``.  Reductions use numpy's
 pairwise summation, so results are deterministic for a fixed grid.
 
-Buffers: operators that take ``out=`` write their result there and return
-it; without ``out`` they return a new array.  Either way the result belongs
-to the caller.  A torus grid also owns one private complex scratch spectrum
-that all its transforms pass through.  It holds nothing between calls and is
-never returned, so results never alias it; it also makes a torus grid unsafe
-to share between threads.  The plane's sine transforms allocate one
-interior-sized intermediate per call instead: kept on the grid it would stay
-resident for the life of the grid.
+Buffers: ``laplacian`` returns a new array.  The other operators write their
+result to ``out=`` and return it; where ``out`` is optional, they return a
+new array without it.  Either way the result belongs to the caller.  A torus
+grid also owns one private complex scratch spectrum that its operators pass
+through.  It holds nothing between calls and is never returned, so results
+never alias it; it also makes a torus grid unsafe to share between threads.
+The plane's sine transforms allocate one interior-sized intermediate per call
+instead: kept on the grid it would stay resident for the life of the grid.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ class TorusGrid:
 
     # -- operators ---------------------------------------------------------
 
-    def laplacian(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Spectral Laplacian (multiplication by -|k|^2 in transform space)."""
-        spec = np.fft.rfft2(values, out=self._spec)
+        spec = self.modal_forward(values, out=self._spec)
         np.multiply(self._neg_k2, spec, out=spec)
-        return self._inverse(spec, out)
+        return self.modal_inverse(spec)
 
     def poisson_solve_zero_mean(self, rhs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Unique zero-mean U with laplacian(U) = rhs - mean(rhs).
@@ -132,18 +132,12 @@ class TorusGrid:
                 f"rhs mean {m:.3e} exceeds {POISSON_MEAN_TOL:.1e} relative tolerance"
             )
         neg_k2 = self._neg_k2
-        spec = np.fft.rfft2(rhs, out=self._spec)
+        spec = self.modal_forward(rhs, out=self._spec)
         # every mode but the mean one, which the solve sets to zero
         spec[0, 1:] /= neg_k2[0, 1:]
         spec[1:] /= neg_k2[1:]
         spec[0, 0] = 0.0
-        return self._inverse(spec, out)
-
-    def _inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        # irfft2 as its two 1-D passes, the complex one through the scratch
-        # spectrum (bitwise equal to np.fft.irfft2(coeffs, s=self.shape))
-        spec = np.fft.ifft(coeffs, axis=0, out=self._spec)
-        return np.fft.irfft(spec, n=self.ny, axis=1, out=out)
+        return self.modal_inverse(spec, out)
 
     # -- Laplacian eigenbasis ------------------------------------------------
 
@@ -151,9 +145,15 @@ class TorusGrid:
         """Fourier coefficients of ``values`` (rfft2 layout)."""
         return np.fft.rfft2(values, out=out)
 
-    def modal_inverse(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the field with Fourier coefficients ``coeffs`` to ``out``."""
-        return self._inverse(coeffs, out)
+    def modal_inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The field with Fourier coefficients ``coeffs`` (written to ``out``).
+
+        irfft2 as its two 1-D passes, the complex one through the scratch
+        spectrum, bitwise equal to ``np.fft.irfft2(coeffs, s=self.shape)``.
+        ``coeffs`` is only read, unless it is the scratch spectrum itself.
+        """
+        spec = np.fft.ifft(coeffs, axis=0, out=self._spec)
+        return np.fft.irfft(spec, n=self.ny, axis=1, out=out)
 
     def modal_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """``inner`` of the fields with Fourier coefficients ``a`` and ``b``.
@@ -198,7 +198,7 @@ class TorusGrid:
 
         Parseval on one forward transform: ``modal_inner(v_hat, |k|^2 v_hat)``.
         """
-        spec = np.fft.rfft2(values, out=self._spec)
+        spec = self.modal_forward(values, out=self._spec)
         return -self.modal_inner(spec, self._neg_k2 * spec)
 
 
@@ -242,29 +242,15 @@ class PlaneGrid:
         w1[-1] *= 0.5
         return w1[:, None] * w1[None, :]
 
-    @cached_property
-    def sine_basis(self) -> np.ndarray:
-        """Orthonormal DST-I matrix of the n - 2 interior nodes per axis.
-
-        Column k samples sin(pi k j / (n - 1)) at the interior nodes j; the
-        matrix is symmetric and its own inverse.  The transforms use it
-        folded, in the mode order of ``sine_modes``; this dense form is their
-        reference.
-        """
-        k = np.arange(1, self.n - 1)
-        return np.sqrt(2.0 / (self.n - 1)) * np.sin(np.pi * np.outer(k, k) / (self.n - 1))
-
     # -- operators ---------------------------------------------------------
 
-    def laplacian(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
         """5-point Laplacian; ghost nodes outside the grid hold zero (Dirichlet).
 
         Neighbours are summed into one output in a fixed order (up, down,
         left, right, then the centre term), so results are bitwise stable.
-        ``out`` must not overlap ``values``.
         """
-        if out is None:
-            out = np.empty_like(values)
+        out = np.empty_like(values)
         out[0] = 0.0
         out[1:] = values[:-1]
         out[:-1] += values[1:]
@@ -278,7 +264,8 @@ class PlaneGrid:
     #
     # The sine modes of the interior nodes diagonalize the 5-point Laplacian
     # with zero ghost values.  The transforms are dense products with the
-    # sine matrix S = sine_basis, folded: with N = n - 1 and interior nodes
+    # orthonormal DST-I matrix S[k, j] = sqrt(2 / N) sin(pi k j / N) (symmetric
+    # and its own inverse), folded: with N = n - 1 and interior nodes
     # j = 1 .. N - 1, S[k, N - j] = (-1)^(k + 1) S[k, j], so odd modes see
     # x_j + x_{N-j} and even modes x_j - x_{N-j} (an odd n has a middle node
     # j = N / 2, which enters the odd modes only).  Per axis that leaves two
@@ -302,7 +289,7 @@ class PlaneGrid:
 
     @cached_property
     def _folded_basis(self):
-        # rows of sine_basis at the odd and at the even modes, restricted to
+        # rows of S at the odd and at the even modes, restricted to
         # the nodes j = 1 .. ceil((n - 2) / 2) resp. 1 .. (n - 2) // 2
         odd, even = (self.n - 1) // 2, (self.n - 2) // 2
         k = self.sine_modes
@@ -420,25 +407,19 @@ class PlaneGrid:
 
 
 def random_smooth_field(grid, rng: np.random.Generator, amplitude: float = 0.5) -> np.ndarray:
-    """Band-limited random field, used for property tests and probe initials.
+    """Smooth random field of sup norm ``amplitude`` (property tests, probe initials).
 
-    Torus fields are low-pass filtered white noise; plane fields additionally
-    vanish on the boundary ring (Dirichlet states).
+    White noise taken to the grid's Laplacian eigenbasis, damped there by
+    exp(-K / kc^2) with K = ``laplacian_eigenvalues()`` and kc = 2 pi * 6 / L
+    (six waves across the shortest side L of the domain), and brought back.
+    Plane fields are sums of sine modes, so they vanish on the boundary ring
+    (Dirichlet states).
     """
-    if isinstance(grid, TorusGrid):
-        noise = rng.standard_normal(grid.shape)
-        kc2 = (6.0 * 2.0 * np.pi / min(grid.Lx, grid.Ly)) ** 2
-        fhat = np.fft.rfft2(noise) * np.exp(grid._neg_k2 / kc2)
-        field = np.fft.irfft2(fhat, s=grid.shape)
-    else:
-        noise = rng.standard_normal(grid.shape)
-        x, _ = grid.axes()
-        window = np.sin(np.pi * (x + grid.R) / (2.0 * grid.R))
-        kern = np.exp(-0.5 * (np.arange(-4, 5) / 1.5) ** 2)
-        kern /= kern.sum()
-        for axis in (0, 1):
-            noise = np.apply_along_axis(lambda m: np.convolve(m, kern, mode="same"), axis, noise)
-        field = grid.zero_boundary(noise * (window[:, None] * window[None, :]) ** 2)
+    side = min(grid.Lx, grid.Ly) if isinstance(grid, TorusGrid) else 2.0 * grid.R
+    kc2 = (6.0 * 2.0 * np.pi / side) ** 2
+    coeffs = grid.modal_forward(rng.standard_normal(grid.shape))
+    coeffs *= np.exp(-grid.laplacian_eigenvalues() / kc2)
+    field = grid.modal_inverse(coeffs, out=np.empty(grid.shape))
     sup = np.max(np.abs(field))
     if sup > 0:
         field *= amplitude / sup

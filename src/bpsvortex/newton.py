@@ -12,10 +12,12 @@ Eisenstat & Walker ("Choosing the forcing terms in an inexact Newton method",
 SIAM J. Sci. Comput. 17, 1996).  Early steps are solved loosely; the forcing
 term shrinks with the gradient, which keeps the local convergence
 superlinear, and a step that may be the last is solved tightly enough to land
-well under the gradient tolerance.  A torus solve first checks the existence
-threshold and refuses to iterate when it fails.  Failure to converge is
-reported through the returned :class:`Solution` (``converged = False`` plus
-a message), not an exception, so partial results stay inspectable.
+well under the gradient tolerance.  A tolerance below the gradient's
+roundoff floor ends as a named stall (``STALL_STEPS``), not at ``max_iters``.
+A torus solve first checks the existence threshold and refuses to iterate
+when it fails.  Failure to converge is reported through the returned
+:class:`Solution` (``converged = False`` plus a message), not an exception,
+so partial results stay inspectable.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ LAST_STEP_MARGIN = 0.01
 # CG iteration cap per Newton step; the preconditioned systems take a few
 # tens of iterations, so it only stops a breakdown
 CG_MAX_ITERS = 2000
+# stall stop: full Newton steps converge locally, so this many full steps in
+# a row that set no new minimum of the sup gradient (since the last damped
+# step) mean it sits at its roundoff floor, above the tolerance
+STALL_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -187,6 +193,7 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         return finish(0, False, f"overflow at initial state: {exc}")
 
     g_norm_prev = None
+    best, stalled = math.inf, 0
     for it in range(settings.max_iters + 1):
         grad = model.gradient(state)
         gsup = float(np.max(np.abs(grad)))
@@ -194,6 +201,13 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         energy_history.append(e_now)
         if gsup <= settings.tol_grad_sup:
             return finish(it, True)
+        if steps and steps[-1]["alpha"] == 1.0 and gsup >= best:
+            stalled += 1
+        else:
+            best, stalled = gsup, 0
+        if stalled == STALL_STEPS:
+            return finish(it, False, f"stalled at sup gradient {gsup:.3e} (best {best:.3e}): "
+                                     f"{STALL_STEPS} full Newton steps set no new minimum")
         if it == settings.max_iters:
             return finish(it, False, f"max_iters reached with sup gradient {gsup:.3e}")
 

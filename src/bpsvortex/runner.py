@@ -56,6 +56,7 @@ from .grids import PlaneGrid
 from .newton import SolverSettings, Solution, solve
 
 EXIT_OK = 0
+EXIT_INVALID = 1
 EXIT_THRESHOLD = 2
 EXIT_NOT_CONVERGED = 3
 

@@ -350,6 +350,30 @@ class TestRunCommands:
             for key in ("lambda", "grad_sup_final", "residual_sup"):
                 assert float(got[key]).hex() == row[key].hex()
 
+    def test_sweep_row_not_converged_exit_3(self, tmp_path):
+        raw = minimal_torus(phi_zeros=[[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]],
+                            solver={"max_iters": 1},
+                            sweep={"param": "lambda", "values": [1.0, 2.0], "action": "solve"})
+        code, report = run("sweep", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 3
+        for row in report["results"]["rows"]:
+            assert row["solvable"] and row["converged"] is False
+            assert "residual_sup" not in row
+
+    def test_compare_fixed_point_at_max_applies_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bv.fixedpoint, "MAX_APPLIES", 3)
+        raw = minimal_torus(phi_zeros=[[0.4 * L20, 0.5 * L20]],
+                            output={"report_path": "r.json"})
+        code, report = run("compare", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 3
+        written = json.loads((tmp_path / "r.json").read_text())
+        assert written["exit_code"] == 3
+        results = written["results"]
+        assert results["newton"]["converged"] is True
+        fixed = results["fixedpoint"]
+        assert fixed["converged"] is False and fixed["trials"] == 3
+        assert "MAX_APPLIES = 3" in fixed["message"]
+
     def test_two_parameter_sweep(self, tmp_path):
         raw = minimal_torus(phi_zeros=[[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         raw["sweep"] = {"param": "lambda", "values": [0.5, 2.0],
@@ -668,6 +692,12 @@ class TestCliMain:
         assert err.startswith("error: ") and "non-object" in err
         with pytest.raises(ParseError):
             apply_overrides([1, 2], ["solver.tol=1e-10"])
+
+    def test_json_syntax_error_exit_1_names_the_line(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{\n  "mode": "torus",\n  "lambda": ,\n  "grid": {"nx": 32}\n}\n')
+        assert main(["--config", str(cfg_path), "--command", "check"]) == 1
+        assert capsys.readouterr().err.startswith("error: config parse failure at line 3: ")
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"),

@@ -272,7 +272,6 @@ class TestBuffers:
         buf = np.empty(g.shape)
         assert g.poisson_solve_zero_mean(rhs, out=buf) is buf
         assert rhs.tobytes() == rhs_before.tobytes()
-        assert g.laplacian(rhs, out=buf) is buf
 
     def test_poisson_in_place(self, torus_small):
         g = torus_small
@@ -291,10 +290,17 @@ class TestBuffers:
         assert buf.tobytes() == coeffs.tobytes()
         field = g.modal_inverse(coeffs, out=np.empty(g.shape))
         assert g.modal_inverse(coeffs, out=np.full(g.shape, 7.0)).tobytes() == field.tobytes()
-        lap = g.laplacian(v)
-        out = np.empty(g.shape)
-        assert g.laplacian(v, out=out) is out
-        assert out.tobytes() == lap.tobytes()
+
+
+def sine_basis(n):
+    """Orthonormal DST-I matrix of the n - 2 interior nodes per axis.
+
+    Column k samples sin(pi k j / (n - 1)) at the interior nodes j; the matrix
+    is symmetric and its own inverse.  The folded transforms of ``PlaneGrid``
+    are checked against it.
+    """
+    k = np.arange(1, n - 1)
+    return np.sqrt(2.0 / (n - 1)) * np.sin(np.pi * np.outer(k, k) / (n - 1))
 
 
 def block_layout(n):
@@ -308,7 +314,7 @@ class TestModalTransforms:
     @pytest.mark.parametrize("n", [16, 17, 33, 96])
     def test_folded_sine_transform_matches_dense(self, n):
         g = bv.PlaneGrid(3.0, n)
-        s = g.sine_basis
+        s = sine_basis(n)
         perm = block_layout(n)
         assert np.array_equal(g.sine_modes, perm + 1)
         v = np.random.default_rng(n).standard_normal(g.shape)
@@ -353,3 +359,27 @@ class TestModalTransforms:
             c = g.modal_forward(nyq)
             assert np.count_nonzero(np.abs(c) > 1e-9) == 1 and abs(c[0, -1]) > 1.0
             assert g.modal_inner(c, c) == pytest.approx(g.inner(nyq, nyq), rel=1e-12)
+
+
+class TestRandomSmoothField:
+    @pytest.mark.parametrize("grid", [(2.0, 3.0, 16, 24), (7.0, 3.5, 256, 128), (1.0, 1.0, 96, 96)])
+    def test_torus_bitwise_equal_to_filtered_noise(self, grid):
+        # the torus formula: irfft2(rfft2(noise) * exp(-|k|^2 / kc^2)),
+        # kc = six waves across the shorter side, scaled to sup 0.3
+        g = bv.TorusGrid(*grid)
+        noise = np.random.default_rng(11).standard_normal(g.shape)
+        kc2 = (6.0 * 2.0 * np.pi / min(g.Lx, g.Ly)) ** 2
+        expected = np.fft.irfft2(np.fft.rfft2(noise) * np.exp(-g.laplacian_eigenvalues() / kc2),
+                                 s=g.shape)
+        expected *= 0.3 / np.max(np.abs(expected))
+        field = bv.random_smooth_field(g, np.random.default_rng(11), 0.3)
+        assert field.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 33, 96])
+    def test_plane_vanishes_on_the_boundary_ring(self, n):
+        g = bv.PlaneGrid(3.0, n)
+        field = bv.random_smooth_field(g, np.random.default_rng(n), 0.7)
+        ring = np.ones(g.shape, dtype=bool)
+        g.interior(ring)[...] = False
+        assert np.all(field[ring] == 0.0)
+        assert np.max(np.abs(field)) == pytest.approx(0.7, rel=1e-15)

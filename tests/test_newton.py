@@ -8,9 +8,10 @@ import pytest
 
 import bpsvortex as bv
 from bpsvortex import newton
+from bpsvortex.cli import main
 from bpsvortex.config import parse_config
 from bpsvortex.energy import EnergyModel
-from bpsvortex.errors import ThresholdViolated
+from bpsvortex.errors import Overflow, ThresholdViolated
 from bpsvortex.runner import run
 
 from conftest import random_state
@@ -309,6 +310,67 @@ class TestIterationCap:
         assert not short.converged and short.iterations == k - 1
         assert short.message.startswith("max_iters reached")
         assert short.grad_history == free.grad_history[:k]
+
+
+# a plane case whose sup gradient floors near 2e-12 from Newton step 7 on
+FLOOR_CASE = {"mode": "plane", "model": "base", "lambda": 200.0, "domain": {"R": 2.0},
+              "grid": {"n": 128}, "phi_zeros": [[0.3, 0.0], [-0.3, 0.2]],
+              "solver": {"tol": 1e-12, "max_iters": 30}, "output": {"report_path": "r.json"}}
+
+
+def floor_case_solve(tol):
+    cfg = parse_config(json.dumps(FLOOR_CASE))
+    return bv.solve("plane", "base", cfg.make_vortex_config(), cfg.make_grid(),
+                    cfg.make_params(), settings=bv.SolverSettings(tol, 30))
+
+
+class TestStallStop:
+    def test_tolerance_below_the_roundoff_floor_ends_as_a_stall(self):
+        sol = floor_case_solve(1e-12)
+        k = newton.STALL_STEPS
+        assert not sol.converged and sol.iterations <= 12
+        assert sol.message.startswith("stalled at sup gradient")
+        # the last k steps were full and none went below the best before them
+        assert all(step["alpha"] == 1.0 for step in sol.newton_steps[-k:])
+        assert min(sol.grad_history[-k:]) >= min(sol.grad_history[:-k])
+
+    def test_stall_through_the_cli_exit_3(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(FLOOR_CASE))
+        assert main(["--config", str(cfg_path), "--command", "solve",
+                     "--out", str(tmp_path)]) == 3
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["exit_code"] == 3
+        assert report["results"]["newton"]["message"].startswith("stalled at sup gradient")
+        assert "diagnostics" not in report["results"]
+
+    def test_damped_rise_of_the_gradient_is_no_stall(self):
+        # the first step is damped and raises the sup gradient threefold
+        sol = floor_case_solve(1e-9)
+        assert sol.newton_steps[0]["alpha"] < 1.0
+        assert sol.grad_history[1] > 3.0 * sol.grad_history[0]
+        assert sol.converged and sol.message == ""
+
+
+class TestLineSearch:
+    def test_overflowing_trial_is_backtracked(self, monkeypatch):
+        # the first line-search trial overflows; the step is halved, not raised
+        energy = EnergyModel.energy
+        calls = [0]
+
+        def overflow_on_first_trial(self, state):
+            calls[0] += 1
+            if calls[0] == 2:
+                raise Overflow("exponent argument 812 exceeds 700")
+            return energy(self, state)
+
+        monkeypatch.setattr(EnergyModel, "energy", overflow_on_first_trial)
+        grid = bv.TorusGrid(L20, L20, 32, 32)
+        cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20),))
+        sol = bv.solve("torus", "base", cfg, grid, bv.PhysicalParams(lam=1.0))
+        assert sol.converged
+        first = sol.newton_steps[0]
+        assert first["alpha"] == 0.5 and first["linesearch_evals"] >= 2
 
 
 class TestSettingsValidation:
