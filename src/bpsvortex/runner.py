@@ -26,8 +26,9 @@ variant in the threshold block (``c1``/``c2`` without kappa zeros,
 the label checks of ``solve`` and ``build_diagnostics``.
 ``check``, ``solve`` and ``compare`` call it on the configuration; a
 ``sweep`` row calls it on its point configuration (``RunConfig.sweep_points``)
-as ``check`` does, or as a Newton ``solve`` with action ``solve``, and reads
-the row from the results.
+as ``check`` does, or with action ``solve`` as a Newton ``solve`` that may
+reuse the background and start from the state of an earlier row (see
+``_run_sweep``), and reads the row from the results.
 
 Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings``
@@ -162,23 +163,31 @@ def emit_plot_data(state, bg, params, path_text: str,
             fh.write(f"{float(r)!r},{float(mf)!r},{float(mg)!r}\n")
 
 
+def _problem(cfg: RunConfig):
+    """The ``(vcfg, grid, params)`` a configuration describes."""
+    return cfg.make_vortex_config(), cfg.make_grid(), cfg.make_params()
+
+
 def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dict,
-              fit_decay: bool = True):
+              fit_decay: bool = True, problem=None, bg=None, init=None):
     """Threshold gate, the solvers of ``method`` and the diagnostics of the best state.
 
     ``method`` is ``None`` (threshold only), ``"newton"``, ``"fixedpoint"`` or
-    ``"both"`` (the ``compare`` command).  Fills ``results`` and ``timings``;
-    returns ``(exit_code, best, bg)``, where ``best`` and ``bg`` are ``None``
-    unless a solver ran.
+    ``"both"`` (the ``compare`` command).  ``problem`` is ``_problem(cfg)``
+    when the caller has made it, ``bg`` a background built for it and
+    ``init`` Newton's initial state (zero when ``None``).  Fills ``results``
+    and ``timings``; returns ``(exit_code, best, bg)``, where ``best`` and
+    ``bg`` are ``None`` unless a solver ran.
     """
-    grid, params, vcfg = cfg.make_grid(), cfg.make_params(), cfg.make_vortex_config()
+    vcfg, grid, params = problem or _problem(cfg)
     threshold = results["threshold"] = _threshold_dict(vcfg, grid, params)
     if not threshold["solvable"]:
         return EXIT_THRESHOLD, None, None
     if method is None:
         return EXIT_OK, None, None
 
-    bg = build_background(vcfg, grid, params)
+    if bg is None:
+        bg = build_background(vcfg, grid, params)
     exit_code = EXIT_OK
     newton_sol = fixed_sol = None
     if method in ("newton", "both"):
@@ -186,7 +195,7 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
         settings = SolverSettings(tol_grad_sup=cfg.solver["tol"],
                                   max_iters=cfg.solver["max_iters"])
         newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params,
-                           settings=settings, background=bg)
+                           settings=settings, init=init, background=bg)
         timings["newton_s"] = time.perf_counter() - t0
         results["newton"] = _newton_summary(newton_sol)
         if not newton_sol.converged:
@@ -218,20 +227,39 @@ def _analytic_slack(vcfg, grid, params) -> float:
 
 
 def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
-    """One row per sweep point: a ``check``, or with action ``solve`` a Newton solve."""
+    """One row per sweep point: a ``check``, or with action ``solve`` a Newton solve.
+
+    Consecutive rows whose backgrounds have equal inputs (zero sets, grid and
+    resolved tau), as in a lambda sweep, form one continuation path: the
+    first solved row builds the background, the later ones reuse it, and each
+    row's Newton starts from the state of the last converged row of the path,
+    or from zero when there is none.  A solved row records that row's index as
+    ``start_row`` (``None`` for a zero start).  A change of any background
+    input (``tau``, ``resolution``, ``n``, ``m``) starts a new path with a
+    fresh background and a zero start.
+    """
     method = "newton" if cfg.sweep["action"] == "solve" else None
     rows = []
     worst_exit = EXIT_OK
+    path_key = path_bg = start_row = start_state = None
     for index, (assignment, pcfg) in enumerate(cfg.sweep_points):
+        problem = vcfg, grid, params = _problem(pcfg)
+        key = (vcfg, grid, params.resolved_tau(grid))
+        if key != path_key:
+            path_key, path_bg, start_row, start_state = key, None, None, None
         point: dict = {}
-        exit_code, _, _ = _evaluate(pcfg, method, point, {}, fit_decay=False)
+        exit_code, best, bg = _evaluate(pcfg, method, point, {}, fit_decay=False,
+                                        problem=problem, bg=path_bg, init=start_state)
         row = {"index": index, **assignment,
                "solvable": point["threshold"]["solvable"],
                "margin": point["threshold"]["margin"],
-               "analytic_slack": (_analytic_slack(pcfg.make_vortex_config(), pcfg.make_grid(),
-                                                  pcfg.make_params())
+               "analytic_slack": (_analytic_slack(vcfg, grid, params)
                                   if pcfg.mode == "torus" else None)}
         if "newton" in point:
+            row["start_row"] = start_row
+            path_bg = bg
+            if best.converged:
+                start_row, start_state = index, best.state
             row["converged"] = point["newton"]["converged"]
             row["grad_sup_final"] = point["newton"]["grad_sup_final"]
             if "diagnostics" in point:

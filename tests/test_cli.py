@@ -462,6 +462,9 @@ class TestSweepPoints:
                                    if pcfg.mode == "torus" else None),
             }
             if action == "solve" and expected["solvable"]:
+                # no row continues a path: each lambda list starts below the
+                # threshold, and every other param changes the background
+                expected["start_row"] = None
                 expected["converged"] = res["newton"]["converged"]
                 expected["grad_sup_final"] = res["newton"]["grad_sup_final"]
                 expected["residual_sup"] = max(res["diagnostics"]["residual_sup"])
@@ -472,6 +475,8 @@ class TestSweepPoints:
             assert repr(got) == repr(expected), assignment
 
     def test_sweep_row_builds_its_background_once(self, tmp_path, monkeypatch):
+        # a lambda sweep is one path: its first solved row builds the
+        # background, the others reuse it
         calls = []
         for module in (runner, newton):
             def counted(*args, _build=module.build_background, **kwargs):
@@ -485,7 +490,111 @@ class TestSweepPoints:
         code, report = run("sweep", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
         assert code == 0
         assert [row["solvable"] for row in report["results"]["rows"]] == [False, True, True]
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+
+class TestSweepContinuation:
+    """Rows with one background form a path; each starts from the last converged row."""
+
+    EXTENDED = TestSweepPoints.EXTENDED
+    # the threshold of EXTENDED is lambda = 6 pi / 20 = 0.94
+    LAMBDAS = [0.5, 1.5, 2.0, 3.0, 4.0]
+
+    @staticmethod
+    def capture_solves(monkeypatch, max_iters_at=None):
+        """Record ``(lambda, init, state)`` of every runner solve.
+
+        The solve at lambda ``max_iters_at`` gets ``max_iters`` 1.
+        """
+        solves = []
+
+        def recorded(*args, _solve=runner.solve, **kwargs):
+            params = args[4]
+            if params.lam == max_iters_at:
+                kwargs["settings"] = bv.SolverSettings(
+                    tol_grad_sup=kwargs["settings"].tol_grad_sup, max_iters=1)
+            sol = _solve(*args, **kwargs)
+            solves.append((params.lam, kwargs.get("init"), sol.state))
+            return sol
+
+        monkeypatch.setattr(runner, "solve", recorded)
+        return solves
+
+    def run_sweep(self, tmp_path, sweep, **kw):
+        raw = dict(self.EXTENDED, sweep=sweep, output={"plots_path": "sweep.csv"}, **kw)
+        cfg = validate_config(raw)
+        code, report = run("sweep", cfg, out_dir=str(tmp_path))
+        return cfg, code, report["results"]["rows"]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "descending"])
+    def test_warm_rows_match_cold_solves(self, tmp_path, monkeypatch, order):
+        solves = self.capture_solves(monkeypatch)
+        values = self.LAMBDAS[::order]
+        cfg, code, rows = self.run_sweep(
+            tmp_path, {"param": "lambda", "values": values, "action": "solve"})
+        assert code == 0
+        solved = [row for row in rows if row["solvable"]]
+        assert [row["lambda"] for row in solved] == [v for v in values if v > 1.0]
+        assert [lam for lam, _, _ in solves] == [row["lambda"] for row in solved]
+        previous = None
+        for row, (_, init, state) in zip(solved, solves):
+            assert row["converged"]
+            assert row["start_row"] == previous
+            assert (init is None) == (previous is None)
+            previous = row["index"]
+            pcfg = cfg.sweep_points[row["index"]][1]
+            cold = bv.solve(pcfg.mode, pcfg.model, pcfg.make_vortex_config(),
+                            pcfg.make_grid(), pcfg.make_params(),
+                            settings=bv.SolverSettings(tol_grad_sup=pcfg.solver["tol"]))
+            assert cold.converged
+            assert np.max(np.abs(state - cold.state)) <= 1e-8
+        cells = sweep_cells(tmp_path / "sweep.csv")
+        assert [cell["start_row"] for cell in cells] == [
+            "" if row.get("start_row") is None else str(row["start_row"]) for row in rows]
+
+    def test_reruns_bitwise(self, tmp_path):
+        sweep = {"param": "lambda", "values": self.LAMBDAS, "action": "solve"}
+        runs = [self.run_sweep(tmp_path / sub, sweep)[2] for sub in ("a", "b")]
+        assert json.dumps(runs[0], sort_keys=True) == json.dumps(runs[1], sort_keys=True)
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() == \
+            (tmp_path / "b" / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("failing,start_rows", [
+        # the first solved row fails: the next starts from zero
+        (1.5, [None, None, 2, 3]),
+        # a failing row in the middle: the next starts from the row before it
+        (2.0, [None, 1, 1, 3]),
+    ], ids=["first", "middle"])
+    def test_unconverged_row_seeds_nothing(self, tmp_path, monkeypatch, failing, start_rows):
+        solves = self.capture_solves(monkeypatch, max_iters_at=failing)
+        _, code, rows = self.run_sweep(
+            tmp_path, {"param": "lambda", "values": self.LAMBDAS, "action": "solve"})
+        assert code == 3
+        solved = rows[1:]
+        assert [row["converged"] for row in solved] == [row["lambda"] != failing
+                                                        for row in solved]
+        assert [row["start_row"] for row in solved] == start_rows
+        assert [init is None for _, init, _ in solves] == [s is None for s in start_rows]
+
+    @pytest.mark.parametrize("sweep", [
+        {"param": "tau", "values": [None, 0.5]},
+        {"param": "resolution", "values": [12, 16]},
+        {"param": "n", "values": [0, 1, 2]},
+        {"param": "m", "values": [0, 1]},
+    ], ids=["tau", "resolution", "n", "m"])
+    def test_background_changes_start_cold(self, tmp_path, monkeypatch, sweep):
+        calls = []
+
+        def counted(*args, _build=runner.build_background, **kwargs):
+            calls.append(args)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_background", counted)
+        _, code, rows = self.run_sweep(tmp_path, dict(sweep, action="solve"))
+        assert code == 0
+        assert all(row["solvable"] and row["converged"] for row in rows)
+        assert len(calls) == len(rows)
+        assert [row["start_row"] for row in rows] == [None] * len(rows)
 
 
 class TestCliMain:
