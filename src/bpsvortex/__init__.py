@@ -22,8 +22,8 @@ from .diagnostics import (BoundReport, DiagnosticsReport, PhysicalFields,
                           verify_lagrange_multipliers)
 from .energy import EnergyBreakdown, EnergyModel
 from .errors import (AnnulusTooThin, BpsVortexError, NonZeroMeanRhs, Overflow,
-                     ParseError, PointOutsideDomain, ThresholdViolated,
-                     ValidationError)
+                     ParseError, PointOutsideDomain, SingularHessian,
+                     ThresholdViolated, ValidationError)
 from .fixedpoint import apply_T, continuation_solve
 from .grids import PlaneGrid, TorusGrid, random_smooth_field
 from .newton import Solution, SolverSettings, minimize, solve

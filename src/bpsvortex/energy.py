@@ -33,23 +33,25 @@ written once too, with the grid's quadrature ``grid.integrate`` and the
 grid's Dirichlet form ``grid.dirichlet_form`` for int |grad s|^2.
 
 Newton's linear algebra runs on mode coefficients of the grid's Laplacian
-eigenbasis (``to_modes``/``from_modes``).  There the Hessian is the
-far-field block M (its value at e^U = e^V = 1), diagonal per mode, plus a
-pointwise part W that vanishes where the fields reach their vacuum:
-``hessian_operator`` applies M + W with two inverse and two forward
-transforms, and ``preconditioner`` inverts M mode by mode with none.
+eigenbasis (``to_modes``/``from_modes``).  ``linearize`` splits the Hessian
+at a state as A = M + W.  M is the Hessian with constant coefficients at
+the state's mean masses a = <e^U> and b = <e^V>, diagonal per mode; on the
+torus its constant-mode block is the Galerkin projection of A onto the
+constant fields, so that mode is exact.  W is the pointwise remainder.  ``hessian_operator`` applies
+M + W with two inverse and two forward transforms, and ``preconditioner``
+inverts M mode by mode with none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from .backgrounds import Background, PhysicalParams
-from .errors import Overflow
+from .errors import Overflow, SingularHessian
 from .grids import TorusGrid
 
 MAX_EXPONENT = 700.0
@@ -60,6 +62,24 @@ class EnergyBreakdown(NamedTuple):
     gradient_part: float
     exponential_part: float
     linear_part: float
+
+
+class Linearization(NamedTuple):
+    """The Hessian at one state as A = M + W (see :meth:`EnergyModel.linearize`).
+
+    ``mean_exp`` holds the mean masses (a, b) that M is built at.  M is
+    ``lam_b`` [[c0, -1], [-1, c1]] per mode and ``inv_det`` is
+    1 / (lam_b (c0 c1 - 1)), all three mode-sized; W is pointwise, through
+    the physical fields ``wu`` and ``wv``.
+    """
+
+    mean_exp: Tuple[float, float]
+    lam_b: float
+    c0: np.ndarray
+    c1: np.ndarray
+    inv_det: np.ndarray
+    wu: np.ndarray
+    wv: np.ndarray
 
 
 def _checked_exp(arg: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -124,8 +144,8 @@ class EnergyModel:
     def to_modes(self, pair: np.ndarray) -> np.ndarray:
         """Mode coefficients of a stacked pair of fields (``grid.modal_forward``)."""
         # coefficients are complex on the torus (rfft2 layout), real on the plane
-        d = self._far_field[0]
-        out = np.empty((2,) + d.shape, complex if isinstance(self.grid, TorusGrid) else float)
+        out = np.empty((2,) + self._mode_shape,
+                       complex if isinstance(self.grid, TorusGrid) else float)
         self.grid.modal_forward(pair[0], out=out[0])
         self.grid.modal_forward(pair[1], out=out[1])
         return out
@@ -138,38 +158,76 @@ class EnergyModel:
         return out
 
     @cached_property
-    def _far_field(self):
-        # per mode d = K / (2 lam) + 1, 2d + 1 and 1 / (lam (2d - 1)(d + 1)):
-        # the far-field block and its inverse, see preconditioner
-        lam = self.params.lam
-        d = self.grid.laplacian_eigenvalues() / (2.0 * lam)
-        d += 1.0
-        inv_det = 1.0 / ((2.0 * d - 1.0) * (d + 1.0) * lam)
-        return d, 2.0 * d + 1.0, inv_det
+    def _mode_shape(self):
+        return self.grid.laplacian_eigenvalues().shape
 
-    def hessian_operator(self, state):
-        """Hessian application on mode coefficients, frozen at ``state``.
+    def linearize(self, state) -> Linearization:
+        """The Hessian at ``state``, split as A = M + W (see :class:`Linearization`).
+
+        M is the Hessian with the mean masses a = <e^U> and b = <e^V> (over
+        ``grid.interior``) in place of e^U and e^V.  On a mode of
+        ``-laplacian`` with eigenvalue K (Fourier modes on the torus, sine
+        modes of the interior on the plane; see ``grid.modal_forward``) it is
+        the 2x2 block
+
+            [[K + lam (2a + b), -lam b], [-lam b, K/2 + lam b]]
+              = lam b [[c0, -1], [-1, c1]],
+            c1 = x + 1, c0 = 2x + 2a/b + 1,  x = K / (2 lam b),
+
+        with determinant K^2/2 + lam (a + 3b/2) K + 2 lam^2 a b
+        = (lam b)^2 (c0 c1 - 1), where c0 c1 - 1 = (2x + 3 + 2a/b) x + 2a/b
+        is computed without cancellation: every term is nonnegative.  On the
+        torus the block at K = 0 is the projection of A onto the constant
+        fields, so M is exact on the constant mode.  W = A - M is pointwise:
+        with wu = 2 lam (e^U - a) and wv = lam (e^V - b) it maps (p0, p1) to
+        (wu p0 - q1, q1), q1 = wv (p1 - p0).
+
+        Costs the one exponential pair of the state.  Raises
+        :class:`SingularHessian` when the block has no finite inverse, which
+        happens only when a mean mass underflows (on the torus, K = 0 needs
+        a > 0 and b > 0).
+        """
+        grid, lam = self.grid, self.params.lam
+        eU, eV = _exp_pair(state, self.bg)
+        a, b = grid.interior(eU).mean(), grid.interior(eV).mean()
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            try:
+                lam_b = lam * b
+                ratio = 2.0 * a / b
+                x = grid.laplacian_eigenvalues()
+                x /= 2.0 * lam_b
+                inv_det = np.multiply(x, 2.0)
+                inv_det += 3.0 + ratio
+                inv_det *= x
+                inv_det += ratio
+                inv_det *= lam_b
+                np.reciprocal(inv_det, out=inv_det)
+            except FloatingPointError:
+                raise SingularHessian(f"mean e^U = {a:.3e}, mean e^V = {b:.3e}") from None
+        c0 = np.multiply(x, 2.0)
+        c0 += 1.0 + ratio
+        c1 = x
+        c1 += 1.0
+        wu = eU
+        wu -= a
+        wu *= 2.0 * lam
+        wv = eV
+        wv -= b
+        wv *= lam
+        return Linearization((float(a), float(b)), float(lam_b), c0, c1, inv_det, wu, wv)
+
+    def hessian_operator(self, lin: Linearization):
+        """Hessian application on mode coefficients, at the state of ``lin``.
 
         The returned callable maps the coefficient pair of a direction (see
         :meth:`to_modes`) to that of its Hessian product; through the
         transforms it gives the values of :meth:`hessian_apply` to roundoff.
-        The Hessian splits as A = M + W.  M is the far-field block of
-        :meth:`preconditioner`, lam [[2d + 1, -1], [-1, d]], diagonal per
-        mode.  W is pointwise: with wu = 2 lam (e^U - 1) and
-        wv = lam (e^V - 1) it maps (p0, p1) to (wu p0 - q1, q1),
-        q1 = wv (p1 - p0), and vanishes where the fields reach their vacuum.
-        One apply costs two inverse and two forward transforms; the
-        callable holds wu, wv and one physical field.
+        It applies A = M + W of :meth:`linearize`: W through the physical
+        fields at two inverse and two forward transforms, M per mode.  The
+        callable holds ``lin`` and one physical field.
         """
-        eU, eV = _exp_pair(state, self.bg)
-        grid, lam = self.grid, self.params.lam
-        wu = eU
-        wu -= 1.0
-        wu *= 2.0 * lam
-        wv = eV
-        wv -= 1.0
-        wv *= lam
-        d, d21, _ = self._far_field
+        grid = self.grid
+        lam_b, c0, c1, wu, wv = lin.lam_b, lin.c0, lin.c1, lin.wu, lin.wv
         field = np.zeros(grid.shape)
 
         def apply_h(p):
@@ -185,48 +243,36 @@ class EnergyModel:
             np.multiply(field, wu, out=field)
             grid.modal_forward(field, out=h0)
             h0 -= h1
-            # + M p = lam [[2d + 1, -1], [-1, d]] p
-            m = np.multiply(d21, p[0])
+            # + M p = lam b [[c0, -1], [-1, c1]] p
+            m = np.multiply(c0, p[0])
             m -= p[1]
-            m *= lam
+            m *= lam_b
             h0 += m
-            np.multiply(d, p[1], out=m)
+            np.multiply(c1, p[1], out=m)
             m -= p[0]
-            m *= lam
+            m *= lam_b
             h1 += m
             return out
 
         return apply_h
 
-    def preconditioner(self):
-        """Exact per-mode inverse of the Hessian in the far field.
+    def preconditioner(self, lin: Linearization):
+        """Exact per-mode inverse of the block M of ``lin``.
 
-        At e^U = e^V = 1 the Hessian has constant coefficients.  On a mode of
-        ``-laplacian`` with eigenvalue K (Fourier modes on the torus, sine
-        modes of the interior on the plane; see ``grid.modal_forward``) it is
-        the 2x2 block
-
-            [[K + 3 lam, -lam], [-lam, K/2 + lam]]
-              = lam * [[2d + 1, -1], [-1, d]],     d = K / (2 lam) + 1.
-
-        Its determinant lam^2 (2d - 1)(d + 1) is positive for every K >= 0,
-        the constant torus mode included, so the inverse
-
-            [[d, 1], [1, 2d + 1]] / (lam (2d - 1)(d + 1))
-
-        is symmetric positive definite on both grids.  The returned callable
-        applies it to the coefficient pair of a residual, mode by mode, with
-        no transform.
+        M^-1 = [[c1, 1], [1, c0]] / (lam b (c0 c1 - 1)) is symmetric positive
+        definite on every mode (see :meth:`linearize`).  The returned
+        callable applies it to the coefficient pair of a residual, mode by
+        mode, with no transform.
         """
-        d, d21, inv_det = self._far_field
+        c0, c1, inv_det = lin.c0, lin.c1, lin.inv_det
 
         def apply_minv(r):
             out = np.empty_like(r)
             z0, z1 = out
-            np.multiply(d, r[0], out=z0)
+            np.multiply(c1, r[0], out=z0)
             z0 += r[1]
             z0 *= inv_det
-            np.multiply(d21, r[1], out=z1)
+            np.multiply(c0, r[1], out=z1)
             z1 += r[0]
             z1 *= inv_det
             return out

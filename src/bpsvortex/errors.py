@@ -17,6 +17,10 @@ class Overflow(BpsVortexError):
     """An exponent argument exceeded the overflow guard (signals a divergent iterate)."""
 
 
+class SingularHessian(BpsVortexError):
+    """The Hessian's constant-coefficient block has no finite inverse (a mean mass underflowed)."""
+
+
 class ThresholdViolated(BpsVortexError):
     """The doubly periodic existence threshold fails; no solution exists."""
 

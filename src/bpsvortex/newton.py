@@ -3,17 +3,21 @@
 Newton directions come from preconditioned conjugate gradients on the
 Hessian (positive definite by strict convexity), step lengths from Armijo
 backtracking on the energy.  CG runs on mode coefficients of the grid's
-Laplacian eigenbasis, in the pairing ``grid.modal_inner``, where the
-preconditioner is diagonal per mode: each Newton step transforms its
-gradient once and its direction back once, and each CG iteration costs one
-Hessian apply (four transforms) and no others.  The method is an inexact Newton method: CG stops
-at a relative residual, the forcing term, chosen per step by choice 2 of
-Eisenstat & Walker ("Choosing the forcing terms in an inexact Newton method",
-SIAM J. Sci. Comput. 17, 1996).  Early steps are solved loosely; the forcing
-term shrinks with the gradient, which keeps the local convergence
-superlinear, and a step that may be the last is solved tightly enough to land
-well under the gradient tolerance.  A tolerance below the gradient's
-roundoff floor ends as a named stall (``STALL_STEPS``), not at ``max_iters``.
+Laplacian eigenbasis, in the pairing ``grid.modal_inner``.  Each Newton step
+linearizes once (``EnergyModel.linearize``): the Hessian with constant
+coefficients at the iterate's mean masses is diagonal per mode there, and
+its exact inverse is the preconditioner.  A step transforms its gradient
+once and its direction back once, and each CG iteration costs one Hessian
+apply (four transforms) and no others.  The method is an inexact Newton
+method: CG stops at a relative residual, the forcing term, chosen per step
+by choice 2 of Eisenstat & Walker ("Choosing the forcing terms in an inexact
+Newton method", SIAM J. Sci. Comput. 17, 1996).  Early steps are solved
+loosely; the forcing term shrinks with the gradient, which keeps the local
+convergence superlinear, and a step that may be the last is solved tightly
+enough to land well under the gradient tolerance.  A tolerance below the gradient's
+roundoff floor ends as a named stall (``STALL_STEPS``), not at ``max_iters``,
+and a state whose mean mass underflows, so that the Hessian block has no
+finite inverse, ends with a named message too.
 A torus solve first checks the existence threshold and refuses to iterate
 when it fails.  Failure to converge is reported through the returned
 :class:`Solution` (``converged = False`` plus a message), not an exception,
@@ -24,14 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .backgrounds import (PhysicalParams, VortexConfig, build_background,
                           check_existence, check_labels)
 from .energy import EnergyModel
-from .errors import Overflow, ThresholdViolated
+from .errors import Overflow, SingularHessian, ThresholdViolated
 from .grids import TorusGrid
 
 
@@ -66,9 +70,14 @@ LAST_STEP_MARGIN = 0.01
 # CG iteration cap per Newton step; the preconditioned systems take a few
 # tens of iterations, so it only stops a breakdown
 CG_MAX_ITERS = 2000
-# stall stop: full Newton steps converge locally, so this many full steps in
-# a row that set no new minimum of the sup gradient (since the last damped
-# step) mean it sits at its roundoff floor, above the tolerance
+# stall stop: a step solved under the last-step rule is predicted to land
+# under the tolerance.  This many such steps that miss it and do not even
+# halve the smallest sup gradient so far (the progress the line search asks
+# of a full step near the minimum) mean the gradient sits at its roundoff
+# floor.  The count never restarts: at the floor the line search may damp
+# steps, and in the global phase the rule does not fire.  Near the existence
+# threshold the rule fires several steps before convergence, while each step
+# still cuts the gradient by more than half
 STALL_STEPS = 3
 
 
@@ -152,15 +161,19 @@ def _pcg(apply_a, b, apply_minv, inner, rel_tol):
 
 
 def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
-                  tol: float) -> float:
-    """CG relative tolerance of one Newton step (see the constants above)."""
+                  tol: float) -> Tuple[float, bool]:
+    """CG relative tolerance of one Newton step (see the constants above).
+
+    Also returns whether the last-step rule set it.
+    """
     if g_norm_prev is None:
         eta = ETA_MAX
     else:
         eta = min(ETA_MAX, EW_GAMMA * (g_norm / g_norm_prev) ** 2)
-    if eta * gsup <= LAST_STEP_WINDOW * tol:
+    last_step = eta * gsup <= LAST_STEP_WINDOW * tol
+    if last_step:
         eta = min(eta, LAST_STEP_MARGIN * tol / gsup)
-    return max(eta, CG_TOL)
+    return max(eta, CG_TOL), last_step
 
 
 def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None) -> Solution:
@@ -177,7 +190,6 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
             raise ThresholdViolated(report)
     state = (model.zero_state() if init is None
              else model.grid.zero_boundary(np.array(init, dtype=float)))
-    apply_minv = model.preconditioner()
     inner = model.grid.modal_inner
     grad_history: List[float] = []
     energy_history: List[float] = []
@@ -193,7 +205,7 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         return finish(0, False, f"overflow at initial state: {exc}")
 
     g_norm_prev = None
-    best, stalled = math.inf, 0
+    last_step, stall_count, best = False, 0, math.inf
     for it in range(settings.max_iters + 1):
         grad = model.gradient(state)
         gsup = float(np.max(np.abs(grad)))
@@ -201,26 +213,33 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         energy_history.append(e_now)
         if gsup <= settings.tol_grad_sup:
             return finish(it, True)
-        if steps and steps[-1]["alpha"] == 1.0 and gsup >= best:
-            stalled += 1
-        else:
-            best, stalled = gsup, 0
-        if stalled == STALL_STEPS:
+        stall_count += last_step and gsup > 0.5 * best
+        best = min(best, gsup)
+        if stall_count == STALL_STEPS:
             return finish(it, False, f"stalled at sup gradient {gsup:.3e} (best {best:.3e}): "
-                                     f"{STALL_STEPS} full Newton steps set no new minimum")
+                                     f"{STALL_STEPS} steps solved to land under tol "
+                                     "did not halve the best")
         if it == settings.max_iters:
             return finish(it, False, f"max_iters reached with sup gradient {gsup:.3e}")
+        try:
+            lin = model.linearize(state)
+        except SingularHessian as exc:
+            return finish(it, False, f"singular Hessian block: {exc}")
 
         # the Newton system H d = -g, solved on mode coefficients
         rhs = model.to_modes(grad)
         np.negative(rhs, out=rhs)
         g_norm = math.sqrt(inner(rhs, rhs))
-        eta = _forcing_term(g_norm, g_norm_prev, gsup, settings.tol_grad_sup)
+        eta, last_step = _forcing_term(g_norm, g_norm_prev, gsup, settings.tol_grad_sup)
         g_norm_prev = g_norm
-        coeffs, cg_iters, cg_rel_res = _pcg(model.hessian_operator(state), rhs,
-                                            apply_minv, inner, eta)
+        coeffs, cg_iters, cg_rel_res = _pcg(model.hessian_operator(lin), rhs,
+                                            model.preconditioner(lin), inner, eta)
+        mean_exp = list(lin.mean_exp)
+        # the line search needs neither; dropping the linearization's two
+        # fields before the direction is formed keeps them off the peak
+        del rhs, lin
         direction = model.from_modes(coeffs)
-        del rhs, coeffs  # not needed by the line search
+        del coeffs
         fallback = None
         slope = model.grid.inner(grad, direction)
         if slope >= 0.0:  # roundoff-degenerate direction; fall back to steepest descent
@@ -251,7 +270,8 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
                     break
             alpha *= BACKTRACK_FACTOR
         steps.append({"eta": eta, "cg_iters": cg_iters, "cg_rel_residual": cg_rel_res,
-                      "alpha": alpha, "linesearch_evals": evals, "fallback": fallback})
+                      "alpha": alpha, "linesearch_evals": evals, "fallback": fallback,
+                      "mean_exp": mean_exp})
         if not accepted:
             return finish(it + 1, False, "line search failed (step underflow)")
         state = trial

@@ -146,7 +146,7 @@ class TestFirstVariation:
     def test_hessian_operator_matches_hessian_apply(self, mode, variant):
         model = make_model(mode, variant)
         s = random_state(model.grid, seed=7)
-        apply_h = model.hessian_operator(s)
+        apply_h = model.hessian_operator(model.linearize(s))
         for seed in range(3):
             d = random_state(model.grid, seed=300 + seed, amplitude=1.0)
             hd = model.hessian_apply(s, d)
@@ -155,11 +155,12 @@ class TestFirstVariation:
 
     def test_torus_hessian_apply_is_four_transforms(self, monkeypatch):
         # one Hessian apply: two inverse transforms, the pointwise part, two
-        # forward transforms and the per-mode far-field block; no Laplacian.
+        # forward transforms and the per-mode block; no Laplacian.
         # One preconditioner apply is per-mode only.
         model = make_model("torus", "extended")
-        apply_h = model.hessian_operator(random_state(model.grid, seed=9))
-        apply_minv = model.preconditioner()
+        lin = model.linearize(random_state(model.grid, seed=9))
+        apply_h = model.hessian_operator(lin)
+        apply_minv = model.preconditioner(lin)
         p = model.to_modes(random_state(model.grid, seed=10))
         calls = {"modal_forward": 0, "modal_inverse": 0, "laplacian": 0}
         for name in calls:
@@ -173,37 +174,75 @@ class TestFirstVariation:
         assert calls == {"modal_forward": 2, "modal_inverse": 2, "laplacian": 0}
 
 
+def mean_masses(model, state):
+    """<e^U> and <e^V> over the interior, straight from the formula."""
+    grid, bg = model.grid, model.bg
+    eU = bg.exp_u0 * np.exp(state[0])
+    eV = bg.exp_v0 * np.exp(state[1] - state[0])
+    return float(np.mean(grid.interior(eU))), float(np.mean(grid.interior(eV)))
+
+
 class TestPreconditioner:
-    @pytest.mark.parametrize("mode", ["torus", "plane"])
-    def test_inverts_far_field_hessian(self, mode):
-        # A0: the Hessian at e^U = e^V = 1, built from the grid's Laplacian
-        model = make_model(mode, "base")
-        grid = model.grid
-        lam = model.params.lam
-        apply_minv = model.preconditioner()
+    @staticmethod
+    def check_inverts_constant_mass_hessian(model, state):
+        # A_ab: the Hessian with e^U = a and e^V = b, the state's mean masses,
+        # built from the grid's Laplacian
+        grid, lam = model.grid, model.params.lam
+        a, b = mean_masses(model, state)
+        lin = model.linearize(state)
+        assert lin.mean_exp == pytest.approx((a, b), rel=1e-14)
+        apply_minv = model.preconditioner(lin)
         rng = np.random.default_rng(11)
         for _ in range(3):
             d = grid.zero_boundary(rng.standard_normal((2,) + grid.shape))
-            a0d = grid.zero_boundary(np.stack([
-                -grid.laplacian(d[0]) + 3.0 * lam * d[0] - lam * d[1],
-                -0.5 * grid.laplacian(d[1]) + lam * (d[1] - d[0])]))
-            z = model.from_modes(apply_minv(model.to_modes(a0d)))
+            ad = grid.zero_boundary(np.stack([
+                -grid.laplacian(d[0]) + lam * (2.0 * a + b) * d[0] - lam * b * d[1],
+                -0.5 * grid.laplacian(d[1]) + lam * b * (d[1] - d[0])]))
+            z = model.from_modes(apply_minv(model.to_modes(ad)))
             assert np.max(np.abs(z - d)) <= 1e-10
             r = model.to_modes(d)
             assert grid.modal_inner(r, apply_minv(r)) > 0.0
 
+    @pytest.mark.parametrize("mode,variant", VARIANTS)
+    def test_inverts_the_hessian_at_the_mean_masses(self, mode, variant):
+        model = make_model(mode, variant)
+        self.check_inverts_constant_mass_hessian(model, random_state(model.grid, seed=14))
+
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_inverts_far_field_hessian(self, mode):
+        # the a = b = 1 instance: no vortices, zero state, e^U = e^V = 1
+        model = make_model(mode, "base", seed_points=False)
+        state = model.zero_state()
+        assert model.linearize(state).mean_exp == (1.0, 1.0)
+        self.check_inverts_constant_mass_hessian(model, state)
+
+    @pytest.mark.parametrize("variant", ["base", "extended"])
+    def test_torus_constant_mode_is_exact(self, variant):
+        # <1_i, A 1_j> / |Omega| for the constant fields 1_0 = (1, 0) and
+        # 1_1 = (0, 1) equals the K = 0 block of M
+        model = make_model("torus", variant)
+        grid = model.grid
+        state = random_state(grid, seed=15)
+        lin = model.linearize(state)
+        ones = np.eye(2)[:, :, None, None] * np.ones(grid.shape)
+        galerkin = np.array([[grid.inner(ones[i], model.hessian_apply(state, ones[j]))
+                              for j in range(2)] for i in range(2)]) / grid.area
+        c0, c1 = lin.c0[0, 0], lin.c1[0, 0]
+        block = lin.lam_b * np.array([[c0, -1.0], [-1.0, c1]])
+        assert np.max(np.abs(galerkin - block)) <= 1e-12 * np.max(np.abs(block))
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     def test_reused_buffers_do_not_leak_between_applies(self, mode):
         model = make_model(mode, "base")
-        apply_minv = model.preconditioner()
+        lin = model.linearize(random_state(model.grid, seed=16))
+        apply_minv = model.preconditioner(lin)
         a = model.to_modes(random_state(model.grid, seed=12))
         b = model.to_modes(random_state(model.grid, seed=13))
         first = apply_minv(a)
         second = apply_minv(b)
         assert not np.shares_memory(first, second)
         assert apply_minv(a).tobytes() == first.tobytes()
-        assert model.preconditioner()(b).tobytes() == second.tobytes()
+        assert model.preconditioner(lin)(b).tobytes() == second.tobytes()
 
 
 class TestGradientResidualCorrespondence:
