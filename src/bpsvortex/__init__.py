@@ -11,9 +11,7 @@ constraints, flux quantization, pointwise bounds and exponential decay.
 __version__ = "0.1.0"
 
 from .backgrounds import (Background, PhysicalParams, ThresholdReport,
-                          VortexConfig, build_background,
-                          build_background_plane, build_background_torus,
-                          check_existence)
+                          VortexConfig, build_background, check_existence)
 from .config import RunConfig, parse_config, validate_config
 from .diagnostics import (BoundReport, DiagnosticsReport, PhysicalFields,
                           build_diagnostics, decay_fit, flux_report,

@@ -1,18 +1,22 @@
 """Vortex configurations, existence thresholds and smooth background data.
 
 The singular vortex sources are absorbed into background functions before any
-solve.  On the plane the background is known in closed form:
+solve.  Both grids use one localized profile per vortex p_s: with
+s = r_s^2 / tau,
 
-    v0(x)   = sum_s ln( r_s^2 / (r_s^2 + tau) ),      r_s = |x - p_s|,
-    e^{v0}  = prod_s r_s^2 / (r_s^2 + tau)            (exactly 0 at each p_s),
-    h2(x)   = sum_s 4 tau / (tau + r_s^2)^2           (integral 4*pi per vortex).
+    v0(x)   = sum_s ln(1 - e^{-s}),
+    e^{v0}  = prod_s (1 - e^{-s})                     (exactly 0 at each p_s),
+    h2(x)   = sum_s (4/tau) (s - 1 + e^{-s}) e^{-s} / (1 - e^{-s})^2,
 
-On the torus each point source is regularized by the same bump profile,
-periodized over the 5x5 nearest image cells and renormalized so that its cell
-integral is exactly 4*pi; the background then solves the zero-mean Poisson
-problem for (source - 4*pi*n/|Omega|) and is gauged to mean zero.  A second
-background (u0, from the kappa zero set) enters the extended model and is
-identically trivial when that set is empty.
+so that lap v0 = 4 pi sum_s delta_{p_s} - h2, with h2 smooth, positive, of
+integral 4 pi per vortex and decaying like s e^{-s}.  r_s is the free-space
+distance on the plane and the minimum-image distance on the torus, so no
+image sum and no Poisson solve enter.  The core scale tau only splits the
+singular part from the smooth remainder: the solution does not depend on it
+beyond discretization error.  On the torus tau is bounded by
+min(Lx, Ly)^2/144, so that the minimum image cuts each profile at s >= 36,
+below roundoff.  A second background (u0, from the kappa zero set) enters
+the extended model and is trivial when that set is empty.
 
 The zero sets pick the model: an empty kappa zero set is the base model, in
 the backgrounds, in the one threshold formula of :func:`check_existence`
@@ -31,19 +35,23 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import PointOutsideDomain
-from .grids import PlaneGrid, TorusGrid
+from .grids import TorusGrid
+
+# below this s = r^2/tau the closed form of h2 cancels, and its series
+# (4/tau)(1/2 - s/6 + s^3/180) is exact to roundoff
+SERIES_S = 1e-3
 
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Coupling lambda and bump core scale tau.
+    """Coupling lambda and the core scale tau of the background profile.
 
-    ``tau=None`` selects the per-domain default: ``(3*dx)^2`` on the torus
-    (ties the regularized core width to the grid, so refinement sharpens the
-    sources) and 0.2 on the plane.  The plane value matters because the
-    smooth remainder of the log field carries an algebraic tail ~ tau/r^2
-    that the homogeneous Dirichlet truncation cuts off; keeping tau small
-    keeps that truncation mismatch below the exponentially small far fields.
+    tau splits each point source into the singular profile and a smooth
+    remainder; the solution does not depend on it beyond discretization
+    error.  ``tau=None`` selects the per-domain default: on the torus
+    ``(3*dx)^2``, which resolves the core by about three nodes, capped at
+    ``torus_tau_bound`` of the cell, and 0.2 on the plane.  A given tau above
+    the torus bound is refused with ``ValueError``.
     """
 
     lam: float
@@ -56,11 +64,19 @@ class PhysicalParams:
             raise ValueError("tau must be positive")
 
     def resolved_tau(self, grid) -> float:
-        if self.tau is not None:
-            return self.tau
-        if isinstance(grid, TorusGrid):
-            return (3.0 * grid.dx) ** 2
-        return 0.2
+        if not isinstance(grid, TorusGrid):
+            return 0.2 if self.tau is None else self.tau
+        bound = torus_tau_bound(grid.Lx, grid.Ly)
+        if self.tau is None:
+            return min((3.0 * grid.dx) ** 2, bound)
+        if self.tau > bound:
+            raise ValueError(f"tau {self.tau!r} exceeds min(Lx, Ly)^2/144 = {bound!r}")
+        return self.tau
+
+
+def torus_tau_bound(Lx: float, Ly: float) -> float:
+    """Largest torus tau: the minimum image cuts each profile at s = L^2/(4 tau) >= 36."""
+    return min(Lx, Ly) ** 2 / 144.0
 
 
 @dataclass(frozen=True)
@@ -149,140 +165,95 @@ def check_labels(mode: str, model: str, cfg: VortexConfig, grid, bg=None) -> Non
 class Background:
     """Smooth background data for one configuration on one grid.
 
-    ``exp_u0``/``u0`` come from the kappa zero set and are trivial
-    (ones/zeros) in the base model.  With the background split off, the
-    smooth remainder ``(s0, s1)`` of the fields solves the same reduced
-    system on both grids,
+    ``exp_u0``/``u0`` come from the kappa zero set and ``exp_v0``/``v0``
+    from the phi zero set; an empty zero set gives the scalars 1.0 and 0.0.
+    With the background split off, the smooth remainder ``(s0, s1)`` of the
+    fields solves the same reduced system on both grids,
 
         lap s0 = lam (2 e^u - e^v - 1) + src_u,
         lap s1 = 2 lam (e^v - 1) + src_f,
 
-    and only the remainder sources ``(src_u, src_f)`` depend on the domain.
-    On the torus the background potentials absorb the point sources less
-    their means, which leaves the constants 4 pi m/|Omega| and
-    4 pi (m+n)/|Omega|; on the plane they are the kappa source density h1
-    and h1 + h2, with h2 the phi source density.
+    with the source densities ``src_u = h1`` (kappa zero set) and
+    ``src_f = h1 + h2`` (h2 from the phi zero set), each 0.0 when its zero
+    sets are empty.  On the torus their cell means are 4 pi m/|Omega| and
+    4 pi (m+n)/|Omega|.
     """
 
     grid: object
     cfg: VortexConfig
-    exp_v0: np.ndarray
-    v0: np.ndarray
-    exp_u0: np.ndarray
-    u0: np.ndarray
-    src_u: object  # float on the torus, array on the plane
+    exp_v0: object  # array, or a float for an empty zero set
+    v0: object
+    exp_u0: object
+    u0: object
+    src_u: object
     src_f: object
 
 
-def _bump_sum(x, y, cx, cy, tau):
-    # sum over centres (cx, cy) of 4*tau / (tau + r^2)^2; centres include
-    # periodic images when the caller periodizes.
-    acc = np.zeros((x.size, y.size))
-    X = x[:, None]
-    Y = y[None, :]
-    for k in range(cx.size):
-        r2 = (X - cx[k]) ** 2 + (Y - cy[k]) ** 2
-        acc += 4.0 * tau / (tau + r2) ** 2
-    return acc
-
-
-def _log_factors(x, y, cx, cy, tau):
-    # product of r^2/(r^2+tau) over centres plus the clamped log of the same
-    # product; the product form is exact (0.0) at nodes coinciding with a centre.
-    X = x[:, None]
-    Y = y[None, :]
-    prod = np.ones((x.size, y.size))
-    logsum = np.zeros((x.size, y.size))
-    for k in range(cx.size):
-        r2 = (X - cx[k]) ** 2 + (Y - cy[k]) ** 2
-        fac = r2 / (r2 + tau)
-        prod *= fac
-        logsum += np.where(fac > 0.0, np.log(np.maximum(fac, 1e-320)), -750.0)
-    return prod, np.maximum(logsum, -700.0)
-
-
-def _check_points_plane(points, grid: PlaneGrid):
+def _check_points(points, grid, torus: bool):
     for i, (px, py) in enumerate(points):
-        if not (-grid.R < px < grid.R and -grid.R < py < grid.R):
+        if torus:
+            if not (0.0 <= px < grid.Lx and 0.0 <= py < grid.Ly):
+                raise PointOutsideDomain(f"point {i} at ({px}, {py}) outside [0,Lx)x[0,Ly)")
+        elif not (-grid.R < px < grid.R and -grid.R < py < grid.R):
             raise PointOutsideDomain(f"point {i} at ({px}, {py}) outside (-R, R)^2")
 
 
-def _check_points_torus(points, grid: TorusGrid):
-    for i, (px, py) in enumerate(points):
-        if not (0.0 <= px < grid.Lx and 0.0 <= py < grid.Ly):
-            raise PointOutsideDomain(f"point {i} at ({px}, {py}) outside [0,Lx)x[0,Ly)")
+def _add_profile(dx, dy, tau, exp_f, log_f, dens, s, f, g):
+    """Fold one vortex's profile into ``exp_f``, ``log_f`` and ``dens``, in place.
 
-
-def build_background_plane(cfg: VortexConfig, grid: PlaneGrid, params: PhysicalParams) -> Background:
-    """Closed-form plane background for both zero sets."""
-    _check_points_plane(cfg.phi_zeros, grid)
-    _check_points_plane(cfg.kappa_zeros, grid)
-    tau = params.resolved_tau(grid)
-    x, y = grid.axes()
-
-    def one_set(points):
-        if not points:
-            ones = np.ones(grid.shape)
-            zeros = np.zeros(grid.shape)
-            return ones, zeros, zeros.copy()
-        cx = np.array([p[0] for p in points])
-        cy = np.array([p[1] for p in points])
-        prod, logsum = _log_factors(x, y, cx, cy, tau)
-        dens = _bump_sum(x, y, cx, cy, tau)
-        return prod, logsum, dens
-
-    exp_v0, v0, h2 = one_set(cfg.phi_zeros)
-    exp_u0, u0, h1 = one_set(cfg.kappa_zeros)
-    return Background(grid=grid, cfg=cfg, exp_v0=exp_v0, v0=v0, exp_u0=exp_u0, u0=u0,
-                      src_u=h1, src_f=h1 + h2)
-
-
-def _periodized_source(points, grid: TorusGrid, tau: float) -> np.ndarray:
-    """Sum of periodized bumps, each normalized to cell integral 4*pi exactly.
-
-    The 5x5 image sum is taken around the minimum-image displacement, so the
-    neglected tail is uniform in the vortex position and whole-node shifts of
-    a configuration permute the source nodes exactly (translation
-    equivariance of everything downstream).
+    ``dx``, ``dy`` are the axis offsets of the nodes from the vortex and
+    ``s``, ``f``, ``g`` three scratch fields of the grid's shape.
     """
-    x, y = grid.axes()
-    shifts = np.arange(-2, 3)
-    cx = (-shifts * grid.Lx).repeat(shifts.size)
-    cy = np.tile(-shifts * grid.Ly, shifts.size)
-    total = np.zeros(grid.shape)
-    for (px, py) in points:
-        dxw = x - px
-        dxw -= grid.Lx * np.round(dxw / grid.Lx)
-        dyw = y - py
-        dyw -= grid.Ly * np.round(dyw / grid.Ly)
-        bump = _bump_sum(dxw, dyw, cx, cy, tau)
-        total += bump * (4.0 * math.pi / grid.integrate(bump))
-    return total
-
-
-def build_background_torus(cfg: VortexConfig, grid: TorusGrid, params: PhysicalParams) -> Background:
-    """Torus background via regularized sources and zero-mean Poisson solves."""
-    _check_points_torus(cfg.phi_zeros, grid)
-    _check_points_torus(cfg.kappa_zeros, grid)
-    tau = params.resolved_tau(grid)
-
-    def one_set(points):
-        if not points:
-            return np.ones(grid.shape), np.zeros(grid.shape)
-        rhs = _periodized_source(points, grid, tau)
-        rhs -= 4.0 * math.pi * len(points) / grid.area
-        rhs -= rhs.mean()  # kill quadrature roundoff in the mean
-        pot = grid.poisson_solve_zero_mean(rhs, out=rhs)
-        return np.exp(pot), pot
-
-    exp_v0, v0 = one_set(cfg.phi_zeros)
-    exp_u0, u0 = one_set(cfg.kappa_zeros)
-    m, n, area = cfg.m, cfg.n, grid.area
-    return Background(grid=grid, cfg=cfg, exp_v0=exp_v0, v0=v0, exp_u0=exp_u0, u0=u0,
-                      src_u=4.0 * math.pi * m / area, src_f=4.0 * math.pi * (m + n) / area)
+    np.add.outer(dx * dx / tau, dy * dy / tau, out=s)  # s = r^2 / tau
+    np.negative(s, out=f)
+    np.expm1(f, out=f)
+    np.negative(f, out=f)  # f = 1 - e^{-s}, exactly 0.0 on the vortex
+    exp_f *= f
+    log_f += np.log(np.maximum(f, 1e-300, out=g), out=g)
+    # below SERIES_S the closed form of h2 cancels; f = 1 there keeps it finite
+    near = np.nonzero(s < SERIES_S)
+    s_near = s[near]
+    f[near] = 1.0
+    np.subtract(s, f, out=g)  # s - 1 + e^{-s}
+    g *= np.subtract(1.0, f, out=s)  # times e^{-s}
+    g /= np.multiply(f, f, out=f)
+    g[near] = 0.5 - s_near / 6.0 + s_near ** 3 / 180.0
+    g *= 4.0 / tau
+    dens += g
 
 
 def build_background(cfg: VortexConfig, grid, params: PhysicalParams) -> Background:
-    if isinstance(grid, TorusGrid):
-        return build_background_torus(cfg, grid, params)
-    return build_background_plane(cfg, grid, params)
+    """The background of ``cfg``'s zero sets on ``grid``: one profile per vortex.
+
+    The offsets from a vortex are the minimum image on the torus and plain
+    ones on the plane.  On the torus each zero set's density is rescaled to
+    the cell integral 4 pi per vortex, which the trapezoid rule misses only
+    by roundoff.  An empty zero set gives the scalars 1.0, 0.0 and 0.0.
+    """
+    torus = isinstance(grid, TorusGrid)
+    _check_points(cfg.phi_zeros, grid, torus)
+    _check_points(cfg.kappa_zeros, grid, torus)
+    tau = params.resolved_tau(grid)
+    x, y = grid.axes()
+
+    def one_set(points):
+        if not points:
+            return 1.0, 0.0, 0.0
+        exp_f, log_f, dens = np.ones(grid.shape), np.zeros(grid.shape), np.zeros(grid.shape)
+        scratch = np.empty((3,) + grid.shape)
+        for px, py in points:
+            dx, dy = x - px, y - py
+            if torus:
+                dx -= grid.Lx * np.round(dx / grid.Lx)
+                dy -= grid.Ly * np.round(dy / grid.Ly)
+            _add_profile(dx, dy, tau, exp_f, log_f, dens, *scratch)
+        np.maximum(log_f, -700.0, out=log_f)
+        if torus:
+            dens *= 4.0 * math.pi * len(points) / grid.integrate(dens)
+        return exp_f, log_f, dens
+
+    exp_u0, u0, src_u = one_set(cfg.kappa_zeros)
+    exp_v0, v0, src_f = one_set(cfg.phi_zeros)
+    src_f += src_u
+    return Background(grid=grid, cfg=cfg, exp_v0=exp_v0, v0=v0, exp_u0=exp_u0, u0=u0,
+                      src_u=src_u, src_f=src_f)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from .backgrounds import PhysicalParams, VortexConfig
+from .backgrounds import PhysicalParams, VortexConfig, torus_tau_bound
 from .errors import ParseError, ValidationError
 from .grids import PlaneGrid, TorusGrid
 
@@ -172,12 +172,22 @@ def _points_in_domain(pts, mode, domain, path, problems):
                 problems.append((f"{path}[{i}]", "point outside (-R, R)^2"))
 
 
-def _sweep_field(param, value, path, mode, phi, kappa, problems) -> dict:
+def _tau(obj, path, mode, domain, problems):
+    """A core scale: positive or absent, and on the torus at most ``torus_tau_bound``."""
+    val = _number(obj, path, problems, positive=True, optional=True)
+    if val is not None and mode == "torus" and domain.get("Lx") and domain.get("Ly"):
+        bound = torus_tau_bound(domain["Lx"], domain["Ly"])
+        if val > bound:
+            problems.append((path, f"must be at most min(Lx, Ly)^2/144 = {bound!r} on the torus"))
+    return val
+
+
+def _sweep_field(param, value, path, mode, domain, phi, kappa, problems) -> dict:
     """The ``RunConfig`` field one sweep value replaces, converted by that field's rule."""
     if param == "lambda":
         return {"lam": _number(value, path, problems, positive=True)}
     if param == "tau":
-        return {"tau": _number(value, path, problems, positive=True, optional=True)}
+        return {"tau": _tau(value, path, mode, domain, problems)}
     if param == "resolution":
         points = _grid_points(value, path, mode, problems)
         return {"grid": {"nx": points, "ny": points} if mode == "torus" else {"n": points}}
@@ -212,7 +222,6 @@ def validate_config(raw: dict) -> RunConfig:
         problems.append(("model", "must be 'base' or 'extended'"))
 
     lam = _number(raw.get("lambda"), "lambda", problems, positive=True)
-    tau = _number(raw.get("tau"), "tau", problems, positive=True, optional=True)
 
     # without a valid mode, only keys of neither mode are refused
     domain_keys, grid_keys = (_MODE_KEYS[mode] if mode in ("torus", "plane")
@@ -230,6 +239,7 @@ def validate_config(raw: dict) -> RunConfig:
     elif mode == "plane":
         dom_out["R"] = _number(domain.get("R"), "domain.R", problems, positive=True)
         grid_out["n"] = _grid_points(grid.get("n"), "grid.n", mode, problems)
+    tau = _tau(raw.get("tau"), "tau", mode, dom_out, problems)
 
     phi = _points(raw.get("phi_zeros"), "phi_zeros", problems)
     kappa = _points(raw.get("kappa_zeros"), "kappa_zeros", problems)
@@ -286,7 +296,7 @@ def validate_config(raw: dict) -> RunConfig:
             param, values = sweep.get(param_key), sweep.get(values_key)
             if param in _SWEEP_PARAMS and isinstance(values, list):
                 axes.append([({param: v}, _sweep_field(param, v, f"sweep.{values_key}[{i}]",
-                                                       mode, phi, kappa, problems))
+                                                       mode, dom_out, phi, kappa, problems))
                              for i, v in enumerate(values)])
 
     if problems:

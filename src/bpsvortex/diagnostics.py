@@ -2,7 +2,7 @@
 
 Everything here consumes converged states uniformly through the two weighted
 exponentials ``e^u = e^{u0} e^{s0}`` and ``e^v = e^{v0} e^{s1 - s0}`` and the
-background's remainder sources, which cover base and extended variants on
+background's source densities, which cover base and extended variants on
 both domains.  Every check reads its problem (grid, zero sets and sources)
 from the :class:`Background`; ``build_diagnostics`` keeps the run's labels
 only to check them against it.  Fluxes are integrals of the algebraic
@@ -113,8 +113,9 @@ def verify_lagrange_multipliers(state, bg: Background,
         lap s1 = -2 lam + 2 l1 * e^v + src_f
 
     with the weighted exponentials e^u = e^{u0 + s0}, e^v = e^{v0 + s1 - s0}
-    and the background's sources (4 pi m / |Omega| and 4 pi (m + n) / |Omega|),
-    in both torus models; the analytic values are l1 = lam, l2 = 2 lam.
+    and the background's source densities (cell means 4 pi m / |Omega| and
+    4 pi (m + n) / |Omega|), in both torus models; the analytic values are
+    l1 = lam, l2 = 2 lam.
     """
     return _lagrange_fit(_laplacians(state, bg.grid), _exp_pair(state, bg), bg, params)
 
@@ -231,8 +232,8 @@ def reconstruct_physical(state, bg: Background, params: PhysicalParams) -> Physi
     """Physical fields from a converged state.
 
     ``phi_abs`` carries the closed-form background factor, so it vanishes
-    exactly at plane vortex points; the curvature densities come from the
-    algebraic right-hand sides.
+    exactly at vortex points on a node, on both grids; the curvature
+    densities come from the algebraic right-hand sides.
     """
     kappa = np.sqrt(bg.exp_u0) * np.exp(0.5 * state[0])
     phi_abs = np.sqrt(bg.exp_v0) * np.exp(0.5 * (state[1] - state[0]))

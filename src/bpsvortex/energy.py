@@ -8,7 +8,7 @@ empty, so both variants share one implementation: :class:`EnergyModel`
 takes the variant and the domain from its background.
 
 With ``(s0, s1)`` the state, ``e^U = e^{u0 + s0}``, ``e^V = e^{v0 + s1 - s0}``
-and ``(src_u, src_f)`` the background's remainder sources, both grids minimize
+and ``(src_u, src_f)`` the background's source densities, both grids minimize
 
     E = int [ 1/2 |grad s0|^2 + 1/4 |grad s1|^2 + lam (2 e^U + e^V)
               + (src_u - lam) s0 + (src_f / 2 - lam) s1 ] dA,

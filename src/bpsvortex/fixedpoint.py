@@ -10,8 +10,9 @@ backgrounds and the field means.  For a homotopy parameter ``t`` the map
     R1 = lam*t*( 2*E_u - E_v - 1 ) + t*src_u,
     R2 = lam*t*( 3*E_v - 2*E_u - 1 ) + t*(src_f - src_u)
 
-with the background's sources ``(src_u, src_f)`` (``u0`` and ``src_u`` vanish
-in the base model) and the constraint targets ``(C1, C2)`` of
+with the background's source densities ``(src_u, src_f)``, whose cell means
+are 4 pi m/|Omega| and 4 pi (m+n)/|Omega| (``u0`` and ``src_u`` vanish in the
+base model), and the constraint targets ``(C1, C2)`` of
 ``ThresholdReport.constraints``, which give both zero mean.  The map projects
 out quadrature roundoff and inverts the Laplacian on each, so the output lies
 in X again.  Fixed points of ``apply_T(., t)`` at ``t = 1`` solve the full
@@ -80,21 +81,26 @@ def apply_T(pair: np.ndarray, t: float, bg: Background, params: PhysicalParams,
     iv = grid.integrate(ev)
     dens_u = np.multiply(eu, 2.0 * c2 / iu, out=r1)
     dens_v = np.multiply(ev, c1 / iv, out=r2)
-    lam_t = lam * t
+    # the roundoff in a mean is that of the summands, which near the
+    # threshold are far larger than the result
+    scale = abs(t) * (lam * (float(dens_u.max()) + 3.0 * float(dens_v.max()) + 1.0)
+                      + float(np.max(bg.src_f)) + float(np.max(bg.src_u)))
     rhs1 = np.subtract(dens_u, dens_v)
     rhs1 -= 1.0
-    rhs1 *= lam_t
-    rhs1 += t * bg.src_u
+    rhs1 *= lam
+    rhs1 += bg.src_u
+    rhs1 *= t
     rhs2 = dens_v
     rhs2 *= 3.0
     rhs2 -= dens_u
     rhs2 -= 1.0
-    rhs2 *= lam_t
-    rhs2 += t * (bg.src_f - bg.src_u)
+    rhs2 *= lam
+    rhs2 += bg.src_f
+    rhs2 -= bg.src_u
+    rhs2 *= t
 
     for k, r in enumerate((rhs1, rhs2)):
         m = float(r.mean())
-        scale = max(float(r.max()), -float(r.min())) + 1e-300
         if abs(m) > 1e-8 * scale:
             # zero mean holds analytically; a large projection residual is a bug
             raise NonZeroMeanRhs(f"rhs {k} mean {m:.3e} too large relative to {scale:.3e}")

@@ -32,9 +32,10 @@ pairwise summation, so results are deterministic for a fixed grid.
 Buffers: ``laplacian`` returns a new array.  The other operators write their
 result to ``out=`` and return it; where ``out`` is optional, they return a
 new array without it.  Either way the result belongs to the caller.  A torus
-grid also owns one private complex scratch spectrum that its operators pass
-through.  It holds nothing between calls and is never returned, so results
-never alias it; it also makes a torus grid unsafe to share between threads.
+grid also owns one private complex scratch spectrum, made with the grid,
+that its operators pass through.  It holds nothing between calls and is
+never returned, so results never alias it; it also makes a torus grid unsafe
+to share between threads.
 The plane's sine transforms allocate one interior-sized intermediate per call
 instead: kept on the grid it would stay resident for the life of the grid.
 """
@@ -70,6 +71,10 @@ class TorusGrid:
             raise ValueError("need at least 8 samples per axis")
         if self.nx % 2 or self.ny % 2:
             raise ValueError("sample counts must be even")
+        # the complex scratch spectrum every transform passes through; it
+        # never leaves a call.  Made with the grid, it sits below a solve's
+        # temporaries on the heap instead of among them.
+        object.__setattr__(self, "_spec", np.empty(self._neg_k2.shape, dtype=complex))
 
     @property
     def dx(self):
@@ -94,12 +99,6 @@ class TorusGrid:
         kx = 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.dx)
         ky = 2.0 * np.pi * np.fft.rfftfreq(self.ny, d=self.dy)
         return -(kx[:, None] ** 2 + ky[None, :] ** 2)
-
-    @cached_property
-    def _spec(self) -> np.ndarray:
-        # the complex scratch spectrum every transform passes through; it
-        # never leaves a call
-        return np.empty(self._neg_k2.shape, dtype=complex)
 
     def axes(self):
         x = np.arange(self.nx) * self.dx

@@ -29,7 +29,7 @@ def torus_criterion_setup():
     grid = bv.TorusGrid(L20, L20, 128, 128)
     params = bv.PhysicalParams(lam=1.0)
     cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
-    bg = bv.build_background_torus(cfg, grid, params)
+    bg = bv.build_background(cfg, grid, params)
     return grid, params, cfg, bg
 
 

@@ -56,7 +56,7 @@ def extended_50():
     params = bv.PhysicalParams(lam=1.0)
     cfg = bv.VortexConfig(phi_zeros=((0.3 * L50, 0.4 * L50), (0.7 * L50, 0.6 * L50)),
                           kappa_zeros=((0.5 * L50, 0.25 * L50),))
-    bg = bv.build_background_torus(cfg, grid, params)
+    bg = bv.build_background(cfg, grid, params)
     sol = bv.solve("torus", "extended", cfg, grid, params, background=bg)
     assert sol.converged
     return grid, params, cfg, bg, sol
@@ -162,7 +162,7 @@ def test_criterion_05_cross_method_equivalence(extended_50):
     ok = True
     for n in (1, 2, 3):
         cfg = bv.VortexConfig(phi_zeros=all_pts[:n])
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
         fp = bv.continuation_solve(bg, params)
         diff = float(np.max(np.abs(newton.state - fp.state)))
@@ -255,16 +255,23 @@ def test_criterion_09_decay_rates():
     grid = bv.PlaneGrid(12.0, 384)
     params = bv.PhysicalParams(lam=4.0)
     cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0),))
-    bg = bv.build_background_plane(cfg, grid, params)
+    bg = bv.build_background(cfg, grid, params)
     sol = bv.solve("plane", "base", cfg, grid, params, background=bg)
     rate_f, rate_g, window = bv.decay_fit(sol.state, bg, params)
+    # the localized background leaves no algebraic tail for the Dirichlet
+    # truncation to cut, so the truncated plane carries the full flux
+    fa, fb = bv.flux_report(sol.state, bg, params)
+    target_b = 2.0 * math.pi * cfg.n
     ok = (sol.converged
           and rate_f >= math.sqrt(0.9 * 4.0)
           and abs(rate_f - 4.0) / 4.0 <= 0.15
-          and rate_g >= math.sqrt(2.0 * 0.9 * 4.0))
+          and rate_g >= math.sqrt(2.0 * 0.9 * 4.0)
+          and abs(fb / target_b - 1.0) <= 1e-6
+          and abs(fa) <= 1e-6 * target_b)
     _report(9, "decay rates", ok,
             f"rate_fields={rate_f:.3f} (>=1.897, within 15% of 4), "
-            f"rate_gradients={rate_g:.3f} (>=2.683)", t0)
+            f"rate_gradients={rate_g:.3f} (>=2.683), "
+            f"flux (a,b)=({fa:.2e},{fb:.9f}) (within 1e-6 of (0, 2 pi n))", t0)
 
 
 def test_criterion_10_maximum_principle_bounds(torus_criterion_setup,
@@ -274,7 +281,7 @@ def test_criterion_10_maximum_principle_bounds(torus_criterion_setup,
     grid, params, cfg, bg = torus_criterion_setup
     rep_128 = bv.pointwise_bounds(torus_criterion_solution.state, bg)
     grid_256 = bv.TorusGrid(L20, L20, 256, 256)
-    bg_256 = bv.build_background_torus(cfg, grid_256, params)
+    bg_256 = bv.build_background(cfg, grid_256, params)
     sol_256 = bv.solve("torus", "base", cfg, grid_256, params, background=bg_256)
     rep_256 = bv.pointwise_bounds(sol_256.state, bg_256)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bpsvortex as bv
-from bpsvortex.backgrounds import _periodized_source
+from bpsvortex.backgrounds import SERIES_S, _add_profile
 from bpsvortex.errors import PointOutsideDomain
 
 L20 = math.sqrt(20.0)
@@ -101,93 +101,103 @@ class TestCheckExistence:
 class TestPlaneBackground:
     def test_empty_config(self):
         grid = bv.PlaneGrid(4.0, 33)
-        bg = bv.build_background_plane(bv.VortexConfig(), grid, bv.PhysicalParams(lam=1.0))
+        bg = bv.build_background(bv.VortexConfig(), grid, bv.PhysicalParams(lam=1.0))
         assert np.all(bg.exp_v0 == 1.0)
         assert np.all(bg.src_f == 0.0)
         assert np.all(bg.v0 == 0.0)
 
     def test_single_vortex_closed_form(self):
-        # node at (1, 0) exists for R=4, n=129; tau=1 gives value 1/2 there
+        # node at (1, 0) exists for R=4, n=129; tau=1 gives 1 - e^{-1} there
         grid = bv.PlaneGrid(4.0, 129)
         cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0),))
-        bg = bv.build_background_plane(cfg, grid, bv.PhysicalParams(lam=1.0, tau=1.0))
+        bg = bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0, tau=1.0))
         i = round((1.0 + 4.0) / grid.h)
         j = round((0.0 + 4.0) / grid.h)
-        assert bg.exp_v0[i, j] == pytest.approx(0.5, rel=1e-12)
+        assert bg.exp_v0[i, j] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_exact_zero_at_vortex_node(self):
         grid = bv.PlaneGrid(4.0, 33)
         x, _ = grid.axes()
         p = (x[10], x[20])
-        bg = bv.build_background_plane(bv.VortexConfig(phi_zeros=(p,)), grid,
-                                       bv.PhysicalParams(lam=1.0))
+        bg = bv.build_background(bv.VortexConfig(phi_zeros=(p,)), grid,
+                                 bv.PhysicalParams(lam=1.0))
         assert bg.exp_v0[10, 20] == 0.0
         assert np.all(bg.exp_v0 >= 0.0)
         off_core = np.delete(bg.exp_v0.ravel(), 10 * 33 + 20)
         assert np.all(off_core > 0.0)
 
     def test_source_integral_matches_analytic_value(self):
-        # integral of each bump over the full plane is 4*pi; truncation to
-        # [-R, R]^2 misses O(tau/R^2) of it
+        # integral of each profile's source over the full plane is 4*pi; it
+        # decays like s e^{-s}, so truncation to [-R, R]^2 misses nothing
         grid = bv.PlaneGrid(20.0, 257)
         cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0), (1.0, -2.0)))
         tau = 1.0
-        bg = bv.build_background_plane(cfg, grid, bv.PhysicalParams(lam=1.0, tau=tau))
+        bg = bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0, tau=tau))
         target = 4.0 * math.pi * cfg.n
-        assert abs(grid.integrate(bg.src_f) - target) <= 3.0 * target * tau / grid.R ** 2
+        assert abs(grid.integrate(bg.src_f) - target) <= 1e-10 * target
 
     def test_v0_floor(self):
         grid = bv.PlaneGrid(4.0, 33)
         x, _ = grid.axes()
-        bg = bv.build_background_plane(bv.VortexConfig(phi_zeros=((x[10], x[20]),)),
-                                       grid, bv.PhysicalParams(lam=1.0))
+        bg = bv.build_background(bv.VortexConfig(phi_zeros=((x[10], x[20]),)),
+                                 grid, bv.PhysicalParams(lam=1.0))
         assert np.all(np.isfinite(bg.v0))
         assert bg.v0.min() >= -700.0
 
     def test_rejects_outside_point(self):
         grid = bv.PlaneGrid(4.0, 33)
         with pytest.raises(PointOutsideDomain):
-            bv.build_background_plane(bv.VortexConfig(phi_zeros=((4.5, 0.0),)),
-                                      grid, bv.PhysicalParams(lam=1.0))
+            bv.build_background(bv.VortexConfig(phi_zeros=((4.5, 0.0),)),
+                                grid, bv.PhysicalParams(lam=1.0))
 
 
 class TestTorusBackground:
     def test_empty_config(self):
         grid = bv.TorusGrid(2.0, 2.0, 16, 16)
-        bg = bv.build_background_torus(bv.VortexConfig(), grid, bv.PhysicalParams(lam=1.0))
+        bg = bv.build_background(bv.VortexConfig(), grid, bv.PhysicalParams(lam=1.0))
         assert np.all(bg.v0 == 0.0)
         assert np.all(bg.exp_v0 == 1.0)
 
     def test_source_normalized_exactly(self):
+        # each zero set's density is rescaled to cell integral 4 pi per vortex
         grid = bv.TorusGrid(L20, L20, 64, 64)
-        tau = bv.PhysicalParams(lam=1.0).resolved_tau(grid)
-        source = _periodized_source(((1.0, 1.0),), grid, tau)
-        assert grid.integrate(source) == pytest.approx(4.0 * math.pi, rel=1e-14)
+        cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0), (3.1, 0.2)), kappa_zeros=((2.0, 4.0),))
+        bg = bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0))
+        assert grid.integrate(bg.src_u) == pytest.approx(4.0 * math.pi * cfg.m, rel=1e-14)
+        assert grid.integrate(bg.src_f) == pytest.approx(4.0 * math.pi * (cfg.m + cfg.n),
+                                                         rel=1e-14)
 
-    def test_poisson_residual(self, torus_criterion_setup):
-        grid, params, cfg, bg = torus_criterion_setup
-        source = _periodized_source(cfg.phi_zeros, grid, params.resolved_tau(grid))
-        res = grid.laplacian(bg.v0) + bg.src_f - source
-        assert np.sqrt(grid.inner(res, res) / grid.inner(source, source)) <= 1e-10
+    def test_exact_zero_at_node_aligned_zeros(self):
+        # the point sources stay points: e^{v0} vanishes at the zeros, one
+        # of them a minimum image away across the cell boundary
+        grid = bv.TorusGrid(L20, L20, 64, 64)
+        x, y = grid.axes()
+        nodes = ((10, 20), (63, 0), (40, 41))
+        cfg = bv.VortexConfig(phi_zeros=tuple((x[i], y[j]) for i, j in nodes))
+        bg = bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0))
+        for i, j in nodes:
+            assert bg.exp_v0[i, j] == 0.0
+        assert np.count_nonzero(bg.exp_v0) == grid.nx * grid.ny - len(nodes)
+        assert np.all(np.isfinite(bg.v0)) and bg.v0.min() >= -700.0
 
-    def test_v0_gauge_mean_zero(self, torus_criterion_setup):
-        grid, params, cfg, bg = torus_criterion_setup
-        assert abs(bg.v0.mean()) <= 1e-12 * (np.max(np.abs(bg.v0)) + 1e-30)
-
-    def test_neutralized_source_mean(self, torus_criterion_setup):
-        # the source less 4 pi n / |Omega|, the Poisson right-hand side of v0,
-        # has mean zero to roundoff before any mean is projected out
-        grid, params, cfg, bg = torus_criterion_setup
-        neutral = _periodized_source(cfg.phi_zeros, grid, params.resolved_tau(grid)) - bg.src_f
-        assert abs(neutral.mean()) <= 1e-12 * np.max(np.abs(neutral))
+    def test_tau_above_the_minimum_image_bound_refused(self):
+        grid = bv.TorusGrid(L20, 2.0 * L20, 32, 64)
+        bound = bv.backgrounds.torus_tau_bound(grid.Lx, grid.Ly)
+        assert bound == min(grid.Lx, grid.Ly) ** 2 / 144.0
+        cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0),))
+        bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0, tau=bound))
+        with pytest.raises(ValueError, match="exceeds"):
+            bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0, tau=1.01 * bound))
+        # the default never exceeds the bound, however coarse the grid
+        coarse = bv.TorusGrid(L20, L20, 8, 8)
+        assert bv.PhysicalParams(lam=1.0).resolved_tau(coarse) == pytest.approx(bound)
 
     def test_core_suppression_at_fine_resolution(self):
-        # with tau = (3 dx)^2 the core suppression reaches 1e-3 of the peak
-        # from 256^2 upward on this cell size
+        # the profile vanishes at the node on the vortex
         grid = bv.TorusGrid(L20, L20, 256, 256)
         p = (0.5 * L20, 0.5 * L20)
-        bg = bv.build_background_torus(bv.VortexConfig(phi_zeros=(p,)), grid,
-                                       bv.PhysicalParams(lam=1.0))
+        bg = bv.build_background(bv.VortexConfig(phi_zeros=(p,)), grid,
+                                 bv.PhysicalParams(lam=1.0))
         i = round(p[0] / grid.dx)
         j = round(p[1] / grid.dy)
         assert bg.exp_v0[i, j] <= 1e-3 * bg.exp_v0.max()
@@ -195,8 +205,8 @@ class TestTorusBackground:
     def test_rejects_outside_point(self):
         grid = bv.TorusGrid(2.0, 2.0, 16, 16)
         with pytest.raises(PointOutsideDomain):
-            bv.build_background_torus(bv.VortexConfig(phi_zeros=((2.0, 0.5),)),
-                                      grid, bv.PhysicalParams(lam=1.0))
+            bv.build_background(bv.VortexConfig(phi_zeros=((2.0, 0.5),)),
+                                grid, bv.PhysicalParams(lam=1.0))
 
     def test_base_model_kappa_fields_trivial(self, torus_criterion_setup):
         grid, params, cfg, bg = torus_criterion_setup
@@ -205,23 +215,42 @@ class TestTorusBackground:
         assert bg.src_u == 0.0
 
 
-class TestRefinementConsistency:
-    def test_solution_converges_under_refinement(self):
-        # halving tau while doubling resolution: successive solution changes
-        # shrink (the regularized problem approaches the point-source one)
-        params0 = bv.PhysicalParams(lam=1.0)
-        grid0 = bv.TorusGrid(L20, L20, 64, 64)
-        tau0 = params0.resolved_tau(grid0)
-        p = (0.5 * L20, 0.5 * L20)
-        cfg = bv.VortexConfig(phi_zeros=(p,))
-        states = []
-        for k, nres in enumerate((64, 128, 256)):
-            grid = bv.TorusGrid(L20, L20, nres, nres)
-            params = bv.PhysicalParams(lam=1.0, tau=tau0 / 2 ** k)
-            sol = bv.solve("torus", "base", cfg, grid, params)
-            assert sol.converged
-            stride = nres // 64
-            states.append(sol.state[:, ::stride, ::stride])
-        d1 = np.max(np.abs(states[1] - states[0]))
-        d2 = np.max(np.abs(states[2] - states[1]))
-        assert d2 < d1
+class TestSourceSeries:
+    def test_series_matches_closed_form_at_the_switch(self):
+        # just below SERIES_S the series gives h2, from SERIES_S on the
+        # closed form; at the switch both are exact to roundoff
+        tau = 0.7
+        dx = np.sqrt(tau * SERIES_S * np.array([1.0 - 1e-12, 1.0 + 1e-12]))
+        dy = np.zeros(1)
+        exp_f, log_f, dens = np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))
+        s = dx * dx / tau
+        assert s[0] < SERIES_S <= s[1]
+        _add_profile(dx, dy, tau, exp_f, log_f, dens, *np.empty((3, 2, 1)))
+        assert dens[0, 0] == pytest.approx(dens[1, 0], rel=1e-12)
+        assert dens[0, 0] == pytest.approx((4.0 / tau) * (0.5 - SERIES_S / 6.0), rel=1e-10)
+        assert exp_f[:, 0] == pytest.approx(-np.expm1(-s), rel=1e-15)
+
+
+class TestPointSourceLimit:
+    """The torus solves the point-source system: tau and the grid only split and sample it."""
+
+    P = ((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20))
+
+    @staticmethod
+    def exp_v(nres, tau=None):
+        grid = bv.TorusGrid(L20, L20, nres, nres)
+        params = bv.PhysicalParams(lam=1.0, tau=tau)
+        cfg = bv.VortexConfig(phi_zeros=TestPointSourceLimit.P)
+        bg = bv.build_background(cfg, grid, params)
+        sol = bv.solve("torus", "base", cfg, grid, params, background=bg,
+                       settings=bv.SolverSettings(tol_grad_sup=1e-10))
+        assert sol.converged
+        return bg.exp_v0 * np.exp(sol.state[1] - sol.state[0])
+
+    def test_solution_is_tau_independent(self):
+        ref = self.exp_v(128, tau=0.02)
+        for tau in (0.05, 0.12):
+            assert np.max(np.abs(self.exp_v(128, tau=tau) - ref)) <= 1e-9
+
+    def test_solution_is_resolution_independent(self):
+        assert np.max(np.abs(self.exp_v(256)[::4, ::4] - self.exp_v(64))) <= 1e-9

@@ -132,6 +132,8 @@ class TestParseConfig:
         ("plane", {"param": "resolution", "values": [32.5]}, "sweep.values[0]"),
         ("torus", {"param": "n", "values": [1], "param2": "lambda", "values2": [1.0, 0]},
          "sweep.values2[1]"),
+        # above min(Lx, Ly)^2/144 = 20/144 the minimum image cuts the profile
+        ("torus", {"param": "tau", "values": [0.1, 0.14]}, "sweep.values[1]"),
     ])
     def test_sweep_values_follow_their_field_rule(self, mode, sweep, path):
         raw = minimal_torus(phi_zeros=[[1.0, 1.0]], sweep=sweep)
@@ -430,7 +432,7 @@ class TestSweepPoints:
     @pytest.mark.parametrize("base,sweep", [
         # the first row is unsolvable
         (EXTENDED, {"param": "lambda", "values": [0.5, 2], "action": "solve"}),
-        (EXTENDED, {"param": "tau", "values": [None, 0.5], "action": "solve"}),
+        (EXTENDED, {"param": "tau", "values": [None, 0.1], "action": "solve"}),
         (EXTENDED, {"param": "n", "values": [0, 1, 2], "action": "solve"}),
         (EXTENDED, {"param": "m", "values": [0, 1], "action": "solve"}),
         (EXTENDED, {"param": "resolution", "values": [12, 16], "action": "solve"}),
@@ -577,7 +579,7 @@ class TestSweepContinuation:
         assert [init is None for _, init, _ in solves] == [s is None for s in start_rows]
 
     @pytest.mark.parametrize("sweep", [
-        {"param": "tau", "values": [None, 0.5]},
+        {"param": "tau", "values": [None, 0.1]},
         {"param": "resolution", "values": [12, 16]},
         {"param": "n", "values": [0, 1, 2]},
         {"param": "m", "values": [0, 1]},
@@ -621,6 +623,22 @@ class TestCliMain:
         cfg_path.write_text(json.dumps(minimal_torus(**{"lambda": -2.0})))
         code = main(["--config", str(cfg_path), "--command", "check"])
         assert code == 1
+
+    @pytest.mark.parametrize("override,path", [
+        ("tau=0.14", "tau"),
+        ('sweep={"param": "tau", "values": [0.1, 0.14]}', "sweep.values[1]"),
+    ], ids=["tau", "sweep"])
+    def test_torus_tau_above_bound_exit_1(self, tmp_path, capsys, override, path):
+        # min(Lx, Ly)^2/144 = 20/144 on this cell; a plane takes any tau
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_torus(phi_zeros=[[1.0, 1.0]])))
+        assert main(["--config", str(cfg_path), "--command", "check",
+                     "--override", override]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: must be at most" in err and "Traceback" not in err
+        with pytest.raises(ValueError, match="exceeds"):
+            bv.PhysicalParams(lam=1.0, tau=0.14).resolved_tau(bv.TorusGrid(L20, L20, 32, 32))
+        assert bv.PhysicalParams(lam=1.0, tau=0.14).resolved_tau(bv.PlaneGrid(6.0, 32)) == 0.14
 
     @pytest.mark.parametrize("error", [Overflow, NonZeroMeanRhs])
     def test_solver_error_exit_3_without_traceback(self, tmp_path, capsys,

@@ -16,7 +16,7 @@ def plane_solution():
     grid = bv.PlaneGrid(10.0, 256)
     params = bv.PhysicalParams(lam=4.0)
     cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0),))
-    bg = bv.build_background_plane(cfg, grid, params)
+    bg = bv.build_background(cfg, grid, params)
     sol = bv.solve("plane", "base", cfg, grid, params, background=bg)
     assert sol.converged
     return grid, params, cfg, bg, sol
@@ -28,7 +28,7 @@ def extended_solution():
     params = bv.PhysicalParams(lam=1.0)
     cfg = bv.VortexConfig(phi_zeros=((0.3 * L50, 0.4 * L50), (0.7 * L50, 0.6 * L50)),
                           kappa_zeros=((0.5 * L50, 0.25 * L50),))
-    bg = bv.build_background_torus(cfg, grid, params)
+    bg = bv.build_background(cfg, grid, params)
     sol = bv.solve("torus", "extended", cfg, grid, params, background=bg)
     assert sol.converged
     return grid, params, cfg, bg, sol
@@ -39,7 +39,7 @@ class TestPdeResidual:
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig()
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         res = bv.pde_residual(np.zeros((2, 32, 32)), bg, params)
         assert max(res[0][1], res[1][1]) < 1e-13
 
@@ -65,7 +65,7 @@ class TestFlux:
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig()
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         fa, fb = bv.flux_report(np.zeros((2, 32, 32)), bg, params)
         assert fa == pytest.approx(0.0, abs=1e-12)
         assert fb == pytest.approx(0.0, abs=1e-12)
@@ -74,7 +74,7 @@ class TestFlux:
         grid = bv.TorusGrid(L20, L20, 64, 64)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((0.4 * L20, 0.5 * L20),))
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         sol = bv.solve("torus", "base", cfg, grid, params, background=bg)
         fa, fb = bv.flux_report(sol.state, bg, params)
         assert abs(fb - 2.0 * math.pi) / (2.0 * math.pi) <= 1e-6
@@ -91,7 +91,7 @@ class TestPointwiseBounds:
     def test_empty_config_boundary_case(self):
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
-        bg = bv.build_background_torus(bv.VortexConfig(), grid, params)
+        bg = bv.build_background(bv.VortexConfig(), grid, params)
         rep = bv.pointwise_bounds(np.zeros((2, 32, 32)), bg)
         assert rep.max_exp_u_excess == pytest.approx(0.0, abs=1e-14)
         assert rep.max_exp_v_excess == pytest.approx(0.0, abs=1e-14)
@@ -120,7 +120,7 @@ class TestLagrangeMultipliers:
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.7)
         cfg = bv.VortexConfig()
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         l1, l2 = bv.verify_lagrange_multipliers(np.zeros((2, 32, 32)), bg, params)
         assert l1 == pytest.approx(params.lam, rel=1e-10)
         assert l2 == pytest.approx(2.0 * params.lam, rel=1e-10)
@@ -166,7 +166,7 @@ class TestReconstruct:
     def test_empty_config_trivial_fields(self):
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
-        bg = bv.build_background_torus(bv.VortexConfig(), grid, params)
+        bg = bv.build_background(bv.VortexConfig(), grid, params)
         phys = bv.reconstruct_physical(np.zeros((2, 32, 32)), bg, params)
         assert np.all(phys.kappa == 1.0)
         assert np.all(phys.phi_abs == 1.0)
@@ -179,7 +179,7 @@ class TestReconstruct:
         p = (x[10], x[20])
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=(p,))
-        bg = bv.build_background_plane(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         sol = bv.solve("plane", "base", cfg, grid, params, background=bg)
         phys = bv.reconstruct_physical(sol.state, bg, params)
         assert phys.phi_abs[10, 20] == 0.0

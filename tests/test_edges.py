@@ -34,7 +34,7 @@ class TestSolverEdges:
         cfg = bv.VortexConfig(phi_zeros=(p, p))
         rep = bv.check_existence(cfg, grid, params)
         assert rep.constraints[0] == pytest.approx(grid.area - 4.0 * math.pi, rel=1e-12)
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         sol = bv.solve("torus", "base", cfg, grid, params, background=bg)
         fa, fb = bv.flux_report(sol.state, bg, params)
         assert abs(fb - 4.0 * math.pi) / (4.0 * math.pi) <= 1e-6
@@ -43,7 +43,7 @@ class TestSolverEdges:
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((0.5 * L20, 0.5 * L20),))
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         # an unreachable tolerance and two map applications
         monkeypatch.setattr(fixedpoint, "INNER_TOL", 1e-16)
         monkeypatch.setattr(fixedpoint, "MAX_APPLIES", 2)

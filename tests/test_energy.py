@@ -257,11 +257,7 @@ class TestGradientResidualCorrespondence:
         grid = model.grid
         eU = model.bg.exp_u0 * np.exp(s[0])
         eV = model.bg.exp_v0 * np.exp(s[1] - s[0])
-        m, n = model.bg.cfg.m, model.bg.cfg.n
-        if mode == "torus":
-            src_u, src_f = 4 * np.pi * m / grid.area, 4 * np.pi * (m + n) / grid.area
-        else:
-            src_u, src_f = model.bg.src_u, model.bg.src_f
+        src_u, src_f = model.bg.src_u, model.bg.src_f
         r1 = grid.laplacian(s[0]) - lam * (2 * eU - eV - 1) - src_u
         r2 = grid.laplacian(s[1]) - 2 * lam * (eV - 1) - src_f
         expected = grid.zero_boundary(np.stack([-r1, -0.5 * r2]))

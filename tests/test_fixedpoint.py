@@ -16,7 +16,7 @@ def fp_setup():
     grid = bv.TorusGrid(L20, L20, 64, 64)
     params = bv.PhysicalParams(lam=1.0)
     cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
-    bg = bv.build_background_torus(cfg, grid, params)
+    bg = bv.build_background(cfg, grid, params)
     return grid, params, cfg, bg
 
 
@@ -27,7 +27,7 @@ def fp_extended():
     params = bv.PhysicalParams(lam=1.3)
     cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)),
                           kappa_zeros=((0.5 * L20, 0.2 * L20),))
-    bg = bv.build_background_torus(cfg, grid, params)
+    bg = bv.build_background(cfg, grid, params)
     return grid, params, cfg, bg
 
 
@@ -60,7 +60,7 @@ class TestApplyT:
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig()
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         for t in (0.2, 1.0):
             out = bv.apply_T(np.zeros((2, 32, 32)), t, bg, params)
             assert np.max(np.abs(out)) < 1e-13
@@ -91,7 +91,7 @@ class TestContinuationSolve:
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig()
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         sol = bv.continuation_solve(bg, params)
         assert sol.converged
         # recovered means: u_bar = ln(C2/|Omega|) = 0, v_bar = 0
@@ -102,9 +102,22 @@ class TestContinuationSolve:
         grid = bv.TorusGrid(side, side, 16, 16)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0),))
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         with pytest.raises(ThresholdViolated):
             bv.continuation_solve(bg, params)
+
+    @pytest.mark.parametrize("nres", [32, 64])
+    def test_converges_next_to_the_threshold(self, nres):
+        # at lambda*(1 + 1e-8) the map's right-hand sides are O(lam eps),
+        # their summands O(lam): the roundoff of their means is the summands'
+        grid = bv.TorusGrid(L20, L20, nres, nres)
+        params = bv.PhysicalParams(lam=4.0 * math.pi / grid.area * (1.0 + 1e-8))
+        cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
+        bg = bv.build_background(cfg, grid, params)
+        sol = bv.continuation_solve(bg, params)
+        assert sol.converged and sol.iterations <= 10
+        diag = bv.build_diagnostics(sol.state, "torus", "base", bg, cfg, params)
+        assert max(diag.constraint_errors) <= 1e-14
 
     def test_matches_newton_solution(self, fp_setup):
         grid, params, cfg, bg = fp_setup
@@ -158,7 +171,7 @@ class TestContinuationSolve:
         grid = bv.TorusGrid(L20, L20, 128, 128)
         params = bv.PhysicalParams(lam=3.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.32 * L20, 0.45 * L20)))
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         fp = bv.continuation_solve(bg, params)
         assert fp.converged, fp.message
         newton = bv.solve("torus", "base", cfg, grid, params, background=bg)
@@ -171,7 +184,7 @@ class TestContinuationSolve:
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=100.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         fp = bv.continuation_solve(bg, params)
         assert fp.converged, fp.message
         assert fp.omega == pytest.approx(1.0 / (1.0 + 100.0 * 20.0 / math.pi ** 2), rel=1e-14)
@@ -191,7 +204,7 @@ class TestContinuationSolve:
         cfg = bv.VortexConfig(phi_zeros=zeros[:n], kappa_zeros=zeros[n:n + m])
         line = max(2.0 * math.pi * (m + n), math.pi * (3 * m + n)) / grid.area
         params = bv.PhysicalParams(lam=factor * line)
-        bg = bv.build_background_torus(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         newton = bv.solve("torus", "extended" if m else "base", cfg, grid, params,
                           background=bg)
         fp = bv.continuation_solve(bg, params)
@@ -224,7 +237,7 @@ class TestContinuationSolve:
         ceilings = []
         for nres in (32, 64):
             grid = bv.TorusGrid(L20, L20, nres, nres)
-            bg = bv.build_background_torus(cfg, grid, params)
+            bg = bv.build_background(cfg, grid, params)
             pair = np.zeros((2,) + grid.shape)
             ceiling = 0.0
             for t in [(k + 1) / 10 for k in range(10)]:

@@ -209,7 +209,7 @@ class TestExtendedVariants:
         x, _ = grid.axes()
         q = (x[40], x[56])  # node-aligned kappa zero
         cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3),), kappa_zeros=(q,))
-        bg = bv.build_background_plane(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         sol = bv.solve("plane", "extended", cfg, grid, params, background=bg)
         assert sol.converged
         res = bv.pde_residual(sol.state, bg, params)
@@ -223,7 +223,7 @@ class TestExtendedVariants:
         grid = bv.PlaneGrid(6.0, 32)
         params = bv.PhysicalParams(lam=1.3)
         cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3),))
-        bg = bv.build_background_plane(cfg, grid, params)
+        bg = bv.build_background(cfg, grid, params)
         base = bv.solve("plane", "base", cfg, grid, params, background=bg)
         ext = bv.solve("plane", "extended", cfg, grid, params, background=bg)
         assert np.max(np.abs(base.state - ext.state)) <= 1e-10
@@ -332,8 +332,13 @@ FLOOR_CASE = {"mode": "plane", "model": "base", "lambda": 200.0, "domain": {"R":
               "solver": {"tol": 1e-12, "max_iters": 30}, "output": {"report_path": "r.json"}}
 
 
-def floor_case_solve(tol):
-    cfg = parse_config(json.dumps(FLOOR_CASE))
+# FLOOR_CASE with a third vortex: its damped first step raises the sup
+# gradient about ninefold
+RISE_CASE = dict(FLOOR_CASE, phi_zeros=[[0.3, 0.0], [-0.3, 0.2], [0.0, -0.4]])
+
+
+def floor_case_solve(tol, case=FLOOR_CASE):
+    cfg = parse_config(json.dumps(case))
     return bv.solve("plane", "base", cfg.make_vortex_config(), cfg.make_grid(),
                     cfg.make_params(), settings=bv.SolverSettings(tol, 30))
 
@@ -379,7 +384,7 @@ class TestStallStop:
 
     def test_damped_rise_of_the_gradient_is_no_stall(self):
         # the first step is damped and raises the sup gradient threefold
-        sol = floor_case_solve(1e-9)
+        sol = floor_case_solve(1e-9, RISE_CASE)
         assert sol.newton_steps[0]["alpha"] < 1.0
         assert sol.grad_history[1] > 3.0 * sol.grad_history[0]
         assert sol.converged and sol.message == ""
