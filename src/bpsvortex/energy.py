@@ -40,17 +40,22 @@ torus its constant-mode block is the Galerkin projection of A onto the
 constant fields, so that mode is exact.  W is the pointwise remainder.  ``hessian_operator`` applies
 M + W with two inverse and two forward transforms, and ``preconditioner``
 inverts M mode by mode with none.
+
+On the torus the energy also reports the masses (int e^U, int e^V), from
+which :func:`constraint_shift` moves a state onto both integral
+constraints in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .backgrounds import Background, PhysicalParams
+from .backgrounds import Background, PhysicalParams, check_existence
 from .errors import Overflow, SingularHessian
 from .grids import TorusGrid
 
@@ -58,10 +63,17 @@ MAX_EXPONENT = 700.0
 
 
 class EnergyBreakdown(NamedTuple):
+    """The energy and its three parts.
+
+    On the torus ``masses`` holds (int e^U, int e^V), the input of
+    :func:`constraint_shift`; it is ``None`` on the plane.
+    """
+
     total: float
     gradient_part: float
     exponential_part: float
     linear_part: float
+    masses: Optional[Tuple[float, float]] = None
 
 
 class Linearization(NamedTuple):
@@ -97,6 +109,42 @@ def _exp_pair(state, bg: Background):
     return eU, eV
 
 
+def constraint_shift(state, masses, bg: Background, params: PhysicalParams) -> float:
+    """Shift a torus ``state`` in place onto both integral constraints.
+
+    ``masses`` are (int e^U, int e^V) at ``state`` (``EnergyBreakdown.masses``)
+    and (C1, C2) the targets of :func:`check_existence`.  The constants
+    a = ln(C2 / int e^U) and d = ln(C1 / int e^V) are added as s0 += a and
+    s1 += a + d, after which int e^U = C2 and int e^V = C1.  Those are the
+    zeros of the energy's derivatives along the two constant modes, and the
+    energy is convex, so the shift minimizes it over them: it never rises.
+    Returns the energy change in closed form (the source densities integrate
+    to 4 pi m and 4 pi (m + n)),
+
+        lam (2 (C2 - int e^U) + (C1 - int e^V))
+            + a (4 pi m - lam |Omega|) + (a + d) (2 pi (m + n) - lam |Omega|).
+
+    Costs no exponential and no transform.  A mass that underflows to 0
+    leaves the constant-mode block singular and raises
+    :class:`SingularHessian`; one that overflows raises :class:`Overflow`.
+    """
+    grid, lam, cfg = bg.grid, params.lam, bg.cfg
+    iu, iv = masses
+    if not (iu > 0.0 and iv > 0.0):
+        raise SingularHessian(f"mean e^U = {iu / grid.area:.3e}, "
+                              f"mean e^V = {iv / grid.area:.3e}")
+    if not (iu < math.inf and iv < math.inf):
+        raise Overflow(f"int e^U = {iu:.3e}, int e^V = {iv:.3e}")
+    c1, c2 = check_existence(cfg, grid, params).constraints
+    a = math.log(c2) - math.log(iu)  # a quotient of the two could overflow
+    d = math.log(c1) - math.log(iv)
+    state[0] += a
+    state[1] += a + d
+    lam_area = lam * grid.area
+    return (lam * (2.0 * (c2 - iu) + (c1 - iv)) + a * (4.0 * math.pi * cfg.m - lam_area)
+            + (a + d) * (2.0 * math.pi * (cfg.m + cfg.n) - lam_area))
+
+
 @dataclass
 class EnergyModel:
     """One variant's energy, gradient and Hessian over fixed background data.
@@ -115,18 +163,28 @@ class EnergyModel:
         return np.zeros((2,) + self.grid.shape)
 
     def energy(self, state) -> EnergyBreakdown:
+        """The energy of ``state`` and its parts; on the torus also its masses."""
         grid, lam, bg = self.grid, self.params.lam, self.bg
         eU, eV = _exp_pair(state, bg)
         grad_part = 0.5 * grid.dirichlet_form(state[0]) + 0.25 * grid.dirichlet_form(state[1])
         exp_part = lam * grid.integrate(2.0 * (eU - bg.exp_u0) + (eV - bg.exp_v0))
-        lin_part = grid.integrate((bg.src_u - lam) * state[0] + (bg.src_f / 2.0 - lam) * state[1])
-        return EnergyBreakdown(grad_part + exp_part + lin_part, grad_part, exp_part, lin_part)
+        masses = ((grid.integrate(eU), grid.integrate(eV))
+                  if isinstance(grid, TorusGrid) else None)
+        # the linear term accumulates in eV's storage: (src_f / 2 - lam) s1
+        # there, then (src_u - lam) s0 + that
+        lin = np.divide(bg.src_f, 2.0, out=eV)
+        lin -= lam
+        lin *= state[1]
+        lin_part = grid.integrate(np.add((bg.src_u - lam) * state[0], lin, out=lin))
+        return EnergyBreakdown(grad_part + exp_part + lin_part, grad_part, exp_part, lin_part,
+                               masses)
 
     def gradient(self, state) -> np.ndarray:
         grid, lam, bg = self.grid, self.params.lam, self.bg
         eU, eV = _exp_pair(state, bg)
         g0 = -grid.laplacian(state[0]) + lam * (2.0 * eU - eV - 1.0) + bg.src_u
-        g1 = -0.5 * grid.laplacian(state[1]) + lam * (eV - 1.0) + bg.src_f / 2.0
+        g1 = -0.5 * grid.laplacian(state[1]) + lam * (eV - 1.0)
+        g1 += np.divide(bg.src_f, 2.0, out=eU)  # the half source, in eU's storage
         return np.stack([grid.zero_boundary(g0), grid.zero_boundary(g1)])
 
     def hessian_apply(self, state, direction) -> np.ndarray:

@@ -16,8 +16,9 @@ base model), and the constraint targets ``(C1, C2)`` of
 ``ThresholdReport.constraints``, which give both zero mean.  The map projects
 out quadrature roundoff and inverts the Laplacian on each, so the output lies
 in X again.  Fixed points of ``apply_T(., t)`` at ``t = 1`` solve the full
-system; the two field means are recovered from the integral constraints
-afterwards.
+system; the two field means are recovered afterwards from the integral
+constraints, by the same closed-form shift that Newton applies to its
+iterates (:func:`~bpsvortex.energy.constraint_shift`).
 
 ``continuation_solve`` iterates the map at ``t = 1`` from the zero pair,
 with Anderson acceleration of depth ``ANDERSON_DEPTH`` (Walker & Ni, SIAM J.
@@ -39,7 +40,7 @@ from typing import List, Optional
 import numpy as np
 
 from .backgrounds import Background, PhysicalParams, check_existence
-from .energy import _checked_exp
+from .energy import _checked_exp, constraint_shift
 from .errors import NonZeroMeanRhs, Overflow, ThresholdViolated
 from .grids import TorusGrid
 from .newton import Solution
@@ -200,14 +201,19 @@ def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
                 cols[slot] -= np.multiply(cols[i], gamma[i], out=scratch)
         x += cols[slot]
 
-    state = _recover_state(x, bg, *report.constraints)
+    state = _recover_state(x, bg, params)
     return Solution(state, applies, residuals, [], not message, message, omega=omega)
 
 
-def _recover_state(pair: np.ndarray, bg: Background, c1: float, c2: float) -> np.ndarray:
-    """Recover the field means from the integral constraints at t = 1."""
+def _recover_state(pair: np.ndarray, bg: Background, params: PhysicalParams) -> np.ndarray:
+    """The Newton state of the zero-mean pair ``(u', w')``, field means included.
+
+    ``(u', u' + w')`` is the state (g, f) = (u - u0, f) with both means
+    left out, since v - v0 = f - g; :func:`constraint_shift` then adds the
+    two means the integral constraints fix at t = 1.
+    """
     grid: TorusGrid = bg.grid
-    u_bar = math.log(c2) - math.log(grid.integrate(np.exp(bg.u0 + pair[0])))
-    v_bar = math.log(c1) - math.log(grid.integrate(np.exp(bg.v0 + pair[1])))
-    g = u_bar + pair[0]  # g = u - u0
-    return np.stack([g, g + (v_bar + pair[1])])  # f = g + (v - v0)
+    masses = (grid.integrate(np.exp(bg.u0 + pair[0])), grid.integrate(np.exp(bg.v0 + pair[1])))
+    state = np.stack([pair[0], pair[0] + pair[1]])
+    constraint_shift(state, masses, bg, params)
+    return state

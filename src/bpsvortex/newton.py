@@ -16,10 +16,17 @@ loosely; the forcing term shrinks with the gradient, which keeps the local
 convergence superlinear, and a step that may be the last is solved tightly
 enough to land well under the gradient tolerance.  A tolerance below the gradient's
 roundoff floor ends as a named stall (``STALL_STEPS``), not at ``max_iters``,
-and a state whose mean mass underflows, so that the Hessian block has no
-finite inverse, ends with a named message too.
+and a state whose mass underflows, so that the Hessian block has no finite
+inverse, ends with a named message too.
 A torus solve first checks the existence threshold and refuses to iterate
-when it fails.  Failure to converge is reported through the returned
+when it fails.  It then follows the paper's split u = c + w: the start and
+every accepted step are shifted by the constants that meet both integral
+constraints (:func:`~bpsvortex.energy.constraint_shift`), which minimizes
+the energy over the constant modes, the Hessian's worst-conditioned
+direction near the threshold.  The shift takes its masses from the energy
+evaluation that accepted the step and its energy change in closed form, so
+it costs no exponential, transform or energy call.  The plane has no
+constant mode and no shift.  Failure to converge is reported through the returned
 :class:`Solution` (``converged = False`` plus a message), not an exception,
 so partial results stay inspectable.
 """
@@ -34,7 +41,7 @@ import numpy as np
 
 from .backgrounds import (PhysicalParams, VortexConfig, build_background,
                           check_existence, check_labels)
-from .energy import EnergyModel
+from .energy import EnergyModel, constraint_shift
 from .errors import Overflow, SingularHessian, ThresholdViolated
 from .grids import TorusGrid
 
@@ -179,17 +186,26 @@ def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
 def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None) -> Solution:
     """Damped Newton descent on the energy of ``model``'s background.
 
-    A torus problem is first gated by its existence threshold.  ``init`` is
-    copied, and on the plane its Dirichlet ring is set to zero, where states
-    are held.
+    A torus problem is first gated by its existence threshold.  There the
+    start and every accepted step are shifted onto both integral constraints
+    (:func:`constraint_shift`), at the masses of the energy evaluation that
+    accepted them.  On the torus a float ``init`` is taken over, not copied:
+    it is the first iterate, and the shift moves it in place.  On the plane
+    ``init`` is copied and its Dirichlet ring set to zero, where states are
+    held.
     """
-    bg = model.bg
-    if isinstance(bg.grid, TorusGrid):
-        report = check_existence(bg.cfg, bg.grid, model.params)
+    bg, params = model.bg, model.params
+    torus = isinstance(bg.grid, TorusGrid)
+    if torus:
+        report = check_existence(bg.cfg, bg.grid, params)
         if not report.solvable:
             raise ThresholdViolated(report)
-    state = (model.zero_state() if init is None
-             else model.grid.zero_boundary(np.array(init, dtype=float)))
+    if init is None:
+        state = model.zero_state()
+    elif torus:
+        state = np.asarray(init, dtype=float)
+    else:
+        state = model.grid.zero_boundary(np.array(init, dtype=float))
     inner = model.grid.modal_inner
     grad_history: List[float] = []
     energy_history: List[float] = []
@@ -199,10 +215,18 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         return Solution(state, iterations, grad_history, energy_history, converged,
                         message, newton_steps=steps)
 
+    def settle(breakdown) -> float:
+        """The energy of ``state`` once the torus shift has moved it."""
+        if not torus:
+            return breakdown.total
+        return breakdown.total + constraint_shift(state, breakdown.masses, bg, params)
+
     try:
-        e_now = model.energy(state).total
+        e_now = settle(model.energy(state))
     except Overflow as exc:
         return finish(0, False, f"overflow at initial state: {exc}")
+    except SingularHessian as exc:
+        return finish(0, False, f"singular Hessian block: {exc}")
 
     g_norm_prev = None
     last_step, stall_count, best = False, 0, math.inf
@@ -254,7 +278,8 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
             trial = state + alpha * direction
             evals += 1
             try:
-                e_trial = model.energy(trial).total
+                breakdown = model.energy(trial)
+                e_trial = breakdown.total
             except Overflow:
                 e_trial = np.inf
             if e_trial <= e_now + ARMIJO_C * alpha * slope:
@@ -275,7 +300,10 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         if not accepted:
             return finish(it + 1, False, "line search failed (step underflow)")
         state = trial
-        e_now = e_trial
+        try:
+            e_now = settle(breakdown)
+        except SingularHessian as exc:
+            return finish(it + 1, False, f"singular Hessian block: {exc}")
 
 
 def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams,
@@ -285,8 +313,8 @@ def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams
 
     ``mode`` and ``model`` are labels: :func:`check_labels` raises
     ``ValueError`` when they disagree with the grid, the zero set or
-    ``background``.  The variant is the zero set's and the threshold gate is
-    :func:`minimize`'s.
+    ``background``.  The variant is the zero set's; the threshold gate and
+    the handling of ``init`` (taken over on the torus) are :func:`minimize`'s.
     """
     check_labels(mode, model, cfg, grid, background)
     bg = background if background is not None else build_background(cfg, grid, params)

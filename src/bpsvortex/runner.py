@@ -27,7 +27,7 @@ the label checks of ``solve`` and ``build_diagnostics``.
 ``check``, ``solve`` and ``compare`` call it on the configuration; a
 ``sweep`` row calls it on its point configuration (``RunConfig.sweep_points``)
 as ``check`` does, or with action ``solve`` as a Newton ``solve`` that may
-reuse the background and start from the state of an earlier row (see
+reuse the background and start from the states of earlier rows (see
 ``_run_sweep``), and reads the row from the results.
 
 Every numeric entry under the report's ``results`` key is a deterministic
@@ -169,15 +169,16 @@ def _problem(cfg: RunConfig):
 
 
 def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dict,
-              fit_decay: bool = True, problem=None, bg=None, init=None):
+              fit_decay: bool = True, problem=None, bg=None, start=None):
     """Threshold gate, the solvers of ``method`` and the diagnostics of the best state.
 
     ``method`` is ``None`` (threshold only), ``"newton"``, ``"fixedpoint"`` or
     ``"both"`` (the ``compare`` command).  ``problem`` is ``_problem(cfg)``
     when the caller has made it, ``bg`` a background built for it and
-    ``init`` Newton's initial state (zero when ``None``).  Fills ``results``
-    and ``timings``; returns ``(exit_code, best, bg)``, where ``best`` and
-    ``bg`` are ``None`` unless a solver ran.
+    ``start``, called only when Newton runs, makes Newton's initial state
+    (zero when ``start`` is ``None``).  Fills ``results`` and ``timings``;
+    returns ``(exit_code, best, bg)``, where ``best`` and ``bg`` are ``None``
+    unless a solver ran.
     """
     vcfg, grid, params = problem or _problem(cfg)
     threshold = results["threshold"] = _threshold_dict(vcfg, grid, params)
@@ -194,8 +195,8 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
         t0 = time.perf_counter()
         settings = SolverSettings(tol_grad_sup=cfg.solver["tol"],
                                   max_iters=cfg.solver["max_iters"])
-        newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params,
-                           settings=settings, init=init, background=bg)
+        newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params, settings=settings,
+                           init=start() if start else None, background=bg)
         timings["newton_s"] = time.perf_counter() - t0
         results["newton"] = _newton_summary(newton_sol)
         if not newton_sol.converged:
@@ -226,30 +227,67 @@ def _analytic_slack(vcfg, grid, params) -> float:
                lam_area - math.pi * (3 * vcfg.m + vcfg.n))
 
 
+def _path_start(path, lam):
+    """Where a row at ``lam`` starts: ``(start_row, secant_row, start)``.
+
+    ``path`` lists the last two converged rows of the row's path as
+    ``(index, lambda, state)``, oldest first.  With none the start is zero
+    (``start`` is ``None``); with one, or two at equal lambda, it is a copy
+    of the newest state s2.  Otherwise it is the secant s2 + r (s2 - s1)
+    with r = (lam - lambda2) / (lambda2 - lambda1) clamped to [-1, 1], so it
+    never extrapolates further than the last step; ``start`` builds it in
+    the older state's storage, which is spent then.
+    """
+    if not path:
+        return None, None, None
+    row2, lam2, s2 = path[-1]
+    if len(path) == 1 or path[0][1] == lam2:
+        return row2, None, s2.copy
+    row1, lam1, s1 = path[0]
+    r = min(1.0, max(-1.0, (lam - lam2) / (lam2 - lam1)))
+
+    def secant():
+        np.subtract(s1, s2, out=s1)
+        np.multiply(s1, -r, out=s1)
+        return np.add(s1, s2, out=s1)
+
+    return row2, row1, secant
+
+
 def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     """One row per sweep point: a ``check``, or with action ``solve`` a Newton solve.
 
     Consecutive rows whose backgrounds have equal inputs (zero sets, grid and
     resolved tau), as in a lambda sweep, form one continuation path: the
-    first solved row builds the background, the later ones reuse it, and each
-    row's Newton starts from the state of the last converged row of the path,
-    or from zero when there is none.  A solved row records that row's index as
-    ``start_row`` (``None`` for a zero start).  A change of any background
-    input (``tau``, ``resolution``, ``n``, ``m``) starts a new path with a
-    fresh background and a zero start.
+    first solved row builds the background, the later ones reuse it, and
+    each row's Newton starts from the path's last converged rows (see
+    ``_path_start``): from zero, from a copy of the newest, or from the
+    secant through the last two.  A solved row records the newest as
+    ``start_row`` and the older row of a secant as ``secant_row`` (``None``
+    for a copy or zero start).  A row that does not converge seeds nothing,
+    and the next row starts from a copy of the newest converged row, since a
+    secant start spends the older state's storage.  A change of any
+    background input (``tau``, ``resolution``, ``n``, ``m``) starts a new
+    path with a fresh background and a zero start.  Rows on one grid share
+    one grid object.
     """
     method = "newton" if cfg.sweep["action"] == "solve" else None
     rows = []
     worst_exit = EXIT_OK
-    path_key = path_bg = start_row = start_state = None
+    grid_inputs = grid = path_key = path_bg = None
+    path = []
     for index, (assignment, pcfg) in enumerate(cfg.sweep_points):
-        problem = vcfg, grid, params = _problem(pcfg)
+        if (pcfg.mode, pcfg.domain, pcfg.grid) != grid_inputs:
+            grid_inputs, grid = (pcfg.mode, pcfg.domain, pcfg.grid), pcfg.make_grid()
+        vcfg, params = pcfg.make_vortex_config(), pcfg.make_params()
+        problem = (vcfg, grid, params)
         key = (vcfg, grid, params.resolved_tau(grid))
         if key != path_key:
-            path_key, path_bg, start_row, start_state = key, None, None, None
+            path_key, path_bg, path = key, None, []
+        start_row, secant_row, start = _path_start(path, params.lam)
         point: dict = {}
         exit_code, best, bg = _evaluate(pcfg, method, point, {}, fit_decay=False,
-                                        problem=problem, bg=path_bg, init=start_state)
+                                        problem=problem, bg=path_bg, start=start)
         row = {"index": index, **assignment,
                "solvable": point["threshold"]["solvable"],
                "margin": point["threshold"]["margin"],
@@ -257,9 +295,9 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
                                   if pcfg.mode == "torus" else None)}
         if "newton" in point:
             row["start_row"] = start_row
+            row["secant_row"] = secant_row
             path_bg = bg
-            if best.converged:
-                start_row, start_state = index, best.state
+            path = path[-1:] + ([(index, params.lam, best.state)] if best.converged else [])
             row["converged"] = point["newton"]["converged"]
             row["grad_sup_final"] = point["newton"]["grad_sup_final"]
             if "diagnostics" in point:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
+from bpsvortex.energy import EnergyModel
 
 L20 = math.sqrt(20.0)
 
@@ -45,3 +46,21 @@ def random_state(grid, seed, amplitude=0.5):
     rng = np.random.default_rng(seed)
     return np.stack([bv.random_smooth_field(grid, rng, amplitude),
                      bv.random_smooth_field(grid, rng, amplitude)])
+
+
+def count_hessian_applies(monkeypatch):
+    """Count every Hessian apply of every EnergyModel; returns a one-item list."""
+    applies = [0]
+    make_operator = EnergyModel.hessian_operator
+
+    def counting_operator(self, lin):
+        apply_h = make_operator(self, lin)
+
+        def counted(d):
+            applies[0] += 1
+            return apply_h(d)
+
+        return counted
+
+    monkeypatch.setattr(EnergyModel, "hessian_operator", counting_operator)
+    return applies

@@ -10,9 +10,11 @@ import pytest
 import bpsvortex as bv
 from bpsvortex import newton, runner
 from bpsvortex.cli import main
-from bpsvortex.config import apply_overrides, parse_config, validate_config
+from bpsvortex.config import RunConfig, apply_overrides, parse_config, validate_config
 from bpsvortex.errors import NonZeroMeanRhs, Overflow, ParseError, ValidationError
 from bpsvortex.runner import run
+
+from conftest import count_hessian_applies
 
 L20 = math.sqrt(20.0)
 ROOT = Path(__file__).resolve().parents[1]
@@ -466,7 +468,7 @@ class TestSweepPoints:
             if action == "solve" and expected["solvable"]:
                 # no row continues a path: each lambda list starts below the
                 # threshold, and every other param changes the background
-                expected["start_row"] = None
+                expected["start_row"] = expected["secant_row"] = None
                 expected["converged"] = res["newton"]["converged"]
                 expected["grad_sup_final"] = res["newton"]["grad_sup_final"]
                 expected["residual_sup"] = max(res["diagnostics"]["residual_sup"])
@@ -478,7 +480,7 @@ class TestSweepPoints:
 
     def test_sweep_row_builds_its_background_once(self, tmp_path, monkeypatch):
         # a lambda sweep is one path: its first solved row builds the
-        # background, the others reuse it
+        # background, the others reuse it, and all rows share one grid
         calls = []
         for module in (runner, newton):
             def counted(*args, _build=module.build_background, **kwargs):
@@ -486,6 +488,13 @@ class TestSweepPoints:
                 return _build(*args, **kwargs)
 
             monkeypatch.setattr(module, "build_background", counted)
+        grids = []
+
+        def counted_grid(self, _make=RunConfig.make_grid):
+            grids.append(_make(self))
+            return grids[-1]
+
+        monkeypatch.setattr(RunConfig, "make_grid", counted_grid)
         raw = minimal_torus(phi_zeros=[[0.4 * L20, 0.5 * L20]],
                             sweep={"param": "lambda", "values": [0.2, 1.0, 2.0],
                                    "action": "solve"})
@@ -493,10 +502,11 @@ class TestSweepPoints:
         assert code == 0
         assert [row["solvable"] for row in report["results"]["rows"]] == [False, True, True]
         assert len(calls) == 1
+        assert len(grids) == 1 and calls[0][1] is grids[0]
 
 
 class TestSweepContinuation:
-    """Rows with one background form a path; each starts from the last converged row."""
+    """Rows with one background form a path; each starts from its last converged rows."""
 
     EXTENDED = TestSweepPoints.EXTENDED
     # the threshold of EXTENDED is lambda = 6 pi / 20 = 0.94
@@ -516,7 +526,8 @@ class TestSweepContinuation:
                 kwargs["settings"] = bv.SolverSettings(
                     tol_grad_sup=kwargs["settings"].tol_grad_sup, max_iters=1)
             sol = _solve(*args, **kwargs)
-            solves.append((params.lam, kwargs.get("init"), sol.state))
+            # a copy: the sweep builds a later row's secant start in this storage
+            solves.append((params.lam, kwargs.get("init"), sol.state.copy()))
             return sol
 
         monkeypatch.setattr(runner, "solve", recorded)
@@ -538,12 +549,13 @@ class TestSweepContinuation:
         solved = [row for row in rows if row["solvable"]]
         assert [row["lambda"] for row in solved] == [v for v in values if v > 1.0]
         assert [lam for lam, _, _ in solves] == [row["lambda"] for row in solved]
-        previous = None
+        previous = older = None
         for row, (_, init, state) in zip(solved, solves):
             assert row["converged"]
             assert row["start_row"] == previous
+            assert row["secant_row"] == older
             assert (init is None) == (previous is None)
-            previous = row["index"]
+            previous, older = row["index"], previous
             pcfg = cfg.sweep_points[row["index"]][1]
             cold = bv.solve(pcfg.mode, pcfg.model, pcfg.make_vortex_config(),
                             pcfg.make_grid(), pcfg.make_params(),
@@ -551,8 +563,9 @@ class TestSweepContinuation:
             assert cold.converged
             assert np.max(np.abs(state - cold.state)) <= 1e-8
         cells = sweep_cells(tmp_path / "sweep.csv")
-        assert [cell["start_row"] for cell in cells] == [
-            "" if row.get("start_row") is None else str(row["start_row"]) for row in rows]
+        for key in ("start_row", "secant_row"):
+            assert [cell[key] for cell in cells] == [
+                "" if row.get(key) is None else str(row[key]) for row in rows]
 
     def test_reruns_bitwise(self, tmp_path):
         sweep = {"param": "lambda", "values": self.LAMBDAS, "action": "solve"}
@@ -561,13 +574,17 @@ class TestSweepContinuation:
         assert (tmp_path / "a" / "sweep.csv").read_bytes() == \
             (tmp_path / "b" / "sweep.csv").read_bytes()
 
-    @pytest.mark.parametrize("failing,start_rows", [
+    @pytest.mark.parametrize("failing,start_rows,secant_rows", [
         # the first solved row fails: the next starts from zero
-        (1.5, [None, None, 2, 3]),
-        # a failing row in the middle: the next starts from the row before it
-        (2.0, [None, 1, 1, 3]),
-    ], ids=["first", "middle"])
-    def test_unconverged_row_seeds_nothing(self, tmp_path, monkeypatch, failing, start_rows):
+        (1.5, [None, None, 2, 3], [None, None, None, 2]),
+        # a failing row in the middle: the next starts from a copy of the row
+        # before it, and the secant resumes once two rows have converged
+        (2.0, [None, 1, 1, 3], [None, None, None, 1]),
+        # a failing secant row spent the older state: the next copies the newest
+        (3.0, [None, 1, 2, 2], [None, None, 1, None]),
+    ], ids=["first", "middle", "secant"])
+    def test_unconverged_row_seeds_nothing(self, tmp_path, monkeypatch, failing, start_rows,
+                                           secant_rows):
         solves = self.capture_solves(monkeypatch, max_iters_at=failing)
         _, code, rows = self.run_sweep(
             tmp_path, {"param": "lambda", "values": self.LAMBDAS, "action": "solve"})
@@ -576,7 +593,45 @@ class TestSweepContinuation:
         assert [row["converged"] for row in solved] == [row["lambda"] != failing
                                                         for row in solved]
         assert [row["start_row"] for row in solved] == start_rows
+        assert [row["secant_row"] for row in solved] == secant_rows
         assert [init is None for _, init, _ in solves] == [s is None for s in start_rows]
+
+    def test_repeated_lambda_starts_from_a_copy(self, tmp_path, monkeypatch):
+        # two converged rows at one lambda give no secant (and no division
+        # by lambda2 - lambda1): the next row copies the newest state
+        solves = self.capture_solves(monkeypatch)
+        _, code, rows = self.run_sweep(
+            tmp_path, {"param": "lambda", "values": [1.5, 1.5, 2.0], "action": "solve"})
+        assert code == 0
+        assert [row["start_row"] for row in rows] == [None, 0, 1]
+        assert [row["secant_row"] for row in rows] == [None, None, None]
+        assert [init is None for _, init, _ in solves] == [True, False, False]
+
+    def test_secant_step_is_clamped(self, tmp_path, monkeypatch):
+        # on the torus-sweep workload's torus at [1.1, 1.2, 1.3, 10] lambda*,
+        # the last row's secant ratio is 87: unclamped it took 130 Hessian
+        # applies, the copy start 80, the clamp (r = 1) 84
+        raw = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["sweep_config"](1)
+        lam_star = raw["sweep"]["values"][0] / 0.9
+        raw["sweep"]["values"] = [f * lam_star for f in (1.1, 1.2, 1.3, 10.0)]
+        cfg = validate_config(raw)
+        applies = count_hessian_applies(monkeypatch)
+        counts, secant_rows = {}, {}
+        for start in ("secant", "copy"):
+            if start == "copy":
+                # the newest converged row alone: a copy start on every row
+                path_start = runner._path_start
+                monkeypatch.setattr(runner, "_path_start",
+                                    lambda path, lam: path_start(path[-1:], lam))
+            applies[0] = 0
+            code, report = run("sweep", cfg, out_dir=str(tmp_path / start))
+            assert code == 0
+            rows = report["results"]["rows"]
+            assert all(row["converged"] for row in rows)
+            counts[start] = applies[0]
+            secant_rows[start] = [row["secant_row"] for row in rows]
+        assert secant_rows == {"secant": [None, None, 0, 1], "copy": [None] * 4}
+        assert counts["secant"] <= 1.1 * counts["copy"]
 
     @pytest.mark.parametrize("sweep", [
         {"param": "tau", "values": [None, 0.1]},

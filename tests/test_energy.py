@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
-from bpsvortex.energy import EnergyModel
-from bpsvortex.errors import Overflow
+from bpsvortex.energy import EnergyModel, constraint_shift
+from bpsvortex.errors import Overflow, SingularHessian
 
 from conftest import random_state
 
@@ -42,7 +42,7 @@ class TestTrivialValues:
         for mode, variant in VARIANTS:
             model = make_model(mode, variant)
             e = model.energy(model.zero_state())
-            assert e == (0.0, 0.0, 0.0, 0.0)
+            assert e[:4] == (0.0, 0.0, 0.0, 0.0)
 
     def test_torus_base_zero_state_gradient(self):
         grid = bv.TorusGrid(L20, L20, 32, 32)
@@ -101,6 +101,54 @@ class TestBreakdown:
                         + 2.0 * math.pi * model.bg.cfg.n) * c)
         shifted = model.energy(state + c).total
         assert shifted == pytest.approx(predicted, rel=1e-10)
+
+
+class TestConstraintShift:
+    @pytest.mark.parametrize("variant", ["base", "extended"])
+    def test_shift_meets_both_constraints(self, variant):
+        model = make_model("torus", variant)
+        state = random_state(model.grid, seed=3)
+        constraint_shift(state, model.energy(state).masses, model.bg, model.params)
+        c1, c2 = bv.check_existence(model.bg.cfg, model.grid, model.params).constraints
+        mass_u, mass_v = model.energy(state).masses
+        assert mass_u == pytest.approx(c2, rel=1e-14, abs=0.0)
+        assert mass_v == pytest.approx(c1, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("variant", ["base", "extended"])
+    def test_returned_change_matches_re_evaluation(self, variant):
+        model = make_model("torus", variant)
+        state = random_state(model.grid, seed=4)
+        before = model.energy(state)
+        change = constraint_shift(state, before.masses, model.bg, model.params)
+        after = model.energy(state).total
+        assert before.total + change == pytest.approx(after, rel=1e-12, abs=0.0)
+        # the shift minimizes over the constant modes: a further constant
+        # in either slice raises the energy
+        for k in (0, 1):
+            for c in (-1e-3, 1e-3):
+                moved = state.copy()
+                moved[k] += c
+                assert model.energy(moved).total > after
+
+    def test_no_masses_on_the_plane(self):
+        model = make_model("plane", "base")
+        assert model.energy(random_state(model.grid, seed=5)).masses is None
+
+    def test_underflowing_mass_is_a_singular_block(self):
+        model = make_model("torus", "base")
+        state = np.full((2,) + model.grid.shape, -800.0)
+        with pytest.raises(SingularHessian, match="mean e\\^U = 0.000e\\+00"):
+            constraint_shift(state, model.energy(state).masses, model.bg, model.params)
+        assert np.all(state == -800.0)
+
+    def test_overflowing_mass_is_an_overflow(self):
+        # e^700 on 2^16 nodes sums past the largest double, though every
+        # exponent passes the guard
+        model = make_model("torus", "base")
+        state = model.zero_state()
+        with pytest.raises(Overflow):
+            constraint_shift(state, (math.inf, 1.0), model.bg, model.params)
+        assert not state.any()
 
 
 class TestFirstVariation:

@@ -161,8 +161,7 @@ class TestContinuationSolve:
         assert fp.message == "map application 2 overflowed: exponent argument 812 exceeds 700"
         assert fp.iterations == 2 and len(fp.grad_history) == 1
         # the state is recovered from the last iterate the map accepted: zero
-        zero = fixedpoint._recover_state(np.zeros((2,) + grid.shape), bg,
-                                         *bv.check_existence(cfg, grid, params).constraints)
+        zero = fixedpoint._recover_state(np.zeros((2,) + grid.shape), bg, params)
         assert fp.state.tobytes() == zero.tobytes()
 
     def test_close_pair_converges_and_matches_newton(self):

@@ -14,28 +14,10 @@ from bpsvortex.energy import EnergyModel
 from bpsvortex.errors import Overflow, ThresholdViolated
 from bpsvortex.runner import run
 
-from conftest import random_state
+from conftest import count_hessian_applies, random_state
 
 L20 = math.sqrt(20.0)
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def count_hessian_applies(monkeypatch):
-    """Count every Hessian apply of every EnergyModel; returns a one-item list."""
-    applies = [0]
-    make_operator = EnergyModel.hessian_operator
-
-    def counting_operator(self, lin):
-        apply_h = make_operator(self, lin)
-
-        def counted(d):
-            applies[0] += 1
-            return apply_h(d)
-
-        return counted
-
-    monkeypatch.setattr(EnergyModel, "hessian_operator", counting_operator)
-    return applies
 
 
 def compare_workload_config(seed):
@@ -234,29 +216,31 @@ class TestInexactNewton:
         # the torus-compare benchmark configuration, Newton only: solving
         # every system to CG_TOL took 61 Hessian applies; a last forcing term
         # that only just reaches tol stops at a sup gradient of 1.1e-9 and
-        # needs a sixth iteration.  The preconditioner built at the far field
-        # (e^U = e^V = 1) instead of the mean masses took 25 applies
+        # needs another iteration.  The preconditioner built at the far field
+        # (e^U = e^V = 1) instead of the mean masses took 25 applies, and
+        # without the constraint shift Newton took 5 iterations and 19 applies
         cfg = parse_config(json.dumps(compare_workload_config(1)))
         grid, params, vcfg = cfg.make_grid(), cfg.make_params(), cfg.make_vortex_config()
         applies = count_hessian_applies(monkeypatch)
         sol = bv.solve("torus", "base", vcfg, grid, params,
                        settings=bv.SolverSettings(tol_grad_sup=cfg.solver["tol"]))
         assert sol.converged
-        assert sol.iterations == 5
+        assert sol.iterations == 4
         assert sol.grad_history[-1] <= cfg.solver["tol"]
-        assert applies[0] <= 21
+        assert applies[0] <= 18
 
     def test_near_threshold_cg_work(self, monkeypatch):
         # two vortices on a 64^2 torus at lambda = lambda* (1 + 1e-4), where
         # the mean masses sit far from the vacuum: the far-field
-        # preconditioner took 76 Hessian applies
+        # preconditioner took 76 Hessian applies, and without the constraint
+        # shift (the constant mode is the worst-conditioned direction here) 29
         grid = bv.TorusGrid(L20, L20, 64, 64)
         params = bv.PhysicalParams(lam=4.0 * math.pi / grid.area * (1.0 + 1e-4))
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
         applies = count_hessian_applies(monkeypatch)
         sol = bv.solve("torus", "base", cfg, grid, params)
         assert sol.converged
-        assert applies[0] <= 40
+        assert applies[0] <= 5
 
     @pytest.mark.parametrize("variant", ["plane", "extended-torus"])
     def test_state_matches_solves_at_cg_tol(self, monkeypatch, variant):
@@ -415,15 +399,54 @@ class TestDegenerateMasses:
     @pytest.mark.parametrize("level", [-50.0, -800.0])
     def test_underflowing_mass_ends_with_a_named_outcome(self, level):
         # s0 = s1 = level: mean e^U is about 1e-22 at -50 and exactly 0 at
-        # -800, where the constant-mode block of the Hessian is singular;
-        # warnings are errors under pytest
+        # -800, where the constant-mode block of the Hessian is singular and
+        # the constraint shift has no finite logarithm; warnings are errors
+        # under pytest
         grid = bv.TorusGrid(L20, L20, 32, 32)
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
         init = np.full((2,) + grid.shape, level)
         sol = bv.solve("torus", "base", cfg, grid, bv.PhysicalParams(lam=1.0), init=init)
+        if level == -50.0:
+            # the shift lifts the start by about 48, onto both constraints;
+            # without it the first CG solve broke down (relative residual
+            # 5.5e17) and the line search failed
+            assert sol.converged and sol.message == ""
         assert sol.converged or sol.message.startswith(
             ("line search failed", "singular Hessian block"))
         assert not np.isnan(sol.state).any()
+
+
+class TestConstraintShift:
+    """Newton on the torus moves every iterate onto both integral constraints."""
+
+    @staticmethod
+    def near_threshold(eps):
+        grid = bv.TorusGrid(L20, L20, 64, 64)
+        params = bv.PhysicalParams(lam=4.0 * math.pi / grid.area * (1.0 + eps))
+        cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
+        return grid, params, cfg
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8])
+    def test_newton_matches_the_fixed_point_near_the_threshold(self, eps):
+        # the constant mode's curvature lam <e^V> vanishes at the threshold;
+        # without the shift the states differed by 9.3e-6 and 3.6e-2
+        grid, params, cfg = self.near_threshold(eps)
+        bg = bv.build_background(cfg, grid, params)
+        newton_sol = bv.solve("torus", "base", cfg, grid, params, background=bg)
+        fixed = bv.continuation_solve(bg, params)
+        assert newton_sol.converged and fixed.converged
+        assert np.max(np.abs(newton_sol.state - fixed.state)) <= 1e-8
+
+    def test_compare_at_the_threshold_meets_the_constraints(self, tmp_path):
+        # lambda* (1 + 1e-8): compare exited 0 with constraint_errors[0] 3.6e-2
+        grid, params, cfg = self.near_threshold(1e-8)
+        raw = {"mode": "torus", "model": "base", "lambda": params.lam,
+               "domain": {"Lx": grid.Lx, "Ly": grid.Ly}, "grid": {"nx": 64},
+               "phi_zeros": [list(p) for p in cfg.phi_zeros]}
+        code, report = run("compare", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 0
+        assert max(report["results"]["diagnostics"]["constraint_errors"]) <= 1e-6
+        assert report["results"]["cross_method_sup_diff"] <= 1e-8
 
 
 class TestSettingsValidation:
