@@ -15,8 +15,9 @@ image sum and no Poisson solve enter.  The core scale tau only splits the
 singular part from the smooth remainder: the solution does not depend on it
 beyond discretization error.  On the torus tau is bounded by
 min(Lx, Ly)^2/144, so that the minimum image cuts each profile at s >= 36,
-below roundoff.  A second background (u0, from the kappa zero set) enters
-the extended model and is trivial when that set is empty.
+below roundoff, and defaults to that bound.  A second background (u0, from
+the kappa zero set) enters the extended model and is trivial when that set
+is empty.
 
 The zero sets pick the model: an empty kappa zero set is the base model, in
 the backgrounds, in the one threshold formula of :func:`check_existence`
@@ -49,9 +50,11 @@ class PhysicalParams:
     tau splits each point source into the singular profile and a smooth
     remainder; the solution does not depend on it beyond discretization
     error.  ``tau=None`` selects the per-domain default: on the torus
-    ``(3*dx)^2``, which resolves the core by about three nodes, capped at
-    ``torus_tau_bound`` of the cell, and 0.2 on the plane.  A given tau above
-    the torus bound is refused with ``ValueError``.
+    ``torus_tau_bound`` of the cell, which does not depend on the grid, so
+    every level of a coarse-to-fine solve shares one background split, and
+    0.2 on the plane.  A given tau above the torus bound is refused with
+    ``ValueError``.  A grid resolves the core when it spaces its nodes at
+    most sqrt(tau)/3 apart (``coarsest``).
     """
 
     lam: float
@@ -68,7 +71,7 @@ class PhysicalParams:
             return 0.2 if self.tau is None else self.tau
         bound = torus_tau_bound(grid.Lx, grid.Ly)
         if self.tau is None:
-            return min((3.0 * grid.dx) ** 2, bound)
+            return bound
         if self.tau > bound:
             raise ValueError(f"tau {self.tau!r} exceeds min(Lx, Ly)^2/144 = {bound!r}")
         return self.tau

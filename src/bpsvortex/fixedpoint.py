@@ -20,16 +20,19 @@ system; the two field means are recovered afterwards from the integral
 constraints, by the same closed-form shift that Newton applies to its
 iterates (:func:`~bpsvortex.energy.constraint_shift`).
 
-``continuation_solve`` iterates the map at ``t = 1`` from the zero pair,
-with Anderson acceleration of depth ``ANDERSON_DEPTH`` (Walker & Ni, SIAM J.
-Numer. Anal. 49, 2011) and a relaxation ``omega`` fixed in advance from a
-bound on the spectrum of the map's linearization.  Acceleration changes the
-path to a fixed point, not the fixed points, so the result stays
-independent of Newton.  A map application that overflows (``Overflow`` from
-a divergent iterate) ends the solve as non-convergence with a named message,
-as an overflowing initial state does in Newton, instead of raising.  The
-solver only passes ``t = 1``; other ``t`` give the paper's homotopy from the
-trivial map at ``t = 0``.
+``continuation_solve`` iterates the map at ``t = 1`` with Anderson
+acceleration of depth ``ANDERSON_DEPTH`` (Walker & Ni, SIAM J. Numer. Anal.
+49, 2011) and a relaxation ``omega`` fixed in advance from a bound on the
+spectrum of the map's linearization.  It starts from the zero pair on the
+grid's coarsest resolving grid (``grid.coarsest``) and from that fixed
+point, prolonged, on the requested grid (from zero when there is no coarse
+level or the coarse iteration fails).  Acceleration and the coarse start
+change the path to a fixed point, not the fixed points, and no Newton solve
+enters, so the result stays independent of Newton.  A map application that
+overflows (``Overflow`` from a divergent iterate) ends the solve as
+non-convergence with a named message, as an overflowing initial state does
+in Newton, instead of raising.  The solver only passes ``t = 1``; other
+``t`` give the paper's homotopy from the trivial map at ``t = 0``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .backgrounds import Background, PhysicalParams, check_existence
 from .energy import _checked_exp, constraint_shift
 from .errors import NonZeroMeanRhs, Overflow, ThresholdViolated
 from .grids import TorusGrid
-from .newton import Solution
+from .newton import Solution, coarse_start
 
 # tolerance on the relative sup residual |T(x) - x| / (1 + |x|): tight
 # enough that the two solvers agree far inside the 1e-6 of the cross-method
@@ -111,7 +114,52 @@ def apply_T(pair: np.ndarray, t: float, bg: Background, params: PhysicalParams,
 
 
 def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
-    """Solve ``x = T(x, 1)`` from the zero pair by damped, windowed Anderson steps.
+    """Solve ``x = T(x, 1)`` by damped, windowed Anderson steps, coarse level first.
+
+    On the coarsest resolving grid the iteration runs from the zero pair;
+    its fixed point, prolonged, starts the iteration on ``bg.grid`` (the
+    zero pair does when there is no coarse level or it did not converge).
+    The solve converges once the relative residual is at most
+    ``INNER_TOL``.  It gives up after ``MAX_APPLIES`` map applications, or
+    at the first application that raises ``Overflow`` (a divergent
+    iterate), and then reports the last iterate the map accepted.
+    ``iterations`` counts the map applications on ``bg.grid``, the
+    overflowing one included, and ``grad_history`` logs the relative
+    residual of each; ``coarse`` reports the coarse level.
+    """
+    grid: TorusGrid = bg.grid
+    report = check_existence(bg.cfg, grid, params)
+    if not report.solvable:
+        raise ThresholdViolated(report)
+
+    # T linearizes to -(Laplacian)^{-1} lam [[2, -1], [-2, 3]] acting on the
+    # normalized densities, which the maximum principle keeps at most about
+    # 1.  The coupling matrix has eigenvalues 1 and 4, and the inverse
+    # Laplacian is at most 1/k_min^2 on zero-mean fields, so the spectrum of
+    # T' lies in [-rho, 0] with rho = 4 lam / k_min^2.  Damping by
+    # omega = 1/(1 + rho) maps it into [0, 1 - omega].  The cell, and with
+    # it omega, is the same on every level.
+    k_min = 2.0 * math.pi / max(grid.Lx, grid.Ly)
+    omega = 1.0 / (1.0 + 4.0 * params.lam / k_min ** 2)
+
+    def solve_coarse(coarse_bg):
+        pair, applies, _, message = _anderson(np.zeros((2,) + coarse_bg.grid.shape),
+                                              coarse_bg, params, omega)
+        return pair, applies, not message
+
+    x, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "trials")
+    if x is None:
+        x = np.zeros((2,) + grid.shape)
+    x, applies, residuals, message = _anderson(x, bg, params, omega)
+    if coarse is not None:
+        coarse["residual_start"] = residuals[0] if residuals else None
+    state = _recover_state(x, bg, params)
+    return Solution(state, applies, residuals, [], not message, message, omega=omega,
+                    coarse=coarse, coarse_s=coarse_s)
+
+
+def _anderson(x: np.ndarray, bg: Background, params: PhysicalParams, omega: float):
+    """Iterate ``T(., 1)`` from the pair ``x``, which is taken over.
 
     With f(x) = T(x) - x, the step from x_k is
 
@@ -125,29 +173,11 @@ def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
     holds x, f, one scratch pair and the 2*ANDERSON_DEPTH history pairs and
     allocates no other field.
 
-    The solve converges once the relative residual is at most
-    ``INNER_TOL``.  It gives up after ``MAX_APPLIES`` map applications, or
-    at the first application that raises ``Overflow`` (a divergent
-    iterate), and then reports the last iterate the map accepted.
-    ``iterations`` counts map applications, the overflowing one included;
-    ``grad_history`` logs the relative residual of every other one.
+    Returns ``(pair, applications, residuals, message)``: the last iterate
+    the map accepted, the applications made, the relative residual of each
+    accepted one, and an empty message on convergence.
     """
-    grid: TorusGrid = bg.grid
-    report = check_existence(bg.cfg, grid, params)
-    if not report.solvable:
-        raise ThresholdViolated(report)
-
-    # T linearizes to -(Laplacian)^{-1} lam [[2, -1], [-2, 3]] acting on the
-    # normalized densities, which the maximum principle keeps at most about
-    # 1.  The coupling matrix has eigenvalues 1 and 4, and the inverse
-    # Laplacian is at most 1/k_min^2 on zero-mean fields, so the spectrum of
-    # T' lies in [-rho, 0] with rho = 4 lam / k_min^2.  Damping by
-    # omega = 1/(1 + rho) maps it into [0, 1 - omega].
-    k_min = 2.0 * math.pi / max(grid.Lx, grid.Ly)
-    omega = 1.0 / (1.0 + 4.0 * params.lam / k_min ** 2)
-
     depth = ANDERSON_DEPTH
-    x = np.zeros((2,) + grid.shape)
     f = np.empty_like(x)
     scratch = np.empty_like(x)
     d_f = np.empty((depth,) + x.shape)
@@ -165,18 +195,15 @@ def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
         except Overflow as exc:
             if applies > 1:
                 x -= cols[slot]  # back to the last iterate the map accepted
-            message = f"map application {applies} overflowed: {exc}"
-            break
+            return x, applies, residuals, f"map application {applies} overflowed: {exc}"
         scratch -= x
         residuals.append(max(float(scratch.max()), -float(scratch.min()))
                          / (1.0 + max(float(x.max()), -float(x.min()))))
         if residuals[-1] <= INNER_TOL:
-            message = ""
-            break
+            return x, applies, residuals, ""
         if applies == MAX_APPLIES:
-            message = (f"no fixed point after {applies} map applications: "
-                       f"it reached MAX_APPLIES = {MAX_APPLIES}")
-            break
+            return x, applies, residuals, (f"no fixed point after {applies} map applications: "
+                                           f"it reached MAX_APPLIES = {MAX_APPLIES}")
         f, scratch = scratch, f
         k = applies - 1
         n = min(k, depth)
@@ -200,9 +227,6 @@ def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
             if i != slot:
                 cols[slot] -= np.multiply(cols[i], gamma[i], out=scratch)
         x += cols[slot]
-
-    state = _recover_state(x, bg, params)
-    return Solution(state, applies, residuals, [], not message, message, omega=omega)
 
 
 def _recover_state(pair: np.ndarray, bg: Background, params: PhysicalParams) -> np.ndarray:

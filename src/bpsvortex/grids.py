@@ -17,6 +17,11 @@ the same layout (Fourier modes on the torus, the sine modes of the interior
 nodes on the plane), and ``modal_inner`` is the pairing ``inner`` of the
 fields, computed from their coefficients.  Operators with constant
 coefficients are diagonal there.
+Each grid also knows its coarser levels: ``coarsest(tau)`` is the coarsest
+grid of its halving chain that still resolves a vortex core of scale tau by
+three nodes (3 * spacing <= sqrt(tau)), and ``prolong`` carries a field of a
+coarser grid onto this one through the eigenbasis, exactly for fields that
+are band-limited on the coarse grid.  Solvers start a cold solve there.
 Each grid also owns its boundary: ``zero_boundary`` zeroes the plane's
 Dirichlet ring (a no-op on the torus) and ``interior`` views the nodes that
 carry an equation.  Next to ``integrate`` and the L^2 pairing ``inner``, each
@@ -42,6 +47,7 @@ instead: kept on the grid it would stay resident for the life of the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,6 +180,38 @@ class TorusGrid:
         """|k|^2, the eigenvalue of ``-laplacian`` per Fourier mode (a new array)."""
         return -self._neg_k2
 
+    # -- coarse levels -------------------------------------------------------
+
+    def coarsest(self, tau: float):
+        """The coarsest grid of the halving chain that resolves ``tau``, or ``None``.
+
+        The chain halves both sample counts while both halves stay even and
+        at least 8; a level resolves the core when 3 max(dx, dy) <= sqrt(tau).
+        """
+        nx, ny, best = self.nx, self.ny, None
+        while nx % 4 == 0 and ny % 4 == 0 and min(nx, ny) >= 16:
+            nx, ny = nx // 2, ny // 2
+            if 3.0 * max(self.Lx / nx, self.Ly / ny) > math.sqrt(tau):
+                break
+            best = (nx, ny)
+        return None if best is None else TorusGrid(self.Lx, self.Ly, *best)
+
+    def prolong(self, coarse: "TorusGrid", values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the trigonometric interpolant of the field ``values`` of ``coarse`` to ``out``.
+
+        The rfft2 coefficients are zero-padded, the coarse Nyquist row and
+        column dropped; exact for fields with no Nyquist content on
+        ``coarse``, a grid of the same cell.
+        """
+        hx, hy = coarse.nx // 2, coarse.ny // 2
+        c = coarse.modal_forward(values, out=coarse._spec)
+        c *= self.nx * self.ny / (coarse.nx * coarse.ny)
+        spec = self._spec
+        spec[:] = 0.0
+        spec[:hx, :hy] = c[:hx, :hy]
+        spec[self.nx - hx + 1:, :hy] = c[hx + 1:, :hy]
+        return self.modal_inverse(spec, out)
+
     # -- boundary ------------------------------------------------------------
 
     def zero_boundary(self, values: np.ndarray) -> np.ndarray:
@@ -233,13 +271,6 @@ class PlaneGrid:
     def nodes(self):
         x, y = self.axes()
         return np.meshgrid(x, y, indexing="ij")
-
-    @cached_property
-    def trapezoid_weights(self) -> np.ndarray:
-        w1 = np.full(self.n, self.h)
-        w1[0] *= 0.5
-        w1[-1] *= 0.5
-        return w1[:, None] * w1[None, :]
 
     # -- operators ---------------------------------------------------------
 
@@ -365,6 +396,39 @@ class PlaneGrid:
         s2 = (2.0 / self.h * np.sin(0.5 * np.pi * self.sine_modes / (self.n - 1))) ** 2
         return s2[:, None] + s2[None, :]
 
+    # -- coarse levels -------------------------------------------------------
+
+    def coarsest(self, tau: float):
+        """The coarsest grid of the halving chain that resolves ``tau``, or ``None``.
+
+        The chain halves the n - 1 intervals (rounding down) while
+        the half keeps at least 16 nodes; a level resolves the core when
+        3 h <= sqrt(tau).
+        """
+        n, best = self.n, None
+        while (n + 1) // 2 >= 16:
+            n = (n + 1) // 2
+            if 3.0 * 2.0 * self.R / (n - 1) > math.sqrt(tau):
+                break
+            best = n
+        return None if best is None else PlaneGrid(self.R, best)
+
+    def prolong(self, coarse: "PlaneGrid", values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the sine interpolant of the field ``values`` of ``coarse`` to ``out``.
+
+        Each sine coefficient moves to its mode number's place here, scaled
+        by N / N_c (N = n - 1 intervals), so the interior modes sample the
+        same sines; the boundary ring is zero.  Exact for sums of the sine
+        modes of ``coarse``, a grid of the same square.
+        """
+        rows = np.empty(self.n - 1, dtype=int)
+        rows[self.sine_modes] = np.arange(self.n - 2)
+        rows = rows[coarse.sine_modes]
+        coeffs = np.zeros((self.n - 2, self.n - 2))
+        coeffs[np.ix_(rows, rows)] = coarse.modal_forward(values)
+        coeffs *= (self.n - 1) / (coarse.n - 1)
+        return self.modal_inverse(coeffs, out)
+
     # -- boundary ------------------------------------------------------------
 
     def zero_boundary(self, values: np.ndarray) -> np.ndarray:
@@ -383,7 +447,17 @@ class PlaneGrid:
     # -- reductions ----------------------------------------------------------
 
     def integrate(self, values: np.ndarray) -> float:
-        return float((values * self.trapezoid_weights).sum())
+        """Trapezoid rule: h^2 per node, halved on each edge of the boundary ring.
+
+        Halving is exact, so the products equal those of ``values`` with the
+        tensor-product weights bit for bit, and no n x n weight table is held.
+        """
+        out = values * (self.h * self.h)
+        out[0] *= 0.5
+        out[-1] *= 0.5
+        out[:, 0] *= 0.5
+        out[:, -1] *= 0.5
+        return float(out.sum())
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """L^2 pairing with the cell measure h^2.

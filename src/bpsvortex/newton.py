@@ -13,11 +13,21 @@ method: CG stops at a relative residual, the forcing term, chosen per step
 by choice 2 of Eisenstat & Walker ("Choosing the forcing terms in an inexact
 Newton method", SIAM J. Sci. Comput. 17, 1996).  Early steps are solved
 loosely; the forcing term shrinks with the gradient, which keeps the local
-convergence superlinear, and a step that may be the last is solved tightly
-enough to land well under the gradient tolerance.  A tolerance below the gradient's
-roundoff floor ends as a named stall (``STALL_STEPS``), not at ``max_iters``,
-and a state whose mass underflows, so that the Hessian block has no finite
-inverse, ends with a named message too.
+convergence superlinear, and a step that may be the last is solved to land
+its gradient at a hundredth of the tolerance, no tighter.  A CG solve that
+ends with a residual above its right-hand side gives no descent guarantee,
+and its step takes steepest descent instead (``fallback: "cg_breakdown"``).
+A tolerance below the gradient's roundoff floor ends as a named stall
+(``STALL_STEPS``), not at ``max_iters``, and a state whose mass underflows,
+so that the Hessian block has no finite inverse, ends with a named message
+too.
+A cold solve (no ``init``) starts from its coarsest resolving grid, nested
+iteration in the sense of mesh independence (Allgower, Boehmer, Potra &
+Rheinboldt, SIAM J. Numer. Anal. 23, 1986): the same problem is solved on
+``grid.coarsest(tau)``, and its solution, prolonged through the eigenbasis
+(``grid.prolong``), is the start on the requested grid, where the stopping
+rule is unchanged.  A coarse solve that does not converge leaves the zero
+start.  :attr:`Solution.coarse` reports the coarse level.
 A torus solve first checks the existence threshold and refuses to iterate
 when it fails.  It then follows the paper's split u = c + w: the start and
 every accepted step are shifted by the constants that meet both integral
@@ -34,12 +44,13 @@ so partial results stay inspectable.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .backgrounds import (PhysicalParams, VortexConfig, build_background,
+from .backgrounds import (Background, PhysicalParams, VortexConfig, build_background,
                           check_existence, check_labels)
 from .energy import EnergyModel, constraint_shift
 from .errors import Overflow, SingularHessian, ThresholdViolated
@@ -53,8 +64,8 @@ ARMIJO_C = 1e-4
 # the step length halves on every rejected line-search trial
 BACKTRACK_FACTOR = 0.5
 # smallest forcing term: the last-step rule asks for less only when a
-# gradient above 1e8 times the tolerance is predicted to drop under it in one
-# step, and a relative CG residual far below 1e-10 is at roundoff level
+# gradient above 1e8 times the tolerance may drop under it in one step, and a
+# relative CG residual far below 1e-10 is at roundoff level
 CG_TOL = 1e-10
 # forcing term of the first Newton step and cap on every later one: far from
 # the minimum the quadratic model is a rough guide, so a tighter solve there
@@ -69,9 +80,11 @@ ETA_MAX = 1e-2
 EW_GAMMA = 0.9
 # last-step rule: a step whose predicted gradient eta_k |g_k|_sup lies within
 # LAST_STEP_WINDOW times the tolerance may be the last one, so it is solved
-# to put the predicted gradient at LAST_STEP_MARGIN times the tolerance; a
-# forcing term that only just reaches the tolerance can stop a hair above it
-# and cost a whole extra Newton iteration
+# to put the predicted gradient at LAST_STEP_MARGIN times the tolerance, no
+# tighter (Kelley, Iterative Methods for Linear and Nonlinear Equations, 1995,
+# 6.3): choice 2 collapses there, and solving to it lands orders of magnitude
+# under the tolerance for nothing.  A forcing term that only just reaches the
+# tolerance can stop a hair above it and cost a whole extra Newton iteration
 LAST_STEP_WINDOW = 10.0
 LAST_STEP_MARGIN = 0.01
 # CG iteration cap per Newton step; the preconditioned systems take a few
@@ -121,6 +134,13 @@ class Solution:
     # Newton only: one dict per Newton iteration (forcing term, CG and line
     # search work, fallback taken)
     newton_steps: Optional[list] = None
+    # a cold solve's coarse level: the coarse grid's ``shape``, its solve's
+    # work (Newton ``iterations``, fixed-point ``trials``), ``converged``,
+    # and the sup gradient (``grad_sup_start``) or relative residual
+    # (``residual_start``) at the start it gave; None without a coarse level
+    coarse: Optional[dict] = None
+    # wall time of the coarse level, kept apart from the deterministic block
+    coarse_s: Optional[float] = None
 
 
 def _pcg(apply_a, b, apply_minv, inner, rel_tol):
@@ -179,8 +199,39 @@ def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
         eta = min(ETA_MAX, EW_GAMMA * (g_norm / g_norm_prev) ** 2)
     last_step = eta * gsup <= LAST_STEP_WINDOW * tol
     if last_step:
-        eta = min(eta, LAST_STEP_MARGIN * tol / gsup)
+        eta = min(ETA_MAX, LAST_STEP_MARGIN * tol / gsup)
     return max(eta, CG_TOL), last_step
+
+
+def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable, work: str):
+    """A cold solve's start from its coarse level: ``(start, block, seconds)``.
+
+    The coarse level is ``bg``'s problem on ``bg.grid.coarsest`` at the
+    resolved tau, which the default makes the same on every level, so both
+    grids split the sources alike; by construction it has no coarser level
+    of its own.  ``solve_coarse(coarse_background)`` solves it and returns
+    ``(pair, count, converged)``.  ``start`` is that pair prolonged onto
+    ``bg.grid`` when it converged, else ``None``; ``block`` holds the coarse
+    grid's ``shape``, the count under the name ``work`` and ``converged``,
+    and ``seconds`` the wall time.  All three are ``None`` without a coarse
+    level.  Nothing coarse outlives the call.
+    """
+    coarse = bg.grid.coarsest(params.resolved_tau(bg.grid))
+    if coarse is None:
+        return None, None, None
+    t0 = time.perf_counter()
+    # made first, the start sits below the coarse level's short-lived arrays
+    # on the heap, and the fine solve reuses their space (made after them,
+    # it cost plane-solve 1.1 MB of peak RSS)
+    start = np.empty((2,) + bg.grid.shape)
+    pair, count, converged = solve_coarse(build_background(bg.cfg, coarse, params))
+    if converged:
+        bg.grid.prolong(coarse, pair[0], start[0])
+        bg.grid.prolong(coarse, pair[1], start[1])
+    else:
+        start = None
+    block = {"shape": list(coarse.shape), work: count, "converged": converged}
+    return start, block, time.perf_counter() - t0
 
 
 def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None) -> Solution:
@@ -189,10 +240,12 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     A torus problem is first gated by its existence threshold.  There the
     start and every accepted step are shifted onto both integral constraints
     (:func:`constraint_shift`), at the masses of the energy evaluation that
-    accepted them.  On the torus a float ``init`` is taken over, not copied:
-    it is the first iterate, and the shift moves it in place.  On the plane
-    ``init`` is copied and its Dirichlet ring set to zero, where states are
-    held.
+    accepted them.  Without ``init`` the start is the prolonged solution on
+    the coarsest resolving grid (zero when there is none or it does not
+    converge).  A float ``init`` is taken over, not copied: it is the first
+    iterate, and on the torus the shift moves it in place.  The plane never
+    writes into its states, which vanish on the Dirichlet ring; an ``init``
+    that does not is copied with the ring set to zero.
     """
     bg, params = model.bg, model.params
     torus = isinstance(bg.grid, TorusGrid)
@@ -200,20 +253,32 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         report = check_existence(bg.cfg, bg.grid, params)
         if not report.solvable:
             raise ThresholdViolated(report)
+    coarse = coarse_s = None
     if init is None:
-        state = model.zero_state()
-    elif torus:
-        state = np.asarray(init, dtype=float)
+        def solve_coarse(coarse_bg):
+            sol = minimize(EnergyModel(coarse_bg, params), settings)
+            return sol.state, sol.iterations, sol.converged
+
+        state, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "iterations")
+        if state is None:
+            state = model.zero_state()
     else:
-        state = model.grid.zero_boundary(np.array(init, dtype=float))
+        state = np.asarray(init, dtype=float)
+        if not torus and (state[:, [0, -1]].any() or state[:, :, [0, -1]].any()):
+            state = model.grid.zero_boundary(state.copy())
+    # drop this frame's second reference to the start, so that the first
+    # accepted step frees a start that no caller holds
+    init = None
     inner = model.grid.modal_inner
     grad_history: List[float] = []
     energy_history: List[float] = []
     steps: List[dict] = []
 
     def finish(iterations, converged, message=""):
+        if coarse is not None:
+            coarse["grad_sup_start"] = grad_history[0] if grad_history else None
         return Solution(state, iterations, grad_history, energy_history, converged,
-                        message, newton_steps=steps)
+                        message, newton_steps=steps, coarse=coarse, coarse_s=coarse_s)
 
     def settle(breakdown) -> float:
         """The energy of ``state`` once the torus shift has moved it."""
@@ -262,9 +327,12 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         # the line search needs neither; dropping the linearization's two
         # fields before the direction is formed keeps them off the peak
         del rhs, lin
-        direction = model.from_modes(coeffs)
+        if cg_rel_res > 1.0:
+            # a residual above |b| leaves the iterate no descent guarantee
+            direction, fallback = -grad, "cg_breakdown"
+        else:
+            direction, fallback = model.from_modes(coeffs), None
         del coeffs
-        fallback = None
         slope = model.grid.inner(grad, direction)
         if slope >= 0.0:  # roundoff-degenerate direction; fall back to steepest descent
             direction = -grad
@@ -314,7 +382,7 @@ def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams
     ``mode`` and ``model`` are labels: :func:`check_labels` raises
     ``ValueError`` when they disagree with the grid, the zero set or
     ``background``.  The variant is the zero set's; the threshold gate and
-    the handling of ``init`` (taken over on the torus) are :func:`minimize`'s.
+    the handling of ``init`` (taken over, not copied) are :func:`minimize`'s.
     """
     check_labels(mode, model, cfg, grid, background)
     bg = background if background is not None else build_background(cfg, grid, params)

@@ -32,8 +32,8 @@ reuse the background and start from the states of earlier rows (see
 
 Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings``
-(solvers, diagnostics, field and plot output, total) so bitwise comparison of
-reruns stays meaningful.
+(solvers and their coarse levels, diagnostics, field and plot output, total)
+so bitwise comparison of reruns stays meaningful.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ def _newton_summary(sol: Solution) -> dict:
         "energy_final": sol.energy_history[-1] if sol.energy_history else None,
         "message": sol.message,
         "steps": sol.newton_steps,
+        "coarse": sol.coarse,
     }
 
 
@@ -94,6 +95,7 @@ def _fixedpoint_summary(sol: Solution) -> dict:
         "residual_final": sol.grad_history[-1] if sol.grad_history else None,
         "omega": sol.omega,
         "message": sol.message,
+        "coarse": sol.coarse,
     }
 
 
@@ -198,6 +200,8 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
         newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params, settings=settings,
                            init=start() if start else None, background=bg)
         timings["newton_s"] = time.perf_counter() - t0
+        if newton_sol.coarse_s is not None:
+            timings["newton_coarse_s"] = newton_sol.coarse_s
         results["newton"] = _newton_summary(newton_sol)
         if not newton_sol.converged:
             exit_code = EXIT_NOT_CONVERGED
@@ -205,6 +209,8 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
         t0 = time.perf_counter()
         fixed_sol = continuation_solve(bg, params)
         timings["fixedpoint_s"] = time.perf_counter() - t0
+        if fixed_sol.coarse_s is not None:
+            timings["fixedpoint_coarse_s"] = fixed_sol.coarse_s
         results["fixedpoint"] = _fixedpoint_summary(fixed_sol)
         if not fixed_sol.converged:
             exit_code = EXIT_NOT_CONVERGED
@@ -231,10 +237,11 @@ def _path_start(path, lam):
     """Where a row at ``lam`` starts: ``(start_row, secant_row, start)``.
 
     ``path`` lists the last two converged rows of the row's path as
-    ``(index, lambda, state)``, oldest first.  With none the start is zero
-    (``start`` is ``None``); with one, or two at equal lambda, it is a copy
-    of the newest state s2.  Otherwise it is the secant s2 + r (s2 - s1)
-    with r = (lam - lambda2) / (lambda2 - lambda1) clamped to [-1, 1], so it
+    ``(index, lambda, state)``, oldest first.  With none the row solves cold
+    (``start`` is ``None``, and Newton starts from its coarse level); with
+    one, or two at equal lambda, it is a copy of the newest state s2.
+    Otherwise it is the secant s2 + r (s2 - s1) with
+    r = (lam - lambda2) / (lambda2 - lambda1) clamped to [-1, 1], so it
     never extrapolates further than the last step; ``start`` builds it in
     the older state's storage, which is spent then.
     """
@@ -261,14 +268,16 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     resolved tau), as in a lambda sweep, form one continuation path: the
     first solved row builds the background, the later ones reuse it, and
     each row's Newton starts from the path's last converged rows (see
-    ``_path_start``): from zero, from a copy of the newest, or from the
-    secant through the last two.  A solved row records the newest as
+    ``_path_start``): cold, from a copy of the newest, or from the secant
+    through the last two.  A solved row records the newest as
     ``start_row`` and the older row of a secant as ``secant_row`` (``None``
-    for a copy or zero start).  A row that does not converge seeds nothing,
+    for a copy or cold start); a cold row also records its Newton's
+    ``coarse`` block (``None`` on a grid without a coarse level), which the
+    CSV leaves out.  A row that does not converge seeds nothing,
     and the next row starts from a copy of the newest converged row, since a
     secant start spends the older state's storage.  A change of any
     background input (``tau``, ``resolution``, ``n``, ``m``) starts a new
-    path with a fresh background and a zero start.  Rows on one grid share
+    path with a fresh background and a cold start.  Rows on one grid share
     one grid object.
     """
     method = "newton" if cfg.sweep["action"] == "solve" else None
@@ -296,6 +305,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
         if "newton" in point:
             row["start_row"] = start_row
             row["secant_row"] = secant_row
+            if start is None:
+                row["coarse"] = point["newton"]["coarse"]
             path_bg = bg
             path = path[-1:] + ([(index, params.lam, best.state)] if best.converged else [])
             row["converged"] = point["newton"]["converged"]
@@ -310,7 +321,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     plots_path = cfg.output.get("plots_path")
     if plots_path:
         path = _resolve(plots_path, out_dir)
-        keys = sorted({k for row in rows for k in row})
+        # the coarse block stays in the report: the CSV holds scalars only
+        keys = sorted({k for row in rows for k in row} - {"coarse"})
         with open(path, "w") as fh:
             fh.write(",".join(keys) + "\n")
             for row in rows:

@@ -36,8 +36,11 @@ def torus_criterion_setup():
 
 @pytest.fixture(scope="session")
 def torus_criterion_solution(torus_criterion_setup):
+    # from an explicit zero start, so that the whole cold Newton trajectory
+    # runs on this grid (a solve without init starts on its coarse level)
     grid, params, cfg, bg = torus_criterion_setup
-    sol = bv.solve("torus", "base", cfg, grid, params, background=bg)
+    sol = bv.solve("torus", "base", cfg, grid, params, background=bg,
+                   init=np.zeros((2,) + grid.shape))
     assert sol.converged
     return sol
 

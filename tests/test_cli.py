@@ -234,13 +234,33 @@ class TestRunCommands:
         code, report = run("compare", cfg, out_dir=str(tmp_path))
         assert code == 0
         fixed = report["results"]["fixedpoint"]
-        assert set(fixed) == {"converged", "trials", "residual_final", "omega", "message"}
+        assert set(fixed) == {"converged", "trials", "residual_final", "omega", "message",
+                              "coarse"}
         side = max(raw["domain"]["Lx"], raw["domain"]["Ly"])
         assert fixed["omega"] == pytest.approx(
             1.0 / (1.0 + 4.0 * raw["lambda"] * side ** 2 / (4.0 * math.pi ** 2)), rel=1e-14)
         assert "omega" not in report["results"]["newton"]
         again = run("compare", cfg, out_dir=str(tmp_path))[1]
         assert json.dumps(again["results"]) == json.dumps(report["results"])
+
+    @pytest.mark.parametrize("nx,coarse", [(32, None), (128, [64, 64])])
+    def test_compare_reports_both_coarse_levels(self, tmp_path, nx, coarse):
+        # a 32^2 torus has no coarse level at the default tau, a 128^2 one 64^2
+        raw = minimal_torus(phi_zeros=[[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]],
+                            grid={"nx": nx})
+        code, report = run("compare", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 0
+        res, timings = report["results"], report["timings"]
+        assert res["cross_method_sup_diff"] <= 1e-9
+        for method, work, start in (("newton", "iterations", "grad_sup_start"),
+                                    ("fixedpoint", "trials", "residual_start")):
+            block = res[method]["coarse"]
+            if coarse is None:
+                assert block is None and f"{method}_coarse_s" not in timings
+                continue
+            assert set(block) == {"shape", work, "converged", start}
+            assert block["shape"] == coarse and block["converged"] and block[work] > 0
+            assert 0.0 < timings[f"{method}_coarse_s"] <= timings[f"{method}_s"]
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     def test_field_dump_bytes_match_node_by_node_writer(self, tmp_path, mode):
@@ -469,6 +489,7 @@ class TestSweepPoints:
                 # no row continues a path: each lambda list starts below the
                 # threshold, and every other param changes the background
                 expected["start_row"] = expected["secant_row"] = None
+                expected["coarse"] = res["newton"]["coarse"]
                 expected["converged"] = res["newton"]["converged"]
                 expected["grad_sup_final"] = res["newton"]["grad_sup_final"]
                 expected["residual_sup"] = max(res["diagnostics"]["residual_sup"])

@@ -251,3 +251,49 @@ class TestContinuationSolve:
                 ceiling = max(ceiling, gx + gy)
             ceilings.append(ceiling)
         assert 0.5 <= ceilings[1] / ceilings[0] <= 2.0
+
+
+class TestCoarseLevel:
+    """The fixed point starts from its own coarse fixed point, not from Newton."""
+
+    @pytest.fixture(scope="class")
+    def fine_setup(self):
+        # 128^2 at the default tau has the coarse level 64^2
+        grid = bv.TorusGrid(L20, L20, 128, 128)
+        params = bv.PhysicalParams(lam=1.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
+        return grid, params, cfg, bv.build_background(cfg, grid, params)
+
+    def test_start_comes_from_no_newton_call(self, fine_setup, monkeypatch):
+        grid, params, cfg, bg = fine_setup
+
+        def no_newton(*args, **kwargs):
+            raise AssertionError("the fixed point called Newton")
+
+        monkeypatch.setattr(bv.newton, "minimize", no_newton)
+        monkeypatch.setattr(bv.newton, "solve", no_newton)
+        fp = bv.continuation_solve(bg, params)
+        assert fp.converged
+        assert fp.coarse["shape"] == [64, 64] and fp.coarse["converged"]
+        assert fp.coarse["residual_start"] == fp.grad_history[0]
+        # the coarse fixed point, prolonged, is all but the fine one
+        assert fp.iterations <= 2
+
+    def test_failed_coarse_iteration_leaves_the_zero_start(self, fine_setup, monkeypatch):
+        grid, params, cfg, bg = fine_setup
+        apply_T = fixedpoint.apply_T
+
+        def overflowing_on_the_coarse_grid(pair, t, bg_, params_, out=None):
+            if bg_.grid != grid:
+                raise Overflow("exponent argument 812 exceeds 700")
+            return apply_T(pair, t, bg_, params_, out=out)
+
+        monkeypatch.setattr(fixedpoint, "apply_T", overflowing_on_the_coarse_grid)
+        fp = bv.continuation_solve(bg, params)
+        assert fp.converged
+        assert fp.coarse == {"shape": [64, 64], "trials": 1, "converged": False,
+                             "residual_start": fp.grad_history[0]}
+        # the fine iteration started from the zero pair, where the relative
+        # residual is sup |T(0)|
+        zero = np.zeros((2,) + grid.shape)
+        assert fp.grad_history[0] == np.max(np.abs(apply_T(zero, 1.0, bg, params)))

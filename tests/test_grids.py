@@ -159,6 +159,17 @@ class TestQuadrature:
         g = plane_32
         assert g.integrate(np.ones(g.shape)) == pytest.approx(g.area, rel=1e-12)
 
+    @pytest.mark.parametrize("n,R", [(16, 6.0), (17, 0.3), (384, 12.0)])
+    def test_plane_trapezoid_bitwise_equal_to_weight_table(self, n, R):
+        # the reference: the sum of the field times the tensor-product
+        # trapezoid weights, as one n x n table
+        g = bv.PlaneGrid(R, n)
+        w1 = np.full(n, g.h)
+        w1[0] *= 0.5
+        w1[-1] *= 0.5
+        v = np.random.default_rng(n).standard_normal(g.shape) * 1e3
+        assert g.integrate(v) == float((v * (w1[:, None] * w1[None, :])).sum())
+
 
 class TestDirichletForm:
     def test_plane_summation_by_parts(self, plane_32):
@@ -383,3 +394,57 @@ class TestRandomSmoothField:
         g.interior(ring)[...] = False
         assert np.all(field[ring] == 0.0)
         assert np.max(np.abs(field)) == pytest.approx(0.7, rel=1e-15)
+
+
+def sine_sum(grid, seed, modes):
+    """A sum of products of the plane's sine modes k, l < ``modes``, as a field."""
+    rng = np.random.default_rng(seed)
+    x, y = grid.nodes()
+    xi, eta = (x + grid.R) / (2.0 * grid.R), (y + grid.R) / (2.0 * grid.R)
+    field = np.zeros(grid.shape)
+    for _ in range(6):
+        k, l = rng.integers(1, modes, size=2)
+        field += rng.standard_normal() * np.sin(np.pi * k * xi) * np.sin(np.pi * l * eta)
+    return grid.zero_boundary(field)
+
+
+class TestCoarseLevels:
+    """``coarsest`` picks the coarse level, ``prolong`` carries fields up from it."""
+
+    @pytest.mark.parametrize("fine,coarse", [((64, 48), (16, 12)), ((32, 48), (16, 24))])
+    def test_torus_prolongation_exact_on_band_limited_fields(self, fine, coarse):
+        f, c = bv.TorusGrid(2.0, 3.0, *fine), bv.TorusGrid(2.0, 3.0, *coarse)
+        out = np.empty(f.shape)
+        # band_limited draws the same modes (|k| <= 3, under the coarse
+        # Nyquist frequency) on every grid for one seed
+        assert f.prolong(c, band_limited(c, seed=4), out) is out
+        assert np.max(np.abs(out - band_limited(f, seed=4))) <= 1e-13
+
+    @pytest.mark.parametrize("fine,coarse", [(97, 49), (100, 50), (384, 192)])
+    def test_plane_prolongation_exact_on_sine_sums(self, fine, coarse):
+        # the grids need not be nested: 384 nodes have 383 intervals.  The
+        # bound is relative: at n = 384 a forward and inverse transform of
+        # the fine grid alone moves such a field by 3e-14 of its size
+        f, c = bv.PlaneGrid(6.0, fine), bv.PlaneGrid(6.0, coarse)
+        out = np.full(f.shape, 7.0)
+        assert f.prolong(c, sine_sum(c, 5, coarse - 1), out) is out
+        expected = sine_sum(f, 5, coarse - 1)
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.all(f.zero_boundary(out.copy()) == out)
+
+    @pytest.mark.parametrize("grid,tau,expected", [
+        (bv.TorusGrid(4.0, 4.0, 256, 256), 16.0 / 144.0, (64, 64)),
+        (bv.TorusGrid(4.0, 4.0, 96, 96), 16.0 / 144.0, (48, 48)),
+        (bv.TorusGrid(4.0, 4.0, 32, 32), 16.0 / 144.0, None),
+        (bv.TorusGrid(4.0, 4.0, 256, 256), 1e-4, None),
+        (bv.PlaneGrid(12.0, 384), 0.2, (192, 192)),
+        (bv.PlaneGrid(12.0, 384), 0.01, None),
+    ], ids=["torus-256", "torus-96", "torus-32", "torus-small-tau", "plane-384",
+            "plane-small-tau"])
+    def test_coarsest(self, grid, tau, expected):
+        coarse = grid.coarsest(tau)
+        assert (coarse and coarse.shape) == expected
+        if coarse is not None:
+            # the same domain, and no coarser level of its own
+            assert coarse.area == grid.area and type(coarse) is type(grid)
+            assert coarse.coarsest(tau) is None

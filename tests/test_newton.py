@@ -158,6 +158,22 @@ class TestPlaneSolve:
         assert np.all(init == 0.3)  # the caller's array is copied
         assert np.max(np.abs(sol.state - ref.state)) <= 1e-8
 
+    def test_ring_zero_start_is_taken_over(self):
+        # a start that already vanishes on the ring is neither copied nor
+        # written: a plane sweep row holds only the copy its path made
+        grid = bv.PlaneGrid(6.0, 48)
+        params = bv.PhysicalParams(lam=1.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.5, 0.0),))
+        bg = bv.build_background(cfg, grid, params)
+        init = random_state(grid, seed=3)
+        kept = init.copy()
+        start = bv.solve("plane", "base", cfg, grid, params, init=init, background=bg,
+                         settings=bv.SolverSettings(tol_grad_sup=1e9)).state
+        assert start is init
+        sol = bv.solve("plane", "base", cfg, grid, params, init=init, background=bg)
+        assert sol.converged and sol.state is not init
+        assert init.tobytes() == kept.tobytes()
+
     def test_preconditioned_cg_applies_per_newton_iteration(self, monkeypatch):
         # the per-mode block inverse leaves ~5 Hessian applies per Newton
         # step here; plain CG took ~250
@@ -213,21 +229,24 @@ class TestExtendedVariants:
 
 class TestInexactNewton:
     def test_torus_compare_workload_forcing_terms(self, monkeypatch):
-        # the torus-compare benchmark configuration, Newton only: solving
-        # every system to CG_TOL took 61 Hessian applies; a last forcing term
-        # that only just reaches tol stops at a sup gradient of 1.1e-9 and
-        # needs another iteration.  The preconditioner built at the far field
-        # (e^U = e^V = 1) instead of the mean masses took 25 applies, and
-        # without the constraint shift Newton took 5 iterations and 19 applies
+        # the torus-compare benchmark configuration, Newton only, from an
+        # explicit zero start on its own grid: solving every system to
+        # CG_TOL took 61 Hessian applies; a last forcing term that only just
+        # reaches tol stops at a sup gradient of 1.1e-9 and needs another
+        # iteration.  The preconditioner built at the far field
+        # (e^U = e^V = 1) instead of the mean masses took 25 applies, without
+        # the constraint shift Newton took 5 iterations and 19 applies, and
+        # solving a last step to the collapsed choice-2 term took 18
         cfg = parse_config(json.dumps(compare_workload_config(1)))
         grid, params, vcfg = cfg.make_grid(), cfg.make_params(), cfg.make_vortex_config()
         applies = count_hessian_applies(monkeypatch)
         sol = bv.solve("torus", "base", vcfg, grid, params,
-                       settings=bv.SolverSettings(tol_grad_sup=cfg.solver["tol"]))
-        assert sol.converged
+                       settings=bv.SolverSettings(tol_grad_sup=cfg.solver["tol"]),
+                       init=np.zeros((2,) + grid.shape))
+        assert sol.converged and sol.coarse is None
         assert sol.iterations == 4
         assert sol.grad_history[-1] <= cfg.solver["tol"]
-        assert applies[0] <= 18
+        assert applies[0] <= 17
 
     def test_near_threshold_cg_work(self, monkeypatch):
         # two vortices on a 64^2 torus at lambda = lambda* (1 + 1e-4), where
@@ -283,7 +302,8 @@ class TestInexactNewton:
             assert len(step["mean_exp"]) == 2 and min(step["mean_exp"]) > 0.0
             assert newton.CG_TOL <= step["eta"] <= newton.ETA_MAX
             assert step["cg_rel_residual"] <= step["eta"]
-            assert step["fallback"] in (None, "steepest_descent", "gradient_halved")
+            assert step["fallback"] in (None, "steepest_descent", "gradient_halved",
+                                        "cg_breakdown")
         assert steps[0]["eta"] == newton.ETA_MAX
 
 
@@ -321,10 +341,10 @@ FLOOR_CASE = {"mode": "plane", "model": "base", "lambda": 200.0, "domain": {"R":
 RISE_CASE = dict(FLOOR_CASE, phi_zeros=[[0.3, 0.0], [-0.3, 0.2], [0.0, -0.4]])
 
 
-def floor_case_solve(tol, case=FLOOR_CASE):
+def floor_case_solve(tol, case=FLOOR_CASE, init=None):
     cfg = parse_config(json.dumps(case))
     return bv.solve("plane", "base", cfg.make_vortex_config(), cfg.make_grid(),
-                    cfg.make_params(), settings=bv.SolverSettings(tol, 30))
+                    cfg.make_params(), settings=bv.SolverSettings(tol, 30), init=init)
 
 
 class TestStallStop:
@@ -367,8 +387,9 @@ class TestStallStop:
         assert sol.converged and sol.message == ""
 
     def test_damped_rise_of_the_gradient_is_no_stall(self):
-        # the first step is damped and raises the sup gradient threefold
-        sol = floor_case_solve(1e-9, RISE_CASE)
+        # the first step from zero on this grid (not from the coarse level)
+        # is damped and raises the sup gradient threefold
+        sol = floor_case_solve(1e-9, RISE_CASE, init=np.zeros((2, 128, 128)))
         assert sol.newton_steps[0]["alpha"] < 1.0
         assert sol.grad_history[1] > 3.0 * sol.grad_history[0]
         assert sol.converged and sol.message == ""
@@ -447,6 +468,92 @@ class TestConstraintShift:
         assert code == 0
         assert max(report["results"]["diagnostics"]["constraint_errors"]) <= 1e-6
         assert report["results"]["cross_method_sup_diff"] <= 1e-8
+
+
+class TestCoarseStart:
+    """A cold solve starts from its coarsest resolving grid."""
+
+    @staticmethod
+    def compare_cell(lam):
+        # the torus-compare cell: 256^2, whose coarsest level is 64^2
+        cfg = parse_config(json.dumps(dict(compare_workload_config(1), **{"lambda": lam})))
+        grid, params, vcfg = cfg.make_grid(), cfg.make_params(), cfg.make_vortex_config()
+        return grid, params, vcfg, bv.build_background(vcfg, grid, params)
+
+    @pytest.mark.parametrize("lam", [4.0 * math.pi / 20.0 * (1.0 + 1e-8), 1.0, 30.0, 100.0,
+                                     1000.0])
+    def test_coarse_start_reaches_the_cold_solution_in_fewer_iterations(self, lam):
+        # measured: fine iterations 2, 4, 4, 6, 7 cold and 0, 0, 2, 3, 4 from
+        # the coarse level, states equal to 1.3e-11
+        grid, params, vcfg, bg = self.compare_cell(lam)
+        cold = bv.solve("torus", "base", vcfg, grid, params, background=bg,
+                        init=np.zeros((2,) + grid.shape))
+        seq = bv.solve("torus", "base", vcfg, grid, params, background=bg)
+        assert cold.converged and seq.converged
+        assert cold.coarse is None
+        assert seq.coarse["shape"] == [64, 64] and seq.coarse["converged"]
+        assert seq.coarse["grad_sup_start"] == seq.grad_history[0]
+        assert seq.iterations <= cold.iterations
+        assert np.max(np.abs(seq.state - cold.state)) <= 1e-9
+
+    def test_failed_coarse_solve_leaves_the_zero_start(self, monkeypatch):
+        grid, params, vcfg, bg = self.compare_cell(1.0)
+        minimize = newton.minimize
+
+        def failing_on_the_coarse_grid(model, settings, init=None):
+            if model.grid != grid:
+                return newton.Solution(np.full((2,) + model.grid.shape, np.nan), 3, [1.0],
+                                       [0.0], False, "stalled")
+            return minimize(model, settings, init=init)
+
+        monkeypatch.setattr(newton, "minimize", failing_on_the_coarse_grid)
+        sol = bv.solve("torus", "base", vcfg, grid, params, background=bg)
+        monkeypatch.undo()
+        cold = bv.solve("torus", "base", vcfg, grid, params, background=bg,
+                        init=np.zeros((2,) + grid.shape))
+        assert sol.converged
+        assert sol.coarse == {"shape": [64, 64], "iterations": 3, "converged": False,
+                              "grad_sup_start": cold.grad_history[0]}
+        assert sol.state.tobytes() == cold.state.tobytes()
+
+    def test_plane_coarse_level(self):
+        # the plane's coarse and fine solutions differ at O(h^2) (5-point
+        # stencil), so the fine grid still takes Newton steps
+        grid, params = bv.PlaneGrid(4.0, 128), bv.PhysicalParams(lam=4.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
+        bg = bv.build_background(cfg, grid, params)
+        seq = bv.solve("plane", "base", cfg, grid, params, background=bg)
+        cold = bv.solve("plane", "base", cfg, grid, params, background=bg,
+                        init=np.zeros((2,) + grid.shape))
+        assert seq.converged and cold.converged
+        assert seq.coarse["shape"] == [64, 64] and seq.coarse["converged"]
+        assert 0 < seq.iterations <= cold.iterations
+        assert np.max(np.abs(seq.state - cold.state)) <= 1e-8
+
+
+class TestCgBreakdown:
+    def test_residual_above_the_rhs_takes_steepest_descent(self, monkeypatch):
+        # a CG solve whose residual ends above |b| gives no descent
+        # guarantee: its direction is replaced, whatever it holds
+        pcg = newton._pcg
+        calls = [0]
+
+        def breaking_down_once(apply_a, b, apply_minv, inner, rel_tol):
+            calls[0] += 1
+            x, iters, rel_res = pcg(apply_a, b, apply_minv, inner, rel_tol)
+            if calls[0] == 1:
+                return -1e3 * x, iters, 5.5e17
+            return x, iters, rel_res
+
+        monkeypatch.setattr(newton, "_pcg", breaking_down_once)
+        grid = bv.TorusGrid(L20, L20, 32, 32)
+        cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
+        sol = bv.solve("torus", "base", cfg, grid, bv.PhysicalParams(lam=1.0))
+        assert sol.converged
+        first = sol.newton_steps[0]
+        assert first["fallback"] == "cg_breakdown" and first["cg_rel_residual"] == 5.5e17
+        assert sol.energy_history[1] < sol.energy_history[0]
+        assert all(step["fallback"] != "cg_breakdown" for step in sol.newton_steps[1:])
 
 
 class TestSettingsValidation:
