@@ -187,18 +187,6 @@ class EnergyModel:
         g1 += np.divide(bg.src_f, 2.0, out=eU)  # the half source, in eU's storage
         return np.stack([grid.zero_boundary(g0), grid.zero_boundary(g1)])
 
-    def hessian_apply(self, state, direction) -> np.ndarray:
-        """Hessian times ``direction``, straight from the formula.
-
-        The reference that :meth:`hessian_operator` is checked against.
-        """
-        grid, lam = self.grid, self.params.lam
-        eU, eV = _exp_pair(state, self.bg)
-        d0, d1 = direction[0], direction[1]
-        h0 = -grid.laplacian(d0) + (2.0 * lam * eU + lam * eV) * d0 - lam * eV * d1
-        h1 = -0.5 * grid.laplacian(d1) + lam * eV * (d1 - d0)
-        return np.stack([grid.zero_boundary(h0), grid.zero_boundary(h1)])
-
     def to_modes(self, pair: np.ndarray) -> np.ndarray:
         """Mode coefficients of a stacked pair of fields (``grid.modal_forward``)."""
         # coefficients are complex on the torus (rfft2 layout), real on the plane
@@ -278,11 +266,11 @@ class EnergyModel:
         """Hessian application on mode coefficients, at the state of ``lin``.
 
         The returned callable maps the coefficient pair of a direction (see
-        :meth:`to_modes`) to that of its Hessian product; through the
-        transforms it gives the values of :meth:`hessian_apply` to roundoff.
-        It applies A = M + W of :meth:`linearize`: W through the physical
-        fields at two inverse and two forward transforms, M per mode.  The
-        callable holds ``lin`` and one physical field.
+        :meth:`to_modes`) to that of its Hessian product (the formula in the
+        module docstring, through the transforms, to roundoff).  It applies
+        A = M + W of :meth:`linearize`: W through the physical fields at two
+        inverse and two forward transforms, M per mode.  The callable holds
+        ``lin`` and one physical field.
         """
         grid = self.grid
         lam_b, c0, c1, wu, wv = lin.lam_b, lin.c0, lin.c1, lin.wu, lin.wv

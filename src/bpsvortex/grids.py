@@ -2,21 +2,20 @@
 
 Two domain types are supported:
 
-* :class:`TorusGrid` - a doubly periodic rectangle sampled uniformly.  All
-  differential operators are spectral (trigonometric collocation), so the
-  Laplacian is exact for band-limited fields and the zero-mean Poisson solve
-  inverts it exactly.
+* :class:`TorusGrid` - a doubly periodic rectangle sampled uniformly.
 * :class:`PlaneGrid` - a truncated plane square ``[-R, R]^2`` with uniform
-  spacing and homogeneous Dirichlet data on the boundary ring; the Laplacian
-  is the standard second-order 5-point stencil.
+  spacing and homogeneous Dirichlet data on the boundary ring.
 
-Each grid also exposes the eigenbasis of its own Laplacian: ``modal_forward``
-and ``modal_inverse`` map fields to mode coefficients and back,
-``laplacian_eigenvalues`` gives the eigenvalue of ``-laplacian`` per mode in
-the same layout (Fourier modes on the torus, the sine modes of the interior
-nodes on the plane), and ``modal_inner`` is the pairing ``inner`` of the
-fields, computed from their coefficients.  Operators with constant
-coefficients are diagonal there.
+Both are spectral: each grid exposes the eigenbasis of its Laplacian, and
+``laplacian`` and ``dirichlet_form`` are written once, for both, through it.
+``modal_forward`` and ``modal_inverse`` map fields to mode coefficients and
+back, ``laplacian_eigenvalues`` gives the eigenvalue of ``-laplacian`` per
+mode in the same layout (|k|^2 over the Fourier modes on the torus,
+(pi k / 2R)^2 + (pi l / 2R)^2 over the sine modes of the interior nodes on
+the plane), and ``modal_inner`` is the pairing ``inner`` of the fields,
+computed from their coefficients.  Operators with constant coefficients are
+diagonal there, the Laplacian is exact for sums of the modes, and on the
+torus the zero-mean Poisson solve inverts it exactly.
 Each grid also knows its coarser levels: ``coarsest(tau)`` is the coarsest
 grid of its halving chain that still resolves a vortex core of scale tau by
 three nodes (3 * spacing <= sqrt(tau)), and ``prolong`` carries a field of a
@@ -42,7 +41,8 @@ that its operators pass through.  It holds nothing between calls and is
 never returned, so results never alias it; it also makes a torus grid unsafe
 to share between threads.
 The plane's sine transforms allocate one interior-sized intermediate per call
-instead: kept on the grid it would stay resident for the life of the grid.
+instead (and its ``laplacian`` and ``dirichlet_form`` their coefficients):
+kept on the grid it would stay resident for the life of the grid.
 """
 
 from __future__ import annotations
@@ -61,8 +61,43 @@ from .errors import NonZeroMeanRhs
 POISSON_MEAN_TOL = 1e-10
 
 
+class _Eigenbasis:
+    """The operators both grids apply through the eigenbasis of their Laplacian.
+
+    A grid gives ``modal_forward``, ``modal_inverse``, ``modal_inner``,
+    ``_neg_k2`` (-K, the symbol of the Laplacian, per mode) and ``_spec``, the
+    spectrum its forward transforms write to (``None``: a new array).
+    """
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """Spectral Laplacian: the mode coefficients of ``values`` times -K, brought back.
+
+        Exact for sums of the grid's modes.  On the plane only the interior
+        nodes are read, and the result vanishes on the boundary ring.
+        """
+        spec = self.modal_forward(values, out=self._spec)
+        np.multiply(self._neg_k2, spec, out=spec)
+        return self.modal_inverse(spec)
+
+    def dirichlet_form(self, values: np.ndarray) -> float:
+        """int |grad v|^2 dA = -inner(v, laplacian(v)), on the plane for v zero on the ring.
+
+        Parseval on one forward transform: ``-modal_inner(v_hat, -K v_hat)``.
+        """
+        spec = self.modal_forward(values, out=self._spec)
+        return -self.modal_inner(spec, self._neg_k2 * spec)
+
+    def laplacian_eigenvalues(self) -> np.ndarray:
+        """K, the eigenvalue of ``-laplacian`` per mode, in the coefficient layout.
+
+        A new array: |k|^2 on the torus, (pi k / 2R)^2 + (pi l / 2R)^2 on the
+        plane, with k, l from ``sine_modes``.
+        """
+        return -self._neg_k2
+
+
 @dataclass(frozen=True)
-class TorusGrid:
+class TorusGrid(_Eigenbasis):
     """Uniform sampling of a doubly periodic rectangle of side lengths Lx, Ly."""
 
     Lx: float
@@ -117,12 +152,6 @@ class TorusGrid:
 
     # -- operators ---------------------------------------------------------
 
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """Spectral Laplacian (multiplication by -|k|^2 in transform space)."""
-        spec = self.modal_forward(values, out=self._spec)
-        np.multiply(self._neg_k2, spec, out=spec)
-        return self.modal_inverse(spec)
-
     def poisson_solve_zero_mean(self, rhs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Unique zero-mean U with laplacian(U) = rhs - mean(rhs).
 
@@ -176,9 +205,6 @@ class TorusGrid:
         total = 2.0 * float(np.vdot(af, bf)) - once
         return total * self.dx * self.dy / (self.nx * self.ny)
 
-    def laplacian_eigenvalues(self) -> np.ndarray:
-        """|k|^2, the eigenvalue of ``-laplacian`` per Fourier mode (a new array)."""
-        return -self._neg_k2
 
     # -- coarse levels -------------------------------------------------------
 
@@ -230,21 +256,16 @@ class TorusGrid:
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float((a * b).sum()) * self.dx * self.dy
 
-    def dirichlet_form(self, values: np.ndarray) -> float:
-        """int |grad v|^2 dA = -inner(v, laplacian(v)) on the periodic cell.
-
-        Parseval on one forward transform: ``modal_inner(v_hat, |k|^2 v_hat)``.
-        """
-        spec = self.modal_forward(values, out=self._spec)
-        return -self.modal_inner(spec, self._neg_k2 * spec)
-
 
 @dataclass(frozen=True)
-class PlaneGrid:
+class PlaneGrid(_Eigenbasis):
     """Uniform n x n sampling of the square [-R, R]^2, boundary nodes included."""
 
     R: float
     n: int
+
+    # no scratch spectrum: each forward transform makes its coefficients
+    _spec = None
 
     def __post_init__(self):
         if not self.R > 0.0:
@@ -272,30 +293,14 @@ class PlaneGrid:
         x, y = self.axes()
         return np.meshgrid(x, y, indexing="ij")
 
-    # -- operators ---------------------------------------------------------
-
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """5-point Laplacian; ghost nodes outside the grid hold zero (Dirichlet).
-
-        Neighbours are summed into one output in a fixed order (up, down,
-        left, right, then the centre term), so results are bitwise stable.
-        """
-        out = np.empty_like(values)
-        out[0] = 0.0
-        out[1:] = values[:-1]
-        out[:-1] += values[1:]
-        out[:, 1:] += values[:, :-1]
-        out[:, :-1] += values[:, 1:]
-        out -= 4.0 * values
-        out /= self.h * self.h
-        return out
-
     # -- Laplacian eigenbasis ------------------------------------------------
     #
-    # The sine modes of the interior nodes diagonalize the 5-point Laplacian
-    # with zero ghost values.  The transforms are dense products with the
-    # orthonormal DST-I matrix S[k, j] = sqrt(2 / N) sin(pi k j / N) (symmetric
-    # and its own inverse), folded: with N = n - 1 and interior nodes
+    # The sine modes sin(pi k (x + R) / 2R) sin(pi l (y + R) / 2R), sampled at
+    # the interior nodes, are the Dirichlet eigenfunctions of the Laplacian on
+    # the square, with eigenvalues -(pi k / 2R)^2 - (pi l / 2R)^2.  The
+    # transforms are dense products with the orthonormal DST-I matrix
+    # S[k, j] = sqrt(2 / N) sin(pi k j / N) (symmetric and its own inverse),
+    # folded: with N = n - 1 and interior nodes
     # j = 1 .. N - 1, S[k, N - j] = (-1)^(k + 1) S[k, j], so odd modes see
     # x_j + x_{N-j} and even modes x_j - x_{N-j} (an odd n has a middle node
     # j = N / 2, which enters the odd modes only).  Per axis that leaves two
@@ -362,13 +367,15 @@ class PlaneGrid:
         np.matmul(t[:, odd:], s_even.T, out=out[:, odd:])
         return out
 
-    def modal_inverse(self, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the field with sine coefficients ``coeffs`` to ``out``.
+    def modal_inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The field with sine coefficients ``coeffs`` (written to ``out``).
 
-        The boundary ring of ``out`` is set to zero.
+        Its boundary ring is zero.
         """
         s_odd, s_even = self._folded_basis
         odd = s_odd.shape[0]
+        if out is None:
+            out = np.empty(self.shape)
         x = out[1:-1, 1:-1]
         t = np.empty(x.shape)
         np.matmul(coeffs[:, :odd], s_odd, out=t[:, :odd])
@@ -387,14 +394,13 @@ class PlaneGrid:
         """
         return float(np.vdot(a, b)) * self.h ** 2
 
-    def laplacian_eigenvalues(self) -> np.ndarray:
-        """Eigenvalue of ``-laplacian`` per sine mode, shape (n-2, n-2).
+    @cached_property
+    def _neg_k2(self) -> np.ndarray:
+        # -(pi k / 2R)^2 - (pi l / 2R)^2, the symbol of the Laplacian, over
+        # the sine modes in the coefficient layout
+        k2 = (0.5 * np.pi / self.R * self.sine_modes) ** 2
+        return -(k2[:, None] + k2[None, :])
 
-        (4 / h^2) (sin^2(pi k / (2 (n - 1))) + sin^2(pi l / (2 (n - 1)))) with
-        k, l from ``sine_modes``.
-        """
-        s2 = (2.0 / self.h * np.sin(0.5 * np.pi * self.sine_modes / (self.n - 1))) ** 2
-        return s2[:, None] + s2[None, :]
 
     # -- coarse levels -------------------------------------------------------
 
@@ -466,17 +472,6 @@ class PlaneGrid:
         which the energy gradient is the exact first variation.
         """
         return float((a * b).sum()) * self.h ** 2
-
-    def dirichlet_form(self, values: np.ndarray) -> float:
-        """int |grad v|^2 dA for a field that vanishes on the boundary ring.
-
-        Sum of squared forward differences over the in-grid edges, which is
-        h^2 sum |grad v|^2 (midpoint rule).  By summation by parts it equals
-        -inner(v, laplacian(v)), so its exact derivative at interior nodes is
-        -2 h^2 times the 5-point Laplacian, as on the torus.
-        """
-        return (float(np.sum(np.diff(values, axis=0) ** 2))
-                + float(np.sum(np.diff(values, axis=1) ** 2)))
 
 
 def random_smooth_field(grid, rng: np.random.Generator, amplitude: float = 0.5) -> np.ndarray:

@@ -36,9 +36,11 @@ the energy over the constant modes, the Hessian's worst-conditioned
 direction near the threshold.  The shift takes its masses from the energy
 evaluation that accepted the step and its energy change in closed form, so
 it costs no exponential, transform or energy call.  The plane has no
-constant mode and no shift.  Failure to converge is reported through the returned
-:class:`Solution` (``converged = False`` plus a message), not an exception,
-so partial results stay inspectable.
+constant mode and no shift, so there a full step that the line search
+accepts for halving the gradient hands that gradient on to the next
+iteration instead of computing it again.  Failure to converge is reported
+through the returned :class:`Solution` (``converged = False`` plus a
+message), not an exception, so partial results stay inspectable.
 """
 
 from __future__ import annotations
@@ -293,10 +295,11 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     except SingularHessian as exc:
         return finish(0, False, f"singular Hessian block: {exc}")
 
-    g_norm_prev = None
+    g_norm_prev = grad = None
     last_step, stall_count, best = False, 0, math.inf
     for it in range(settings.max_iters + 1):
-        grad = model.gradient(state)
+        if grad is None:
+            grad = model.gradient(state)
         gsup = float(np.max(np.abs(grad)))
         grad_history.append(gsup)
         energy_history.append(e_now)
@@ -342,6 +345,7 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         alpha = 1.0
         evals = 0
         accepted = False
+        next_grad = None
         while alpha > 1e-14:
             trial = state + alpha * direction
             evals += 1
@@ -357,17 +361,22 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
                 # near the minimum the energy decrease drowns in roundoff;
                 # accept the full Newton step whenever it halves the
                 # gradient (quadratic local convergence takes over there)
-                if float(np.max(np.abs(model.gradient(trial)))) <= 0.5 * gsup:
+                trial_grad = model.gradient(trial)
+                if float(np.max(np.abs(trial_grad))) <= 0.5 * gsup:
                     accepted = True
                     fallback = fallback or "gradient_halved"
+                    # the next iteration's gradient, unless the torus
+                    # shift moves the state
+                    next_grad = None if torus else trial_grad
                     break
+                del trial_grad
             alpha *= BACKTRACK_FACTOR
         steps.append({"eta": eta, "cg_iters": cg_iters, "cg_rel_residual": cg_rel_res,
                       "alpha": alpha, "linesearch_evals": evals, "fallback": fallback,
                       "mean_exp": mean_exp})
         if not accepted:
             return finish(it + 1, False, "line search failed (step underflow)")
-        state = trial
+        state, grad = trial, next_grad
         try:
             e_now = settle(breakdown)
         except SingularHessian as exc:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
-from bpsvortex.energy import EnergyModel
+from bpsvortex.energy import EnergyModel, _exp_pair
 
 L20 = math.sqrt(20.0)
 
@@ -49,6 +49,19 @@ def random_state(grid, seed, amplitude=0.5):
     rng = np.random.default_rng(seed)
     return np.stack([bv.random_smooth_field(grid, rng, amplitude),
                      bv.random_smooth_field(grid, rng, amplitude)])
+
+
+def hessian_apply(model, state, direction):
+    """The Hessian of ``model``'s energy at ``state`` times ``direction``, from the formula.
+
+    The reference that ``EnergyModel.hessian_operator`` is checked against.
+    """
+    grid, lam = model.grid, model.params.lam
+    eU, eV = _exp_pair(state, model.bg)
+    d0, d1 = direction[0], direction[1]
+    h0 = -grid.laplacian(d0) + (2.0 * lam * eU + lam * eV) * d0 - lam * eV * d1
+    h1 = -0.5 * grid.laplacian(d1) + lam * eV * (d1 - d0)
+    return np.stack([grid.zero_boundary(h0), grid.zero_boundary(h1)])
 
 
 def count_hessian_applies(monkeypatch):

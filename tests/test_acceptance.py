@@ -13,10 +13,10 @@ import pytest
 
 import bpsvortex as bv
 from bpsvortex.config import parse_config
-from bpsvortex.energy import EnergyModel
+from bpsvortex.energy import EnergyModel, _exp_pair
 from bpsvortex.runner import run
 
-from conftest import random_state
+from conftest import hessian_apply, random_state
 
 L20 = math.sqrt(20.0)
 L50 = math.sqrt(50.0)
@@ -217,7 +217,7 @@ def test_criterion_07_gradient_hessian_correctness():
             cd = (model.energy(s + eps * d).total
                   - model.energy(s - eps * d).total) / (2.0 * eps)
             worst_grad = max(worst_grad, abs(cd - ip) / max(abs(ip), abs(cd)))
-            hd = model.hessian_apply(s, d)
+            hd = hessian_apply(model, s, d)
             fd = (model.gradient(s + eps * d) - model.gradient(s - eps * d)) / (2.0 * eps)
             worst_hess = max(worst_hess,
                              float(np.max(np.abs(fd - hd)) / np.max(np.abs(hd))))
@@ -237,7 +237,7 @@ def test_criterion_08_convexity():
         s = random_state(model.grid, seed=9)
         for seed in range(100):
             d = random_state(model.grid, seed=4000 + seed, amplitude=1.0)
-            q = model.grid.inner(d, model.hessian_apply(s, d))
+            q = model.grid.inner(d, hessian_apply(model, s, d))
             min_q = min(min_q, q)
             ok &= q > 0.0
         for seed in range(100):
@@ -360,3 +360,34 @@ def test_criterion_13_determinism(tmp_path):
     _report(13, "determinism", ok,
             f"results json identical={payloads[0] == payloads[1]}, "
             f"binary dumps identical={blobs[0] == blobs[1]}", t0)
+
+
+def test_criterion_14_plane_is_the_large_cell_torus():
+    # budget: <= 10 s; the paper's two existence theorems meet: the plane
+    # solution on [-R, R]^2 and the torus solution on the cell of side 2R
+    # (the same vortices shifted by (R, R), the same spacing 1/8) agree on
+    # the central half of the nodes to the far-field decay scale
+    # e^{-sqrt(2 lam) R} of the fields, once both grids are spectral
+    t0 = time.perf_counter()
+    params = bv.PhysicalParams(lam=4.0)
+    zeros = ((0.5, -0.3), (-1.0, 0.8))
+    ok, details = True, []
+    for R in (4, 6, 8):
+        plane = bv.PlaneGrid(float(R), 16 * R + 1)
+        torus = bv.TorusGrid(2.0 * R, 2.0 * R, 16 * R, 16 * R)
+        exps = []
+        for mode, grid, shift in (("plane", plane, 0.0), ("torus", torus, R)):
+            cfg = bv.VortexConfig(phi_zeros=tuple((x + shift, y + shift) for x, y in zeros))
+            bg = bv.build_background(cfg, grid, params)
+            sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
+            ok &= sol.converged
+            # plane node i and torus node i sit at the same point once
+            # shifted; the central half is nodes 4R .. 12R of both
+            centre = (slice(4 * R, 12 * R + 1),) * 2
+            exps.append(tuple(e[centre] for e in _exp_pair(sol.state, bg)))
+        diff = max(float(np.max(np.abs(p - t))) for p, t in zip(*exps))
+        scale = math.exp(-math.sqrt(2.0 * params.lam) * R)
+        ok &= diff <= 10.0 * scale
+        details.append(f"R={R} sup|plane-torus|={diff:.2e} (<= 10 e^(-sqrt(2 lam) R)"
+                       f" = {10.0 * scale:.2e})")
+    _report(14, "plane is the large-cell limit of the torus", ok, "; ".join(details), t0)

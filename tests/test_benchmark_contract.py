@@ -26,7 +26,7 @@ COMPARE = {
 }
 SWEEP = dict(COMPARE, model="extended", kappa_zeros=[[0.5 * L20, 0.2 * L20]],
              sweep={"param": "lambda", "values": [0.5, 1.5, 2.5], "action": "solve"})
-# a small plane-solve: Newton on the 5-point stencil, decay fit, field dump
+# a small plane-solve: Newton in the sine eigenbasis, decay fit, field dump
 # and radial profile
 PLANE = {
     "mode": "plane", "model": "base", "lambda": 4.0,

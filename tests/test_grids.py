@@ -99,14 +99,26 @@ class TestPlaneLaplacian:
         out = plane_32.laplacian(np.zeros(plane_32.shape))
         assert np.all(out == 0.0)
 
-    def test_exact_on_quadratics_away_from_boundary(self, plane_32):
-        g = plane_32
-        X, Y = g.nodes()
-        out = g.laplacian(X ** 2 + Y ** 2)
-        assert np.max(np.abs(out[2:-2, 2:-2] - 4.0)) < 1e-9
+    def test_exact_on_sums_of_sine_modes(self):
+        # sin(pi k xi) sin(pi l eta), xi = (x + R) / 2R, has Laplacian
+        # -((pi k / 2R)^2 + (pi l / 2R)^2) times itself, up to the highest mode
+        for n in (16, 33):
+            g = bv.PlaneGrid(3.0, n)
+            x, y = g.nodes()
+            xi, eta = (x + g.R) / (2.0 * g.R), (y + g.R) / (2.0 * g.R)
+            rng = np.random.default_rng(n)
+            field, lap = np.zeros(g.shape), np.zeros(g.shape)
+            for k, l in [(1, 1), (2, 5), (n - 2, 3), (n - 2, n - 2)]:
+                mode = rng.standard_normal() * np.sin(np.pi * k * xi) * np.sin(np.pi * l * eta)
+                field += mode
+                lap -= (np.pi / (2.0 * g.R)) ** 2 * (k * k + l * l) * mode
+            field, lap = g.zero_boundary(field), g.zero_boundary(lap)
+            assert np.max(np.abs(g.laplacian(field) - lap)) <= 1e-13 * np.max(np.abs(lap))
 
-    def test_second_order_convergence(self):
-        # fixed smooth test function decaying to ~1e-16 at the boundary
+    def test_spectral_convergence(self):
+        # a Gaussian is 2e-16 at the ring of [-6, 6]^2: the error falls
+        # faster than any power of h, down to roundoff by n = 49, where the
+        # 5-point stencil is still at 0.12
         def f(x, y):
             return np.exp(-(x ** 2 + y ** 2))
 
@@ -115,22 +127,19 @@ class TestPlaneLaplacian:
             return 4.0 * (r2 - 1.0) * np.exp(-r2)
 
         errs = []
-        for n in (65, 129):
+        for n in (17, 25, 33, 49):
             g = bv.PlaneGrid(6.0, n)
             X, Y = g.nodes()
-            err = g.laplacian(f(X, Y)) - lap_f(X, Y)
-            errs.append(np.max(np.abs(err[1:-1, 1:-1])))
-        assert errs[1] / errs[0] < 0.3  # halving dx divides the error by 4
+            errs.append(np.max(np.abs(g.laplacian(f(X, Y)) - lap_f(X, Y))))
+        assert errs[1] < 1e-2 * errs[0] and errs[2] < 1e-3 * errs[1]
+        assert errs[3] <= 1e-11
 
-    def test_constant_boundary_value_used_at_ghosts(self):
-        # the ghost nodes hold the Dirichlet value zero: a constant field
-        # loses one neighbour on an edge and two in a corner
+    def test_output_vanishes_on_the_ring(self):
+        # only the interior is read, and the result is a sum of sine modes
         g = bv.PlaneGrid(1.0, 16)
-        v = np.ones(g.shape)
-        out = g.laplacian(v)
-        assert out[0, 5] == pytest.approx(-1.0 / g.h ** 2)
-        assert out[0, 0] == pytest.approx(-2.0 / g.h ** 2)
-        assert np.all(out[1:-1, 1:-1] == 0.0)
+        out = g.laplacian(np.random.default_rng(8).standard_normal(g.shape) + 1.0)
+        assert np.all(g.zero_boundary(out.copy()) == out)
+        assert np.max(np.abs(g.interior(out))) > 0.0
 
 
 class TestQuadrature:
@@ -173,8 +182,8 @@ class TestQuadrature:
 
 class TestDirichletForm:
     def test_plane_summation_by_parts(self, plane_32):
-        # the edge-difference form equals -<v, lap v> for Dirichlet-zero v,
-        # which is why one energy formula serves both grids
+        # the Parseval form equals -<v, lap v> for Dirichlet-zero v, which
+        # is why one energy formula serves both grids
         g = plane_32
         for seed in range(3):
             v = bv.random_smooth_field(g, np.random.default_rng(seed))
@@ -189,6 +198,17 @@ class TestDirichletForm:
         k = 2.0 * np.pi * 3 / g.Lx
         d = g.dirichlet_form(np.cos(k * x))
         assert d == pytest.approx(0.5 * k ** 2 * g.area, rel=1e-12)
+
+    def test_plane_single_mode(self):
+        # v = sin(pi k xi) sin(pi l eta): int |grad v|^2 = K R^2 with
+        # K = (pi k / 2R)^2 + (pi l / 2R)^2, exactly on the grid too
+        g = bv.PlaneGrid(2.5, 40)
+        x, y = g.nodes()
+        k, l = 3, 7
+        v = g.zero_boundary(np.sin(np.pi * k * (x + g.R) / (2.0 * g.R))
+                            * np.sin(np.pi * l * (y + g.R) / (2.0 * g.R)))
+        K = (np.pi / (2.0 * g.R)) ** 2 * (k * k + l * l)
+        assert g.dirichlet_form(v) == pytest.approx(K * g.R ** 2, rel=1e-12)
 
     def test_torus_parseval_matches_laplacian_pairing(self, torus_small):
         g = torus_small

@@ -415,6 +415,33 @@ class TestLineSearch:
         first = sol.newton_steps[0]
         assert first["alpha"] == 0.5 and first["linesearch_evals"] >= 2
 
+    @pytest.mark.parametrize("mode", ["plane", "torus"])
+    def test_gradient_of_a_halving_step_is_computed_once(self, monkeypatch, mode):
+        # the last step of both solves is accepted for halving the gradient.
+        # The plane hands that gradient on, so no state's gradient is
+        # computed twice; the torus shift moves the accepted state, so its
+        # next gradient is a new one, at the shifted state
+        states = []
+        gradient = EnergyModel.gradient
+
+        def recording(self, state):
+            states.append(state.tobytes())
+            return gradient(self, state)
+
+        monkeypatch.setattr(EnergyModel, "gradient", recording)
+        if mode == "plane":
+            grid, lam, zeros = bv.PlaneGrid(12.0, 193), 4.0, ((0.0, 0.0),)
+        else:
+            grid, lam = bv.TorusGrid(L20, L20, 32, 32), 1.0
+            zeros = ((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20))
+        sol = bv.solve(mode, "base", bv.VortexConfig(phi_zeros=zeros), grid,
+                       bv.PhysicalParams(lam=lam), init=np.zeros((2,) + grid.shape))
+        assert sol.converged
+        halved = [step["fallback"] for step in sol.newton_steps].count("gradient_halved")
+        assert halved >= 1
+        assert len(set(states)) == len(states)
+        assert len(states) == sol.iterations + 1 + (halved if mode == "torus" else 0)
+
 
 class TestDegenerateMasses:
     @pytest.mark.parametrize("level", [-50.0, -800.0])
@@ -517,8 +544,9 @@ class TestCoarseStart:
         assert sol.state.tobytes() == cold.state.tobytes()
 
     def test_plane_coarse_level(self):
-        # the plane's coarse and fine solutions differ at O(h^2) (5-point
-        # stencil), so the fine grid still takes Newton steps
+        # the plane is spectral: the prolonged 64-node solution is within
+        # 1e-5 of the 128-node one in sup gradient, so one Newton step ends
+        # the fine solve
         grid, params = bv.PlaneGrid(4.0, 128), bv.PhysicalParams(lam=4.0)
         cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
         bg = bv.build_background(cfg, grid, params)
@@ -527,7 +555,8 @@ class TestCoarseStart:
                         init=np.zeros((2,) + grid.shape))
         assert seq.converged and cold.converged
         assert seq.coarse["shape"] == [64, 64] and seq.coarse["converged"]
-        assert 0 < seq.iterations <= cold.iterations
+        assert 0 < seq.iterations <= 1 < cold.iterations
+        assert seq.coarse["grad_sup_start"] <= 1e-5
         assert np.max(np.abs(seq.state - cold.state)) <= 1e-8
 
 
