@@ -13,9 +13,9 @@ integral 4 pi per vortex and decaying like s e^{-s}.  r_s is the free-space
 distance on the plane and the minimum-image distance on the torus, so no
 image sum and no Poisson solve enter.  The core scale tau only splits the
 singular part from the smooth remainder: the solution does not depend on it
-beyond discretization error.  On the torus tau is bounded by
-min(Lx, Ly)^2/144, so that the minimum image cuts each profile at s >= 36,
-below roundoff, and defaults to that bound.  A second background (u0, from
+beyond discretization error, so the domain fixes it (:func:`core_scale`).
+On the torus it is min(Lx, Ly)^2/144, so that the minimum image cuts each
+profile at s >= 36, below roundoff.  A second background (u0, from
 the kappa zero set) enters the extended model and is trivial when that set
 is empty.
 
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -45,41 +45,30 @@ SERIES_S = 1e-3
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Coupling lambda and the core scale tau of the background profile.
-
-    tau splits each point source into the singular profile and a smooth
-    remainder; the solution does not depend on it beyond discretization
-    error.  ``tau=None`` selects the per-domain default: on the torus
-    ``torus_tau_bound`` of the cell, which does not depend on the grid, so
-    every level of a coarse-to-fine solve shares one background split, and
-    0.2 on the plane.  A given tau above the torus bound is refused with
-    ``ValueError``.  A grid resolves the core when it spaces its nodes at
-    most sqrt(tau)/3 apart (``coarsest``).
-    """
+    """The coupling lambda, the one physical parameter of the system."""
 
     lam: float
-    tau: Optional[float] = None
 
     def __post_init__(self):
         if not self.lam > 0.0:
             raise ValueError("lambda must be positive")
-        if self.tau is not None and not self.tau > 0.0:
-            raise ValueError("tau must be positive")
-
-    def resolved_tau(self, grid) -> float:
-        if not isinstance(grid, TorusGrid):
-            return 0.2 if self.tau is None else self.tau
-        bound = torus_tau_bound(grid.Lx, grid.Ly)
-        if self.tau is None:
-            return bound
-        if self.tau > bound:
-            raise ValueError(f"tau {self.tau!r} exceeds min(Lx, Ly)^2/144 = {bound!r}")
-        return self.tau
 
 
-def torus_tau_bound(Lx: float, Ly: float) -> float:
-    """Largest torus tau: the minimum image cuts each profile at s = L^2/(4 tau) >= 36."""
-    return min(Lx, Ly) ** 2 / 144.0
+def core_scale(grid) -> float:
+    """The core scale tau of ``grid``'s background profile, fixed by its domain.
+
+    tau splits each point source into the singular profile and a smooth
+    remainder; the solution does not depend on it beyond discretization
+    error.  On the torus it is min(Lx, Ly)^2/144, the largest tau whose
+    profile the minimum image cuts at s = L^2/(4 tau) >= 36; on the plane
+    it is 0.2.  Neither depends on the resolution, so every level of a
+    coarse-to-fine solve shares one background split, and a grid resolves
+    the core when it spaces its nodes at most sqrt(tau)/3 apart
+    (``coarsest``).
+    """
+    if isinstance(grid, TorusGrid):
+        return min(grid.Lx, grid.Ly) ** 2 / 144.0
+    return 0.2
 
 
 @dataclass(frozen=True)
@@ -232,11 +221,13 @@ def build_background(cfg: VortexConfig, grid, params: PhysicalParams) -> Backgro
     ones on the plane.  On the torus each zero set's density is rescaled to
     the cell integral 4 pi per vortex, which the trapezoid rule misses only
     by roundoff.  An empty zero set gives the scalars 1.0, 0.0 and 0.0.
+    The background depends on ``cfg`` and ``grid`` alone; ``params`` is not
+    read.
     """
     torus = isinstance(grid, TorusGrid)
     _check_points(cfg.phi_zeros, grid, torus)
     _check_points(cfg.kappa_zeros, grid, torus)
-    tau = params.resolved_tau(grid)
+    tau = core_scale(grid)
     x, y = grid.axes()
 
     def one_set(points):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from .backgrounds import PhysicalParams, VortexConfig, torus_tau_bound
+from .backgrounds import PhysicalParams, VortexConfig
 from .errors import ParseError, ValidationError
 from .grids import PlaneGrid, TorusGrid
 
@@ -37,7 +37,7 @@ _OUTPUT_DEFAULTS = {
     "plots_path": None,
 }
 
-_SWEEP_PARAMS = ("lambda", "tau", "n", "m", "resolution")
+_SWEEP_PARAMS = ("lambda", "n", "m", "resolution")
 
 # the domain and grid keys of each mode; the other mode's keys are unknown
 _MODE_KEYS = {"torus": ({"Lx", "Ly"}, {"nx", "ny"}), "plane": ({"R"}, {"n"})}
@@ -48,7 +48,6 @@ class RunConfig:
     mode: str
     model: str
     lam: float
-    tau: Optional[float]
     domain: dict
     grid: dict
     phi_zeros: List[Tuple[float, float]]
@@ -68,7 +67,7 @@ class RunConfig:
         return PlaneGrid(self.domain["R"], self.grid["n"])
 
     def make_params(self) -> PhysicalParams:
-        return PhysicalParams(lam=self.lam, tau=self.tau)
+        return PhysicalParams(lam=self.lam)
 
     def make_vortex_config(self) -> VortexConfig:
         return VortexConfig(tuple(self.phi_zeros), tuple(self.kappa_zeros))
@@ -79,7 +78,6 @@ class RunConfig:
             "mode": self.mode,
             "model": self.model,
             "lambda": self.lam,
-            "tau": self.tau,
             "domain": dict(self.domain),
             "grid": dict(self.grid),
             "phi_zeros": [list(p) for p in self.phi_zeros],
@@ -109,10 +107,8 @@ def _expect_mapping(obj, path, problems, allowed):
     return obj
 
 
-def _number(obj, path, problems, positive=False, integer=False, optional=False):
+def _number(obj, path, problems, positive=False, integer=False):
     if obj is None:
-        if optional:
-            return None
         problems.append((path, "missing required value"))
         return None
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
@@ -172,22 +168,10 @@ def _points_in_domain(pts, mode, domain, path, problems):
                 problems.append((f"{path}[{i}]", "point outside (-R, R)^2"))
 
 
-def _tau(obj, path, mode, domain, problems):
-    """A core scale: positive or absent, and on the torus at most ``torus_tau_bound``."""
-    val = _number(obj, path, problems, positive=True, optional=True)
-    if val is not None and mode == "torus" and domain.get("Lx") and domain.get("Ly"):
-        bound = torus_tau_bound(domain["Lx"], domain["Ly"])
-        if val > bound:
-            problems.append((path, f"must be at most min(Lx, Ly)^2/144 = {bound!r} on the torus"))
-    return val
-
-
-def _sweep_field(param, value, path, mode, domain, phi, kappa, problems) -> dict:
+def _sweep_field(param, value, path, mode, phi, kappa, problems) -> dict:
     """The ``RunConfig`` field one sweep value replaces, converted by that field's rule."""
     if param == "lambda":
         return {"lam": _number(value, path, problems, positive=True)}
-    if param == "tau":
-        return {"tau": _tau(value, path, mode, domain, problems)}
     if param == "resolution":
         points = _grid_points(value, path, mode, problems)
         return {"grid": {"nx": points, "ny": points} if mode == "torus" else {"n": points}}
@@ -211,7 +195,7 @@ def validate_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON document; raises ValidationError listing all problems."""
     problems: List[Tuple[str, str]] = []
     raw = _expect_mapping(raw, "", problems,
-                          {"mode", "model", "lambda", "tau", "domain", "grid",
+                          {"mode", "model", "lambda", "domain", "grid",
                            "phi_zeros", "kappa_zeros", "solver", "output", "sweep"})
 
     mode = raw.get("mode")
@@ -239,7 +223,6 @@ def validate_config(raw: dict) -> RunConfig:
     elif mode == "plane":
         dom_out["R"] = _number(domain.get("R"), "domain.R", problems, positive=True)
         grid_out["n"] = _grid_points(grid.get("n"), "grid.n", mode, problems)
-    tau = _tau(raw.get("tau"), "tau", mode, dom_out, problems)
 
     phi = _points(raw.get("phi_zeros"), "phi_zeros", problems)
     kappa = _points(raw.get("kappa_zeros"), "kappa_zeros", problems)
@@ -285,6 +268,9 @@ def validate_config(raw: dict) -> RunConfig:
         if "param2" in sweep:
             if sweep.get("param2") not in _SWEEP_PARAMS:
                 problems.append(("sweep.param2", f"must be one of {_SWEEP_PARAMS}"))
+            elif sweep["param2"] == sweep.get("param"):
+                # the inner axis would overwrite the outer one in every row
+                problems.append(("sweep.param2", "must differ from sweep.param"))
             if not isinstance(sweep.get("values2"), list) or not sweep.get("values2"):
                 problems.append(("sweep.values2", "expected a non-empty list"))
         if sweep.get("action") not in ("check", "solve"):
@@ -296,12 +282,12 @@ def validate_config(raw: dict) -> RunConfig:
             param, values = sweep.get(param_key), sweep.get(values_key)
             if param in _SWEEP_PARAMS and isinstance(values, list):
                 axes.append([({param: v}, _sweep_field(param, v, f"sweep.{values_key}[{i}]",
-                                                       mode, dom_out, phi, kappa, problems))
+                                                       mode, phi, kappa, problems))
                              for i, v in enumerate(values)])
 
     if problems:
         raise ValidationError(problems)
-    cfg = RunConfig(mode=mode, model=model, lam=lam, tau=tau, domain=dom_out,
+    cfg = RunConfig(mode=mode, model=model, lam=lam, domain=dom_out,
                     grid=grid_out, phi_zeros=phi, kappa_zeros=kappa,
                     solver=solver, output=output, sweep=sweep)
     if sweep is not None:

@@ -24,10 +24,11 @@ too.
 A cold solve (no ``init``) starts from its coarsest resolving grid, nested
 iteration in the sense of mesh independence (Allgower, Boehmer, Potra &
 Rheinboldt, SIAM J. Numer. Anal. 23, 1986): the same problem is solved on
-``grid.coarsest(tau)``, and its solution, prolonged through the eigenbasis
-(``grid.prolong``), is the start on the requested grid, where the stopping
-rule is unchanged.  A coarse solve that does not converge leaves the zero
-start.  :attr:`Solution.coarse` reports the coarse level.
+``grid.coarsest(tau)`` at the domain's core scale tau, and its solution,
+prolonged through the eigenbasis (``grid.prolong``), is the start on the
+requested grid, where the stopping rule is unchanged.  A coarse solve that
+does not converge leaves the zero start.  :attr:`Solution.coarse` reports
+the coarse level.
 A torus solve first checks the existence threshold and refuses to iterate
 when it fails.  It then follows the paper's split u = c + w: the start and
 every accepted step are shifted by the constants that meet both integral
@@ -52,6 +53,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from . import backgrounds
 from .backgrounds import (Background, PhysicalParams, VortexConfig, build_background,
                           check_existence, check_labels)
 from .energy import EnergyModel, constraint_shift
@@ -209,16 +211,17 @@ def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable,
     """A cold solve's start from its coarse level: ``(start, block, seconds)``.
 
     The coarse level is ``bg``'s problem on ``bg.grid.coarsest`` at the
-    resolved tau, which the default makes the same on every level, so both
-    grids split the sources alike; by construction it has no coarser level
-    of its own.  ``solve_coarse(coarse_background)`` solves it and returns
+    domain's core scale (:func:`~bpsvortex.backgrounds.core_scale`), the
+    same on every level, so both grids split the sources alike; by
+    construction it has no coarser level of its own.
+    ``solve_coarse(coarse_background)`` solves it and returns
     ``(pair, count, converged)``.  ``start`` is that pair prolonged onto
     ``bg.grid`` when it converged, else ``None``; ``block`` holds the coarse
     grid's ``shape``, the count under the name ``work`` and ``converged``,
     and ``seconds`` the wall time.  All three are ``None`` without a coarse
     level.  Nothing coarse outlives the call.
     """
-    coarse = bg.grid.coarsest(params.resolved_tau(bg.grid))
+    coarse = bg.grid.coarsest(backgrounds.core_scale(bg.grid))
     if coarse is None:
         return None, None, None
     t0 = time.perf_counter()

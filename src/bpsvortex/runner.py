@@ -264,10 +264,10 @@ def _path_start(path, lam):
 def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     """One row per sweep point: a ``check``, or with action ``solve`` a Newton solve.
 
-    Consecutive rows whose backgrounds have equal inputs (zero sets, grid and
-    resolved tau), as in a lambda sweep, form one continuation path: the
-    first solved row builds the background, the later ones reuse it, and
-    each row's Newton starts from the path's last converged rows (see
+    Consecutive rows whose backgrounds have equal inputs (zero sets and
+    grid), as in a lambda sweep, form one continuation path: the first
+    solved row builds the background, the later ones reuse it, and each
+    row's Newton starts from the path's last converged rows (see
     ``_path_start``): cold, from a copy of the newest, or from the secant
     through the last two.  A solved row records the newest as
     ``start_row`` and the older row of a secant as ``secant_row`` (``None``
@@ -276,9 +276,9 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     CSV leaves out.  A row that does not converge seeds nothing,
     and the next row starts from a copy of the newest converged row, since a
     secant start spends the older state's storage.  A change of any
-    background input (``tau``, ``resolution``, ``n``, ``m``) starts a new
-    path with a fresh background and a cold start.  Rows on one grid share
-    one grid object.
+    background input (``resolution``, ``n``, ``m``) starts a new path with
+    a fresh background and a cold start.  Rows on one grid share one grid
+    object.
     """
     method = "newton" if cfg.sweep["action"] == "solve" else None
     rows = []
@@ -290,7 +290,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
             grid_inputs, grid = (pcfg.mode, pcfg.domain, pcfg.grid), pcfg.make_grid()
         vcfg, params = pcfg.make_vortex_config(), pcfg.make_params()
         problem = (vcfg, grid, params)
-        key = (vcfg, grid, params.resolved_tau(grid))
+        key = (vcfg, grid)
         if key != path_key:
             path_key, path_bg, path = key, None, []
         start_row, secant_row, start = _path_start(path, params.lam)

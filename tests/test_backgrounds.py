@@ -107,13 +107,14 @@ class TestPlaneBackground:
         assert np.all(bg.v0 == 0.0)
 
     def test_single_vortex_closed_form(self):
-        # node at (1, 0) exists for R=4, n=129; tau=1 gives 1 - e^{-1} there
+        # node at (0.5, 0) exists for R=4, n=129, where s = 0.25/tau
         grid = bv.PlaneGrid(4.0, 129)
         cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0),))
-        bg = bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0, tau=1.0))
-        i = round((1.0 + 4.0) / grid.h)
+        bg = bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0))
+        i = round((0.5 + 4.0) / grid.h)
         j = round((0.0 + 4.0) / grid.h)
-        assert bg.exp_v0[i, j] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        s = 0.25 / bv.backgrounds.core_scale(grid)
+        assert bg.exp_v0[i, j] == pytest.approx(1.0 - math.exp(-s), rel=1e-12)
 
     def test_exact_zero_at_vortex_node(self):
         grid = bv.PlaneGrid(4.0, 33)
@@ -129,10 +130,9 @@ class TestPlaneBackground:
     def test_source_integral_matches_analytic_value(self):
         # integral of each profile's source over the full plane is 4*pi; it
         # decays like s e^{-s}, so truncation to [-R, R]^2 misses nothing
-        grid = bv.PlaneGrid(20.0, 257)
+        grid = bv.PlaneGrid(8.0, 257)
         cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0), (1.0, -2.0)))
-        tau = 1.0
-        bg = bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0, tau=tau))
+        bg = bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0))
         target = 4.0 * math.pi * cfg.n
         assert abs(grid.integrate(bg.src_f) - target) <= 1e-10 * target
 
@@ -180,17 +180,15 @@ class TestTorusBackground:
         assert np.count_nonzero(bg.exp_v0) == grid.nx * grid.ny - len(nodes)
         assert np.all(np.isfinite(bg.v0)) and bg.v0.min() >= -700.0
 
-    def test_tau_above_the_minimum_image_bound_refused(self):
-        grid = bv.TorusGrid(L20, 2.0 * L20, 32, 64)
-        bound = bv.backgrounds.torus_tau_bound(grid.Lx, grid.Ly)
-        assert bound == min(grid.Lx, grid.Ly) ** 2 / 144.0
-        cfg = bv.VortexConfig(phi_zeros=((1.0, 1.0),))
-        bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0, tau=bound))
-        with pytest.raises(ValueError, match="exceeds"):
-            bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0, tau=1.01 * bound))
-        # the default never exceeds the bound, however coarse the grid
-        coarse = bv.TorusGrid(L20, L20, 8, 8)
-        assert bv.PhysicalParams(lam=1.0).resolved_tau(coarse) == pytest.approx(bound)
+    def test_core_scale_is_fixed_by_the_domain(self):
+        # min(Lx, Ly)^2/144 on the torus, where the minimum image cuts each
+        # profile at s >= 36, and 0.2 on the plane; never the resolution
+        core_scale = bv.backgrounds.core_scale
+        for nx, ny in ((8, 8), (32, 64), (256, 128)):
+            assert core_scale(bv.TorusGrid(L20, 2.0 * L20, nx, ny)) == L20 ** 2 / 144.0
+            assert core_scale(bv.TorusGrid(3.0, 2.0, nx, ny)) == 4.0 / 144.0
+        for n in (16, 97, 384):
+            assert core_scale(bv.PlaneGrid(6.0, n)) == 0.2
 
     def test_core_suppression_at_fine_resolution(self):
         # the profile vanishes at the node on the vortex
@@ -232,25 +230,50 @@ class TestSourceSeries:
 
 
 class TestPointSourceLimit:
-    """The torus solves the point-source system: tau and the grid only split and sample it."""
+    """Both grids solve the point-source system: tau and the grid only split and sample it.
+
+    ``core_scale`` is the one binding that fixes tau, for the background and
+    the coarse level alike, so substituting it moves both.
+    """
 
     P = ((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20))
+    PLANE_P = ((-1.0, 0.5), (1.5, -0.5))
 
     @staticmethod
-    def exp_v(nres, tau=None):
-        grid = bv.TorusGrid(L20, L20, nres, nres)
-        params = bv.PhysicalParams(lam=1.0, tau=tau)
-        cfg = bv.VortexConfig(phi_zeros=TestPointSourceLimit.P)
+    def exp_v(grid, points, lam=1.0):
+        mode = "torus" if isinstance(grid, bv.TorusGrid) else "plane"
+        params = bv.PhysicalParams(lam=lam)
+        cfg = bv.VortexConfig(phi_zeros=points)
         bg = bv.build_background(cfg, grid, params)
-        sol = bv.solve("torus", "base", cfg, grid, params, background=bg,
+        sol = bv.solve(mode, "base", cfg, grid, params, background=bg,
                        settings=bv.SolverSettings(tol_grad_sup=1e-10))
         assert sol.converged
-        return bg.exp_v0 * np.exp(sol.state[1] - sol.state[0])
+        return bg.exp_v0 * np.exp(sol.state[1] - sol.state[0]), sol.coarse
 
-    def test_solution_is_tau_independent(self):
-        ref = self.exp_v(128, tau=0.02)
+    @staticmethod
+    def torus(nres):
+        return bv.TorusGrid(L20, L20, nres, nres)
+
+    def test_solution_is_tau_independent(self, monkeypatch):
+        def at_tau(grid, points, tau, lam=1.0):
+            monkeypatch.setattr(bv.backgrounds, "core_scale", lambda g: tau)
+            return self.exp_v(grid, points, lam)
+
+        ref, _ = at_tau(self.torus(128), self.P, 0.02)
         for tau in (0.05, 0.12):
-            assert np.max(np.abs(self.exp_v(128, tau=tau) - ref)) <= 1e-9
+            ev, _ = at_tau(self.torus(128), self.P, tau)
+            assert np.max(np.abs(ev - ref)) <= 1e-9
+        # the plane: R = 6, n = 193, lambda = 4; tau = 0.1 leaves no grid of
+        # the halving chain coarse enough, 0.2 and 0.3 solve on n = 97 first
+        plane = bv.PlaneGrid(6.0, 193)
+        ref, coarse = at_tau(plane, self.PLANE_P, 0.2, lam=4.0)
+        assert coarse["shape"] == [97, 97]
+        for tau, shape in ((0.1, None), (0.3, [97, 97])):
+            ev, coarse = at_tau(plane, self.PLANE_P, tau, lam=4.0)
+            assert (None if coarse is None else coarse["shape"]) == shape
+            assert np.max(np.abs(ev - ref)) <= 1e-9
 
     def test_solution_is_resolution_independent(self):
-        assert np.max(np.abs(self.exp_v(256)[::4, ::4] - self.exp_v(64))) <= 1e-9
+        fine, _ = self.exp_v(self.torus(256), self.P)
+        coarse, _ = self.exp_v(self.torus(64), self.P)
+        assert np.max(np.abs(fine[::4, ::4] - coarse)) <= 1e-9

@@ -46,7 +46,8 @@ class TestParseConfig:
         assert cfg.solver["method"] == "newton"
         assert cfg.solver["tol"] == 1e-9
         assert cfg.output["report_path"] == "report.json"
-        assert cfg.tau is None
+        assert set(cfg.echo()) == {"mode", "model", "lambda", "domain", "grid", "phi_zeros",
+                                   "kappa_zeros", "solver", "output"}
 
     def test_malformed_text(self):
         with pytest.raises(ParseError):
@@ -73,7 +74,7 @@ class TestParseConfig:
         assert "solver.typo" in paths
 
     def test_all_violations_enumerated(self):
-        raw = minimal_torus(**{"lambda": -1.0, "tau": 0.0})
+        raw = minimal_torus(**{"lambda": -1.0}, solver={"tol": 0.0})
         raw["grid"] = {"nx": 33}
         with pytest.raises(ValidationError) as err:
             parse_config(json.dumps(raw))
@@ -127,15 +128,15 @@ class TestParseConfig:
     @pytest.mark.parametrize("mode,sweep,path", [
         ("torus", {"param": "lambda", "values": [1.0, -2.0]}, "sweep.values[1]"),
         ("torus", {"param": "lambda", "values": ["1"]}, "sweep.values[0]"),
-        ("torus", {"param": "tau", "values": [0.1, 0.0]}, "sweep.values[1]"),
+        ("torus", {"param": "resolution", "values": [32, None]}, "sweep.values[1]"),
         ("torus", {"param": "resolution", "values": [32, 33]}, "sweep.values[1]"),
         ("torus", {"param": "resolution", "values": [6]}, "sweep.values[0]"),
         ("plane", {"param": "resolution", "values": [32, 12]}, "sweep.values[1]"),
         ("plane", {"param": "resolution", "values": [32.5]}, "sweep.values[0]"),
         ("torus", {"param": "n", "values": [1], "param2": "lambda", "values2": [1.0, 0]},
          "sweep.values2[1]"),
-        # above min(Lx, Ly)^2/144 = 20/144 the minimum image cuts the profile
-        ("torus", {"param": "tau", "values": [0.1, 0.14]}, "sweep.values[1]"),
+        # m above the configured kappa zeros
+        ("torus", {"param": "m", "values": [0, 1]}, "sweep.values[1]"),
     ])
     def test_sweep_values_follow_their_field_rule(self, mode, sweep, path):
         raw = minimal_torus(phi_zeros=[[1.0, 1.0]], sweep=sweep)
@@ -146,11 +147,34 @@ class TestParseConfig:
         assert [p for p, _ in exc.value.problems] == [path]
 
     def test_sweep_values_within_field_rules_accepted(self):
-        for sweep in ({"param": "tau", "values": [0.1, None]},
+        for sweep in ({"param": "lambda", "values": [0.5, 2]},
                       {"param": "resolution", "values": [8, 64.0],
                        "param2": "lambda", "values2": [0.5, 2]}):
             raw = minimal_torus(sweep=sweep)
             assert parse_config(json.dumps(raw)).sweep["values"] == sweep["values"]
+
+    @pytest.mark.parametrize("param,values,values2", [
+        ("lambda", [1.0, 2.0], [3.0]),
+        ("n", [0, 1], [2]),
+        ("m", [0], [1]),
+        ("resolution", [16], [32]),
+    ])
+    def test_sweep_param2_equal_to_param_refused(self, tmp_path, capsys, param, values,
+                                                 values2):
+        # the inner axis would overwrite the outer one: every row the same label
+        raw = minimal_torus(model="extended", phi_zeros=[[1.0, 1.0], [2.0, 2.0]],
+                            kappa_zeros=[[3.0, 3.0]],
+                            sweep={"param": param, "values": values,
+                                   "param2": param, "values2": values2})
+        with pytest.raises(ValidationError) as exc:
+            parse_config(json.dumps(raw))
+        assert [p for p, _ in exc.value.problems] == ["sweep.param2"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "sweep",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep.param2: must differ from sweep.param" in err and "Traceback" not in err
 
     def test_sweep_counts_within_configured_points_accepted(self):
         raw = minimal_torus(phi_zeros=[[1.0, 1.0], [2.0, 2.0]],
@@ -245,7 +269,7 @@ class TestRunCommands:
 
     @pytest.mark.parametrize("nx,coarse", [(32, None), (128, [64, 64])])
     def test_compare_reports_both_coarse_levels(self, tmp_path, nx, coarse):
-        # a 32^2 torus has no coarse level at the default tau, a 128^2 one 64^2
+        # at the cell's core scale a 32^2 torus has no coarse level, a 128^2 one 64^2
         raw = minimal_torus(phi_zeros=[[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]],
                             grid={"nx": nx})
         code, report = run("compare", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
@@ -439,8 +463,6 @@ class TestSweepPoints:
         for param, value in assignment.items():
             if param == "lambda":
                 raw["lambda"] = value
-            elif param == "tau":
-                raw["tau"] = value
             elif param == "n":
                 raw["phi_zeros"] = base["phi_zeros"][:value]
             elif param == "m":
@@ -454,7 +476,6 @@ class TestSweepPoints:
     @pytest.mark.parametrize("base,sweep", [
         # the first row is unsolvable
         (EXTENDED, {"param": "lambda", "values": [0.5, 2], "action": "solve"}),
-        (EXTENDED, {"param": "tau", "values": [None, 0.1], "action": "solve"}),
         (EXTENDED, {"param": "n", "values": [0, 1, 2], "action": "solve"}),
         (EXTENDED, {"param": "m", "values": [0, 1], "action": "solve"}),
         (EXTENDED, {"param": "resolution", "values": [12, 16], "action": "solve"}),
@@ -462,7 +483,7 @@ class TestSweepPoints:
         # param is the outer loop; lambda 0.5 is below the threshold
         (EXTENDED, {"param": "resolution", "values": [12, 16],
                     "param2": "lambda", "values2": [0.5, 2], "action": "solve"}),
-    ], ids=["lambda", "tau", "n", "m", "resolution", "plane-resolution",
+    ], ids=["lambda", "n", "m", "resolution", "plane-resolution",
             "resolution-lambda"])
     def test_rows_match_standalone_runs_bitwise(self, tmp_path, base, sweep):
         action = sweep["action"]
@@ -655,11 +676,10 @@ class TestSweepContinuation:
         assert counts["secant"] <= 1.1 * counts["copy"]
 
     @pytest.mark.parametrize("sweep", [
-        {"param": "tau", "values": [None, 0.1]},
         {"param": "resolution", "values": [12, 16]},
         {"param": "n", "values": [0, 1, 2]},
         {"param": "m", "values": [0, 1]},
-    ], ids=["tau", "resolution", "n", "m"])
+    ], ids=["resolution", "n", "m"])
     def test_background_changes_start_cold(self, tmp_path, monkeypatch, sweep):
         calls = []
 
@@ -700,21 +720,20 @@ class TestCliMain:
         code = main(["--config", str(cfg_path), "--command", "check"])
         assert code == 1
 
-    @pytest.mark.parametrize("override,path", [
-        ("tau=0.14", "tau"),
-        ('sweep={"param": "tau", "values": [0.1, 0.14]}', "sweep.values[1]"),
-    ], ids=["tau", "sweep"])
-    def test_torus_tau_above_bound_exit_1(self, tmp_path, capsys, override, path):
-        # min(Lx, Ly)^2/144 = 20/144 on this cell; a plane takes any tau
+    @pytest.mark.parametrize("extra,override,problem", [
+        ({"tau": 0.1}, [], "tau: unknown key"),
+        ({}, ["--override", "tau=0.1"], "tau: unknown key"),
+        ({"sweep": {"param": "tau", "values": [0.1]}}, [], "sweep.param: must be one of"),
+    ], ids=["top-level", "override", "sweep-param"])
+    def test_removed_tau_input_exit_1(self, tmp_path, capsys, extra, override, problem):
+        # the domain fixes the background's core scale; older versions read tau
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_torus(phi_zeros=[[1.0, 1.0]])))
-        assert main(["--config", str(cfg_path), "--command", "check",
-                     "--override", override]) == 1
+        cfg_path.write_text(json.dumps(minimal_torus(phi_zeros=[[1.0, 1.0]], **extra)))
+        assert main(["--config", str(cfg_path), "--command", "sweep" if extra.get("sweep")
+                     else "check", *override, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert f"{path}: must be at most" in err and "Traceback" not in err
-        with pytest.raises(ValueError, match="exceeds"):
-            bv.PhysicalParams(lam=1.0, tau=0.14).resolved_tau(bv.TorusGrid(L20, L20, 32, 32))
-        assert bv.PhysicalParams(lam=1.0, tau=0.14).resolved_tau(bv.PlaneGrid(6.0, 32)) == 0.14
+        assert err.startswith("error: ") and problem in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("error", [Overflow, NonZeroMeanRhs])
     def test_solver_error_exit_3_without_traceback(self, tmp_path, capsys,
@@ -872,10 +891,9 @@ class TestCliMain:
         ("solver.max_iters=Infinity", "solver.max_iters"),
         ("lambda=Infinity", "lambda"),
         ("domain.Lx=Infinity", "domain.Lx"),
-        ("tau=Infinity", "tau"),
         ('sweep={"param": "resolution", "values": [Infinity]}', "sweep.values[0]"),
     ], ids=["nx-inf", "nx-nan", "nx-1e400", "lambda-huge-int", "max_iters-inf",
-            "lambda-inf", "Lx-inf", "tau-inf", "sweep-resolution-inf"])
+            "lambda-inf", "Lx-inf", "sweep-resolution-inf"])
     def test_non_finite_number_exit_1(self, tmp_path, capsys, override, path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(minimal_torus(phi_zeros=[[1.0, 1.0]])))

@@ -195,7 +195,7 @@ class TestReconstruct:
         b12_deriv = -0.5 * (grid.laplacian(u) + grid.laplacian(v))
         X, Y = grid.nodes()
         r = np.sqrt((X - cfg.phi_zeros[0][0]) ** 2 + (Y - cfg.phi_zeros[0][1]) ** 2)
-        mask = (r > 3.0 * math.sqrt(params.resolved_tau(grid))) & (np.abs(X) < 0.9 * grid.R) \
+        mask = (r > 3.0 * math.sqrt(bv.backgrounds.core_scale(grid))) & (np.abs(X) < 0.9 * grid.R) \
             & (np.abs(Y) < 0.9 * grid.R)
         diff = np.max(np.abs((phys.b12 - b12_deriv)[mask]))
         scale = np.max(np.abs(phys.b12))

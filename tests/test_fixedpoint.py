@@ -258,7 +258,7 @@ class TestCoarseLevel:
 
     @pytest.fixture(scope="class")
     def fine_setup(self):
-        # 128^2 at the default tau has the coarse level 64^2
+        # at the cell's core scale 128^2 has the coarse level 64^2
         grid = bv.TorusGrid(L20, L20, 128, 128)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
