@@ -8,13 +8,15 @@ from the :class:`Background`; ``build_diagnostics`` keeps the run's labels
 only to check them against it.  Fluxes are integrals of the algebraic
 right-hand sides (never of numerical second derivatives); within one report
 the checks share one Laplacian per state slice and one evaluation of the
-weighted exponentials.
+weighted exponentials.  A Newton solution comes with those Laplacians, and
+then the report makes no transform; a plane report keeps its radial profile
+for the plot data.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -143,20 +145,28 @@ class RadialProfile:
     r: np.ndarray
     mean_fields_sq: np.ndarray  # angular average of u^2 + v^2
     mean_grads_sq: np.ndarray  # angular average of |grad u|^2 + |grad v|^2
+    window: Tuple[float, float, int]  # (r_min, r_max, nbins) of the bins
 
 
 def radial_profile(state, bg: Background, r_min: float, r_max: float,
                    nbins: int) -> RadialProfile:
     """Angular averages of the squared fields and gradients over radial bins."""
     grid: PlaneGrid = bg.grid
+    x, y = grid.axes()
+    r = np.sqrt(x[:, None] ** 2 + y[None, :] ** 2)
+    # u^2 + v^2 and ((u_x^2 + u_y^2) + v_x^2) + v_y^2, accumulated one field
+    # and one gradient at a time
     u = bg.u0 + state[0]
+    g2 = np.zeros(grid.shape)
+    for d in np.gradient(u, grid.h):
+        g2 += np.square(d, out=d)
+    f2 = np.square(u, out=u)
     v = bg.v0 + state[1] - state[0]
-    X, Y = grid.nodes()
-    r = np.sqrt(X ** 2 + Y ** 2)
-    ux, uy = np.gradient(u, grid.h)
-    vx, vy = np.gradient(v, grid.h)
-    f2 = (u ** 2 + v ** 2).ravel()
-    g2 = (ux ** 2 + uy ** 2 + vx ** 2 + vy ** 2).ravel()
+    for d in np.gradient(v, grid.h):
+        g2 += np.square(d, out=d)
+    f2 += np.square(v, out=v)
+    del u, v, d
+    f2, g2 = f2.ravel(), g2.ravel()
     edges = np.linspace(r_min, r_max, nbins + 1)
     rf = r.ravel()
     sums_f, _ = np.histogram(rf, bins=edges, weights=f2)
@@ -164,7 +174,8 @@ def radial_profile(state, bg: Background, r_min: float, r_max: float,
     counts, _ = np.histogram(rf, bins=edges)
     keep = counts > 0
     centers = 0.5 * (edges[:-1] + edges[1:])[keep]
-    return RadialProfile(centers, sums_f[keep] / counts[keep], sums_g[keep] / counts[keep])
+    return RadialProfile(centers, sums_f[keep] / counts[keep], sums_g[keep] / counts[keep],
+                         (r_min, r_max, nbins))
 
 
 def _log_linear_rate(r, y):
@@ -197,27 +208,36 @@ def annulus_bins(grid: PlaneGrid, r_min: float, r_max: float) -> int:
     return int((r_max - r_min) / (2.0 * grid.h))
 
 
-def decay_fit(state, bg: Background, params: PhysicalParams):
-    """Fitted radial decay rates of ln(u^2+v^2) and ln(|grad u|^2+|grad v|^2).
+def decay_profile(state, bg: Background, params: PhysicalParams) -> RadialProfile:
+    """The :func:`radial_profile` of the decay fit, over the :func:`decay_annulus`.
 
-    The fit runs over the :func:`decay_annulus`; bins whose angular average
-    falls below ``DECAY_FLOOR_REL`` of the peak are dropped (discretization
-    noise floor).
+    Its bins are :func:`annulus_bins`; raises :class:`AnnulusTooThin` when
+    the annulus is empty or has fewer than ``DECAY_MIN_BINS`` of them.
     """
-    grid: PlaneGrid = bg.grid
     r_min, r_max = decay_annulus(bg, params)
     if r_max <= r_min:
         raise AnnulusTooThin(f"empty annulus [{r_min:.3g}, {r_max:.3g}]")
-    nbins = annulus_bins(grid, r_min, r_max)
+    nbins = annulus_bins(bg.grid, r_min, r_max)
     if nbins < DECAY_MIN_BINS:
         raise AnnulusTooThin(f"annulus supports only {nbins} radial bins "
                              f"(need {DECAY_MIN_BINS})")
-    prof = radial_profile(state, bg, r_min, r_max, nbins)
+    return radial_profile(state, bg, r_min, r_max, nbins)
+
+
+def decay_fit(state, bg: Background, params: PhysicalParams,
+              profile: Optional[RadialProfile] = None):
+    """Fitted radial decay rates of ln(u^2+v^2) and ln(|grad u|^2+|grad v|^2).
+
+    The fit runs over the :func:`decay_profile`, which the caller may pass
+    as ``profile``; bins whose angular average falls below
+    ``DECAY_FLOOR_REL`` of the peak are dropped (discretization noise floor).
+    """
+    prof = profile if profile is not None else decay_profile(state, bg, params)
     if prof.r.size < DECAY_MIN_BINS:
         raise AnnulusTooThin(f"only {prof.r.size} radial bins (need {DECAY_MIN_BINS})")
     rate_fields = _log_linear_rate(prof.r, prof.mean_fields_sq)
     rate_grads = _log_linear_rate(prof.r, prof.mean_grads_sq)
-    return rate_fields, rate_grads, (r_min, r_max)
+    return rate_fields, rate_grads, prof.window[:2]
 
 
 @dataclass
@@ -270,6 +290,8 @@ class DiagnosticsReport:
     bound_violation: Optional[Dict[str, float]] = None
     lagrange: Optional[Tuple[float, float]] = None
     decay: Optional[Dict[str, float]] = None
+    # the decay fit's radial profile, for the plot data; not reported
+    profile: Optional[RadialProfile] = None
 
     def to_dict(self) -> Dict:
         out = {
@@ -291,44 +313,48 @@ class DiagnosticsReport:
 
 def build_diagnostics(state, mode: str, model: str, bg: Background,
                       cfg: VortexConfig, params: PhysicalParams,
-                      fit_decay: bool = True) -> DiagnosticsReport:
+                      fit_decay: bool = True,
+                      laplacians: Optional[np.ndarray] = None) -> DiagnosticsReport:
     """Aggregate every check that applies to the problem of ``bg``.
 
     ``mode``, ``model`` and ``cfg`` are checked by :func:`check_labels`
     (``ValueError`` when they disagree with ``bg``) and otherwise unused.
+    ``laplacians`` are the stacked Laplacians of the state's slices when the
+    solver has them (:attr:`~bpsvortex.newton.Solution.laplacians`): the
+    report then makes no transform.  A plane decay fit keeps its profile in
+    ``report.profile``.
     """
     check_labels(mode, model, cfg, bg.grid, bg)
-    report = _equation_checks(state, bg, params)
+    report = _equation_checks(state, bg, params, laplacians)
     if isinstance(bg.grid, PlaneGrid) and fit_decay and (bg.cfg.n + bg.cfg.m) > 0:
         try:
-            rate_f, rate_g, window = decay_fit(state, bg, params)
+            profile = decay_profile(state, bg, params)
+            rate_f, rate_g, window = decay_fit(state, bg, params, profile)
             report.decay = {"rate_fields": rate_f, "rate_gradients": rate_g,
                             "r_min": window[0], "r_max": window[1]}
+            report.profile = profile
         except AnnulusTooThin:
             report.decay = None
     return report
 
 
-def _equation_checks(state, bg: Background, params: PhysicalParams) -> DiagnosticsReport:
+def _equation_checks(state, bg: Background, params: PhysicalParams,
+                     laps=None) -> DiagnosticsReport:
     # every check that reads the Laplacians or the weighted exponentials,
-    # each computed once here and released before the decay fit
+    # each computed once here (the Laplacians unless given) and released
+    # before the decay fit
     grid = bg.grid
-    laps = _laplacians(state, grid)
+    if laps is None:
+        laps = _laplacians(state, grid)
     exps = _exp_pair(state, bg)
     (l2_1, sup_1), (l2_2, sup_2) = _pde_residual(laps, exps, bg, params)
     fa, fb = _fluxes(exps, grid, params.lam)
     report = DiagnosticsReport(residual_l2=(l2_1, l2_2), residual_sup=(sup_1, sup_2),
-                               flux_a=fa, flux_b=fb)
+                               flux_a=fa, flux_b=fb, bound_violation=asdict(_bounds(exps)))
     if isinstance(grid, TorusGrid):
         targets = check_existence(bg.cfg, grid, params).constraints
         eU, eV = exps
         report.constraint_errors = tuple(abs(grid.integrate(e) - c) / abs(c)
                                          for e, c in zip((eV, eU), targets))
-        bounds = _bounds(exps)
-        report.bound_violation = {
-            "max_exp_u_excess": bounds.max_exp_u_excess,
-            "max_exp_v_excess": bounds.max_exp_v_excess,
-            "intermediate_excess": bounds.intermediate_excess,
-        }
         report.lagrange = _lagrange_fit(laps, exps, bg, params)
     return report

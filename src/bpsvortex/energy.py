@@ -30,27 +30,32 @@ Both are the exact first and second variations of the discrete energies in
 the grid's L^2 pairing ``grid.inner``; on the plane they vanish on the
 Dirichlet boundary ring, where states are held at zero.  The energy is
 written once too, with the grid's quadrature ``grid.integrate`` and the
-grid's Dirichlet form ``grid.dirichlet_form`` for int |grad s|^2.
+grid's Dirichlet form for int |grad s|^2 (:meth:`EnergyModel.dirichlet`).
 
-Newton's linear algebra runs on mode coefficients of the grid's Laplacian
-eigenbasis (``to_modes``/``from_modes``).  ``linearize`` splits the Hessian
-at a state as A = M + W.  M is the Hessian with constant coefficients at
-the state's mean masses a = <e^U> and b = <e^V>, diagonal per mode; on the
-torus its constant-mode block is the Galerkin projection of A onto the
-constant fields, so that mode is exact.  W is the pointwise remainder.  ``hessian_operator`` applies
-M + W with two inverse and two forward transforms, and ``preconditioner``
-inverts M mode by mode with none.
+Newton carries each state's mode coefficients in the grid's Laplacian
+eigenbasis (``grid.to_modes``), and hands them in: the energy then takes
+its gradient part from :meth:`EnergyModel.dirichlet` (Parseval, no
+transform), and the gradient its Laplacians from ``grid.laplacians`` (one
+inverse transform per slice).  Called on a state alone, the energy pays two
+forward transforms and the gradient two each way.
+
+Newton's linear algebra runs on mode coefficients too.  ``linearize``
+splits the Hessian at a state as A = M + W.  M is the Hessian with constant
+coefficients at the state's mean masses a = <e^U> and b = <e^V>, diagonal
+per mode; on the torus its constant-mode block is the Galerkin projection of
+A onto the constant fields, so that mode is exact.  W is the pointwise
+remainder.  ``hessian_operator`` applies M + W with two inverse and two
+forward transforms, and ``preconditioner`` inverts M mode by mode with none.
 
 On the torus the energy also reports the masses (int e^U, int e^V), from
-which :func:`constraint_shift` moves a state onto both integral
-constraints in closed form.
+which :func:`constraint_shift` moves a state (and its coefficients) onto
+both integral constraints in closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -109,7 +114,8 @@ def _exp_pair(state, bg: Background):
     return eU, eV
 
 
-def constraint_shift(state, masses, bg: Background, params: PhysicalParams) -> float:
+def constraint_shift(state, masses, bg: Background, params: PhysicalParams,
+                     modes: Optional[np.ndarray] = None) -> float:
     """Shift a torus ``state`` in place onto both integral constraints.
 
     ``masses`` are (int e^U, int e^V) at ``state`` (``EnergyBreakdown.masses``)
@@ -124,6 +130,9 @@ def constraint_shift(state, masses, bg: Background, params: PhysicalParams) -> f
         lam (2 (C2 - int e^U) + (C1 - int e^V))
             + a (4 pi m - lam |Omega|) + (a + d) (2 pi (m + n) - lam |Omega|).
 
+    ``modes``, the state's coefficients (``grid.to_modes``) when the caller
+    carries them, move with it: a constant c adds c nx ny to the constant
+    mode [0, 0] of the unnormalized rfft2, and nothing else.
     Costs no exponential and no transform.  A mass that underflows to 0
     leaves the constant-mode block singular and raises
     :class:`SingularHessian`; one that overflows raises :class:`Overflow`.
@@ -140,6 +149,9 @@ def constraint_shift(state, masses, bg: Background, params: PhysicalParams) -> f
     d = math.log(c1) - math.log(iv)
     state[0] += a
     state[1] += a + d
+    if modes is not None:
+        modes[0, 0, 0] += a * grid.nx * grid.ny
+        modes[1, 0, 0] += (a + d) * grid.nx * grid.ny
     lam_area = lam * grid.area
     return (lam * (2.0 * (c2 - iu) + (c1 - iv)) + a * (4.0 * math.pi * cfg.m - lam_area)
             + (a + d) * (2.0 * math.pi * (cfg.m + cfg.n) - lam_area))
@@ -162,11 +174,17 @@ class EnergyModel:
     def zero_state(self) -> np.ndarray:
         return np.zeros((2,) + self.grid.shape)
 
-    def energy(self, state) -> EnergyBreakdown:
-        """The energy of ``state`` and its parts; on the torus also its masses."""
+    def energy(self, state, gradient_part: Optional[float] = None) -> EnergyBreakdown:
+        """The energy of ``state`` and its parts; on the torus also its masses.
+
+        ``gradient_part`` is the state's 1/2 D(s0) + 1/4 D(s1), when the
+        caller has it from the state's mode coefficients (:meth:`dirichlet`);
+        without it the energy transforms the state forward first.
+        """
         grid, lam, bg = self.grid, self.params.lam, self.bg
         eU, eV = _exp_pair(state, bg)
-        grad_part = 0.5 * grid.dirichlet_form(state[0]) + 0.25 * grid.dirichlet_form(state[1])
+        if gradient_part is None:
+            gradient_part = self.dirichlet(grid.to_modes(state))
         exp_part = lam * grid.integrate(2.0 * (eU - bg.exp_u0) + (eV - bg.exp_v0))
         masses = ((grid.integrate(eU), grid.integrate(eV))
                   if isinstance(grid, TorusGrid) else None)
@@ -176,36 +194,34 @@ class EnergyModel:
         lin -= lam
         lin *= state[1]
         lin_part = grid.integrate(np.add((bg.src_u - lam) * state[0], lin, out=lin))
-        return EnergyBreakdown(grad_part + exp_part + lin_part, grad_part, exp_part, lin_part,
-                               masses)
+        return EnergyBreakdown(gradient_part + exp_part + lin_part, gradient_part, exp_part,
+                               lin_part, masses)
 
-    def gradient(self, state) -> np.ndarray:
+    def dirichlet(self, modes: np.ndarray) -> float:
+        """The energy's gradient part 1/2 D(s0) + 1/4 D(s1), from the state's coefficients.
+
+        ``modes`` are the mode coefficients of a state (``grid.to_modes``);
+        Parseval, with no transform.
+        """
+        grid = self.grid
+        return 0.5 * grid.modal_dirichlet(modes[0]) + 0.25 * grid.modal_dirichlet(modes[1])
+
+    def gradient(self, state, laplacians: Optional[np.ndarray] = None) -> np.ndarray:
+        """The energy gradient at ``state``.
+
+        ``laplacians`` are the stacked Laplacians of the state's two slices,
+        when the caller has them (``grid.laplacians`` of the state's mode
+        coefficients, one inverse transform each); without them the gradient
+        transforms the state first.
+        """
         grid, lam, bg = self.grid, self.params.lam, self.bg
+        if laplacians is None:
+            laplacians = grid.laplacians(grid.to_modes(state))
         eU, eV = _exp_pair(state, bg)
-        g0 = -grid.laplacian(state[0]) + lam * (2.0 * eU - eV - 1.0) + bg.src_u
-        g1 = -0.5 * grid.laplacian(state[1]) + lam * (eV - 1.0)
+        g0 = -laplacians[0] + lam * (2.0 * eU - eV - 1.0) + bg.src_u
+        g1 = -0.5 * laplacians[1] + lam * (eV - 1.0)
         g1 += np.divide(bg.src_f, 2.0, out=eU)  # the half source, in eU's storage
         return np.stack([grid.zero_boundary(g0), grid.zero_boundary(g1)])
-
-    def to_modes(self, pair: np.ndarray) -> np.ndarray:
-        """Mode coefficients of a stacked pair of fields (``grid.modal_forward``)."""
-        # coefficients are complex on the torus (rfft2 layout), real on the plane
-        out = np.empty((2,) + self._mode_shape,
-                       complex if isinstance(self.grid, TorusGrid) else float)
-        self.grid.modal_forward(pair[0], out=out[0])
-        self.grid.modal_forward(pair[1], out=out[1])
-        return out
-
-    def from_modes(self, coeffs: np.ndarray) -> np.ndarray:
-        """The stacked pair of fields with mode coefficients ``coeffs``."""
-        out = self.zero_state()
-        self.grid.modal_inverse(coeffs[0], out=out[0])
-        self.grid.modal_inverse(coeffs[1], out=out[1])
-        return out
-
-    @cached_property
-    def _mode_shape(self):
-        return self.grid.laplacian_eigenvalues().shape
 
     def linearize(self, state) -> Linearization:
         """The Hessian at ``state``, split as A = M + W (see :class:`Linearization`).

@@ -145,9 +145,11 @@ def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
     def solve_coarse(coarse_bg):
         pair, applies, _, message = _anderson(np.zeros((2,) + coarse_bg.grid.shape),
                                               coarse_bg, params, omega)
-        return pair, applies, not message
+        coeffs = None if message else coarse_bg.grid.to_modes(pair)
+        return coeffs, applies, not message
 
-    x, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "trials")
+    x, modes, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "trials")
+    del modes  # the map iterates on the pair's fields
     if x is None:
         x = np.zeros((2,) + grid.shape)
     x, applies, residuals, message = _anderson(x, bg, params, omega)

@@ -15,12 +15,18 @@ mode in the same layout (|k|^2 over the Fourier modes on the torus,
 the plane), and ``modal_inner`` is the pairing ``inner`` of the fields,
 computed from their coefficients.  Operators with constant coefficients are
 diagonal there, the Laplacian is exact for sums of the modes, and on the
-torus the zero-mean Poisson solve inverts it exactly.
+torus the zero-mean Poisson solve inverts it exactly.  A caller that keeps
+a field's coefficients gets its Laplacian from ``modal_laplacian`` (one
+inverse transform) and its Dirichlet form from ``modal_dirichlet`` (none);
+``to_modes``, ``from_modes`` and ``laplacians`` do the same for a stacked
+pair of fields, such as a state.
 Each grid also knows its coarser levels: ``coarsest(tau)`` is the coarsest
 grid of its halving chain that still resolves a vortex core of scale tau by
-three nodes (3 * spacing <= sqrt(tau)), and ``prolong`` carries a field of a
-coarser grid onto this one through the eigenbasis, exactly for fields that
-are band-limited on the coarse grid.  Solvers start a cold solve there.
+three nodes (3 * spacing <= sqrt(tau)), and ``prolong`` carries the
+coefficients of a coarser grid's field (or pair) onto this one by
+zero-padding, with no transform; the field they give here is exact for
+fields that are band-limited on the coarse grid.  Solvers start a cold solve
+there.
 Each grid also owns its boundary: ``zero_boundary`` zeroes the plane's
 Dirichlet ring (a no-op on the torus) and ``interior`` views the nodes that
 carry an equation.  Next to ``integrate`` and the L^2 pairing ``inner``, each
@@ -33,16 +39,16 @@ Scalar fields are plain ``float64`` arrays of shape ``(nx, ny)`` (torus) or
 ``(i*dx, j*dy)`` resp. ``(-R + i*h, -R + j*h)``.  Reductions use numpy's
 pairwise summation, so results are deterministic for a fixed grid.
 
-Buffers: ``laplacian`` returns a new array.  The other operators write their
-result to ``out=`` and return it; where ``out`` is optional, they return a
-new array without it.  Either way the result belongs to the caller.  A torus
-grid also owns one private complex scratch spectrum, made with the grid,
-that its operators pass through.  It holds nothing between calls and is
-never returned, so results never alias it; it also makes a torus grid unsafe
-to share between threads.
+Buffers: ``laplacian`` and ``laplacians`` return new arrays.  The other
+operators write their result to ``out=`` and return it; where ``out`` is
+optional, they return a new array without it.  Either way the result belongs
+to the caller.  A torus grid also owns one private complex scratch spectrum,
+made with the grid, that its operators pass through.  It holds nothing
+between calls and is never returned, so results never alias it; it also
+makes a torus grid unsafe to share between threads.
 The plane's sine transforms allocate one interior-sized intermediate per call
-instead (and its ``laplacian`` and ``dirichlet_form`` their coefficients):
-kept on the grid it would stay resident for the life of the grid.
+instead (and its Laplacians and Dirichlet forms their coefficients): kept
+on the grid it would stay resident for the life of the grid.
 """
 
 from __future__ import annotations
@@ -65,8 +71,9 @@ class _Eigenbasis:
     """The operators both grids apply through the eigenbasis of their Laplacian.
 
     A grid gives ``modal_forward``, ``modal_inverse``, ``modal_inner``,
-    ``_neg_k2`` (-K, the symbol of the Laplacian, per mode) and ``_spec``, the
-    spectrum its forward transforms write to (``None``: a new array).
+    ``_neg_k2`` (-K, the symbol of the Laplacian, per mode), ``_spec``, the
+    spectrum its forward transforms write to (``None``: a new array), and
+    ``_mode_dtype``, the type of its coefficients.
     """
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
@@ -75,17 +82,61 @@ class _Eigenbasis:
         Exact for sums of the grid's modes.  On the plane only the interior
         nodes are read, and the result vanishes on the boundary ring.
         """
-        spec = self.modal_forward(values, out=self._spec)
-        np.multiply(self._neg_k2, spec, out=spec)
-        return self.modal_inverse(spec)
+        return self.modal_laplacian(self.modal_forward(values, out=self._spec))
+
+    def modal_laplacian(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The Laplacian of the field with mode coefficients ``coeffs`` (written to ``out``).
+
+        One inverse transform of -K ``coeffs``; ``coeffs`` is only read.
+        """
+        return self.modal_inverse(np.multiply(self._neg_k2, coeffs, out=self._spec), out)
+
+    def laplacians(self, modes: np.ndarray) -> np.ndarray:
+        """The stacked Laplacians of the pair of fields with mode coefficients ``modes``.
+
+        A new pair, at one inverse transform per field (:meth:`modal_laplacian`).
+        """
+        out = np.empty((2,) + self.shape)
+        self.modal_laplacian(modes[0], out=out[0])
+        self.modal_laplacian(modes[1], out=out[1])
+        return out
 
     def dirichlet_form(self, values: np.ndarray) -> float:
         """int |grad v|^2 dA = -inner(v, laplacian(v)), on the plane for v zero on the ring.
 
-        Parseval on one forward transform: ``-modal_inner(v_hat, -K v_hat)``.
+        :meth:`modal_dirichlet` of one forward transform.
         """
-        spec = self.modal_forward(values, out=self._spec)
-        return -self.modal_inner(spec, self._neg_k2 * spec)
+        return self.modal_dirichlet(self.modal_forward(values, out=self._spec))
+
+    def modal_dirichlet(self, coeffs: np.ndarray) -> float:
+        """:meth:`dirichlet_form` of the field with mode coefficients ``coeffs``.
+
+        Parseval, with no transform: ``-modal_inner(v_hat, -K v_hat)``.
+        """
+        return -self.modal_inner(coeffs, self._neg_k2 * coeffs)
+
+    def to_modes(self, pair: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Mode coefficients of a stacked pair of fields (:meth:`modal_forward` per field)."""
+        if out is None:
+            out = self.empty_modes()
+        self.modal_forward(pair[0], out=out[0])
+        self.modal_forward(pair[1], out=out[1])
+        return out
+
+    def from_modes(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The stacked pair of fields with mode coefficients ``coeffs`` (:meth:`modal_inverse`)."""
+        if out is None:
+            out = np.empty((2,) + self.shape)
+        self.modal_inverse(coeffs[0], out=out[0])
+        self.modal_inverse(coeffs[1], out=out[1])
+        return out
+
+    def empty_modes(self) -> np.ndarray:
+        """Uninitialized coefficients of a stacked pair of fields.
+
+        Complex on the torus (rfft2 layout), real on the plane.
+        """
+        return np.empty((2,) + self._neg_k2.shape, self._mode_dtype)
 
     def laplacian_eigenvalues(self) -> np.ndarray:
         """K, the eigenvalue of ``-laplacian`` per mode, in the coefficient layout.
@@ -104,6 +155,8 @@ class TorusGrid(_Eigenbasis):
     Ly: float
     nx: int
     ny: int
+
+    _mode_dtype = complex
 
     def __post_init__(self):
         if not (self.Lx > 0.0 and self.Ly > 0.0):
@@ -222,21 +275,21 @@ class TorusGrid(_Eigenbasis):
             best = (nx, ny)
         return None if best is None else TorusGrid(self.Lx, self.Ly, *best)
 
-    def prolong(self, coarse: "TorusGrid", values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the trigonometric interpolant of the field ``values`` of ``coarse`` to ``out``.
+    def prolong(self, coarse: "TorusGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the coefficients here of the trigonometric interpolant of a ``coarse`` field.
 
-        The rfft2 coefficients are zero-padded, the coarse Nyquist row and
-        column dropped; exact for fields with no Nyquist content on
-        ``coarse``, a grid of the same cell.
+        ``coeffs`` are the field's coefficients on ``coarse``, a grid of the
+        same cell (one field or a stack).  They are zero-padded, the coarse
+        Nyquist row and column dropped, and rescaled to this grid's
+        unnormalized rfft2; no transform.  Exact for fields with no Nyquist
+        content on ``coarse``.
         """
         hx, hy = coarse.nx // 2, coarse.ny // 2
-        c = coarse.modal_forward(values, out=coarse._spec)
-        c *= self.nx * self.ny / (coarse.nx * coarse.ny)
-        spec = self._spec
-        spec[:] = 0.0
-        spec[:hx, :hy] = c[:hx, :hy]
-        spec[self.nx - hx + 1:, :hy] = c[hx + 1:, :hy]
-        return self.modal_inverse(spec, out)
+        scale = self.nx * self.ny / (coarse.nx * coarse.ny)
+        out[...] = 0.0
+        np.multiply(coeffs[..., :hx, :hy], scale, out=out[..., :hx, :hy])
+        np.multiply(coeffs[..., hx + 1:, :hy], scale, out=out[..., self.nx - hx + 1:, :hy])
+        return out
 
     # -- boundary ------------------------------------------------------------
 
@@ -266,6 +319,7 @@ class PlaneGrid(_Eigenbasis):
 
     # no scratch spectrum: each forward transform makes its coefficients
     _spec = None
+    _mode_dtype = float
 
     def __post_init__(self):
         if not self.R > 0.0:
@@ -419,21 +473,21 @@ class PlaneGrid(_Eigenbasis):
             best = n
         return None if best is None else PlaneGrid(self.R, best)
 
-    def prolong(self, coarse: "PlaneGrid", values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the sine interpolant of the field ``values`` of ``coarse`` to ``out``.
+    def prolong(self, coarse: "PlaneGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the coefficients here of the sine interpolant of a ``coarse`` field.
 
-        Each sine coefficient moves to its mode number's place here, scaled
-        by N / N_c (N = n - 1 intervals), so the interior modes sample the
-        same sines; the boundary ring is zero.  Exact for sums of the sine
-        modes of ``coarse``, a grid of the same square.
+        ``coeffs`` are the field's sine coefficients on ``coarse``, a grid of
+        the same square (one field or a stack).  Each moves to its mode
+        number's place here, scaled by N / N_c (N = n - 1 intervals), so the
+        interior modes sample the same sines; no transform.  Exact for sums
+        of the sine modes of ``coarse``.
         """
         rows = np.empty(self.n - 1, dtype=int)
         rows[self.sine_modes] = np.arange(self.n - 2)
         rows = rows[coarse.sine_modes]
-        coeffs = np.zeros((self.n - 2, self.n - 2))
-        coeffs[np.ix_(rows, rows)] = coarse.modal_forward(values)
-        coeffs *= (self.n - 1) / (coarse.n - 1)
-        return self.modal_inverse(coeffs, out)
+        out[...] = 0.0
+        out[(Ellipsis,) + np.ix_(rows, rows)] = coeffs * ((self.n - 1) / (coarse.n - 1))
+        return out
 
     # -- boundary ------------------------------------------------------------
 

@@ -6,9 +6,16 @@ backtracking on the energy.  CG runs on mode coefficients of the grid's
 Laplacian eigenbasis, in the pairing ``grid.modal_inner``.  Each Newton step
 linearizes once (``EnergyModel.linearize``): the Hessian with constant
 coefficients at the iterate's mean masses is diagonal per mode there, and
-its exact inverse is the preconditioner.  A step transforms its gradient
-once and its direction back once, and each CG iteration costs one Hessian
-apply (four transforms) and no others.  The method is an inexact Newton
+its exact inverse is the preconditioner.
+Every iterate s comes with its mode coefficients s_hat (``grid.to_modes``),
+and a step with coefficients c moves them to s_hat + alpha c; each
+line-search trial's state is brought back from its coefficients, so the two
+agree to one transform's roundoff and never drift apart.  A step transforms
+its gradient forward once (two transforms, one per state slice), each CG
+iteration costs one Hessian apply (four transforms) and each line-search
+trial two inverse ones.  The energy's gradient part is Parseval on s_hat
+and costs none, and the gradient's Laplacians cost one inverse transform of
+-K s_hat per slice.  The method is an inexact Newton
 method: CG stops at a relative residual, the forcing term, chosen per step
 by choice 2 of Eisenstat & Walker ("Choosing the forcing terms in an inexact
 Newton method", SIAM J. Sci. Comput. 17, 1996).  Early steps are solved
@@ -24,11 +31,12 @@ too.
 A cold solve (no ``init``) starts from its coarsest resolving grid, nested
 iteration in the sense of mesh independence (Allgower, Boehmer, Potra &
 Rheinboldt, SIAM J. Numer. Anal. 23, 1986): the same problem is solved on
-``grid.coarsest(tau)`` at the domain's core scale tau, and its solution,
-prolonged through the eigenbasis (``grid.prolong``), is the start on the
-requested grid, where the stopping rule is unchanged.  A coarse solve that
-does not converge leaves the zero start.  :attr:`Solution.coarse` reports
-the coarse level.
+``grid.coarsest(tau)`` at the domain's core scale tau, and its solution's
+coefficients, zero-padded onto the requested grid (``grid.prolong``), start
+the solve there, where the stopping rule is unchanged.  That start's state
+costs two inverse transforms; an ``init`` start costs one ``to_modes``.  A
+coarse solve that does not converge leaves the zero start.
+:attr:`Solution.coarse` reports the coarse level.
 A torus solve first checks the existence threshold and refuses to iterate
 when it fails.  It then follows the paper's split u = c + w: the start and
 every accepted step are shifted by the constants that meet both integral
@@ -36,12 +44,16 @@ constraints (:func:`~bpsvortex.energy.constraint_shift`), which minimizes
 the energy over the constant modes, the Hessian's worst-conditioned
 direction near the threshold.  The shift takes its masses from the energy
 evaluation that accepted the step and its energy change in closed form, so
-it costs no exponential, transform or energy call.  The plane has no
-constant mode and no shift, so there a full step that the line search
-accepts for halving the gradient hands that gradient on to the next
-iteration instead of computing it again.  Failure to converge is reported
-through the returned :class:`Solution` (``converged = False`` plus a
-message), not an exception, so partial results stay inspectable.
+it costs no exponential, transform or energy call; in s_hat it moves the
+constant mode alone.  A full step that the line search accepts for halving
+the gradient hands that gradient's Laplacians on to the next iteration (a
+shift by constants leaves them as they are), and on the plane, which has no
+constant mode and no shift, the gradient itself.  A converged solve returns
+its final s_hat and the Laplacians of its last gradient
+(:attr:`Solution.modes`, :attr:`Solution.laplacians`); the diagnostics take
+the residuals from those without a transform.  Failure to converge is
+reported through the returned :class:`Solution` (``converged = False`` plus
+a message), not an exception, so partial results stay inspectable.
 """
 
 from __future__ import annotations
@@ -145,6 +157,11 @@ class Solution:
     coarse: Optional[dict] = None
     # wall time of the coarse level, kept apart from the deterministic block
     coarse_s: Optional[float] = None
+    # Newton only: the state's mode coefficients (``grid.to_modes``), carried
+    # through the solve, and on convergence the stacked Laplacians of its two
+    # slices, from its last gradient
+    modes: Optional[np.ndarray] = None
+    laplacians: Optional[np.ndarray] = None
 
 
 def _pcg(apply_a, b, apply_minv, inner, rel_tol):
@@ -208,35 +225,39 @@ def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
 
 
 def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable, work: str):
-    """A cold solve's start from its coarse level: ``(start, block, seconds)``.
+    """A cold solve's start from its coarse level: ``(start, modes, block, seconds)``.
 
     The coarse level is ``bg``'s problem on ``bg.grid.coarsest`` at the
     domain's core scale (:func:`~bpsvortex.backgrounds.core_scale`), the
     same on every level, so both grids split the sources alike; by
     construction it has no coarser level of its own.
     ``solve_coarse(coarse_background)`` solves it and returns
-    ``(pair, count, converged)``.  ``start`` is that pair prolonged onto
-    ``bg.grid`` when it converged, else ``None``; ``block`` holds the coarse
-    grid's ``shape``, the count under the name ``work`` and ``converged``,
-    and ``seconds`` the wall time.  All three are ``None`` without a coarse
-    level.  Nothing coarse outlives the call.
+    ``(coeffs, count, converged)``, ``coeffs`` the mode coefficients of the
+    solution pair (``grid.to_modes``).  When it converged, ``modes`` are
+    those coefficients prolonged onto ``bg.grid`` (zero-padded, with no
+    transform) and ``start`` is their pair, at two inverse transforms; else
+    both are ``None``.  ``block`` holds the coarse grid's ``shape``, the
+    count under the name ``work`` and ``converged``, and ``seconds`` the
+    wall time.  All four are ``None`` without a coarse level.  Nothing
+    coarse outlives the call.
     """
-    coarse = bg.grid.coarsest(backgrounds.core_scale(bg.grid))
+    grid = bg.grid
+    coarse = grid.coarsest(backgrounds.core_scale(grid))
     if coarse is None:
-        return None, None, None
+        return None, None, None, None
     t0 = time.perf_counter()
-    # made first, the start sits below the coarse level's short-lived arrays
-    # on the heap, and the fine solve reuses their space (made after them,
-    # it cost plane-solve 1.1 MB of peak RSS)
-    start = np.empty((2,) + bg.grid.shape)
-    pair, count, converged = solve_coarse(build_background(bg.cfg, coarse, params))
+    # made first, the start and its coefficients sit below the coarse
+    # level's short-lived arrays on the heap, and the fine solve reuses
+    # their space (a start made after them cost plane-solve 1.1 MB of peak
+    # RSS)
+    start, modes = np.empty((2,) + grid.shape), grid.empty_modes()
+    coeffs, count, converged = solve_coarse(build_background(bg.cfg, coarse, params))
     if converged:
-        bg.grid.prolong(coarse, pair[0], start[0])
-        bg.grid.prolong(coarse, pair[1], start[1])
+        grid.from_modes(grid.prolong(coarse, coeffs, modes), out=start)
     else:
-        start = None
+        start = modes = None
     block = {"shape": list(coarse.shape), work: count, "converged": converged}
-    return start, block, time.perf_counter() - t0
+    return start, modes, block, time.perf_counter() - t0
 
 
 def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None) -> Solution:
@@ -247,67 +268,77 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     (:func:`constraint_shift`), at the masses of the energy evaluation that
     accepted them.  Without ``init`` the start is the prolonged solution on
     the coarsest resolving grid (zero when there is none or it does not
-    converge).  A float ``init`` is taken over, not copied: it is the first
-    iterate, and on the torus the shift moves it in place.  The plane never
-    writes into its states, which vanish on the Dirichlet ring; an ``init``
-    that does not is copied with the ring set to zero.
+    converge), whose mode coefficients come with it.  A float ``init`` is
+    taken over, not copied: it is the first iterate, and on the torus the
+    shift moves it in place; its coefficients cost one ``to_modes``.  The
+    plane never writes into its states, which vanish on the Dirichlet ring;
+    an ``init`` that does not is copied with the ring set to zero.  Every
+    iterate's coefficients are carried beside it, updated by the same linear
+    steps, and returned in :attr:`Solution.modes`.
     """
-    bg, params = model.bg, model.params
-    torus = isinstance(bg.grid, TorusGrid)
+    bg, params, grid = model.bg, model.params, model.grid
+    torus = isinstance(grid, TorusGrid)
     if torus:
-        report = check_existence(bg.cfg, bg.grid, params)
+        report = check_existence(bg.cfg, grid, params)
         if not report.solvable:
             raise ThresholdViolated(report)
     coarse = coarse_s = None
     if init is None:
         def solve_coarse(coarse_bg):
             sol = minimize(EnergyModel(coarse_bg, params), settings)
-            return sol.state, sol.iterations, sol.converged
+            return sol.modes, sol.iterations, sol.converged
 
-        state, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "iterations")
+        state, modes, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "iterations")
         if state is None:
-            state = model.zero_state()
+            state, modes = model.zero_state(), grid.empty_modes()
+            modes.fill(0.0)
     else:
         state = np.asarray(init, dtype=float)
         if not torus and (state[:, [0, -1]].any() or state[:, :, [0, -1]].any()):
-            state = model.grid.zero_boundary(state.copy())
+            state = grid.zero_boundary(state.copy())
+        modes = grid.to_modes(state)
     # drop this frame's second reference to the start, so that the first
-    # accepted step frees a start that no caller holds
+    # step frees a start that no caller holds
     init = None
-    inner = model.grid.modal_inner
+    inner = grid.modal_inner
     grad_history: List[float] = []
     energy_history: List[float] = []
     steps: List[dict] = []
 
-    def finish(iterations, converged, message=""):
+    def finish(iterations, converged, message="", laplacians=None):
         if coarse is not None:
             coarse["grad_sup_start"] = grad_history[0] if grad_history else None
         return Solution(state, iterations, grad_history, energy_history, converged,
-                        message, newton_steps=steps, coarse=coarse, coarse_s=coarse_s)
+                        message, newton_steps=steps, coarse=coarse, coarse_s=coarse_s,
+                        modes=modes, laplacians=laplacians)
 
     def settle(breakdown) -> float:
-        """The energy of ``state`` once the torus shift has moved it."""
+        """The energy of ``state`` once the torus shift has moved it (and its modes)."""
         if not torus:
             return breakdown.total
-        return breakdown.total + constraint_shift(state, breakdown.masses, bg, params)
+        return breakdown.total + constraint_shift(state, breakdown.masses, bg, params, modes)
 
     try:
-        e_now = settle(model.energy(state))
+        breakdown = model.energy(state, model.dirichlet(modes))
+        e_now = settle(breakdown)
     except Overflow as exc:
         return finish(0, False, f"overflow at initial state: {exc}")
     except SingularHessian as exc:
         return finish(0, False, f"singular Hessian block: {exc}")
 
-    g_norm_prev = grad = None
+    g_norm_prev = grad = laps = None
     last_step, stall_count, best = False, 0, math.inf
     for it in range(settings.max_iters + 1):
+        if laps is None:
+            laps = grid.laplacians(modes)
         if grad is None:
-            grad = model.gradient(state)
+            grad = model.gradient(state, laps)
         gsup = float(np.max(np.abs(grad)))
         grad_history.append(gsup)
         energy_history.append(e_now)
         if gsup <= settings.tol_grad_sup:
-            return finish(it, True)
+            return finish(it, True, laplacians=laps)
+        laps = None
         stall_count += last_step and gsup > 0.5 * best
         best = min(best, gsup)
         if stall_count == STALL_STEPS:
@@ -321,39 +352,52 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         except SingularHessian as exc:
             return finish(it, False, f"singular Hessian block: {exc}")
 
-        # the Newton system H d = -g, solved on mode coefficients
-        rhs = model.to_modes(grad)
+        # the Newton system H c = -g, solved on mode coefficients.  From here
+        # on the step reads the state and the gradient through their
+        # coefficients only, and the CG solve runs without either field
+        # (the state goes first, so that the gradient's coefficients can take
+        # its place on the heap)
+        state = None
+        rhs = grid.to_modes(grad)
         np.negative(rhs, out=rhs)
+        grad = None
         g_norm = math.sqrt(inner(rhs, rhs))
         eta, last_step = _forcing_term(g_norm, g_norm_prev, gsup, settings.tol_grad_sup)
         g_norm_prev = g_norm
-        coeffs, cg_iters, cg_rel_res = _pcg(model.hessian_operator(lin), rhs,
+        coeffs, cg_iters, cg_rel_res = _pcg(model.hessian_operator(lin), rhs.copy(),
                                             model.preconditioner(lin), inner, eta)
         mean_exp = list(lin.mean_exp)
         # the line search needs neither; dropping the linearization's two
-        # fields before the direction is formed keeps them off the peak
-        del rhs, lin
+        # fields before the trials are formed keeps them off the peak
+        del lin
+        # the slope <g, c> of the energy along the step, by Parseval
         if cg_rel_res > 1.0:
             # a residual above |b| leaves the iterate no descent guarantee
-            direction, fallback = -grad, "cg_breakdown"
+            fallback = "cg_breakdown"
         else:
-            direction, fallback = model.from_modes(coeffs), None
-        del coeffs
-        slope = model.grid.inner(grad, direction)
-        if slope >= 0.0:  # roundoff-degenerate direction; fall back to steepest descent
-            direction = -grad
-            slope = model.grid.inner(grad, direction)
-            fallback = "steepest_descent"
+            slope, fallback = -inner(rhs, coeffs), None
+            if slope >= 0.0:  # roundoff-degenerate direction
+                fallback = "steepest_descent"
+        if fallback:
+            coeffs = rhs
+            slope = -inner(rhs, rhs)
+        del rhs
 
+        # every trial is built from its coefficients, s = from_modes(s_hat +
+        # alpha c), so that the state and its coefficients agree to one
+        # inverse transform and their roundoff never accumulates; rejected
+        # trials leave their storage to the next
+        trial, trial_modes = np.empty((2,) + grid.shape), np.empty_like(modes)
         alpha = 1.0
         evals = 0
         accepted = False
-        next_grad = None
         while alpha > 1e-14:
-            trial = state + alpha * direction
+            np.multiply(coeffs, alpha, out=trial_modes)
+            trial_modes += modes
+            grid.from_modes(trial_modes, out=trial)
             evals += 1
             try:
-                breakdown = model.energy(trial)
+                breakdown = model.energy(trial, model.dirichlet(trial_modes))
                 e_trial = breakdown.total
             except Overflow:
                 e_trial = np.inf
@@ -364,22 +408,29 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
                 # near the minimum the energy decrease drowns in roundoff;
                 # accept the full Newton step whenever it halves the
                 # gradient (quadratic local convergence takes over there)
-                trial_grad = model.gradient(trial)
-                if float(np.max(np.abs(trial_grad))) <= 0.5 * gsup:
+                laps = grid.laplacians(trial_modes)
+                grad = model.gradient(trial, laps)
+                if float(np.max(np.abs(grad))) <= 0.5 * gsup:
                     accepted = True
                     fallback = fallback or "gradient_halved"
-                    # the next iteration's gradient, unless the torus
-                    # shift moves the state
-                    next_grad = None if torus else trial_grad
+                    # the next iteration's Laplacians and, unless the torus
+                    # shift moves the state, its gradient; a shift by
+                    # constants leaves the Laplacians as they are
+                    if torus:
+                        grad = None
                     break
-                del trial_grad
+                grad = laps = None
             alpha *= BACKTRACK_FACTOR
         steps.append({"eta": eta, "cg_iters": cg_iters, "cg_rel_residual": cg_rel_res,
                       "alpha": alpha, "linesearch_evals": evals, "fallback": fallback,
                       "mean_exp": mean_exp})
         if not accepted:
+            state = grid.from_modes(modes)
             return finish(it + 1, False, "line search failed (step underflow)")
-        state, grad = trial, next_grad
+        # the step's coefficients do not outlive it: the next linearization
+        # and CG solve run without them
+        del coeffs
+        state, modes = trial, trial_modes
         try:
             e_now = settle(breakdown)
         except SingularHessian as exc:

@@ -148,8 +148,13 @@ def dump_fields(state, bg, params, path_text: str, config_hash: str,
 
 
 def emit_plot_data(state, bg, params, path_text: str,
-                   out_dir: Optional[Path] = None) -> None:
-    """Radial-profile CSV (``r,mean_u2v2,mean_grad2``) for plane runs."""
+                   out_dir: Optional[Path] = None, profile=None) -> None:
+    """Radial-profile CSV (``r,mean_u2v2,mean_grad2``) for plane runs.
+
+    ``profile`` is a radial profile of ``state`` that the caller has (the
+    decay fit's, ``DiagnosticsReport.profile``); it is written when its
+    window is the plot's, and the profile is computed otherwise.
+    """
     grid = bg.grid
     if not isinstance(grid, PlaneGrid):
         return
@@ -157,7 +162,10 @@ def emit_plot_data(state, bg, params, path_text: str,
     if not (bg.cfg.phi_zeros or bg.cfg.kappa_zeros):
         r_min = grid.h  # no vortex core to stay clear of
     nbins = max(8, annulus_bins(grid, r_min, r_max))
-    prof = radial_profile(state, bg, r_min, r_max, nbins)
+    if profile is not None and profile.window == (r_min, r_max, nbins):
+        prof = profile
+    else:
+        prof = radial_profile(state, bg, r_min, r_max, nbins)
     path = _resolve(path_text, out_dir)
     with open(path, "w") as fh:
         fh.write("r,mean_u2v2,mean_grad2\n")
@@ -179,20 +187,21 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
     when the caller has made it, ``bg`` a background built for it and
     ``start``, called only when Newton runs, makes Newton's initial state
     (zero when ``start`` is ``None``).  Fills ``results`` and ``timings``;
-    returns ``(exit_code, best, bg)``, where ``best`` and ``bg`` are ``None``
-    unless a solver ran.
+    returns ``(exit_code, best, bg, profile)``, where ``best`` and ``bg`` are
+    ``None`` unless a solver ran, and ``profile`` is the diagnostics' radial
+    profile (``DiagnosticsReport.profile``) or ``None``.
     """
     vcfg, grid, params = problem or _problem(cfg)
     threshold = results["threshold"] = _threshold_dict(vcfg, grid, params)
     if not threshold["solvable"]:
-        return EXIT_THRESHOLD, None, None
+        return EXIT_THRESHOLD, None, None, None
     if method is None:
-        return EXIT_OK, None, None
+        return EXIT_OK, None, None, None
 
     if bg is None:
         bg = build_background(vcfg, grid, params)
     exit_code = EXIT_OK
-    newton_sol = fixed_sol = None
+    newton_sol = fixed_sol = laplacians = None
     if method in ("newton", "both"):
         t0 = time.perf_counter()
         settings = SolverSettings(tol_grad_sup=cfg.solver["tol"],
@@ -203,6 +212,11 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
         if newton_sol.coarse_s is not None:
             timings["newton_coarse_s"] = newton_sol.coarse_s
         results["newton"] = _newton_summary(newton_sol)
+        # past the solve the run reads the state, and the diagnostics the
+        # Laplacians the solve ended with; the solution lets go of both of
+        # its spectral arrays, so that neither outlives that use
+        laplacians = newton_sol.laplacians
+        newton_sol.modes = newton_sol.laplacians = None
         if not newton_sol.converged:
             exit_code = EXIT_NOT_CONVERGED
     if method in ("fixedpoint", "both"):
@@ -218,12 +232,15 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
         results["cross_method_sup_diff"] = float(
             np.max(np.abs(newton_sol.state - fixed_sol.state)))
     best = newton_sol if newton_sol is not None else fixed_sol
+    profile = None
     if best.converged:
         t0 = time.perf_counter()
-        results["diagnostics"] = build_diagnostics(best.state, cfg.mode, cfg.model, bg, vcfg,
-                                                   params, fit_decay=fit_decay).to_dict()
+        report = build_diagnostics(best.state, cfg.mode, cfg.model, bg, vcfg, params,
+                                   fit_decay=fit_decay, laplacians=laplacians)
+        results["diagnostics"] = report.to_dict()
+        profile = report.profile
         timings["diagnostics_s"] = time.perf_counter() - t0
-    return exit_code, best, bg
+    return exit_code, best, bg, profile
 
 
 def _analytic_slack(vcfg, grid, params) -> float:
@@ -295,8 +312,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
             path_key, path_bg, path = key, None, []
         start_row, secant_row, start = _path_start(path, params.lam)
         point: dict = {}
-        exit_code, best, bg = _evaluate(pcfg, method, point, {}, fit_decay=False,
-                                        problem=problem, bg=path_bg, start=start)
+        exit_code, best, bg, _ = _evaluate(pcfg, method, point, {}, fit_decay=False,
+                                           problem=problem, bg=path_bg, start=start)
         row = {"index": index, **assignment,
                "solvable": point["threshold"]["solvable"],
                "margin": point["threshold"]["margin"],
@@ -357,7 +374,7 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
         exit_code = _run_sweep(cfg, out, results)
     else:
         method = {"check": None, "compare": "both"}.get(command, cfg.solver["method"])
-        exit_code, best, bg = _evaluate(cfg, method, results, timings)
+        exit_code, best, bg, profile = _evaluate(cfg, method, results, timings)
         if best is not None and best.converged:
             t0 = time.perf_counter()
             params = cfg.make_params()
@@ -365,7 +382,8 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
                 dump_fields(best.state, bg, params, cfg.output["fields_path"],
                             cfg.config_hash(), out)
             if cfg.output.get("plots_path"):
-                emit_plot_data(best.state, bg, params, cfg.output["plots_path"], out)
+                emit_plot_data(best.state, bg, params, cfg.output["plots_path"], out,
+                               profile=profile)
             timings["output_s"] = time.perf_counter() - t0
 
     timings["total_s"] = time.perf_counter() - t_start

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -80,3 +81,21 @@ def count_hessian_applies(monkeypatch):
 
     monkeypatch.setattr(EnergyModel, "hessian_operator", counting_operator)
     return applies
+
+
+@pytest.fixture
+def count_transforms(monkeypatch):
+    """Count the modal transforms of both grids; returns a ``Counter``.
+
+    Keys are ``("forward" | "inverse", grid.shape)``: one per call of
+    ``modal_forward`` or ``modal_inverse``, whoever makes it.
+    """
+    counts = Counter()
+    for cls in (bv.TorusGrid, bv.PlaneGrid):
+        for kind in ("forward", "inverse"):
+            def counted(self, *args, _fn=getattr(cls, "modal_" + kind), _kind=kind, **kwargs):
+                counts[_kind, self.shape] += 1
+                return _fn(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "modal_" + kind, counted)
+    return counts

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -242,26 +243,48 @@ class TestReportAssembly:
         assert d["decay"]["rate_fields"] > 1.0
         assert "constraint_errors" not in d
 
-    def test_torus_report_computes_two_laplacians(self, monkeypatch, torus_criterion_setup,
-                                                  torus_criterion_solution):
-        # the PDE residual and the multiplier fit share the Laplacians of
-        # the two state slices
+    def test_torus_report_transform_budget(self, count_transforms, torus_criterion_setup,
+                                           torus_criterion_solution):
+        # with the Laplacians Newton ended with, the report makes no forward
+        # transform and at most one inverse one per state slice; the
+        # residual and the multiplier fit share them
         grid, params, cfg, bg = torus_criterion_setup
-        calls = []
-        laplacian = bv.TorusGrid.laplacian
+        sol = torus_criterion_solution
+        count_transforms.clear()
+        rep = bv.build_diagnostics(sol.state, "torus", "base", bg, cfg, params,
+                                   laplacians=sol.laplacians)
+        assert count_transforms["forward", grid.shape] == 0
+        assert count_transforms["inverse", grid.shape] <= 2
+        # without them it takes them from the state, and then its checks are
+        # the public ones bit for bit; the two agree to roundoff
+        fresh = bv.build_diagnostics(sol.state, "torus", "base", bg, cfg, params)
+        assert fresh.residual_sup == tuple(sup for _, sup in bv.pde_residual(sol.state, bg, params))
+        assert fresh.lagrange == bv.verify_lagrange_multipliers(sol.state, bg, params)
+        assert max(rep.residual_sup) <= 1e-8 and max(fresh.residual_sup) <= 1e-8
+        assert rep.lagrange == pytest.approx(fresh.lagrange, rel=1e-12)
 
-        def counted(self, values):
-            calls.append(values.shape)
-            return laplacian(self, values)
-
-        monkeypatch.setattr(bv.TorusGrid, "laplacian", counted)
-        rep = bv.build_diagnostics(torus_criterion_solution.state, "torus", "base",
-                                   bg, cfg, params)
-        assert len(calls) == 2
-        monkeypatch.undo()
-        state = torus_criterion_solution.state
-        assert rep.residual_sup == tuple(sup for _, sup in bv.pde_residual(state, bg, params))
-        assert rep.lagrange == bv.verify_lagrange_multipliers(state, bg, params)
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_bounds_with_a_verdict_on_both_grids(self, mode):
+        # bound_violation carries pointwise_bounds and its verdict, from the
+        # report's one exponential pair; a state over the bound fails it
+        if mode == "torus":
+            grid = bv.TorusGrid(L20, L20, 32, 32)
+            cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
+        else:
+            grid = bv.PlaneGrid(6.0, 64)
+            cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3),))
+        params = bv.PhysicalParams(lam=1.3)
+        bg = bv.build_background(cfg, grid, params)
+        state = bv.solve(mode, "base", cfg, grid, params, background=bg).state
+        for s, ok in ((state, True), (state + np.stack([np.full(grid.shape, 0.5), state[0]]),
+                                      False)):
+            d = bv.build_diagnostics(s, mode, "base", bg, cfg, params).to_dict()
+            bounds = bv.pointwise_bounds(s, bg)
+            assert d["bound_violation"] == {
+                "max_exp_u_excess": bounds.max_exp_u_excess,
+                "max_exp_v_excess": bounds.max_exp_v_excess,
+                "intermediate_excess": bounds.intermediate_excess, "ok": bounds.ok}
+            assert d["bound_violation"]["ok"] is ok
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     def test_report_evaluates_the_exponentials_once(self, monkeypatch, mode):
@@ -314,3 +337,62 @@ class TestReportAssembly:
             bv.build_diagnostics(state, mode, model, bg, cfg, params)
         with pytest.raises(ValueError):
             bv.solve(mode, model, cfg, grid, params, background=bg)
+
+
+class TestOneRadialProfile:
+    PLANE = {"mode": "plane", "model": "base", "lambda": 4.0, "domain": {"R": 8.0},
+             "grid": {"n": 96}, "phi_zeros": [[0.5, 0.0], [-0.5, 0.3]],
+             "output": {"report_path": "r.json", "plots_path": "profile.csv"}}
+
+    def test_profile_matches_the_direct_formula(self, plane_solution):
+        # accumulated one field at a time, the sums keep the bits of the
+        # direct evaluation with every field and gradient held at once
+        grid, params, cfg, bg, sol = plane_solution
+        state = sol.state
+        u = bg.u0 + state[0]
+        v = bg.v0 + state[1] - state[0]
+        X, Y = grid.nodes()
+        r = np.sqrt(X ** 2 + Y ** 2).ravel()
+        ux, uy = np.gradient(u, grid.h)
+        vx, vy = np.gradient(v, grid.h)
+        edges = np.linspace(1.0, 7.5, 41)
+        counts = np.histogram(r, bins=edges)[0]
+        prof = bv.radial_profile(state, bg, 1.0, 7.5, 40)
+        assert prof.window == (1.0, 7.5, 40)
+        for got, weights in ((prof.mean_fields_sq, u ** 2 + v ** 2),
+                             (prof.mean_grads_sq, ux ** 2 + uy ** 2 + vx ** 2 + vy ** 2)):
+            sums = np.histogram(r, bins=edges, weights=weights.ravel())[0]
+            assert got.tobytes() == (sums[counts > 0] / counts[counts > 0]).tobytes()
+
+    def test_plane_run_computes_one_profile(self, tmp_path, monkeypatch):
+        # the plot data reuses the decay fit's profile, with the bits of a
+        # run that computes it again
+        from bpsvortex import runner
+        from bpsvortex.cli import main
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.PLANE))
+        calls = []
+        radial_profile = diagnostics.radial_profile
+
+        def counted(*args):
+            calls.append(args[2:])
+            return radial_profile(*args)
+
+        monkeypatch.setattr(diagnostics, "radial_profile", counted)
+        monkeypatch.setattr(runner, "radial_profile", counted)
+        assert main(["--config", str(cfg), "--command", "solve", "--out",
+                     str(tmp_path / "once")]) == 0
+        assert len(calls) == 1
+        emit_plot_data = runner.emit_plot_data
+        monkeypatch.setattr(runner, "emit_plot_data",
+                            lambda *args, profile=None: emit_plot_data(*args))
+        assert main(["--config", str(cfg), "--command", "solve", "--out",
+                     str(tmp_path / "twice")]) == 0
+        assert len(calls) == 3 and calls[2] == calls[0]
+        for name in ("profile.csv", "r.json"):
+            once = (tmp_path / "once" / name).read_text()
+            twice = (tmp_path / "twice" / name).read_text()
+            if name == "r.json":
+                once, twice = (json.dumps(json.loads(t)["results"]) for t in (once, twice))
+            assert once == twice

@@ -198,7 +198,7 @@ class TestFirstVariation:
         for seed in range(3):
             d = random_state(model.grid, seed=300 + seed, amplitude=1.0)
             hd = hessian_apply(model, s, d)
-            via_modes = model.from_modes(apply_h(model.to_modes(d)))
+            via_modes = model.grid.from_modes(apply_h(model.grid.to_modes(d)))
             assert np.max(np.abs(via_modes - hd)) <= 1e-13 * np.max(np.abs(hd))
 
     def test_torus_hessian_apply_is_four_transforms(self, monkeypatch):
@@ -209,7 +209,7 @@ class TestFirstVariation:
         lin = model.linearize(random_state(model.grid, seed=9))
         apply_h = model.hessian_operator(lin)
         apply_minv = model.preconditioner(lin)
-        p = model.to_modes(random_state(model.grid, seed=10))
+        p = model.grid.to_modes(random_state(model.grid, seed=10))
         calls = {"modal_forward": 0, "modal_inverse": 0, "laplacian": 0}
         for name in calls:
             def counted(self, *args, _name=name, _fn=getattr(bv.TorusGrid, name), **kwargs):
@@ -246,9 +246,9 @@ class TestPreconditioner:
             ad = grid.zero_boundary(np.stack([
                 -grid.laplacian(d[0]) + lam * (2.0 * a + b) * d[0] - lam * b * d[1],
                 -0.5 * grid.laplacian(d[1]) + lam * b * (d[1] - d[0])]))
-            z = model.from_modes(apply_minv(model.to_modes(ad)))
+            z = model.grid.from_modes(apply_minv(model.grid.to_modes(ad)))
             assert np.max(np.abs(z - d)) <= 1e-10
-            r = model.to_modes(d)
+            r = model.grid.to_modes(d)
             assert grid.modal_inner(r, apply_minv(r)) > 0.0
 
     @pytest.mark.parametrize("mode,variant", VARIANTS)
@@ -284,8 +284,8 @@ class TestPreconditioner:
         model = make_model(mode, "base")
         lin = model.linearize(random_state(model.grid, seed=16))
         apply_minv = model.preconditioner(lin)
-        a = model.to_modes(random_state(model.grid, seed=12))
-        b = model.to_modes(random_state(model.grid, seed=13))
+        a = model.grid.to_modes(random_state(model.grid, seed=12))
+        b = model.grid.to_modes(random_state(model.grid, seed=13))
         first = apply_minv(a)
         second = apply_minv(b)
         assert not np.shares_memory(first, second)

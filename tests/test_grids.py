@@ -3,6 +3,7 @@ import pytest
 
 import bpsvortex as bv
 from bpsvortex.errors import NonZeroMeanRhs
+from conftest import random_state
 
 
 def fd_laplacian_periodic(v, dx, dy):
@@ -434,11 +435,12 @@ class TestCoarseLevels:
     @pytest.mark.parametrize("fine,coarse", [((64, 48), (16, 12)), ((32, 48), (16, 24))])
     def test_torus_prolongation_exact_on_band_limited_fields(self, fine, coarse):
         f, c = bv.TorusGrid(2.0, 3.0, *fine), bv.TorusGrid(2.0, 3.0, *coarse)
-        out = np.empty(f.shape)
+        out = np.full(f.empty_modes()[0].shape, 7.0 + 0j)
         # band_limited draws the same modes (|k| <= 3, under the coarse
         # Nyquist frequency) on every grid for one seed
-        assert f.prolong(c, band_limited(c, seed=4), out) is out
-        assert np.max(np.abs(out - band_limited(f, seed=4))) <= 1e-13
+        assert f.prolong(c, c.modal_forward(band_limited(c, seed=4)), out) is out
+        field = f.modal_inverse(out, out=np.empty(f.shape))
+        assert np.max(np.abs(field - band_limited(f, seed=4))) <= 1e-13
 
     @pytest.mark.parametrize("fine,coarse", [(97, 49), (100, 50), (384, 192)])
     def test_plane_prolongation_exact_on_sine_sums(self, fine, coarse):
@@ -446,11 +448,26 @@ class TestCoarseLevels:
         # bound is relative: at n = 384 a forward and inverse transform of
         # the fine grid alone moves such a field by 3e-14 of its size
         f, c = bv.PlaneGrid(6.0, fine), bv.PlaneGrid(6.0, coarse)
-        out = np.full(f.shape, 7.0)
-        assert f.prolong(c, sine_sum(c, 5, coarse - 1), out) is out
+        out = np.full(f.empty_modes()[0].shape, 7.0)
+        assert f.prolong(c, c.modal_forward(sine_sum(c, 5, coarse - 1)), out) is out
+        field = f.modal_inverse(out, out=np.empty(f.shape))
         expected = sine_sum(f, 5, coarse - 1)
-        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
-        assert np.all(f.zero_boundary(out.copy()) == out)
+        assert np.max(np.abs(field - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.all(f.zero_boundary(field.copy()) == field)
+
+    @pytest.mark.parametrize("grid", [bv.TorusGrid(2.0, 3.0, 32, 48), bv.PlaneGrid(6.0, 64)],
+                             ids=["torus", "plane"])
+    def test_prolongation_of_a_pair_is_per_field_and_transform_free(self, grid, monkeypatch):
+        # a stacked pair of coefficients (a state's) prolongs field by
+        # field, and moving coefficients takes no transform
+        coarse = type(grid)(*(grid.Lx, grid.Ly, grid.nx // 2, grid.ny // 2)
+                            if isinstance(grid, bv.TorusGrid) else (grid.R, grid.n // 2))
+        pair = coarse.to_modes(random_state(coarse, seed=5))
+        singles = [grid.prolong(coarse, p, grid.empty_modes()[0]) for p in pair]
+        for name in ("modal_forward", "modal_inverse"):
+            monkeypatch.setattr(type(grid), name, None)
+        stacked = grid.prolong(coarse, pair, grid.empty_modes())
+        assert stacked.tobytes() == np.stack(singles).tobytes()
 
     @pytest.mark.parametrize("grid,tau,expected", [
         (bv.TorusGrid(4.0, 4.0, 256, 256), 16.0 / 144.0, (64, 64)),

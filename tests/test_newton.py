@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
-from bpsvortex import newton
+from bpsvortex import newton, runner
+from bpsvortex.runner import run
 from bpsvortex.cli import main
 from bpsvortex.config import parse_config
 from bpsvortex.energy import EnergyModel
 from bpsvortex.errors import Overflow, ThresholdViolated
-from bpsvortex.runner import run
 
 from conftest import count_hessian_applies, random_state
 
@@ -330,10 +330,12 @@ class TestIterationCap:
         assert short.grad_history == free.grad_history[:k]
 
 
-# a plane case whose sup gradient floors near 2e-12 from Newton step 7 on
+# a plane case whose sup gradient floors near 3e-13 from Newton step 7 on
+# (the gradient of the carried mode coefficients; evaluated in long double,
+# their true sup gradient there is about 8e-13)
 FLOOR_CASE = {"mode": "plane", "model": "base", "lambda": 200.0, "domain": {"R": 2.0},
               "grid": {"n": 128}, "phi_zeros": [[0.3, 0.0], [-0.3, 0.2]],
-              "solver": {"tol": 1e-12, "max_iters": 30}, "output": {"report_path": "r.json"}}
+              "solver": {"tol": 1e-13, "max_iters": 30}, "output": {"report_path": "r.json"}}
 
 
 # FLOOR_CASE with a third vortex: its damped first step raises the sup
@@ -352,7 +354,7 @@ class TestStallStop:
         # at the floor the line search may damp steps, so a damped step must
         # not restart the count
         k = newton.STALL_STEPS
-        for tol in (1e-12, 1e-13):
+        for tol in (1e-13, 1e-14):
             sol = floor_case_solve(tol)
             assert not sol.converged and sol.iterations <= 12
             assert sol.message.startswith("stalled at sup gradient")
@@ -401,11 +403,11 @@ class TestLineSearch:
         energy = EnergyModel.energy
         calls = [0]
 
-        def overflow_on_first_trial(self, state):
+        def overflow_on_first_trial(self, state, *args):
             calls[0] += 1
             if calls[0] == 2:
                 raise Overflow("exponent argument 812 exceeds 700")
-            return energy(self, state)
+            return energy(self, state, *args)
 
         monkeypatch.setattr(EnergyModel, "energy", overflow_on_first_trial)
         grid = bv.TorusGrid(L20, L20, 32, 32)
@@ -417,16 +419,20 @@ class TestLineSearch:
 
     @pytest.mark.parametrize("mode", ["plane", "torus"])
     def test_gradient_of_a_halving_step_is_computed_once(self, monkeypatch, mode):
-        # the last step of both solves is accepted for halving the gradient.
-        # The plane hands that gradient on, so no state's gradient is
-        # computed twice; the torus shift moves the accepted state, so its
-        # next gradient is a new one, at the shifted state
+        # near the minimum whether the full step's energy passes Armijo is a
+        # matter of roundoff; a sufficient decrease of 0.9 of the slope,
+        # beyond the half a Newton step on a quadratic gives, fails it
+        # there, so the steps that end both solves are accepted for halving
+        # the gradient.  The plane hands that gradient on, so no state's
+        # gradient is computed twice; the torus shift moves the accepted
+        # state, so its next gradient is a new one, at the shifted state
+        monkeypatch.setattr(newton, "ARMIJO_C", 0.9)
         states = []
         gradient = EnergyModel.gradient
 
-        def recording(self, state):
+        def recording(self, state, *args):
             states.append(state.tobytes())
-            return gradient(self, state)
+            return gradient(self, state, *args)
 
         monkeypatch.setattr(EnergyModel, "gradient", recording)
         if mode == "plane":
@@ -591,3 +597,150 @@ class TestSettingsValidation:
             bv.SolverSettings(tol_grad_sup=-1.0)
         with pytest.raises(ValueError):
             bv.SolverSettings(max_iters=0)
+
+
+
+def carried_modes_steps(grid, solve_with):
+    """Check the start and every accepted step of ``solve_with(settings)``.
+
+    Each carries its state's mode coefficients to roundoff: ``modes`` is
+    ``grid.to_modes(state)`` within 1e-12 of its size.  The start is the
+    solve that converges at once (a huge tolerance), step k the solve capped
+    at k iterations.  Returns the uncapped solution.
+    """
+    free = solve_with(bv.SolverSettings())
+    assert free.converged
+    capped = [solve_with(bv.SolverSettings(tol_grad_sup=1e6))]
+    capped += [solve_with(bv.SolverSettings(max_iters=k)) for k in range(1, free.iterations + 1)]
+    for k, sol in enumerate(capped):
+        assert sol.iterations == k
+        expected = grid.to_modes(sol.state)
+        assert np.max(np.abs(sol.modes - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert capped[-1].state.tobytes() == free.state.tobytes()
+    # the converged solution's Laplacians are its coefficients' own
+    expected = grid.laplacians(free.modes)
+    assert np.max(np.abs(free.laplacians - expected)) <= 1e-13 * np.max(np.abs(expected))
+    return free
+
+
+def two_vortex_torus(n):
+    grid, params = bv.TorusGrid(L20, L20, n, n), bv.PhysicalParams(lam=1.0)
+    cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
+    return grid, params, cfg, bv.build_background(cfg, grid, params)
+
+
+class TestCarriedModes:
+    """Newton carries each iterate's mode coefficients beside it (``Solution.modes``)."""
+
+    def test_torus_init_start_and_shift(self):
+        # an init pays one to_modes; the constraint shift moves the constant
+        # mode of the coefficients with the state
+        grid, params, cfg, bg = two_vortex_torus(32)
+        carried_modes_steps(grid, lambda settings: bv.solve(
+            "torus", "base", cfg, grid, params, settings, init=np.zeros((2,) + grid.shape),
+            background=bg))
+
+    def test_plane_gradient_halved_hand_on(self, monkeypatch):
+        # a sufficient decrease the steps near the minimum cannot meet makes
+        # them take the halving path (see test_gradient_of_a_halving_step_is_computed_once)
+        monkeypatch.setattr(newton, "ARMIJO_C", 0.9)
+        grid, params = bv.PlaneGrid(12.0, 193), bv.PhysicalParams(lam=4.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0),))
+        bg = bv.build_background(cfg, grid, params)
+        sol = carried_modes_steps(grid, lambda settings: bv.solve(
+            "plane", "base", cfg, grid, params, settings, init=np.zeros((2,) + grid.shape),
+            background=bg))
+        assert "gradient_halved" in [step["fallback"] for step in sol.newton_steps]
+
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_cold_start_from_the_prolonged_coarse_modes(self, monkeypatch, mode):
+        # the coarse level shares the settings, so the start is checked as
+        # coarse_start hands it over, and the solve by its result
+        if mode == "torus":
+            grid, params, cfg, bg = two_vortex_torus(128)
+        else:
+            grid, params = bv.PlaneGrid(4.0, 128), bv.PhysicalParams(lam=4.0)
+            cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
+            bg = bv.build_background(cfg, grid, params)
+        starts = []
+        coarse_start = newton.coarse_start
+
+        def recording(*args):
+            start, modes, block, seconds = coarse_start(*args)
+            if start is not None:
+                starts.append((start.copy(), modes.copy()))
+            return start, modes, block, seconds
+
+        monkeypatch.setattr(newton, "coarse_start", recording)
+        sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
+        assert sol.converged and sol.coarse["converged"] and sol.coarse["shape"] == [64, 64]
+        assert len(starts) == 1
+        for state, modes in (starts[0], (sol.state, sol.modes)):
+            expected = grid.to_modes(state)
+            assert np.max(np.abs(modes - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_secant_sweep_row(self):
+        # the start of a sweep row on a lambda path: the clamped secant
+        # through the last two converged rows (runner._path_start)
+        grid, params, cfg, bg = two_vortex_torus(32)
+        path = []
+        for index, lam in enumerate((1.0, 1.2)):
+            sol = bv.solve("torus", "base", cfg, grid, bv.PhysicalParams(lam=lam), background=bg)
+            path.append((index, lam, sol.state))
+        lam = 1.4
+        _, secant_row, start = runner._path_start(path, lam)
+        assert secant_row == 0
+        init = start()
+        carried_modes_steps(grid, lambda settings: bv.solve(
+            "torus", "base", cfg, grid, bv.PhysicalParams(lam=lam), settings,
+            init=init.copy(), background=bg))
+
+
+def step_budget(sol, start_forward, start_inverse):
+    """Transforms of a Newton solve on its own grid: ``(forward, inverse)``.
+
+    Per step: the gradient's coefficients (two forward), four per Hessian
+    apply (two each way) and two inverse per line-search trial, which is
+    built from its coefficients.  Per iterate, the Laplacians of its
+    gradient: two inverse.  Plus what the start costs.
+    """
+    steps = sol.newton_steps
+    forward = start_forward + sum(2 + 2 * step["cg_iters"] for step in steps)
+    inverse = (start_inverse + sum(2 * step["cg_iters"] + 2 * step["linesearch_evals"]
+                                   for step in steps) + 2 * (sol.iterations + 1))
+    return forward, inverse
+
+
+class TestTransformBudget:
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_newton_step_budget(self, count_transforms, mode):
+        # an init start costs one to_modes and nothing else: the energy's
+        # gradient part is Parseval on the carried coefficients
+        if mode == "torus":
+            grid, params, cfg, bg = two_vortex_torus(32)
+        else:
+            grid, params = bv.PlaneGrid(6.0, 64), bv.PhysicalParams(lam=4.0)
+            cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
+            bg = bv.build_background(cfg, grid, params)
+        sol = bv.solve(mode, "base", cfg, grid, params, init=np.zeros((2,) + grid.shape),
+                       background=bg)
+        assert sol.converged and sol.iterations >= 3
+        forward, inverse = step_budget(sol, 2, 0)
+        assert count_transforms == {("forward", grid.shape): forward,
+                                    ("inverse", grid.shape): inverse}
+
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    def test_cold_start_makes_no_fine_forward_transform(self, count_transforms, mode):
+        # the coarse solution's coefficients are zero-padded onto the fine
+        # grid; only the start state costs transforms there, two inverse
+        if mode == "torus":
+            grid, params, cfg, bg = two_vortex_torus(128)
+        else:
+            grid, params = bv.PlaneGrid(4.0, 128), bv.PhysicalParams(lam=4.0)
+            cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
+            bg = bv.build_background(cfg, grid, params)
+        sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
+        assert sol.converged and sol.coarse["shape"] == [64, 64]
+        forward, inverse = step_budget(sol, 0, 2)
+        assert count_transforms["forward", grid.shape] == forward
+        assert count_transforms["inverse", grid.shape] == inverse
