@@ -41,6 +41,10 @@ from .grids import TorusGrid
 # below this s = r^2/tau the closed form of h2 cancels, and its series
 # (4/tau)(1/2 - s/6 + s^3/180) is exact to roundoff
 SERIES_S = 1e-3
+# beyond this s a profile adds exactly nothing in float64: from s = 37.5 on,
+# e^{-s} < 2^-54, so f = 1 - e^{-s} rounds to 1.0, ln f to 0.0 and h2 to 0.0
+# (its factor e^{-s} is computed as 1 - f)
+CUTOFF_S = 40.0
 
 
 @dataclass(frozen=True)
@@ -190,12 +194,18 @@ def _check_points(points, grid, torus: bool):
             raise PointOutsideDomain(f"point {i} at ({px}, {py}) outside (-R, R)^2")
 
 
-def _add_profile(dx, dy, tau, exp_f, log_f, dens, s, f, g):
+def _within(d, cut):
+    # the slice of the increasing offsets d with |d| <= cut
+    return slice(np.searchsorted(d, -cut), np.searchsorted(d, cut, side="right"))
+
+
+def _add_profile(dx, dy, tau, exp_f, log_f, dens):
     """Fold one vortex's profile into ``exp_f``, ``log_f`` and ``dens``, in place.
 
-    ``dx``, ``dy`` are the axis offsets of the nodes from the vortex and
-    ``s``, ``f``, ``g`` three scratch fields of the grid's shape.
+    ``dx``, ``dy`` are the axis offsets of the nodes from the vortex, and the
+    three fields views of the nodes they span.
     """
+    s, f, g = np.empty((3, dx.size, dy.size))
     np.add.outer(dx * dx / tau, dy * dy / tau, out=s)  # s = r^2 / tau
     np.negative(s, out=f)
     np.expm1(f, out=f)
@@ -218,9 +228,14 @@ def build_background(cfg: VortexConfig, grid, params: PhysicalParams) -> Backgro
     """The background of ``cfg``'s zero sets on ``grid``: one profile per vortex.
 
     The offsets from a vortex are the minimum image on the torus and plain
-    ones on the plane.  On the torus each zero set's density is rescaled to
-    the cell integral 4 pi per vortex, which the trapezoid rule misses only
-    by roundoff.  An empty zero set gives the scalars 1.0, 0.0 and 0.0.
+    ones on the plane.  On the plane a profile is built only on the nodes of
+    its box |x - p|_inf <= sqrt(CUTOFF_S tau): beyond it s > CUTOFF_S, where
+    the profile adds exactly nothing, so the background is bitwise that of
+    profiles built on the whole grid.  On the torus the box is the whole
+    cell (the minimum image cuts s at L^2/(4 tau) >= 36), and each zero
+    set's density is rescaled to the cell integral 4 pi per vortex, which
+    the trapezoid rule misses only by roundoff.  An empty zero set gives
+    the scalars 1.0, 0.0 and 0.0.
     The background depends on ``cfg`` and ``grid`` alone; ``params`` is not
     read.
     """
@@ -228,19 +243,23 @@ def build_background(cfg: VortexConfig, grid, params: PhysicalParams) -> Backgro
     _check_points(cfg.phi_zeros, grid, torus)
     _check_points(cfg.kappa_zeros, grid, torus)
     tau = core_scale(grid)
+    cut = math.sqrt(CUTOFF_S * tau)
     x, y = grid.axes()
 
     def one_set(points):
         if not points:
             return 1.0, 0.0, 0.0
         exp_f, log_f, dens = np.ones(grid.shape), np.zeros(grid.shape), np.zeros(grid.shape)
-        scratch = np.empty((3,) + grid.shape)
         for px, py in points:
             dx, dy = x - px, y - py
             if torus:
                 dx -= grid.Lx * np.round(dx / grid.Lx)
                 dy -= grid.Ly * np.round(dy / grid.Ly)
-            _add_profile(dx, dy, tau, exp_f, log_f, dens, *scratch)
+                box = (slice(None), slice(None))
+            else:
+                rows, cols = _within(dx, cut), _within(dy, cut)
+                box, dx, dy = (rows, cols), dx[rows], dy[cols]
+            _add_profile(dx, dy, tau, exp_f[box], log_f[box], dens[box])
         np.maximum(log_f, -700.0, out=log_f)
         if torus:
             dens *= 4.0 * math.pi * len(points) / grid.integrate(dens)

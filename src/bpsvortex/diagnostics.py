@@ -51,7 +51,13 @@ def pde_residual(state, bg: Background, params: PhysicalParams):
     """(l2, sup) residual of each governing equation over the grid's interior.
 
     The reduced system is restated here from the background's sources,
-    independently of the energy gradient that it checks.
+    independently of the energy gradient that it checks.  The Laplacians
+    come from the rounded node values of ``state``, whose roundoff they
+    amplify by up to K_max (the largest Laplacian eigenvalue, about
+    2 (pi/h)^2): the residual has a floor of about K_max 1e-16 |s|, and a
+    solve converged to a tolerance below it cannot be confirmed here.
+    The solver's carried Laplacians (``Solution.laplacians``, which
+    :func:`build_diagnostics` takes) have no such floor.
     """
     return _pde_residual(_laplacians(state, bg.grid), _exp_pair(state, bg), bg, params)
 
@@ -117,7 +123,9 @@ def verify_lagrange_multipliers(state, bg: Background,
     with the weighted exponentials e^u = e^{u0 + s0}, e^v = e^{v0 + s1 - s0}
     and the background's source densities (cell means 4 pi m / |Omega| and
     4 pi (m + n) / |Omega|), in both torus models; the analytic values are
-    l1 = lam, l2 = 2 lam.
+    l1 = lam, l2 = 2 lam.  The Laplacians come from the rounded node
+    values, with the roundoff floor of about K_max 1e-16 |s| that
+    :func:`pde_residual` states.
     """
     return _lagrange_fit(_laplacians(state, bg.grid), _exp_pair(state, bg), bg, params)
 
@@ -167,11 +175,14 @@ def radial_profile(state, bg: Background, r_min: float, r_max: float,
     f2 += np.square(v, out=v)
     del u, v, d
     f2, g2 = f2.ravel(), g2.ravel()
-    edges = np.linspace(r_min, r_max, nbins + 1)
+    # uniform bins: numpy sums each bin by itself (a bincount).  Given an
+    # edges array it takes differences of one cumulative sum over all nodes
+    # sorted by r instead, which wipes out the small far-field bins
+    window = dict(bins=nbins, range=(r_min, r_max))
     rf = r.ravel()
-    sums_f, _ = np.histogram(rf, bins=edges, weights=f2)
-    sums_g, _ = np.histogram(rf, bins=edges, weights=g2)
-    counts, _ = np.histogram(rf, bins=edges)
+    sums_f, edges = np.histogram(rf, weights=f2, **window)
+    sums_g, _ = np.histogram(rf, weights=g2, **window)
+    counts, _ = np.histogram(rf, **window)
     keep = counts > 0
     centers = 0.5 * (edges[:-1] + edges[1:])[keep]
     return RadialProfile(centers, sums_f[keep] / counts[keep], sums_g[keep] / counts[keep],

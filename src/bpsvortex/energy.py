@@ -46,6 +46,18 @@ per mode; on the torus its constant-mode block is the Galerkin projection of
 A onto the constant fields, so that mode is exact.  W is the pointwise
 remainder.  ``hessian_operator`` applies M + W with two inverse and two
 forward transforms, and ``preconditioner`` inverts M mode by mode with none.
+W runs in the grid's ``product_dtype``: on the plane in float32, its two
+fields wu, wv, its physical field and its four dense sine transforms, at
+half the cost of float64 (the transforms round the direction's coefficients
+to float32 and return theirs in float64); on the torus in float64.
+Everything else stays float64: M, the preconditioner, CG's vectors and
+inner products, the gradient, the energy and the state.  The plane product
+is then off by about 2e-8 of its size, while an inexact Newton step needs
+it only to its forcing term (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19, 1982).  Every forcing term above about 2e-8 is met as before; a
+step solved to the 1e-10 floor stops with a true residual near 2e-8 |g|
+instead, and the stopping rule, which reads the float64 gradient, is
+unchanged.
 
 On the torus the energy also reports the masses (int e^U, int e^V), from
 which :func:`constraint_shift` moves a state (and its coefficients) onto
@@ -87,7 +99,7 @@ class Linearization(NamedTuple):
     ``mean_exp`` holds the mean masses (a, b) that M is built at.  M is
     ``lam_b`` [[c0, -1], [-1, c1]] per mode and ``inv_det`` is
     1 / (lam_b (c0 c1 - 1)), all three mode-sized; W is pointwise, through
-    the physical fields ``wu`` and ``wv``.
+    the physical fields ``wu`` and ``wv`` (in the grid's ``product_dtype``).
     """
 
     mean_exp: Tuple[float, float]
@@ -270,27 +282,31 @@ class EnergyModel:
         c0 += 1.0 + ratio
         c1 = x
         c1 += 1.0
-        wu = eU
-        wu -= a
-        wu *= 2.0 * lam
-        wv = eV
-        wv -= b
-        wv *= lam
+        eU -= a
+        eU *= 2.0 * lam
+        eV -= b
+        eV *= lam
+        # stored in the dtype of the grid's Hessian products, rounded once
+        wu = eU.astype(grid.product_dtype, copy=False)
+        wv = eV.astype(grid.product_dtype, copy=False)
         return Linearization((float(a), float(b)), float(lam_b), c0, c1, inv_det, wu, wv)
 
     def hessian_operator(self, lin: Linearization):
         """Hessian application on mode coefficients, at the state of ``lin``.
 
         The returned callable maps the coefficient pair of a direction (see
-        :meth:`to_modes`) to that of its Hessian product (the formula in the
-        module docstring, through the transforms, to roundoff).  It applies
-        A = M + W of :meth:`linearize`: W through the physical fields at two
-        inverse and two forward transforms, M per mode.  The callable holds
-        ``lin`` and one physical field.
+        ``grid.to_modes``) to that of its Hessian product (the formula in the
+        module docstring, through the transforms).  It applies A = M + W of
+        :meth:`linearize`: M per mode in float64, W through the physical
+        fields at two inverse and two forward transforms in the grid's
+        ``product_dtype``.  That is float32 on the plane, where the product
+        is exact to about 1e-7 of |W p| (see the module docstring), and
+        float64 on the torus, exact to roundoff.  The callable holds ``lin``
+        and one physical field.
         """
         grid = self.grid
         lam_b, c0, c1, wu, wv = lin.lam_b, lin.c0, lin.c1, lin.wu, lin.wv
-        field = np.zeros(grid.shape)
+        field = np.empty(grid.shape, wu.dtype)
 
         def apply_h(p):
             out = np.empty_like(p)

@@ -38,6 +38,15 @@ Scalar fields are plain ``float64`` arrays of shape ``(nx, ny)`` (torus) or
 ``(n, n)`` (plane), laid out row-major with node ``(i, j)`` at
 ``(i*dx, j*dy)`` resp. ``(-R + i*h, -R + j*h)``.  Reductions use numpy's
 pairwise summation, so results are deterministic for a fixed grid.
+The plane's sine transforms compute in the dtype of their field (the input
+of ``modal_forward``, the output of ``modal_inverse``) and round
+coefficients of another dtype at the boundary: float32 fields go through a
+float32 copy of the sine basis.  A grid's ``product_dtype`` is the field
+dtype in which the energy's Hessian products run their pointwise part:
+float32 on the plane, whose dense transforms then cost half (about 2e-8
+relative error in the product, below the accuracy Newton's CG asks of it;
+see :mod:`bpsvortex.energy`), and float64 on the torus, whose FFTs gain
+nothing from single precision.
 
 Buffers: ``laplacian`` and ``laplacians`` return new arrays.  The other
 operators write their result to ``out=`` and return it; where ``out`` is
@@ -47,8 +56,9 @@ made with the grid, that its operators pass through.  It holds nothing
 between calls and is never returned, so results never alias it; it also
 makes a torus grid unsafe to share between threads.
 The plane's sine transforms allocate one interior-sized intermediate per call
-instead (and its Laplacians and Dirichlet forms their coefficients): kept
-on the grid it would stay resident for the life of the grid.
+instead (two for a forward transform into coefficients of another dtype,
+and its Laplacians and Dirichlet forms their coefficients): kept on the
+grid it would stay resident for the life of the grid.
 """
 
 from __future__ import annotations
@@ -72,8 +82,9 @@ class _Eigenbasis:
 
     A grid gives ``modal_forward``, ``modal_inverse``, ``modal_inner``,
     ``_neg_k2`` (-K, the symbol of the Laplacian, per mode), ``_spec``, the
-    spectrum its forward transforms write to (``None``: a new array), and
-    ``_mode_dtype``, the type of its coefficients.
+    spectrum its forward transforms write to (``None``: a new array),
+    ``_mode_dtype``, the type of its coefficients, and ``product_dtype``,
+    the type of the fields in the Hessian products.
     """
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
@@ -157,6 +168,7 @@ class TorusGrid(_Eigenbasis):
     ny: int
 
     _mode_dtype = complex
+    product_dtype = np.float64
 
     def __post_init__(self):
         if not (self.Lx > 0.0 and self.Ly > 0.0):
@@ -320,6 +332,7 @@ class PlaneGrid(_Eigenbasis):
     # no scratch spectrum: each forward transform makes its coefficients
     _spec = None
     _mode_dtype = float
+    product_dtype = np.float32
 
     def __post_init__(self):
         if not self.R > 0.0:
@@ -369,7 +382,9 @@ class PlaneGrid(_Eigenbasis):
     # 17-20 ms for scipy.fft.dstn, and a folded one takes about 4 ms against
     # 6 ms unfolded on the same host.  Each transform allocates one
     # interior-sized intermediate and writes every other stage into its
-    # output.
+    # output.  A float32 field runs the same products in sgemm, at about
+    # half the time of dgemm (n = 384: 1.7 ms against 3.1 ms per forward
+    # transform on the same host).
 
     @cached_property
     def sine_modes(self) -> np.ndarray:
@@ -385,6 +400,15 @@ class PlaneGrid(_Eigenbasis):
         j = np.arange(1, odd + 1)
         s = np.sqrt(2.0 / (self.n - 1)) * np.sin(np.pi * np.outer(k, j) / (self.n - 1))
         return s[:odd], np.ascontiguousarray(s[odd:, :even])
+
+    @cached_property
+    def _folded_basis_single(self):
+        # the blocks of _folded_basis rounded to float32, for the transforms
+        # of float32 fields (the Hessian products, ``product_dtype``)
+        return tuple(s.astype(np.float32) for s in self._folded_basis)
+
+    def _basis(self, dtype):
+        return self._folded_basis_single if dtype == np.float32 else self._folded_basis
 
     def _fold(self, x, out):
         # rows j of x and N - j summed into the odd rows of out, subtracted
@@ -406,32 +430,43 @@ class PlaneGrid(_Eigenbasis):
     def modal_forward(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """Sine coefficients of the interior of ``values``, shape (n-2, n-2).
 
-        Rows and columns follow ``sine_modes``.
+        Rows and columns follow ``sine_modes``.  Computed in the dtype of
+        the field ``values`` (float64, or float32 for the Hessian products);
+        an ``out`` of another dtype receives the result rounded to it.
         """
-        s_odd, s_even = self._folded_basis
+        s_odd, s_even = self._basis(values.dtype)
         odd = s_odd.shape[0]
         if out is None:
-            out = np.empty((self.n - 2, self.n - 2))
-        t = np.empty_like(out)
+            out = np.empty((self.n - 2, self.n - 2), values.dtype)
+        res = out if out.dtype == values.dtype else np.empty(out.shape, values.dtype)
+        t = np.empty_like(res)
         self._fold(values[1:-1, 1:-1], t)
-        np.matmul(s_odd, t[:odd], out=out[:odd])
-        np.matmul(s_even, t[odd:], out=out[odd:])
-        self._fold(out.T, t.T)
-        np.matmul(t[:, :odd], s_odd.T, out=out[:, :odd])
-        np.matmul(t[:, odd:], s_even.T, out=out[:, odd:])
+        np.matmul(s_odd, t[:odd], out=res[:odd])
+        np.matmul(s_even, t[odd:], out=res[odd:])
+        self._fold(res.T, t.T)
+        np.matmul(t[:, :odd], s_odd.T, out=res[:, :odd])
+        np.matmul(t[:, odd:], s_even.T, out=res[:, odd:])
+        if res is not out:
+            out[...] = res
         return out
 
     def modal_inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """The field with sine coefficients ``coeffs`` (written to ``out``).
 
-        Its boundary ring is zero.
+        Its boundary ring is zero.  Computed in the dtype of the field:
+        that of ``out`` when given (float64, or float32 for the Hessian
+        products; ``coeffs`` of another dtype are rounded to it first),
+        else that of ``coeffs``.
         """
-        s_odd, s_even = self._folded_basis
-        odd = s_odd.shape[0]
         if out is None:
-            out = np.empty(self.shape)
+            out = np.empty(self.shape, coeffs.dtype)
+        s_odd, s_even = self._basis(out.dtype)
+        odd = s_odd.shape[0]
         x = out[1:-1, 1:-1]
-        t = np.empty(x.shape)
+        if coeffs.dtype != out.dtype:
+            x[...] = coeffs
+            coeffs = x
+        t = np.empty(x.shape, out.dtype)
         np.matmul(coeffs[:, :odd], s_odd, out=t[:, :odd])
         np.matmul(coeffs[:, odd:], s_even, out=t[:, odd:])
         self._unfold(t.T, x.T)

@@ -208,6 +208,11 @@ def _pcg(apply_a, b, apply_minv, inner, rel_tol):
     return x, iters, rel_res
 
 
+def _sup(a) -> float:
+    """max |a|, without the temporary |a| (a state pair at the fine grid)."""
+    return float(np.maximum(a.max(), -a.min()))
+
+
 def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
                   tol: float) -> Tuple[float, bool]:
     """CG relative tolerance of one Newton step (see the constants above).
@@ -333,7 +338,7 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
             laps = grid.laplacians(modes)
         if grad is None:
             grad = model.gradient(state, laps)
-        gsup = float(np.max(np.abs(grad)))
+        gsup = _sup(grad)
         grad_history.append(gsup)
         energy_history.append(e_now)
         if gsup <= settings.tol_grad_sup:
@@ -410,7 +415,7 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
                 # gradient (quadratic local convergence takes over there)
                 laps = grid.laplacians(trial_modes)
                 grad = model.gradient(trial, laps)
-                if float(np.max(np.abs(grad))) <= 0.5 * gsup:
+                if _sup(grad) <= 0.5 * gsup:
                     accepted = True
                     fallback = fallback or "gradient_halved"
                     # the next iteration's Laplacians and, unless the torus
@@ -449,4 +454,9 @@ def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams
     """
     check_labels(mode, model, cfg, grid, background)
     bg = background if background is not None else build_background(cfg, grid, params)
-    return minimize(EnergyModel(bg, params), settings or SolverSettings(), init=init)
+    # the start goes on through a list that the call empties, so that this
+    # frame does not hold it: minimize frees a start that no caller holds
+    # before its first CG solve
+    start = [init]
+    del init
+    return minimize(EnergyModel(bg, params), settings or SolverSettings(), init=start.pop())

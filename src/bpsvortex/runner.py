@@ -260,17 +260,20 @@ def _path_start(path, lam):
     Otherwise it is the secant s2 + r (s2 - s1) with
     r = (lam - lambda2) / (lambda2 - lambda1) clamped to [-1, 1], so it
     never extrapolates further than the last step; ``start`` builds it in
-    the older state's storage, which is spent then.
+    the older state's storage, which is spent then: it takes the older row
+    off ``path`` and keeps no reference to the start, which the solve then
+    holds alone.
     """
     if not path:
         return None, None, None
     row2, lam2, s2 = path[-1]
     if len(path) == 1 or path[0][1] == lam2:
         return row2, None, s2.copy
-    row1, lam1, s1 = path[0]
+    row1, lam1, _ = path[0]
     r = min(1.0, max(-1.0, (lam - lam2) / (lam2 - lam1)))
 
     def secant():
+        s1 = path.pop(0)[2]
         np.subtract(s1, s2, out=s1)
         np.multiply(s1, -r, out=s1)
         return np.add(s1, s2, out=s1)

@@ -150,6 +150,39 @@ class TestPlaneBackground:
             bv.build_background(bv.VortexConfig(phi_zeros=((4.5, 0.0),)),
                                 grid, bv.PhysicalParams(lam=1.0))
 
+    @pytest.mark.parametrize("n", [96, 193])
+    def test_profiles_on_their_boxes_equal_profiles_on_the_whole_grid(self, n):
+        # each profile is built on its vortex's box only; folded over every
+        # node instead, the background keeps its bits.  Overlapping boxes,
+        # a vortex next to the Dirichlet ring and random configurations
+        grid = bv.PlaneGrid(6.0, n)
+        tau = bv.backgrounds.core_scale(grid)
+        assert 2.0 * math.sqrt(bv.backgrounds.CUTOFF_S * tau) < grid.R  # boxes are proper
+        x, y = grid.axes()
+
+        def whole_grid(points):
+            if not points:
+                return 1.0, 0.0, 0.0
+            exp_f, log_f, dens = np.ones(grid.shape), np.zeros(grid.shape), np.zeros(grid.shape)
+            for px, py in points:
+                _add_profile(x - px, y - py, tau, exp_f, log_f, dens)
+            return exp_f, np.maximum(log_f, -700.0), dens
+
+        rng = np.random.default_rng(5)
+        configs = [bv.VortexConfig(phi_zeros=((0.3, -0.2), (1.1, 0.4), (5.97, -5.9)),
+                                   kappa_zeros=((0.2, -0.1),))]
+        configs += [bv.VortexConfig(phi_zeros=tuple(map(tuple, rng.uniform(-5.9, 5.9, (3, 2)))),
+                                    kappa_zeros=(tuple(rng.uniform(-5.9, 5.9, 2)),))
+                    for _ in range(4)]
+        for cfg in configs:
+            bg = bv.build_background(cfg, grid, bv.PhysicalParams(lam=1.0))
+            exp_u0, u0, src_u = whole_grid(cfg.kappa_zeros)
+            exp_v0, v0, src_f = whole_grid(cfg.phi_zeros)
+            src_f = src_f + src_u
+            for got, ref in ((bg.exp_u0, exp_u0), (bg.u0, u0), (bg.src_u, src_u),
+                             (bg.exp_v0, exp_v0), (bg.v0, v0), (bg.src_f, src_f)):
+                assert got.tobytes() == ref.tobytes()
+
 
 class TestTorusBackground:
     def test_empty_config(self):
@@ -223,7 +256,7 @@ class TestSourceSeries:
         exp_f, log_f, dens = np.ones((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))
         s = dx * dx / tau
         assert s[0] < SERIES_S <= s[1]
-        _add_profile(dx, dy, tau, exp_f, log_f, dens, *np.empty((3, 2, 1)))
+        _add_profile(dx, dy, tau, exp_f, log_f, dens)
         assert dens[0, 0] == pytest.approx(dens[1, 0], rel=1e-12)
         assert dens[0, 0] == pytest.approx((4.0 / tau) * (0.5 - SERIES_S / 6.0), rel=1e-10)
         assert exp_f[:, 0] == pytest.approx(-np.expm1(-s), rel=1e-15)

@@ -345,8 +345,8 @@ class TestOneRadialProfile:
              "output": {"report_path": "r.json", "plots_path": "profile.csv"}}
 
     def test_profile_matches_the_direct_formula(self, plane_solution):
-        # accumulated one field at a time, the sums keep the bits of the
-        # direct evaluation with every field and gradient held at once
+        # each bin's mean against an exactly rounded sum (math.fsum) of the
+        # direct formula over the bin's nodes, far-field bins included
         grid, params, cfg, bg, sol = plane_solution
         state = sol.state
         u = bg.u0 + state[0]
@@ -356,13 +356,18 @@ class TestOneRadialProfile:
         ux, uy = np.gradient(u, grid.h)
         vx, vy = np.gradient(v, grid.h)
         edges = np.linspace(1.0, 7.5, 41)
-        counts = np.histogram(r, bins=edges)[0]
+        # half-open bins [e_i, e_i+1), the last one closed
+        bins = np.searchsorted(edges, r, side="right") - 1
+        bins[r == edges[-1]] = 39
         prof = bv.radial_profile(state, bg, 1.0, 7.5, 40)
         assert prof.window == (1.0, 7.5, 40)
-        for got, weights in ((prof.mean_fields_sq, u ** 2 + v ** 2),
-                             (prof.mean_grads_sq, ux ** 2 + uy ** 2 + vx ** 2 + vy ** 2)):
-            sums = np.histogram(r, bins=edges, weights=weights.ravel())[0]
-            assert got.tobytes() == (sums[counts > 0] / counts[counts > 0]).tobytes()
+        filled = [b for b in range(40) if np.any(bins == b)]
+        assert prof.r.tolist() == [0.5 * (edges[b] + edges[b + 1]) for b in filled]
+        for got, weights in ((prof.mean_fields_sq, (u ** 2 + v ** 2).ravel()),
+                             (prof.mean_grads_sq, (ux ** 2 + uy ** 2 + vx ** 2 + vy ** 2).ravel())):
+            ref = np.array([math.fsum(weights[bins == b]) / np.count_nonzero(bins == b)
+                            for b in filled])
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
     def test_plane_run_computes_one_profile(self, tmp_path, monkeypatch):
         # the plot data reuses the decay fit's profile, with the bits of a

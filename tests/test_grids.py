@@ -359,6 +359,25 @@ class TestModalTransforms:
         assert np.max(np.abs(field[1:-1, 1:-1] - inner)) <= 1e-13 * np.max(np.abs(inner))
         assert np.all(g.zero_boundary(field.copy()) == field)
 
+    @pytest.mark.parametrize("n", [16, 17, 96])
+    def test_single_precision_sine_transforms(self, n):
+        # a float32 field is transformed in float32, against the dense
+        # float64 products to float32 accuracy; coefficients of the other
+        # dtype are rounded at the boundary, to the same bits
+        g = bv.PlaneGrid(3.0, n)
+        s, perm = sine_basis(n), block_layout(n)
+        v = np.random.default_rng(n).standard_normal(g.shape).astype(np.float32)
+        dense = (s @ v[1:-1, 1:-1].astype(float) @ s)[np.ix_(perm, perm)]
+        coeffs = g.modal_forward(v)
+        assert coeffs.dtype == np.float32
+        assert np.max(np.abs(coeffs - dense)) <= 1e-5 * np.max(np.abs(dense))
+        assert np.array_equal(g.modal_forward(v, out=np.empty(coeffs.shape)), coeffs)
+        field = g.modal_inverse(dense, out=np.full(g.shape, 7.0, np.float32))
+        assert np.array_equal(field, g.modal_inverse(dense.astype(np.float32)))
+        inner = v[1:-1, 1:-1]
+        assert np.max(np.abs(field[1:-1, 1:-1] - inner)) <= 1e-5 * np.max(np.abs(inner))
+        assert np.all(g.zero_boundary(field.copy()) == field)
+
     @pytest.mark.parametrize("grid", ["torus", "plane-16", "plane-17", "plane-33", "plane-96"])
     def test_modal_laplacian_is_the_grid_laplacian(self, grid):
         g = (bv.TorusGrid(2.0, 3.0, 32, 48) if grid == "torus"

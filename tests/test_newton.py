@@ -1,6 +1,7 @@
 import json
 import math
 import runpy
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -744,3 +745,40 @@ class TestTransformBudget:
         forward, inverse = step_budget(sol, 0, 2)
         assert count_transforms["forward", grid.shape] == forward
         assert count_transforms["inverse", grid.shape] == inverse
+
+
+class TestUnheldStart:
+    """A start that no caller holds is freed before the first CG solve."""
+
+    def test_solve_frees_an_unheld_start(self, monkeypatch):
+        grid, params, cfg, bg = two_vortex_torus(32)
+        refs, alive = [], []
+        pcg = newton._pcg
+
+        def spy(*args):
+            alive.append(refs[0]() is not None)
+            return pcg(*args)
+
+        def unheld_start():
+            start = np.zeros((2,) + grid.shape)
+            refs.append(weakref.ref(start))
+            return start
+
+        monkeypatch.setattr(newton, "_pcg", spy)
+        sol = bv.solve("torus", "base", cfg, grid, params, init=unheld_start(), background=bg)
+        assert sol.converged and len(alive) >= 2
+        assert not any(alive)
+
+    def test_secant_start_is_held_by_nobody(self):
+        # the secant is built in the older row's storage, which leaves the
+        # path; neither the path nor the start callable keeps the start
+        shape = (2, 16, 16)
+        path = [(0, 1.0, np.full(shape, 1.0)), (1, 1.2, np.full(shape, 2.0))]
+        _, secant_row, start = runner._path_start(path, 1.4)
+        assert secant_row == 0
+        state = start()
+        assert np.all(state == 3.0)  # clamped secant 2 + (2 - 1)
+        ref = weakref.ref(state)
+        del state
+        assert ref() is None
+        assert [row for row, _, _ in path] == [1]
