@@ -21,7 +21,7 @@ from .diagnostics import (BoundReport, DiagnosticsReport, PhysicalFields,
 from .energy import EnergyBreakdown, EnergyModel
 from .errors import (AnnulusTooThin, BpsVortexError, NonZeroMeanRhs, Overflow,
                      ParseError, PointOutsideDomain, SingularHessian,
-                     ThresholdViolated, ValidationError)
+                     ThresholdViolated, UnresolvedCore, ValidationError)
 from .fixedpoint import apply_T, continuation_solve
 from .grids import PlaneGrid, TorusGrid, random_smooth_field
 from .newton import Solution, SolverSettings, minimize, solve

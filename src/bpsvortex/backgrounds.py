@@ -35,7 +35,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import PointOutsideDomain
+from .errors import PointOutsideDomain, UnresolvedCore
 from .grids import TorusGrid
 
 # below this s = r^2/tau the closed form of h2 cancels, and its series
@@ -234,8 +234,10 @@ def build_background(cfg: VortexConfig, grid, params: PhysicalParams) -> Backgro
     profiles built on the whole grid.  On the torus the box is the whole
     cell (the minimum image cuts s at L^2/(4 tau) >= 36), and each zero
     set's density is rescaled to the cell integral 4 pi per vortex, which
-    the trapezoid rule misses only by roundoff.  An empty zero set gives
-    the scalars 1.0, 0.0 and 0.0.
+    the trapezoid rule misses only by roundoff; a zero set whose density
+    is zero on every node (each core of scale sqrt(tau) far from every
+    node) raises :class:`UnresolvedCore`.  An empty zero set gives the
+    scalars 1.0, 0.0 and 0.0.
     The background depends on ``cfg`` and ``grid`` alone; ``params`` is not
     read.
     """
@@ -262,7 +264,13 @@ def build_background(cfg: VortexConfig, grid, params: PhysicalParams) -> Backgro
             _add_profile(dx, dy, tau, exp_f[box], log_f[box], dens[box])
         np.maximum(log_f, -700.0, out=log_f)
         if torus:
-            dens *= 4.0 * math.pi * len(points) / grid.integrate(dens)
+            total = grid.integrate(dens)
+            if total == 0.0:
+                raise UnresolvedCore(
+                    f"vortex cores of scale sqrt(tau) = {math.sqrt(tau):.3g} fall between "
+                    f"the nodes of spacing {grid.dx:.3g} x {grid.dy:.3g}: their source "
+                    "density is zero on every node")
+            dens *= 4.0 * math.pi * len(points) / total
         return exp_f, log_f, dens
 
     exp_u0, u0, src_u = one_set(cfg.kappa_zeros)

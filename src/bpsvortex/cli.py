@@ -7,7 +7,8 @@ import json
 import sys
 
 from .config import apply_overrides, validate_config
-from .errors import NonZeroMeanRhs, Overflow, ParseError, ThresholdViolated, ValidationError
+from .errors import (NonZeroMeanRhs, Overflow, ParseError, ThresholdViolated, UnresolvedCore,
+                     ValidationError)
 from .runner import EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_THRESHOLD, run
 
 
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
 
     try:
         exit_code, report = run(args.command, cfg, out_dir=args.out)
-    except ValidationError as exc:
+    except (ValidationError, UnresolvedCore) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except ThresholdViolated as exc:

@@ -9,8 +9,10 @@ only to check them against it.  Fluxes are integrals of the algebraic
 right-hand sides (never of numerical second derivatives); within one report
 the checks share one Laplacian per state slice and one evaluation of the
 weighted exponentials.  A Newton solution comes with those Laplacians, and
-then the report makes no transform; a plane report keeps its radial profile
-for the plot data.
+then the report makes no transform.  A plane run has one radial window,
+:func:`profile_window`, and one radial profile over it: the decay fit runs
+over it and the report keeps it for the plot data, also when the annulus is
+too thin (or empty) for a fit.
 """
 
 from __future__ import annotations
@@ -158,7 +160,14 @@ class RadialProfile:
 
 def radial_profile(state, bg: Background, r_min: float, r_max: float,
                    nbins: int) -> RadialProfile:
-    """Angular averages of the squared fields and gradients over radial bins."""
+    """Angular averages of the squared fields and gradients over radial bins.
+
+    ``nbins`` uniform bins span [r_min, r_max]; bins without a node are left
+    out, and no bins (an empty annulus) give an empty profile.
+    """
+    if nbins == 0:
+        empty = np.empty(0)
+        return RadialProfile(empty, empty, empty, (r_min, r_max, nbins))
     grid: PlaneGrid = bg.grid
     x, y = grid.axes()
     r = np.sqrt(x[:, None] ** 2 + y[None, :] ** 2)
@@ -205,45 +214,32 @@ def _log_linear_rate(r, y):
     return -float(slope)
 
 
-def decay_annulus(bg: Background, params: PhysicalParams) -> Tuple[float, float]:
-    """``(r_min, r_max)`` of the decay fit: from three core lengths
-    1/sqrt(lam) beyond the outermost vortex to 0.8 R, inside the truncation
-    boundary."""
+def profile_window(bg: Background, params: PhysicalParams) -> Tuple[float, float, int]:
+    """``(r_min, r_max, nbins)`` of a plane run's radial profile.
+
+    The annulus runs from three core lengths 1/sqrt(lam) beyond the
+    outermost vortex (beyond the origin without vortices) to 0.8 R, inside
+    the truncation boundary, in bins of about two grid cells each; an empty
+    annulus has no bins.
+    """
     pts = bg.cfg.phi_zeros + bg.cfg.kappa_zeros
     r_v = max((math.hypot(px, py) for (px, py) in pts), default=0.0)
-    return r_v + 3.0 / math.sqrt(params.lam), 0.8 * bg.grid.R
-
-
-def annulus_bins(grid: PlaneGrid, r_min: float, r_max: float) -> int:
-    """Number of radial bins of about two grid cells each in [r_min, r_max]."""
-    return int((r_max - r_min) / (2.0 * grid.h))
-
-
-def decay_profile(state, bg: Background, params: PhysicalParams) -> RadialProfile:
-    """The :func:`radial_profile` of the decay fit, over the :func:`decay_annulus`.
-
-    Its bins are :func:`annulus_bins`; raises :class:`AnnulusTooThin` when
-    the annulus is empty or has fewer than ``DECAY_MIN_BINS`` of them.
-    """
-    r_min, r_max = decay_annulus(bg, params)
-    if r_max <= r_min:
-        raise AnnulusTooThin(f"empty annulus [{r_min:.3g}, {r_max:.3g}]")
-    nbins = annulus_bins(bg.grid, r_min, r_max)
-    if nbins < DECAY_MIN_BINS:
-        raise AnnulusTooThin(f"annulus supports only {nbins} radial bins "
-                             f"(need {DECAY_MIN_BINS})")
-    return radial_profile(state, bg, r_min, r_max, nbins)
+    r_min, r_max = r_v + 3.0 / math.sqrt(params.lam), 0.8 * bg.grid.R
+    return r_min, r_max, max(0, int((r_max - r_min) / (2.0 * bg.grid.h)))
 
 
 def decay_fit(state, bg: Background, params: PhysicalParams,
               profile: Optional[RadialProfile] = None):
     """Fitted radial decay rates of ln(u^2+v^2) and ln(|grad u|^2+|grad v|^2).
 
-    The fit runs over the :func:`decay_profile`, which the caller may pass
-    as ``profile``; bins whose angular average falls below
-    ``DECAY_FLOOR_REL`` of the peak are dropped (discretization noise floor).
+    The fit runs over the :func:`radial_profile` of the
+    :func:`profile_window`, which the caller may pass as ``profile``; bins
+    whose angular average falls below ``DECAY_FLOOR_REL`` of the peak are
+    dropped (discretization noise floor).  Raises :class:`AnnulusTooThin`
+    when fewer than ``DECAY_MIN_BINS`` bins hold nodes or are usable.
     """
-    prof = profile if profile is not None else decay_profile(state, bg, params)
+    prof = profile if profile is not None else radial_profile(
+        state, bg, *profile_window(bg, params))
     if prof.r.size < DECAY_MIN_BINS:
         raise AnnulusTooThin(f"only {prof.r.size} radial bins (need {DECAY_MIN_BINS})")
     rate_fields = _log_linear_rate(prof.r, prof.mean_fields_sq)
@@ -332,20 +328,20 @@ def build_diagnostics(state, mode: str, model: str, bg: Background,
     (``ValueError`` when they disagree with ``bg``) and otherwise unused.
     ``laplacians`` are the stacked Laplacians of the state's slices when the
     solver has them (:attr:`~bpsvortex.newton.Solution.laplacians`): the
-    report then makes no transform.  A plane decay fit keeps its profile in
-    ``report.profile``.
+    report then makes no transform.  A plane decay fit keeps the radial
+    profile it ran over in ``report.profile``, also when the annulus is too
+    thin for a fit (``report.decay`` is then ``None``).
     """
     check_labels(mode, model, cfg, bg.grid, bg)
     report = _equation_checks(state, bg, params, laplacians)
     if isinstance(bg.grid, PlaneGrid) and fit_decay and (bg.cfg.n + bg.cfg.m) > 0:
+        report.profile = radial_profile(state, bg, *profile_window(bg, params))
         try:
-            profile = decay_profile(state, bg, params)
-            rate_f, rate_g, window = decay_fit(state, bg, params, profile)
+            rate_f, rate_g, window = decay_fit(state, bg, params, report.profile)
             report.decay = {"rate_fields": rate_f, "rate_gradients": rate_g,
                             "r_min": window[0], "r_max": window[1]}
-            report.profile = profile
         except AnnulusTooThin:
-            report.decay = None
+            pass
     return report
 
 

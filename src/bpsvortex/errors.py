@@ -13,6 +13,10 @@ class PointOutsideDomain(BpsVortexError):
     """A prescribed vortex point lies outside the computational domain."""
 
 
+class UnresolvedCore(BpsVortexError):
+    """A torus vortex core falls between the nodes: its source density sums to zero there."""
+
+
 class Overflow(BpsVortexError):
     """An exponent argument exceeded the overflow guard (signals a divergent iterate)."""
 

@@ -7,7 +7,7 @@ Two domain types are supported:
   spacing and homogeneous Dirichlet data on the boundary ring.
 
 Both are spectral: each grid exposes the eigenbasis of its Laplacian, and
-``laplacian`` and ``dirichlet_form`` are written once, for both, through it.
+``laplacian`` and ``modal_dirichlet`` are written once, for both, through it.
 ``modal_forward`` and ``modal_inverse`` map fields to mode coefficients and
 back, ``laplacian_eigenvalues`` gives the eigenvalue of ``-laplacian`` per
 mode in the same layout (|k|^2 over the Fourier modes on the torus,
@@ -30,9 +30,10 @@ there.
 Each grid also owns its boundary: ``zero_boundary`` zeroes the plane's
 Dirichlet ring (a no-op on the torus) and ``interior`` views the nodes that
 carry an equation.  Next to ``integrate`` and the L^2 pairing ``inner``, each
-grid gives its Dirichlet form ``dirichlet_form(v)`` = int |grad v|^2 dA,
-which equals ``-inner(v, laplacian(v))`` on both grids (on the plane for
-fields that vanish on the boundary ring).
+grid gives the Dirichlet form int |grad v|^2 dA of a field from its mode
+coefficients, ``modal_dirichlet(modal_forward(v))``, which equals
+``-inner(v, laplacian(v))`` on both grids (on the plane for fields that
+vanish on the boundary ring).
 
 Scalar fields are plain ``float64`` arrays of shape ``(nx, ny)`` (torus) or
 ``(n, n)`` (plane), laid out row-major with node ``(i, j)`` at
@@ -112,17 +113,11 @@ class _Eigenbasis:
         self.modal_laplacian(modes[1], out=out[1])
         return out
 
-    def dirichlet_form(self, values: np.ndarray) -> float:
-        """int |grad v|^2 dA = -inner(v, laplacian(v)), on the plane for v zero on the ring.
-
-        :meth:`modal_dirichlet` of one forward transform.
-        """
-        return self.modal_dirichlet(self.modal_forward(values, out=self._spec))
-
     def modal_dirichlet(self, coeffs: np.ndarray) -> float:
-        """:meth:`dirichlet_form` of the field with mode coefficients ``coeffs``.
+        """int |grad v|^2 dA of the field v with mode coefficients ``coeffs``.
 
-        Parseval, with no transform: ``-modal_inner(v_hat, -K v_hat)``.
+        It equals -inner(v, laplacian(v)), on the plane for v zero on the
+        ring.  Parseval, with no transform: ``-modal_inner(v_hat, -K v_hat)``.
         """
         return -self.modal_inner(coeffs, self._neg_k2 * coeffs)
 

@@ -15,7 +15,9 @@ A command the configuration cannot run raises :class:`ValidationError`
 before any work: ``compare`` (Newton and the fixed-point path, on either
 torus model) on a plane configuration, and ``sweep`` without a ``sweep``
 section.  ``cli.main`` returns 1 for that, for an unreadable or invalid
-configuration and for i/o errors.
+configuration, for i/o errors and for a torus background whose vortex
+cores fall between the nodes (:class:`~bpsvortex.errors.UnresolvedCore`,
+raised out of ``run``).
 
 One step, ``_evaluate``, turns a configuration into results: the threshold
 gate, the solvers (the fixed-point path takes no settings; its relaxation,
@@ -34,6 +36,10 @@ Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings``
 (solvers and their coarse levels, diagnostics, field and plot output, total)
 so bitwise comparison of reruns stays meaningful.
+
+A plane run's plot data are the diagnostics' radial profile, over the one
+window of :func:`~bpsvortex.diagnostics.profile_window`; the runner holds no
+window of its own.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ import numpy as np
 from . import __version__
 from .backgrounds import build_background, check_existence
 from .config import RunConfig, fixedpoint_problems
-from .diagnostics import (annulus_bins, build_diagnostics, decay_annulus, radial_profile,
+from .diagnostics import (build_diagnostics, profile_window, radial_profile,
                           reconstruct_physical)
 from .errors import ValidationError
 from .fixedpoint import continuation_solve
@@ -151,21 +157,15 @@ def emit_plot_data(state, bg, params, path_text: str,
                    out_dir: Optional[Path] = None, profile=None) -> None:
     """Radial-profile CSV (``r,mean_u2v2,mean_grad2``) for plane runs.
 
-    ``profile`` is a radial profile of ``state`` that the caller has (the
-    decay fit's, ``DiagnosticsReport.profile``); it is written when its
-    window is the plot's, and the profile is computed otherwise.
+    ``profile`` is the radial profile of ``state`` that the caller has (the
+    diagnostics', ``DiagnosticsReport.profile``); without it the profile is
+    computed over the same window, :func:`~bpsvortex.diagnostics.profile_window`.
+    An empty annulus writes the header alone.
     """
-    grid = bg.grid
-    if not isinstance(grid, PlaneGrid):
+    if not isinstance(bg.grid, PlaneGrid):
         return
-    r_min, r_max = decay_annulus(bg, params)
-    if not (bg.cfg.phi_zeros or bg.cfg.kappa_zeros):
-        r_min = grid.h  # no vortex core to stay clear of
-    nbins = max(8, annulus_bins(grid, r_min, r_max))
-    if profile is not None and profile.window == (r_min, r_max, nbins):
-        prof = profile
-    else:
-        prof = radial_profile(state, bg, r_min, r_max, nbins)
+    prof = profile if profile is not None else radial_profile(
+        state, bg, *profile_window(bg, params))
     path = _resolve(path_text, out_dir)
     with open(path, "w") as fh:
         fh.write("r,mean_u2v2,mean_grad2\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import bpsvortex as bv
 from bpsvortex.backgrounds import SERIES_S, _add_profile
-from bpsvortex.errors import PointOutsideDomain
+from bpsvortex.errors import PointOutsideDomain, UnresolvedCore
 
 L20 = math.sqrt(20.0)
 
@@ -238,6 +238,17 @@ class TestTorusBackground:
         with pytest.raises(PointOutsideDomain):
             bv.build_background(bv.VortexConfig(phi_zeros=((2.0, 0.5),)),
                                 grid, bv.PhysicalParams(lam=1.0))
+
+    def test_rejects_core_between_nodes(self):
+        # sqrt(tau) = 0.5 / 12 on a 6.25-wide x spacing: the profile of a
+        # vortex 1.0 from its nearest node column is 0.0 on every node
+        grid = bv.TorusGrid(100.0, 0.5, 16, 8)
+        params = bv.PhysicalParams(lam=5.0)
+        with pytest.raises(UnresolvedCore, match="sqrt\\(tau\\) = 0.0417"):
+            bv.build_background(bv.VortexConfig(phi_zeros=((1.0, 0.1),)), grid, params)
+        # on a node column the same core is resolved in x and rescaled
+        bg = bv.build_background(bv.VortexConfig(phi_zeros=((6.25, 0.1),)), grid, params)
+        assert grid.integrate(bg.src_f) == pytest.approx(4.0 * math.pi, rel=1e-12)
 
     def test_base_model_kappa_fields_trivial(self, torus_criterion_setup):
         grid, params, cfg, bg = torus_criterion_setup

@@ -751,6 +751,21 @@ class TestCliMain:
         assert err.startswith("solver error: exponent argument 812")
         assert "Traceback" not in err
 
+    def test_cores_between_nodes_exit_1_without_traceback(self, tmp_path, capsys):
+        # a 100 x 0.5 torus on 16 x 8 nodes: the core scale sqrt(tau) = 0.042
+        # is far below the x spacing 6.25, and the vortex 1.0 from the
+        # nearest node column leaves its source density 0.0 on every node
+        raw = {"mode": "torus", "model": "base", "lambda": 5.0,
+               "domain": {"Lx": 100.0, "Ly": 0.5}, "grid": {"nx": 16, "ny": 8},
+               "phi_zeros": [[1.0, 0.1]]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "solve",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: vortex cores of scale sqrt(tau) = 0.0417")
+        assert "spacing 6.25 x 0.0625" in err and "Traceback" not in err
+
     def test_sweep_count_beyond_points_exit_1(self, tmp_path, capsys):
         raw = minimal_torus(phi_zeros=[[1.0, 1.0], [2.0, 2.0]],
                             sweep={"param": "n", "values": [1, 2, 5]})

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import bpsvortex as bv
-from bpsvortex import diagnostics
+from bpsvortex import diagnostics, runner
+from bpsvortex.cli import main
 from bpsvortex.errors import AnnulusTooThin
 
 L20 = math.sqrt(20.0)
@@ -369,14 +370,10 @@ class TestOneRadialProfile:
                             for b in filled])
             assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
-    def test_plane_run_computes_one_profile(self, tmp_path, monkeypatch):
-        # the plot data reuses the decay fit's profile, with the bits of a
-        # run that computes it again
-        from bpsvortex import runner
-        from bpsvortex.cli import main
-
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(self.PLANE))
+    @pytest.fixture
+    def profile_calls(self, monkeypatch):
+        # the windows of every radial_profile call, in the diagnostics and
+        # in the plot data
         calls = []
         radial_profile = diagnostics.radial_profile
 
@@ -386,6 +383,14 @@ class TestOneRadialProfile:
 
         monkeypatch.setattr(diagnostics, "radial_profile", counted)
         monkeypatch.setattr(runner, "radial_profile", counted)
+        return calls
+
+    def test_plane_run_computes_one_profile(self, tmp_path, monkeypatch, profile_calls):
+        # the plot data reuses the decay fit's profile, with the bits of a
+        # run that computes it again
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.PLANE))
+        calls = profile_calls
         assert main(["--config", str(cfg), "--command", "solve", "--out",
                      str(tmp_path / "once")]) == 0
         assert len(calls) == 1
@@ -401,3 +406,20 @@ class TestOneRadialProfile:
             if name == "r.json":
                 once, twice = (json.dumps(json.loads(t)["results"]) for t in (once, twice))
             assert once == twice
+
+    def test_thin_annulus_run_computes_one_profile(self, tmp_path, monkeypatch,
+                                                   profile_calls):
+        # a fit that finds the annulus too thin leaves its profile to the
+        # plot data, which write it without computing another
+        def too_thin(*args):
+            raise AnnulusTooThin("only 0 usable radial bins (need 8)")
+
+        monkeypatch.setattr(diagnostics, "decay_fit", too_thin)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.PLANE))
+        assert main(["--config", str(cfg), "--command", "solve", "--out", str(tmp_path)]) == 0
+        assert len(profile_calls) == 1
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert "decay" not in report["results"]["diagnostics"]
+        lines = (tmp_path / "profile.csv").read_text().splitlines()
+        assert lines[0] == "r,mean_u2v2,mean_grad2" and len(lines) > 8

@@ -88,6 +88,22 @@ class TestRunnerEdges:
         vals = [v for _, v, _ in rows]
         assert vals[len(vals) // 2] < vals[0]
 
+    def test_plane_solve_with_an_empty_annulus_exit_0(self, tmp_path):
+        # a vortex 3.99 from the origin starts the profile window at
+        # 3.99 + 3/sqrt(lambda) = 6.99, beyond its end 0.8 R = 3.2: the run
+        # has no decay fit and a profile without rows
+        raw = {
+            "mode": "plane", "model": "base", "lambda": 1.0,
+            "domain": {"R": 4.0}, "grid": {"n": 32},
+            "phi_zeros": [[3.99, 0.0]],
+            "output": {"report_path": "r.json", "plots_path": "profile.csv"},
+        }
+        cfg = parse_config(json.dumps(raw))
+        code, report = run("solve", cfg, out_dir=str(tmp_path))
+        assert code == 0
+        assert "decay" not in report["results"]["diagnostics"]
+        assert (tmp_path / "profile.csv").read_text() == "r,mean_u2v2,mean_grad2\n"
+
     def test_not_converged_exit_3(self, tmp_path):
         raw = {
             "mode": "torus", "model": "base", "lambda": 1.0,
