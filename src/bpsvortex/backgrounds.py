@@ -234,10 +234,11 @@ def build_background(cfg: VortexConfig, grid, params: PhysicalParams) -> Backgro
     profiles built on the whole grid.  On the torus the box is the whole
     cell (the minimum image cuts s at L^2/(4 tau) >= 36), and each zero
     set's density is rescaled to the cell integral 4 pi per vortex, which
-    the trapezoid rule misses only by roundoff; a zero set whose density
-    is zero on every node (each core of scale sqrt(tau) far from every
-    node) raises :class:`UnresolvedCore`.  An empty zero set gives the
-    scalars 1.0, 0.0 and 0.0.
+    the trapezoid rule misses only by roundoff.  On either grid a zero set
+    whose density is zero on every node (each core of scale sqrt(tau) far
+    from every node; on the plane, each box empty of nodes) raises
+    :class:`UnresolvedCore`.  An empty zero set gives the scalars 1.0, 0.0
+    and 0.0.
     The background depends on ``cfg`` and ``grid`` alone; ``params`` is not
     read.
     """
@@ -263,14 +264,14 @@ def build_background(cfg: VortexConfig, grid, params: PhysicalParams) -> Backgro
                 box, dx, dy = (rows, cols), dx[rows], dy[cols]
             _add_profile(dx, dy, tau, exp_f[box], log_f[box], dens[box])
         np.maximum(log_f, -700.0, out=log_f)
+        if not np.count_nonzero(dens):  # no temporary, unlike dens.any()
+            spacing = f"{grid.dx:.3g} x {grid.dy:.3g}" if torus else f"{grid.h:.3g}"
+            raise UnresolvedCore(
+                f"vortex cores of scale sqrt(tau) = {math.sqrt(tau):.3g} fall between "
+                f"the nodes of spacing {spacing}: their source density is zero on "
+                "every node")
         if torus:
-            total = grid.integrate(dens)
-            if total == 0.0:
-                raise UnresolvedCore(
-                    f"vortex cores of scale sqrt(tau) = {math.sqrt(tau):.3g} fall between "
-                    f"the nodes of spacing {grid.dx:.3g} x {grid.dy:.3g}: their source "
-                    "density is zero on every node")
-            dens *= 4.0 * math.pi * len(points) / total
+            dens *= 4.0 * math.pi * len(points) / grid.integrate(dens)
         return exp_f, log_f, dens
 
     exp_u0, u0, src_u = one_set(cfg.kappa_zeros)

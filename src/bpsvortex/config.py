@@ -26,7 +26,6 @@ from .errors import ParseError, ValidationError
 from .grids import PlaneGrid, TorusGrid
 
 _SOLVER_DEFAULTS = {
-    "method": "newton",
     "tol": 1e-9,
     "max_iters": 100,
 }
@@ -131,6 +130,32 @@ def _number(obj, path, problems, positive=False, integer=False):
     return val
 
 
+def _area(mode, domain, problems):
+    """|Omega| of a validated domain, or None when it is invalid or overflows.
+
+    Products, not ``**``: a float power raises where a product gives inf.
+    """
+    if mode == "torus" and domain.get("Lx") and domain.get("Ly"):
+        area, path = domain["Lx"] * domain["Ly"], "domain"
+    elif mode == "plane" and domain.get("R"):
+        area, path = (2.0 * domain["R"]) * (2.0 * domain["R"]), "domain.R"
+    else:
+        return None
+    if not math.isfinite(area):
+        problems.append((path, "the area |Omega| overflows"))
+        return None
+    return area
+
+
+def _lambda(obj, path, area, problems):
+    """A coupling: a positive number whose lambda * |Omega| is finite."""
+    lam = _number(obj, path, problems, positive=True)
+    if lam is not None and area is not None and not math.isfinite(lam * area):
+        problems.append((path, f"lambda * |Omega| = {lam!r} * {area!r} overflows"))
+        return None
+    return lam
+
+
 def _grid_points(obj, path, mode, problems):
     """A grid size: even and at least 8 per torus axis, at least 16 on the plane."""
     val = _number(obj, path, problems, positive=True, integer=True)
@@ -168,10 +193,10 @@ def _points_in_domain(pts, mode, domain, path, problems):
                 problems.append((f"{path}[{i}]", "point outside (-R, R)^2"))
 
 
-def _sweep_field(param, value, path, mode, phi, kappa, problems) -> dict:
+def _sweep_field(param, value, path, mode, area, phi, kappa, problems) -> dict:
     """The ``RunConfig`` field one sweep value replaces, converted by that field's rule."""
     if param == "lambda":
-        return {"lam": _number(value, path, problems, positive=True)}
+        return {"lam": _lambda(value, path, area, problems)}
     if param == "resolution":
         points = _grid_points(value, path, mode, problems)
         return {"grid": {"nx": points, "ny": points} if mode == "torus" else {"n": points}}
@@ -184,11 +209,6 @@ def _sweep_field(param, value, path, mode, phi, kappa, problems) -> dict:
                                f"the number of configured points"))
         return {}
     return {name: zeros[:int(value)]}
-
-
-def fixedpoint_problems(mode, path) -> List[Tuple[str, str]]:
-    """Why the fixed-point path cannot solve this mode (empty when it can)."""
-    return [(path, "fixed-point path requires mode='torus'")] if mode == "plane" else []
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -204,8 +224,6 @@ def validate_config(raw: dict) -> RunConfig:
     model = raw.get("model", "base")
     if model not in ("base", "extended"):
         problems.append(("model", "must be 'base' or 'extended'"))
-
-    lam = _number(raw.get("lambda"), "lambda", problems, positive=True)
 
     # without a valid mode, only keys of neither mode are refused
     domain_keys, grid_keys = (_MODE_KEYS[mode] if mode in ("torus", "plane")
@@ -223,6 +241,8 @@ def validate_config(raw: dict) -> RunConfig:
     elif mode == "plane":
         dom_out["R"] = _number(domain.get("R"), "domain.R", problems, positive=True)
         grid_out["n"] = _grid_points(grid.get("n"), "grid.n", mode, problems)
+    area = _area(mode, dom_out, problems)
+    lam = _lambda(raw.get("lambda"), "lambda", area, problems)
 
     phi = _points(raw.get("phi_zeros"), "phi_zeros", problems)
     kappa = _points(raw.get("kappa_zeros"), "kappa_zeros", problems)
@@ -235,11 +255,6 @@ def validate_config(raw: dict) -> RunConfig:
                                  set(_SOLVER_DEFAULTS))
     solver = dict(_SOLVER_DEFAULTS)
     solver.update({k: v for k, v in solver_raw.items() if v is not None})
-    if solver["method"] not in ("newton", "fixedpoint"):
-        problems.append(("solver.method", "must be 'newton' or 'fixedpoint' "
-                                          "(--command compare runs both)"))
-    elif solver["method"] == "fixedpoint":
-        problems += fixedpoint_problems(mode, "solver.method")
     # keep the converted values, so that 100.0 iterations is the integer 100
     solver["tol"] = _number(solver["tol"], "solver.tol", problems, positive=True)
     solver["max_iters"] = _number(solver["max_iters"], "solver.max_iters", problems,
@@ -282,7 +297,7 @@ def validate_config(raw: dict) -> RunConfig:
             param, values = sweep.get(param_key), sweep.get(values_key)
             if param in _SWEEP_PARAMS and isinstance(values, list):
                 axes.append([({param: v}, _sweep_field(param, v, f"sweep.{values_key}[{i}]",
-                                                       mode, phi, kappa, problems))
+                                                       mode, area, phi, kappa, problems))
                              for i, v in enumerate(values)])
 
     if problems:

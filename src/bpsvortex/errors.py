@@ -14,7 +14,7 @@ class PointOutsideDomain(BpsVortexError):
 
 
 class UnresolvedCore(BpsVortexError):
-    """A torus vortex core falls between the nodes: its source density sums to zero there."""
+    """Vortex cores fall between the nodes: their source density is zero on every node."""
 
 
 class Overflow(BpsVortexError):

@@ -209,8 +209,12 @@ def _pcg(apply_a, b, apply_minv, inner, rel_tol):
 
 
 def _sup(a) -> float:
-    """max |a|, without the temporary |a| (a state pair at the fine grid)."""
-    return float(np.maximum(a.max(), -a.min()))
+    """max |a|, without the temporary |a| (a state pair at the fine grid).
+
+    Adding 0.0 turns the -0.0 of a zero ``a`` (-a.min() is -0.0) into +0.0
+    and leaves every nonzero value as it is.
+    """
+    return float(np.maximum(a.max(), -a.min())) + 0.0
 
 
 def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,

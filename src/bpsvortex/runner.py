@@ -15,22 +15,24 @@ A command the configuration cannot run raises :class:`ValidationError`
 before any work: ``compare`` (Newton and the fixed-point path, on either
 torus model) on a plane configuration, and ``sweep`` without a ``sweep``
 section.  ``cli.main`` returns 1 for that, for an unreadable or invalid
-configuration, for i/o errors and for a torus background whose vortex
+configuration, for i/o errors and for a background whose vortex
 cores fall between the nodes (:class:`~bpsvortex.errors.UnresolvedCore`,
 raised out of ``run``).
 
 One step, ``_evaluate``, turns a configuration into results: the threshold
-gate, the solvers (the fixed-point path takes no settings; its relaxation,
-window and tolerances are fixed in :mod:`bpsvortex.fixedpoint`), the
-cross-method difference and the diagnostics.  The zero sets name the
-variant in the threshold block (``c1``/``c2`` without kappa zeros,
-``alpha1``/``alpha2`` with them); the configured ``model`` only passes to
-the label checks of ``solve`` and ``build_diagnostics``.
-``check``, ``solve`` and ``compare`` call it on the configuration; a
-``sweep`` row calls it on its point configuration (``RunConfig.sweep_points``)
-as ``check`` does, or with action ``solve`` as a Newton ``solve`` that may
-reuse the background and start from the states of earlier rows (see
-``_run_sweep``), and reads the row from the results.
+gate, the solvers, the cross-method difference and the diagnostics.  The
+command alone picks the solvers: ``check`` runs none, ``solve`` runs
+Newton, and ``compare`` runs Newton and then the fixed point (which takes
+no settings; its relaxation, window and tolerances are fixed in
+:mod:`bpsvortex.fixedpoint`).  The diagnostics are always those of Newton's
+state.  The zero sets name the variant in the threshold block
+(``c1``/``c2`` without kappa zeros, ``alpha1``/``alpha2`` with them); the
+configured ``model`` only passes to the label checks of ``solve`` and
+``build_diagnostics``.  ``check``, ``solve`` and ``compare`` call it on the
+configuration; a ``sweep`` row calls it with its action (``check`` or
+``solve``) on its point configuration (``RunConfig.sweep_points``), where a
+``solve`` may reuse the background and start from the states of earlier
+rows (see ``_run_sweep``), and reads the row from the results.
 
 Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings``
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import __version__
 from .backgrounds import build_background, check_existence
-from .config import RunConfig, fixedpoint_problems
+from .config import RunConfig
 from .diagnostics import (build_diagnostics, profile_window, radial_profile,
                           reconstruct_physical)
 from .errors import ValidationError
@@ -178,48 +180,47 @@ def _problem(cfg: RunConfig):
     return cfg.make_vortex_config(), cfg.make_grid(), cfg.make_params()
 
 
-def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dict,
+def _evaluate(cfg: RunConfig, command: str, results: dict, timings: dict,
               fit_decay: bool = True, problem=None, bg=None, start=None):
-    """Threshold gate, the solvers of ``method`` and the diagnostics of the best state.
+    """Threshold gate, the solvers of ``command`` and the diagnostics of Newton's state.
 
-    ``method`` is ``None`` (threshold only), ``"newton"``, ``"fixedpoint"`` or
-    ``"both"`` (the ``compare`` command).  ``problem`` is ``_problem(cfg)``
-    when the caller has made it, ``bg`` a background built for it and
-    ``start``, called only when Newton runs, makes Newton's initial state
-    (zero when ``start`` is ``None``).  Fills ``results`` and ``timings``;
-    returns ``(exit_code, best, bg, profile)``, where ``best`` and ``bg`` are
-    ``None`` unless a solver ran, and ``profile`` is the diagnostics' radial
-    profile (``DiagnosticsReport.profile``) or ``None``.
+    ``command`` is ``"check"`` (threshold only), ``"solve"`` (Newton) or
+    ``"compare"`` (Newton, then the fixed point).  ``problem`` is
+    ``_problem(cfg)`` when the caller has made it, ``bg`` a background built
+    for it and ``start``, called only when Newton runs, makes Newton's
+    initial state (zero when ``start`` is ``None``).  Fills ``results`` and
+    ``timings``; returns ``(exit_code, newton, bg, profile)``, where
+    ``newton`` (Newton's solution) and ``bg`` are ``None`` unless the solvers
+    ran, and ``profile`` is the diagnostics' radial profile
+    (``DiagnosticsReport.profile``) or ``None``.
     """
     vcfg, grid, params = problem or _problem(cfg)
     threshold = results["threshold"] = _threshold_dict(vcfg, grid, params)
     if not threshold["solvable"]:
         return EXIT_THRESHOLD, None, None, None
-    if method is None:
+    if command == "check":
         return EXIT_OK, None, None, None
 
     if bg is None:
         bg = build_background(vcfg, grid, params)
     exit_code = EXIT_OK
-    newton_sol = fixed_sol = laplacians = None
-    if method in ("newton", "both"):
-        t0 = time.perf_counter()
-        settings = SolverSettings(tol_grad_sup=cfg.solver["tol"],
-                                  max_iters=cfg.solver["max_iters"])
-        newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params, settings=settings,
-                           init=start() if start else None, background=bg)
-        timings["newton_s"] = time.perf_counter() - t0
-        if newton_sol.coarse_s is not None:
-            timings["newton_coarse_s"] = newton_sol.coarse_s
-        results["newton"] = _newton_summary(newton_sol)
-        # past the solve the run reads the state, and the diagnostics the
-        # Laplacians the solve ended with; the solution lets go of both of
-        # its spectral arrays, so that neither outlives that use
-        laplacians = newton_sol.laplacians
-        newton_sol.modes = newton_sol.laplacians = None
-        if not newton_sol.converged:
-            exit_code = EXIT_NOT_CONVERGED
-    if method in ("fixedpoint", "both"):
+    t0 = time.perf_counter()
+    settings = SolverSettings(tol_grad_sup=cfg.solver["tol"],
+                              max_iters=cfg.solver["max_iters"])
+    newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params, settings=settings,
+                       init=start() if start else None, background=bg)
+    timings["newton_s"] = time.perf_counter() - t0
+    if newton_sol.coarse_s is not None:
+        timings["newton_coarse_s"] = newton_sol.coarse_s
+    results["newton"] = _newton_summary(newton_sol)
+    # past the solve the run reads the state, and the diagnostics the
+    # Laplacians the solve ended with; the solution lets go of both of
+    # its spectral arrays, so that neither outlives that use
+    laplacians = newton_sol.laplacians
+    newton_sol.modes = newton_sol.laplacians = None
+    if not newton_sol.converged:
+        exit_code = EXIT_NOT_CONVERGED
+    if command == "compare":
         t0 = time.perf_counter()
         fixed_sol = continuation_solve(bg, params)
         timings["fixedpoint_s"] = time.perf_counter() - t0
@@ -228,19 +229,17 @@ def _evaluate(cfg: RunConfig, method: Optional[str], results: dict, timings: dic
         results["fixedpoint"] = _fixedpoint_summary(fixed_sol)
         if not fixed_sol.converged:
             exit_code = EXIT_NOT_CONVERGED
-    if newton_sol is not None and fixed_sol is not None:
         results["cross_method_sup_diff"] = float(
             np.max(np.abs(newton_sol.state - fixed_sol.state)))
-    best = newton_sol if newton_sol is not None else fixed_sol
     profile = None
-    if best.converged:
+    if newton_sol.converged:
         t0 = time.perf_counter()
-        report = build_diagnostics(best.state, cfg.mode, cfg.model, bg, vcfg, params,
+        report = build_diagnostics(newton_sol.state, cfg.mode, cfg.model, bg, vcfg, params,
                                    fit_decay=fit_decay, laplacians=laplacians)
         results["diagnostics"] = report.to_dict()
         profile = report.profile
         timings["diagnostics_s"] = time.perf_counter() - t0
-    return exit_code, best, bg, profile
+    return exit_code, newton_sol, bg, profile
 
 
 def _analytic_slack(vcfg, grid, params) -> float:
@@ -300,7 +299,6 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     a fresh background and a cold start.  Rows on one grid share one grid
     object.
     """
-    method = "newton" if cfg.sweep["action"] == "solve" else None
     rows = []
     worst_exit = EXIT_OK
     grid_inputs = grid = path_key = path_bg = None
@@ -315,8 +313,9 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
             path_key, path_bg, path = key, None, []
         start_row, secant_row, start = _path_start(path, params.lam)
         point: dict = {}
-        exit_code, best, bg, _ = _evaluate(pcfg, method, point, {}, fit_decay=False,
-                                           problem=problem, bg=path_bg, start=start)
+        exit_code, sol, bg, _ = _evaluate(pcfg, cfg.sweep["action"], point, {},
+                                          fit_decay=False, problem=problem, bg=path_bg,
+                                          start=start)
         row = {"index": index, **assignment,
                "solvable": point["threshold"]["solvable"],
                "margin": point["threshold"]["margin"],
@@ -328,7 +327,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
             if start is None:
                 row["coarse"] = point["newton"]["coarse"]
             path_bg = bg
-            path = path[-1:] + ([(index, params.lam, best.state)] if best.converged else [])
+            path = path[-1:] + ([(index, params.lam, sol.state)] if sol.converged else [])
             row["converged"] = point["newton"]["converged"]
             row["grad_sup_final"] = point["newton"]["grad_sup_final"]
             if "diagnostics" in point:
@@ -356,10 +355,8 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
     """Execute one command; writes the report and returns (exit_code, report)."""
     if command not in ("check", "solve", "sweep", "compare"):
         raise ValueError(f"unknown command {command!r}")
-    if command == "compare":
-        problems = fixedpoint_problems(cfg.mode, "compare")
-        if problems:
-            raise ValidationError(problems)
+    if command == "compare" and cfg.mode == "plane":
+        raise ValidationError([("compare", "fixed-point path requires mode='torus'")])
     if command == "sweep" and cfg.sweep is None:
         raise ValidationError([("sweep", "the sweep command requires a 'sweep' section")])
     out = Path(out_dir) if out_dir else None
@@ -376,16 +373,15 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
     if command == "sweep":
         exit_code = _run_sweep(cfg, out, results)
     else:
-        method = {"check": None, "compare": "both"}.get(command, cfg.solver["method"])
-        exit_code, best, bg, profile = _evaluate(cfg, method, results, timings)
-        if best is not None and best.converged:
+        exit_code, sol, bg, profile = _evaluate(cfg, command, results, timings)
+        if sol is not None and sol.converged:
             t0 = time.perf_counter()
             params = cfg.make_params()
             if cfg.output.get("fields_path"):
-                dump_fields(best.state, bg, params, cfg.output["fields_path"],
+                dump_fields(sol.state, bg, params, cfg.output["fields_path"],
                             cfg.config_hash(), out)
             if cfg.output.get("plots_path"):
-                emit_plot_data(best.state, bg, params, cfg.output["plots_path"], out,
+                emit_plot_data(sol.state, bg, params, cfg.output["plots_path"], out,
                                profile=profile)
             timings["output_s"] = time.perf_counter() - t0
 

@@ -43,7 +43,7 @@ class TestParseConfig:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(json.dumps(minimal_torus()))
         assert cfg.grid["ny"] == 32
-        assert cfg.solver["method"] == "newton"
+        assert set(cfg.solver) == {"tol", "max_iters"}
         assert cfg.solver["tol"] == 1e-9
         assert cfg.output["report_path"] == "report.json"
         assert set(cfg.echo()) == {"mode", "model", "lambda", "domain", "grid", "phi_zeros",
@@ -85,15 +85,6 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as err:
             parse_config(json.dumps(raw))
         assert any("extended" in msg for _, msg in err.value.problems)
-
-    def test_fixedpoint_rejected_on_plane(self):
-        raw = {
-            "mode": "plane", "model": "base", "lambda": 1.0,
-            "domain": {"R": 6.0}, "grid": {"n": 32}, "phi_zeros": [],
-            "solver": {"method": "fixedpoint"},
-        }
-        with pytest.raises(ValidationError):
-            parse_config(json.dumps(raw))
 
     @pytest.mark.parametrize("seed", [1, 2, 20261017])
     def test_benchmark_workload_configs_validate(self, seed):
@@ -766,6 +757,21 @@ class TestCliMain:
         assert err.startswith("error: vortex cores of scale sqrt(tau) = 0.0417")
         assert "spacing 6.25 x 0.0625" in err and "Traceback" not in err
 
+    def test_plane_core_far_from_every_node_exit_1(self, tmp_path, capsys):
+        # R = 1000 on 16 nodes: the box |x - p|_inf <= sqrt(40 tau) = 2.83 of
+        # the vortex at (5, 5) holds no node of spacing 133, so without the
+        # check its background would be that of no vortex (flux_b = 0)
+        raw = {"mode": "plane", "model": "base", "lambda": 1.0, "domain": {"R": 1000.0},
+               "grid": {"n": 16}, "phi_zeros": [[5.0, 5.0]]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "solve",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: vortex cores of scale sqrt(tau) = 0.447")
+        assert "spacing 133:" in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_sweep_count_beyond_points_exit_1(self, tmp_path, capsys):
         raw = minimal_torus(phi_zeros=[[1.0, 1.0], [2.0, 2.0]],
                             sweep={"param": "n", "values": [1, 2, 5]})
@@ -811,31 +817,36 @@ class TestCliMain:
         assert not (tmp_path / "report.json").exists()
 
     def test_extended_torus_fixedpoint_path_exit_0(self, tmp_path):
-        # compare, and a solve by the fixed-point path alone, on an
-        # extended-model torus; both run the same continuation
-        reports = {}
-        for command, method in (("compare", "newton"), ("solve", "fixedpoint")):
-            cfg_path = tmp_path / f"{command}.json"
-            cfg_path.write_text(json.dumps(dict(TestSweepPoints.EXTENDED,
-                                                solver={"method": method})))
-            out = tmp_path / command
-            assert main(["--config", str(cfg_path), "--command", command,
-                         "--out", str(out)]) == 0
-            reports[command] = json.loads((out / "report.json").read_text())["results"]
-        assert reports["compare"]["cross_method_sup_diff"] <= 1e-6
-        assert reports["solve"]["fixedpoint"] == reports["compare"]["fixedpoint"]
-        assert "newton" not in reports["solve"]
-        # the multipliers (lam, 2 lam) are recovered on the extended model too
-        lam = TestSweepPoints.EXTENDED["lambda"]
-        for results in reports.values():
-            assert results["diagnostics"]["lagrange"] == pytest.approx([lam, 2.0 * lam], rel=1e-4)
-
-    @pytest.mark.parametrize("key", ["seed", "continuation_steps"])
-    def test_solver_seed_is_an_unknown_key(self, tmp_path, capsys, key):
+        # compare on an extended-model torus, and the fixed-point state alone
+        raw = TestSweepPoints.EXTENDED
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_torus(solver={key: 10})))
-        assert main(["--config", str(cfg_path), "--command", "check"]) == 1
-        assert f"solver.{key}: unknown key" in capsys.readouterr().err
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "compare",
+                     "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "report.json").read_text())["results"]
+        assert results["cross_method_sup_diff"] <= 1e-6
+        # the multipliers (lam, 2 lam) are recovered on the extended model
+        # too, from Newton's state (the run's) and from the fixed point's
+        lam = raw["lambda"]
+        assert results["diagnostics"]["lagrange"] == pytest.approx([lam, 2.0 * lam], rel=1e-4)
+        cfg = validate_config(raw)
+        vcfg, params = cfg.make_vortex_config(), cfg.make_params()
+        bg = bv.build_background(vcfg, cfg.make_grid(), params)
+        report = bv.build_diagnostics(bv.continuation_solve(bg, params).state, "torus",
+                                      "extended", bg, vcfg, params)
+        assert report.lagrange == pytest.approx([lam, 2.0 * lam], rel=1e-4)
+
+    @pytest.mark.parametrize("key", ["seed", "continuation_steps", "method"])
+    def test_solver_seed_is_an_unknown_key(self, tmp_path, capsys, key):
+        # older versions accepted these keys; any value is now refused by name
+        for value in (10, "newton"):
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(minimal_torus(solver={key: value})))
+            assert main(["--config", str(cfg_path), "--command", "solve",
+                         "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert f"solver.{key}: unknown key" in err and "Traceback" not in err
+            assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("mode,override,path", [
         ("torus", "domain.R=6.0", "domain.R"),
@@ -874,16 +885,6 @@ class TestCliMain:
         assert err.startswith("error: ") and f"{path}: expected a path string or null" in err
         assert "Traceback" not in err
 
-    def test_solver_method_both_refused_naming_compare(self, tmp_path, capsys):
-        # compare is the one way to run both solvers
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(minimal_torus(solver={"method": "both"})))
-        assert main(["--config", str(cfg_path), "--command", "solve",
-                     "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "solver.method" in err and "compare" in err
-        assert not (tmp_path / "report.json").exists()
-
     def test_integral_float_counts_solve(self, tmp_path, capsys):
         # 100.0 iterations is an integer: both solvers of compare run and the
         # echo carries the integer
@@ -918,6 +919,49 @@ class TestCliMain:
         assert err.startswith("error: ") and f"{path}: must be a finite number" in err
         assert "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command,raw,path", [
+        ("check", minimal_torus(**{"lambda": 1e308}, domain={"Lx": 4.0, "Ly": 4.0}),
+         "lambda: lambda * |Omega|"),
+        ("solve", minimal_torus(domain={"Lx": 1e300, "Ly": 1e300}, grid={"nx": 8},
+                                phi_zeros=[[1.0, 1.0]]), "domain: the area"),
+        ("solve", {"mode": "plane", "lambda": 1.0, "domain": {"R": 1e200}, "grid": {"n": 16},
+                   "phi_zeros": [[1.0, 1.0]]}, "domain.R: the area"),
+        ("sweep", minimal_torus(domain={"Lx": 4.0, "Ly": 4.0},
+                                sweep={"param": "lambda", "values": [1.0, 1e308]}),
+         "sweep.values[1]: lambda * |Omega|"),
+    ], ids=["lambda", "torus-area", "plane-area", "swept-lambda"])
+    def test_overflowing_lambda_area_exit_1(self, tmp_path, capsys, command, raw, path):
+        # every number is finite, but lambda |Omega| is not: the threshold
+        # margin would be Infinity (not JSON) and the background build or the
+        # plane's inner products would raise OverflowError
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", command,
+                     "--out", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and path in err and "overflows" in err
+        assert "Traceback" not in err and "Infinity" not in out
+        assert not (tmp_path / "report.json").exists()
+
+    def test_zero_gradient_reported_as_positive_zero(self, tmp_path):
+        # without vortices the solution is the zero state: its sup gradient
+        # is +0.0 in the report and in a sweep's CSV, never -0.0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_torus(domain={"Lx": 4.0, "Ly": 4.0},
+                                                     grid={"nx": 16}, **{"lambda": 2.0})))
+        assert main(["--config", str(cfg_path), "--command", "compare",
+                     "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "report.json").read_text()
+        assert '"grad_sup_final": 0.0,' in text and "-0.0" not in text
+        raw = dict(TestSweepPoints.PLANE, phi_zeros=[[0.5, 0.0], [-0.5, 0.3]],
+                   sweep={"param": "n", "values": [0, 1], "action": "solve"},
+                   output={"plots_path": "sweep.csv"})
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "sweep",
+                     "--out", str(tmp_path)]) == 0
+        row = sweep_cells(tmp_path / "sweep.csv")[0]
+        assert row["n"] == "0" and row["grad_sup_final"] == "0.0"
 
     def test_override_on_non_object_config_exit_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -210,6 +210,11 @@ class TestContinuationSolve:
         assert newton.converged, newton.message
         assert fp.converged, fp.message
         assert np.max(np.abs(newton.state - fp.state)) <= 1e-6
+        # flux quantization: int a12 = 2 pi m and int b12 = 2 pi (m + n)
+        scale = 2.0 * math.pi * (m + n)
+        for state in (newton.state, fp.state):
+            assert bv.flux_report(state, bg, params) == pytest.approx(
+                (2.0 * math.pi * m, scale), rel=1e-6, abs=1e-6 * scale)
 
     def test_iterates_stay_zero_mean(self, fp_setup):
         # run a few damped steps by hand and check the X-space invariant

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bpsvortex as bv
 from bpsvortex import newton, runner
@@ -107,22 +108,40 @@ class TestUniquenessAndSymmetry:
         scale = 1.0 + np.max(np.abs(sols[0].state))
         assert diff <= 1e-8 * scale
 
-    def test_translation_equivariance(self):
+    @settings(deadline=None, database=None, derandomize=True, max_examples=20)
+    @given(n=st.integers(1, 3), m=st.integers(0, 1), factor=st.floats(1.1, 3.0),
+           shift=st.tuples(st.integers(0, 31), st.integers(0, 31)),
+           points=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                     st.floats(0.0, 1.0, exclude_max=True)),
+                           min_size=4, max_size=4))
+    def test_translation_equivariance(self, n, m, factor, shift, points):
         # shifting all vortex points by whole grid cells permutes the nodes;
-        # the computed solution follows up to spectral roundoff
-        grid = bv.TorusGrid(L20, L20, 64, 64)
-        params = bv.PhysicalParams(lam=1.0)
-        base_pts = ((0.25 * L20, 0.375 * L20), (0.625 * L20, 0.5 * L20))
-        shift_nodes = (16, 8)
-        shifted_pts = tuple(((px + shift_nodes[0] * grid.dx) % grid.Lx,
-                             (py + shift_nodes[1] * grid.dy) % grid.Ly)
-                            for (px, py) in base_pts)
-        sol_a = bv.solve("torus", "base", bv.VortexConfig(phi_zeros=base_pts),
-                         grid, params)
-        sol_b = bv.solve("torus", "base", bv.VortexConfig(phi_zeros=shifted_pts),
-                         grid, params)
-        rolled = np.roll(sol_a.state, shift_nodes, axis=(1, 2))
-        assert np.max(np.abs(rolled - sol_b.state)) <= 1e-9
+        # the computed solution follows up to roundoff, on both models
+        grid = bv.TorusGrid(L20, L20, 32, 32)
+        line = max(2.0 * math.pi * (m + n), math.pi * (3 * m + n)) / grid.area
+        params = bv.PhysicalParams(lam=factor * line)
+        zeros = tuple((L20 * x, L20 * y) for x, y in points)
+        moved = tuple(((px + shift[0] * grid.dx) % grid.Lx, (py + shift[1] * grid.dy) % grid.Ly)
+                      for px, py in zeros)
+        model = "extended" if m else "base"
+        sol_a, sol_b = (bv.solve("torus", model, bv.VortexConfig(pts[:n], pts[n:n + m]),
+                                 grid, params) for pts in (zeros, moved))
+        assert sol_a.converged and sol_b.converged
+        rolled = np.roll(sol_a.state, shift, axis=(1, 2))
+        assert np.max(np.abs(rolled - sol_b.state)) <= 1e-12
+
+
+class TestSupNorm:
+    def test_zero_is_positive_zero(self):
+        # np.maximum(0.0, -0.0) is -0.0; the sup of a zero state is +0.0
+        for zero in (0.0, -0.0):
+            assert math.copysign(1.0, newton._sup(np.full((2, 4, 4), zero))) == 1.0
+
+    def test_nonzero_values_bitwise_unchanged(self):
+        rng = np.random.default_rng(3)
+        for a in (rng.standard_normal((2, 8, 8)), -np.abs(rng.standard_normal(5)),
+                  np.array([0.0, 5e-324])):
+            assert newton._sup(a) == float(np.abs(a).max())
 
 
 class TestPlaneSolve:
