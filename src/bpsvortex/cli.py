@@ -1,8 +1,20 @@
-"""Command-line entry point."""
+"""Command-line entry point.
+
+A ``bpsvortex`` process keeps the memory it frees: :func:`main` first asks
+glibc's ``malloc`` (through ``mallopt``) to serve field-sized arrays from
+the heap and to keep freed heap memory instead of returning it to the
+kernel.  The solvers allocate and free the same few field-sized arrays in
+every iteration, and each one returned to the kernel is page-faulted in
+again by the next.  The setting changes no computed number, only where the
+arrays live.  Library entry points (``bpsvortex.solve``, ``runner.run``)
+leave their host process's allocator alone.  Other C libraries lack
+``mallopt`` or ignore it (musl, macOS), and there the CLI runs as before.
+"""
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 
@@ -10,6 +22,34 @@ from .config import apply_overrides, validate_config
 from .errors import (NonZeroMeanRhs, Overflow, ParseError, ThresholdViolated, UnresolvedCore,
                      ValidationError)
 from .runner import EXIT_INVALID, EXIT_NOT_CONVERGED, EXIT_THRESHOLD, run
+
+
+# mallopt parameter numbers (glibc's malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+# Blocks up to 32 MiB, glibc's largest mmap threshold on 64-bit hosts, come
+# from the heap, so field pairs up to about 1400^2 nodes are reused there:
+# with 4 MiB, a 768-node plane solve (9.4 MB pairs) took 56k minor faults
+# against 12k.  The heap keeps up to 64 MiB free at its top, twice the mmap
+# threshold as in glibc's own dynamic rule.  On the three benchmark
+# workloads, a 512^2 torus compare and that plane solve, trim thresholds of
+# 256 MiB and 1 GiB gave the same faults and the same peak RSS to 0.4 MB;
+# they only held more memory after the peak (141 MB against 53 MB at the end
+# of the plane solve).  Either parameter set alone switches glibc's dynamic
+# thresholds off: plane-solve then took 31k (mmap) or 59k (trim) faults
+# against 20k with neither and 7k with both.
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _keep_freed_memory() -> None:
+    """Keep this process's freed arrays in the heap (module docstring); a no-op without glibc."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:

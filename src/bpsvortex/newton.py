@@ -27,7 +27,10 @@ and its step takes steepest descent instead (``fallback: "cg_breakdown"``).
 A tolerance below the gradient's roundoff floor ends as a named stall
 (``STALL_STEPS``), not at ``max_iters``, and a state whose mass underflows,
 so that the Hessian block has no finite inverse, ends with a named message
-too.
+too.  So does a coupling so large that the Newton system leaves the float
+range (``overflow in the Newton system: ...``): on the torus the gradient's
+squared norm overflows from about lambda = 1e150, on the plane the
+single-precision Hessian coefficients from about lambda = 1e38.
 A cold solve (no ``init``) starts from its coarsest resolving grid, nested
 iteration in the sense of mesh independence (Allgower, Boehmer, Potra &
 Rheinboldt, SIAM J. Numer. Anal. 23, 1986): the same problem is solved on
@@ -317,7 +320,9 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     def finish(iterations, converged, message="", laplacians=None):
         if coarse is not None:
             coarse["grad_sup_start"] = grad_history[0] if grad_history else None
-        return Solution(state, iterations, grad_history, energy_history, converged,
+        # a step that fails after dropping its state returns it from its modes
+        final = grid.from_modes(modes) if state is None else state
+        return Solution(final, iterations, grad_history, energy_history, converged,
                         message, newton_steps=steps, coarse=coarse, coarse_s=coarse_s,
                         modes=modes, laplacians=laplacians)
 
@@ -356,25 +361,31 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
                                      "did not halve the best")
         if it == settings.max_iters:
             return finish(it, False, f"max_iters reached with sup gradient {gsup:.3e}")
+        # the Newton system H c = -g, solved on mode coefficients.  After the
+        # linearization the step reads the state and the gradient through
+        # their coefficients only, and the CG solve runs without either field
+        # (the state goes first, so that the gradient's coefficients can take
+        # its place on the heap).  A coupling so large that the Hessian's
+        # coefficients or the gradient's squared norm leave the float range
+        # ends the solve by name, before any non-finite number reaches CG
         try:
-            lin = model.linearize(state)
+            with np.errstate(over="raise", invalid="raise"):
+                lin = model.linearize(state)
+                state = None
+                rhs = grid.to_modes(grad)
+                np.negative(rhs, out=rhs)
+                grad = None
+                g_norm = math.sqrt(inner(rhs, rhs))
+                eta, last_step = _forcing_term(g_norm, g_norm_prev, gsup,
+                                               settings.tol_grad_sup)
+                g_norm_prev = g_norm
+                coeffs, cg_iters, cg_rel_res = _pcg(model.hessian_operator(lin), rhs.copy(),
+                                                    model.preconditioner(lin), inner, eta)
         except SingularHessian as exc:
             return finish(it, False, f"singular Hessian block: {exc}")
-
-        # the Newton system H c = -g, solved on mode coefficients.  From here
-        # on the step reads the state and the gradient through their
-        # coefficients only, and the CG solve runs without either field
-        # (the state goes first, so that the gradient's coefficients can take
-        # its place on the heap)
-        state = None
-        rhs = grid.to_modes(grad)
-        np.negative(rhs, out=rhs)
-        grad = None
-        g_norm = math.sqrt(inner(rhs, rhs))
-        eta, last_step = _forcing_term(g_norm, g_norm_prev, gsup, settings.tol_grad_sup)
-        g_norm_prev = g_norm
-        coeffs, cg_iters, cg_rel_res = _pcg(model.hessian_operator(lin), rhs.copy(),
-                                            model.preconditioner(lin), inner, eta)
+        except FloatingPointError as exc:
+            return finish(it, False, f"overflow in the Newton system: {exc} "
+                                     f"(lambda = {params.lam:.3g})")
         mean_exp = list(lin.mean_exp)
         # the line search needs neither; dropping the linearization's two
         # fields before the trials are formed keeps them off the peak
@@ -434,7 +445,6 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
                       "alpha": alpha, "linesearch_evals": evals, "fallback": fallback,
                       "mean_exp": mean_exp})
         if not accepted:
-            state = grid.from_modes(modes)
             return finish(it + 1, False, "line search failed (step underflow)")
         # the step's coefficients do not outlive it: the next linearization
         # and CG solve run without them

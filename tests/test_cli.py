@@ -1,14 +1,17 @@
 import itertools
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bpsvortex as bv
-from bpsvortex import newton, runner
+from bpsvortex import cli, newton, runner
 from bpsvortex.cli import main
 from bpsvortex.config import RunConfig, apply_overrides, parse_config, validate_config
 from bpsvortex.errors import NonZeroMeanRhs, Overflow, ParseError, ValidationError
@@ -944,6 +947,26 @@ class TestCliMain:
         assert "Traceback" not in err and "Infinity" not in out
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("raw,cause", [
+        (minimal_torus(**{"lambda": 1e300}, domain={"Lx": 4.0, "Ly": 4.0}, grid={"nx": 8},
+                       phi_zeros=[[1.0, 1.0]]), "dot"),
+        ({"mode": "plane", "lambda": 1e300, "domain": {"R": 4.0}, "grid": {"n": 16},
+          "phi_zeros": [[1.0, 1.0]]}, "cast"),
+    ], ids=["torus", "plane"])
+    def test_huge_coupling_overflow_named_exit_3(self, tmp_path, capsys, raw, cause):
+        # lambda |Omega| is finite, but the gradient's squared norm (torus) or
+        # the single-precision Hessian coefficients (plane) are not; numpy
+        # used to warn and the line search to fail with no named cause
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--command", "solve",
+                     "--out", str(tmp_path)]) == 3
+        assert "Warning" not in capsys.readouterr().err
+        newton_block = json.loads((tmp_path / "report.json").read_text())["results"]["newton"]
+        assert newton_block["converged"] is False and newton_block["iterations"] == 0
+        assert newton_block["message"] == ("overflow in the Newton system: overflow "
+                                           f"encountered in {cause} (lambda = 1e+300)")
+
     def test_zero_gradient_reported_as_positive_zero(self, tmp_path):
         # without vortices the solution is the zero state: its sup gradient
         # is +0.0 in the report and in a sweep's CSV, never -0.0
@@ -982,3 +1005,96 @@ class TestCliMain:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"),
                      "--command", "check"]) == 1
+
+
+class TestMemoryPolicy:
+    """``cli.main`` keeps the process's freed memory through glibc's ``mallopt``."""
+
+    @staticmethod
+    def run_check(tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(minimal_torus(phi_zeros=[[1.0, 1.0]])))
+        code = main(["--config", str(cfg_path), "--command", "check", "--out", str(tmp_path)])
+        return code, capsys.readouterr()
+
+    def test_both_thresholds_set_before_any_work(self, tmp_path, capsys, monkeypatch):
+        events = []
+
+        class Library:
+            def mallopt(self, param, value):
+                events.append(("mallopt", param, value))
+                return 1
+
+        def load(name):
+            events.append(("load", name))
+            return Library()
+
+        def recorded(name, fn):
+            def wrapper(*args, **kwargs):
+                events.append((name,))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        monkeypatch.setattr(cli, "build_parser", recorded("parse", cli.build_parser))
+        monkeypatch.setattr(cli, "run", recorded("run", cli.run))
+        assert self.run_check(tmp_path, capsys)[0] == 0
+        # glibc's parameter numbers: M_MMAP_THRESHOLD -3, M_TRIM_THRESHOLD -1
+        assert events == [("load", None), ("mallopt", -3, cli.MMAP_THRESHOLD_BYTES),
+                          ("mallopt", -1, cli.TRIM_THRESHOLD_BYTES), ("parse",), ("run",)]
+
+    @staticmethod
+    def unloadable(name):
+        raise OSError("no C library")
+
+    @pytest.mark.parametrize("load", [lambda name: object(), unloadable],
+                             ids=["no-mallopt", "unloadable"])
+    def test_missing_mallopt_changes_nothing(self, tmp_path, capsys, monkeypatch, load):
+        # a C library without mallopt, or none that loads: the CLI runs as before
+        expected = self.run_check(tmp_path, capsys)
+        monkeypatch.setattr(cli.ctypes, "CDLL", load)
+        assert self.run_check(tmp_path, capsys) == expected
+
+
+# runs one command through the library entry point, which leaves the
+# process's allocator as the interpreter set it
+LIBRARY_RUN = """
+import sys
+from pathlib import Path
+from bpsvortex.config import parse_config
+from bpsvortex.runner import run
+command, cfg_path, out = sys.argv[1:]
+sys.exit(run(command, parse_config(Path(cfg_path).read_text()), out_dir=out)[0])
+"""
+
+
+@pytest.mark.parametrize("command,raw,artifact", [
+    # 161^2 and 128^2 fields exceed glibc's default 128 KiB mmap threshold,
+    # so the two processes place them differently
+    ("solve", {"mode": "plane", "lambda": 1.0, "domain": {"R": 6.0}, "grid": {"n": 161},
+               "phi_zeros": [[0.5, 0.0], [-1.0, 0.8]],
+               "output": {"fields_path": "fields", "plots_path": None}}, "fields.bin"),
+    ("sweep", minimal_torus(grid={"nx": 128}, phi_zeros=[[0.3 * L20, 0.4 * L20],
+                                                         [0.7 * L20, 0.6 * L20]],
+                            sweep={"param": "lambda", "values": [1.0, 1.5, 2.0],
+                                   "action": "solve"},
+                            output={"plots_path": "sweep.csv"}), "sweep.csv"),
+], ids=["plane-solve", "torus-sweep"])
+def test_cli_and_library_give_the_same_answers(tmp_path, command, raw, artifact):
+    # the CLI sets its allocator policy, the library call does not; neither
+    # the results nor the written fields may depend on it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    cli_out, lib_out = tmp_path / "cli", tmp_path / "library"
+    for args in (["-m", "bpsvortex", "--config", str(cfg_path), "--command", command,
+                  "--out", str(cli_out)],
+                 ["-c", LIBRARY_RUN, command, str(cfg_path), str(lib_out)]):
+        proc = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    cli_results, lib_results = (json.loads((out / "report.json").read_text())["results"]
+                                for out in (cli_out, lib_out))
+    assert json.dumps(cli_results) == json.dumps(lib_results)
+    assert (cli_out / artifact).read_bytes() == (lib_out / artifact).read_bytes()
