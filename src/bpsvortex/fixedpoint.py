@@ -113,12 +113,15 @@ def apply_T(pair: np.ndarray, t: float, bg: Background, params: PhysicalParams,
     return out
 
 
-def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
+def continuation_solve(bg: Background, params: PhysicalParams,
+                       coarse_bg: Optional[Background] = None) -> Solution:
     """Solve ``x = T(x, 1)`` by damped, windowed Anderson steps, coarse level first.
 
     On the coarsest resolving grid the iteration runs from the zero pair;
     its fixed point, prolonged, starts the iteration on ``bg.grid`` (the
     zero pair does when there is no coarse level or it did not converge).
+    ``coarse_bg``, the background of that level
+    (:func:`~bpsvortex.newton.coarse_background`), saves building it.
     The solve converges once the relative residual is at most
     ``INNER_TOL``.  It gives up after ``MAX_APPLIES`` map applications, or
     at the first application that raises ``Overflow`` (a divergent
@@ -148,7 +151,7 @@ def continuation_solve(bg: Background, params: PhysicalParams) -> Solution:
         coeffs = None if message else coarse_bg.grid.to_modes(pair)
         return coeffs, applies, not message
 
-    x, modes, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "trials")
+    x, modes, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "trials", coarse_bg)
     del modes  # the map iterates on the pair's fields
     if x is None:
         x = np.zeros((2,) + grid.shape)

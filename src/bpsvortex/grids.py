@@ -20,13 +20,15 @@ a field's coefficients gets its Laplacian from ``modal_laplacian`` (one
 inverse transform) and its Dirichlet form from ``modal_dirichlet`` (none);
 ``to_modes``, ``from_modes`` and ``laplacians`` do the same for a stacked
 pair of fields, such as a state.
-Each grid also knows its coarser levels: ``coarsest(tau)`` is the coarsest
-grid of its halving chain that still resolves a vortex core of scale tau by
-three nodes (3 * spacing <= sqrt(tau)), and ``prolong`` carries the
-coefficients of a coarser grid's field (or pair) onto this one by
-zero-padding, with no transform; the field they give here is exact for
-fields that are band-limited on the coarse grid.  Solvers start a cold solve
-there.
+Each grid also knows its coarser levels: ``resolves(length)`` says whether
+it resolves a core of that length by three nodes (3 * spacing <= length),
+``coarsest(tau)`` is the coarsest grid of its halving chain that still
+resolves a vortex core of scale tau (length sqrt(tau)), and ``prolong``
+carries the coefficients of a coarser grid's field (or pair) onto this one
+by zero-padding, with no transform; the field they give here is exact for
+fields that are band-limited on the coarse grid.  ``restrict`` runs it
+backwards: it truncates this grid's coefficients to the coarse grid's modes.
+Solvers start a cold solve there, and a sweep's warm rows continue there.
 Each grid also owns its boundary: ``zero_boundary`` zeroes the plane's
 Dirichlet ring (a no-op on the torus) and ``interior`` views the nodes that
 carry an equation.  Next to ``integrate`` and the L^2 pairing ``inner``, each
@@ -144,6 +146,10 @@ class _Eigenbasis:
         """
         return np.empty((2,) + self._neg_k2.shape, self._mode_dtype)
 
+    def resolves(self, length: float) -> bool:
+        """Whether three node spacings fit in ``length``: the grid resolves a core that long."""
+        return 3.0 * self._spacing <= length
+
     def laplacian_eigenvalues(self) -> np.ndarray:
         """K, the eigenvalue of ``-laplacian`` per mode, in the coefficient layout.
 
@@ -188,6 +194,10 @@ class TorusGrid(_Eigenbasis):
     @property
     def area(self):
         return self.Lx * self.Ly
+
+    @property
+    def _spacing(self):
+        return max(self.dx, self.dy)
 
     @property
     def shape(self):
@@ -272,15 +282,16 @@ class TorusGrid(_Eigenbasis):
         """The coarsest grid of the halving chain that resolves ``tau``, or ``None``.
 
         The chain halves both sample counts while both halves stay even and
-        at least 8; a level resolves the core when 3 max(dx, dy) <= sqrt(tau).
+        at least 8; a level resolves the core when it ``resolves(sqrt(tau))``.
         """
         nx, ny, best = self.nx, self.ny, None
         while nx % 4 == 0 and ny % 4 == 0 and min(nx, ny) >= 16:
             nx, ny = nx // 2, ny // 2
-            if 3.0 * max(self.Lx / nx, self.Ly / ny) > math.sqrt(tau):
+            level = TorusGrid(self.Lx, self.Ly, nx, ny)
+            if not level.resolves(math.sqrt(tau)):
                 break
-            best = (nx, ny)
-        return None if best is None else TorusGrid(self.Lx, self.Ly, *best)
+            best = level
+        return best
 
     def prolong(self, coarse: "TorusGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the coefficients here of the trigonometric interpolant of a ``coarse`` field.
@@ -296,6 +307,20 @@ class TorusGrid(_Eigenbasis):
         out[...] = 0.0
         np.multiply(coeffs[..., :hx, :hy], scale, out=out[..., :hx, :hy])
         np.multiply(coeffs[..., hx + 1:, :hy], scale, out=out[..., self.nx - hx + 1:, :hy])
+        return out
+
+    def restrict(self, coarse: "TorusGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write to ``out`` the ``coarse`` coefficients of this grid's modes that ``coarse`` has.
+
+        ``prolong`` run backwards: ``coeffs`` (one field or a stack) are
+        truncated to the coarse modes, with the coarse Nyquist row and column
+        zero, and rescaled; no transform.  It undoes ``prolong`` to roundoff.
+        """
+        hx, hy = coarse.nx // 2, coarse.ny // 2
+        scale = coarse.nx * coarse.ny / (self.nx * self.ny)
+        out[...] = 0.0
+        np.multiply(coeffs[..., :hx, :hy], scale, out=out[..., :hx, :hy])
+        np.multiply(coeffs[..., self.nx - hx + 1:, :hy], scale, out=out[..., hx + 1:, :hy])
         return out
 
     # -- boundary ------------------------------------------------------------
@@ -342,6 +367,10 @@ class PlaneGrid(_Eigenbasis):
     @property
     def area(self):
         return (2.0 * self.R) ** 2
+
+    @property
+    def _spacing(self):
+        return self.h
 
     @property
     def shape(self):
@@ -492,16 +521,24 @@ class PlaneGrid(_Eigenbasis):
         """The coarsest grid of the halving chain that resolves ``tau``, or ``None``.
 
         The chain halves the n - 1 intervals (rounding down) while
-        the half keeps at least 16 nodes; a level resolves the core when
-        3 h <= sqrt(tau).
+        the half keeps at least 16 nodes; a level resolves the core when it
+        ``resolves(sqrt(tau))``.
         """
         n, best = self.n, None
         while (n + 1) // 2 >= 16:
             n = (n + 1) // 2
-            if 3.0 * 2.0 * self.R / (n - 1) > math.sqrt(tau):
+            level = PlaneGrid(self.R, n)
+            if not level.resolves(math.sqrt(tau)):
                 break
-            best = n
-        return None if best is None else PlaneGrid(self.R, best)
+            best = level
+        return best
+
+    def _coarse_rows(self, coarse: "PlaneGrid") -> np.ndarray:
+        # the row (and column) here of each coefficient row of ``coarse``:
+        # the place of its mode number in this grid's ``sine_modes``
+        rows = np.empty(self.n - 1, dtype=int)
+        rows[self.sine_modes] = np.arange(self.n - 2)
+        return rows[coarse.sine_modes]
 
     def prolong(self, coarse: "PlaneGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the coefficients here of the sine interpolant of a ``coarse`` field.
@@ -512,11 +549,21 @@ class PlaneGrid(_Eigenbasis):
         interior modes sample the same sines; no transform.  Exact for sums
         of the sine modes of ``coarse``.
         """
-        rows = np.empty(self.n - 1, dtype=int)
-        rows[self.sine_modes] = np.arange(self.n - 2)
-        rows = rows[coarse.sine_modes]
+        rows = self._coarse_rows(coarse)
         out[...] = 0.0
         out[(Ellipsis,) + np.ix_(rows, rows)] = coeffs * ((self.n - 1) / (coarse.n - 1))
+        return out
+
+    def restrict(self, coarse: "PlaneGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write to ``out`` the ``coarse`` coefficients of this grid's modes that ``coarse`` has.
+
+        ``prolong`` run backwards: ``coeffs`` (one field or a stack) are
+        truncated to the coarse grid's mode numbers and scaled by N_c / N;
+        no transform.  It undoes ``prolong`` to roundoff.
+        """
+        rows = self._coarse_rows(coarse)
+        np.multiply(coeffs[(Ellipsis,) + np.ix_(rows, rows)], (coarse.n - 1) / (self.n - 1),
+                    out=out)
         return out
 
     # -- boundary ------------------------------------------------------------

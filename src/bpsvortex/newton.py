@@ -38,7 +38,14 @@ Rheinboldt, SIAM J. Numer. Anal. 23, 1986): the same problem is solved on
 coefficients, zero-padded onto the requested grid (``grid.prolong``), start
 the solve there, where the stopping rule is unchanged.  That start's state
 costs two inverse transforms; an ``init`` start costs one ``to_modes``.  A
-coarse solve that does not converge leaves the zero start.
+coarse solve that does not converge leaves the zero start.  An ``init``
+start, such as a sweep row's predictor, goes through the coarse level too
+when the caller hands over its background (:func:`coarse_background`) and
+that level also resolves the core length 1/sqrt(lambda)
+(``grid.resolves``): the coarse solve starts from ``init`` truncated to the
+coarse modes (``grid.restrict``), and its solution, prolonged, starts the
+fine solve, which then takes about one step.  Otherwise, or when the coarse
+solve does not converge, the fine solve starts from ``init``.
 :attr:`Solution.coarse` reports the coarse level.
 A torus solve first checks the existence threshold and refuses to iterate
 when it fails.  It then follows the paper's split u = c + w: the start and
@@ -153,10 +160,11 @@ class Solution:
     # Newton only: one dict per Newton iteration (forcing term, CG and line
     # search work, fallback taken)
     newton_steps: Optional[list] = None
-    # a cold solve's coarse level: the coarse grid's ``shape``, its solve's
-    # work (Newton ``iterations``, fixed-point ``trials``), ``converged``,
-    # and the sup gradient (``grad_sup_start``) or relative residual
-    # (``residual_start``) at the start it gave; None without a coarse level
+    # the coarse level of a solve that went through one: the coarse grid's
+    # ``shape``, its solve's work (Newton ``iterations``, fixed-point
+    # ``trials``), ``converged``, and the sup gradient (``grad_sup_start``)
+    # or relative residual (``residual_start``) at the start it gave; None
+    # without a coarse level
     coarse: Optional[dict] = None
     # wall time of the coarse level, kept apart from the deterministic block
     coarse_s: Optional[float] = None
@@ -236,13 +244,26 @@ def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
     return max(eta, CG_TOL), last_step
 
 
-def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable, work: str):
-    """A cold solve's start from its coarse level: ``(start, modes, block, seconds)``.
+def coarse_background(bg: Background, params: PhysicalParams) -> Optional[Background]:
+    """``bg``'s problem on its coarse level, or ``None`` when its grid has none.
 
-    The coarse level is ``bg``'s problem on ``bg.grid.coarsest`` at the
-    domain's core scale (:func:`~bpsvortex.backgrounds.core_scale`), the
-    same on every level, so both grids split the sources alike; by
-    construction it has no coarser level of its own.
+    The coarse level is ``bg.grid.coarsest`` at the domain's core scale
+    (:func:`~bpsvortex.backgrounds.core_scale`), the same on every level, so
+    both grids split the sources alike; by construction it has no coarser
+    level of its own.  A caller that solves one problem more than once (a
+    sweep path, ``compare``'s two solvers) builds it once and hands it to
+    each solve.
+    """
+    coarse = bg.grid.coarsest(backgrounds.core_scale(bg.grid))
+    return None if coarse is None else build_background(bg.cfg, coarse, params)
+
+
+def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable, work: str,
+                 coarse_bg: Optional[Background] = None):
+    """A solve's start from its coarse level: ``(start, modes, block, seconds)``.
+
+    The coarse level is ``coarse_bg`` or, without it, the one
+    :func:`coarse_background` builds, which does not outlive the call.
     ``solve_coarse(coarse_background)`` solves it and returns
     ``(coeffs, count, converged)``, ``coeffs`` the mode coefficients of the
     solution pair (``grid.to_modes``).  When it converged, ``modes`` are
@@ -250,11 +271,11 @@ def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable,
     transform) and ``start`` is their pair, at two inverse transforms; else
     both are ``None``.  ``block`` holds the coarse grid's ``shape``, the
     count under the name ``work`` and ``converged``, and ``seconds`` the
-    wall time.  All four are ``None`` without a coarse level.  Nothing
-    coarse outlives the call.
+    wall time.  All four are ``None`` without a coarse level.
     """
     grid = bg.grid
-    coarse = grid.coarsest(backgrounds.core_scale(grid))
+    coarse = (grid.coarsest(backgrounds.core_scale(grid)) if coarse_bg is None
+              else coarse_bg.grid)
     if coarse is None:
         return None, None, None, None
     t0 = time.perf_counter()
@@ -263,7 +284,10 @@ def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable,
     # their space (a start made after them cost plane-solve 1.1 MB of peak
     # RSS)
     start, modes = np.empty((2,) + grid.shape), grid.empty_modes()
-    coeffs, count, converged = solve_coarse(build_background(bg.cfg, coarse, params))
+    # a background built here is freed when the coarse solve returns, so
+    # that the prolongation's temporaries can take its place on the heap
+    coeffs, count, converged = solve_coarse(
+        build_background(bg.cfg, coarse, params) if coarse_bg is None else coarse_bg)
     if converged:
         grid.from_modes(grid.prolong(coarse, coeffs, modes), out=start)
     else:
@@ -272,7 +296,8 @@ def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable,
     return start, modes, block, time.perf_counter() - t0
 
 
-def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None) -> Solution:
+def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None,
+             coarse_bg: Optional[Background] = None) -> Solution:
     """Damped Newton descent on the energy of ``model``'s background.
 
     A torus problem is first gated by its existence threshold.  There the
@@ -280,13 +305,18 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     (:func:`constraint_shift`), at the masses of the energy evaluation that
     accepted them.  Without ``init`` the start is the prolonged solution on
     the coarsest resolving grid (zero when there is none or it does not
-    converge), whose mode coefficients come with it.  A float ``init`` is
-    taken over, not copied: it is the first iterate, and on the torus the
-    shift moves it in place; its coefficients cost one ``to_modes``.  The
-    plane never writes into its states, which vanish on the Dirichlet ring;
-    an ``init`` that does not is copied with the ring set to zero.  Every
-    iterate's coefficients are carried beside it, updated by the same linear
-    steps, and returned in :attr:`Solution.modes`.
+    converge), whose mode coefficients come with it; ``coarse_bg``, the
+    background of that level (:func:`coarse_background`), saves building it.
+    A float ``init`` is taken over, not copied, and its coefficients cost
+    one ``to_modes``.  With a ``coarse_bg`` whose grid also resolves the
+    core length 1/sqrt(lambda), ``init`` restricted to the coarse modes
+    starts the coarse solve, and the prolonged solution the fine one; else,
+    or when the coarse solve does not converge, ``init`` is the first
+    iterate, and on the torus the shift moves it in place.  The plane never
+    writes into its states, which vanish on the Dirichlet ring; an ``init``
+    that does not is copied with the ring set to zero.  Every iterate's
+    coefficients are carried beside it, updated by the same linear steps,
+    and returned in :attr:`Solution.modes`.
     """
     bg, params, grid = model.bg, model.params, model.grid
     torus = isinstance(grid, TorusGrid)
@@ -294,24 +324,33 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         report = check_existence(bg.cfg, grid, params)
         if not report.solvable:
             raise ThresholdViolated(report)
-    coarse = coarse_s = None
-    if init is None:
-        def solve_coarse(coarse_bg):
-            sol = minimize(EnergyModel(coarse_bg, params), settings)
-            return sol.modes, sol.iterations, sol.converged
-
-        state, modes, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "iterations")
-        if state is None:
-            state, modes = model.zero_state(), grid.empty_modes()
-            modes.fill(0.0)
-    else:
+    coarse = coarse_s = state = modes = None
+    if init is not None:
         state = np.asarray(init, dtype=float)
         if not torus and (state[:, [0, -1]].any() or state[:, :, [0, -1]].any()):
             state = grid.zero_boundary(state.copy())
         modes = grid.to_modes(state)
+        if coarse_bg is not None and not coarse_bg.grid.resolves(1.0 / math.sqrt(params.lam)):
+            coarse_bg = None
     # drop this frame's second reference to the start, so that the first
     # step frees a start that no caller holds
     init = None
+    if state is None or coarse_bg is not None:
+        def solve_coarse(level_bg):
+            # the restricted start, held by no name here (see init above)
+            level = level_bg.grid
+            sol = minimize(EnergyModel(level_bg, params), settings, init=None if modes is None
+                           else level.from_modes(grid.restrict(level, modes, level.empty_modes())))
+            return sol.modes, sol.iterations, sol.converged
+
+        start, start_modes, coarse, coarse_s = coarse_start(bg, params, solve_coarse,
+                                                            "iterations", coarse_bg)
+        if start is not None:
+            state, modes = start, start_modes
+        elif state is None:
+            state, modes = model.zero_state(), grid.empty_modes()
+            modes.fill(0.0)
+        del start, start_modes
     inner = grid.modal_inner
     grad_history: List[float] = []
     energy_history: List[float] = []
@@ -458,13 +497,15 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
 
 def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams,
           settings: Optional[SolverSettings] = None, init: Optional[np.ndarray] = None,
-          background=None) -> Solution:
+          background=None, coarse_background=None) -> Solution:
     """Minimize the problem of ``cfg`` on ``grid`` (or of ``background``, built for them).
 
     ``mode`` and ``model`` are labels: :func:`check_labels` raises
     ``ValueError`` when they disagree with the grid, the zero set or
-    ``background``.  The variant is the zero set's; the threshold gate and
-    the handling of ``init`` (taken over, not copied) are :func:`minimize`'s.
+    ``background``.  The variant is the zero set's; the threshold gate, the
+    handling of ``init`` (taken over, not copied) and of
+    ``coarse_background``, the problem's coarse level
+    (:func:`coarse_background`), are :func:`minimize`'s.
     """
     check_labels(mode, model, cfg, grid, background)
     bg = background if background is not None else build_background(cfg, grid, params)
@@ -473,4 +514,5 @@ def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams
     # before its first CG solve
     start = [init]
     del init
-    return minimize(EnergyModel(bg, params), settings or SolverSettings(), init=start.pop())
+    return minimize(EnergyModel(bg, params), settings or SolverSettings(), init=start.pop(),
+                    coarse_bg=coarse_background)

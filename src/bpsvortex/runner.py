@@ -31,8 +31,10 @@ configured ``model`` only passes to the label checks of ``solve`` and
 ``build_diagnostics``.  ``check``, ``solve`` and ``compare`` call it on the
 configuration; a ``sweep`` row calls it with its action (``check`` or
 ``solve``) on its point configuration (``RunConfig.sweep_points``), where a
-``solve`` may reuse the background and start from the states of earlier
-rows (see ``_run_sweep``), and reads the row from the results.
+``solve`` may reuse the backgrounds and start from the states of earlier
+rows (see ``_run_sweep``), and reads the row from the results.  ``compare``
+builds the coarse level's background once and hands it to both solvers; a
+lone ``solve`` leaves it to Newton, where it ends with the coarse level.
 
 Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings``
@@ -62,7 +64,7 @@ from .diagnostics import (build_diagnostics, profile_window, radial_profile,
 from .errors import ValidationError
 from .fixedpoint import continuation_solve
 from .grids import PlaneGrid
-from .newton import SolverSettings, Solution, solve
+from .newton import SolverSettings, Solution, coarse_background, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -180,35 +182,48 @@ def _problem(cfg: RunConfig):
     return cfg.make_vortex_config(), cfg.make_grid(), cfg.make_params()
 
 
+def _backgrounds(problem, coarse: bool):
+    """``(bg, coarse_bg)``: the background of ``problem`` and, with ``coarse``, its coarse level's.
+
+    ``coarse_bg`` is ``None`` without ``coarse`` or without a coarse level
+    (:func:`~bpsvortex.newton.coarse_background`).
+    """
+    vcfg, grid, params = problem
+    bg = build_background(vcfg, grid, params)
+    return bg, coarse_background(bg, params) if coarse else None
+
+
 def _evaluate(cfg: RunConfig, command: str, results: dict, timings: dict,
-              fit_decay: bool = True, problem=None, bg=None, start=None):
+              fit_decay: bool = True, problem=None, levels=None, start=None):
     """Threshold gate, the solvers of ``command`` and the diagnostics of Newton's state.
 
     ``command`` is ``"check"`` (threshold only), ``"solve"`` (Newton) or
     ``"compare"`` (Newton, then the fixed point).  ``problem`` is
-    ``_problem(cfg)`` when the caller has made it, ``bg`` a background built
-    for it and ``start``, called only when Newton runs, makes Newton's
-    initial state (zero when ``start`` is ``None``).  Fills ``results`` and
-    ``timings``; returns ``(exit_code, newton, bg, profile)``, where
-    ``newton`` (Newton's solution) and ``bg`` are ``None`` unless the solvers
-    ran, and ``profile`` is the diagnostics' radial profile
-    (``DiagnosticsReport.profile``) or ``None``.
+    ``_problem(cfg)`` when the caller has made it.  ``levels`` and
+    ``start`` are called only when the solvers run.  ``levels()`` gives
+    their backgrounds ``(bg, coarse_bg)``; without it they are built here,
+    the coarse one for ``compare`` only (``_backgrounds``).  ``start()``
+    makes Newton's initial state (a cold solve when ``start`` is ``None``).
+    Fills ``results`` and ``timings``; returns ``(exit_code, newton, bg,
+    profile)``, where ``newton`` (Newton's solution) and ``bg`` are ``None``
+    unless the solvers ran, and ``profile`` is the diagnostics' radial
+    profile (``DiagnosticsReport.profile``) or ``None``.
     """
-    vcfg, grid, params = problem or _problem(cfg)
+    vcfg, grid, params = problem = problem or _problem(cfg)
     threshold = results["threshold"] = _threshold_dict(vcfg, grid, params)
     if not threshold["solvable"]:
         return EXIT_THRESHOLD, None, None, None
     if command == "check":
         return EXIT_OK, None, None, None
 
-    if bg is None:
-        bg = build_background(vcfg, grid, params)
+    bg, coarse_bg = levels() if levels else _backgrounds(problem, command == "compare")
     exit_code = EXIT_OK
     t0 = time.perf_counter()
     settings = SolverSettings(tol_grad_sup=cfg.solver["tol"],
                               max_iters=cfg.solver["max_iters"])
     newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params, settings=settings,
-                       init=start() if start else None, background=bg)
+                       init=start() if start else None, background=bg,
+                       coarse_background=coarse_bg)
     timings["newton_s"] = time.perf_counter() - t0
     if newton_sol.coarse_s is not None:
         timings["newton_coarse_s"] = newton_sol.coarse_s
@@ -222,7 +237,7 @@ def _evaluate(cfg: RunConfig, command: str, results: dict, timings: dict,
         exit_code = EXIT_NOT_CONVERGED
     if command == "compare":
         t0 = time.perf_counter()
-        fixed_sol = continuation_solve(bg, params)
+        fixed_sol = continuation_solve(bg, params, coarse_bg)
         timings["fixedpoint_s"] = time.perf_counter() - t0
         if fixed_sol.coarse_s is not None:
             timings["fixedpoint_coarse_s"] = fixed_sol.coarse_s
@@ -285,23 +300,30 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
 
     Consecutive rows whose backgrounds have equal inputs (zero sets and
     grid), as in a lambda sweep, form one continuation path: the first
-    solved row builds the background, the later ones reuse it, and each
-    row's Newton starts from the path's last converged rows (see
-    ``_path_start``): cold, from a copy of the newest, or from the secant
-    through the last two.  A solved row records the newest as
-    ``start_row`` and the older row of a secant as ``secant_row`` (``None``
-    for a copy or cold start); a cold row also records its Newton's
-    ``coarse`` block (``None`` on a grid without a coarse level), which the
-    CSV leaves out.  A row that does not converge seeds nothing,
-    and the next row starts from a copy of the newest converged row, since a
-    secant start spends the older state's storage.  A change of any
-    background input (``resolution``, ``n``, ``m``) starts a new path with
-    a fresh background and a cold start.  Rows on one grid share one grid
-    object.
+    solved row builds the background and that of the grid's coarse level,
+    the later ones reuse both, and each row's Newton starts from the path's
+    last converged rows (see ``_path_start``): cold, from a copy of the
+    newest, or from the secant through the last two.  A cold row solves
+    its coarse level first, from zero.  A warm row continues the path on
+    the coarse level when that level also resolves the row's core length
+    1/sqrt(lambda) (``grid.resolves``): its predictor, restricted to the
+    coarse grid, starts the coarse solve, and the prolonged solution
+    starts the fine one, which then takes about one Newton step.  Otherwise,
+    or when the coarse solve does not converge, the fine solve starts from
+    the predictor (see :func:`~bpsvortex.newton.minimize`).
+    A solved row records the newest as ``start_row`` and the older row of a
+    secant as ``secant_row`` (``None`` for a copy or cold start), and its
+    Newton's ``coarse`` block (``None`` for a row that did not go through a
+    coarse level), which the CSV leaves out.  A row that does not converge
+    seeds nothing, and the next row starts from a copy of the newest
+    converged row, since a secant start spends the older state's storage.
+    A change of any background input (``resolution``, ``n``, ``m``) starts
+    a new path with fresh backgrounds and a cold start.  Rows on one grid
+    share one grid object.
     """
     rows = []
     worst_exit = EXIT_OK
-    grid_inputs = grid = path_key = path_bg = None
+    grid_inputs = grid = path_key = path_levels = None
     path = []
     for index, (assignment, pcfg) in enumerate(cfg.sweep_points):
         if (pcfg.mode, pcfg.domain, pcfg.grid) != grid_inputs:
@@ -310,12 +332,20 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
         problem = (vcfg, grid, params)
         key = (vcfg, grid)
         if key != path_key:
-            path_key, path_bg, path = key, None, []
+            path_key, path_levels, path = key, None, []
         start_row, secant_row, start = _path_start(path, params.lam)
+
+        def levels(problem=problem):
+            # the path's backgrounds, fine and coarse: its first solved row
+            # builds both
+            nonlocal path_levels
+            path_levels = path_levels or _backgrounds(problem, coarse=True)
+            return path_levels
+
         point: dict = {}
-        exit_code, sol, bg, _ = _evaluate(pcfg, cfg.sweep["action"], point, {},
-                                          fit_decay=False, problem=problem, bg=path_bg,
-                                          start=start)
+        exit_code, sol, _, _ = _evaluate(pcfg, cfg.sweep["action"], point, {},
+                                         fit_decay=False, problem=problem, levels=levels,
+                                         start=start)
         row = {"index": index, **assignment,
                "solvable": point["threshold"]["solvable"],
                "margin": point["threshold"]["margin"],
@@ -324,9 +354,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
         if "newton" in point:
             row["start_row"] = start_row
             row["secant_row"] = secant_row
-            if start is None:
-                row["coarse"] = point["newton"]["coarse"]
-            path_bg = bg
+            row["coarse"] = point["newton"]["coarse"]
             path = path[-1:] + ([(index, params.lam, sol.state)] if sol.converged else [])
             row["converged"] = point["newton"]["converged"]
             row["grad_sup_final"] = point["newton"]["grad_sup_final"]

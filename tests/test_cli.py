@@ -29,6 +29,17 @@ def sweep_cells(path):
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
+def workload_sweep(factors):
+    """The torus-sweep workload's sweep (seed 1) at ``factors`` times its threshold lambda*.
+
+    Its sqrt(50) torus at 96^2 has the coarse level 48^2.
+    """
+    raw = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["sweep_config"](1)
+    lam_star = raw["sweep"]["values"][0] / 0.9
+    raw["sweep"]["values"] = [f * lam_star for f in factors]
+    return validate_config(raw)
+
+
 def minimal_torus(**kw):
     raw = {
         "mode": "torus",
@@ -279,6 +290,35 @@ class TestRunCommands:
             assert set(block) == {"shape", work, "converged", start}
             assert block["shape"] == coarse and block["converged"] and block[work] > 0
             assert 0.0 < timings[f"{method}_coarse_s"] <= timings[f"{method}_s"]
+
+    def test_compare_builds_its_coarse_background_once(self, tmp_path, monkeypatch):
+        # both solvers share the 64^2 background, and their results are those
+        # of solvers that each build their own
+        builds = []
+        for module in (runner, newton):
+            def counted(*args, _build=module.build_background, **kwargs):
+                builds.append(args[1].shape)
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(module, "build_background", counted)
+        raw = minimal_torus(phi_zeros=[[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]],
+                            grid={"nx": 128})
+        cfg = parse_config(json.dumps(raw))
+        code, report = run("compare", cfg, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert code == 0
+        assert sorted(builds) == [(64, 64), (128, 128)]
+        vcfg, grid, params = cfg.make_vortex_config(), cfg.make_grid(), cfg.make_params()
+        bg = bv.build_background(vcfg, grid, params)
+        alone = bv.solve("torus", "base", vcfg, grid, params,
+                         settings=bv.SolverSettings(tol_grad_sup=cfg.solver["tol"]),
+                         background=bg)
+        fixed = bv.continuation_solve(bg, params)
+        res = report["results"]
+        assert res["newton"]["coarse"] == alone.coarse
+        assert res["newton"]["grad_sup_final"] == alone.grad_history[-1]
+        assert res["fixedpoint"]["coarse"] == fixed.coarse
+        assert res["cross_method_sup_diff"] == float(np.max(np.abs(alone.state - fixed.state)))
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     def test_field_dump_bytes_match_node_by_node_writer(self, tmp_path, mode):
@@ -645,12 +685,10 @@ class TestSweepContinuation:
 
     def test_secant_step_is_clamped(self, tmp_path, monkeypatch):
         # on the torus-sweep workload's torus at [1.1, 1.2, 1.3, 10] lambda*,
-        # the last row's secant ratio is 87: unclamped it took 130 Hessian
-        # applies, the copy start 80, the clamp (r = 1) 84
-        raw = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["sweep_config"](1)
-        lam_star = raw["sweep"]["values"][0] / 0.9
-        raw["sweep"]["values"] = [f * lam_star for f in (1.1, 1.2, 1.3, 10.0)]
-        cfg = validate_config(raw)
+        # the last row's secant ratio is 87.  Every warm row continues on the
+        # 48^2 coarse level: unclamped the sweep took 124 Hessian applies (113
+        # of them at 48^2), the copy start 72, the clamp (r = 1) 74
+        cfg = workload_sweep((1.1, 1.2, 1.3, 10.0))
         applies = count_hessian_applies(monkeypatch)
         counts, secant_rows = {}, {}
         for start in ("secant", "copy"):
@@ -687,6 +725,133 @@ class TestSweepContinuation:
         assert all(row["solvable"] and row["converged"] for row in rows)
         assert len(calls) == len(rows)
         assert [row["start_row"] for row in rows] == [None] * len(rows)
+
+
+class TestCoarsePath:
+    """A warm sweep row continues its path on the coarse level, then takes a fine step."""
+
+    FINE, COARSE = (96, 96), (48, 48)
+
+    @classmethod
+    def record(cls, monkeypatch, fail_warm_coarse=False):
+        """One dict per Newton solve of the sweep, from its minimize calls.
+
+        ``init``: the fine start handed in (the path's predictor, or None);
+        ``coarse_init``: the coarse level's start (absent without a coarse
+        solve); ``coarse_modes``: the coarse solution's coefficients;
+        ``first``: the first fine state the energy is evaluated at;
+        ``state`` and ``iterations``: the fine solution.  With
+        ``fail_warm_coarse`` a coarse solve from a predictor fails.
+        """
+        solves = []
+        minimize, energy = newton.minimize, bv.EnergyModel.energy
+
+        def recorded(model, settings, init=None, coarse_bg=None):
+            fine = model.grid.shape == cls.FINE
+            given = None if init is None else np.array(init)
+            if fine:
+                solves.append({"init": given})
+            else:
+                solves[-1]["coarse_init"] = given
+            if fail_warm_coarse and not fine and init is not None:
+                sol = newton.Solution(np.full((2,) + cls.COARSE, np.nan), 3, [1.0], [0.0],
+                                      False, "stalled")
+            else:
+                sol = minimize(model, settings, init=init, coarse_bg=coarse_bg)
+            if fine:
+                solves[-1].update(state=sol.state.copy(), iterations=sol.iterations)
+            elif sol.converged:
+                solves[-1]["coarse_modes"] = sol.modes.copy()
+            return sol
+
+        def first_energy(self, state, dirichlet):
+            if self.grid.shape == cls.FINE:
+                solves[-1].setdefault("first", state.copy())
+            return energy(self, state, dirichlet)
+
+        monkeypatch.setattr(newton, "minimize", recorded)
+        monkeypatch.setattr(bv.EnergyModel, "energy", first_energy)
+        return solves
+
+    @staticmethod
+    def restricted(predictor, grid, coarse):
+        return coarse.from_modes(grid.restrict(coarse, grid.to_modes(predictor),
+                                               coarse.empty_modes()))
+
+    @staticmethod
+    def cold_state(cfg, row):
+        pcfg = cfg.sweep_points[row["index"]][1]
+        cold = bv.solve(pcfg.mode, pcfg.model, pcfg.make_vortex_config(), pcfg.make_grid(),
+                        pcfg.make_params(),
+                        settings=bv.SolverSettings(tol_grad_sup=pcfg.solver["tol"]))
+        assert cold.converged
+        return cold.state
+
+    def test_warm_rows_solve_their_coarse_level_from_the_path(self, tmp_path, monkeypatch):
+        builds = []
+        for module in (runner, newton):
+            def counted(*args, _build=module.build_background, **kwargs):
+                builds.append(args[1].shape)
+                return _build(*args, **kwargs)
+
+            monkeypatch.setattr(module, "build_background", counted)
+        cfg = workload_sweep((0.9, 1.1, 1.2, 1.3, 1.4))
+        solves = self.record(monkeypatch)
+        code, report = run("sweep", cfg, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert code == 0
+        rows = report["results"]["rows"][1:]
+        assert [row["secant_row"] for row in rows] == [None, None, 1, 2]
+        # the path builds each background once: the first solved row both
+        assert sorted(builds) == [self.COARSE, self.FINE]
+        grid = cfg.sweep_points[1][1].make_grid()
+        coarse = grid.coarsest(bv.backgrounds.core_scale(grid))
+        assert coarse.shape == self.COARSE
+        for row, solve in zip(rows, solves):
+            assert row["converged"] and row["residual_sup"] <= 1e-8
+            assert row["coarse"]["shape"] == list(self.COARSE) and row["coarse"]["converged"]
+            if row["start_row"] is None:
+                assert solve["init"] is None and solve["coarse_init"] is None
+            else:
+                # the coarse solve starts from the path's predictor, restricted
+                assert solve["coarse_init"].tobytes() == \
+                    self.restricted(solve["init"], grid, coarse).tobytes()
+                assert solve["iterations"] == 1
+            # the fine solve starts from the prolonged coarse solution
+            start = grid.from_modes(grid.prolong(coarse, solve["coarse_modes"],
+                                                 grid.empty_modes()))
+            assert solve["first"].tobytes() == start.tobytes()
+            assert np.max(np.abs(solve["state"] - self.cold_state(cfg, row))) <= 1e-8
+
+    def test_row_that_underresolves_its_core_stays_fine(self, tmp_path, monkeypatch):
+        # at 12 lambda* the core length 1/sqrt(lambda) = 0.41 is under three
+        # coarse spacings (0.44): the row continues on the fine level alone,
+        # from the predictor
+        cfg = workload_sweep((1.1, 1.2, 12.0))
+        solves = self.record(monkeypatch)
+        code, report = run("sweep", cfg, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert code == 0
+        row, solve = report["results"]["rows"][-1], solves[-1]
+        coarse = bv.TorusGrid(math.sqrt(50.0), math.sqrt(50.0), *self.COARSE)
+        assert not coarse.resolves(1.0 / math.sqrt(row["lambda"]))
+        assert row["converged"] and row["start_row"] == 1 and row["coarse"] is None
+        assert "coarse_init" not in solve
+        assert solve["first"].tobytes() == solve["init"].tobytes()
+        assert np.max(np.abs(solve["state"] - self.cold_state(cfg, row))) <= 1e-8
+
+    def test_failed_coarse_solve_falls_back_to_the_predictor(self, tmp_path, monkeypatch):
+        cfg = workload_sweep((1.1, 1.2, 1.3))
+        solves = self.record(monkeypatch, fail_warm_coarse=True)
+        code, report = run("sweep", cfg, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert code == 0
+        for row, solve in zip(report["results"]["rows"][1:], solves[1:]):
+            assert row["converged"] and row["start_row"] is not None
+            assert row["coarse"] == {"shape": list(self.COARSE), "iterations": 3,
+                                     "converged": False,
+                                     "grad_sup_start": row["coarse"]["grad_sup_start"]}
+            assert solve["first"].tobytes() == solve["init"].tobytes()
 
 
 class TestCliMain:

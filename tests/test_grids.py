@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -488,6 +490,43 @@ class TestCoarseLevels:
             monkeypatch.setattr(type(grid), name, None)
         stacked = grid.prolong(coarse, pair, grid.empty_modes())
         assert stacked.tobytes() == np.stack(singles).tobytes()
+
+    @pytest.mark.parametrize("fine,coarse", [((64, 48), (16, 12)), ((96, 96), (48, 48))])
+    def test_torus_restriction_samples_band_limited_fields(self, fine, coarse):
+        # the coarse coefficients of a field the coarse grid resolves, and
+        # prolongation undone on a stacked pair
+        f, c = bv.TorusGrid(2.0, 3.0, *fine), bv.TorusGrid(2.0, 3.0, *coarse)
+        out = np.full(c.empty_modes()[0].shape, 7.0 + 0j)
+        assert f.restrict(c, f.modal_forward(band_limited(f, seed=4)), out) is out
+        expected = c.modal_forward(band_limited(c, seed=4))
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+        pair = c.to_modes(random_state(c, seed=5))
+        pair[:, c.nx // 2] = pair[:, :, c.ny // 2] = 0.0  # prolong drops the coarse Nyquist
+        back = f.restrict(c, f.prolong(c, pair, f.empty_modes()), c.empty_modes())
+        assert np.max(np.abs(back - pair)) <= 1e-15 * np.max(np.abs(pair))
+
+    @pytest.mark.parametrize("fine,coarse", [(97, 49), (384, 192)])
+    def test_plane_restriction_samples_sine_sums(self, fine, coarse):
+        f, c = bv.PlaneGrid(6.0, fine), bv.PlaneGrid(6.0, coarse)
+        out = np.full(c.empty_modes()[0].shape, 7.0)
+        assert f.restrict(c, f.modal_forward(sine_sum(f, 5, coarse - 1)), out) is out
+        expected = c.modal_forward(sine_sum(c, 5, coarse - 1))
+        assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+        pair = c.to_modes(random_state(c, seed=5))
+        back = f.restrict(c, f.prolong(c, pair, f.empty_modes()), c.empty_modes())
+        assert np.max(np.abs(back - pair)) <= 1e-15 * np.max(np.abs(pair))
+
+    @pytest.mark.parametrize("grid,spacing,tau,below", [
+        (bv.TorusGrid(4.0, 6.0, 96, 64), 6.0 / 64, 0.5, bv.TorusGrid(4.0, 6.0, 24, 16)),
+        (bv.PlaneGrid(12.0, 384), 24.0 / 383, 0.2, bv.PlaneGrid(12.0, 96)),
+    ], ids=["torus", "plane"])
+    def test_resolves_by_three_nodes(self, grid, spacing, tau, below):
+        # three of the larger spacings; coarsest stops at the last level that
+        # resolves sqrt(tau) by the same rule
+        assert grid.resolves(3.0 * spacing * (1.0 + 1e-12))
+        assert not grid.resolves(3.0 * spacing * (1.0 - 1e-12))
+        coarse = grid.coarsest(tau)
+        assert coarse.resolves(math.sqrt(tau)) and not below.resolves(math.sqrt(tau))
 
     @pytest.mark.parametrize("grid,tau,expected", [
         (bv.TorusGrid(4.0, 4.0, 256, 256), 16.0 / 144.0, (64, 64)),

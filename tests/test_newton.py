@@ -553,11 +553,11 @@ class TestCoarseStart:
         grid, params, vcfg, bg = self.compare_cell(1.0)
         minimize = newton.minimize
 
-        def failing_on_the_coarse_grid(model, settings, init=None):
+        def failing_on_the_coarse_grid(model, settings, init=None, coarse_bg=None):
             if model.grid != grid:
                 return newton.Solution(np.full((2,) + model.grid.shape, np.nan), 3, [1.0],
                                        [0.0], False, "stalled")
-            return minimize(model, settings, init=init)
+            return minimize(model, settings, init=init, coarse_bg=coarse_bg)
 
         monkeypatch.setattr(newton, "minimize", failing_on_the_coarse_grid)
         sol = bv.solve("torus", "base", vcfg, grid, params, background=bg)
