@@ -37,15 +37,23 @@ eigenbasis (``grid.to_modes``), and hands them in: the energy then takes
 its gradient part from :meth:`EnergyModel.dirichlet` (Parseval, no
 transform), and the gradient its Laplacians from ``grid.laplacians`` (one
 inverse transform per slice).  Called on a state alone, the energy pays two
-forward transforms and the gradient two each way.
+forward transforms and the gradient two each way.  Transform counts here
+are per field: on the torus the two fields of a pair go through one stacked
+FFT pass (see :mod:`bpsvortex.grids`), which computes each of them as a
+single transform would, bit for bit.  The gradient is written into one
+pair.
 
 Newton's linear algebra runs on mode coefficients too.  ``linearize``
 splits the Hessian at a state as A = M + W.  M is the Hessian with constant
 coefficients at the state's mean masses a = <e^U> and b = <e^V>, diagonal
 per mode; on the torus its constant-mode block is the Galerkin projection of
 A onto the constant fields, so that mode is exact.  W is the pointwise
-remainder.  ``hessian_operator`` applies M + W with two inverse and two
-forward transforms, and ``preconditioner`` inverts M mode by mode with none.
+remainder.  ``linearize`` lays out M's coefficients c = (c0, c1) and W's
+fields w = (wu, wv) as pairs.  ``hessian_operator`` applies M + W with two
+inverse and two forward transforms, W through the grid's pair kernel
+``grid.pointwise_product`` (on the torus one stacked FFT pass each way), and
+``preconditioner`` inverts M mode by mode with none, in three operations
+over the pair.
 W runs in the grid's ``product_dtype``: on the plane in float32, its two
 fields wu, wv, its physical field and its four dense sine transforms, at
 half the cost of float64 (the transforms round the direction's coefficients
@@ -97,18 +105,17 @@ class Linearization(NamedTuple):
     """The Hessian at one state as A = M + W (see :meth:`EnergyModel.linearize`).
 
     ``mean_exp`` holds the mean masses (a, b) that M is built at.  M is
-    ``lam_b`` [[c0, -1], [-1, c1]] per mode and ``inv_det`` is
-    1 / (lam_b (c0 c1 - 1)), all three mode-sized; W is pointwise, through
-    the physical fields ``wu`` and ``wv`` (in the grid's ``product_dtype``).
+    ``lam_b`` [[c0, -1], [-1, c1]] per mode, with ``c`` the stacked pair
+    (c0, c1), and ``inv_det`` is 1 / (lam_b (c0 c1 - 1)), all mode-sized; W
+    is pointwise, through the stacked physical fields ``w`` = (wu, wv) (in
+    the grid's ``product_dtype``).
     """
 
     mean_exp: Tuple[float, float]
     lam_b: float
-    c0: np.ndarray
-    c1: np.ndarray
+    c: np.ndarray
     inv_det: np.ndarray
-    wu: np.ndarray
-    wv: np.ndarray
+    w: np.ndarray
 
 
 def _checked_exp(arg: np.ndarray, out: np.ndarray = None) -> np.ndarray:
@@ -118,11 +125,12 @@ def _checked_exp(arg: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     return np.exp(arg, out=out)
 
 
-def _exp_pair(state, bg: Background):
-    # e^u = e^{u0} e^{s0}, e^v = e^{v0} e^{s1 - s0}; the background factors are
-    # bounded so guarding the smooth exponents suffices.
-    eU = bg.exp_u0 * _checked_exp(state[0])
-    eV = bg.exp_v0 * _checked_exp(state[1] - state[0])
+def _exp_pair(state, bg: Background, out=(None, None)):
+    # e^u = e^{u0} e^{s0}, e^v = e^{v0} e^{s1 - s0}, written to the pair ``out``
+    # when given; the background factors are bounded so guarding the smooth
+    # exponents suffices.
+    eU = np.multiply(bg.exp_u0, _checked_exp(state[0]), out=out[0])
+    eV = np.multiply(bg.exp_v0, _checked_exp(state[1] - state[0]), out=out[1])
     return eU, eV
 
 
@@ -230,10 +238,25 @@ class EnergyModel:
         if laplacians is None:
             laplacians = grid.laplacians(grid.to_modes(state))
         eU, eV = _exp_pair(state, bg)
-        g0 = -laplacians[0] + lam * (2.0 * eU - eV - 1.0) + bg.src_u
-        g1 = -0.5 * laplacians[1] + lam * (eV - 1.0)
-        g1 += np.divide(bg.src_f, 2.0, out=eU)  # the half source, in eU's storage
-        return np.stack([grid.zero_boundary(g0), grid.zero_boundary(g1)])
+        # both slices written into one pair, with the operations of
+        # -lap s0 + lam (2 e^U - e^V - 1) + src_u and
+        # -lap s1 / 2 + lam (e^V - 1) + src_f / 2 in their order; the
+        # exponential terms are formed in the storage of eU and eV
+        grad = np.empty((2,) + grid.shape)
+        g0, g1 = grad
+        eU *= 2.0
+        eU -= eV
+        eU -= 1.0
+        eU *= lam
+        np.negative(laplacians[0], out=g0)
+        g0 += eU
+        g0 += bg.src_u
+        np.multiply(laplacians[1], -0.5, out=g1)
+        eV -= 1.0
+        eV *= lam
+        g1 += eV
+        g1 += np.divide(bg.src_f, 2.0, out=eU)
+        return grid.zero_boundary(grad)
 
     def linearize(self, state) -> Linearization:
         """The Hessian at ``state``, split as A = M + W (see :class:`Linearization`).
@@ -262,15 +285,20 @@ class EnergyModel:
         a > 0 and b > 0).
         """
         grid, lam = self.grid, self.params.lam
-        eU, eV = _exp_pair(state, self.bg)
+        exps = np.empty((2,) + grid.shape)
+        eU, eV = _exp_pair(state, self.bg, out=exps)
         a, b = grid.interior(eU).mean(), grid.interior(eV).mean()
+        # K, whose storage becomes the inverse determinant, and the pair c,
+        # whose slice c1 holds x until c0 and the determinant have read it
+        inv_det = grid.laplacian_eigenvalues()
+        c = np.empty((2,) + inv_det.shape)
+        c0, x = c
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             try:
                 lam_b = lam * b
                 ratio = 2.0 * a / b
-                x = grid.laplacian_eigenvalues()
-                x /= 2.0 * lam_b
-                inv_det = np.multiply(x, 2.0)
+                np.divide(inv_det, 2.0 * lam_b, out=x)
+                np.multiply(x, 2.0, out=inv_det)
                 inv_det += 3.0 + ratio
                 inv_det *= x
                 inv_det += ratio
@@ -278,18 +306,17 @@ class EnergyModel:
                 np.reciprocal(inv_det, out=inv_det)
             except FloatingPointError:
                 raise SingularHessian(f"mean e^U = {a:.3e}, mean e^V = {b:.3e}") from None
-        c0 = np.multiply(x, 2.0)
+        np.multiply(x, 2.0, out=c0)
         c0 += 1.0 + ratio
-        c1 = x
-        c1 += 1.0
+        x += 1.0
         eU -= a
         eU *= 2.0 * lam
         eV -= b
         eV *= lam
-        # stored in the dtype of the grid's Hessian products, rounded once
-        wu = eU.astype(grid.product_dtype, copy=False)
-        wv = eV.astype(grid.product_dtype, copy=False)
-        return Linearization((float(a), float(b)), float(lam_b), c0, c1, inv_det, wu, wv)
+        # (wu, wv) in the dtype of the grid's Hessian products: rounded once
+        # on the plane, the pair itself on the torus
+        w = exps.astype(grid.product_dtype, copy=False)
+        return Linearization((float(a), float(b)), float(lam_b), c, inv_det, w)
 
     def hessian_operator(self, lin: Linearization):
         """Hessian application on mode coefficients, at the state of ``lin``.
@@ -297,29 +324,27 @@ class EnergyModel:
         The returned callable maps the coefficient pair of a direction (see
         ``grid.to_modes``) to that of its Hessian product (the formula in the
         module docstring, through the transforms).  It applies A = M + W of
-        :meth:`linearize`: M per mode in float64, W through the physical
-        fields at two inverse and two forward transforms in the grid's
-        ``product_dtype``.  That is float32 on the plane, where the product
-        is exact to about 1e-7 of |W p| (see the module docstring), and
-        float64 on the torus, exact to roundoff.  The callable holds ``lin``
-        and one physical field.
+        :meth:`linearize`: M per mode in float64, W through the grid's pair
+        kernel ``grid.pointwise_product``, at two inverse and two forward
+        transforms per pair in the grid's ``product_dtype`` (one stacked
+        pass each way on the torus).  That is float32 on the plane, where
+        the product is exact to about 1e-7 of |W p| (see the module
+        docstring), and float64 on the torus, exact to roundoff.  The
+        callable holds ``lin``; the kernel makes its physical fields per
+        apply (one field on the plane, one pair on the torus).
         """
         grid = self.grid
-        lam_b, c0, c1, wu, wv = lin.lam_b, lin.c0, lin.c1, lin.wu, lin.wv
-        field = np.empty(grid.shape, wu.dtype)
+        lam_b, w = lin.lam_b, lin.w
+        c0, c1 = lin.c
 
         def apply_h(p):
             out = np.empty_like(p)
             h0, h1 = out
-            # W p through one physical field: the coefficients of
+            # W p in one pair kernel: the coefficients of (wu p0, q1) with
             # q1 = wv (p1 - p0), then those of q0 = wu p0 - q1 by linearity
-            np.subtract(p[1], p[0], out=h0)
-            grid.modal_inverse(h0, out=field)
-            np.multiply(field, wv, out=field)
-            grid.modal_forward(field, out=h1)
-            grid.modal_inverse(p[0], out=field)
-            np.multiply(field, wu, out=field)
-            grid.modal_forward(field, out=h0)
+            h0[...] = p[0]
+            np.subtract(p[1], p[0], out=h1)
+            grid.pointwise_product(out, w, out=out)
             h0 -= h1
             # + M p = lam b [[c0, -1], [-1, c1]] p
             m = np.multiply(c0, p[0])
@@ -340,19 +365,15 @@ class EnergyModel:
         M^-1 = [[c1, 1], [1, c0]] / (lam b (c0 c1 - 1)) is symmetric positive
         definite on every mode (see :meth:`linearize`).  The returned
         callable applies it to the coefficient pair of a residual, mode by
-        mode, with no transform.
+        mode, with no transform: (c1 r0 + r1, c0 r1 + r0) inv_det, as three
+        ufuncs over the pair.
         """
-        c0, c1, inv_det = lin.c0, lin.c1, lin.inv_det
+        c_swapped, inv_det = lin.c[::-1], lin.inv_det
 
         def apply_minv(r):
-            out = np.empty_like(r)
-            z0, z1 = out
-            np.multiply(c1, r[0], out=z0)
-            z0 += r[1]
-            z0 *= inv_det
-            np.multiply(c0, r[1], out=z1)
-            z1 += r[0]
-            z1 *= inv_det
+            out = np.multiply(c_swapped, r)
+            out += r[::-1]
+            out *= inv_det
             return out
 
         return apply_minv

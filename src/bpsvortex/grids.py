@@ -19,7 +19,17 @@ torus the zero-mean Poisson solve inverts it exactly.  A caller that keeps
 a field's coefficients gets its Laplacian from ``modal_laplacian`` (one
 inverse transform) and its Dirichlet form from ``modal_dirichlet`` (none);
 ``to_modes``, ``from_modes`` and ``laplacians`` do the same for a stacked
-pair of fields, such as a state.
+pair of fields, such as a state, and ``pointwise_product(coeffs, weights,
+out)`` is the pair kernel of the Hessian products: the coefficients of
+weights[k] times field k of the pair with coefficients ``coeffs``.  On the
+torus every pair operator is one pass over the stack: ``modal_forward`` is
+one ``rfft2`` over the last two axes and ``modal_inverse`` one ``ifft`` plus
+one ``irfft``, for one field or a stack alike, so a pair costs the FFT calls
+of one field (three per ``pointwise_product``), and each 1-D line is
+computed as it is for a single field, bit for bit.  The plane transforms
+one field at a time (dense products, which gain nothing from stacking),
+and its ``pointwise_product`` goes through one physical field per call.
+Transform counts stay per field: a stacked call transforms two.
 Each grid also knows its coarser levels: ``resolves(length)`` says whether
 it resolves a core of that length by three nodes (3 * spacing <= length),
 ``coarsest(tau)`` is the coarsest grid of its halving chain that still
@@ -55,9 +65,10 @@ Buffers: ``laplacian`` and ``laplacians`` return new arrays.  The other
 operators write their result to ``out=`` and return it; where ``out`` is
 optional, they return a new array without it.  Either way the result belongs
 to the caller.  A torus grid also owns one private complex scratch spectrum,
-made with the grid, that its operators pass through.  It holds nothing
-between calls and is never returned, so results never alias it; it also
-makes a torus grid unsafe to share between threads.
+made with the grid, that its single-field operators pass through (a stacked
+inverse transform makes its own spectrum).  It holds nothing between calls
+and is never returned, so results never alias it; it also makes a torus
+grid unsafe to share between threads.
 The plane's sine transforms allocate one interior-sized intermediate per call
 instead (two for a forward transform into coefficients of another dtype,
 and its Laplacians and Dirichlet forms their coefficients): kept on the
@@ -87,7 +98,9 @@ class _Eigenbasis:
     ``_neg_k2`` (-K, the symbol of the Laplacian, per mode), ``_spec``, the
     spectrum its forward transforms write to (``None``: a new array),
     ``_mode_dtype``, the type of its coefficients, and ``product_dtype``,
-    the type of the fields in the Hessian products.
+    the type of the fields in the Hessian products.  The pair operators here
+    go field by field; a grid whose transforms take a stack (the torus)
+    overrides them with one pass over it.
     """
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
@@ -113,6 +126,22 @@ class _Eigenbasis:
         out = np.empty((2,) + self.shape)
         self.modal_laplacian(modes[0], out=out[0])
         self.modal_laplacian(modes[1], out=out[1])
+        return out
+
+    def pointwise_product(self, coeffs: np.ndarray, weights: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
+        """Write to ``out`` the coefficients of ``weights`` times the pair with coefficients ``coeffs``.
+
+        Slice k of ``out`` holds those of weights[k] fields(coeffs)[k]; the
+        fields are in the dtype of ``weights``.  One inverse and one forward
+        transform per field, through one physical field made per call;
+        ``out`` may be ``coeffs``.
+        """
+        field = np.empty(self.shape, weights.dtype)
+        for c, w, o in zip(coeffs, weights, out):
+            self.modal_inverse(c, out=field)
+            np.multiply(field, w, out=field)
+            self.modal_forward(field, out=o)
         return out
 
     def modal_dirichlet(self, coeffs: np.ndarray) -> float:
@@ -246,18 +275,23 @@ class TorusGrid(_Eigenbasis):
     # -- Laplacian eigenbasis ------------------------------------------------
 
     def modal_forward(self, values: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """Fourier coefficients of ``values`` (rfft2 layout)."""
+        """Fourier coefficients of ``values``, one field or a stack (rfft2 layout).
+
+        One ``rfft2`` over the last two axes, whatever the stack.
+        """
         return np.fft.rfft2(values, out=out)
 
     def modal_inverse(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """The field with Fourier coefficients ``coeffs`` (written to ``out``).
+        """The field, or stack of fields, with Fourier coefficients ``coeffs`` (written to ``out``).
 
-        irfft2 as its two 1-D passes, the complex one through the scratch
-        spectrum, bitwise equal to ``np.fft.irfft2(coeffs, s=self.shape)``.
-        ``coeffs`` is only read, unless it is the scratch spectrum itself.
+        irfft2 as its two 1-D passes over the last two axes, bitwise equal
+        to ``np.fft.irfft2(coeffs, s=self.shape)`` per field.  One field's
+        complex pass goes through the scratch spectrum, a stack's through a
+        new one.  ``coeffs`` is only read, unless it is the scratch spectrum
+        itself.
         """
-        spec = np.fft.ifft(coeffs, axis=0, out=self._spec)
-        return np.fft.irfft(spec, n=self.ny, axis=1, out=out)
+        spec = np.fft.ifft(coeffs, axis=-2, out=self._spec if coeffs.ndim == 2 else None)
+        return np.fft.irfft(spec, n=self.ny, axis=-1, out=out)
 
     def modal_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """``inner`` of the fields with Fourier coefficients ``a`` and ``b``.
@@ -274,6 +308,36 @@ class TorusGrid(_Eigenbasis):
         once = sum(float(np.dot(af[:, i], bf[:, i])) for i in (0, 1, -2, -1))
         total = 2.0 * float(np.vdot(af, bf)) - once
         return total * self.dx * self.dy / (self.nx * self.ny)
+
+    # -- pairs: one transform pass per stack ---------------------------------
+
+    def to_modes(self, pair: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Fourier coefficients of a stacked pair of fields, in one stacked ``modal_forward``."""
+        return self.modal_forward(pair, out=out)
+
+    def from_modes(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The stacked pair of fields with Fourier coefficients ``coeffs``, in one ``modal_inverse``."""
+        return self.modal_inverse(coeffs, out=out)
+
+    def laplacians(self, modes: np.ndarray) -> np.ndarray:
+        """The stacked Laplacians of the pair of fields with Fourier coefficients ``modes``.
+
+        A new pair: -K ``modes``, broadcast over the pair, brought back in one
+        stacked ``modal_inverse``.
+        """
+        return self.modal_inverse(np.multiply(self._neg_k2, modes))
+
+    def pointwise_product(self, coeffs: np.ndarray, weights: np.ndarray,
+                          out: np.ndarray) -> np.ndarray:
+        """Write to ``out`` the coefficients of ``weights`` times the pair with coefficients ``coeffs``.
+
+        The stacked pair of fields (one ``modal_inverse``), multiplied by
+        ``weights`` in place and taken forward (one ``modal_forward``): three
+        FFT calls per pair.  ``out`` may be ``coeffs``.
+        """
+        fields = self.modal_inverse(coeffs)
+        fields *= weights
+        return self.modal_forward(fields, out=out)
 
 
     # -- coarse levels -------------------------------------------------------

@@ -15,7 +15,10 @@ its gradient forward once (two transforms, one per state slice), each CG
 iteration costs one Hessian apply (four transforms) and each line-search
 trial two inverse ones.  The energy's gradient part is Parseval on s_hat
 and costs none, and the gradient's Laplacians cost one inverse transform of
--K s_hat per slice.  The method is an inexact Newton
+-K s_hat per slice.  These counts are per field; on the torus each pair
+goes through one stacked FFT pass (``grid.to_modes``, ``grid.from_modes``,
+``grid.laplacians`` and the Hessian's pair kernel), which halves the FFT
+calls and changes no bit.  The method is an inexact Newton
 method: CG stops at a relative residual, the forcing term, chosen per step
 by choice 2 of Eisenstat & Walker ("Choosing the forcing terms in an inexact
 Newton method", SIAM J. Sci. Comput. 17, 1996).  Early steps are solved

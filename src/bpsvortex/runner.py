@@ -44,13 +44,28 @@ so bitwise comparison of reruns stays meaningful.
 A plane run's plot data are the diagnostics' radial profile, over the one
 window of :func:`~bpsvortex.diagnostics.profile_window`; the runner holds no
 window of its own.
+
+``run`` computes on one BLAS thread, whatever ``OPENBLAS_NUM_THREADS`` says,
+and gives the host process its thread count back when it returns: OpenBLAS
+splits a matrix product into blocks by its thread count, so the plane's dense
+sine transforms, and with them a plane run's ``results``, changed in their
+last bits with it.  The pin goes through ``scipy_openblas_set_num_threads64_``
+of the OpenBLAS that numpy's wheel bundles (in ``numpy.libs``, looked up once
+when this module loads); a numpy built against another BLAS is left as it
+is.  Other library calls (``bpsvortex.solve``, ``build_diagnostics``) run on
+the host's thread count.  On the 2-vCPU host the benchmark was built on, a
+second thread bought nothing: one n = 384 forward transform took 5.2 ms on
+one thread and 5.6 ms on two.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -379,8 +394,59 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     return worst_exit
 
 
+def _openblas_threads(libraries) -> Optional[tuple]:
+    """The thread-count getter and setter of the OpenBLAS in the directory ``libraries``, or ``None``.
+
+    Read with ``os.listdir``, which costs the import about 0.4 ms less than a
+    pathlib glob.
+    """
+    try:
+        names = sorted(os.listdir(libraries))
+    except OSError:
+        return None
+    for name in names:
+        if not name.startswith("libscipy_openblas"):
+            continue
+        try:
+            library = ctypes.cdll.LoadLibrary(os.path.join(libraries, name))
+            get_threads = library.scipy_openblas_get_num_threads64_
+            set_threads = library.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        # int openblas_get_num_threads(void), void openblas_set_num_threads(int)
+        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        return get_threads, set_threads
+    return None
+
+
+# numpy's bundled OpenBLAS, which a numpy wheel keeps in numpy.libs next to
+# the package; found once per process
+OPENBLAS = _openblas_threads(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                          "numpy.libs"))
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread inside the block (module docstring).
+
+    The thread count it found is set again on the way out; without that
+    library (``OPENBLAS`` is ``None``) the block runs as it is.
+    """
+    if OPENBLAS is None:
+        yield
+        return
+    get_threads, set_threads = OPENBLAS
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
-    """Execute one command; writes the report and returns (exit_code, report)."""
+    """Execute one command on one BLAS thread; writes the report and returns (exit_code, report)."""
     if command not in ("check", "solve", "sweep", "compare"):
         raise ValueError(f"unknown command {command!r}")
     if command == "compare" and cfg.mode == "plane":
@@ -398,20 +464,21 @@ def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):
     timings: dict = {}
     t_start = time.perf_counter()
 
-    if command == "sweep":
-        exit_code = _run_sweep(cfg, out, results)
-    else:
-        exit_code, sol, bg, profile = _evaluate(cfg, command, results, timings)
-        if sol is not None and sol.converged:
-            t0 = time.perf_counter()
-            params = cfg.make_params()
-            if cfg.output.get("fields_path"):
-                dump_fields(sol.state, bg, params, cfg.output["fields_path"],
-                            cfg.config_hash(), out)
-            if cfg.output.get("plots_path"):
-                emit_plot_data(sol.state, bg, params, cfg.output["plots_path"], out,
-                               profile=profile)
-            timings["output_s"] = time.perf_counter() - t0
+    with _one_blas_thread():
+        if command == "sweep":
+            exit_code = _run_sweep(cfg, out, results)
+        else:
+            exit_code, sol, bg, profile = _evaluate(cfg, command, results, timings)
+            if sol is not None and sol.converged:
+                t0 = time.perf_counter()
+                params = cfg.make_params()
+                if cfg.output.get("fields_path"):
+                    dump_fields(sol.state, bg, params, cfg.output["fields_path"],
+                                cfg.config_hash(), out)
+                if cfg.output.get("plots_path"):
+                    emit_plot_data(sol.state, bg, params, cfg.output["plots_path"], out,
+                                   profile=profile)
+                timings["output_s"] = time.perf_counter() - t0
 
     timings["total_s"] = time.perf_counter() - t_start
     report["results"] = results

@@ -85,17 +85,20 @@ def count_hessian_applies(monkeypatch):
 
 @pytest.fixture
 def count_transforms(monkeypatch):
-    """Count the modal transforms of both grids; returns a ``Counter``.
+    """Count the modal transforms of both grids, per field; returns a ``Counter``.
 
-    Keys are ``("forward" | "inverse", grid.shape)``: one per call of
-    ``modal_forward`` or ``modal_inverse``, whoever makes it.
+    Keys are ``("forward" | "inverse", grid.shape)``: each call of
+    ``modal_forward`` or ``modal_inverse``, whoever makes it, adds the
+    number of fields it transforms, the product of the leading axes of its
+    input (1 for one field, 2 for a stacked pair).
     """
     counts = Counter()
     for cls in (bv.TorusGrid, bv.PlaneGrid):
         for kind in ("forward", "inverse"):
-            def counted(self, *args, _fn=getattr(cls, "modal_" + kind), _kind=kind, **kwargs):
-                counts[_kind, self.shape] += 1
-                return _fn(self, *args, **kwargs)
+            def counted(self, data, *args, _fn=getattr(cls, "modal_" + kind), _kind=kind,
+                        **kwargs):
+                counts[_kind, self.shape] += math.prod(data.shape[:-2])
+                return _fn(self, data, *args, **kwargs)
 
             monkeypatch.setattr(cls, "modal_" + kind, counted)
     return counts

@@ -1221,6 +1221,79 @@ class TestMemoryPolicy:
         assert self.run_check(tmp_path, capsys) == expected
 
 
+class TestBlasThreads:
+    """``runner.run``, and with it the CLI, computes on one OpenBLAS thread."""
+
+    def test_plane_results_do_not_depend_on_the_thread_count(self, tmp_path):
+        # OpenBLAS blocks the dense sine transforms by its thread count; at
+        # n = 97 an unpinned run's results differ in their last bits
+        raw = {"mode": "plane", "lambda": 1.0, "domain": {"R": 6.0}, "grid": {"n": 97},
+               "phi_zeros": [[0.5, 0.0], [-1.0, 0.8]],
+               "output": {"fields_path": None, "plots_path": None}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        results = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "bpsvortex", "--config", str(cfg_path),
+                                   "--command", "solve", "--out", str(out)],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            results.append(json.dumps(json.loads((out / "report.json").read_text())["results"]))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_one_thread_during_the_run_then_restored(self, tmp_path, monkeypatch, fails):
+        events = []
+        evaluate = runner._evaluate
+
+        def recorded(*args):
+            events.append(("evaluate",))
+            if fails:
+                raise Overflow("stop")
+            return evaluate(*args)
+
+        monkeypatch.setattr(runner, "OPENBLAS", (lambda: events.append(("get",)) or 4,
+                                                 lambda threads: events.append(("set", threads))))
+        monkeypatch.setattr(runner, "_evaluate", recorded)
+        cfg = validate_config(minimal_torus(phi_zeros=[[1.0, 1.0]]))
+        if fails:
+            with pytest.raises(Overflow):
+                run("check", cfg, out_dir=str(tmp_path))
+        else:
+            assert run("check", cfg, out_dir=str(tmp_path))[0] == 0
+        assert events == [("get",), ("set", 1), ("evaluate",), ("set", 4)]
+
+    def test_numpy_openblas_found(self):
+        # a numpy wheel bundles OpenBLAS; the pin finds it, sets one thread and
+        # gives the count back
+        if not list(Path(np.__file__).resolve().parent.parent.glob(
+                "numpy.libs/libscipy_openblas*")):
+            pytest.skip("numpy bundles no scipy-openblas here")
+        get_threads, set_threads = runner.OPENBLAS
+        threads = get_threads()
+        with runner._one_blas_thread():
+            assert get_threads() == 1
+        assert get_threads() == threads
+
+    @pytest.mark.parametrize("case", ["no-directory", "no-library", "unloadable", "no-symbol"])
+    def test_missing_openblas_changes_nothing(self, tmp_path, capsys, monkeypatch, case):
+        libs = tmp_path / "libs"
+        if case != "no-directory":
+            libs.mkdir()
+            (libs / "libother.so").touch()
+        if case in ("unloadable", "no-symbol"):
+            (libs / "libscipy_openblas64_-0.so").touch()
+        if case == "no-symbol":
+            monkeypatch.setattr(runner.ctypes.cdll, "LoadLibrary", lambda path: object())
+        assert runner._openblas_threads(libs) is None
+        expected = TestMemoryPolicy.run_check(tmp_path, capsys)
+        monkeypatch.setattr(runner, "OPENBLAS", None)
+        assert TestMemoryPolicy.run_check(tmp_path, capsys) == expected
+
+
 # runs one command through the library entry point, which leaves the
 # process's allocator as the interpreter set it
 LIBRARY_RUN = """

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bpsvortex as bv
-from bpsvortex.energy import EnergyModel, constraint_shift
+from bpsvortex.energy import EnergyModel, _exp_pair, constraint_shift
 from bpsvortex.errors import Overflow, SingularHessian
 
 from conftest import hessian_apply, random_state
@@ -206,25 +207,157 @@ class TestFirstVariation:
             via_modes = model.grid.from_modes(apply_h(model.grid.to_modes(d)))
             assert np.max(np.abs(via_modes - hd)) <= rel_tol * np.max(np.abs(hd))
 
-    def test_torus_hessian_apply_is_four_transforms(self, monkeypatch):
+    def test_torus_hessian_apply_is_four_transforms(self, monkeypatch, count_transforms):
         # one Hessian apply: two inverse transforms, the pointwise part, two
-        # forward transforms and the per-mode block; no Laplacian.
-        # One preconditioner apply is per-mode only.
+        # forward transforms (one field each) and the per-mode block; no
+        # Laplacian.  One preconditioner apply is per-mode only.
         model = make_model("torus", "extended")
-        lin = model.linearize(random_state(model.grid, seed=9))
+        grid = model.grid
+        lin = model.linearize(random_state(grid, seed=9))
         apply_h = model.hessian_operator(lin)
         apply_minv = model.preconditioner(lin)
-        p = model.grid.to_modes(random_state(model.grid, seed=10))
-        calls = {"modal_forward": 0, "modal_inverse": 0, "laplacian": 0}
-        for name in calls:
-            def counted(self, *args, _name=name, _fn=getattr(bv.TorusGrid, name), **kwargs):
-                calls[_name] += 1
-                return _fn(self, *args, **kwargs)
-            monkeypatch.setattr(bv.TorusGrid, name, counted)
+        p = grid.to_modes(random_state(grid, seed=10))
+        count_transforms.clear()
+        laplacians = [0]
+
+        def counted(self, *args, _fn=bv.TorusGrid.laplacian, **kwargs):
+            laplacians[0] += 1
+            return _fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(bv.TorusGrid, "laplacian", counted)
+        four = {("forward", grid.shape): 2, ("inverse", grid.shape): 2}
         apply_h(p)
-        assert calls == {"modal_forward": 2, "modal_inverse": 2, "laplacian": 0}
+        assert count_transforms == four and laplacians == [0]
         apply_minv(p)
-        assert calls == {"modal_forward": 2, "modal_inverse": 2, "laplacian": 0}
+        assert count_transforms == four and laplacians == [0]
+
+
+def per_slice_operators(model, lin):
+    """The Hessian product and preconditioner of ``lin``, written one slice at a time.
+
+    The reference the pair operators are checked against bit for bit: W
+    through one physical field in the grid's ``product_dtype``, made with
+    the operator, two transforms each way, then M per mode; M^-1 per slice.
+    """
+    grid = model.grid
+    (c0, c1), (wu, wv), lam_b, inv_det = lin.c, lin.w, lin.lam_b, lin.inv_det
+    field = np.empty(grid.shape, wu.dtype)
+
+    def apply_h(p):
+        out = np.empty_like(p)
+        h0, h1 = out
+        np.subtract(p[1], p[0], out=h0)
+        grid.modal_inverse(h0, out=field)
+        np.multiply(field, wv, out=field)
+        grid.modal_forward(field, out=h1)
+        grid.modal_inverse(p[0], out=field)
+        np.multiply(field, wu, out=field)
+        grid.modal_forward(field, out=h0)
+        h0 -= h1
+        m = np.multiply(c0, p[0])
+        m -= p[1]
+        m *= lam_b
+        h0 += m
+        np.multiply(c1, p[1], out=m)
+        m -= p[0]
+        m *= lam_b
+        h1 += m
+        return out
+
+    def apply_minv(r):
+        out = np.empty_like(r)
+        z0, z1 = out
+        np.multiply(c1, r[0], out=z0)
+        z0 += r[1]
+        z0 *= inv_det
+        np.multiply(c0, r[1], out=z1)
+        z1 += r[0]
+        z1 *= inv_det
+        return out
+
+    return apply_h, apply_minv
+
+
+class TestPairOperators:
+    """The pair layouts change no bit of the Newton system."""
+
+    @pytest.mark.parametrize("mode,variant", VARIANTS)
+    def test_operators_equal_the_per_slice_reference(self, mode, variant):
+        model = make_model(mode, variant)
+        grid = model.grid
+        state = random_state(grid, seed=31)
+        lin = model.linearize(state)
+        # the pairs c and w hold the per-slice values of the formulas
+        eU, eV = _exp_pair(state, model.bg)
+        a, b = grid.interior(eU).mean(), grid.interior(eV).mean()
+        lam, ratio = model.params.lam, 2.0 * a / b
+        x = grid.laplacian_eigenvalues() / (2.0 * lam * b)
+        inv_det = 1.0 / ((((x * 2.0 + (3.0 + ratio)) * x) + ratio) * (lam * b))
+        c = np.stack([x * 2.0 + (1.0 + ratio), x + 1.0])
+        w = np.stack([(eU - a) * (2.0 * lam), (eV - b) * lam]).astype(grid.product_dtype)
+        for name, expected in (("c", c), ("inv_det", inv_det), ("w", w)):
+            assert getattr(lin, name).tobytes() == expected.tobytes(), name
+        ref_h, ref_minv = per_slice_operators(model, lin)
+        apply_h, apply_minv = model.hessian_operator(lin), model.preconditioner(lin)
+        for seed in (32, 33):
+            p = grid.to_modes(random_state(grid, seed=seed, amplitude=1.0))
+            kept = p.copy()
+            assert apply_h(p).tobytes() == ref_h(p).tobytes()
+            assert apply_minv(p).tobytes() == ref_minv(p).tobytes()
+            assert p.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("mode,variant", VARIANTS)
+    def test_gradient_equals_the_per_slice_formula(self, mode, variant):
+        model = make_model(mode, variant)
+        grid, lam, bg = model.grid, model.params.lam, model.bg
+        state = random_state(grid, seed=34)
+        laps = grid.laplacians(grid.to_modes(state))
+        eU, eV = _exp_pair(state, bg)
+        g0 = -laps[0] + lam * (2.0 * eU - eV - 1.0) + bg.src_u
+        g1 = -0.5 * laps[1] + lam * (eV - 1.0) + bg.src_f / 2.0
+        expected = np.stack([grid.zero_boundary(g0), grid.zero_boundary(g1)])
+        assert model.gradient(state, laps).tobytes() == expected.tobytes()
+        assert model.gradient(state).tobytes() == expected.tobytes()
+
+    def test_torus_hessian_apply_is_one_fft_pass_each_way(self, monkeypatch):
+        # a stacked inverse (ifft, irfft) and a stacked forward (rfft2)
+        # transform; the preconditioner makes no FFT call
+        model = make_model("torus", "extended")
+        lin = model.linearize(random_state(model.grid, seed=35))
+        apply_h, apply_minv = model.hessian_operator(lin), model.preconditioner(lin)
+        p = model.grid.to_modes(random_state(model.grid, seed=36))
+        calls = []
+        for name in np.fft.__all__:
+            def spy(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy)
+        apply_h(p)
+        assert calls == ["ifft", "irfft", "rfft2"]
+        apply_minv(p)
+        assert calls == ["ifft", "irfft", "rfft2"]
+
+    def test_plane_product_holds_one_physical_field(self):
+        # the operator and one apply allocate no more at their peak than the
+        # per-slice reference, which holds one float32 field for the
+        # operator's life; a second field would add 4 n^2 bytes, and the
+        # allowance of n^2 covers the kernel's few array views
+        grid, params = bv.PlaneGrid(6.0, 64), bv.PhysicalParams(lam=1.3)
+        cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 1.2)))
+        model = EnergyModel(bv.build_background(cfg, grid, params), params)
+        lin = model.linearize(random_state(grid, seed=37))
+        p = grid.to_modes(random_state(grid, seed=38))
+
+        def peak(make_operator):
+            tracemalloc.start()
+            try:
+                make_operator(lin)(p)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        reference = peak(lambda lin: per_slice_operators(model, lin)[0])
+        assert peak(model.hessian_operator) <= reference + grid.n ** 2
 
 
 class TestProductPrecision:
@@ -364,7 +497,7 @@ class TestPreconditioner:
         ones = np.eye(2)[:, :, None, None] * np.ones(grid.shape)
         galerkin = np.array([[grid.inner(ones[i], hessian_apply(model, state, ones[j]))
                               for j in range(2)] for i in range(2)]) / grid.area
-        c0, c1 = lin.c0[0, 0], lin.c1[0, 0]
+        c0, c1 = lin.c[:, 0, 0]
         block = lin.lam_b * np.array([[c0, -1.0], [-1.0, c1]])
         assert np.max(np.abs(galerkin - block)) <= 1e-12 * np.max(np.abs(block))
 

@@ -327,6 +327,74 @@ class TestBuffers:
         assert g.modal_inverse(coeffs, out=np.full(g.shape, 7.0)).tobytes() == field.tobytes()
 
 
+PAIR_GRIDS = [bv.TorusGrid(2.0, 3.0, 32, 48), bv.TorusGrid(2.0, 3.0, 96, 96),
+              bv.PlaneGrid(6.0, 32), bv.PlaneGrid(6.0, 33)]
+PAIR_IDS = ["torus-32x48", "torus-96", "plane-32", "plane-33"]
+
+
+class TestPairs:
+    """The pair operators equal their field-by-field definitions bit for bit."""
+
+    @staticmethod
+    def pair_and_coeffs(g, seed):
+        pair = random_state(g, seed=seed)
+        return pair, np.stack([g.modal_forward(v) for v in pair])
+
+    @pytest.mark.parametrize("g", PAIR_GRIDS, ids=PAIR_IDS)
+    def test_transforms_of_a_pair(self, g):
+        pair, coeffs = self.pair_and_coeffs(g, seed=21)
+        assert g.to_modes(pair).tobytes() == coeffs.tobytes()
+        out = g.empty_modes()
+        assert g.to_modes(pair, out=out) is out and out.tobytes() == coeffs.tobytes()
+        fields = np.stack([g.modal_inverse(c, out=np.empty(g.shape)) for c in coeffs])
+        assert g.from_modes(coeffs).tobytes() == fields.tobytes()
+        out = np.full((2,) + g.shape, 7.0)
+        assert g.from_modes(coeffs, out=out) is out and out.tobytes() == fields.tobytes()
+        neg_k = -g.laplacian_eigenvalues()
+        laplacians = np.stack([g.modal_inverse(neg_k * c, out=np.empty(g.shape))
+                               for c in coeffs])
+        assert g.laplacians(coeffs).tobytes() == laplacians.tobytes()
+        assert g.from_modes(coeffs).tobytes() == fields.tobytes()  # coefficients only read
+
+    @pytest.mark.parametrize("g", PAIR_GRIDS, ids=PAIR_IDS)
+    def test_pointwise_product(self, g):
+        # the coefficients of weights[k] fields[k], the fields in the
+        # weights' dtype (the grid's product_dtype in the Hessian products)
+        _, coeffs = self.pair_and_coeffs(g, seed=22)
+        weights = random_state(g, seed=23).astype(g.product_dtype)
+        expected = g.empty_modes()
+        for c, w, e in zip(coeffs, weights, expected):
+            field = g.modal_inverse(c, out=np.empty(g.shape, w.dtype))
+            g.modal_forward(field * w, out=e)
+        kept = coeffs.copy()
+        out = g.empty_modes()
+        assert g.pointwise_product(coeffs, weights, out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert coeffs.tobytes() == kept.tobytes()
+        assert g.pointwise_product(coeffs, weights, coeffs) is coeffs
+        assert coeffs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("g", PAIR_GRIDS[:2], ids=PAIR_IDS[:2])
+    def test_torus_pair_is_one_fft_pass(self, g, monkeypatch):
+        # each pair operator transforms the stack in one numpy.fft call per
+        # pass; the scratch spectrum serves single fields only
+        pair = random_state(g, seed=24)
+        calls = []
+        for name in np.fft.__all__:
+            def spy(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spy)
+        coeffs = g.to_modes(pair)
+        g.from_modes(coeffs)
+        g.laplacians(coeffs)
+        g.pointwise_product(coeffs, pair, g.empty_modes())
+        assert calls == ["rfft2", "ifft", "irfft", "ifft", "irfft", "ifft", "irfft", "rfft2"]
+        spectrum = g._spec.copy()
+        g.from_modes(coeffs)
+        assert g._spec.tobytes() == spectrum.tobytes()
+
+
 def sine_basis(n):
     """Orthonormal DST-I matrix of the n - 2 interior nodes per axis.
 
