@@ -15,11 +15,10 @@ mode in the same layout (|k|^2 over the Fourier modes on the torus,
 the plane), and ``modal_inner`` is the pairing ``inner`` of the fields,
 computed from their coefficients.  Operators with constant coefficients are
 diagonal there, the Laplacian is exact for sums of the modes, and on the
-torus the zero-mean Poisson solve inverts it exactly.  A caller that keeps
-a field's coefficients gets its Laplacian from ``modal_laplacian`` (one
-inverse transform) and its Dirichlet form from ``modal_dirichlet`` (none);
-``to_modes``, ``from_modes`` and ``laplacians`` do the same for a stacked
-pair of fields, such as a state, and ``pointwise_product(coeffs, weights,
+torus the zero-mean Poisson solve inverts it exactly.  ``to_modes`` and
+``from_modes`` transform a stacked pair of fields, such as a state,
+``laplacians`` gives the pair's Laplacians from its coefficients (one
+inverse transform per field), and ``pointwise_product(coeffs, weights,
 out)`` is the pair kernel of the Hessian products: the coefficients of
 weights[k] times field k of the pair with coefficients ``coeffs``.  On the
 torus every pair operator is one pass over the stack: ``modal_forward`` is
@@ -30,15 +29,15 @@ computed as it is for a single field, bit for bit.  The plane transforms
 one field at a time (dense products, which gain nothing from stacking),
 and its ``pointwise_product`` goes through one physical field per call.
 Transform counts stay per field: a stacked call transforms two.
-Each grid also knows its coarser levels: ``resolves(length)`` says whether
-it resolves a core of that length by three nodes (3 * spacing <= length),
-``coarsest(tau)`` is the coarsest grid of its halving chain that still
-resolves a vortex core of scale tau (length sqrt(tau)), and ``prolong``
-carries the coefficients of a coarser grid's field (or pair) onto this one
-by zero-padding, with no transform; the field they give here is exact for
-fields that are band-limited on the coarse grid.  ``restrict`` runs it
-backwards: it truncates this grid's coefficients to the coarse grid's modes.
-Solvers start a cold solve there, and a sweep's warm rows continue there.
+The coarse levels are written once as well, from each grid's ``_halved``,
+``_coarse_blocks`` and ``_count`` (see :class:`_Eigenbasis`):
+``resolves(length)`` says whether a grid resolves a core of that length by
+three nodes (3 * spacing <= length), ``coarsest(tau)`` is the coarsest
+grid of the halving chain that still resolves a core of scale tau (length
+sqrt(tau)), ``prolong`` zero-pads a coarser grid's coefficients (of a field
+or a pair) onto this one, exact for fields band-limited there, and
+``restrict`` truncates them back; no transform.  Solvers start a cold solve
+on the coarse level, and a sweep's warm rows continue there.
 Each grid also owns its boundary: ``zero_boundary`` zeroes the plane's
 Dirichlet ring (a no-op on the torus) and ``interior`` views the nodes that
 carry an equation.  Next to ``integrate`` and the L^2 pairing ``inner``, each
@@ -100,33 +99,30 @@ class _Eigenbasis:
     ``_mode_dtype``, the type of its coefficients, and ``product_dtype``,
     the type of the fields in the Hessian products.  The pair operators here
     go field by field; a grid whose transforms take a stack (the torus)
-    overrides them with one pass over it.
+    overrides them with one pass over it.  For the coarse levels a grid
+    gives ``_halved()``, its next halving level (``None`` where the chain
+    ends), ``_coarse_blocks(coarse)``, pairs (index here, index on
+    ``coarse``) of the coefficients both have, and ``_count``, the factor a
+    mode's coefficient grows with (nx * ny on the torus, n - 1 on the plane).
     """
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Spectral Laplacian: the mode coefficients of ``values`` times -K, brought back.
 
         Exact for sums of the grid's modes.  On the plane only the interior
-        nodes are read, and the result vanishes on the boundary ring.
+        nodes are read, and the result vanishes on the boundary ring.  On the
+        torus the coefficients pass through the scratch spectrum, in place.
         """
-        return self.modal_laplacian(self.modal_forward(values, out=self._spec))
-
-    def modal_laplacian(self, coeffs: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        """The Laplacian of the field with mode coefficients ``coeffs`` (written to ``out``).
-
-        One inverse transform of -K ``coeffs``; ``coeffs`` is only read.
-        """
-        return self.modal_inverse(np.multiply(self._neg_k2, coeffs, out=self._spec), out)
+        coeffs = self.modal_forward(values, out=self._spec)
+        return self.modal_inverse(np.multiply(self._neg_k2, coeffs, out=self._spec))
 
     def laplacians(self, modes: np.ndarray) -> np.ndarray:
         """The stacked Laplacians of the pair of fields with mode coefficients ``modes``.
 
-        A new pair, at one inverse transform per field (:meth:`modal_laplacian`).
+        A new pair: -K ``modes``, broadcast over the pair, brought back by
+        ``from_modes``.
         """
-        out = np.empty((2,) + self.shape)
-        self.modal_laplacian(modes[0], out=out[0])
-        self.modal_laplacian(modes[1], out=out[1])
-        return out
+        return self.from_modes(self._neg_k2 * modes)
 
     def pointwise_product(self, coeffs: np.ndarray, weights: np.ndarray,
                           out: np.ndarray) -> np.ndarray:
@@ -175,10 +171,6 @@ class _Eigenbasis:
         """
         return np.empty((2,) + self._neg_k2.shape, self._mode_dtype)
 
-    def resolves(self, length: float) -> bool:
-        """Whether three node spacings fit in ``length``: the grid resolves a core that long."""
-        return 3.0 * self._spacing <= length
-
     def laplacian_eigenvalues(self) -> np.ndarray:
         """K, the eigenvalue of ``-laplacian`` per mode, in the coefficient layout.
 
@@ -186,6 +178,52 @@ class _Eigenbasis:
         plane, with k, l from ``sine_modes``.
         """
         return -self._neg_k2
+
+    def nodes(self):
+        """The node coordinates (X, Y), each of the grid's shape."""
+        x, y = self.axes()
+        return np.meshgrid(x, y, indexing="ij")
+
+    # -- coarse levels -------------------------------------------------------
+
+    def resolves(self, length: float) -> bool:
+        """Whether three node spacings fit in ``length``: the grid resolves a core that long."""
+        return 3.0 * self._spacing <= length
+
+    def coarsest(self, tau: float):
+        """The coarsest level of the ``_halved`` chain that ``resolves(sqrt(tau))``, or ``None``."""
+        level, best = self._halved(), None
+        while level is not None and level.resolves(math.sqrt(tau)):
+            best, level = level, level._halved()
+        return best
+
+    def prolong(self, coarse, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the coefficients here of the interpolant of a ``coarse`` field.
+
+        ``coeffs`` (one field or a stack) are its coefficients on ``coarse``,
+        a grid of the same domain.  Each moves to its mode's place here,
+        rescaled by ``_count``; the other modes are zero.  No transform.
+        Exact for sums of the coarse modes, on the torus without the coarse
+        Nyquist row and column, which are dropped.
+        """
+        out[...] = 0.0
+        for here, there in self._coarse_blocks(coarse):
+            out[here] = coeffs[there]
+        out *= self._count / coarse._count
+        return out
+
+    def restrict(self, coarse, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write to ``out`` the ``coarse`` coefficients of this grid's modes that ``coarse`` has.
+
+        ``prolong`` run backwards: ``coeffs`` (one field or a stack) are
+        truncated to the coarse modes (the torus's coarse Nyquist row and
+        column zero) and rescaled; no transform.  It undoes ``prolong`` to roundoff.
+        """
+        out[...] = 0.0
+        for here, there in self._coarse_blocks(coarse):
+            out[there] = coeffs[here]
+        out *= coarse._count / self._count
+        return out
 
 
 @dataclass(frozen=True)
@@ -244,10 +282,6 @@ class TorusGrid(_Eigenbasis):
         x = np.arange(self.nx) * self.dx
         y = np.arange(self.ny) * self.dy
         return x, y
-
-    def nodes(self):
-        x, y = self.axes()
-        return np.meshgrid(x, y, indexing="ij")
 
     # -- operators ---------------------------------------------------------
 
@@ -319,14 +353,6 @@ class TorusGrid(_Eigenbasis):
         """The stacked pair of fields with Fourier coefficients ``coeffs``, in one ``modal_inverse``."""
         return self.modal_inverse(coeffs, out=out)
 
-    def laplacians(self, modes: np.ndarray) -> np.ndarray:
-        """The stacked Laplacians of the pair of fields with Fourier coefficients ``modes``.
-
-        A new pair: -K ``modes``, broadcast over the pair, brought back in one
-        stacked ``modal_inverse``.
-        """
-        return self.modal_inverse(np.multiply(self._neg_k2, modes))
-
     def pointwise_product(self, coeffs: np.ndarray, weights: np.ndarray,
                           out: np.ndarray) -> np.ndarray:
         """Write to ``out`` the coefficients of ``weights`` times the pair with coefficients ``coeffs``.
@@ -339,53 +365,23 @@ class TorusGrid(_Eigenbasis):
         fields *= weights
         return self.modal_forward(fields, out=out)
 
-
     # -- coarse levels -------------------------------------------------------
 
-    def coarsest(self, tau: float):
-        """The coarsest grid of the halving chain that resolves ``tau``, or ``None``.
+    @property
+    def _count(self):
+        return self.nx * self.ny
 
-        The chain halves both sample counts while both halves stay even and
-        at least 8; a level resolves the core when it ``resolves(sqrt(tau))``.
-        """
-        nx, ny, best = self.nx, self.ny, None
-        while nx % 4 == 0 and ny % 4 == 0 and min(nx, ny) >= 16:
-            nx, ny = nx // 2, ny // 2
-            level = TorusGrid(self.Lx, self.Ly, nx, ny)
-            if not level.resolves(math.sqrt(tau)):
-                break
-            best = level
-        return best
+    def _halved(self):
+        # both sample counts halved, while both halves stay even and at least 8
+        halves = self.nx % 4 == 0 and self.ny % 4 == 0 and min(self.nx, self.ny) >= 16
+        return TorusGrid(self.Lx, self.Ly, self.nx // 2, self.ny // 2) if halves else None
 
-    def prolong(self, coarse: "TorusGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the coefficients here of the trigonometric interpolant of a ``coarse`` field.
-
-        ``coeffs`` are the field's coefficients on ``coarse``, a grid of the
-        same cell (one field or a stack).  They are zero-padded, the coarse
-        Nyquist row and column dropped, and rescaled to this grid's
-        unnormalized rfft2; no transform.  Exact for fields with no Nyquist
-        content on ``coarse``.
-        """
+    def _coarse_blocks(self, coarse: "TorusGrid"):
+        # the rfft2 rows of the non-negative and of the negative frequencies,
+        # without the coarse Nyquist row and column
         hx, hy = coarse.nx // 2, coarse.ny // 2
-        scale = self.nx * self.ny / (coarse.nx * coarse.ny)
-        out[...] = 0.0
-        np.multiply(coeffs[..., :hx, :hy], scale, out=out[..., :hx, :hy])
-        np.multiply(coeffs[..., hx + 1:, :hy], scale, out=out[..., self.nx - hx + 1:, :hy])
-        return out
-
-    def restrict(self, coarse: "TorusGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write to ``out`` the ``coarse`` coefficients of this grid's modes that ``coarse`` has.
-
-        ``prolong`` run backwards: ``coeffs`` (one field or a stack) are
-        truncated to the coarse modes, with the coarse Nyquist row and column
-        zero, and rescaled; no transform.  It undoes ``prolong`` to roundoff.
-        """
-        hx, hy = coarse.nx // 2, coarse.ny // 2
-        scale = coarse.nx * coarse.ny / (self.nx * self.ny)
-        out[...] = 0.0
-        np.multiply(coeffs[..., :hx, :hy], scale, out=out[..., :hx, :hy])
-        np.multiply(coeffs[..., self.nx - hx + 1:, :hy], scale, out=out[..., hx + 1:, :hy])
-        return out
+        low = np.s_[..., :hx, :hy]
+        return (low, low), (np.s_[..., self.nx - hx + 1:, :hy], np.s_[..., hx + 1:, :hy])
 
     # -- boundary ------------------------------------------------------------
 
@@ -443,10 +439,6 @@ class PlaneGrid(_Eigenbasis):
     def axes(self):
         x = -self.R + np.arange(self.n) * self.h
         return x, x
-
-    def nodes(self):
-        x, y = self.axes()
-        return np.meshgrid(x, y, indexing="ij")
 
     # -- Laplacian eigenbasis ------------------------------------------------
     #
@@ -578,57 +570,24 @@ class PlaneGrid(_Eigenbasis):
         k2 = (0.5 * np.pi / self.R * self.sine_modes) ** 2
         return -(k2[:, None] + k2[None, :])
 
-
     # -- coarse levels -------------------------------------------------------
 
-    def coarsest(self, tau: float):
-        """The coarsest grid of the halving chain that resolves ``tau``, or ``None``.
+    @property
+    def _count(self):
+        return self.n - 1
 
-        The chain halves the n - 1 intervals (rounding down) while
-        the half keeps at least 16 nodes; a level resolves the core when it
-        ``resolves(sqrt(tau))``.
-        """
-        n, best = self.n, None
-        while (n + 1) // 2 >= 16:
-            n = (n + 1) // 2
-            level = PlaneGrid(self.R, n)
-            if not level.resolves(math.sqrt(tau)):
-                break
-            best = level
-        return best
+    def _halved(self):
+        # the n - 1 intervals halved (rounding down), while 16 nodes are left
+        n = (self.n + 1) // 2
+        return PlaneGrid(self.R, n) if n >= 16 else None
 
-    def _coarse_rows(self, coarse: "PlaneGrid") -> np.ndarray:
-        # the row (and column) here of each coefficient row of ``coarse``:
-        # the place of its mode number in this grid's ``sine_modes``
+    def _coarse_blocks(self, coarse: "PlaneGrid"):
+        # each coarse coefficient row (and column) goes to the place of its
+        # mode number in this grid's ``sine_modes``
         rows = np.empty(self.n - 1, dtype=int)
         rows[self.sine_modes] = np.arange(self.n - 2)
-        return rows[coarse.sine_modes]
-
-    def prolong(self, coarse: "PlaneGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the coefficients here of the sine interpolant of a ``coarse`` field.
-
-        ``coeffs`` are the field's sine coefficients on ``coarse``, a grid of
-        the same square (one field or a stack).  Each moves to its mode
-        number's place here, scaled by N / N_c (N = n - 1 intervals), so the
-        interior modes sample the same sines; no transform.  Exact for sums
-        of the sine modes of ``coarse``.
-        """
-        rows = self._coarse_rows(coarse)
-        out[...] = 0.0
-        out[(Ellipsis,) + np.ix_(rows, rows)] = coeffs * ((self.n - 1) / (coarse.n - 1))
-        return out
-
-    def restrict(self, coarse: "PlaneGrid", coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write to ``out`` the ``coarse`` coefficients of this grid's modes that ``coarse`` has.
-
-        ``prolong`` run backwards: ``coeffs`` (one field or a stack) are
-        truncated to the coarse grid's mode numbers and scaled by N_c / N;
-        no transform.  It undoes ``prolong`` to roundoff.
-        """
-        rows = self._coarse_rows(coarse)
-        np.multiply(coeffs[(Ellipsis,) + np.ix_(rows, rows)], (coarse.n - 1) / (self.n - 1),
-                    out=out)
-        return out
+        rows = rows[coarse.sine_modes]
+        return (((...,) + np.ix_(rows, rows), ...),)
 
     # -- boundary ------------------------------------------------------------
 

@@ -545,18 +545,23 @@ class TestCoarseLevels:
         assert np.max(np.abs(field - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert np.all(f.zero_boundary(field.copy()) == field)
 
-    @pytest.mark.parametrize("grid", [bv.TorusGrid(2.0, 3.0, 32, 48), bv.PlaneGrid(6.0, 64)],
-                             ids=["torus", "plane"])
-    def test_prolongation_of_a_pair_is_per_field_and_transform_free(self, grid, monkeypatch):
-        # a stacked pair of coefficients (a state's) prolongs field by
-        # field, and moving coefficients takes no transform
+    @pytest.mark.parametrize("grid,move", [
+        (bv.TorusGrid(2.0, 3.0, 32, 48), "prolong"), (bv.PlaneGrid(6.0, 64), "prolong"),
+        (bv.TorusGrid(2.0, 3.0, 32, 48), "restrict"), (bv.PlaneGrid(6.0, 64), "restrict"),
+    ], ids=["torus", "plane", "torus-restrict", "plane-restrict"])
+    def test_prolongation_of_a_pair_is_per_field_and_transform_free(self, grid, move,
+                                                                   monkeypatch):
+        # a stacked pair of coefficients (a state's) prolongs and restricts
+        # field by field, and moving coefficients takes no transform
         coarse = type(grid)(*(grid.Lx, grid.Ly, grid.nx // 2, grid.ny // 2)
                             if isinstance(grid, bv.TorusGrid) else (grid.R, grid.n // 2))
-        pair = coarse.to_modes(random_state(coarse, seed=5))
-        singles = [grid.prolong(coarse, p, grid.empty_modes()[0]) for p in pair]
+        source, target = (coarse, grid) if move == "prolong" else (grid, coarse)
+        pair = source.to_modes(random_state(source, seed=5))
+        apply = getattr(grid, move)
+        singles = [apply(coarse, p, target.empty_modes()[0]) for p in pair]
         for name in ("modal_forward", "modal_inverse"):
             monkeypatch.setattr(type(grid), name, None)
-        stacked = grid.prolong(coarse, pair, grid.empty_modes())
+        stacked = apply(coarse, pair, target.empty_modes())
         assert stacked.tobytes() == np.stack(singles).tobytes()
 
     @pytest.mark.parametrize("fine,coarse", [((64, 48), (16, 12)), ((96, 96), (48, 48))])
@@ -603,8 +608,12 @@ class TestCoarseLevels:
         (bv.TorusGrid(4.0, 4.0, 256, 256), 1e-4, None),
         (bv.PlaneGrid(12.0, 384), 0.2, (192, 192)),
         (bv.PlaneGrid(12.0, 384), 0.01, None),
+        # chains that end at a halving limit, not at the resolution: 10 is
+        # not divisible by 4, and the next half of 25 nodes has 13 < 16
+        (bv.TorusGrid(4.0, 4.0, 40, 40), 4.0, (10, 10)),
+        (bv.PlaneGrid(12.0, 385), 100.0, (25, 25)),
     ], ids=["torus-256", "torus-96", "torus-32", "torus-small-tau", "plane-384",
-            "plane-small-tau"])
+            "plane-small-tau", "torus-halving-limit", "plane-halving-limit"])
     def test_coarsest(self, grid, tau, expected):
         coarse = grid.coarsest(tau)
         assert (coarse and coarse.shape) == expected

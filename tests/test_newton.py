@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bpsvortex as bv
 from bpsvortex import newton, runner
@@ -43,6 +43,34 @@ class TestTrivialSolves:
         with pytest.raises(ThresholdViolated) as err:
             bv.solve("torus", "base", cfg, grid, bv.PhysicalParams(lam=1.0))
         assert not err.value.report.solvable
+
+    @settings(deadline=None, database=None, derandomize=True, max_examples=25)
+    @given(side=st.floats(3.0, 6.0), n=st.integers(1, 3), m=st.integers(0, 2),
+           factor=st.floats(0.5, 2.0).filter(lambda f: abs(f - 1.0) > 1e-3),
+           nodes=st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)),
+                          min_size=5, max_size=5, unique=True))
+    # a solvable case on which the second line binds (m > n)
+    @example(side=4.0, n=1, m=2, factor=1.5, nodes=[(3, 5), (10, 20), (25, 7), (17, 28), (0, 0)])
+    def test_threshold_sign_decides_the_outcome(self, side, n, m, factor, nodes):
+        # lambda a factor above or below the binding line of the two
+        # thresholds (the second one binds when m > n): above it Newton
+        # converges, below it both solvers refuse the problem
+        grid = bv.TorusGrid(side, side, 32, 32)
+        zeros = tuple((i * grid.dx, j * grid.dy) for i, j in nodes)
+        cfg = bv.VortexConfig(phi_zeros=zeros[:n], kappa_zeros=zeros[n:n + m])
+        line = max(2.0 * math.pi * (m + n), math.pi * (3 * m + n)) / grid.area
+        params = bv.PhysicalParams(lam=factor * line)
+        model = "extended" if m else "base"
+        assert bv.check_existence(cfg, grid, params).solvable == (factor > 1.0)
+        if factor > 1.0:
+            sol = bv.solve("torus", model, cfg, grid, params)
+            assert sol.converged, sol.message
+        else:
+            with pytest.raises(ThresholdViolated):
+                bv.solve("torus", model, cfg, grid, params)
+            bg = bv.build_background(cfg, grid, params)
+            with pytest.raises(ThresholdViolated):
+                bv.continuation_solve(bg, params)
 
 
 class TestConvergedProperties:
