@@ -13,16 +13,13 @@ __version__ = "0.1.0"
 from .backgrounds import (Background, PhysicalParams, ThresholdReport,
                           VortexConfig, build_background, check_existence)
 from .config import RunConfig, parse_config, validate_config
-from .diagnostics import (BoundReport, DiagnosticsReport, PhysicalFields,
-                          build_diagnostics, decay_fit, flux_report,
-                          pde_residual, pointwise_bounds, radial_profile,
-                          reconstruct_physical, uniqueness_probe,
-                          verify_lagrange_multipliers)
+from .diagnostics import (DiagnosticsReport, PhysicalFields, build_diagnostics,
+                          decay_fit, radial_profile, reconstruct_physical)
 from .energy import EnergyBreakdown, EnergyModel
 from .errors import (AnnulusTooThin, BpsVortexError, NonZeroMeanRhs, Overflow,
                      ParseError, PointOutsideDomain, SingularHessian,
                      ThresholdViolated, UnresolvedCore, ValidationError)
 from .fixedpoint import apply_T, continuation_solve
-from .grids import PlaneGrid, TorusGrid, random_smooth_field
+from .grids import PlaneGrid, TorusGrid
 from .newton import Solution, SolverSettings, minimize, solve
 from .runner import dump_fields, emit_plot_data, run

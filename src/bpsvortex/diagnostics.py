@@ -1,7 +1,9 @@
 """Executable checks on computed solutions and physical field reconstruction.
 
-Everything here consumes converged states uniformly through the two weighted
-exponentials ``e^u = e^{u0} e^{s0}`` and ``e^v = e^{v0} e^{s1 - s0}`` and the
+:func:`build_diagnostics` is the one entry point of the equation checks
+(residual, fluxes, constraints, bounds, multipliers and decay).  They
+consume states uniformly through the two weighted exponentials
+``e^u = e^{u0} e^{s0}`` and ``e^v = e^{v0} e^{s1 - s0}`` and the
 background's source densities, which cover base and extended variants on
 both domains.  Every check reads its problem (grid, zero sets and sources)
 from the :class:`Background`; ``build_diagnostics`` keeps the run's labels
@@ -18,17 +20,16 @@ too thin (or empty) for a fit.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .backgrounds import (Background, PhysicalParams, VortexConfig,
                           check_existence, check_labels)
-from .energy import EnergyModel, _exp_pair
+from .energy import _exp_pair
 from .errors import AnnulusTooThin
-from .grids import PlaneGrid, TorusGrid, random_smooth_field
-from .newton import SolverSettings, minimize
+from .grids import PlaneGrid, TorusGrid
 
 # allowed excess over the maximum-principle bounds: the continuum solution
 # obeys them exactly, the discrete one may overshoot 1 by a discretization
@@ -40,33 +41,13 @@ DECAY_MIN_BINS = 8
 # bins whose angular average is below this fraction of the peak are
 # roundoff, not decay, and are left out of the fit
 DECAY_FLOOR_REL = 1e-10
-# sup norm of each random initial field of the uniqueness probe: an O(1)
-# start away from the solution, small enough to stay far from overflow
-PROBE_AMPLITUDE = 0.5
-
-
-def _laplacians(state, grid):
-    return grid.laplacian(state[0]), grid.laplacian(state[1])
-
-
-def pde_residual(state, bg: Background, params: PhysicalParams):
-    """(l2, sup) residual of each governing equation over the grid's interior.
-
-    The reduced system is restated here from the background's sources,
-    independently of the energy gradient that it checks.  The Laplacians
-    come from the rounded node values of ``state``, whose roundoff they
-    amplify by up to K_max (the largest Laplacian eigenvalue, about
-    2 (pi/h)^2): the residual has a floor of about K_max 1e-16 |s|, and a
-    solve converged to a tolerance below it cannot be confirmed here.
-    The solver's carried Laplacians (``Solution.laplacians``, which
-    :func:`build_diagnostics` takes) have no such floor.
-    """
-    return _pde_residual(_laplacians(state, bg.grid), _exp_pair(state, bg), bg, params)
 
 
 def _pde_residual(laps, exps, bg: Background, params: PhysicalParams):
-    # pde_residual with the Laplacians of both state slices and the
-    # weighted exponentials (e^u, e^v) given
+    # (l2, sup) residual of each governing equation over the grid's
+    # interior, from the Laplacians of both state slices and the weighted
+    # exponentials (e^u, e^v): the reduced system restated from the
+    # background's sources, independently of the energy gradient it checks
     lam = params.lam
     grid = bg.grid
     eU, eV = exps
@@ -81,60 +62,30 @@ def _curvatures(exps, lam: float):
     return -(lam / 2.0) * (2.0 * eU - eV - 1.0), -lam * (eV - 1.0)
 
 
-def flux_report(state, bg: Background, params: PhysicalParams) -> Tuple[float, float]:
-    """Total fluxes of the two gauge fields from the algebraic curvature densities."""
-    return _fluxes(_exp_pair(state, bg), bg.grid, params.lam)
-
-
 def _fluxes(exps, grid, lam: float) -> Tuple[float, float]:
+    # total fluxes of the two gauge fields from the algebraic curvatures
     a12, b12 = _curvatures(exps, lam)
     return grid.integrate(a12), grid.integrate(b12)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    max_exp_u_excess: float  # max(e^u) - 1
-    max_exp_v_excess: float  # max(e^v) - 1
-    intermediate_excess: float  # max(2 e^u) - (max(e^v) + 1)
-    ok: bool  # every excess is at most BOUND_TOLERANCE
-
-
-def pointwise_bounds(state, bg: Background) -> BoundReport:
-    """Maximum-principle bounds e^u <= 1, e^v <= 1 (and 2 e^u <= max e^v + 1)."""
-    return _bounds(_exp_pair(state, bg))
-
-
-def _bounds(exps) -> BoundReport:
+def _bounds(exps) -> Dict[str, float]:
+    # maximum-principle bounds e^u <= 1, e^v <= 1 and 2 e^u <= max e^v + 1:
+    # each excess, and ok when every excess is at most BOUND_TOLERANCE
     eU, eV = exps
     exc_u = float(eU.max()) - 1.0
     exc_v = float(eV.max()) - 1.0
     inter = float((2.0 * eU).max()) - (float(eV.max()) + 1.0)
     ok = exc_u <= BOUND_TOLERANCE and exc_v <= BOUND_TOLERANCE and inter <= BOUND_TOLERANCE
-    return BoundReport(exc_u, exc_v, inter, ok)
-
-
-def verify_lagrange_multipliers(state, bg: Background,
-                                params: PhysicalParams) -> Tuple[float, float]:
-    """Least-squares fit of the two constraint multipliers on a torus solution.
-
-    With ``(s0, s1)`` the state, the constrained first-order conditions read
-
-        lap s0 = -lam - l1 * e^v + l2 * e^u + src_u
-        lap s1 = -2 lam + 2 l1 * e^v + src_f
-
-    with the weighted exponentials e^u = e^{u0 + s0}, e^v = e^{v0 + s1 - s0}
-    and the background's source densities (cell means 4 pi m / |Omega| and
-    4 pi (m + n) / |Omega|), in both torus models; the analytic values are
-    l1 = lam, l2 = 2 lam.  The Laplacians come from the rounded node
-    values, with the roundoff floor of about K_max 1e-16 |s| that
-    :func:`pde_residual` states.
-    """
-    return _lagrange_fit(_laplacians(state, bg.grid), _exp_pair(state, bg), bg, params)
+    return {"max_exp_u_excess": exc_u, "max_exp_v_excess": exc_v,
+            "intermediate_excess": inter, "ok": ok}
 
 
 def _lagrange_fit(laps, exps, bg: Background, params: PhysicalParams):
-    # verify_lagrange_multipliers with the Laplacians and the weighted
-    # exponentials given
+    # least-squares fit of the two constraint multipliers on a torus
+    # solution, whose constrained first-order conditions read
+    #     lap s0 = -lam - l1 e^v + l2 e^u + src_u,
+    #     lap s1 = -2 lam + 2 l1 e^v + src_f
+    # in both torus models; the analytic values are l1 = lam, l2 = 2 lam
     lam = params.lam
     grid: TorusGrid = bg.grid
     eU, eV = exps
@@ -267,26 +218,6 @@ def reconstruct_physical(state, bg: Background, params: PhysicalParams) -> Physi
     return PhysicalFields(kappa, phi_abs, *_curvatures(_exp_pair(state, bg), params.lam))
 
 
-def uniqueness_probe(bg: Background, params: PhysicalParams, seeds: int,
-                     settings: Optional[SolverSettings] = None) -> float:
-    """Largest pairwise sup-distance between solves from random states (seeds 0, 1, ...)."""
-    model = EnergyModel(bg, params)
-    states = []
-    for k in range(seeds):
-        rng = np.random.default_rng(k)
-        init = np.stack([random_smooth_field(bg.grid, rng, PROBE_AMPLITUDE),
-                         random_smooth_field(bg.grid, rng, PROBE_AMPLITUDE)])
-        sol = minimize(model, settings or SolverSettings(), init=init)
-        if not sol.converged:
-            raise RuntimeError(f"probe solve {k} failed: {sol.message}")
-        states.append(sol.state)
-    spread = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            spread = max(spread, float(np.max(np.abs(states[i] - states[j]))))
-    return spread
-
-
 @dataclass
 class DiagnosticsReport:
     residual_l2: Tuple[float, float]
@@ -328,7 +259,10 @@ def build_diagnostics(state, mode: str, model: str, bg: Background,
     (``ValueError`` when they disagree with ``bg``) and otherwise unused.
     ``laplacians`` are the stacked Laplacians of the state's slices when the
     solver has them (:attr:`~bpsvortex.newton.Solution.laplacians`): the
-    report then makes no transform.  A plane decay fit keeps the radial
+    report then makes no transform.  Else it takes them from the rounded
+    node values of ``state``, whose roundoff they amplify by up to K_max
+    (about 2 (pi/h)^2): the residual then has a floor of about
+    K_max 1e-16 |s|.  A plane decay fit keeps the radial
     profile it ran over in ``report.profile``, also when the annulus is too
     thin for a fit (``report.decay`` is then ``None``).
     """
@@ -352,12 +286,12 @@ def _equation_checks(state, bg: Background, params: PhysicalParams,
     # before the decay fit
     grid = bg.grid
     if laps is None:
-        laps = _laplacians(state, grid)
+        laps = grid.laplacian(state[0]), grid.laplacian(state[1])
     exps = _exp_pair(state, bg)
     (l2_1, sup_1), (l2_2, sup_2) = _pde_residual(laps, exps, bg, params)
     fa, fb = _fluxes(exps, grid, params.lam)
     report = DiagnosticsReport(residual_l2=(l2_1, l2_2), residual_sup=(sup_1, sup_2),
-                               flux_a=fa, flux_b=fb, bound_violation=asdict(_bounds(exps)))
+                               flux_a=fa, flux_b=fb, bound_violation=_bounds(exps))
     if isinstance(grid, TorusGrid):
         targets = check_existence(bg.cfg, grid, params).constraints
         eU, eV = exps

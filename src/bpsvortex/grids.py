@@ -179,11 +179,6 @@ class _Eigenbasis:
         """
         return -self._neg_k2
 
-    def nodes(self):
-        """The node coordinates (X, Y), each of the grid's shape."""
-        x, y = self.axes()
-        return np.meshgrid(x, y, indexing="ij")
-
     # -- coarse levels -------------------------------------------------------
 
     def resolves(self, length: float) -> bool:
@@ -627,22 +622,3 @@ class PlaneGrid(_Eigenbasis):
         """
         return float((a * b).sum()) * self.h ** 2
 
-
-def random_smooth_field(grid, rng: np.random.Generator, amplitude: float = 0.5) -> np.ndarray:
-    """Smooth random field of sup norm ``amplitude`` (property tests, probe initials).
-
-    White noise taken to the grid's Laplacian eigenbasis, damped there by
-    exp(-K / kc^2) with K = ``laplacian_eigenvalues()`` and kc = 2 pi * 6 / L
-    (six waves across the shortest side L of the domain), and brought back.
-    Plane fields are sums of sine modes, so they vanish on the boundary ring
-    (Dirichlet states).
-    """
-    side = min(grid.Lx, grid.Ly) if isinstance(grid, TorusGrid) else 2.0 * grid.R
-    kc2 = (6.0 * 2.0 * np.pi / side) ** 2
-    coeffs = grid.modal_forward(rng.standard_normal(grid.shape))
-    coeffs *= np.exp(-grid.laplacian_eigenvalues() / kc2)
-    field = grid.modal_inverse(coeffs, out=np.empty(grid.shape))
-    sup = np.max(np.abs(field))
-    if sup > 0:
-        field *= amplitude / sup
-    return field

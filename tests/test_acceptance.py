@@ -16,7 +16,7 @@ from bpsvortex.config import parse_config
 from bpsvortex.energy import EnergyModel, _exp_pair
 from bpsvortex.runner import run
 
-from conftest import hessian_apply, random_state
+from conftest import hessian_apply, radial_reference, random_state, uniqueness_probe
 
 L20 = math.sqrt(20.0)
 L50 = math.sqrt(50.0)
@@ -143,12 +143,14 @@ def test_criterion_04_flux_quantization(torus_criterion_setup,
     # budget: <= 30 s
     t0 = time.perf_counter()
     grid, params, cfg, bg = torus_criterion_setup
-    fa, fb = bv.flux_report(torus_criterion_solution.state, bg, params)
+    rep = bv.build_diagnostics(torus_criterion_solution.state, "torus", "base", bg, cfg, params)
+    fa, fb = rep.flux_a, rep.flux_b
     target_b = 2.0 * math.pi * cfg.n
     ok = abs(fb - target_b) / target_b <= 1e-6
     ok &= abs(fa) <= 1e-6 * target_b
     g2, p2, c2, bg2, sol2 = extended_50
-    fa2, fb2 = bv.flux_report(sol2.state, bg2, p2)
+    rep2 = bv.build_diagnostics(sol2.state, "torus", "extended", bg2, c2, p2)
+    fa2, fb2 = rep2.flux_a, rep2.flux_b
     ok &= abs(fa2 - 2.0 * math.pi) / (2.0 * math.pi) <= 1e-6
     ok &= abs(fb2 - 6.0 * math.pi) / (6.0 * math.pi) <= 1e-6
     _report(4, "flux quantization", ok,
@@ -186,7 +188,7 @@ def test_criterion_06_uniqueness_probe():
     grid_t = bv.TorusGrid(L20, L20, 128, 128)
     params_t = bv.PhysicalParams(lam=1.0)
     cfg_t = bv.VortexConfig(phi_zeros=((0.4 * L20, 0.5 * L20),))
-    spread_t = bv.uniqueness_probe(bv.build_background(cfg_t, grid_t, params_t), params_t,
+    spread_t = uniqueness_probe(bv.build_background(cfg_t, grid_t, params_t), params_t,
                                    seeds=3)
     sol_t = bv.solve("torus", "base", cfg_t, grid_t, params_t)
     bound_t = 1e-8 * (1.0 + float(np.max(np.abs(sol_t.state))))
@@ -194,7 +196,7 @@ def test_criterion_06_uniqueness_probe():
     grid_p = bv.PlaneGrid(8.0, 192)
     params_p = bv.PhysicalParams(lam=4.0)
     cfg_p = bv.VortexConfig(phi_zeros=((0.0, 0.0),))
-    spread_p = bv.uniqueness_probe(bv.build_background(cfg_p, grid_p, params_p), params_p,
+    spread_p = uniqueness_probe(bv.build_background(cfg_p, grid_p, params_p), params_p,
                                    seeds=3)
     sol_p = bv.solve("plane", "base", cfg_p, grid_p, params_p)
     bound_p = 1e-8 * (1.0 + float(np.max(np.abs(sol_p.state))))
@@ -260,20 +262,38 @@ def test_criterion_09_decay_rates():
     cfg = bv.VortexConfig(phi_zeros=((0.0, 0.0),))
     bg = bv.build_background(cfg, grid, params)
     sol = bv.solve("plane", "base", cfg, grid, params, background=bg)
-    rate_f, rate_g, window = bv.decay_fit(sol.state, bg, params)
+    rep = bv.build_diagnostics(sol.state, "plane", "base", bg, cfg, params)
+    rate_f, rate_g = rep.decay["rate_fields"], rep.decay["rate_gradients"]
+    # the same fit over the radial reference (tests/test_radial.py) at the
+    # run's own bin centres, with v = w + 2 ln r and derivatives from the
+    # Chebyshev series, gives the reference's rates
+    prof = rep.profile
+    coeffs_u, coeffs_w, _ = radial_reference(1, params.lam, grid.R)
+    cheb = np.polynomial.chebyshev
+    rho = prof.r / grid.R
+    u = cheb.chebval(rho, coeffs_u)
+    v = cheb.chebval(rho, coeffs_w) + 2.0 * np.log(prof.r)
+    du = cheb.chebval(rho, cheb.chebder(coeffs_u)) / grid.R
+    dv = cheb.chebval(rho, cheb.chebder(coeffs_w)) / grid.R + 2.0 / prof.r
+    reference = bv.diagnostics.RadialProfile(prof.r, u ** 2 + v ** 2, du ** 2 + dv ** 2,
+                                             prof.window)
+    ref_f, ref_g, _ = bv.decay_fit(sol.state, bg, params, profile=reference)
     # the localized background leaves no algebraic tail for the Dirichlet
     # truncation to cut, so the truncated plane carries the full flux
-    fa, fb = bv.flux_report(sol.state, bg, params)
+    fa, fb = rep.flux_a, rep.flux_b
     target_b = 2.0 * math.pi * cfg.n
     ok = (sol.converged
           and rate_f >= math.sqrt(0.9 * 4.0)
           and abs(rate_f - 4.0) / 4.0 <= 0.15
           and rate_g >= math.sqrt(2.0 * 0.9 * 4.0)
+          and abs(rate_f / ref_f - 1.0) <= 1e-3
+          and abs(rate_g / ref_g - 1.0) <= 1e-3
           and abs(fb / target_b - 1.0) <= 1e-6
           and abs(fa) <= 1e-6 * target_b)
     _report(9, "decay rates", ok,
-            f"rate_fields={rate_f:.3f} (>=1.897, within 15% of 4), "
-            f"rate_gradients={rate_g:.3f} (>=2.683), "
+            f"rate_fields={rate_f:.4f} (>=1.897, within 15% of 4, "
+            f"reference {ref_f:.4f} within 1e-3), "
+            f"rate_gradients={rate_g:.4f} (>=2.683, reference {ref_g:.4f} within 1e-3), "
             f"flux (a,b)=({fa:.2e},{fb:.9f}) (within 1e-6 of (0, 2 pi n))", t0)
 
 
@@ -282,17 +302,19 @@ def test_criterion_10_maximum_principle_bounds(torus_criterion_setup,
     # budget: <= 1 min
     t0 = time.perf_counter()
     grid, params, cfg, bg = torus_criterion_setup
-    rep_128 = bv.pointwise_bounds(torus_criterion_solution.state, bg)
+    rep_128 = bv.build_diagnostics(torus_criterion_solution.state, "torus", "base", bg, cfg,
+                                   params).bound_violation
     grid_256 = bv.TorusGrid(L20, L20, 256, 256)
     bg_256 = bv.build_background(cfg, grid_256, params)
     sol_256 = bv.solve("torus", "base", cfg, grid_256, params, background=bg_256)
-    rep_256 = bv.pointwise_bounds(sol_256.state, bg_256)
+    rep_256 = bv.build_diagnostics(sol_256.state, "torus", "base", bg_256, cfg,
+                                   params).bound_violation
 
     def excess(rep):
-        return max(rep.max_exp_u_excess, rep.max_exp_v_excess, 0.0)
+        return max(rep["max_exp_u_excess"], rep["max_exp_v_excess"], 0.0)
 
-    ok = (rep_128.max_exp_u_excess <= 0.05 and rep_128.max_exp_v_excess <= 0.05
-          and rep_256.max_exp_u_excess <= 0.05 and rep_256.max_exp_v_excess <= 0.05
+    ok = (rep_128["max_exp_u_excess"] <= 0.05 and rep_128["max_exp_v_excess"] <= 0.05
+          and rep_256["max_exp_u_excess"] <= 0.05 and rep_256["max_exp_v_excess"] <= 0.05
           and excess(rep_256) <= max(excess(rep_128), 1e-12))
     _report(10, "maximum-principle bounds", ok,
             f"excess 128^2={excess(rep_128):.2e}, 256^2={excess(rep_256):.2e} "
@@ -303,13 +325,13 @@ def test_criterion_11_lagrange_multipliers(torus_criterion_setup,
                                            torus_criterion_solution, extended_50):
     # budget: <= 5 s
     t0 = time.perf_counter()
-    _, params_base, _, bg_base = torus_criterion_setup
-    _, params_ext, _, bg_ext, sol_ext = extended_50
+    _, params_base, cfg_base, bg_base = torus_criterion_setup
+    _, params_ext, cfg_ext, bg_ext, sol_ext = extended_50
     ok, details = True, []
-    for name, state, bg, params in (
-            ("base", torus_criterion_solution.state, bg_base, params_base),
-            ("extended", sol_ext.state, bg_ext, params_ext)):
-        l1, l2 = bv.verify_lagrange_multipliers(state, bg, params)
+    for name, state, cfg, bg, params in (
+            ("base", torus_criterion_solution.state, cfg_base, bg_base, params_base),
+            ("extended", sol_ext.state, cfg_ext, bg_ext, params_ext)):
+        l1, l2 = bv.build_diagnostics(state, "torus", name, bg, cfg, params).lagrange
         e1 = abs(l1 / params.lam - 1.0)
         e2 = abs(l2 / (2.0 * params.lam) - 1.0)
         ok &= e1 <= 1e-4 and e2 <= 1e-4
@@ -394,3 +416,31 @@ def test_criterion_14_plane_is_the_large_cell_torus():
         details.append(f"R={R} sup|plane-torus|={diff:.2e} (<= 10 e^(-sqrt(2 lam) R)"
                        f" = {10.0 * scale:.2e})")
     _report(14, "plane is the large-cell limit of the torus", ok, "; ".join(details), t0)
+
+
+def test_criterion_15_threshold_limit():
+    # budget: <= 5 s; just above the base threshold, lambda = lambda* (1 + eps)
+    # with lambda* = 2 pi n / |Omega|, the mass |Omega| eps / (1 + eps) of e^v
+    # vanishes and the state tends to a closed form (ROADMAP item 6): e^u to
+    # 1/2 and v - v0 to ln(eps / (1 + eps)) + c* + w, where w is the zero-mean
+    # solution of lap w = src_f - 2 lambda* and c* = ln(|Omega| / int e^{v0 + w}),
+    # both at O(eps); one Poisson solve that shares no code with the solvers
+    t0 = time.perf_counter()
+    grid = bv.TorusGrid(L20, L20, 64, 64)
+    cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
+    lam_star = 2.0 * math.pi * cfg.n / grid.area
+    ok, details = True, []
+    for eps in (1e-2, 1e-4, 1e-6):
+        params = bv.PhysicalParams(lam=lam_star * (1.0 + eps))
+        bg = bv.build_background(cfg, grid, params)
+        w = grid.poisson_solve_zero_mean(bg.src_f - 2.0 * lam_star)
+        c_star = math.log(grid.area / grid.integrate(bg.exp_v0 * np.exp(w)))
+        limit = math.log(eps / (1.0 + eps)) + c_star + w
+        sol = bv.solve("torus", "base", cfg, grid, params, background=bg)
+        dist_v = float(np.max(np.abs(sol.state[1] - sol.state[0] - limit)))
+        dist_u = float(np.max(np.abs(np.exp(sol.state[0]) - 0.5)))
+        ok &= sol.converged and dist_v <= 1.5 * eps and dist_u <= eps
+        details.append(f"eps={eps:.0e}: sup|v-v0-limit|={dist_v:.3e} (<= 1.5 eps), "
+                       f"sup|e^u-1/2|={dist_u:.3e} (<= eps)")
+    _report(15, "threshold limit in closed form", ok,
+            f"c*={c_star:.6f}; " + "; ".join(details), t0)

@@ -7,7 +7,9 @@ import pytest
 import bpsvortex as bv
 from bpsvortex import diagnostics, runner
 from bpsvortex.cli import main
+from bpsvortex.energy import EnergyModel
 from bpsvortex.errors import AnnulusTooThin
+from conftest import nodes, random_smooth_field, random_state, uniqueness_probe
 
 L20 = math.sqrt(20.0)
 L50 = math.sqrt(50.0)
@@ -36,30 +38,53 @@ def extended_solution():
     return grid, params, cfg, bg, sol
 
 
+def assert_bounds_match_the_physical_fields(bounds, state, bg, params):
+    # the bound excesses against max kappa^2 and max |phi|^2 of the
+    # reconstructed fields, which compute e^u and e^v apart from the report
+    phys = bv.reconstruct_physical(state, bg, params)
+    k2, p2 = float(np.max(phys.kappa ** 2)), float(np.max(phys.phi_abs ** 2))
+    assert 1.0 + bounds["max_exp_u_excess"] == pytest.approx(k2, rel=1e-13)
+    assert 1.0 + bounds["max_exp_v_excess"] == pytest.approx(p2, rel=1e-13)
+    assert bounds["intermediate_excess"] + p2 + 1.0 == pytest.approx(2.0 * k2, rel=1e-13)
+
+
+def assert_matches_independent_references(mode, bg, cfg, params):
+    # at a state away from the solution: the sup residuals against the
+    # energy gradient, minus (r1, r2 / 2), which states the reduced system
+    # apart from the report, and the bounds against the physical fields
+    state = random_state(bg.grid, 3)
+    rep = bv.build_diagnostics(state, mode, "base", bg, cfg, params, fit_decay=False)
+    g = EnergyModel(bg, params).gradient(state)
+    assert rep.residual_sup == pytest.approx(
+        (float(np.max(np.abs(g[0]))), 2.0 * float(np.max(np.abs(g[1])))), rel=1e-13)
+    assert_bounds_match_the_physical_fields(rep.bound_violation, state, bg, params)
+
+
 class TestPdeResidual:
     def test_zero_state_empty_config(self):
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig()
         bg = bv.build_background(cfg, grid, params)
-        res = bv.pde_residual(np.zeros((2, 32, 32)), bg, params)
-        assert max(res[0][1], res[1][1]) < 1e-13
+        rep = bv.build_diagnostics(np.zeros((2, 32, 32)), "torus", "base", bg, cfg, params)
+        assert max(rep.residual_sup) < 1e-13
 
     def test_converged_residual_within_tolerance(self, torus_criterion_setup,
                                                  torus_criterion_solution):
         grid, params, cfg, bg = torus_criterion_setup
-        res = bv.pde_residual(torus_criterion_solution.state, bg, params)
-        assert max(res[0][1], res[1][1]) <= 2e-9
+        rep = bv.build_diagnostics(torus_criterion_solution.state, "torus", "base", bg, cfg,
+                                   params)
+        assert max(rep.residual_sup) <= 2e-9
 
     def test_perturbation_bumps_residual(self, torus_criterion_setup,
                                          torus_criterion_solution):
         grid, params, cfg, bg = torus_criterion_setup
         rng = np.random.default_rng(7)
-        bump = 1e-3 * bv.random_smooth_field(grid, rng, 1.0)
+        bump = 1e-3 * random_smooth_field(grid, rng, 1.0)
         state = torus_criterion_solution.state + np.stack([bump, bump])
-        res = bv.pde_residual(state, bg, params)
+        rep = bv.build_diagnostics(state, "torus", "base", bg, cfg, params)
         # sup residual responds at the 1e-3 * lambda scale
-        assert 1e-5 <= max(res[0][1], res[1][1]) <= 1.0
+        assert 1e-5 <= max(rep.residual_sup) <= 1.0
 
 
 class TestFlux:
@@ -68,7 +93,8 @@ class TestFlux:
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig()
         bg = bv.build_background(cfg, grid, params)
-        fa, fb = bv.flux_report(np.zeros((2, 32, 32)), bg, params)
+        rep = bv.build_diagnostics(np.zeros((2, 32, 32)), "torus", "base", bg, cfg, params)
+        fa, fb = rep.flux_a, rep.flux_b
         assert fa == pytest.approx(0.0, abs=1e-12)
         assert fb == pytest.approx(0.0, abs=1e-12)
 
@@ -78,13 +104,15 @@ class TestFlux:
         cfg = bv.VortexConfig(phi_zeros=((0.4 * L20, 0.5 * L20),))
         bg = bv.build_background(cfg, grid, params)
         sol = bv.solve("torus", "base", cfg, grid, params, background=bg)
-        fa, fb = bv.flux_report(sol.state, bg, params)
+        rep = bv.build_diagnostics(sol.state, "torus", "base", bg, cfg, params)
+        fa, fb = rep.flux_a, rep.flux_b
         assert abs(fb - 2.0 * math.pi) / (2.0 * math.pi) <= 1e-6
         assert abs(fa) <= 1e-6 * 2.0 * math.pi
 
     def test_extended_quantization(self, extended_solution):
         grid, params, cfg, bg, sol = extended_solution
-        fa, fb = bv.flux_report(sol.state, bg, params)
+        rep = bv.build_diagnostics(sol.state, "torus", "extended", bg, cfg, params)
+        fa, fb = rep.flux_a, rep.flux_b
         assert abs(fa - 2.0 * math.pi) / (2.0 * math.pi) <= 1e-6
         assert abs(fb - 6.0 * math.pi) / (6.0 * math.pi) <= 1e-6
 
@@ -93,28 +121,31 @@ class TestPointwiseBounds:
     def test_empty_config_boundary_case(self):
         grid = bv.TorusGrid(L20, L20, 32, 32)
         params = bv.PhysicalParams(lam=1.0)
-        bg = bv.build_background(bv.VortexConfig(), grid, params)
-        rep = bv.pointwise_bounds(np.zeros((2, 32, 32)), bg)
-        assert rep.max_exp_u_excess == pytest.approx(0.0, abs=1e-14)
-        assert rep.max_exp_v_excess == pytest.approx(0.0, abs=1e-14)
-        assert rep.intermediate_excess == pytest.approx(0.0, abs=1e-14)
+        cfg = bv.VortexConfig()
+        bg = bv.build_background(cfg, grid, params)
+        rep = bv.build_diagnostics(np.zeros((2, 32, 32)), "torus", "base", bg, cfg,
+                                   params).bound_violation
+        assert rep["max_exp_u_excess"] == pytest.approx(0.0, abs=1e-14)
+        assert rep["max_exp_v_excess"] == pytest.approx(0.0, abs=1e-14)
+        assert rep["intermediate_excess"] == pytest.approx(0.0, abs=1e-14)
 
     def test_converged_solution_respects_bounds(self, torus_criterion_setup,
                                                 torus_criterion_solution):
         grid, params, cfg, bg = torus_criterion_setup
-        rep = bv.pointwise_bounds(torus_criterion_solution.state, bg)
-        assert rep.ok
-        assert rep.max_exp_u_excess <= 0.05
-        assert rep.max_exp_v_excess <= 0.05
-        assert rep.intermediate_excess <= 0.05
+        rep = bv.build_diagnostics(torus_criterion_solution.state, "torus", "base", bg, cfg,
+                                   params).bound_violation
+        assert rep["ok"]
+        assert rep["max_exp_u_excess"] <= 0.05
+        assert rep["max_exp_v_excess"] <= 0.05
+        assert rep["intermediate_excess"] <= 0.05
 
 
 class TestLagrangeMultipliers:
     def test_converged_fit_recovers_analytic_values(self, torus_criterion_setup,
                                                     torus_criterion_solution):
         grid, params, cfg, bg = torus_criterion_setup
-        l1, l2 = bv.verify_lagrange_multipliers(torus_criterion_solution.state,
-                                                bg, params)
+        l1, l2 = bv.build_diagnostics(torus_criterion_solution.state, "torus", "base", bg,
+                                      cfg, params).lagrange
         assert abs(l1 / params.lam - 1.0) <= 1e-4
         assert abs(l2 / (2.0 * params.lam) - 1.0) <= 1e-4
 
@@ -123,7 +154,8 @@ class TestLagrangeMultipliers:
         params = bv.PhysicalParams(lam=1.7)
         cfg = bv.VortexConfig()
         bg = bv.build_background(cfg, grid, params)
-        l1, l2 = bv.verify_lagrange_multipliers(np.zeros((2, 32, 32)), bg, params)
+        l1, l2 = bv.build_diagnostics(np.zeros((2, 32, 32)), "torus", "base", bg, cfg,
+                                      params).lagrange
         assert l1 == pytest.approx(params.lam, rel=1e-10)
         assert l2 == pytest.approx(2.0 * params.lam, rel=1e-10)
 
@@ -132,9 +164,9 @@ class TestLagrangeMultipliers:
         grid, params, cfg, bg = torus_criterion_setup
         rng = np.random.default_rng(11)
         state = torus_criterion_solution.state + 0.1 * np.stack(
-            [bv.random_smooth_field(grid, rng, 1.0),
-             bv.random_smooth_field(grid, rng, 1.0)])
-        l1, l2 = bv.verify_lagrange_multipliers(state, bg, params)
+            [random_smooth_field(grid, rng, 1.0),
+             random_smooth_field(grid, rng, 1.0)])
+        l1, l2 = bv.build_diagnostics(state, "torus", "base", bg, cfg, params).lagrange
         drift = abs(l1 / params.lam - 1.0) + abs(l2 / (2.0 * params.lam) - 1.0)
         assert drift > 1e-4  # negative control
 
@@ -142,7 +174,7 @@ class TestLagrangeMultipliers:
         grid, params, cfg, bg, sol = extended_solution
         # the fit formulas assume the base-model system; extended input is a
         # caller error rather than a numeric one
-        l1, l2 = bv.verify_lagrange_multipliers(sol.state, bg, params)
+        l1, l2 = bv.build_diagnostics(sol.state, "torus", "extended", bg, cfg, params).lagrange
         assert np.isfinite(l1) and np.isfinite(l2)
 
 
@@ -195,7 +227,7 @@ class TestReconstruct:
         u = bg.u0 + sol.state[0]
         v = bg.v0 + sol.state[1] - sol.state[0]
         b12_deriv = -0.5 * (grid.laplacian(u) + grid.laplacian(v))
-        X, Y = grid.nodes()
+        X, Y = nodes(grid)
         r = np.sqrt((X - cfg.phi_zeros[0][0]) ** 2 + (Y - cfg.phi_zeros[0][1]) ** 2)
         mask = (r > 3.0 * math.sqrt(bv.backgrounds.core_scale(grid))) & (np.abs(X) < 0.9 * grid.R) \
             & (np.abs(Y) < 0.9 * grid.R)
@@ -215,13 +247,13 @@ class TestUniquenessProbe:
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((0.4 * L20, 0.5 * L20),))
         bg = bv.build_background(cfg, grid, params)
-        assert bv.uniqueness_probe(bg, params, seeds=1) == 0.0
+        assert uniqueness_probe(bg, params, seeds=1) == 0.0
 
     def test_three_seeds_agree(self):
         grid = bv.TorusGrid(L20, L20, 64, 64)
         params = bv.PhysicalParams(lam=1.0)
         cfg = bv.VortexConfig(phi_zeros=((0.4 * L20, 0.5 * L20),))
-        spread = bv.uniqueness_probe(bv.build_background(cfg, grid, params), params, seeds=3)
+        spread = uniqueness_probe(bv.build_background(cfg, grid, params), params, seeds=3)
         sol = bv.solve("torus", "base", cfg, grid, params)
         assert spread <= 1e-8 * (1.0 + np.max(np.abs(sol.state)))
 
@@ -256,18 +288,16 @@ class TestReportAssembly:
                                    laplacians=sol.laplacians)
         assert count_transforms["forward", grid.shape] == 0
         assert count_transforms["inverse", grid.shape] <= 2
-        # without them it takes them from the state, and then its checks are
-        # the public ones bit for bit; the two agree to roundoff
+        # without them it takes them from the state; the two agree to roundoff
         fresh = bv.build_diagnostics(sol.state, "torus", "base", bg, cfg, params)
-        assert fresh.residual_sup == tuple(sup for _, sup in bv.pde_residual(sol.state, bg, params))
-        assert fresh.lagrange == bv.verify_lagrange_multipliers(sol.state, bg, params)
+        assert_matches_independent_references("torus", bg, cfg, params)
         assert max(rep.residual_sup) <= 1e-8 and max(fresh.residual_sup) <= 1e-8
         assert rep.lagrange == pytest.approx(fresh.lagrange, rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     def test_bounds_with_a_verdict_on_both_grids(self, mode):
-        # bound_violation carries pointwise_bounds and its verdict, from the
-        # report's one exponential pair; a state over the bound fails it
+        # bound_violation carries the bound excesses and their verdict, from
+        # the report's one exponential pair; a state over the bound fails it
         if mode == "torus":
             grid = bv.TorusGrid(L20, L20, 32, 32)
             cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
@@ -280,17 +310,15 @@ class TestReportAssembly:
         for s, ok in ((state, True), (state + np.stack([np.full(grid.shape, 0.5), state[0]]),
                                       False)):
             d = bv.build_diagnostics(s, mode, "base", bg, cfg, params).to_dict()
-            bounds = bv.pointwise_bounds(s, bg)
-            assert d["bound_violation"] == {
-                "max_exp_u_excess": bounds.max_exp_u_excess,
-                "max_exp_v_excess": bounds.max_exp_v_excess,
-                "intermediate_excess": bounds.intermediate_excess, "ok": bounds.ok}
+            assert list(d["bound_violation"]) == [
+                "max_exp_u_excess", "max_exp_v_excess", "intermediate_excess", "ok"]
+            assert_bounds_match_the_physical_fields(d["bound_violation"], s, bg, params)
             assert d["bound_violation"]["ok"] is ok
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     def test_report_evaluates_the_exponentials_once(self, monkeypatch, mode):
         # residual, fluxes, constraint errors, bounds and the multiplier fit
-        # share one evaluation of (e^u, e^v), with the bits of the public checks
+        # share one evaluation of (e^u, e^v)
         if mode == "torus":
             grid = bv.TorusGrid(L20, L20, 32, 32)
             cfg = bv.VortexConfig(phi_zeros=((0.3 * L20, 0.4 * L20), (0.7 * L20, 0.6 * L20)))
@@ -311,12 +339,8 @@ class TestReportAssembly:
         rep = bv.build_diagnostics(state, mode, "base", bg, cfg, params, fit_decay=False)
         assert len(calls) == 1
         monkeypatch.undo()
-        assert rep.residual_sup == tuple(sup for _, sup in bv.pde_residual(state, bg, params))
-        assert (rep.flux_a, rep.flux_b) == bv.flux_report(state, bg, params)
-        if mode == "torus":
-            bounds = bv.pointwise_bounds(state, bg)
-            assert rep.bound_violation["max_exp_v_excess"] == bounds.max_exp_v_excess
-            assert rep.lagrange == bv.verify_lagrange_multipliers(state, bg, params)
+        assert_bounds_match_the_physical_fields(rep.bound_violation, state, bg, params)
+        assert_matches_independent_references(mode, bg, cfg, params)
 
     @pytest.mark.parametrize("mode,model,other", [
         ("plane", "base", None),
@@ -352,7 +376,7 @@ class TestOneRadialProfile:
         state = sol.state
         u = bg.u0 + state[0]
         v = bg.v0 + state[1] - state[0]
-        X, Y = grid.nodes()
+        X, Y = nodes(grid)
         r = np.sqrt(X ** 2 + Y ** 2).ravel()
         ux, uy = np.gradient(u, grid.h)
         vx, vy = np.gradient(v, grid.h)

@@ -36,7 +36,8 @@ class TestSolverEdges:
         assert rep.constraints[0] == pytest.approx(grid.area - 4.0 * math.pi, rel=1e-12)
         bg = bv.build_background(cfg, grid, params)
         sol = bv.solve("torus", "base", cfg, grid, params, background=bg)
-        fa, fb = bv.flux_report(sol.state, bg, params)
+        rep = bv.build_diagnostics(sol.state, "torus", "base", bg, cfg, params)
+        fa, fb = rep.flux_a, rep.flux_b
         assert abs(fb - 4.0 * math.pi) / (4.0 * math.pi) <= 1e-6
 
     def test_fixedpoint_max_applies_exhaustion(self, monkeypatch):

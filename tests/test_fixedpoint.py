@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import bpsvortex as bv
 from bpsvortex.errors import Overflow, ThresholdViolated
 from bpsvortex import fixedpoint
+from conftest import random_smooth_field
 
 L20 = math.sqrt(20.0)
 
@@ -48,8 +49,8 @@ class TestApplyT:
     def test_output_means_vanish(self, fp_setup, fp_extended):
         for grid, params, cfg, bg in (fp_setup, fp_extended):
             rng = np.random.default_rng(0)
-            u = bv.random_smooth_field(grid, rng, 0.3)
-            w = bv.random_smooth_field(grid, rng, 0.3)
+            u = random_smooth_field(grid, rng, 0.3)
+            w = random_smooth_field(grid, rng, 0.3)
             pair = np.stack([u - u.mean(), w - w.mean()])
             out = bv.apply_T(pair, 1.0, bg, params)
             for k in (0, 1):
@@ -75,8 +76,8 @@ class TestApplyT:
     def test_out_buffer_bitwise_and_pair_unmodified(self, fp_setup, fp_extended):
         for grid, params, cfg, bg in (fp_setup, fp_extended):
             rng = np.random.default_rng(5)
-            u = bv.random_smooth_field(grid, rng, 0.3)
-            w = bv.random_smooth_field(grid, rng, 0.3)
+            u = random_smooth_field(grid, rng, 0.3)
+            w = random_smooth_field(grid, rng, 0.3)
             pair = np.stack([u - u.mean(), w - w.mean()])
             before = pair.copy()
             fresh = bv.apply_T(pair, 0.7, bg, params)
@@ -213,7 +214,9 @@ class TestContinuationSolve:
         # flux quantization: int a12 = 2 pi m and int b12 = 2 pi (m + n)
         scale = 2.0 * math.pi * (m + n)
         for state in (newton.state, fp.state):
-            assert bv.flux_report(state, bg, params) == pytest.approx(
+            rep = bv.build_diagnostics(state, "torus", "extended" if m else "base", bg, cfg,
+                                       params)
+            assert (rep.flux_a, rep.flux_b) == pytest.approx(
                 (2.0 * math.pi * m, scale), rel=1e-6, abs=1e-6 * scale)
 
     def test_iterates_stay_zero_mean(self, fp_setup):

@@ -5,7 +5,7 @@ import pytest
 
 import bpsvortex as bv
 from bpsvortex.errors import NonZeroMeanRhs
-from conftest import random_state
+from conftest import nodes, random_smooth_field, random_state
 
 
 def fd_laplacian_periodic(v, dx, dy):
@@ -16,7 +16,7 @@ def fd_laplacian_periodic(v, dx, dy):
 
 def band_limited(grid, seed, kmax=3):
     rng = np.random.default_rng(seed)
-    x, y = grid.nodes()
+    x, y = nodes(grid)
     field = np.zeros(grid.shape)
     for _ in range(6):
         kx = rng.integers(-kmax, kmax + 1)
@@ -34,7 +34,7 @@ class TestTorusLaplacian:
 
     def test_single_mode_eigenfunction(self, torus_small):
         g = torus_small
-        x, _ = g.nodes()
+        x, _ = nodes(g)
         f = np.cos(2 * np.pi * x / g.Lx)
         expected = -(2 * np.pi / g.Lx) ** 2 * f
         assert np.max(np.abs(g.laplacian(f) - expected)) < 1e-11
@@ -64,7 +64,7 @@ class TestTorusLaplacian:
 class TestPoissonSolve:
     def test_mode_inversion(self, torus_small):
         g = torus_small
-        x, _ = g.nodes()
+        x, _ = nodes(g)
         rhs = np.cos(2 * np.pi * x / g.Lx)
         expected = -(g.Lx / (2 * np.pi)) ** 2 * rhs
         assert np.max(np.abs(g.poisson_solve_zero_mean(rhs) - expected)) < 1e-12
@@ -107,7 +107,7 @@ class TestPlaneLaplacian:
         # -((pi k / 2R)^2 + (pi l / 2R)^2) times itself, up to the highest mode
         for n in (16, 33):
             g = bv.PlaneGrid(3.0, n)
-            x, y = g.nodes()
+            x, y = nodes(g)
             xi, eta = (x + g.R) / (2.0 * g.R), (y + g.R) / (2.0 * g.R)
             rng = np.random.default_rng(n)
             field, lap = np.zeros(g.shape), np.zeros(g.shape)
@@ -132,7 +132,7 @@ class TestPlaneLaplacian:
         errs = []
         for n in (17, 25, 33, 49):
             g = bv.PlaneGrid(6.0, n)
-            X, Y = g.nodes()
+            X, Y = nodes(g)
             errs.append(np.max(np.abs(g.laplacian(f(X, Y)) - lap_f(X, Y))))
         assert errs[1] < 1e-2 * errs[0] and errs[2] < 1e-3 * errs[1]
         assert errs[3] <= 1e-11
@@ -152,7 +152,7 @@ class TestQuadrature:
 
     def test_cosine_integrates_to_zero(self, torus_small):
         g = torus_small
-        x, _ = g.nodes()
+        x, _ = nodes(g)
         assert abs(g.integrate(np.cos(2 * np.pi * x / g.Lx))) < 1e-10 * g.area
 
     def test_mean_of_constant(self, torus_small):
@@ -189,7 +189,7 @@ class TestDirichletForm:
         # is why one energy formula serves both grids
         g = plane_32
         for seed in range(3):
-            v = bv.random_smooth_field(g, np.random.default_rng(seed))
+            v = random_smooth_field(g, np.random.default_rng(seed))
             d = g.modal_dirichlet(g.modal_forward(v))
             assert d > 0.0
             assert d == pytest.approx(-g.inner(v, g.laplacian(v)), rel=1e-12)
@@ -197,7 +197,7 @@ class TestDirichletForm:
     def test_torus_single_mode(self, torus_small):
         # v = cos(k x): int |grad v|^2 = k^2 |Omega| / 2
         g = torus_small
-        x, _ = g.nodes()
+        x, _ = nodes(g)
         k = 2.0 * np.pi * 3 / g.Lx
         d = g.modal_dirichlet(g.modal_forward(np.cos(k * x)))
         assert d == pytest.approx(0.5 * k ** 2 * g.area, rel=1e-12)
@@ -206,7 +206,7 @@ class TestDirichletForm:
         # v = sin(pi k xi) sin(pi l eta): int |grad v|^2 = K R^2 with
         # K = (pi k / 2R)^2 + (pi l / 2R)^2, exactly on the grid too
         g = bv.PlaneGrid(2.5, 40)
-        x, y = g.nodes()
+        x, y = nodes(g)
         k, l = 3, 7
         v = g.zero_boundary(np.sin(np.pi * k * (x + g.R) / (2.0 * g.R))
                             * np.sin(np.pi * l * (y + g.R) / (2.0 * g.R)))
@@ -216,7 +216,7 @@ class TestDirichletForm:
     def test_torus_parseval_matches_laplacian_pairing(self, torus_small):
         g = torus_small
         for seed in range(3):
-            v = bv.random_smooth_field(g, np.random.default_rng(seed))
+            v = random_smooth_field(g, np.random.default_rng(seed))
             assert g.modal_dirichlet(g.modal_forward(v)) == pytest.approx(
                 -g.inner(v, g.laplacian(v)), rel=1e-12)
 
@@ -476,7 +476,7 @@ class TestModalTransforms:
         assert g.modal_inner(ca[0], ca[0]) == pytest.approx(g.inner(a[0], a[0]), rel=1e-12)
         if grid == "torus":
             # a field of the last column alone: cos(pi y / dy) counts once
-            x, y = g.nodes()
+            x, y = nodes(g)
             nyq = np.cos(np.pi * y / g.dy)
             c = g.modal_forward(nyq)
             assert np.count_nonzero(np.abs(c) > 1e-9) == 1 and abs(c[0, -1]) > 1.0
@@ -494,13 +494,13 @@ class TestRandomSmoothField:
         expected = np.fft.irfft2(np.fft.rfft2(noise) * np.exp(-g.laplacian_eigenvalues() / kc2),
                                  s=g.shape)
         expected *= 0.3 / np.max(np.abs(expected))
-        field = bv.random_smooth_field(g, np.random.default_rng(11), 0.3)
+        field = random_smooth_field(g, np.random.default_rng(11), 0.3)
         assert field.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [16, 33, 96])
     def test_plane_vanishes_on_the_boundary_ring(self, n):
         g = bv.PlaneGrid(3.0, n)
-        field = bv.random_smooth_field(g, np.random.default_rng(n), 0.7)
+        field = random_smooth_field(g, np.random.default_rng(n), 0.7)
         ring = np.ones(g.shape, dtype=bool)
         g.interior(ring)[...] = False
         assert np.all(field[ring] == 0.0)
@@ -510,7 +510,7 @@ class TestRandomSmoothField:
 def sine_sum(grid, seed, modes):
     """A sum of products of the plane's sine modes k, l < ``modes``, as a field."""
     rng = np.random.default_rng(seed)
-    x, y = grid.nodes()
+    x, y = nodes(grid)
     xi, eta = (x + grid.R) / (2.0 * grid.R), (y + grid.R) / (2.0 * grid.R)
     field = np.zeros(grid.shape)
     for _ in range(6):

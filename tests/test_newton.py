@@ -88,8 +88,9 @@ class TestConvergedProperties:
     def test_pde_residual_within_tolerance(self, torus_criterion_setup,
                                            torus_criterion_solution):
         grid, params, cfg, bg = torus_criterion_setup
-        res = bv.pde_residual(torus_criterion_solution.state, bg, params)
-        assert max(res[0][1], res[1][1]) <= 1e-8
+        rep = bv.build_diagnostics(torus_criterion_solution.state, "torus", "base", bg, cfg,
+                                   params)
+        assert max(rep.residual_sup) <= 1e-8
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     def test_tol_bounds_the_residual(self, mode, request):
@@ -106,7 +107,8 @@ class TestConvergedProperties:
             bg = bv.build_background(cfg, grid, params)
             sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
         assert sol.converged
-        (_, sup1), (_, sup2) = bv.pde_residual(sol.state, bg, params)
+        sup1, sup2 = bv.build_diagnostics(sol.state, mode, "base", bg, cfg, params,
+                                          fit_decay=False).residual_sup
         assert sup1 <= tol and sup2 <= 2.0 * tol
 
     def test_energy_monotone_descent(self, torus_criterion_solution):
@@ -258,8 +260,9 @@ class TestExtendedVariants:
         bg = bv.build_background(cfg, grid, params)
         sol = bv.solve("plane", "extended", cfg, grid, params, background=bg)
         assert sol.converged
-        res = bv.pde_residual(sol.state, bg, params)
-        assert max(res[0][1], res[1][1]) <= 2.0 * 2.0 * params.lam * 1e-9
+        rep = bv.build_diagnostics(sol.state, "plane", "extended", bg, cfg, params,
+                                   fit_decay=False)
+        assert max(rep.residual_sup) <= 2.0 * 2.0 * params.lam * 1e-9
         phys = bv.reconstruct_physical(sol.state, bg, params)
         # kappa vanishes exactly at its prescribed zero (background factor)
         assert phys.kappa[40, 56] == 0.0

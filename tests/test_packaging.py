@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import os
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import nodes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +51,24 @@ def test_declared_dependencies_are_the_imported_ones():
     assert set(json.loads(out)) == _declared_dependencies()
 
 
+def test_every_exported_function_has_a_caller():
+    # a library function that no module of the package and no benchmark
+    # calls is code that only tests run; a definition is no reference
+    import bpsvortex as bv
+
+    exported = {name for name, obj in vars(bv).items() if inspect.isfunction(obj)}
+    files = [f for f in sorted((ROOT / "src" / "bpsvortex").glob("*.py"))
+             if f.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+    referenced = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(), str(f))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert sorted(exported - referenced) == []
+
+
 def test_readme_library_example_runs():
     # the "Library use" block of the README, run as written
     readme = (ROOT / "README.md").read_text()
@@ -75,7 +97,7 @@ def test_readme_field_dump_reader_runs(tmp_path, monkeypatch, mode):
     monkeypatch.chdir(tmp_path)
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
-    X, Y = grid.nodes()
+    X, Y = nodes(grid)
     assert namespace["X"].tobytes() == X.tobytes()
     assert namespace["Y"].tobytes() == Y.tobytes()
     assert namespace["u"].tobytes() == (bg.u0 + state[0]).tobytes()
