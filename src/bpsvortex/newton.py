@@ -44,12 +44,23 @@ costs two inverse transforms; an ``init`` start costs one ``to_modes``.  A
 coarse solve that does not converge leaves the zero start.  An ``init``
 start, such as a sweep row's predictor, goes through the coarse level too
 when the caller hands over its background (:func:`coarse_background`) and
-that level also resolves the core length 1/sqrt(lambda)
-(``grid.resolves``): the coarse solve starts from ``init`` truncated to the
-coarse modes (``grid.restrict``), and its solution, prolonged, starts the
-fine solve, which then takes about one step.  Otherwise, or when the coarse
-solve does not converge, the fine solve starts from ``init``.
-:attr:`Solution.coarse` reports the coarse level.
+a coarse predictor p_c (``coarse_init``, coefficients on that level's
+grid), and that level also resolves the core length 1/sqrt(lambda)
+(``grid.resolves``).  The coarse solve then starts from p_c, and the fine
+solve from init + prolong(s_c - p_c), s_c the coarse solution: the coarse
+correction of the tau-correction in FAS multigrid (Brandt, "Multi-level
+adaptive solutions to boundary-value problems", Math. Comp. 31, 1977).  A
+cold start is the case init = p_c = 0.
+A sweep path builds p_c from its rows' coarse solutions as it builds
+``init`` from their states, so that ``init`` - prolong(p_c) carries the
+fine-minus-coarse discretization defect along the path; on the torus-sweep
+workload the fine solve then starts under its tolerance and takes no step.
+Otherwise, or when the coarse solve does not converge, the fine solve
+starts from ``init``.  :attr:`Solution.coarse` reports the coarse level.
+With ``keep_coarse`` (a sweep row) the solve hands back the coefficients
+its path carries on the coarse level (:attr:`Solution.coarse_modes`): s_c,
+or the restriction of the fine solution where there is no s_c.  Without
+it the coarse solution is dropped before the fine level runs.
 A torus solve first checks the existence threshold and refuses to iterate
 when it fails.  It then follows the paper's split u = c + w: the start and
 every accepted step are shifted by the constants that meet both integral
@@ -176,6 +187,10 @@ class Solution:
     # slices, from its last gradient
     modes: Optional[np.ndarray] = None
     laplacians: Optional[np.ndarray] = None
+    # Newton with ``keep_coarse`` only: the coefficients on the coarse grid
+    # of ``coarse_bg`` that a continuation path carries, the coarse level's
+    # solution or, without one, the restriction of ``modes``
+    coarse_modes: Optional[np.ndarray] = None
 
 
 def _pcg(apply_a, b, apply_minv, inner, rel_tol):
@@ -262,19 +277,20 @@ def coarse_background(bg: Background, params: PhysicalParams) -> Optional[Backgr
 
 
 def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable, work: str,
-                 coarse_bg: Optional[Background] = None):
+                 coarse_bg: Optional[Background] = None, base: Optional[np.ndarray] = None):
     """A solve's start from its coarse level: ``(start, modes, block, seconds)``.
 
     The coarse level is ``coarse_bg`` or, without it, the one
     :func:`coarse_background` builds, which does not outlive the call.
     ``solve_coarse(coarse_background)`` solves it and returns
-    ``(coeffs, count, converged)``, ``coeffs`` the mode coefficients of the
-    solution pair (``grid.to_modes``).  When it converged, ``modes`` are
-    those coefficients prolonged onto ``bg.grid`` (zero-padded, with no
-    transform) and ``start`` is their pair, at two inverse transforms; else
-    both are ``None``.  ``block`` holds the coarse grid's ``shape``, the
-    count under the name ``work`` and ``converged``, and ``seconds`` the
-    wall time.  All four are ``None`` without a coarse level.
+    ``(coeffs, count, converged)``, ``coeffs`` mode coefficients of a pair
+    on the coarse grid (``grid.to_modes``).  When it converged, ``modes``
+    are those coefficients prolonged onto ``bg.grid`` (zero-padded, with no
+    transform) plus ``base``, coefficients on ``bg.grid`` (zero without
+    it), and ``start`` is their pair, at two inverse transforms; else both
+    are ``None``.  ``block`` holds the coarse grid's ``shape``, the count
+    under the name ``work`` and ``converged``, and ``seconds`` the wall
+    time.  All four are ``None`` without a coarse level.
     """
     grid = bg.grid
     coarse = (grid.coarsest(backgrounds.core_scale(grid)) if coarse_bg is None
@@ -292,7 +308,10 @@ def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable,
     coeffs, count, converged = solve_coarse(
         build_background(bg.cfg, coarse, params) if coarse_bg is None else coarse_bg)
     if converged:
-        grid.from_modes(grid.prolong(coarse, coeffs, modes), out=start)
+        grid.prolong(coarse, coeffs, modes)
+        if base is not None:
+            modes += base
+        grid.from_modes(modes, out=start)
     else:
         start = modes = None
     block = {"shape": list(coarse.shape), work: count, "converged": converged}
@@ -300,7 +319,8 @@ def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable,
 
 
 def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None,
-             coarse_bg: Optional[Background] = None) -> Solution:
+             coarse_bg: Optional[Background] = None, coarse_init: Optional[np.ndarray] = None,
+             keep_coarse: bool = False) -> Solution:
     """Damped Newton descent on the energy of ``model``'s background.
 
     A torus problem is first gated by its existence threshold.  There the
@@ -312,10 +332,15 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     background of that level (:func:`coarse_background`), saves building it.
     A float ``init`` is taken over, not copied, and its coefficients cost
     one ``to_modes``.  With a ``coarse_bg`` whose grid also resolves the
-    core length 1/sqrt(lambda), ``init`` restricted to the coarse modes
-    starts the coarse solve, and the prolonged solution the fine one; else,
-    or when the coarse solve does not converge, ``init`` is the first
-    iterate, and on the torus the shift moves it in place.  The plane never
+    core length 1/sqrt(lambda), a warm start also needs ``coarse_init``,
+    the coarse predictor (coefficients on ``coarse_bg.grid``, read only):
+    the coarse solve starts from it, and the fine one from ``init`` plus
+    the prolonged difference of the coarse solution and that predictor
+    (module docstring); else, or when the coarse solve does not converge,
+    ``init`` is the first iterate, and on the torus the shift moves it in
+    place.  ``keep_coarse`` fills :attr:`Solution.coarse_modes`
+    on ``coarse_bg.grid``: the coarse solution, held through the fine solve,
+    or the restriction of the returned ``modes``.  The plane never
     writes into its states, which vanish on the Dirichlet ring; an ``init``
     that does not is copied with the ring set to zero.  Every iterate's
     coefficients are carried beside it, updated by the same linear steps,
@@ -327,27 +352,38 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         report = check_existence(bg.cfg, grid, params)
         if not report.solvable:
             raise ThresholdViolated(report)
-    coarse = coarse_s = state = modes = None
+    coarse = coarse_s = state = modes = kept = None
+    coarse_grid = None if coarse_bg is None else coarse_bg.grid
     if init is not None:
         state = np.asarray(init, dtype=float)
         if not torus and (state[:, [0, -1]].any() or state[:, :, [0, -1]].any()):
             state = grid.zero_boundary(state.copy())
         modes = grid.to_modes(state)
-        if coarse_bg is not None and not coarse_bg.grid.resolves(1.0 / math.sqrt(params.lam)):
+        if (coarse_bg is None or coarse_init is None
+                or not coarse_grid.resolves(1.0 / math.sqrt(params.lam))):
             coarse_bg = None
     # drop this frame's second reference to the start, so that the first
     # step frees a start that no caller holds
     init = None
     if state is None or coarse_bg is not None:
         def solve_coarse(level_bg):
-            # the restricted start, held by no name here (see init above)
+            # the coarse predictor p_c: zero for a cold start, else
+            # coarse_init.  The coarse solve starts from its pair, held by
+            # no name here (see init above)
+            nonlocal kept
             level = level_bg.grid
-            sol = minimize(EnergyModel(level_bg, params), settings, init=None if modes is None
-                           else level.from_modes(grid.restrict(level, modes, level.empty_modes())))
-            return sol.modes, sol.iterations, sol.converged
+            predictor = None if modes is None else coarse_init
+            sol = minimize(EnergyModel(level_bg, params), settings, init=None if predictor is None
+                           else level.from_modes(predictor))
+            if not sol.converged:
+                return None, sol.iterations, False
+            if keep_coarse:
+                kept = sol.modes
+            correction = sol.modes if predictor is None else np.subtract(sol.modes, predictor)
+            return correction, sol.iterations, True
 
         start, start_modes, coarse, coarse_s = coarse_start(bg, params, solve_coarse,
-                                                            "iterations", coarse_bg)
+                                                            "iterations", coarse_bg, modes)
         if start is not None:
             state, modes = start, start_modes
         elif state is None:
@@ -362,11 +398,14 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
     def finish(iterations, converged, message="", laplacians=None):
         if coarse is not None:
             coarse["grad_sup_start"] = grad_history[0] if grad_history else None
+        coarse_modes = kept
+        if keep_coarse and kept is None and coarse_grid is not None:
+            coarse_modes = grid.restrict(coarse_grid, modes, coarse_grid.empty_modes())
         # a step that fails after dropping its state returns it from its modes
         final = grid.from_modes(modes) if state is None else state
         return Solution(final, iterations, grad_history, energy_history, converged,
                         message, newton_steps=steps, coarse=coarse, coarse_s=coarse_s,
-                        modes=modes, laplacians=laplacians)
+                        modes=modes, laplacians=laplacians, coarse_modes=coarse_modes)
 
     def settle(breakdown) -> float:
         """The energy of ``state`` once the torus shift has moved it (and its modes)."""
@@ -500,15 +539,17 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
 
 def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams,
           settings: Optional[SolverSettings] = None, init: Optional[np.ndarray] = None,
-          background=None, coarse_background=None) -> Solution:
+          background=None, coarse_background=None, coarse_init: Optional[np.ndarray] = None,
+          keep_coarse: bool = False) -> Solution:
     """Minimize the problem of ``cfg`` on ``grid`` (or of ``background``, built for them).
 
     ``mode`` and ``model`` are labels: :func:`check_labels` raises
     ``ValueError`` when they disagree with the grid, the zero set or
     ``background``.  The variant is the zero set's; the threshold gate, the
-    handling of ``init`` (taken over, not copied) and of
+    handling of ``init`` (taken over, not copied), of
     ``coarse_background``, the problem's coarse level
-    (:func:`coarse_background`), are :func:`minimize`'s.
+    (:func:`coarse_background`), and of ``coarse_init`` and
+    ``keep_coarse`` are :func:`minimize`'s.
     """
     check_labels(mode, model, cfg, grid, background)
     bg = background if background is not None else build_background(cfg, grid, params)
@@ -518,4 +559,5 @@ def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams
     start = [init]
     del init
     return minimize(EnergyModel(bg, params), settings or SolverSettings(), init=start.pop(),
-                    coarse_bg=coarse_background)
+                    coarse_bg=coarse_background, coarse_init=coarse_init,
+                    keep_coarse=keep_coarse)

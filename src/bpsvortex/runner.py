@@ -217,8 +217,11 @@ def _evaluate(cfg: RunConfig, command: str, results: dict, timings: dict,
     ``_problem(cfg)`` when the caller has made it.  ``levels`` and
     ``start`` are called only when the solvers run.  ``levels()`` gives
     their backgrounds ``(bg, coarse_bg)``; without it they are built here,
-    the coarse one for ``compare`` only (``_backgrounds``).  ``start()``
-    makes Newton's initial state (a cold solve when ``start`` is ``None``).
+    the coarse one for ``compare`` only (``_backgrounds``).  A caller that
+    hands ``levels`` continues a sweep path: Newton then keeps its coarse
+    level (``Solution.coarse_modes``).  ``start()`` makes Newton's
+    predictors, the initial state and its coarse coefficients (a cold solve
+    when ``start`` is ``None``).
     Fills ``results`` and ``timings``; returns ``(exit_code, newton, bg,
     profile)``, where ``newton`` (Newton's solution) and ``bg`` are ``None``
     unless the solvers ran, and ``profile`` is the diagnostics' radial
@@ -236,9 +239,12 @@ def _evaluate(cfg: RunConfig, command: str, results: dict, timings: dict,
     t0 = time.perf_counter()
     settings = SolverSettings(tol_grad_sup=cfg.solver["tol"],
                               max_iters=cfg.solver["max_iters"])
+    # the predictors go on through a list that the call empties, so that
+    # this frame does not hold them (see ``solve``)
+    predictors = start() if start else [None, None]
     newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params, settings=settings,
-                       init=start() if start else None, background=bg,
-                       coarse_background=coarse_bg)
+                       init=predictors.pop(0), background=bg, coarse_background=coarse_bg,
+                       coarse_init=predictors.pop(), keep_coarse=levels is not None)
     timings["newton_s"] = time.perf_counter() - t0
     if newton_sol.coarse_s is not None:
         timings["newton_coarse_s"] = newton_sol.coarse_s
@@ -283,29 +289,35 @@ def _path_start(path, lam):
     """Where a row at ``lam`` starts: ``(start_row, secant_row, start)``.
 
     ``path`` lists the last two converged rows of the row's path as
-    ``(index, lambda, state)``, oldest first.  With none the row solves cold
+    ``(index, lambda, state, coarse)``, oldest first, ``coarse`` the row's
+    coefficients on the path's coarse level (``Solution.coarse_modes``,
+    ``None`` on a grid without one).  With none the row solves cold
     (``start`` is ``None``, and Newton starts from its coarse level); with
-    one, or two at equal lambda, it is a copy of the newest state s2.
-    Otherwise it is the secant s2 + r (s2 - s1) with
+    one, or two at equal lambda, ``start()`` gives copies of the newest
+    row's pair ``(state, coarse)``, the fine and the coarse predictor.
+    Otherwise it gives the secant p2 + r (p2 - p1) of both, with
     r = (lam - lambda2) / (lambda2 - lambda1) clamped to [-1, 1], so it
-    never extrapolates further than the last step; ``start`` builds it in
-    the older state's storage, which is spent then: it takes the older row
-    off ``path`` and keeps no reference to the start, which the solve then
-    holds alone.
+    never extrapolates further than the last step.  ``start`` builds it in
+    the older row's storage, which is spent then: it takes the older row
+    off ``path`` and keeps no reference to the predictors, which the
+    solve then holds alone.
     """
     if not path:
         return None, None, None
-    row2, lam2, s2 = path[-1]
+    row2, lam2, *newest = path[-1]
     if len(path) == 1 or path[0][1] == lam2:
-        return row2, None, s2.copy
-    row1, lam1, _ = path[0]
+        return row2, None, lambda: [None if p2 is None else p2.copy() for p2 in newest]
+    row1, lam1 = path[0][:2]
     r = min(1.0, max(-1.0, (lam - lam2) / (lam2 - lam1)))
 
     def secant():
-        s1 = path.pop(0)[2]
-        np.subtract(s1, s2, out=s1)
-        np.multiply(s1, -r, out=s1)
-        return np.add(s1, s2, out=s1)
+        _, _, *older = path.pop(0)
+        for p1, p2 in zip(older, newest):
+            if p1 is not None:
+                np.subtract(p1, p2, out=p1)
+                np.multiply(p1, -r, out=p1)
+                np.add(p1, p2, out=p1)
+        return older
 
     return row2, row1, secant
 
@@ -318,23 +330,29 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     solved row builds the background and that of the grid's coarse level,
     the later ones reuse both, and each row's Newton starts from the path's
     last converged rows (see ``_path_start``): cold, from a copy of the
-    newest, or from the secant through the last two.  A cold row solves
-    its coarse level first, from zero.  A warm row continues the path on
-    the coarse level when that level also resolves the row's core length
-    1/sqrt(lambda) (``grid.resolves``): its predictor, restricted to the
-    coarse grid, starts the coarse solve, and the prolonged solution
-    starts the fine one, which then takes about one Newton step.  Otherwise,
+    newest, or from the secant through the last two.  A path carries two
+    arrays per row, its state and its coefficients on the coarse level
+    (``Solution.coarse_modes``): the coarse solution, or the restriction of
+    the state for a row without one.  A cold row solves its coarse level
+    first, from zero.  A warm row continues the path on the coarse level
+    when that level also resolves the row's core length 1/sqrt(lambda)
+    (``grid.resolves``): the coarse predictor, built from the rows' coarse
+    arrays by the same copy or secant rule, starts the coarse solve, and
+    the fine one starts from the fine predictor plus the prolonged
+    difference of the coarse solution and the coarse predictor.  The
+    predictors carry the fine-minus-coarse defect from row to row, so the
+    fine level usually stops at its start, with no Newton step.  Otherwise,
     or when the coarse solve does not converge, the fine solve starts from
     the predictor (see :func:`~bpsvortex.newton.minimize`).
     A solved row records the newest as ``start_row`` and the older row of a
-    secant as ``secant_row`` (``None`` for a copy or cold start), and its
-    Newton's ``coarse`` block (``None`` for a row that did not go through a
-    coarse level), which the CSV leaves out.  A row that does not converge
-    seeds nothing, and the next row starts from a copy of the newest
-    converged row, since a secant start spends the older state's storage.
-    A change of any background input (``resolution``, ``n``, ``m``) starts
-    a new path with fresh backgrounds and a cold start.  Rows on one grid
-    share one grid object.
+    secant as ``secant_row`` (``None`` for a copy or cold start), its fine
+    Newton ``iterations``, and its Newton's ``coarse`` block (``None`` for a
+    row that did not go through a coarse level), which the CSV leaves out.
+    A row that does not converge seeds nothing, and the next row starts
+    from a copy of the newest converged row, since a secant start spends
+    the older row's storage.  A change of any background input
+    (``resolution``, ``n``, ``m``) starts a new path with fresh backgrounds
+    and a cold start.  Rows on one grid share one grid object.
     """
     rows = []
     worst_exit = EXIT_OK
@@ -370,8 +388,10 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
             row["start_row"] = start_row
             row["secant_row"] = secant_row
             row["coarse"] = point["newton"]["coarse"]
-            path = path[-1:] + ([(index, params.lam, sol.state)] if sol.converged else [])
+            path = path[-1:] + ([(index, params.lam, sol.state, sol.coarse_modes)]
+                                if sol.converged else [])
             row["converged"] = point["newton"]["converged"]
+            row["iterations"] = point["newton"]["iterations"]
             row["grad_sup_final"] = point["newton"]["grad_sup_final"]
             if "diagnostics" in point:
                 row["residual_sup"] = max(point["diagnostics"]["residual_sup"])

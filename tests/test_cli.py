@@ -29,14 +29,16 @@ def sweep_cells(path):
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
-def workload_sweep(factors):
+def workload_sweep(factors=None):
     """The torus-sweep workload's sweep (seed 1) at ``factors`` times its threshold lambda*.
 
-    Its sqrt(50) torus at 96^2 has the coarse level 48^2.
+    Its sqrt(50) torus at 96^2 has the coarse level 48^2.  Without
+    ``factors`` it is the workload's own configuration.
     """
     raw = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["sweep_config"](1)
-    lam_star = raw["sweep"]["values"][0] / 0.9
-    raw["sweep"]["values"] = [f * lam_star for f in factors]
+    if factors is not None:
+        lam_star = raw["sweep"]["values"][0] / 0.9
+        raw["sweep"]["values"] = [f * lam_star for f in factors]
     return validate_config(raw)
 
 
@@ -546,6 +548,7 @@ class TestSweepPoints:
                 expected["start_row"] = expected["secant_row"] = None
                 expected["coarse"] = res["newton"]["coarse"]
                 expected["converged"] = res["newton"]["converged"]
+                expected["iterations"] = res["newton"]["iterations"]
                 expected["grad_sup_final"] = res["newton"]["grad_sup_final"]
                 expected["residual_sup"] = max(res["diagnostics"]["residual_sup"])
             got = {key: row[key] for key in expected}
@@ -686,8 +689,8 @@ class TestSweepContinuation:
     def test_secant_step_is_clamped(self, tmp_path, monkeypatch):
         # on the torus-sweep workload's torus at [1.1, 1.2, 1.3, 10] lambda*,
         # the last row's secant ratio is 87.  Every warm row continues on the
-        # 48^2 coarse level: unclamped the sweep took 124 Hessian applies (113
-        # of them at 48^2), the copy start 72, the clamp (r = 1) 74
+        # 48^2 coarse level: unclamped the sweep took 120 Hessian applies (113
+        # of them at 48^2), the copy start 68, the clamp (r = 1) 70
         cfg = workload_sweep((1.1, 1.2, 1.3, 10.0))
         applies = count_hessian_applies(monkeypatch)
         counts, secant_rows = {}, {}
@@ -728,40 +731,45 @@ class TestSweepContinuation:
 
 
 class TestCoarsePath:
-    """A warm sweep row continues its path on the coarse level, then takes a fine step."""
+    """A warm sweep row continues its path on the coarse level and carries the fine correction."""
 
     FINE, COARSE = (96, 96), (48, 48)
 
     @classmethod
-    def record(cls, monkeypatch, fail_warm_coarse=False):
+    def record(cls, monkeypatch, fail_coarse=()):
         """One dict per Newton solve of the sweep, from its minimize calls.
 
-        ``init``: the fine start handed in (the path's predictor, or None);
-        ``coarse_init``: the coarse level's start (absent without a coarse
-        solve); ``coarse_modes``: the coarse solution's coefficients;
-        ``first``: the first fine state the energy is evaluated at;
-        ``state`` and ``iterations``: the fine solution.  With
-        ``fail_warm_coarse`` a coarse solve from a predictor fails.
+        ``init`` and ``predictor``: the fine and coarse predictors handed in
+        (None for a cold row); ``coarse_init``: the coarse level's start
+        (absent without a coarse solve); ``coarse_solution``: the coarse
+        solution's coefficients; ``first``: the first fine state the energy
+        is evaluated at; ``state``, ``modes``, ``iterations`` and
+        ``coarse_modes``: the fine solution.  The coarse solve of the
+        solves numbered in ``fail_coarse`` fails.
         """
         solves = []
         minimize, energy = newton.minimize, bv.EnergyModel.energy
 
-        def recorded(model, settings, init=None, coarse_bg=None):
+        def recorded(model, settings, init=None, **kwargs):
             fine = model.grid.shape == cls.FINE
             given = None if init is None else np.array(init)
             if fine:
-                solves.append({"init": given})
+                predictor = kwargs.get("coarse_init")
+                solves.append({"init": given,
+                               "predictor": None if predictor is None else predictor.copy()})
             else:
                 solves[-1]["coarse_init"] = given
-            if fail_warm_coarse and not fine and init is not None:
+            if not fine and len(solves) - 1 in fail_coarse:
                 sol = newton.Solution(np.full((2,) + cls.COARSE, np.nan), 3, [1.0], [0.0],
                                       False, "stalled")
             else:
-                sol = minimize(model, settings, init=init, coarse_bg=coarse_bg)
+                sol = minimize(model, settings, init=init, **kwargs)
             if fine:
-                solves[-1].update(state=sol.state.copy(), iterations=sol.iterations)
+                solves[-1].update(state=sol.state.copy(), modes=sol.modes.copy(),
+                                  iterations=sol.iterations,
+                                  coarse_modes=sol.coarse_modes.copy())
             elif sol.converged:
-                solves[-1]["coarse_modes"] = sol.modes.copy()
+                solves[-1]["coarse_solution"] = sol.modes.copy()
             return sol
 
         def first_energy(self, state, dirichlet):
@@ -773,10 +781,12 @@ class TestCoarsePath:
         monkeypatch.setattr(bv.EnergyModel, "energy", first_energy)
         return solves
 
-    @staticmethod
-    def restricted(predictor, grid, coarse):
-        return coarse.from_modes(grid.restrict(coarse, grid.to_modes(predictor),
-                                               coarse.empty_modes()))
+    @classmethod
+    def levels(cls, cfg):
+        grid = cfg.sweep_points[1][1].make_grid()
+        coarse = grid.coarsest(bv.backgrounds.core_scale(grid))
+        assert grid.shape == cls.FINE and coarse.shape == cls.COARSE
+        return grid, coarse
 
     @staticmethod
     def cold_state(cfg, row):
@@ -787,6 +797,16 @@ class TestCoarsePath:
         assert cold.converged
         return cold.state
 
+    def run_recorded(self, tmp_path, monkeypatch, factors, fail_coarse=()):
+        cfg = workload_sweep(factors)
+        solves = self.record(monkeypatch, fail_coarse)
+        code, report = run("sweep", cfg, out_dir=str(tmp_path))
+        monkeypatch.undo()
+        assert code == 0
+        rows = [row for row in report["results"]["rows"] if row["solvable"]]
+        assert len(rows) == len(solves)
+        return cfg, rows, solves
+
     def test_warm_rows_solve_their_coarse_level_from_the_path(self, tmp_path, monkeypatch):
         builds = []
         for module in (runner, newton):
@@ -795,63 +815,111 @@ class TestCoarsePath:
                 return _build(*args, **kwargs)
 
             monkeypatch.setattr(module, "build_background", counted)
-        cfg = workload_sweep((0.9, 1.1, 1.2, 1.3, 1.4))
-        solves = self.record(monkeypatch)
-        code, report = run("sweep", cfg, out_dir=str(tmp_path))
-        monkeypatch.undo()
-        assert code == 0
-        rows = report["results"]["rows"][1:]
+        cfg, rows, solves = self.run_recorded(tmp_path, monkeypatch, (0.9, 1.1, 1.2, 1.3, 1.4))
         assert [row["secant_row"] for row in rows] == [None, None, 1, 2]
         # the path builds each background once: the first solved row both
         assert sorted(builds) == [self.COARSE, self.FINE]
-        grid = cfg.sweep_points[1][1].make_grid()
-        coarse = grid.coarsest(bv.backgrounds.core_scale(grid))
-        assert coarse.shape == self.COARSE
-        for row, solve in zip(rows, solves):
+        grid, coarse = self.levels(cfg)
+        lams = {row["index"]: row["lambda"] for row in rows}
+        for k, (row, solve) in enumerate(zip(rows, solves)):
             assert row["converged"] and row["residual_sup"] <= 1e-8
             assert row["coarse"]["shape"] == list(self.COARSE) and row["coarse"]["converged"]
+            # the path carries the coarse solution itself
+            assert solve["coarse_modes"].tobytes() == solve["coarse_solution"].tobytes()
+            correction = solve["coarse_solution"]
             if row["start_row"] is None:
-                assert solve["init"] is None and solve["coarse_init"] is None
+                assert solve["init"] is None and solve["predictor"] is None
+                assert solve["coarse_init"] is None
+                base = 0.0
             else:
-                # the coarse solve starts from the path's predictor, restricted
+                # the coarse predictor follows the path rule on the rows'
+                # coarse solutions, and starts the coarse solve
+                newest = solves[k - 1]["coarse_solution"]
+                if row["secant_row"] is None:
+                    expected = newest
+                else:
+                    lam1, lam2 = lams[row["secant_row"]], lams[row["start_row"]]
+                    r = min(1.0, max(-1.0, (row["lambda"] - lam2) / (lam2 - lam1)))
+                    expected = (solves[k - 2]["coarse_solution"] - newest) * -r + newest
+                assert solve["predictor"].tobytes() == expected.tobytes()
                 assert solve["coarse_init"].tobytes() == \
-                    self.restricted(solve["init"], grid, coarse).tobytes()
-                assert solve["iterations"] == 1
-            # the fine solve starts from the prolonged coarse solution
-            start = grid.from_modes(grid.prolong(coarse, solve["coarse_modes"],
-                                                 grid.empty_modes()))
+                    coarse.from_modes(solve["predictor"]).tobytes()
+                correction = correction - solve["predictor"]
+                base = grid.to_modes(solve["init"])
+                # the fine level starts under tol and takes no step
+                assert row["coarse"]["grad_sup_start"] <= cfg.solver["tol"]
+                assert solve["iterations"] == row["iterations"] == 0
+            # the fine solve starts from the fine predictor plus the
+            # prolonged coarse correction
+            start = grid.from_modes(grid.prolong(coarse, correction, grid.empty_modes()) + base)
             assert solve["first"].tobytes() == start.tobytes()
             assert np.max(np.abs(solve["state"] - self.cold_state(cfg, row))) <= 1e-8
 
     def test_row_that_underresolves_its_core_stays_fine(self, tmp_path, monkeypatch):
         # at 12 lambda* the core length 1/sqrt(lambda) = 0.41 is under three
         # coarse spacings (0.44): the row continues on the fine level alone,
-        # from the predictor
-        cfg = workload_sweep((1.1, 1.2, 12.0))
-        solves = self.record(monkeypatch)
-        code, report = run("sweep", cfg, out_dir=str(tmp_path))
-        monkeypatch.undo()
-        assert code == 0
-        row, solve = report["results"]["rows"][-1], solves[-1]
-        coarse = bv.TorusGrid(math.sqrt(50.0), math.sqrt(50.0), *self.COARSE)
+        # from the predictor, and its path entry carries the restriction of
+        # its fine solution.  The row at 1.3 lambda* after it goes through
+        # the coarse level again and still ends at the cold solution
+        cfg, rows, solves = self.run_recorded(tmp_path, monkeypatch, (1.1, 1.2, 12.0, 1.3))
+        row, solve = rows[-2], solves[-2]
+        grid, coarse = self.levels(cfg)
         assert not coarse.resolves(1.0 / math.sqrt(row["lambda"]))
         assert row["converged"] and row["start_row"] == 1 and row["coarse"] is None
         assert "coarse_init" not in solve
         assert solve["first"].tobytes() == solve["init"].tobytes()
+        assert solve["coarse_modes"].tobytes() == \
+            grid.restrict(coarse, solve["modes"], coarse.empty_modes()).tobytes()
         assert np.max(np.abs(solve["state"] - self.cold_state(cfg, row))) <= 1e-8
+        last = rows[-1]
+        assert last["start_row"] == row["index"] and last["secant_row"] is not None
+        assert last["coarse"]["converged"]
+        assert last["converged"] and last["residual_sup"] <= 1e-8
+        assert np.max(np.abs(solves[-1]["state"] - self.cold_state(cfg, last))) <= 1e-8
 
     def test_failed_coarse_solve_falls_back_to_the_predictor(self, tmp_path, monkeypatch):
-        cfg = workload_sweep((1.1, 1.2, 1.3))
-        solves = self.record(monkeypatch, fail_warm_coarse=True)
+        # a row whose coarse solve fails starts the fine level from the
+        # predictor, and its path entry carries the restriction of its fine
+        # solution.  The last row, at 1.3 lambda*, ends at the cold solution
+        # whether its own coarse solve fails too or not
+        for fail_coarse in ((1, 2), (1,)):
+            cfg, rows, solves = self.run_recorded(tmp_path / f"fail{len(fail_coarse)}",
+                                                  monkeypatch, (1.1, 1.2, 1.3), fail_coarse)
+            grid, coarse = self.levels(cfg)
+            for k in fail_coarse:
+                row, solve = rows[k], solves[k]
+                assert row["converged"] and row["start_row"] is not None
+                assert row["coarse"] == {"shape": list(self.COARSE), "iterations": 3,
+                                         "converged": False,
+                                         "grad_sup_start": row["coarse"]["grad_sup_start"]}
+                assert solve["first"].tobytes() == solve["init"].tobytes()
+                assert solve["coarse_modes"].tobytes() == \
+                    grid.restrict(coarse, solve["modes"], coarse.empty_modes()).tobytes()
+            last = rows[-1]
+            assert last["start_row"] == rows[-2]["index"] and last["secant_row"] is not None
+            assert last["coarse"]["converged"] == (2 not in fail_coarse)
+            assert last["converged"] and last["residual_sup"] <= 1e-8
+            assert np.max(np.abs(solves[-1]["state"] - self.cold_state(cfg, last))) <= 1e-8
+
+    def test_warm_rows_take_no_fine_step_on_the_workload(self, tmp_path, monkeypatch):
+        # the torus-sweep workload (seed 1): a path that kept its rows'
+        # coarse solutions starts every warm row under tol.  The sweep took
+        # 109 Hessian applies, one of them at 96^2; starting the coarse
+        # solves from the restricted predictor it took 126, 18 at 96^2
+        cfg = workload_sweep()
+        applies = count_hessian_applies(monkeypatch)
         code, report = run("sweep", cfg, out_dir=str(tmp_path))
-        monkeypatch.undo()
         assert code == 0
-        for row, solve in zip(report["results"]["rows"][1:], solves[1:]):
-            assert row["converged"] and row["start_row"] is not None
-            assert row["coarse"] == {"shape": list(self.COARSE), "iterations": 3,
-                                     "converged": False,
-                                     "grad_sup_start": row["coarse"]["grad_sup_start"]}
-            assert solve["first"].tobytes() == solve["init"].tobytes()
+        rows = [row for row in report["results"]["rows"] if row["solvable"]]
+        assert len(rows) == 9 and rows[0]["start_row"] is None
+        for row in rows[1:]:
+            assert row["converged"] and row["iterations"] == 0
+            assert row["coarse"]["grad_sup_start"] <= cfg.solver["tol"]
+        assert applies[0] <= 115
+        cells = sweep_cells(tmp_path / "sweep.csv")
+        assert [cell["iterations"] for cell in cells] == [
+            "" if row.get("iterations") is None else str(row["iterations"])
+            for row in report["results"]["rows"]]
 
 
 class TestCliMain:

@@ -584,11 +584,11 @@ class TestCoarseStart:
         grid, params, vcfg, bg = self.compare_cell(1.0)
         minimize = newton.minimize
 
-        def failing_on_the_coarse_grid(model, settings, init=None, coarse_bg=None):
+        def failing_on_the_coarse_grid(model, settings, init=None, **kwargs):
             if model.grid != grid:
                 return newton.Solution(np.full((2,) + model.grid.shape, np.nan), 3, [1.0],
                                        [0.0], False, "stalled")
-            return minimize(model, settings, init=init, coarse_bg=coarse_bg)
+            return minimize(model, settings, init=init, **kwargs)
 
         monkeypatch.setattr(newton, "minimize", failing_on_the_coarse_grid)
         sol = bv.solve("torus", "base", vcfg, grid, params, background=bg)
@@ -733,15 +733,20 @@ class TestCarriedModes:
     def test_secant_sweep_row(self):
         # the start of a sweep row on a lambda path: the clamped secant
         # through the last two converged rows (runner._path_start)
+        # (the 32^2 grid has no coarse level, so the rows carry no coarse
+        # coefficients)
         grid, params, cfg, bg = two_vortex_torus(32)
         path = []
         for index, lam in enumerate((1.0, 1.2)):
-            sol = bv.solve("torus", "base", cfg, grid, bv.PhysicalParams(lam=lam), background=bg)
-            path.append((index, lam, sol.state))
+            sol = bv.solve("torus", "base", cfg, grid, bv.PhysicalParams(lam=lam), background=bg,
+                           keep_coarse=True)
+            assert sol.coarse_modes is None
+            path.append((index, lam, sol.state, sol.coarse_modes))
         lam = 1.4
         _, secant_row, start = runner._path_start(path, lam)
         assert secant_row == 0
-        init = start()
+        init, coarse_init = start()
+        assert coarse_init is None
         carried_modes_steps(grid, lambda settings: bv.solve(
             "torus", "base", cfg, grid, bv.PhysicalParams(lam=lam), settings,
             init=init.copy(), background=bg))
@@ -819,16 +824,57 @@ class TestUnheldStart:
         assert sol.converged and len(alive) >= 2
         assert not any(alive)
 
+    @pytest.mark.parametrize("mode", ["torus", "plane"])
+    @pytest.mark.parametrize("keep", [False, True], ids=["lone", "kept"])
+    def test_coarse_solution_is_freed_before_the_fine_level(self, monkeypatch, mode, keep):
+        # a lone solve hands nothing of its coarse level back: the coarse
+        # solution is dead by the fine level's first CG solve.  A solve
+        # that keeps its coarse level, a sweep row's, hands that solution
+        # back in Solution.coarse_modes
+        if mode == "torus":
+            grid, params, cfg, bg = two_vortex_torus(128)
+            params = bv.PhysicalParams(lam=10.0)
+        else:
+            grid, params = bv.PlaneGrid(4.0, 128), bv.PhysicalParams(lam=4.0)
+            cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
+            bg = bv.build_background(cfg, grid, params)
+        coarse_bg = newton.coarse_background(bg, params) if keep else None
+        refs, alive = [], []
+        minimize, pcg = newton.minimize, newton._pcg
+
+        def recorded(model, settings, **kwargs):
+            sol = minimize(model, settings, **kwargs)
+            if model.grid != grid:
+                refs.append(weakref.ref(sol.modes))
+            return sol
+
+        def spy(*args):
+            if refs:
+                alive.append(refs[0]() is not None)
+            return pcg(*args)
+
+        monkeypatch.setattr(newton, "minimize", recorded)
+        monkeypatch.setattr(newton, "_pcg", spy)
+        sol = bv.solve(mode, "base", cfg, grid, params, background=bg,
+                       coarse_background=coarse_bg, keep_coarse=keep)
+        assert sol.converged and sol.coarse["converged"] and len(refs) == 1
+        assert len(alive) == sol.iterations >= 1
+        assert alive == [keep] * len(alive)
+        assert (sol.coarse_modes is refs[0]()) if keep else sol.coarse_modes is None
+
     def test_secant_start_is_held_by_nobody(self):
         # the secant is built in the older row's storage, which leaves the
-        # path; neither the path nor the start callable keeps the start
-        shape = (2, 16, 16)
-        path = [(0, 1.0, np.full(shape, 1.0)), (1, 1.2, np.full(shape, 2.0))]
+        # path; neither the path nor the start callable keeps either
+        # predictor, the fine one or the coarse one
+        fine, coarse = (2, 16, 16), (2, 8, 5)
+        path = [(0, 1.0, np.full(fine, 1.0), np.full(coarse, 1.0 + 1.0j)),
+                (1, 1.2, np.full(fine, 2.0), np.full(coarse, 2.0 + 2.0j))]
         _, secant_row, start = runner._path_start(path, 1.4)
         assert secant_row == 0
-        state = start()
-        assert np.all(state == 3.0)  # clamped secant 2 + (2 - 1)
-        ref = weakref.ref(state)
-        del state
-        assert ref() is None
-        assert [row for row, _, _ in path] == [1]
+        state, coarse_state = start()
+        # clamped secant 2 + (2 - 1)
+        assert np.all(state == 3.0) and np.all(coarse_state == 3.0 + 3.0j)
+        refs = [weakref.ref(state), weakref.ref(coarse_state)]
+        del state, coarse_state
+        assert [ref() for ref in refs] == [None, None]
+        assert [row for row, *_ in path] == [1]
