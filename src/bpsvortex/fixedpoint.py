@@ -23,16 +23,15 @@ iterates (:func:`~bpsvortex.energy.constraint_shift`).
 ``continuation_solve`` iterates the map at ``t = 1`` with Anderson
 acceleration of depth ``ANDERSON_DEPTH`` (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) and a relaxation ``omega`` fixed in advance from a bound on the
-spectrum of the map's linearization.  It starts from the zero pair on the
-grid's coarsest resolving grid (``grid.coarsest``) and from that fixed
-point, prolonged, on the requested grid (from zero when there is no coarse
-level or the coarse iteration fails).  Acceleration and the coarse start
-change the path to a fixed point, not the fixed points, and no Newton solve
-enters, so the result stays independent of Newton.  A map application that
-overflows (``Overflow`` from a divergent iterate) ends the solve as
-non-convergence with a named message, as an overflowing initial state does
-in Newton, instead of raising.  The solver only passes ``t = 1``; other
-``t`` give the paper's homotopy from the trivial map at ``t = 0``.
+spectrum of the map's linearization, on each level of
+:func:`~bpsvortex.newton.solve_levels`, which states the level rule.
+Acceleration and the coarse level change the path to a fixed point, not the
+fixed points, and no Newton solve enters, so the result stays independent
+of Newton.  A map application that overflows (``Overflow`` from a divergent
+iterate) ends the solve as non-convergence with a named message, as an
+overflowing initial state does in Newton, instead of raising.  The solver
+only passes ``t = 1``; other ``t`` give the paper's homotopy from the
+trivial map at ``t = 0``.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .backgrounds import Background, PhysicalParams, check_existence
 from .energy import _checked_exp, constraint_shift
 from .errors import NonZeroMeanRhs, Overflow, ThresholdViolated
 from .grids import TorusGrid
-from .newton import Solution, coarse_start
+from .newton import Solution, solve_levels
 
 # tolerance on the relative sup residual |T(x) - x| / (1 + |x|): tight
 # enough that the two solvers agree far inside the 1e-6 of the cross-method
@@ -114,21 +113,19 @@ def apply_T(pair: np.ndarray, t: float, bg: Background, params: PhysicalParams,
 
 
 def continuation_solve(bg: Background, params: PhysicalParams,
-                       coarse_bg: Optional[Background] = None) -> Solution:
-    """Solve ``x = T(x, 1)`` by damped, windowed Anderson steps, coarse level first.
+                       levels: Optional[list] = None) -> Solution:
+    """Solve ``x = T(x, 1)`` by damped, windowed Anderson steps, level by level.
 
-    On the coarsest resolving grid the iteration runs from the zero pair;
-    its fixed point, prolonged, starts the iteration on ``bg.grid`` (the
-    zero pair does when there is no coarse level or it did not converge).
-    ``coarse_bg``, the background of that level
-    (:func:`~bpsvortex.newton.coarse_background`), saves building it.
-    The solve converges once the relative residual is at most
-    ``INNER_TOL``.  It gives up after ``MAX_APPLIES`` map applications, or
-    at the first application that raises ``Overflow`` (a divergent
-    iterate), and then reports the last iterate the map accepted.
-    ``iterations`` counts the map applications on ``bg.grid``, the
-    overflowing one included, and ``grad_history`` logs the relative
-    residual of each; ``coarse`` reports the coarse level.
+    The levels and the start of each are those of
+    :func:`~bpsvortex.newton.solve_levels`, whose background handle is
+    ``levels``; the iteration runs on the zero-mean pair, from the zero pair
+    or from the pair the coarse level gives.  A level converges once the
+    relative residual is at most ``INNER_TOL``.  It gives up after
+    ``MAX_APPLIES`` map applications, or at the first application that
+    raises ``Overflow`` (a divergent iterate), and then reports the last
+    iterate the map accepted.  ``iterations`` counts the map applications on
+    ``bg.grid``, the overflowing one included, and ``grad_history`` logs the
+    relative residual of each.
     """
     grid: TorusGrid = bg.grid
     report = check_existence(bg.cfg, grid, params)
@@ -145,22 +142,18 @@ def continuation_solve(bg: Background, params: PhysicalParams,
     k_min = 2.0 * math.pi / max(grid.Lx, grid.Ly)
     omega = 1.0 / (1.0 + 4.0 * params.lam / k_min ** 2)
 
-    def solve_coarse(coarse_bg):
-        pair, applies, _, message = _anderson(np.zeros((2,) + coarse_bg.grid.shape),
-                                              coarse_bg, params, omega)
-        coeffs = None if message else coarse_bg.grid.to_modes(pair)
-        return coeffs, applies, not message
+    def fixed_point(level_bg, start):
+        # the map iterates on the pair's fields, not on their coefficients
+        x = start[0]
+        start.clear()
+        if x is None:
+            x = np.zeros((2,) + level_bg.grid.shape)
+        pair, applies, residuals, message = _anderson(x, level_bg, params, omega)
+        return Solution(pair, applies, residuals, [], not message, message, omega=omega)
 
-    x, modes, coarse, coarse_s = coarse_start(bg, params, solve_coarse, "trials", coarse_bg)
-    del modes  # the map iterates on the pair's fields
-    if x is None:
-        x = np.zeros((2,) + grid.shape)
-    x, applies, residuals, message = _anderson(x, bg, params, omega)
-    if coarse is not None:
-        coarse["residual_start"] = residuals[0] if residuals else None
-    state = _recover_state(x, bg, params)
-    return Solution(state, applies, residuals, [], not message, message, omega=omega,
-                    coarse=coarse, coarse_s=coarse_s)
+    sol = solve_levels(bg, params, fixed_point, levels=levels)
+    sol.state = _recover_state(sol.state, bg, params)
+    return sol
 
 
 def _anderson(x: np.ndarray, bg: Background, params: PhysicalParams, omega: float):

@@ -34,33 +34,9 @@ too.  So does a coupling so large that the Newton system leaves the float
 range (``overflow in the Newton system: ...``): on the torus the gradient's
 squared norm overflows from about lambda = 1e150, on the plane the
 single-precision Hessian coefficients from about lambda = 1e38.
-A cold solve (no ``init``) starts from its coarsest resolving grid, nested
-iteration in the sense of mesh independence (Allgower, Boehmer, Potra &
-Rheinboldt, SIAM J. Numer. Anal. 23, 1986): the same problem is solved on
-``grid.coarsest(tau)`` at the domain's core scale tau, and its solution's
-coefficients, zero-padded onto the requested grid (``grid.prolong``), start
-the solve there, where the stopping rule is unchanged.  That start's state
-costs two inverse transforms; an ``init`` start costs one ``to_modes``.  A
-coarse solve that does not converge leaves the zero start.  An ``init``
-start, such as a sweep row's predictor, goes through the coarse level too
-when the caller hands over its background (:func:`coarse_background`) and
-a coarse predictor p_c (``coarse_init``, coefficients on that level's
-grid), and that level also resolves the core length 1/sqrt(lambda)
-(``grid.resolves``).  The coarse solve then starts from p_c, and the fine
-solve from init + prolong(s_c - p_c), s_c the coarse solution: the coarse
-correction of the tau-correction in FAS multigrid (Brandt, "Multi-level
-adaptive solutions to boundary-value problems", Math. Comp. 31, 1977).  A
-cold start is the case init = p_c = 0.
-A sweep path builds p_c from its rows' coarse solutions as it builds
-``init`` from their states, so that ``init`` - prolong(p_c) carries the
-fine-minus-coarse discretization defect along the path; on the torus-sweep
-workload the fine solve then starts under its tolerance and takes no step.
-Otherwise, or when the coarse solve does not converge, the fine solve
-starts from ``init``.  :attr:`Solution.coarse` reports the coarse level.
-With ``keep_coarse`` (a sweep row) the solve hands back the coefficients
-its path carries on the coarse level (:attr:`Solution.coarse_modes`): s_c,
-or the restriction of the fine solution where there is no s_c.  Without
-it the coarse solution is dropped before the fine level runs.
+A solve runs on the problem's levels, coarsest first, and :func:`minimize`
+solves each of them; :func:`solve_levels`, the level driver of both solvers,
+states the level rule.
 A torus solve first checks the existence threshold and refuses to iterate
 when it fails.  It then follows the paper's split u = c + w: the start and
 every accepted step are shifted by the constants that meet both integral
@@ -174,11 +150,10 @@ class Solution:
     # Newton only: one dict per Newton iteration (forcing term, CG and line
     # search work, fallback taken)
     newton_steps: Optional[list] = None
-    # the coarse level of a solve that went through one: the coarse grid's
-    # ``shape``, its solve's work (Newton ``iterations``, fixed-point
-    # ``trials``), ``converged``, and the sup gradient (``grad_sup_start``)
-    # or relative residual (``residual_start``) at the start it gave; None
-    # without a coarse level
+    # the coarse level of a solve that went through one (see solve_levels):
+    # the coarse grid's ``shape``, its solve's ``iterations`` and
+    # ``converged``, and ``fine_start``, the first ``grad_history`` entry of
+    # the fine level, at the start it gave; None without a coarse level
     coarse: Optional[dict] = None
     # wall time of the coarse level, kept apart from the deterministic block
     coarse_s: Optional[float] = None
@@ -187,9 +162,8 @@ class Solution:
     # slices, from its last gradient
     modes: Optional[np.ndarray] = None
     laplacians: Optional[np.ndarray] = None
-    # Newton with ``keep_coarse`` only: the coefficients on the coarse grid
-    # of ``coarse_bg`` that a continuation path carries, the coarse level's
-    # solution or, without one, the restriction of ``modes``
+    # with ``keep_coarse`` only: the coefficients on the coarse grid that a
+    # continuation path carries (see solve_levels)
     coarse_modes: Optional[np.ndarray] = None
 
 
@@ -262,87 +236,134 @@ def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
     return max(eta, CG_TOL), last_step
 
 
-def coarse_background(bg: Background, params: PhysicalParams) -> Optional[Background]:
-    """``bg``'s problem on its coarse level, or ``None`` when its grid has none.
+def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
+                 init: Optional[np.ndarray] = None, levels: Optional[list] = None,
+                 coarse_init: Optional[np.ndarray] = None, keep_coarse: bool = False) -> Solution:
+    """Solve ``bg``'s problem on its levels, coarsest first: the level rule of both solvers.
 
-    The coarse level is ``bg.grid.coarsest`` at the domain's core scale
-    (:func:`~bpsvortex.backgrounds.core_scale`), the same on every level, so
-    both grids split the sources alike; by construction it has no coarser
-    level of its own.  A caller that solves one problem more than once (a
-    sweep path, ``compare``'s two solvers) builds it once and hands it to
-    each solve.
-    """
-    coarse = bg.grid.coarsest(backgrounds.core_scale(bg.grid))
-    return None if coarse is None else build_background(bg.cfg, coarse, params)
+    The levels are ``[coarsest, bg.grid]``, or ``bg.grid`` alone where there
+    is no coarsest.  The coarsest is ``bg.grid.coarsest(tau)``, the coarsest
+    grid of the halving chain that resolves sqrt(tau), at the domain's core
+    scale tau (:func:`~bpsvortex.backgrounds.core_scale`), the same on every
+    level, so that all levels split the sources alike.  This is nested
+    iteration in the sense of mesh independence (Allgower, Boehmer, Potra &
+    Rheinboldt, SIAM J. Numer. Anal. 23, 1986): the coarse solution's
+    coefficients, zero-padded onto ``bg.grid`` (``grid.prolong``, no
+    transform), start the fine level, whose stopping rule is unchanged.
 
+    ``solve_level(level_bg, start)`` solves the problem of the background
+    ``level_bg`` on its grid alone and returns its :class:`Solution`.
+    ``start`` is a list ``[state, modes]``, the start and its mode
+    coefficients (``grid.to_modes``; ``None`` when the solver is to compute
+    them), or ``[None, None]`` for the solver's zero start.  The call empties
+    it, so that no frame above the level's solver holds the start while it
+    runs.  A level's coefficients are its solution's ``modes``, or without
+    them those of its state.
 
-def coarse_start(bg: Background, params: PhysicalParams, solve_coarse: Callable, work: str,
-                 coarse_bg: Optional[Background] = None, base: Optional[np.ndarray] = None):
-    """A solve's start from its coarse level: ``(start, modes, block, seconds)``.
+    A cold solve (no ``init``) starts its coarse level from zero.  A warm
+    one, from ``init`` (taken over, not copied; its coefficients cost one
+    ``to_modes``), goes through the coarse level only with ``coarse_init``,
+    the coarse predictor p_c (coefficients on the coarse grid, read only),
+    and only where the coarse grid also resolves the core length
+    1/sqrt(lambda) (``grid.resolves``); the coarse level starts from p_c.
+    The fine level then starts from init + prolong(s_c - p_c), s_c the
+    coarse solution, at two inverse transforms: the coarse correction of the
+    tau-correction in FAS multigrid (Brandt, "Multi-level adaptive solutions
+    to boundary-value problems", Math. Comp. 31, 1977), with init = p_c = 0
+    when cold.  Without a coarse solve, or when it does not converge, the
+    fine level starts from ``init`` (the zero start when cold).  A sweep
+    path builds p_c from its rows' coarse coefficients as it builds ``init``
+    from their states, so that init - prolong(p_c) carries the
+    fine-minus-coarse discretization defect along the path; on the
+    torus-sweep workload a warm row's fine level then starts under its
+    tolerance and takes no step.
 
-    The coarse level is ``coarse_bg`` or, without it, the one
-    :func:`coarse_background` builds, which does not outlive the call.
-    ``solve_coarse(coarse_background)`` solves it and returns
-    ``(coeffs, count, converged)``, ``coeffs`` mode coefficients of a pair
-    on the coarse grid (``grid.to_modes``).  When it converged, ``modes``
-    are those coefficients prolonged onto ``bg.grid`` (zero-padded, with no
-    transform) plus ``base``, coefficients on ``bg.grid`` (zero without
-    it), and ``start`` is their pair, at two inverse transforms; else both
-    are ``None``.  ``block`` holds the coarse grid's ``shape``, the count
-    under the name ``work`` and ``converged``, and ``seconds`` the wall
-    time.  All four are ``None`` without a coarse level.
+    ``levels`` is the background handle: a list in which a caller that
+    solves one problem more than once (a sweep path, ``compare``'s two
+    solvers) keeps the coarse level's background.  The first solve that
+    needs it builds it there and later ones reuse it.  A coarse predictor
+    comes with its level: ``coarse_init`` without a filled handle raises
+    ``ValueError``.  Without a handle the coarse background is built for the
+    call and freed when the coarse solve returns, so that the prolongation
+    and the fine level take its place on the heap (one that outlived the
+    coarse level cost plane-solve 1.1-1.9 MB of peak RSS).  The fine start
+    and its coefficients are allocated before the coarse solve for the same
+    reason: they sit below the coarse level's short-lived arrays, and the
+    fine level reuses their space (a start made after them cost plane-solve
+    1.1 MB).
+
+    Returns the fine level's solution, with the coarse level's block in
+    :attr:`Solution.coarse` and its wall time in :attr:`Solution.coarse_s`
+    (``None`` without a coarse solve).  With ``keep_coarse`` (a sweep row),
+    :attr:`Solution.coarse_modes` holds the coefficients the path carries on
+    the coarse grid: s_c itself, held through the fine level, or without it
+    the restriction of the fine solution's ``modes``.  Without it s_c is
+    dropped before the fine level runs.
     """
     grid = bg.grid
-    coarse = (grid.coarsest(backgrounds.core_scale(grid)) if coarse_bg is None
-              else coarse_bg.grid)
-    if coarse is None:
-        return None, None, None, None
-    t0 = time.perf_counter()
-    # made first, the start and its coefficients sit below the coarse
-    # level's short-lived arrays on the heap, and the fine solve reuses
-    # their space (a start made after them cost plane-solve 1.1 MB of peak
-    # RSS)
-    start, modes = np.empty((2,) + grid.shape), grid.empty_modes()
-    # a background built here is freed when the coarse solve returns, so
-    # that the prolongation's temporaries can take its place on the heap
-    coeffs, count, converged = solve_coarse(
-        build_background(bg.cfg, coarse, params) if coarse_bg is None else coarse_bg)
-    if converged:
-        grid.prolong(coarse, coeffs, modes)
-        if base is not None:
-            modes += base
-        grid.from_modes(modes, out=start)
-    else:
-        start = modes = None
-    block = {"shape": list(coarse.shape), work: count, "converged": converged}
-    return start, modes, block, time.perf_counter() - t0
+    if coarse_init is not None and not levels:
+        raise ValueError("coarse_init needs its level: pass the levels handle that the "
+                         "solve of its coarse coefficients filled")
+    coarse = levels[0].grid if levels else grid.coarsest(backgrounds.core_scale(grid))
+    base = None if init is None else grid.to_modes(init)
+    block = seconds = kept = start = modes = None
+    if coarse is not None and (init is None or coarse_init is not None
+                               and coarse.resolves(1.0 / math.sqrt(params.lam))):
+        t0 = time.perf_counter()
+        # a background the handle keeps outlives the solve, so it goes
+        # below the start on the heap; one built for the call alone goes
+        # above it and is freed when the coarse solve returns
+        if levels is not None and not levels:
+            levels.append(build_background(bg.cfg, coarse, params))
+        start, modes = np.empty((2,) + grid.shape), grid.empty_modes()
+        sol = solve_level(levels[0] if levels else build_background(bg.cfg, coarse, params),
+                          [None if init is None else coarse.from_modes(coarse_init), None])
+        block = {"shape": list(coarse.shape), "iterations": sol.iterations,
+                 "converged": sol.converged}
+        if sol.converged:
+            coeffs = coarse.to_modes(sol.state) if sol.modes is None else sol.modes
+            kept = coeffs if keep_coarse else None
+            correction = coeffs if init is None else np.subtract(coeffs, coarse_init)
+            del sol, coeffs
+            grid.prolong(coarse, correction, modes)
+            if base is not None:
+                modes += base
+            grid.from_modes(modes, out=start)
+            del correction
+        else:
+            del sol
+            start = modes = None
+        seconds = time.perf_counter() - t0
+    fine_start = [init, base] if start is None else [start, modes]
+    init = base = start = modes = None
+    if not keep_coarse:
+        # a coarse grid that no background holds takes its cached bases
+        # along when it goes
+        coarse = None
+    sol = solve_level(bg, fine_start)
+    if block is not None:
+        block["fine_start"] = sol.grad_history[0] if sol.grad_history else None
+    if coarse is not None:
+        sol.coarse_modes = (kept if kept is not None
+                            else grid.restrict(coarse, sol.modes, coarse.empty_modes()))
+    sol.coarse, sol.coarse_s = block, seconds
+    return sol
 
 
 def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.ndarray] = None,
-             coarse_bg: Optional[Background] = None, coarse_init: Optional[np.ndarray] = None,
-             keep_coarse: bool = False) -> Solution:
-    """Damped Newton descent on the energy of ``model``'s background.
+             modes: Optional[np.ndarray] = None) -> Solution:
+    """Damped Newton descent on the energy of ``model``'s background, on its grid alone.
 
     A torus problem is first gated by its existence threshold.  There the
     start and every accepted step are shifted onto both integral constraints
     (:func:`constraint_shift`), at the masses of the energy evaluation that
-    accepted them.  Without ``init`` the start is the prolonged solution on
-    the coarsest resolving grid (zero when there is none or it does not
-    converge), whose mode coefficients come with it; ``coarse_bg``, the
-    background of that level (:func:`coarse_background`), saves building it.
-    A float ``init`` is taken over, not copied, and its coefficients cost
-    one ``to_modes``.  With a ``coarse_bg`` whose grid also resolves the
-    core length 1/sqrt(lambda), a warm start also needs ``coarse_init``,
-    the coarse predictor (coefficients on ``coarse_bg.grid``, read only):
-    the coarse solve starts from it, and the fine one from ``init`` plus
-    the prolonged difference of the coarse solution and that predictor
-    (module docstring); else, or when the coarse solve does not converge,
-    ``init`` is the first iterate, and on the torus the shift moves it in
-    place.  ``keep_coarse`` fills :attr:`Solution.coarse_modes`
-    on ``coarse_bg.grid``: the coarse solution, held through the fine solve,
-    or the restriction of the returned ``modes``.  The plane never
-    writes into its states, which vanish on the Dirichlet ring; an ``init``
-    that does not is copied with the ring set to zero.  Every iterate's
+    accepted them.  The start is ``init`` with its mode coefficients
+    ``modes``, which cost one ``to_modes`` when not given, or without
+    ``init`` the zero state.  A float ``init`` and its ``modes`` are taken
+    over, not copied, and on the torus the shift moves both in place.  The
+    plane never writes into its states, which vanish on the Dirichlet ring;
+    an ``init`` that does not is copied with the ring set to zero (its
+    coefficients, those of the interior, stay as they are).  Every iterate's
     coefficients are carried beside it, updated by the same linear steps,
     and returned in :attr:`Solution.modes`.
     """
@@ -352,60 +373,28 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
         report = check_existence(bg.cfg, grid, params)
         if not report.solvable:
             raise ThresholdViolated(report)
-    coarse = coarse_s = state = modes = kept = None
-    coarse_grid = None if coarse_bg is None else coarse_bg.grid
-    if init is not None:
+    if init is None:
+        state, modes = model.zero_state(), grid.empty_modes()
+        modes.fill(0.0)
+    else:
         state = np.asarray(init, dtype=float)
         if not torus and (state[:, [0, -1]].any() or state[:, :, [0, -1]].any()):
             state = grid.zero_boundary(state.copy())
-        modes = grid.to_modes(state)
-        if (coarse_bg is None or coarse_init is None
-                or not coarse_grid.resolves(1.0 / math.sqrt(params.lam))):
-            coarse_bg = None
+        if modes is None:
+            modes = grid.to_modes(state)
     # drop this frame's second reference to the start, so that the first
     # step frees a start that no caller holds
     init = None
-    if state is None or coarse_bg is not None:
-        def solve_coarse(level_bg):
-            # the coarse predictor p_c: zero for a cold start, else
-            # coarse_init.  The coarse solve starts from its pair, held by
-            # no name here (see init above)
-            nonlocal kept
-            level = level_bg.grid
-            predictor = None if modes is None else coarse_init
-            sol = minimize(EnergyModel(level_bg, params), settings, init=None if predictor is None
-                           else level.from_modes(predictor))
-            if not sol.converged:
-                return None, sol.iterations, False
-            if keep_coarse:
-                kept = sol.modes
-            correction = sol.modes if predictor is None else np.subtract(sol.modes, predictor)
-            return correction, sol.iterations, True
-
-        start, start_modes, coarse, coarse_s = coarse_start(bg, params, solve_coarse,
-                                                            "iterations", coarse_bg, modes)
-        if start is not None:
-            state, modes = start, start_modes
-        elif state is None:
-            state, modes = model.zero_state(), grid.empty_modes()
-            modes.fill(0.0)
-        del start, start_modes
     inner = grid.modal_inner
     grad_history: List[float] = []
     energy_history: List[float] = []
     steps: List[dict] = []
 
     def finish(iterations, converged, message="", laplacians=None):
-        if coarse is not None:
-            coarse["grad_sup_start"] = grad_history[0] if grad_history else None
-        coarse_modes = kept
-        if keep_coarse and kept is None and coarse_grid is not None:
-            coarse_modes = grid.restrict(coarse_grid, modes, coarse_grid.empty_modes())
         # a step that fails after dropping its state returns it from its modes
         final = grid.from_modes(modes) if state is None else state
         return Solution(final, iterations, grad_history, energy_history, converged,
-                        message, newton_steps=steps, coarse=coarse, coarse_s=coarse_s,
-                        modes=modes, laplacians=laplacians, coarse_modes=coarse_modes)
+                        message, newton_steps=steps, modes=modes, laplacians=laplacians)
 
     def settle(breakdown) -> float:
         """The energy of ``state`` once the torus shift has moved it (and its modes)."""
@@ -539,25 +528,24 @@ def minimize(model: EnergyModel, settings: SolverSettings, init: Optional[np.nda
 
 def solve(mode: str, model: str, cfg: VortexConfig, grid, params: PhysicalParams,
           settings: Optional[SolverSettings] = None, init: Optional[np.ndarray] = None,
-          background=None, coarse_background=None, coarse_init: Optional[np.ndarray] = None,
-          keep_coarse: bool = False) -> Solution:
+          background=None, levels: Optional[list] = None,
+          coarse_init: Optional[np.ndarray] = None, keep_coarse: bool = False) -> Solution:
     """Minimize the problem of ``cfg`` on ``grid`` (or of ``background``, built for them).
 
     ``mode`` and ``model`` are labels: :func:`check_labels` raises
     ``ValueError`` when they disagree with the grid, the zero set or
-    ``background``.  The variant is the zero set's; the threshold gate, the
-    handling of ``init`` (taken over, not copied), of
-    ``coarse_background``, the problem's coarse level
-    (:func:`coarse_background`), and of ``coarse_init`` and
-    ``keep_coarse`` are :func:`minimize`'s.
+    ``background``.  The variant is the zero set's.  :func:`minimize` solves
+    each level of :func:`solve_levels`, which takes ``init`` (taken over, not
+    copied), ``levels``, ``coarse_init`` and ``keep_coarse``.
     """
     check_labels(mode, model, cfg, grid, background)
     bg = background if background is not None else build_background(cfg, grid, params)
+    settings = settings or SolverSettings()
     # the start goes on through a list that the call empties, so that this
     # frame does not hold it: minimize frees a start that no caller holds
     # before its first CG solve
     start = [init]
     del init
-    return minimize(EnergyModel(bg, params), settings or SolverSettings(), init=start.pop(),
-                    coarse_bg=coarse_background, coarse_init=coarse_init,
-                    keep_coarse=keep_coarse)
+    return solve_levels(bg, params, lambda level_bg, begin: minimize(
+        EnergyModel(level_bg, params), settings, init=begin.pop(0), modes=begin.pop()),
+        init=start.pop(), levels=levels, coarse_init=coarse_init, keep_coarse=keep_coarse)

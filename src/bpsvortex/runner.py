@@ -33,8 +33,9 @@ configuration; a ``sweep`` row calls it with its action (``check`` or
 ``solve``) on its point configuration (``RunConfig.sweep_points``), where a
 ``solve`` may reuse the backgrounds and start from the states of earlier
 rows (see ``_run_sweep``), and reads the row from the results.  ``compare``
-builds the coarse level's background once and hands it to both solvers; a
-lone ``solve`` leaves it to Newton, where it ends with the coarse level.
+hands both solvers one background handle, so that its coarse level is built
+once; a lone ``solve`` hands none, and its coarse background ends with the
+coarse level (:func:`~bpsvortex.newton.solve_levels`).
 
 Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings``
@@ -79,7 +80,7 @@ from .diagnostics import (build_diagnostics, profile_window, radial_profile,
 from .errors import ValidationError
 from .fixedpoint import continuation_solve
 from .grids import PlaneGrid
-from .newton import SolverSettings, Solution, coarse_background, solve
+from .newton import SolverSettings, Solution, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -99,6 +100,14 @@ def _threshold_dict(vcfg, grid, params) -> dict:
             **dict(zip(keys, report.constraints))}
 
 
+def _coarse_summary(block: Optional[dict], work: str, start: str) -> Optional[dict]:
+    # the level driver's coarse block under the solver's own names
+    if block is None:
+        return None
+    return {"shape": block["shape"], work: block["iterations"],
+            "converged": block["converged"], start: block["fine_start"]}
+
+
 def _newton_summary(sol: Solution) -> dict:
     return {
         "converged": sol.converged,
@@ -107,7 +116,7 @@ def _newton_summary(sol: Solution) -> dict:
         "energy_final": sol.energy_history[-1] if sol.energy_history else None,
         "message": sol.message,
         "steps": sol.newton_steps,
-        "coarse": sol.coarse,
+        "coarse": _coarse_summary(sol.coarse, "iterations", "grad_sup_start"),
     }
 
 
@@ -120,7 +129,7 @@ def _fixedpoint_summary(sol: Solution) -> dict:
         "residual_final": sol.grad_history[-1] if sol.grad_history else None,
         "omega": sol.omega,
         "message": sol.message,
-        "coarse": sol.coarse,
+        "coarse": _coarse_summary(sol.coarse, "trials", "residual_start"),
     }
 
 
@@ -197,44 +206,38 @@ def _problem(cfg: RunConfig):
     return cfg.make_vortex_config(), cfg.make_grid(), cfg.make_params()
 
 
-def _backgrounds(problem, coarse: bool):
-    """``(bg, coarse_bg)``: the background of ``problem`` and, with ``coarse``, its coarse level's.
-
-    ``coarse_bg`` is ``None`` without ``coarse`` or without a coarse level
-    (:func:`~bpsvortex.newton.coarse_background`).
-    """
-    vcfg, grid, params = problem
-    bg = build_background(vcfg, grid, params)
-    return bg, coarse_background(bg, params) if coarse else None
-
-
 def _evaluate(cfg: RunConfig, command: str, results: dict, timings: dict,
-              fit_decay: bool = True, problem=None, levels=None, start=None):
+              fit_decay: bool = True, problem=None, background=None, levels=None, start=None):
     """Threshold gate, the solvers of ``command`` and the diagnostics of Newton's state.
 
     ``command`` is ``"check"`` (threshold only), ``"solve"`` (Newton) or
     ``"compare"`` (Newton, then the fixed point).  ``problem`` is
-    ``_problem(cfg)`` when the caller has made it.  ``levels`` and
-    ``start`` are called only when the solvers run.  ``levels()`` gives
-    their backgrounds ``(bg, coarse_bg)``; without it they are built here,
-    the coarse one for ``compare`` only (``_backgrounds``).  A caller that
-    hands ``levels`` continues a sweep path: Newton then keeps its coarse
-    level (``Solution.coarse_modes``).  ``start()`` makes Newton's
-    predictors, the initial state and its coarse coefficients (a cold solve
-    when ``start`` is ``None``).
+    ``_problem(cfg)`` when the caller has made it, and ``background`` its
+    background, built here when the solvers run without it.  A caller that
+    hands ``levels``, the background handle of
+    :func:`~bpsvortex.newton.solve_levels`, continues a sweep path: Newton
+    then keeps its coarse level (``Solution.coarse_modes``).  ``compare``
+    makes one for its two solvers.  ``start`` is called only when the
+    solvers run; ``start()`` makes Newton's predictors, the initial state
+    and its coarse coefficients (a cold solve when ``start`` is ``None``).
     Fills ``results`` and ``timings``; returns ``(exit_code, newton, bg,
     profile)``, where ``newton`` (Newton's solution) and ``bg`` are ``None``
     unless the solvers ran, and ``profile`` is the diagnostics' radial
     profile (``DiagnosticsReport.profile``) or ``None``.
     """
-    vcfg, grid, params = problem = problem or _problem(cfg)
+    vcfg, grid, params = problem or _problem(cfg)
     threshold = results["threshold"] = _threshold_dict(vcfg, grid, params)
     if not threshold["solvable"]:
         return EXIT_THRESHOLD, None, None, None
     if command == "check":
         return EXIT_OK, None, None, None
 
-    bg, coarse_bg = levels() if levels else _backgrounds(problem, command == "compare")
+    bg = background if background is not None else build_background(vcfg, grid, params)
+    # a sweep path's handle keeps its rows' coarse coefficients; compare's
+    # shares the coarse level between its two solvers
+    keep_coarse = levels is not None
+    if command == "compare":
+        levels = []
     exit_code = EXIT_OK
     t0 = time.perf_counter()
     settings = SolverSettings(tol_grad_sup=cfg.solver["tol"],
@@ -243,8 +246,8 @@ def _evaluate(cfg: RunConfig, command: str, results: dict, timings: dict,
     # this frame does not hold them (see ``solve``)
     predictors = start() if start else [None, None]
     newton_sol = solve(cfg.mode, cfg.model, vcfg, grid, params, settings=settings,
-                       init=predictors.pop(0), background=bg, coarse_background=coarse_bg,
-                       coarse_init=predictors.pop(), keep_coarse=levels is not None)
+                       init=predictors.pop(0), background=bg, levels=levels,
+                       coarse_init=predictors.pop(), keep_coarse=keep_coarse)
     timings["newton_s"] = time.perf_counter() - t0
     if newton_sol.coarse_s is not None:
         timings["newton_coarse_s"] = newton_sol.coarse_s
@@ -258,7 +261,7 @@ def _evaluate(cfg: RunConfig, command: str, results: dict, timings: dict,
         exit_code = EXIT_NOT_CONVERGED
     if command == "compare":
         t0 = time.perf_counter()
-        fixed_sol = continuation_solve(bg, params, coarse_bg)
+        fixed_sol = continuation_solve(bg, params, levels)
         timings["fixedpoint_s"] = time.perf_counter() - t0
         if fixed_sol.coarse_s is not None:
             timings["fixedpoint_coarse_s"] = fixed_sol.coarse_s
@@ -327,23 +330,15 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
 
     Consecutive rows whose backgrounds have equal inputs (zero sets and
     grid), as in a lambda sweep, form one continuation path: the first
-    solved row builds the background and that of the grid's coarse level,
-    the later ones reuse both, and each row's Newton starts from the path's
-    last converged rows (see ``_path_start``): cold, from a copy of the
-    newest, or from the secant through the last two.  A path carries two
-    arrays per row, its state and its coefficients on the coarse level
-    (``Solution.coarse_modes``): the coarse solution, or the restriction of
-    the state for a row without one.  A cold row solves its coarse level
-    first, from zero.  A warm row continues the path on the coarse level
-    when that level also resolves the row's core length 1/sqrt(lambda)
-    (``grid.resolves``): the coarse predictor, built from the rows' coarse
-    arrays by the same copy or secant rule, starts the coarse solve, and
-    the fine one starts from the fine predictor plus the prolonged
-    difference of the coarse solution and the coarse predictor.  The
-    predictors carry the fine-minus-coarse defect from row to row, so the
-    fine level usually stops at its start, with no Newton step.  Otherwise,
-    or when the coarse solve does not converge, the fine solve starts from
-    the predictor (see :func:`~bpsvortex.newton.minimize`).
+    solved row builds the background, and the path keeps it and a
+    background handle for its coarse level (built once too), and each row's
+    Newton starts from the path's last converged rows (see ``_path_start``):
+    cold, from a copy of the newest, or from the secant through the last
+    two.  A path carries two arrays per row, its state and its coefficients
+    on the coarse level (``Solution.coarse_modes``), from which the same
+    rule builds the fine and the coarse predictor; how a row goes through
+    the coarse level is the level rule of
+    :func:`~bpsvortex.newton.solve_levels`.
     A solved row records the newest as ``start_row`` and the older row of a
     secant as ``secant_row`` (``None`` for a copy or cold start), its fine
     Newton ``iterations``, and its Newton's ``coarse`` block (``None`` for a
@@ -356,7 +351,7 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     """
     rows = []
     worst_exit = EXIT_OK
-    grid_inputs = grid = path_key = path_levels = None
+    grid_inputs = grid = path_key = path_bg = path_levels = None
     path = []
     for index, (assignment, pcfg) in enumerate(cfg.sweep_points):
         if (pcfg.mode, pcfg.domain, pcfg.grid) != grid_inputs:
@@ -365,20 +360,14 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
         problem = (vcfg, grid, params)
         key = (vcfg, grid)
         if key != path_key:
-            path_key, path_levels, path = key, None, []
+            path_key, path_bg, path_levels, path = key, None, [], []
         start_row, secant_row, start = _path_start(path, params.lam)
-
-        def levels(problem=problem):
-            # the path's backgrounds, fine and coarse: its first solved row
-            # builds both
-            nonlocal path_levels
-            path_levels = path_levels or _backgrounds(problem, coarse=True)
-            return path_levels
-
         point: dict = {}
-        exit_code, sol, _, _ = _evaluate(pcfg, cfg.sweep["action"], point, {},
-                                         fit_decay=False, problem=problem, levels=levels,
-                                         start=start)
+        exit_code, sol, bg, _ = _evaluate(pcfg, cfg.sweep["action"], point, {},
+                                          fit_decay=False, problem=problem, background=path_bg,
+                                          levels=path_levels, start=start)
+        if bg is not None:
+            path_bg = bg
         row = {"index": index, **assignment,
                "solvable": point["threshold"]["solvable"],
                "margin": point["threshold"]["margin"],

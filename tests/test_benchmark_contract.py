@@ -24,13 +24,16 @@ COMPARE = {
     "domain": {"Lx": L20, "Ly": L20}, "grid": {"nx": 32},
     "phi_zeros": [[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]],
 }
-SWEEP = dict(COMPARE, model="extended", kappa_zeros=[[0.5 * L20, 0.2 * L20]],
+# the 96^2 sweep and the plane have a coarse level (48^2 and 113^2), the
+# 32^2 compare has none
+SWEEP = dict(COMPARE, model="extended", grid={"nx": 96},
+             kappa_zeros=[[0.5 * L20, 0.2 * L20]],
              sweep={"param": "lambda", "values": [0.5, 1.5, 2.5], "action": "solve"})
 # a small plane-solve: Newton in the sine eigenbasis, decay fit, field dump
 # and radial profile
 PLANE = {
     "mode": "plane", "model": "base", "lambda": 4.0,
-    "domain": {"R": 8.0}, "grid": {"n": 96},
+    "domain": {"R": 8.0}, "grid": {"n": 225},
     "phi_zeros": [[0.5, 0.0], [-0.5, 0.3]],
     "output": {"fields_path": "fields", "plots_path": "profile.csv"},
 }
@@ -38,8 +41,8 @@ RUNS = (("compare", COMPARE, "compare"), ("plane", PLANE, "solve"), ("sweep", SW
 
 # Instruments the package as `perfbench/run.py --trace 1` does, runs every
 # command through cli.main, and prints the exit codes, the span names and
-# `fixedpoint.apply_T` span count of each run and the library-side gates of
-# the sweep workload (the last run).
+# the `fixedpoint.apply_T` and `backgrounds.build` span counts of each run
+# and the library-side gates of the sweep workload (the last run).
 TRACED = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -48,15 +51,16 @@ from bpsvortex import cli
 
 tracer = tracing.Tracer()
 tracing.instrument(tracer)
-codes, spans, applies = [], [], []
+codes, spans, applies, builds = [], [], [], []
 for cfg, command, out in zip(sys.argv[2::3], sys.argv[3::3], sys.argv[4::3]):
     start = len(tracer.spans)
     codes.append(cli.main(["--config", cfg, "--command", command, "--out", out]))
     spans.append(sorted({s["name"] for s in tracer.spans[start:]}))
     applies.append(sum(s["name"] == "fixedpoint.apply_T" for s in tracer.spans[start:]))
+    builds.append(sum(s["name"] == "backgrounds.build" for s in tracer.spans[start:]))
 with open(sys.argv[-1] + "/report.json") as fh:
     failures = workloads.check_sweep_rows(json.load(fh))
-print(json.dumps({"codes": codes, "spans": spans, "applies": applies,
+print(json.dumps({"codes": codes, "spans": spans, "applies": applies, "builds": builds,
                   "failures": failures}))
 """
 
@@ -93,6 +97,11 @@ def test_traced_cli_runs_match_untraced(tmp_path):
     assert {"runner.dump_fields", "runner.emit_plot_data",
             "diagnostics.decay_fit"} | cg <= spans["plane"]
     assert traced["failures"] == []
+    # every background a run builds, the coarse levels' included, goes
+    # through a name perfbench rebinds (backgrounds.build_calls): each run
+    # builds its fine background and the plane and the sweep path their
+    # coarse one, once each
+    assert traced["builds"] == [1, 2, 2]
     # perfbench's fixedpoint.apply_T_calls counts what the report calls trials
     compare = json.loads((tmp_path / "compare-traced" / "report.json").read_text())
     assert traced["applies"][0] == compare["results"]["fixedpoint"]["trials"] > 0

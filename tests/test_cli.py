@@ -317,9 +317,9 @@ class TestRunCommands:
                          background=bg)
         fixed = bv.continuation_solve(bg, params)
         res = report["results"]
-        assert res["newton"]["coarse"] == alone.coarse
+        assert res["newton"]["coarse"] == runner._newton_summary(alone)["coarse"]
         assert res["newton"]["grad_sup_final"] == alone.grad_history[-1]
-        assert res["fixedpoint"]["coarse"] == fixed.coarse
+        assert res["fixedpoint"]["coarse"] == runner._fixedpoint_summary(fixed)["coarse"]
         assert res["cross_method_sup_diff"] == float(np.max(np.abs(alone.state - fixed.state)))
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
@@ -737,7 +737,7 @@ class TestCoarsePath:
 
     @classmethod
     def record(cls, monkeypatch, fail_coarse=()):
-        """One dict per Newton solve of the sweep, from its minimize calls.
+        """One dict per Newton solve of the sweep, from its solve and minimize calls.
 
         ``init`` and ``predictor``: the fine and coarse predictors handed in
         (None for a cold row); ``coarse_init``: the coarse level's start
@@ -748,27 +748,25 @@ class TestCoarsePath:
         solves numbered in ``fail_coarse`` fails.
         """
         solves = []
-        minimize, energy = newton.minimize, bv.EnergyModel.energy
+        solve, minimize, energy = runner.solve, newton.minimize, bv.EnergyModel.energy
+
+        def recorded_solve(*args, init=None, coarse_init=None, **kwargs):
+            solves.append({"init": None if init is None else init.copy(),
+                           "predictor": None if coarse_init is None else coarse_init.copy()})
+            sol = solve(*args, init=init, coarse_init=coarse_init, **kwargs)
+            solves[-1].update(state=sol.state.copy(), modes=sol.modes.copy(),
+                              iterations=sol.iterations, coarse_modes=sol.coarse_modes.copy())
+            return sol
 
         def recorded(model, settings, init=None, **kwargs):
-            fine = model.grid.shape == cls.FINE
-            given = None if init is None else np.array(init)
-            if fine:
-                predictor = kwargs.get("coarse_init")
-                solves.append({"init": given,
-                               "predictor": None if predictor is None else predictor.copy()})
-            else:
-                solves[-1]["coarse_init"] = given
-            if not fine and len(solves) - 1 in fail_coarse:
-                sol = newton.Solution(np.full((2,) + cls.COARSE, np.nan), 3, [1.0], [0.0],
-                                      False, "stalled")
-            else:
-                sol = minimize(model, settings, init=init, **kwargs)
-            if fine:
-                solves[-1].update(state=sol.state.copy(), modes=sol.modes.copy(),
-                                  iterations=sol.iterations,
-                                  coarse_modes=sol.coarse_modes.copy())
-            elif sol.converged:
+            if model.grid.shape == cls.FINE:
+                return minimize(model, settings, init=init, **kwargs)
+            solves[-1]["coarse_init"] = None if init is None else np.array(init)
+            if len(solves) - 1 in fail_coarse:
+                return newton.Solution(np.full((2,) + cls.COARSE, np.nan), 3, [1.0], [0.0],
+                                       False, "stalled")
+            sol = minimize(model, settings, init=init, **kwargs)
+            if sol.converged:
                 solves[-1]["coarse_solution"] = sol.modes.copy()
             return sol
 
@@ -777,6 +775,7 @@ class TestCoarsePath:
                 solves[-1].setdefault("first", state.copy())
             return energy(self, state, dirichlet)
 
+        monkeypatch.setattr(runner, "solve", recorded_solve)
         monkeypatch.setattr(newton, "minimize", recorded)
         monkeypatch.setattr(bv.EnergyModel, "energy", first_energy)
         return solves

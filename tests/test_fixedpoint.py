@@ -283,7 +283,7 @@ class TestCoarseLevel:
         fp = bv.continuation_solve(bg, params)
         assert fp.converged
         assert fp.coarse["shape"] == [64, 64] and fp.coarse["converged"]
-        assert fp.coarse["residual_start"] == fp.grad_history[0]
+        assert fp.coarse["fine_start"] == fp.grad_history[0]
         # the coarse fixed point, prolonged, is all but the fine one
         assert fp.iterations <= 2
 
@@ -299,8 +299,8 @@ class TestCoarseLevel:
         monkeypatch.setattr(fixedpoint, "apply_T", overflowing_on_the_coarse_grid)
         fp = bv.continuation_solve(bg, params)
         assert fp.converged
-        assert fp.coarse == {"shape": [64, 64], "trials": 1, "converged": False,
-                             "residual_start": fp.grad_history[0]}
+        assert fp.coarse == {"shape": [64, 64], "iterations": 1, "converged": False,
+                             "fine_start": fp.grad_history[0]}
         # the fine iteration started from the zero pair, where the relative
         # residual is sup |T(0)|
         zero = np.zeros((2,) + grid.shape)

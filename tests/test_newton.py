@@ -576,7 +576,7 @@ class TestCoarseStart:
         assert cold.converged and seq.converged
         assert cold.coarse is None
         assert seq.coarse["shape"] == [64, 64] and seq.coarse["converged"]
-        assert seq.coarse["grad_sup_start"] == seq.grad_history[0]
+        assert seq.coarse["fine_start"] == seq.grad_history[0]
         assert seq.iterations <= cold.iterations
         assert np.max(np.abs(seq.state - cold.state)) <= 1e-9
 
@@ -597,8 +597,35 @@ class TestCoarseStart:
                         init=np.zeros((2,) + grid.shape))
         assert sol.converged
         assert sol.coarse == {"shape": [64, 64], "iterations": 3, "converged": False,
-                              "grad_sup_start": cold.grad_history[0]}
+                              "fine_start": cold.grad_history[0]}
         assert sol.state.tobytes() == cold.state.tobytes()
+
+    def test_cold_solve_keeps_its_coarse_solution_without_a_handle(self):
+        # the coarse level's solution itself, as a solve of that level alone
+        # from zero finds it
+        grid, params, vcfg, bg = self.compare_cell(1.0)
+        sol = bv.solve("torus", "base", vcfg, grid, params, background=bg, keep_coarse=True)
+        assert sol.converged and sol.coarse["converged"]
+        coarse = grid.coarsest(bv.backgrounds.core_scale(grid))
+        alone = bv.minimize(EnergyModel(bv.build_background(vcfg, coarse, params), params),
+                            bv.SolverSettings())
+        assert sol.coarse_modes.tobytes() == alone.modes.tobytes()
+
+    def test_coarse_predictor_needs_its_level(self):
+        # a warm start with a coarse predictor but without the background
+        # handle of the level it lives on is refused, not solved without it
+        grid, params, vcfg, bg = self.compare_cell(1.0)
+        levels = []
+        first = bv.solve("torus", "base", vcfg, grid, params, background=bg, levels=levels,
+                         keep_coarse=True)
+        assert first.converged and len(levels) == 1
+        with pytest.raises(ValueError, match="coarse_init"):
+            bv.solve("torus", "base", vcfg, grid, params, background=bg,
+                     init=first.state.copy(), coarse_init=first.coarse_modes, keep_coarse=True)
+        again = bv.solve("torus", "base", vcfg, grid, params, background=bg, levels=levels,
+                         init=first.state.copy(), coarse_init=first.coarse_modes,
+                         keep_coarse=True)
+        assert again.converged and again.coarse["converged"] and again.iterations == 0
 
     def test_plane_coarse_level(self):
         # the plane is spectral: the prolonged 64-node solution is within
@@ -613,7 +640,7 @@ class TestCoarseStart:
         assert seq.converged and cold.converged
         assert seq.coarse["shape"] == [64, 64] and seq.coarse["converged"]
         assert 0 < seq.iterations <= 1 < cold.iterations
-        assert seq.coarse["grad_sup_start"] <= 1e-5
+        assert seq.coarse["fine_start"] <= 1e-5
         assert np.max(np.abs(seq.state - cold.state)) <= 1e-8
 
 
@@ -706,7 +733,8 @@ class TestCarriedModes:
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     def test_cold_start_from_the_prolonged_coarse_modes(self, monkeypatch, mode):
         # the coarse level shares the settings, so the start is checked as
-        # coarse_start hands it over, and the solve by its result
+        # the level driver hands it to the fine level, and the solve by its
+        # result
         if mode == "torus":
             grid, params, cfg, bg = two_vortex_torus(128)
         else:
@@ -714,15 +742,14 @@ class TestCarriedModes:
             cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
             bg = bv.build_background(cfg, grid, params)
         starts = []
-        coarse_start = newton.coarse_start
+        minimize = newton.minimize
 
-        def recording(*args):
-            start, modes, block, seconds = coarse_start(*args)
-            if start is not None:
-                starts.append((start.copy(), modes.copy()))
-            return start, modes, block, seconds
+        def recording(model, settings, init=None, modes=None):
+            if model.grid == grid:
+                starts.append((init.copy(), modes.copy()))
+            return minimize(model, settings, init=init, modes=modes)
 
-        monkeypatch.setattr(newton, "coarse_start", recording)
+        monkeypatch.setattr(newton, "minimize", recording)
         sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
         assert sol.converged and sol.coarse["converged"] and sol.coarse["shape"] == [64, 64]
         assert len(starts) == 1
@@ -828,9 +855,10 @@ class TestUnheldStart:
     @pytest.mark.parametrize("keep", [False, True], ids=["lone", "kept"])
     def test_coarse_solution_is_freed_before_the_fine_level(self, monkeypatch, mode, keep):
         # a lone solve hands nothing of its coarse level back: the coarse
-        # solution is dead by the fine level's first CG solve.  A solve
-        # that keeps its coarse level, a sweep row's, hands that solution
-        # back in Solution.coarse_modes
+        # solution and the coarse grid, with its cached bases, are dead by
+        # the fine level's first CG solve.  A solve that keeps its coarse
+        # level, a sweep row's with its background handle, hands that
+        # solution itself back in Solution.coarse_modes
         if mode == "torus":
             grid, params, cfg, bg = two_vortex_torus(128)
             params = bv.PhysicalParams(lam=10.0)
@@ -838,29 +866,30 @@ class TestUnheldStart:
             grid, params = bv.PlaneGrid(4.0, 128), bv.PhysicalParams(lam=4.0)
             cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
             bg = bv.build_background(cfg, grid, params)
-        coarse_bg = newton.coarse_background(bg, params) if keep else None
+        levels = [] if keep else None
         refs, alive = [], []
         minimize, pcg = newton.minimize, newton._pcg
 
         def recorded(model, settings, **kwargs):
             sol = minimize(model, settings, **kwargs)
             if model.grid != grid:
-                refs.append(weakref.ref(sol.modes))
+                refs.append((weakref.ref(sol.modes), weakref.ref(model.grid)))
             return sol
 
         def spy(*args):
             if refs:
-                alive.append(refs[0]() is not None)
+                alive.append([ref() is not None for ref in refs[0]])
             return pcg(*args)
 
         monkeypatch.setattr(newton, "minimize", recorded)
         monkeypatch.setattr(newton, "_pcg", spy)
-        sol = bv.solve(mode, "base", cfg, grid, params, background=bg,
-                       coarse_background=coarse_bg, keep_coarse=keep)
+        sol = bv.solve(mode, "base", cfg, grid, params, background=bg, levels=levels,
+                       keep_coarse=keep)
         assert sol.converged and sol.coarse["converged"] and len(refs) == 1
+        assert len(levels or []) == keep
         assert len(alive) == sol.iterations >= 1
-        assert alive == [keep] * len(alive)
-        assert (sol.coarse_modes is refs[0]()) if keep else sol.coarse_modes is None
+        assert alive == [[keep, keep]] * len(alive)
+        assert (sol.coarse_modes is refs[0][0]()) if keep else sol.coarse_modes is None
 
     def test_secant_start_is_held_by_nobody(self):
         # the secant is built in the older row's storage, which leaves the
