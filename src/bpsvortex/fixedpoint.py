@@ -25,9 +25,9 @@ acceleration of depth ``ANDERSON_DEPTH`` (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) and a relaxation ``omega`` fixed in advance from a bound on the
 spectrum of the map's linearization, on each level of
 :func:`~bpsvortex.newton.solve_levels`, which states the level rule.
-Acceleration and the coarse level change the path to a fixed point, not the
-fixed points, and no Newton solve enters, so the result stays independent
-of Newton.  A map application that overflows (``Overflow`` from a divergent
+Acceleration and the levels below the fine grid change the path to a fixed
+point, not the fixed points, and no Newton solve enters, so the result stays
+independent of Newton.  A map application that overflows (``Overflow`` from a divergent
 iterate) ends the solve as non-convergence with a named message, as an
 overflowing initial state does in Newton, instead of raising.  The solver
 only passes ``t = 1``; other ``t`` give the paper's homotopy from the

@@ -30,14 +30,19 @@ one field at a time (dense products, which gain nothing from stacking),
 and its ``pointwise_product`` goes through one physical field per call.
 Transform counts stay per field: a stacked call transforms two.
 The coarse levels are written once as well, from each grid's ``_halved``,
-``_coarse_blocks`` and ``_count`` (see :class:`_Eigenbasis`):
-``resolves(length)`` says whether a grid resolves a core of that length by
-three nodes (3 * spacing <= length), ``coarsest(tau)`` is the coarsest
-grid of the halving chain that still resolves a core of scale tau (length
-sqrt(tau)), ``prolong`` zero-pads a coarser grid's coefficients (of a field
-or a pair) onto this one, exact for fields band-limited there, and
+``_two_thirds``, ``_top_third``, ``_coarse_blocks`` and ``_count`` (see
+:class:`_Eigenbasis`): ``resolves(length)`` says whether a grid resolves a
+core of that length by three nodes (3 * spacing <= length),
+``coarsest(tau)`` is the coarsest grid of the halving chain that still
+resolves a core of scale tau (length sqrt(tau)), ``resolving_level()`` is
+the grid with two thirds of this one's intervals per axis, and
+``spectral_tail(coeffs)`` reads from a level's coefficients how much of a
+field sits in the top third of its band.  ``prolong`` zero-pads the
+coefficients (of a field or a pair) of any coarser grid of the same domain
+onto this one, nested or not, exact for fields band-limited there, and
 ``restrict`` truncates them back; no transform.  Solvers start a cold solve
-on the coarse level, and a sweep's warm rows continue there.
+on the coarse level, and a sweep's warm rows continue there; the level rule
+is :func:`bpsvortex.newton.solve_levels`.
 Each grid also owns its boundary: ``zero_boundary`` zeroes the plane's
 Dirichlet ring (a no-op on the torus) and ``interior`` views the nodes that
 carry an equation.  Next to ``integrate`` and the L^2 pairing ``inner``, each
@@ -70,7 +75,8 @@ and is never returned, so results never alias it; it also makes a torus
 grid unsafe to share between threads.
 The plane's sine transforms allocate one interior-sized intermediate per call
 instead (two for a forward transform into coefficients of another dtype,
-and its Laplacians and Dirichlet forms their coefficients): kept on the
+and its Dirichlet forms their coefficients; its Laplacians scale each
+field's coefficients into the interior of their output): kept on the
 grid it would stay resident for the life of the grid.
 """
 
@@ -101,9 +107,12 @@ class _Eigenbasis:
     go field by field; a grid whose transforms take a stack (the torus)
     overrides them with one pass over it.  For the coarse levels a grid
     gives ``_halved()``, its next halving level (``None`` where the chain
-    ends), ``_coarse_blocks(coarse)``, pairs (index here, index on
-    ``coarse``) of the coefficients both have, and ``_count``, the factor a
-    mode's coefficient grows with (nx * ny on the torus, n - 1 on the plane).
+    ends), ``_two_thirds()``, its resolving level, ``_top_third``, the
+    slices of the coefficient rows and of the columns whose mode number is
+    at least two thirds of the largest, ``_coarse_blocks(coarse)``,
+    pairs (index here, index on ``coarse``) of the coefficients both have,
+    and ``_count``, the factor a mode's coefficient grows with (nx * ny on
+    the torus, n - 1 on the plane).
     """
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
@@ -196,10 +205,11 @@ class _Eigenbasis:
         """Write the coefficients here of the interpolant of a ``coarse`` field.
 
         ``coeffs`` (one field or a stack) are its coefficients on ``coarse``,
-        a grid of the same domain.  Each moves to its mode's place here,
-        rescaled by ``_count``; the other modes are zero.  No transform.
-        Exact for sums of the coarse modes, on the torus without the coarse
-        Nyquist row and column, which are dropped.
+        any coarser grid of the same domain: a halving level, the resolving
+        level, or a level between them, nested or not.  Each moves to its
+        mode's place here, rescaled by ``_count``; the other modes are zero.
+        No transform.  Exact for sums of the coarse modes, on the torus
+        without the coarse Nyquist row and column, which are dropped.
         """
         out[...] = 0.0
         for here, there in self._coarse_blocks(coarse):
@@ -207,12 +217,43 @@ class _Eigenbasis:
         out *= self._count / coarse._count
         return out
 
+    def resolving_level(self):
+        """The resolving level: this grid's domain with two thirds of its intervals per axis.
+
+        n - 1 = round(2 (n - 1) / 3) on the plane (256 nodes for 384), an
+        even 2 round(n / 3) per axis on the torus (64 for 96); always finer
+        than ``coarsest``, which halves at least once.
+        """
+        return self._two_thirds()
+
+    def spectral_tail(self, coeffs: np.ndarray) -> float:
+        """How much of the coefficients ``coeffs`` (one field or a stack) sit at the top of the band.
+
+        The largest |coefficient| among the modes whose number is at least
+        two thirds of the grid's largest in either axis, over the largest
+        |coefficient| of all (0 for zero ``coeffs``); no transform.  The
+        square band, not the disc K >= (4/9) K_max, which misses the modes
+        near an axis, such as (2 k_max / 3, 1).
+        """
+        rows, cols = self._top_third
+        mags = np.abs(coeffs)
+        # the largest |coefficient| of each row and of each column
+        by_row, by_col = mags.max(axis=-1), mags.max(axis=-2)
+        del mags
+        top = float(by_row.max())
+        if top == 0.0:
+            return 0.0
+        high = max([float(by_row[..., s].max()) for s in rows]
+                   + [float(by_col[..., s].max()) for s in cols])
+        return high / top
+
     def restrict(self, coarse, coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write to ``out`` the ``coarse`` coefficients of this grid's modes that ``coarse`` has.
 
-        ``prolong`` run backwards: ``coeffs`` (one field or a stack) are
-        truncated to the coarse modes (the torus's coarse Nyquist row and
-        column zero) and rescaled; no transform.  It undoes ``prolong`` to roundoff.
+        ``prolong`` run backwards, for any coarser grid of the same domain:
+        ``coeffs`` (one field or a stack) are truncated to the coarse modes
+        (the torus's coarse Nyquist row and column zero) and rescaled; no
+        transform.  It undoes ``prolong`` to roundoff.
         """
         out[...] = 0.0
         for here, there in self._coarse_blocks(coarse):
@@ -370,6 +411,17 @@ class TorusGrid(_Eigenbasis):
         # both sample counts halved, while both halves stay even and at least 8
         halves = self.nx % 4 == 0 and self.ny % 4 == 0 and min(self.nx, self.ny) >= 16
         return TorusGrid(self.Lx, self.Ly, self.nx // 2, self.ny // 2) if halves else None
+
+    def _two_thirds(self):
+        # 2 round(n / 3) samples per axis: even, and at least 8 for n >= 12
+        return TorusGrid(self.Lx, self.Ly, 2 * round(self.nx / 3), 2 * round(self.ny / 3))
+
+    @property
+    def _top_third(self):
+        # |kx| >= nx / 3: one block of rows around the Nyquist row (rfft2
+        # rows hold kx = 0 .. nx/2, then -nx/2 + 1 .. -1); ky >= ny / 3
+        kx, ky = -(-self.nx // 3), -(-self.ny // 3)
+        return [np.s_[kx:self.nx - kx + 1]], [np.s_[ky:]]
 
     def _coarse_blocks(self, coarse: "TorusGrid"):
         # the rfft2 rows of the non-negative and of the negative frequencies,
@@ -531,7 +583,8 @@ class PlaneGrid(_Eigenbasis):
         Its boundary ring is zero.  Computed in the dtype of the field:
         that of ``out`` when given (float64, or float32 for the Hessian
         products; ``coeffs`` of another dtype are rounded to it first),
-        else that of ``coeffs``.
+        else that of ``coeffs``.  ``coeffs`` may be the interior of ``out``:
+        it is read in full before ``out`` is written.
         """
         if out is None:
             out = np.empty(self.shape, coeffs.dtype)
@@ -558,6 +611,20 @@ class PlaneGrid(_Eigenbasis):
         """
         return float(np.vdot(a, b)) * self.h ** 2
 
+    def laplacians(self, modes: np.ndarray) -> np.ndarray:
+        """The stacked Laplacians of the pair of fields with sine coefficients ``modes``.
+
+        A new pair, field by field: -K times a field's coefficients goes
+        straight into the interior of its output field, which
+        ``modal_inverse`` then transforms in place, so no pair-sized -K
+        ``modes`` is made.
+        """
+        out = np.empty((2,) + self.shape)
+        for coeffs, field in zip(modes, out):
+            self.modal_inverse(np.multiply(self._neg_k2, coeffs, out=self.interior(field)),
+                               out=field)
+        return out
+
     @cached_property
     def _neg_k2(self) -> np.ndarray:
         # -(pi k / 2R)^2 - (pi l / 2R)^2, the symbol of the Laplacian, over
@@ -575,6 +642,18 @@ class PlaneGrid(_Eigenbasis):
         # the n - 1 intervals halved (rounding down), while 16 nodes are left
         n = (self.n + 1) // 2
         return PlaneGrid(self.R, n) if n >= 16 else None
+
+    def _two_thirds(self):
+        # round(2 (n - 1) / 3) intervals; 2 (n - 1) / 3 is never halfway
+        return PlaneGrid(self.R, round(2 * (self.n - 1) / 3) + 1)
+
+    @property
+    def _top_third(self):
+        # modes k >= ceil(2 k_max / 3), k_max = n - 2: the end of the odd
+        # block (k = 2 i + 1) and the end of the even block (k = 2 j + 2)
+        top, odd = -(-2 * (self.n - 2) // 3), (self.n - 1) // 2
+        band = [np.s_[top // 2:odd], np.s_[odd + (top - 1) // 2:]]
+        return band, band
 
     def _coarse_blocks(self, coarse: "PlaneGrid"):
         # each coarse coefficient row (and column) goes to the place of its

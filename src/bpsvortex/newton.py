@@ -115,6 +115,16 @@ CG_MAX_ITERS = 2000
 # threshold the rule fires several steps before convergence, while each step
 # still cuts the gradient by more than half
 STALL_STEPS = 3
+# a level whose spectral tail (``grid.spectral_tail`` of its solution's
+# coefficients) is at most this resolves its solution, and its prolongation
+# starts the fine level at a sup gradient of about the tail's size or less
+# (torus-compare: tails 5.6e-12 and 2.7e-11 give fine starts at 2.2e-11 and
+# 3.2e-12), under the default tolerance tol_grad_sup = 1e-9; above it
+# (plane-solve: 2.8e-7 to 6.9e-7, fine starts 1.6e-7 to 4.3e-7) a cold
+# solve goes through the resolving level (see solve_levels).  One value for
+# both solvers: the fixed point's INNER_TOL = 1e-11 would give torus-compare
+# a 170^2 level that its 64^2 start does not need
+RESOLVED_TAIL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -150,12 +160,14 @@ class Solution:
     # Newton only: one dict per Newton iteration (forcing term, CG and line
     # search work, fallback taken)
     newton_steps: Optional[list] = None
-    # the coarse level of a solve that went through one (see solve_levels):
-    # the coarse grid's ``shape``, its solve's ``iterations`` and
-    # ``converged``, and ``fine_start``, the first ``grad_history`` entry of
-    # the fine level, at the start it gave; None without a coarse level
+    # the levels below the fine grid of a solve that went through them (see
+    # solve_levels): the coarse grid's ``shape``, its solve's ``iterations``
+    # and ``converged``, ``resolving``, the same three of the resolving
+    # level (None without it), and ``fine_start``, the first
+    # ``grad_history`` entry of the fine level, at the start they gave; None
+    # without a coarse level
     coarse: Optional[dict] = None
-    # wall time of the coarse level, kept apart from the deterministic block
+    # wall time of those levels, kept apart from the deterministic block
     coarse_s: Optional[float] = None
     # Newton only: the state's mode coefficients (``grid.to_modes``), carried
     # through the solve, and on convergence the stacked Laplacians of its two
@@ -236,20 +248,55 @@ def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
     return max(eta, CG_TOL), last_step
 
 
+def _level_coefficients(level, sol: Solution) -> Optional[np.ndarray]:
+    """The coefficients a level hands up: its solution's ``modes``, or those of its state.
+
+    ``None`` when the level did not converge.
+    """
+    if not sol.converged:
+        return None
+    return level.to_modes(sol.state) if sol.modes is None else sol.modes
+
+
 def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
                  init: Optional[np.ndarray] = None, levels: Optional[list] = None,
                  coarse_init: Optional[np.ndarray] = None, keep_coarse: bool = False) -> Solution:
     """Solve ``bg``'s problem on its levels, coarsest first: the level rule of both solvers.
 
-    The levels are ``[coarsest, bg.grid]``, or ``bg.grid`` alone where there
-    is no coarsest.  The coarsest is ``bg.grid.coarsest(tau)``, the coarsest
-    grid of the halving chain that resolves sqrt(tau), at the domain's core
-    scale tau (:func:`~bpsvortex.backgrounds.core_scale`), the same on every
-    level, so that all levels split the sources alike.  This is nested
-    iteration in the sense of mesh independence (Allgower, Boehmer, Potra &
-    Rheinboldt, SIAM J. Numer. Anal. 23, 1986): the coarse solution's
-    coefficients, zero-padded onto ``bg.grid`` (``grid.prolong``, no
-    transform), start the fine level, whose stopping rule is unchanged.
+    The levels are ``[coarsest, bg.grid]``, ``[coarsest, resolving,
+    bg.grid]`` or ``bg.grid`` alone where there is no coarsest.  The
+    coarsest is ``bg.grid.coarsest(tau)``, the coarsest grid of the halving
+    chain that resolves sqrt(tau), at the domain's core scale tau
+    (:func:`~bpsvortex.backgrounds.core_scale`), the same on every level, so
+    that all levels split the sources alike.  This is nested iteration in
+    the sense of mesh independence (Allgower, Boehmer, Potra & Rheinboldt,
+    SIAM J. Numer. Anal. 23, 1986): a level's solution coefficients,
+    zero-padded onto the next level (``grid.prolong``, no transform), start
+    it, and every level keeps the solver's stopping rule.  A fine level
+    whose start already meets it costs one check and no step.
+
+    The resolving level R (``bg.grid.resolving_level()``, two thirds of the
+    fine grid's intervals per axis: 256 for a 384 plane, 64 for a 96^2
+    torus) goes between the coarsest level and the fine grid in a cold
+    solve whose coarsest solution is not resolved: its spectral tail
+    (``grid.spectral_tail`` of its coefficients, the largest coefficient in
+    the top third of the band in either axis over the largest) exceeds
+    ``RESOLVED_TAIL``.  R starts from the prolonged coarsest solution, and
+    its own solution starts the fine level.  Tails of the coarsest level
+    at ``RESOLVED_TAIL`` = 1e-9:
+
+    ============================  =============  ============
+    case                          tail           levels
+    ============================  =============  ============
+    plane-solve, seeds 1-12       2.8e-7-6.9e-7  192, 256, 384
+    torus-compare, Newton         5.6e-12        64, 256
+    torus-compare, fixed point    2.7e-11        64, 256
+    torus-sweep, cold row         2.0e-9         48, 64, 96
+    ============================  =============  ============
+
+    On plane-solve R takes one Newton iteration and hands the fine level a
+    start at 3.4e-10-9.4e-10, under tol = 1e-9, so the fine level takes no
+    step.  Warm sweep rows never go through R.
 
     ``solve_level(level_bg, start)`` solves the problem of the background
     ``level_bg`` on its grid alone and returns its :class:`Solution`.
@@ -267,79 +314,96 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     and only where the coarse grid also resolves the core length
     1/sqrt(lambda) (``grid.resolves``); the coarse level starts from p_c.
     The fine level then starts from init + prolong(s_c - p_c), s_c the
-    coarse solution, at two inverse transforms: the coarse correction of the
-    tau-correction in FAS multigrid (Brandt, "Multi-level adaptive solutions
-    to boundary-value problems", Math. Comp. 31, 1977), with init = p_c = 0
-    when cold.  Without a coarse solve, or when it does not converge, the
-    fine level starts from ``init`` (the zero start when cold).  A sweep
-    path builds p_c from its rows' coarse coefficients as it builds ``init``
-    from their states, so that init - prolong(p_c) carries the
-    fine-minus-coarse discretization defect along the path; on the
-    torus-sweep workload a warm row's fine level then starts under its
-    tolerance and takes no step.
+    solution of the level below it, at two inverse transforms: the coarse
+    correction of the tau-correction in FAS multigrid (Brandt, "Multi-level
+    adaptive solutions to boundary-value problems", Math. Comp. 31, 1977),
+    with init = p_c = 0 when cold.  Without a coarse solve, or when a level
+    below does not converge, the fine level starts from ``init`` (the zero
+    start when cold).  A sweep path builds p_c from its rows' coarse
+    coefficients as it builds ``init`` from their states, so that
+    init - prolong(p_c) carries the fine-minus-coarse discretization defect
+    along the path; on the torus-sweep workload a warm row's fine level
+    then starts under its tolerance and takes no step.
 
     ``levels`` is the background handle: a list in which a caller that
     solves one problem more than once (a sweep path, ``compare``'s two
-    solvers) keeps the coarse level's background.  The first solve that
+    solvers) keeps the coarsest level's background.  The first solve that
     needs it builds it there and later ones reuse it.  A coarse predictor
     comes with its level: ``coarse_init`` without a filled handle raises
-    ``ValueError``.  Without a handle the coarse background is built for the
-    call and freed when the coarse solve returns, so that the prolongation
-    and the fine level take its place on the heap (one that outlived the
-    coarse level cost plane-solve 1.1-1.9 MB of peak RSS).  The fine start
-    and its coefficients are allocated before the coarse solve for the same
-    reason: they sit below the coarse level's short-lived arrays, and the
-    fine level reuses their space (a start made after them cost plane-solve
-    1.1 MB).
+    ``ValueError``.  Every other level below the fine grid, R always, has
+    its background built for the call (through :func:`build_background`)
+    and freed when its solve returns, so that the next level takes its
+    place on the heap (one that outlived the coarse level cost plane-solve
+    1.1-1.9 MB of peak RSS); a level's solution and grid go before the next
+    level runs too.  The fine start and its coefficients are allocated
+    before the coarse solve for the same reason: they sit below the lower
+    levels' short-lived arrays, and the fine level reuses their space (a
+    start made after them cost plane-solve 1.1 MB).
 
-    Returns the fine level's solution, with the coarse level's block in
-    :attr:`Solution.coarse` and its wall time in :attr:`Solution.coarse_s`
-    (``None`` without a coarse solve).  With ``keep_coarse`` (a sweep row),
-    :attr:`Solution.coarse_modes` holds the coefficients the path carries on
-    the coarse grid: s_c itself, held through the fine level, or without it
-    the restriction of the fine solution's ``modes``.  Without it s_c is
-    dropped before the fine level runs.
+    Returns the fine level's solution, with the coarse block in
+    :attr:`Solution.coarse` and the wall time of the levels below the fine
+    grid in :attr:`Solution.coarse_s` (``None`` without a coarse solve).
+    The block holds the coarsest level's ``shape``, ``iterations`` and
+    ``converged``, ``resolving``, the same three of R (``None`` without
+    it), and ``fine_start``, the fine level's first ``grad_history`` entry.
+    With ``keep_coarse`` (a sweep row), :attr:`Solution.coarse_modes` holds
+    the coefficients the path carries on the coarsest grid: s_c itself,
+    held through the levels above it, or without it the restriction of the
+    fine solution's ``modes``.  Without it s_c is dropped before the next
+    level runs.
     """
     grid = bg.grid
     if coarse_init is not None and not levels:
         raise ValueError("coarse_init needs its level: pass the levels handle that the "
                          "solve of its coarse coefficients filled")
-    coarse = levels[0].grid if levels else grid.coarsest(backgrounds.core_scale(grid))
+    # ``lower`` is the level below the next one to solve.  Only a path
+    # keeps the coarse grid past its level: one that no background holds
+    # takes its cached bases along when it goes
+    lower = levels[0].grid if levels else grid.coarsest(backgrounds.core_scale(grid))
+    coarse = lower if keep_coarse else None
     base = None if init is None else grid.to_modes(init)
     block = seconds = kept = start = modes = None
-    if coarse is not None and (init is None or coarse_init is not None
-                               and coarse.resolves(1.0 / math.sqrt(params.lam))):
+    if lower is not None and (init is None or coarse_init is not None
+                              and lower.resolves(1.0 / math.sqrt(params.lam))):
         t0 = time.perf_counter()
         # a background the handle keeps outlives the solve, so it goes
         # below the start on the heap; one built for the call alone goes
         # above it and is freed when the coarse solve returns
         if levels is not None and not levels:
-            levels.append(build_background(bg.cfg, coarse, params))
+            levels.append(build_background(bg.cfg, lower, params))
         start, modes = np.empty((2,) + grid.shape), grid.empty_modes()
-        sol = solve_level(levels[0] if levels else build_background(bg.cfg, coarse, params),
-                          [None if init is None else coarse.from_modes(coarse_init), None])
-        block = {"shape": list(coarse.shape), "iterations": sol.iterations,
-                 "converged": sol.converged}
-        if sol.converged:
-            coeffs = coarse.to_modes(sol.state) if sol.modes is None else sol.modes
-            kept = coeffs if keep_coarse else None
+        sol = solve_level(levels[0] if levels else build_background(bg.cfg, lower, params),
+                          [None if init is None else lower.from_modes(coarse_init), None])
+        block = {"shape": list(lower.shape), "iterations": sol.iterations,
+                 "converged": sol.converged, "resolving": None}
+        coeffs = _level_coefficients(lower, sol)
+        del sol
+        kept = coeffs if keep_coarse else None
+        if (init is None and coeffs is not None
+                and lower.spectral_tail(coeffs) > RESOLVED_TAIL):
+            level = grid.resolving_level()
+            begin = level.prolong(lower, coeffs, level.empty_modes())
+            begin = [level.from_modes(begin), begin]
+            lower = coeffs = None
+            sol = solve_level(build_background(bg.cfg, level, params), begin)
+            block["resolving"] = {"shape": list(level.shape), "iterations": sol.iterations,
+                                  "converged": sol.converged}
+            lower, coeffs = level, _level_coefficients(level, sol)
+            del sol, level
+        if coeffs is None:
+            start = modes = None
+        else:
             correction = coeffs if init is None else np.subtract(coeffs, coarse_init)
-            del sol, coeffs
-            grid.prolong(coarse, correction, modes)
+            del coeffs
+            grid.prolong(lower, correction, modes)
+            del correction
             if base is not None:
                 modes += base
             grid.from_modes(modes, out=start)
-            del correction
-        else:
-            del sol
-            start = modes = None
         seconds = time.perf_counter() - t0
+    lower = None
     fine_start = [init, base] if start is None else [start, modes]
     init = base = start = modes = None
-    if not keep_coarse:
-        # a coarse grid that no background holds takes its cached bases
-        # along when it goes
-        coarse = None
     sol = solve_level(bg, fine_start)
     if block is not None:
         block["fine_start"] = sol.grad_history[0] if sol.grad_history else None

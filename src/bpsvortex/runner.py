@@ -35,7 +35,8 @@ configuration; a ``sweep`` row calls it with its action (``check`` or
 rows (see ``_run_sweep``), and reads the row from the results.  ``compare``
 hands both solvers one background handle, so that its coarse level is built
 once; a lone ``solve`` hands none, and its coarse background ends with the
-coarse level (:func:`~bpsvortex.newton.solve_levels`).
+coarse level.  A resolving level's background is built for each solve that
+goes through it (:func:`~bpsvortex.newton.solve_levels`).
 
 Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings``
@@ -101,11 +102,17 @@ def _threshold_dict(vcfg, grid, params) -> dict:
 
 
 def _coarse_summary(block: Optional[dict], work: str, start: str) -> Optional[dict]:
-    # the level driver's coarse block under the solver's own names
+    # the level driver's coarse block under the solver's own names, the
+    # resolving level's (or None) included
     if block is None:
         return None
+    resolving = block["resolving"]
+    if resolving is not None:
+        resolving = {"shape": resolving["shape"], work: resolving["iterations"],
+                     "converged": resolving["converged"]}
     return {"shape": block["shape"], work: block["iterations"],
-            "converged": block["converged"], start: block["fine_start"]}
+            "converged": block["converged"], start: block["fine_start"],
+            "resolving": resolving}
 
 
 def _newton_summary(sol: Solution) -> dict:

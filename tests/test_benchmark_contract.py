@@ -24,8 +24,9 @@ COMPARE = {
     "domain": {"Lx": L20, "Ly": L20}, "grid": {"nx": 32},
     "phi_zeros": [[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]],
 }
-# the 96^2 sweep and the plane have a coarse level (48^2 and 113^2), the
-# 32^2 compare has none
+# the 96^2 sweep and the plane have a coarse level (48^2 and 113^2), and
+# their cold solves a resolving level above it (64^2 and 150^2); the 32^2
+# compare has neither
 SWEEP = dict(COMPARE, model="extended", grid={"nx": 96},
              kappa_zeros=[[0.5 * L20, 0.2 * L20]],
              sweep={"param": "lambda", "values": [0.5, 1.5, 2.5], "action": "solve"})
@@ -99,9 +100,9 @@ def test_traced_cli_runs_match_untraced(tmp_path):
     assert traced["failures"] == []
     # every background a run builds, the coarse levels' included, goes
     # through a name perfbench rebinds (backgrounds.build_calls): each run
-    # builds its fine background and the plane and the sweep path their
-    # coarse one, once each
-    assert traced["builds"] == [1, 2, 2]
+    # builds its fine background, and the plane and the sweep path their
+    # coarse and their resolving one, once each
+    assert traced["builds"] == [1, 3, 3]
     # perfbench's fixedpoint.apply_T_calls counts what the report calls trials
     compare = json.loads((tmp_path / "compare-traced" / "report.json").read_text())
     assert traced["applies"][0] == compare["results"]["fixedpoint"]["trials"] > 0

@@ -289,8 +289,9 @@ class TestRunCommands:
             if coarse is None:
                 assert block is None and f"{method}_coarse_s" not in timings
                 continue
-            assert set(block) == {"shape", work, "converged", start}
+            assert set(block) == {"shape", work, "converged", start, "resolving"}
             assert block["shape"] == coarse and block["converged"] and block[work] > 0
+            assert block["resolving"] is None
             assert 0.0 < timings[f"{method}_coarse_s"] <= timings[f"{method}_s"]
 
     def test_compare_builds_its_coarse_background_once(self, tmp_path, monkeypatch):
@@ -733,7 +734,8 @@ class TestSweepContinuation:
 class TestCoarsePath:
     """A warm sweep row continues its path on the coarse level and carries the fine correction."""
 
-    FINE, COARSE = (96, 96), (48, 48)
+    # a cold row goes through the resolving level 64^2 too
+    FINE, COARSE, RESOLVING = (96, 96), (48, 48), (64, 64)
 
     @classmethod
     def record(cls, monkeypatch, fail_coarse=()):
@@ -742,10 +744,11 @@ class TestCoarsePath:
         ``init`` and ``predictor``: the fine and coarse predictors handed in
         (None for a cold row); ``coarse_init``: the coarse level's start
         (absent without a coarse solve); ``coarse_solution``: the coarse
-        solution's coefficients; ``first``: the first fine state the energy
-        is evaluated at; ``state``, ``modes``, ``iterations`` and
-        ``coarse_modes``: the fine solution.  The coarse solve of the
-        solves numbered in ``fail_coarse`` fails.
+        solution's coefficients; ``resolving_solution``: those of the
+        resolving level (absent without it); ``first``: the first fine
+        state the energy is evaluated at; ``state``, ``modes``,
+        ``iterations`` and ``coarse_modes``: the fine solution.  The coarse
+        solve of the solves numbered in ``fail_coarse`` fails.
         """
         solves = []
         solve, minimize, energy = runner.solve, newton.minimize, bv.EnergyModel.energy
@@ -761,6 +764,10 @@ class TestCoarsePath:
         def recorded(model, settings, init=None, **kwargs):
             if model.grid.shape == cls.FINE:
                 return minimize(model, settings, init=init, **kwargs)
+            if model.grid.shape == cls.RESOLVING:
+                sol = minimize(model, settings, init=init, **kwargs)
+                solves[-1]["resolving_solution"] = sol.modes.copy()
+                return sol
             solves[-1]["coarse_init"] = None if init is None else np.array(init)
             if len(solves) - 1 in fail_coarse:
                 return newton.Solution(np.full((2,) + cls.COARSE, np.nan), 3, [1.0], [0.0],
@@ -816,8 +823,9 @@ class TestCoarsePath:
             monkeypatch.setattr(module, "build_background", counted)
         cfg, rows, solves = self.run_recorded(tmp_path, monkeypatch, (0.9, 1.1, 1.2, 1.3, 1.4))
         assert [row["secant_row"] for row in rows] == [None, None, 1, 2]
-        # the path builds each background once: the first solved row both
-        assert sorted(builds) == [self.COARSE, self.FINE]
+        # the path builds each background once: the first solved row all
+        # three, the resolving level's for its own cold solve
+        assert sorted(builds) == [self.COARSE, self.RESOLVING, self.FINE]
         grid, coarse = self.levels(cfg)
         lams = {row["index"]: row["lambda"] for row in rows}
         for k, (row, solve) in enumerate(zip(rows, solves)):
@@ -825,12 +833,22 @@ class TestCoarsePath:
             assert row["coarse"]["shape"] == list(self.COARSE) and row["coarse"]["converged"]
             # the path carries the coarse solution itself
             assert solve["coarse_modes"].tobytes() == solve["coarse_solution"].tobytes()
-            correction = solve["coarse_solution"]
+            correction, lower = solve["coarse_solution"], coarse
             if row["start_row"] is None:
                 assert solve["init"] is None and solve["predictor"] is None
                 assert solve["coarse_init"] is None
+                # the cold row's 48^2 tail sits above RESOLVED_TAIL: the
+                # resolving level starts the fine level, which takes no step
+                resolving = grid.resolving_level()
+                assert resolving.shape == self.RESOLVING
+                assert coarse.spectral_tail(correction) > newton.RESOLVED_TAIL
+                assert row["coarse"]["resolving"] == {"shape": list(self.RESOLVING),
+                                                      "iterations": 1, "converged": True}
+                correction, lower = solve["resolving_solution"], resolving
+                assert solve["iterations"] == row["iterations"] == 0
                 base = 0.0
             else:
+                assert row["coarse"]["resolving"] is None and "resolving_solution" not in solve
                 # the coarse predictor follows the path rule on the rows'
                 # coarse solutions, and starts the coarse solve
                 newest = solves[k - 1]["coarse_solution"]
@@ -850,7 +868,7 @@ class TestCoarsePath:
                 assert solve["iterations"] == row["iterations"] == 0
             # the fine solve starts from the fine predictor plus the
             # prolonged coarse correction
-            start = grid.from_modes(grid.prolong(coarse, correction, grid.empty_modes()) + base)
+            start = grid.from_modes(grid.prolong(lower, correction, grid.empty_modes()) + base)
             assert solve["first"].tobytes() == start.tobytes()
             assert np.max(np.abs(solve["state"] - self.cold_state(cfg, row))) <= 1e-8
 
@@ -890,7 +908,8 @@ class TestCoarsePath:
                 assert row["converged"] and row["start_row"] is not None
                 assert row["coarse"] == {"shape": list(self.COARSE), "iterations": 3,
                                          "converged": False,
-                                         "grad_sup_start": row["coarse"]["grad_sup_start"]}
+                                         "grad_sup_start": row["coarse"]["grad_sup_start"],
+                                         "resolving": None}
                 assert solve["first"].tobytes() == solve["init"].tobytes()
                 assert solve["coarse_modes"].tobytes() == \
                     grid.restrict(coarse, solve["modes"], coarse.empty_modes()).tobytes()

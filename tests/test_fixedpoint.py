@@ -300,7 +300,7 @@ class TestCoarseLevel:
         fp = bv.continuation_solve(bg, params)
         assert fp.converged
         assert fp.coarse == {"shape": [64, 64], "iterations": 1, "converged": False,
-                             "fine_start": fp.grad_history[0]}
+                             "resolving": None, "fine_start": fp.grad_history[0]}
         # the fine iteration started from the zero pair, where the relative
         # residual is sup |T(0)|
         zero = np.zeros((2,) + grid.shape)

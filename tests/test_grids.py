@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,27 @@ class TestPairs:
         assert g.pointwise_product(coeffs, weights, coeffs) is coeffs
         assert coeffs.tobytes() == expected.tobytes()
 
+    def test_plane_laplacians_make_no_pair_temporary(self):
+        # -K times each field's coefficients goes into the interior of its
+        # output field: besides the output pair, the call holds what one
+        # field's inverse transform holds, plus array headers, far under
+        # the -K coeffs pair that the stacked form makes
+        g = bv.PlaneGrid(6.0, 96)
+        _, coeffs = self.pair_and_coeffs(g, seed=25)
+        field = np.empty(g.shape)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_field = peak(lambda: g.modal_inverse(coeffs[0], out=field))
+        pair = np.empty((2,) + g.shape).nbytes
+        assert 0 < peak(lambda: g.laplacians(coeffs)) - pair - one_field < coeffs[0].nbytes
+
     @pytest.mark.parametrize("g", PAIR_GRIDS[:2], ids=PAIR_IDS[:2])
     def test_torus_pair_is_one_fft_pass(self, g, monkeypatch):
         # each pair operator transforms the stack in one numpy.fft call per
@@ -545,19 +567,54 @@ class TestCoarseLevels:
         assert np.max(np.abs(field - expected)) <= 1e-13 * np.max(np.abs(expected))
         assert np.all(f.zero_boundary(field.copy()) == field)
 
-    @pytest.mark.parametrize("grid,move", [
-        (bv.TorusGrid(2.0, 3.0, 32, 48), "prolong"), (bv.PlaneGrid(6.0, 64), "prolong"),
-        (bv.TorusGrid(2.0, 3.0, 32, 48), "restrict"), (bv.PlaneGrid(6.0, 64), "restrict"),
-    ], ids=["torus", "plane", "torus-restrict", "plane-restrict"])
-    def test_prolongation_of_a_pair_is_per_field_and_transform_free(self, grid, move,
+    @pytest.mark.parametrize("grid,coarse,move", [
+        (bv.TorusGrid(2.0, 3.0, 32, 48), bv.TorusGrid(2.0, 3.0, 16, 24), "prolong"),
+        (bv.PlaneGrid(6.0, 64), bv.PlaneGrid(6.0, 32), "prolong"),
+        (bv.TorusGrid(2.0, 3.0, 32, 48), bv.TorusGrid(2.0, 3.0, 16, 24), "restrict"),
+        (bv.PlaneGrid(6.0, 64), bv.PlaneGrid(6.0, 32), "restrict"),
+        # resolving levels, two thirds of the intervals: not nested, from an
+        # even and an odd n on the plane
+        (bv.PlaneGrid(6.0, 384), bv.PlaneGrid(6.0, 256), "prolong"),
+        (bv.PlaneGrid(6.0, 384), bv.PlaneGrid(6.0, 256), "restrict"),
+        (bv.PlaneGrid(8.0, 225), bv.PlaneGrid(8.0, 150), "prolong"),
+        (bv.PlaneGrid(8.0, 225), bv.PlaneGrid(8.0, 150), "restrict"),
+        (bv.TorusGrid(4.0, 4.0, 96, 96), bv.TorusGrid(4.0, 4.0, 64, 64), "prolong"),
+        (bv.TorusGrid(4.0, 4.0, 96, 96), bv.TorusGrid(4.0, 4.0, 64, 64), "restrict"),
+        (bv.TorusGrid(4.0, 4.0, 256, 256), bv.TorusGrid(4.0, 4.0, 170, 170), "prolong"),
+        (bv.TorusGrid(4.0, 4.0, 256, 256), bv.TorusGrid(4.0, 4.0, 170, 170), "restrict"),
+    ], ids=["torus", "plane", "torus-restrict", "plane-restrict",
+            "plane-384-256", "plane-384-256-restrict", "plane-225-150",
+            "plane-225-150-restrict", "torus-96-64", "torus-96-64-restrict",
+            "torus-256-170", "torus-256-170-restrict"])
+    def test_prolongation_of_a_pair_is_per_field_and_transform_free(self, grid, coarse, move,
                                                                    monkeypatch):
         # a stacked pair of coefficients (a state's) prolongs and restricts
-        # field by field, and moving coefficients takes no transform
-        coarse = type(grid)(*(grid.Lx, grid.Ly, grid.nx // 2, grid.ny // 2)
-                            if isinstance(grid, bv.TorusGrid) else (grid.R, grid.n // 2))
+        # field by field, exactly for fields the coarse grid resolves, and
+        # moving coefficients takes no transform.  Restriction undoes
+        # prolongation to roundoff
+        torus = isinstance(grid, bv.TorusGrid)
         source, target = (coarse, grid) if move == "prolong" else (grid, coarse)
-        pair = source.to_modes(random_state(source, seed=5))
         apply = getattr(grid, move)
+        # the same band-limited pair on both grids: Fourier modes up to one
+        # under the coarse Nyquist frequency, sine modes up to the coarse
+        # grid's largest
+        if torus:
+            top = min(coarse.nx, coarse.ny) // 2 - 1
+            exact = [np.stack([band_limited(g, 4, top), band_limited(g, 6, top)])
+                     for g in (source, target)]
+        else:
+            exact = [np.stack([sine_sum(g, 5, coarse.n - 1), sine_sum(g, 6, coarse.n - 1)])
+                     for g in (source, target)]
+        expected = target.to_modes(exact[1])
+        moved = apply(coarse, source.to_modes(exact[0]), target.empty_modes())
+        assert np.max(np.abs(moved - expected)) <= 1e-13 * np.max(np.abs(expected))
+        pair = coarse.to_modes(random_state(coarse, seed=5))
+        if torus:
+            pair[:, coarse.nx // 2] = pair[:, :, coarse.ny // 2] = 0.0  # prolong drops them
+        back = grid.restrict(coarse, grid.prolong(coarse, pair, grid.empty_modes()),
+                             coarse.empty_modes())
+        assert np.max(np.abs(back - pair)) <= 1e-15 * np.max(np.abs(pair))
+        pair = source.to_modes(random_state(source, seed=5))
         singles = [apply(coarse, p, target.empty_modes()[0]) for p in pair]
         for name in ("modal_forward", "modal_inverse"):
             monkeypatch.setattr(type(grid), name, None)
@@ -621,3 +678,45 @@ class TestCoarseLevels:
             # the same domain, and no coarser level of its own
             assert coarse.area == grid.area and type(coarse) is type(grid)
             assert coarse.coarsest(tau) is None
+
+    @pytest.mark.parametrize("grid,expected", [
+        (bv.PlaneGrid(12.0, 384), (256, 256)), (bv.PlaneGrid(8.0, 225), (150, 150)),
+        (bv.PlaneGrid(2.0, 256), (171, 171)), (bv.TorusGrid(4.0, 4.0, 96, 96), (64, 64)),
+        (bv.TorusGrid(4.0, 4.0, 256, 256), (170, 170)),
+        (bv.TorusGrid(4.0, 6.0, 128, 64), (86, 42)),
+    ], ids=["plane-384", "plane-225", "plane-256", "torus-96", "torus-256", "torus-rect"])
+    def test_resolving_level_has_two_thirds_of_the_intervals(self, grid, expected):
+        # n - 1 = round(2 (n - 1) / 3) on the plane, 2 round(n / 3) per axis
+        # on the torus; the same domain, between the first halving level and
+        # the grid on each axis
+        level = grid.resolving_level()
+        assert level.shape == expected
+        assert type(level) is type(grid) and level.area == grid.area
+        assert all(n // 2 < k < n for k, n in zip(level.shape, grid.shape))
+
+    @pytest.mark.parametrize("grid", [bv.PlaneGrid(6.0, 64), bv.TorusGrid(2.0, 3.0, 32, 48)],
+                             ids=["plane", "torus"])
+    def test_spectral_tail_reads_the_square_band(self, grid):
+        # the tail counts every mode whose number is at least two thirds of
+        # the largest in either axis.  On the plane (k_max = 62) the band
+        # starts at 42; a mode at (42, 1) lies inside the disc
+        # K < (4/9) K_max = (8/9) 62^2, which a disc tail would miss.  On
+        # the 32 x 48 torus it starts at |kx| = 11 (row 21 holds kx = -11)
+        # and at ky = 16
+        if isinstance(grid, bv.TorusGrid):
+            low, edge = (1, 1), [(21, 1), (16, 1), (1, 16), (1, 24)]
+            below = [(22, 1), (10, 1), (1, 15)]
+        else:
+            row = {k: i for i, k in enumerate(grid.sine_modes)}
+            low = (row[1], row[1])
+            edge = [(row[42], row[1]), (row[62], row[1]), (row[1], row[42]), (row[62], row[62])]
+            below = [(row[41], row[1]), (row[41], row[41])]
+            assert 42 ** 2 + 1 < 8 / 9 * 62 ** 2
+        for place in edge + below:
+            coeffs = grid.empty_modes()
+            coeffs.fill(0.0)
+            coeffs[0][low] = 2.0
+            coeffs[1][place] = -3e-7
+            assert grid.spectral_tail(coeffs) == (1.5e-7 if place in edge else 0.0)
+            assert grid.spectral_tail(coeffs[1]) == (1.0 if place in edge else 0.0)
+        assert grid.spectral_tail(np.zeros_like(coeffs)) == 0.0

@@ -567,8 +567,9 @@ class TestCoarseStart:
     @pytest.mark.parametrize("lam", [4.0 * math.pi / 20.0 * (1.0 + 1e-8), 1.0, 30.0, 100.0,
                                      1000.0])
     def test_coarse_start_reaches_the_cold_solution_in_fewer_iterations(self, lam):
-        # measured: fine iterations 2, 4, 4, 6, 7 cold and 0, 0, 2, 3, 4 from
-        # the coarse level, states equal to 1.3e-11
+        # measured: fine iterations 2, 4, 4, 6, 7 cold and 0, 0, 0, 2, 3
+        # from the levels below (from lambda = 30 on through the resolving
+        # level 170^2), states equal to 1.3e-11
         grid, params, vcfg, bg = self.compare_cell(lam)
         cold = bv.solve("torus", "base", vcfg, grid, params, background=bg,
                         init=np.zeros((2,) + grid.shape))
@@ -597,7 +598,7 @@ class TestCoarseStart:
                         init=np.zeros((2,) + grid.shape))
         assert sol.converged
         assert sol.coarse == {"shape": [64, 64], "iterations": 3, "converged": False,
-                              "fine_start": cold.grad_history[0]}
+                              "resolving": None, "fine_start": cold.grad_history[0]}
         assert sol.state.tobytes() == cold.state.tobytes()
 
     def test_cold_solve_keeps_its_coarse_solution_without_a_handle(self):
@@ -628,9 +629,10 @@ class TestCoarseStart:
         assert again.converged and again.coarse["converged"] and again.iterations == 0
 
     def test_plane_coarse_level(self):
-        # the plane is spectral: the prolonged 64-node solution is within
-        # 1e-5 of the 128-node one in sup gradient, so one Newton step ends
-        # the fine solve
+        # the plane is spectral: the prolonged solution of the level below
+        # (the resolving level, 86 nodes, above the 64-node coarsest) is
+        # within 1e-5 of the 128-node one in sup gradient, so one Newton
+        # step ends the fine solve
         grid, params = bv.PlaneGrid(4.0, 128), bv.PhysicalParams(lam=4.0)
         cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
         bg = bv.build_background(cfg, grid, params)
@@ -642,6 +644,56 @@ class TestCoarseStart:
         assert 0 < seq.iterations <= 1 < cold.iterations
         assert seq.coarse["fine_start"] <= 1e-5
         assert np.max(np.abs(seq.state - cold.state)) <= 1e-8
+
+
+class TestResolvingLevel:
+    """A cold solve whose coarsest solution is not resolved goes through the resolving level."""
+
+    def test_plane_fine_level_takes_no_step(self):
+        # R = 6, n = 193: the coarsest level 97 leaves a tail above
+        # RESOLVED_TAIL, and the resolving level 129 hands the fine level a
+        # start under its tolerance
+        grid, params = bv.PlaneGrid(6.0, 193), bv.PhysicalParams(lam=4.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
+        bg = bv.build_background(cfg, grid, params)
+        sol = bv.solve("plane", "base", cfg, grid, params, background=bg)
+        cold = bv.solve("plane", "base", cfg, grid, params, background=bg,
+                        init=np.zeros((2,) + grid.shape))
+        assert sol.converged and cold.converged and sol.iterations == 0
+        assert sol.coarse["shape"] == [97, 97] and sol.coarse["converged"]
+        assert sol.coarse["resolving"] == {"shape": [129, 129], "iterations": 1,
+                                           "converged": True}
+        assert sol.coarse["fine_start"] == sol.grad_history[0] <= 1e-9
+        assert np.max(np.abs(sol.state - cold.state)) <= 1e-8
+
+    def test_resolved_torus_keeps_two_levels(self, tmp_path, monkeypatch):
+        # torus-compare at lambda = 1: the 64^2 tails of both solvers lie
+        # under RESOLVED_TAIL, so neither goes through the resolving level,
+        # and the results are bitwise those of the two-level path
+        cfg = parse_config(json.dumps(compare_workload_config(1)))
+        code, report = run("compare", cfg, out_dir=str(tmp_path / "rule"))
+        monkeypatch.setattr(newton, "RESOLVED_TAIL", math.inf)
+        two_level = run("compare", cfg, out_dir=str(tmp_path / "two"))[1]
+        assert code == 0
+        for method in ("newton", "fixedpoint"):
+            block = report["results"][method]["coarse"]
+            assert block["shape"] == [64, 64] and block["resolving"] is None
+        assert json.dumps(report["results"]) == json.dumps(two_level["results"])
+
+    def test_large_coupling_plane_takes_no_more_fine_steps(self):
+        # lambda = 1000, R = 2, n = 256: the core scale picks the 32-node
+        # coarsest level, which under-resolves the core length 1/sqrt(lambda).
+        # Prolonged straight to the fine grid, its solution starts it at sup
+        # gradient 1.8e3, and the fine level takes 5 iterations from there.
+        # Through the resolving level 171 the fine start is about 14
+        grid, params = bv.PlaneGrid(2.0, 256), bv.PhysicalParams(lam=1000.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.3, 0.0), (-0.3, 0.2)))
+        sol = bv.solve("plane", "base", cfg, grid, params)
+        assert sol.converged and sol.coarse["shape"] == [32, 32]
+        assert sol.coarse["resolving"]["shape"] == [171, 171]
+        assert sol.coarse["resolving"]["converged"]
+        assert sol.iterations <= 5
+        assert sol.coarse["fine_start"] <= 1e2
 
 
 class TestCgBreakdown:
@@ -854,11 +906,13 @@ class TestUnheldStart:
     @pytest.mark.parametrize("mode", ["torus", "plane"])
     @pytest.mark.parametrize("keep", [False, True], ids=["lone", "kept"])
     def test_coarse_solution_is_freed_before_the_fine_level(self, monkeypatch, mode, keep):
-        # a lone solve hands nothing of its coarse level back: the coarse
-        # solution and the coarse grid, with its cached bases, are dead by
-        # the fine level's first CG solve.  A solve that keeps its coarse
-        # level, a sweep row's with its background handle, hands that
-        # solution itself back in Solution.coarse_modes
+        # both cases go through the coarse level 64^2 and the resolving
+        # level 86^2.  A lone solve hands nothing of a lower level on: its
+        # solution, its grid, with its cached bases, and its background are
+        # dead before the next level runs.  A solve that keeps its coarse
+        # level, a sweep row's with its background handle, keeps the
+        # coarsest level's alive and hands that solution itself back in
+        # Solution.coarse_modes; the resolving level's go all the same
         if mode == "torus":
             grid, params, cfg, bg = two_vortex_torus(128)
             params = bv.PhysicalParams(lam=10.0)
@@ -868,27 +922,26 @@ class TestUnheldStart:
             bg = bv.build_background(cfg, grid, params)
         levels = [] if keep else None
         refs, alive = [], []
-        minimize, pcg = newton.minimize, newton._pcg
+        minimize = newton.minimize
 
         def recorded(model, settings, **kwargs):
+            # which lower levels' solution, grid and background are alive
+            # as this level starts
+            alive.append([[ref() is not None for ref in level] for level in refs])
             sol = minimize(model, settings, **kwargs)
             if model.grid != grid:
-                refs.append((weakref.ref(sol.modes), weakref.ref(model.grid)))
+                refs.append((weakref.ref(sol.modes), weakref.ref(model.grid),
+                             weakref.ref(model.bg)))
             return sol
 
-        def spy(*args):
-            if refs:
-                alive.append([ref() is not None for ref in refs[0]])
-            return pcg(*args)
-
         monkeypatch.setattr(newton, "minimize", recorded)
-        monkeypatch.setattr(newton, "_pcg", spy)
         sol = bv.solve(mode, "base", cfg, grid, params, background=bg, levels=levels,
                        keep_coarse=keep)
-        assert sol.converged and sol.coarse["converged"] and len(refs) == 1
+        assert sol.converged and sol.coarse["converged"]
+        assert sol.coarse["resolving"] == {"shape": [86, 86], "iterations": 1,
+                                           "converged": True}
         assert len(levels or []) == keep
-        assert len(alive) == sol.iterations >= 1
-        assert alive == [[keep, keep]] * len(alive)
+        assert alive == [[], [[keep] * 3], [[keep] * 3, [False] * 3]]
         assert (sol.coarse_modes is refs[0][0]()) if keep else sol.coarse_modes is None
 
     def test_secant_start_is_held_by_nobody(self):
