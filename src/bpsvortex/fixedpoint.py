@@ -119,7 +119,7 @@ def continuation_solve(bg: Background, params: PhysicalParams,
     The levels and the start of each are those of
     :func:`~bpsvortex.newton.solve_levels`, whose background handle is
     ``levels``; the iteration runs on the zero-mean pair, from the zero pair
-    or from the pair the coarse level gives.  A level converges once the
+    or from the pair the level below gives.  A level converges once the
     relative residual is at most ``INNER_TOL``.  It gives up after
     ``MAX_APPLIES`` map applications, or at the first application that
     raises ``Overflow`` (a divergent iterate), and then reports the last

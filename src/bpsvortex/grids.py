@@ -30,14 +30,14 @@ one field at a time (dense products, which gain nothing from stacking),
 and its ``pointwise_product`` goes through one physical field per call.
 Transform counts stay per field: a stacked call transforms two.
 The coarse levels are written once as well, from each grid's ``_halved``,
-``_two_thirds``, ``_top_third``, ``_coarse_blocks`` and ``_count`` (see
+``_top_third``, ``_coarse_blocks`` and ``_count`` (see
 :class:`_Eigenbasis`): ``resolves(length)`` says whether a grid resolves a
 core of that length by three nodes (3 * spacing <= length),
 ``coarsest(tau)`` is the coarsest grid of the halving chain that still
-resolves a core of scale tau (length sqrt(tau)), ``resolving_level()`` is
-the grid with two thirds of this one's intervals per axis, and
-``spectral_tail(coeffs)`` reads from a level's coefficients how much of a
-field sits in the top third of its band.  ``prolong`` zero-pads the
+resolves a core of scale tau (length sqrt(tau)), each grid's own
+``resolving_level()`` is the grid with two thirds of its intervals per
+axis, and ``spectral_tail(coeffs)`` reads from a level's coefficients how
+much of a field sits in the top third of its band.  ``prolong`` zero-pads the
 coefficients (of a field or a pair) of any coarser grid of the same domain
 onto this one, nested or not, exact for fields band-limited there, and
 ``restrict`` truncates them back; no transform.  Solvers start a cold solve
@@ -107,12 +107,13 @@ class _Eigenbasis:
     go field by field; a grid whose transforms take a stack (the torus)
     overrides them with one pass over it.  For the coarse levels a grid
     gives ``_halved()``, its next halving level (``None`` where the chain
-    ends), ``_two_thirds()``, its resolving level, ``_top_third``, the
-    slices of the coefficient rows and of the columns whose mode number is
-    at least two thirds of the largest, ``_coarse_blocks(coarse)``,
-    pairs (index here, index on ``coarse``) of the coefficients both have,
-    and ``_count``, the factor a mode's coefficient grows with (nx * ny on
-    the torus, n - 1 on the plane).
+    ends), ``resolving_level()``, the level with two thirds of its
+    intervals per axis, ``_top_third``, the slices of the coefficient rows
+    and of the columns whose mode number is at least two thirds of the
+    largest, ``_coarse_blocks(coarse)``, pairs (index here, index on
+    ``coarse``) of the coefficients both have, and ``_count``, the factor a
+    mode's coefficient grows with (nx * ny on the torus, n - 1 on the
+    plane).
     """
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
@@ -216,15 +217,6 @@ class _Eigenbasis:
             out[here] = coeffs[there]
         out *= self._count / coarse._count
         return out
-
-    def resolving_level(self):
-        """The resolving level: this grid's domain with two thirds of its intervals per axis.
-
-        n - 1 = round(2 (n - 1) / 3) on the plane (256 nodes for 384), an
-        even 2 round(n / 3) per axis on the torus (64 for 96); always finer
-        than ``coarsest``, which halves at least once.
-        """
-        return self._two_thirds()
 
     def spectral_tail(self, coeffs: np.ndarray) -> float:
         """How much of the coefficients ``coeffs`` (one field or a stack) sit at the top of the band.
@@ -412,8 +404,12 @@ class TorusGrid(_Eigenbasis):
         halves = self.nx % 4 == 0 and self.ny % 4 == 0 and min(self.nx, self.ny) >= 16
         return TorusGrid(self.Lx, self.Ly, self.nx // 2, self.ny // 2) if halves else None
 
-    def _two_thirds(self):
-        # 2 round(n / 3) samples per axis: even, and at least 8 for n >= 12
+    def resolving_level(self):
+        """The resolving level: this grid's domain with two thirds of its intervals per axis.
+
+        An even 2 round(n / 3) samples per axis (64 for 96), at least 8 for
+        n >= 12; always finer than ``coarsest``, which halves at least once.
+        """
         return TorusGrid(self.Lx, self.Ly, 2 * round(self.nx / 3), 2 * round(self.ny / 3))
 
     @property
@@ -643,8 +639,13 @@ class PlaneGrid(_Eigenbasis):
         n = (self.n + 1) // 2
         return PlaneGrid(self.R, n) if n >= 16 else None
 
-    def _two_thirds(self):
-        # round(2 (n - 1) / 3) intervals; 2 (n - 1) / 3 is never halfway
+    def resolving_level(self):
+        """The resolving level: this grid's domain with two thirds of its intervals per axis.
+
+        round(2 (n - 1) / 3) intervals (256 nodes for 384; 2 (n - 1) / 3 is
+        never halfway); always finer than ``coarsest``, which halves at
+        least once.
+        """
         return PlaneGrid(self.R, round(2 * (self.n - 1) / 3) + 1)
 
     @property

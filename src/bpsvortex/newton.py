@@ -161,12 +161,10 @@ class Solution:
     # search work, fallback taken)
     newton_steps: Optional[list] = None
     # the levels below the fine grid of a solve that went through them (see
-    # solve_levels): the coarse grid's ``shape``, its solve's ``iterations``
-    # and ``converged``, ``resolving``, the same three of the resolving
-    # level (None without it), and ``fine_start``, the first
-    # ``grad_history`` entry of the fine level, at the start they gave; None
+    # solve_levels), coarsest first: one record per level, its grid's
+    # ``shape`` and its solve's ``iterations`` and ``converged``; None
     # without a coarse level
-    coarse: Optional[dict] = None
+    coarse: Optional[List[dict]] = None
     # wall time of those levels, kept apart from the deterministic block
     coarse_s: Optional[float] = None
     # Newton only: the state's mode coefficients (``grid.to_modes``), carried
@@ -248,16 +246,6 @@ def _forcing_term(g_norm: float, g_norm_prev: Optional[float], gsup: float,
     return max(eta, CG_TOL), last_step
 
 
-def _level_coefficients(level, sol: Solution) -> Optional[np.ndarray]:
-    """The coefficients a level hands up: its solution's ``modes``, or those of its state.
-
-    ``None`` when the level did not converge.
-    """
-    if not sol.converged:
-        return None
-    return level.to_modes(sol.state) if sol.modes is None else sol.modes
-
-
 def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
                  init: Optional[np.ndarray] = None, levels: Optional[list] = None,
                  coarse_init: Optional[np.ndarray] = None, keep_coarse: bool = False) -> Solution:
@@ -282,7 +270,8 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     (``grid.spectral_tail`` of its coefficients, the largest coefficient in
     the top third of the band in either axis over the largest) exceeds
     ``RESOLVED_TAIL``.  R starts from the prolonged coarsest solution, and
-    its own solution starts the fine level.  Tails of the coarsest level
+    its own solution starts the fine level, whatever its own tail: a solve
+    goes through one resolving level at most.  Tails of the coarsest level
     at ``RESOLVED_TAIL`` = 1e-9:
 
     ============================  =============  ============
@@ -304,8 +293,16 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     coefficients (``grid.to_modes``; ``None`` when the solver is to compute
     them), or ``[None, None]`` for the solver's zero start.  The call empties
     it, so that no frame above the level's solver holds the start while it
-    runs.  A level's coefficients are its solution's ``modes``, or without
-    them those of its state.
+    runs.
+
+    The levels below the fine grid go through one loop.  Each is solved and
+    appends its record ``{"shape", "iterations", "converged"}`` to
+    :attr:`Solution.coarse`; when it converged, its coefficients (its
+    solution's ``modes``, or without them those of its state) are
+    prolonged into the next level's start.  R's start is a new pair of
+    buffers, the fine level's the one allocated before the lower levels
+    (see below).  A level that does not converge ends the walk, and the
+    fine level then starts from ``init`` (the zero start when cold).
 
     A cold solve (no ``init``) starts its coarse level from zero.  A warm
     one, from ``init`` (taken over, not copied; its coefficients cost one
@@ -317,10 +314,8 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     solution of the level below it, at two inverse transforms: the coarse
     correction of the tau-correction in FAS multigrid (Brandt, "Multi-level
     adaptive solutions to boundary-value problems", Math. Comp. 31, 1977),
-    with init = p_c = 0 when cold.  Without a coarse solve, or when a level
-    below does not converge, the fine level starts from ``init`` (the zero
-    start when cold).  A sweep path builds p_c from its rows' coarse
-    coefficients as it builds ``init`` from their states, so that
+    with init = p_c = 0 when cold.  A sweep path builds p_c from its rows'
+    coarse coefficients as it builds ``init`` from their states, so that
     init - prolong(p_c) carries the fine-minus-coarse discretization defect
     along the path; on the torus-sweep workload a warm row's fine level
     then starts under its tolerance and takes no step.
@@ -340,12 +335,9 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     levels' short-lived arrays, and the fine level reuses their space (a
     start made after them cost plane-solve 1.1 MB).
 
-    Returns the fine level's solution, with the coarse block in
-    :attr:`Solution.coarse` and the wall time of the levels below the fine
-    grid in :attr:`Solution.coarse_s` (``None`` without a coarse solve).
-    The block holds the coarsest level's ``shape``, ``iterations`` and
-    ``converged``, ``resolving``, the same three of R (``None`` without
-    it), and ``fine_start``, the fine level's first ``grad_history`` entry.
+    Returns the fine level's solution, with the records of the levels below
+    it, coarsest first, in :attr:`Solution.coarse` and their wall time in
+    :attr:`Solution.coarse_s` (both ``None`` without a coarse solve).
     With ``keep_coarse`` (a sweep row), :attr:`Solution.coarse_modes` holds
     the coefficients the path carries on the coarsest grid: s_c itself,
     held through the levels above it, or without it the restriction of the
@@ -356,61 +348,57 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     if coarse_init is not None and not levels:
         raise ValueError("coarse_init needs its level: pass the levels handle that the "
                          "solve of its coarse coefficients filled")
-    # ``lower`` is the level below the next one to solve.  Only a path
-    # keeps the coarse grid past its level: one that no background holds
+    # ``level`` is the next level below the fine grid to solve.  Only a path
+    # keeps the coarsest grid past its level: one that no background holds
     # takes its cached bases along when it goes
-    lower = levels[0].grid if levels else grid.coarsest(backgrounds.core_scale(grid))
-    coarse = lower if keep_coarse else None
+    level = levels[0].grid if levels else grid.coarsest(backgrounds.core_scale(grid))
+    coarse = level if keep_coarse else None
     base = None if init is None else grid.to_modes(init)
-    block = seconds = kept = start = modes = None
-    if lower is not None and (init is None or coarse_init is not None
-                              and lower.resolves(1.0 / math.sqrt(params.lam))):
+    fine = [init, base]
+    records = seconds = kept = None
+    if level is not None and (init is None or coarse_init is not None
+                              and level.resolves(1.0 / math.sqrt(params.lam))):
         t0 = time.perf_counter()
         # a background the handle keeps outlives the solve, so it goes
         # below the start on the heap; one built for the call alone goes
-        # above it and is freed when the coarse solve returns
+        # above it and is freed when its level's solve returns
         if levels is not None and not levels:
-            levels.append(build_background(bg.cfg, lower, params))
+            levels.append(build_background(bg.cfg, level, params))
         start, modes = np.empty((2,) + grid.shape), grid.empty_modes()
-        sol = solve_level(levels[0] if levels else build_background(bg.cfg, lower, params),
-                          [None if init is None else lower.from_modes(coarse_init), None])
-        block = {"shape": list(lower.shape), "iterations": sol.iterations,
-                 "converged": sol.converged, "resolving": None}
-        coeffs = _level_coefficients(lower, sol)
-        del sol
-        kept = coeffs if keep_coarse else None
-        if (init is None and coeffs is not None
-                and lower.spectral_tail(coeffs) > RESOLVED_TAIL):
-            level = grid.resolving_level()
-            begin = level.prolong(lower, coeffs, level.empty_modes())
-            begin = [level.from_modes(begin), begin]
-            lower = coeffs = None
-            sol = solve_level(build_background(bg.cfg, level, params), begin)
-            block["resolving"] = {"shape": list(level.shape), "iterations": sol.iterations,
-                                  "converged": sol.converged}
-            lower, coeffs = level, _level_coefficients(level, sol)
-            del sol, level
-        if coeffs is None:
-            start = modes = None
-        else:
-            correction = coeffs if init is None else np.subtract(coeffs, coarse_init)
-            del coeffs
-            grid.prolong(lower, correction, modes)
-            del correction
-            if base is not None:
-                modes += base
-            grid.from_modes(modes, out=start)
+        begin, records = [None if init is None else level.from_modes(coarse_init), None], []
+        while level is not None:
+            sol = solve_level(levels[0] if levels and not records
+                              else build_background(bg.cfg, level, params), begin)
+            records.append({"shape": list(level.shape), "iterations": sol.iterations,
+                            "converged": sol.converged})
+            coeffs = ((level.to_modes(sol.state) if sol.modes is None else sol.modes)
+                      if sol.converged else None)
+            del sol
+            if level is coarse:
+                kept = coeffs
+            # R follows the coarsest level of a cold solve that does not
+            # resolve its solution; any other converged level starts the fine one
+            upper = (grid.resolving_level() if init is None and coeffs is not None
+                     and len(records) == 1 and level.spectral_tail(coeffs) > RESOLVED_TAIL
+                     else None)
+            if upper is not None:
+                begin = upper.prolong(level, coeffs, upper.empty_modes())
+                begin = [upper.from_modes(begin), begin]
+            elif coeffs is not None:
+                grid.prolong(level, coeffs if init is None else np.subtract(coeffs, coarse_init),
+                             modes)
+                coeffs = None  # freed before the transform's temporaries are made
+                if base is not None:
+                    modes += base
+                fine[:] = grid.from_modes(modes, out=start), modes
+            level, coeffs = upper, None
         seconds = time.perf_counter() - t0
-    lower = None
-    fine_start = [init, base] if start is None else [start, modes]
-    init = base = start = modes = None
-    sol = solve_level(bg, fine_start)
-    if block is not None:
-        block["fine_start"] = sol.grad_history[0] if sol.grad_history else None
+    level = init = base = start = modes = None
+    sol = solve_level(bg, fine)
     if coarse is not None:
         sol.coarse_modes = (kept if kept is not None
                             else grid.restrict(coarse, sol.modes, coarse.empty_modes()))
-    sol.coarse, sol.coarse_s = block, seconds
+    sol.coarse, sol.coarse_s = records, seconds
     return sol
 
 

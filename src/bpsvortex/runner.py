@@ -81,7 +81,7 @@ from .diagnostics import (build_diagnostics, profile_window, radial_profile,
 from .errors import ValidationError
 from .fixedpoint import continuation_solve
 from .grids import PlaneGrid
-from .newton import SolverSettings, Solution, solve
+from .newton import SolverSettings, Solution, _sup, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -101,18 +101,16 @@ def _threshold_dict(vcfg, grid, params) -> dict:
             **dict(zip(keys, report.constraints))}
 
 
-def _coarse_summary(block: Optional[dict], work: str, start: str) -> Optional[dict]:
-    # the level driver's coarse block under the solver's own names, the
-    # resolving level's (or None) included
-    if block is None:
+def _coarse_summary(sol: Solution, work: str, start: str) -> Optional[dict]:
+    # the level driver's records under the solver's own names: the
+    # coarsest level's, the fine level's first ``grad_history`` entry and
+    # the resolving level's (or None)
+    if sol.coarse is None:
         return None
-    resolving = block["resolving"]
-    if resolving is not None:
-        resolving = {"shape": resolving["shape"], work: resolving["iterations"],
-                     "converged": resolving["converged"]}
-    return {"shape": block["shape"], work: block["iterations"],
-            "converged": block["converged"], start: block["fine_start"],
-            "resolving": resolving}
+    coarsest, *resolving = [{"shape": record["shape"], work: record["iterations"],
+                             "converged": record["converged"]} for record in sol.coarse]
+    return {**coarsest, start: sol.grad_history[0] if sol.grad_history else None,
+            "resolving": resolving[0] if resolving else None}
 
 
 def _newton_summary(sol: Solution) -> dict:
@@ -123,7 +121,7 @@ def _newton_summary(sol: Solution) -> dict:
         "energy_final": sol.energy_history[-1] if sol.energy_history else None,
         "message": sol.message,
         "steps": sol.newton_steps,
-        "coarse": _coarse_summary(sol.coarse, "iterations", "grad_sup_start"),
+        "coarse": _coarse_summary(sol, "iterations", "grad_sup_start"),
     }
 
 
@@ -136,7 +134,7 @@ def _fixedpoint_summary(sol: Solution) -> dict:
         "residual_final": sol.grad_history[-1] if sol.grad_history else None,
         "omega": sol.omega,
         "message": sol.message,
-        "coarse": _coarse_summary(sol.coarse, "trials", "residual_start"),
+        "coarse": _coarse_summary(sol, "trials", "residual_start"),
     }
 
 
@@ -275,8 +273,10 @@ def _evaluate(cfg: RunConfig, command: str, results: dict, timings: dict,
         results["fixedpoint"] = _fixedpoint_summary(fixed_sol)
         if not fixed_sol.converged:
             exit_code = EXIT_NOT_CONVERGED
-        results["cross_method_sup_diff"] = float(
-            np.max(np.abs(newton_sol.state - fixed_sol.state)))
+        # the difference goes into the fixed point's state, which nothing
+        # reads afterwards
+        results["cross_method_sup_diff"] = _sup(
+            np.subtract(newton_sol.state, fixed_sol.state, out=fixed_sol.state))
     profile = None
     if newton_sol.converged:
         t0 = time.perf_counter()

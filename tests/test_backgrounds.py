@@ -311,10 +311,10 @@ class TestPointSourceLimit:
         # the halving chain coarse enough, 0.2 and 0.3 solve on n = 97 first
         plane = bv.PlaneGrid(6.0, 193)
         ref, coarse = at_tau(plane, self.PLANE_P, 0.2, lam=4.0)
-        assert coarse["shape"] == [97, 97]
+        assert coarse[0]["shape"] == [97, 97]
         for tau, shape in ((0.1, None), (0.3, [97, 97])):
             ev, coarse = at_tau(plane, self.PLANE_P, tau, lam=4.0)
-            assert (None if coarse is None else coarse["shape"]) == shape
+            assert (None if coarse is None else coarse[0]["shape"]) == shape
             assert np.max(np.abs(ev - ref)) <= 1e-9
 
     def test_solution_is_resolution_independent(self):

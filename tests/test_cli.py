@@ -289,10 +289,27 @@ class TestRunCommands:
             if coarse is None:
                 assert block is None and f"{method}_coarse_s" not in timings
                 continue
-            assert set(block) == {"shape", work, "converged", start, "resolving"}
+            assert list(block) == ["shape", work, "converged", start, "resolving"]
             assert block["shape"] == coarse and block["converged"] and block[work] > 0
             assert block["resolving"] is None
             assert 0.0 < timings[f"{method}_coarse_s"] <= timings[f"{method}_s"]
+
+    def test_plane_solve_reports_its_resolving_level(self, tmp_path):
+        # R = 4, n = 128: the 64-node coarsest solution is not resolved, so
+        # the solve goes through the resolving level 86, which the coarse
+        # block reports after the fine level's start
+        raw = {"mode": "plane", "model": "base", "lambda": 4.0, "domain": {"R": 4.0},
+               "grid": {"n": 128}, "phi_zeros": [[0.5, -0.3], [-1.0, 0.8]]}
+        code, report = run("solve", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 0
+        block = report["results"]["newton"]["coarse"]
+        assert list(block) == ["shape", "iterations", "converged", "grad_sup_start",
+                               "resolving"]
+        assert block["shape"] == [64, 64] and block["converged"] and block["iterations"] > 0
+        assert 0.0 < block["grad_sup_start"] <= 1e-5
+        assert list(block["resolving"]) == ["shape", "iterations", "converged"]
+        assert block["resolving"] == {"shape": [86, 86], "iterations": 1, "converged": True}
+        assert 0.0 < report["timings"]["newton_coarse_s"] <= report["timings"]["newton_s"]
 
     def test_compare_builds_its_coarse_background_once(self, tmp_path, monkeypatch):
         # both solvers share the 64^2 background, and their results are those

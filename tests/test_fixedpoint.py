@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import bpsvortex as bv
 from bpsvortex.errors import Overflow, ThresholdViolated
-from bpsvortex import fixedpoint
+from bpsvortex import fixedpoint, runner
 from conftest import random_smooth_field
 
 L20 = math.sqrt(20.0)
@@ -282,8 +282,8 @@ class TestCoarseLevel:
         monkeypatch.setattr(bv.newton, "solve", no_newton)
         fp = bv.continuation_solve(bg, params)
         assert fp.converged
-        assert fp.coarse["shape"] == [64, 64] and fp.coarse["converged"]
-        assert fp.coarse["fine_start"] == fp.grad_history[0]
+        assert fp.coarse[0]["shape"] == [64, 64] and fp.coarse[0]["converged"]
+        assert runner._fixedpoint_summary(fp)["coarse"]["residual_start"] == fp.grad_history[0]
         # the coarse fixed point, prolonged, is all but the fine one
         assert fp.iterations <= 2
 
@@ -299,8 +299,10 @@ class TestCoarseLevel:
         monkeypatch.setattr(fixedpoint, "apply_T", overflowing_on_the_coarse_grid)
         fp = bv.continuation_solve(bg, params)
         assert fp.converged
-        assert fp.coarse == {"shape": [64, 64], "iterations": 1, "converged": False,
-                             "resolving": None, "fine_start": fp.grad_history[0]}
+        assert fp.coarse == [{"shape": [64, 64], "iterations": 1, "converged": False}]
+        assert runner._fixedpoint_summary(fp)["coarse"] == {
+            "shape": [64, 64], "trials": 1, "converged": False,
+            "residual_start": fp.grad_history[0], "resolving": None}
         # the fine iteration started from the zero pair, where the relative
         # residual is sup |T(0)|
         zero = np.zeros((2,) + grid.shape)

@@ -576,8 +576,8 @@ class TestCoarseStart:
         seq = bv.solve("torus", "base", vcfg, grid, params, background=bg)
         assert cold.converged and seq.converged
         assert cold.coarse is None
-        assert seq.coarse["shape"] == [64, 64] and seq.coarse["converged"]
-        assert seq.coarse["fine_start"] == seq.grad_history[0]
+        assert seq.coarse[0]["shape"] == [64, 64] and seq.coarse[0]["converged"]
+        assert runner._newton_summary(seq)["coarse"]["grad_sup_start"] == seq.grad_history[0]
         assert seq.iterations <= cold.iterations
         assert np.max(np.abs(seq.state - cold.state)) <= 1e-9
 
@@ -597,8 +597,10 @@ class TestCoarseStart:
         cold = bv.solve("torus", "base", vcfg, grid, params, background=bg,
                         init=np.zeros((2,) + grid.shape))
         assert sol.converged
-        assert sol.coarse == {"shape": [64, 64], "iterations": 3, "converged": False,
-                              "resolving": None, "fine_start": cold.grad_history[0]}
+        assert sol.coarse == [{"shape": [64, 64], "iterations": 3, "converged": False}]
+        assert runner._newton_summary(sol)["coarse"] == {
+            "shape": [64, 64], "iterations": 3, "converged": False,
+            "grad_sup_start": cold.grad_history[0], "resolving": None}
         assert sol.state.tobytes() == cold.state.tobytes()
 
     def test_cold_solve_keeps_its_coarse_solution_without_a_handle(self):
@@ -606,7 +608,7 @@ class TestCoarseStart:
         # from zero finds it
         grid, params, vcfg, bg = self.compare_cell(1.0)
         sol = bv.solve("torus", "base", vcfg, grid, params, background=bg, keep_coarse=True)
-        assert sol.converged and sol.coarse["converged"]
+        assert sol.converged and sol.coarse[0]["converged"]
         coarse = grid.coarsest(bv.backgrounds.core_scale(grid))
         alone = bv.minimize(EnergyModel(bv.build_background(vcfg, coarse, params), params),
                             bv.SolverSettings())
@@ -626,7 +628,7 @@ class TestCoarseStart:
         again = bv.solve("torus", "base", vcfg, grid, params, background=bg, levels=levels,
                          init=first.state.copy(), coarse_init=first.coarse_modes,
                          keep_coarse=True)
-        assert again.converged and again.coarse["converged"] and again.iterations == 0
+        assert again.converged and again.coarse[0]["converged"] and again.iterations == 0
 
     def test_plane_coarse_level(self):
         # the plane is spectral: the prolonged solution of the level below
@@ -640,9 +642,9 @@ class TestCoarseStart:
         cold = bv.solve("plane", "base", cfg, grid, params, background=bg,
                         init=np.zeros((2,) + grid.shape))
         assert seq.converged and cold.converged
-        assert seq.coarse["shape"] == [64, 64] and seq.coarse["converged"]
+        assert seq.coarse[0]["shape"] == [64, 64] and seq.coarse[0]["converged"]
         assert 0 < seq.iterations <= 1 < cold.iterations
-        assert seq.coarse["fine_start"] <= 1e-5
+        assert seq.grad_history[0] <= 1e-5
         assert np.max(np.abs(seq.state - cold.state)) <= 1e-8
 
 
@@ -660,11 +662,33 @@ class TestResolvingLevel:
         cold = bv.solve("plane", "base", cfg, grid, params, background=bg,
                         init=np.zeros((2,) + grid.shape))
         assert sol.converged and cold.converged and sol.iterations == 0
-        assert sol.coarse["shape"] == [97, 97] and sol.coarse["converged"]
-        assert sol.coarse["resolving"] == {"shape": [129, 129], "iterations": 1,
-                                           "converged": True}
-        assert sol.coarse["fine_start"] == sol.grad_history[0] <= 1e-9
+        assert sol.coarse[0]["shape"] == [97, 97] and sol.coarse[0]["converged"]
+        assert sol.coarse[1] == {"shape": [129, 129], "iterations": 1, "converged": True}
+        assert runner._newton_summary(sol)["coarse"]["grad_sup_start"] == sol.grad_history[0]
+        assert sol.grad_history[0] <= 1e-9
         assert np.max(np.abs(sol.state - cold.state)) <= 1e-8
+
+    def test_one_resolving_level_at_most(self, monkeypatch):
+        # the case above: the resolving level's own solution has a tail above
+        # RESOLVED_TAIL too (1.9e-9), and still no second resolving level
+        # follows it; the fine level starts from it and takes no step
+        grid, params = bv.PlaneGrid(6.0, 193), bv.PhysicalParams(lam=4.0)
+        cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
+        tails = []
+        minimize = newton.minimize
+
+        def recorded(model, settings, **kwargs):
+            sol = minimize(model, settings, **kwargs)
+            if model.grid != grid:
+                tails.append(model.grid.spectral_tail(sol.modes))
+            return sol
+
+        monkeypatch.setattr(newton, "minimize", recorded)
+        sol = bv.solve("plane", "base", cfg, grid, params)
+        assert sol.converged and sol.iterations == 0
+        assert [record["shape"] for record in sol.coarse] == [[97, 97], [129, 129]]
+        assert all(record["converged"] for record in sol.coarse)
+        assert len(tails) == 2 and min(tails) > newton.RESOLVED_TAIL
 
     def test_resolved_torus_keeps_two_levels(self, tmp_path, monkeypatch):
         # torus-compare at lambda = 1: the 64^2 tails of both solvers lie
@@ -689,11 +713,11 @@ class TestResolvingLevel:
         grid, params = bv.PlaneGrid(2.0, 256), bv.PhysicalParams(lam=1000.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3, 0.0), (-0.3, 0.2)))
         sol = bv.solve("plane", "base", cfg, grid, params)
-        assert sol.converged and sol.coarse["shape"] == [32, 32]
-        assert sol.coarse["resolving"]["shape"] == [171, 171]
-        assert sol.coarse["resolving"]["converged"]
+        assert sol.converged and sol.coarse[0]["shape"] == [32, 32]
+        assert sol.coarse[1]["shape"] == [171, 171]
+        assert sol.coarse[1]["converged"]
         assert sol.iterations <= 5
-        assert sol.coarse["fine_start"] <= 1e2
+        assert sol.grad_history[0] <= 1e2
 
 
 class TestCgBreakdown:
@@ -803,7 +827,7 @@ class TestCarriedModes:
 
         monkeypatch.setattr(newton, "minimize", recording)
         sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
-        assert sol.converged and sol.coarse["converged"] and sol.coarse["shape"] == [64, 64]
+        assert sol.converged and sol.coarse[0]["converged"] and sol.coarse[0]["shape"] == [64, 64]
         assert len(starts) == 1
         for state, modes in (starts[0], (sol.state, sol.modes)):
             expected = grid.to_modes(state)
@@ -875,7 +899,7 @@ class TestTransformBudget:
             cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
             bg = bv.build_background(cfg, grid, params)
         sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
-        assert sol.converged and sol.coarse["shape"] == [64, 64]
+        assert sol.converged and sol.coarse[0]["shape"] == [64, 64]
         forward, inverse = step_budget(sol, 0, 2)
         assert count_transforms["forward", grid.shape] == forward
         assert count_transforms["inverse", grid.shape] == inverse
@@ -937,9 +961,8 @@ class TestUnheldStart:
         monkeypatch.setattr(newton, "minimize", recorded)
         sol = bv.solve(mode, "base", cfg, grid, params, background=bg, levels=levels,
                        keep_coarse=keep)
-        assert sol.converged and sol.coarse["converged"]
-        assert sol.coarse["resolving"] == {"shape": [86, 86], "iterations": 1,
-                                           "converged": True}
+        assert sol.converged and sol.coarse[0]["converged"]
+        assert sol.coarse[1] == {"shape": [86, 86], "iterations": 1, "converged": True}
         assert len(levels or []) == keep
         assert alive == [[], [[keep] * 3], [[keep] * 3, [False] * 3]]
         assert (sol.coarse_modes is refs[0][0]()) if keep else sol.coarse_modes is None

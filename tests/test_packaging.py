@@ -51,27 +51,45 @@ def test_declared_dependencies_are_the_imported_ones():
 
 
 def test_every_exported_function_has_a_caller():
-    # a top-level function or class of the package that no module of the
-    # package and no benchmark refers to is code that only tests run; its
-    # own definition, a recursive call in it included, is no reference
+    # a top-level function or class of the package, or a method of one of
+    # its classes, that no module of the package and no benchmark refers to
+    # is code that only tests run; its own definition, a recursive call in
+    # it included, is no reference.  Special methods (``__post_init__``)
+    # are called by Python itself
     files = (sorted((ROOT / "src" / "bpsvortex").glob("*.py"))
              + sorted((ROOT / "perfbench").glob("*.py")))
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined, referenced = set(), set()
+
+    def scan(node, owners):
+        # ``owners``: the names of the definitions that enclose ``node``
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name not in owners:
+            referenced.add(name)
+        if isinstance(node, definitions):
+            owners = owners | {node.name}
+        for child in ast.iter_child_nodes(node):
+            scan(child, owners)
+
     for f in files:
-        for stmt in ast.parse(f.read_text(), str(f)).body:
-            owner = getattr(stmt, "name", None)
-            if owner is not None and f.parent.name == "bpsvortex":
-                defined.add(owner)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                else:
-                    continue
-                if name != owner:
-                    referenced.add(name)
-    assert {"solve", "Background"} <= defined
+        module = ast.parse(f.read_text(), str(f))
+        scan(module, frozenset())
+        if f.parent.name != "bpsvortex":
+            continue
+        for stmt in module.body:
+            if isinstance(stmt, definitions):
+                defined.add(stmt.name)
+            if isinstance(stmt, ast.ClassDef):
+                defined.update(method.name for method in stmt.body
+                               if isinstance(method, definitions)
+                               and not (method.name.startswith("__")
+                                        and method.name.endswith("__")))
+    assert {"solve", "Background", "resolving_level", "modal_forward"} <= defined
     assert sorted(defined - referenced) == []
 
 
