@@ -157,9 +157,9 @@ def check_labels(mode: str, model: str, cfg: VortexConfig, grid, bg=None) -> Non
         raise ValueError("background was built for another configuration or grid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Background:
-    """Smooth background data for one configuration on one grid.
+    """Smooth background data for one configuration on one grid; frozen, like the grid.
 
     ``exp_u0``/``u0`` come from the kappa zero set and ``exp_v0``/``v0``
     from the phi zero set; an empty zero set gives the scalars 1.0 and 0.0.

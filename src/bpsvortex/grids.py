@@ -68,16 +68,16 @@ nothing from single precision.
 Buffers: ``laplacian`` and ``laplacians`` return new arrays.  The other
 operators write their result to ``out=`` and return it; where ``out`` is
 optional, they return a new array without it.  Either way the result belongs
-to the caller.  A torus grid also owns one private complex scratch spectrum,
-made with the grid, that its single-field operators pass through (a stacked
-inverse transform makes its own spectrum).  It holds nothing between calls
-and is never returned, so results never alias it; it also makes a torus
-grid unsafe to share between threads.
-The plane's sine transforms allocate one interior-sized intermediate per call
-instead (two for a forward transform into coefficients of another dtype,
-and its Dirichlet forms their coefficients; its Laplacians scale each
-field's coefficients into the interior of their output): kept on the
-grid it would stay resident for the life of the grid.
+to the caller.  No operator writes to the grid: a grid holds its parameters
+and read-only tables cached on first use (wave numbers, sine bases), so one
+grid serves every level, sweep row and thread.  Every scratch array belongs
+to its call.  A torus inverse transform makes its complex spectrum, and the
+zero-mean Poisson solve one spectrum that its forward transform, its
+division and its complex inverse pass all write in place.  The plane's
+sine transforms allocate one interior-sized intermediate per call (two for
+a forward transform into coefficients of another dtype, and its Dirichlet
+forms their coefficients; its Laplacians scale each field's coefficients
+into the interior of their output).
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ class _Eigenbasis:
     """The operators both grids apply through the eigenbasis of their Laplacian.
 
     A grid gives ``modal_forward``, ``modal_inverse``, ``modal_inner``,
-    ``_neg_k2`` (-K, the symbol of the Laplacian, per mode), ``_spec``, the
-    spectrum its forward transforms write to (``None``: a new array),
+    ``_neg_k2`` (-K, the symbol of the Laplacian, per mode),
     ``_mode_dtype``, the type of its coefficients, and ``product_dtype``,
     the type of the fields in the Hessian products.  The pair operators here
     go field by field; a grid whose transforms take a stack (the torus)
@@ -113,18 +112,18 @@ class _Eigenbasis:
     largest, ``_coarse_blocks(coarse)``, pairs (index here, index on
     ``coarse``) of the coefficients both have, and ``_count``, the factor a
     mode's coefficient grows with (nx * ny on the torus, n - 1 on the
-    plane).
+    plane).  No operator writes to the grid: its scratch belongs to the call.
     """
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """Spectral Laplacian: the mode coefficients of ``values`` times -K, brought back.
 
         Exact for sums of the grid's modes.  On the plane only the interior
-        nodes are read, and the result vanishes on the boundary ring.  On the
-        torus the coefficients pass through the scratch spectrum, in place.
+        nodes are read, and the result vanishes on the boundary ring.  The
+        coefficients are a new array of the call, scaled in place.
         """
-        coeffs = self.modal_forward(values, out=self._spec)
-        return self.modal_inverse(np.multiply(self._neg_k2, coeffs, out=self._spec))
+        coeffs = self.modal_forward(values)
+        return self.modal_inverse(np.multiply(self._neg_k2, coeffs, out=coeffs))
 
     def laplacians(self, modes: np.ndarray) -> np.ndarray:
         """The stacked Laplacians of the pair of fields with mode coefficients ``modes``.
@@ -273,10 +272,6 @@ class TorusGrid(_Eigenbasis):
             raise ValueError("need at least 8 samples per axis")
         if self.nx % 2 or self.ny % 2:
             raise ValueError("sample counts must be even")
-        # the complex scratch spectrum every transform passes through; it
-        # never leaves a call.  Made with the grid, it sits below a solve's
-        # temporaries on the heap instead of among them.
-        object.__setattr__(self, "_spec", np.empty(self._neg_k2.shape, dtype=complex))
 
     @property
     def dx(self):
@@ -318,7 +313,8 @@ class TorusGrid(_Eigenbasis):
 
         Raises :class:`NonZeroMeanRhs` when |mean(rhs)| exceeds
         ``POISSON_MEAN_TOL`` relative to the field magnitude.  ``out`` may be
-        ``rhs`` itself.
+        ``rhs`` itself.  One spectrum of the call takes the forward
+        transform, the division and the complex inverse pass, in place.
         """
         scale = max(float(rhs.max()), -float(rhs.min()))
         m = float(rhs.mean())
@@ -327,12 +323,13 @@ class TorusGrid(_Eigenbasis):
                 f"rhs mean {m:.3e} exceeds {POISSON_MEAN_TOL:.1e} relative tolerance"
             )
         neg_k2 = self._neg_k2
-        spec = self.modal_forward(rhs, out=self._spec)
+        spec = self.modal_forward(rhs, out=np.empty(neg_k2.shape, complex))
         # every mode but the mean one, which the solve sets to zero
         spec[0, 1:] /= neg_k2[0, 1:]
         spec[1:] /= neg_k2[1:]
         spec[0, 0] = 0.0
-        return self.modal_inverse(spec, out)
+        # modal_inverse's two passes, the complex one in place
+        return np.fft.irfft(np.fft.ifft(spec, axis=-2, out=spec), n=self.ny, axis=-1, out=out)
 
     # -- Laplacian eigenbasis ------------------------------------------------
 
@@ -347,13 +344,10 @@ class TorusGrid(_Eigenbasis):
         """The field, or stack of fields, with Fourier coefficients ``coeffs`` (written to ``out``).
 
         irfft2 as its two 1-D passes over the last two axes, bitwise equal
-        to ``np.fft.irfft2(coeffs, s=self.shape)`` per field.  One field's
-        complex pass goes through the scratch spectrum, a stack's through a
-        new one.  ``coeffs`` is only read, unless it is the scratch spectrum
-        itself.
+        to ``np.fft.irfft2(coeffs, s=self.shape)`` per field.  The complex
+        pass writes a new spectrum of the call; ``coeffs`` is only read.
         """
-        spec = np.fft.ifft(coeffs, axis=-2, out=self._spec if coeffs.ndim == 2 else None)
-        return np.fft.irfft(spec, n=self.ny, axis=-1, out=out)
+        return np.fft.irfft(np.fft.ifft(coeffs, axis=-2), n=self.ny, axis=-1, out=out)
 
     def modal_inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """``inner`` of the fields with Fourier coefficients ``a`` and ``b``.
@@ -452,8 +446,6 @@ class PlaneGrid(_Eigenbasis):
     R: float
     n: int
 
-    # no scratch spectrum: each forward transform makes its coefficients
-    _spec = None
     _mode_dtype = float
     product_dtype = np.float32
 

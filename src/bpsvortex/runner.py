@@ -54,8 +54,9 @@ sine transforms, and with them a plane run's ``results``, changed in their
 last bits with it.  The pin goes through ``scipy_openblas_set_num_threads64_``
 of the OpenBLAS that numpy's wheel bundles (in ``numpy.libs``, looked up once
 when this module loads); a numpy built against another BLAS is left as it
-is.  Other library calls (``bpsvortex.solve``, ``build_diagnostics``) run on
-the host's thread count.  On the 2-vCPU host the benchmark was built on, a
+is.  The count is one per process, so ``run`` calls in several threads take
+turns.  Other library calls (``bpsvortex.solve``, ``build_diagnostics``) run
+on the host's thread count.  On the 2-vCPU host the benchmark was built on, a
 second thread bought nothing: one n = 384 forward transform took 5.2 ms on
 one thread and 5.6 ms on two.
 """
@@ -66,6 +67,7 @@ import ctypes
 import json
 import math
 import os
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -354,17 +356,16 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     from a copy of the newest converged row, since a secant start spends
     the older row's storage.  A change of any background input
     (``resolution``, ``n``, ``m``) starts a new path with fresh backgrounds
-    and a cold start.  Rows on one grid share one grid object.
+    and a cold start.  Each row makes its own grid, which holds no array
+    until an operator caches its tables on it; the path's solves run on its
+    background's grid, that of its first solved row.
     """
     rows = []
     worst_exit = EXIT_OK
-    grid_inputs = grid = path_key = path_bg = path_levels = None
+    path_key = path_bg = path_levels = None
     path = []
     for index, (assignment, pcfg) in enumerate(cfg.sweep_points):
-        if (pcfg.mode, pcfg.domain, pcfg.grid) != grid_inputs:
-            grid_inputs, grid = (pcfg.mode, pcfg.domain, pcfg.grid), pcfg.make_grid()
-        vcfg, params = pcfg.make_vortex_config(), pcfg.make_params()
-        problem = (vcfg, grid, params)
+        problem = vcfg, grid, params = _problem(pcfg)
         key = (vcfg, grid)
         if key != path_key:
             path_key, path_bg, path_levels, path = key, None, [], []
@@ -440,6 +441,7 @@ def _openblas_threads(libraries) -> Optional[tuple]:
 # the package; found once per process
 OPENBLAS = _openblas_threads(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                                           "numpy.libs"))
+_BLAS_PIN = threading.RLock()
 
 
 @contextmanager
@@ -447,18 +449,21 @@ def _one_blas_thread():
     """Run numpy's bundled OpenBLAS on one thread inside the block (module docstring).
 
     The thread count it found is set again on the way out; without that
-    library (``OPENBLAS`` is ``None``) the block runs as it is.
+    library (``OPENBLAS`` is ``None``) the block runs as it is.  The block
+    holds ``_BLAS_PIN`` throughout: the count is process-wide, so a block in
+    another thread waits, instead of restoring the count under a running one.
     """
-    if OPENBLAS is None:
-        yield
-        return
-    get_threads, set_threads = OPENBLAS
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
+    with _BLAS_PIN:
+        if OPENBLAS is None:
+            yield
+            return
+        get_threads, set_threads = OPENBLAS
+        threads = get_threads()
+        set_threads(1)
+        try:
+            yield
+        finally:
+            set_threads(threads)
 
 
 def run(command: str, cfg: RunConfig, out_dir: Optional[str] = None):

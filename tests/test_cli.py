@@ -5,6 +5,7 @@ import os
 import runpy
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -577,7 +578,7 @@ class TestSweepPoints:
 
     def test_sweep_row_builds_its_background_once(self, tmp_path, monkeypatch):
         # a lambda sweep is one path: its first solved row builds the
-        # background, the others reuse it, and all rows share one grid
+        # background on its own grid, and the others reuse it
         calls = []
         for module in (runner, newton):
             def counted(*args, _build=module.build_background, **kwargs):
@@ -599,7 +600,8 @@ class TestSweepPoints:
         assert code == 0
         assert [row["solvable"] for row in report["results"]["rows"]] == [False, True, True]
         assert len(calls) == 1
-        assert len(grids) == 1 and calls[0][1] is grids[0]
+        # row 0 is below the threshold; row 1 is the first solved row
+        assert calls[0][1] is grids[1]
 
 
 class TestSweepContinuation:
@@ -1368,6 +1370,52 @@ class TestBlasThreads:
         else:
             assert run("check", cfg, out_dir=str(tmp_path))[0] == 0
         assert events == [("get",), ("set", 1), ("evaluate",), ("set", 4)]
+
+    def test_overlapping_pins_take_turns(self, monkeypatch):
+        # the thread count is one per process: a block that starts while
+        # another holds the pin waits for it, so it computes on one thread
+        # and the host's count is back once both are done
+        count = [2]
+        monkeypatch.setattr(runner, "OPENBLAS", (lambda: count[0],
+                                                 lambda threads: count.__setitem__(0, threads)))
+        a_inside, b_arrived, a_done = threading.Event(), threading.Event(), threading.Event()
+
+        class Watched:
+            # the pin, telling when block B asks for it
+            lock = threading.RLock()
+
+            def __enter__(self):
+                if threading.current_thread().name == "B":
+                    b_arrived.set()
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        monkeypatch.setattr(runner, "_BLAS_PIN", Watched(), raising=False)
+        seen = []
+
+        def block_a():
+            with runner._one_blas_thread():
+                a_inside.set()
+                b_arrived.wait(10)
+            a_done.set()
+
+        def block_b():
+            a_inside.wait(10)
+            with runner._one_blas_thread():
+                b_arrived.set()
+                a_done.wait(10)
+                seen.append(count[0])
+
+        blocks = [threading.Thread(target=block_a, name="A"),
+                  threading.Thread(target=block_b, name="B")]
+        for block in blocks:
+            block.start()
+        for block in blocks:
+            block.join(10)
+        assert seen == [1]
+        assert count == [2]
 
     def test_numpy_openblas_found(self):
         # a numpy wheel bundles OpenBLAS; the pin finds it, sets one thread and

@@ -1,4 +1,6 @@
+import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -132,6 +134,34 @@ class TestContinuationSolve:
         runs = [bv.continuation_solve(bg, params) for _ in range(2)]
         assert runs[0].state.tobytes() == runs[1].state.tobytes()
         assert runs[0].grad_history == runs[1].grad_history
+
+    def test_threads_sharing_a_background_get_the_serial_results(self, fp_setup):
+        # the grid and the background are plain values: four threads solving
+        # on the same ones, and taking the diagnostics there, match a serial run
+        grid, params, cfg, bg = fp_setup
+        threads, runs = 4, 3
+
+        def solve_and_check():
+            sol = bv.continuation_solve(bg, params)
+            report = bv.build_diagnostics(sol.state, "torus", "base", bg, cfg, params)
+            return sol.state.tobytes(), json.dumps(report.to_dict())
+
+        serial = solve_and_check()
+        results = [[] for _ in range(threads)]
+        start = threading.Barrier(threads)
+
+        def work(t):
+            start.wait()
+            for _ in range(runs):
+                results[t].append(solve_and_check())
+
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert [len(r) for r in results] == [runs] * threads
+        assert all(result == serial for r in results for result in r)
 
     def test_every_application_logged(self, fp_setup):
         grid, params, cfg, bg = fp_setup

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -250,7 +251,7 @@ class TestValidation:
 
 
 class TestBuffers:
-    """Caller-owned ``out`` buffers and the private scratch spectrum."""
+    """Caller-owned ``out`` buffers, and grids that no operator writes to."""
 
     @pytest.mark.parametrize("shape", [(16, 24), (96, 96), (256, 256)])
     def test_torus_operators_bitwise_equal_to_plain_fft(self, shape):
@@ -399,7 +400,7 @@ class TestPairs:
     @pytest.mark.parametrize("g", PAIR_GRIDS[:2], ids=PAIR_IDS[:2])
     def test_torus_pair_is_one_fft_pass(self, g, monkeypatch):
         # each pair operator transforms the stack in one numpy.fft call per
-        # pass; the scratch spectrum serves single fields only
+        # pass
         pair = random_state(g, seed=24)
         calls = []
         for name in np.fft.__all__:
@@ -412,9 +413,99 @@ class TestPairs:
         g.laplacians(coeffs)
         g.pointwise_product(coeffs, pair, g.empty_modes())
         assert calls == ["rfft2", "ifft", "irfft", "ifft", "irfft", "ifft", "irfft", "rfft2"]
-        spectrum = g._spec.copy()
-        g.from_modes(coeffs)
-        assert g._spec.tobytes() == spectrum.tobytes()
+
+
+SHARED_GRIDS = [bv.TorusGrid(2.0, 3.0, 64, 64), bv.PlaneGrid(6.0, 64)]
+SHARED_IDS = ["torus-64", "plane-64"]
+
+
+def every_operator(g, seed):
+    """The result of each public operator of ``g`` on inputs drawn from ``seed``, in order.
+
+    One field and one pair go through the single-field transforms, the
+    Laplacian, the pair operators and, on the torus, the zero-mean Poisson
+    solve; float results come as 0-d arrays.
+    """
+    pair = random_state(g, seed=seed)
+    field = pair[0]
+    coeffs = g.modal_forward(field)
+    modes = g.to_modes(pair)
+    results = [coeffs, g.modal_inverse(coeffs, out=np.empty(g.shape)), g.laplacian(field),
+               modes, g.from_modes(modes), g.laplacians(modes),
+               g.pointwise_product(modes, pair, g.empty_modes()),
+               np.asarray(g.modal_dirichlet(coeffs)), np.asarray(g.modal_inner(modes, modes))]
+    if isinstance(g, bv.TorusGrid):
+        results.append(g.poisson_solve_zero_mean(field - field.mean()))
+    coarse = g.resolving_level()
+    restricted = g.restrict(coarse, modes, coarse.empty_modes())
+    return results + [restricted, g.prolong(coarse, restricted, g.empty_modes()),
+                      np.asarray(g.spectral_tail(modes))]
+
+
+def held_arrays(g):
+    """The bytes of every array ``g`` holds, by attribute (arrays in tuples included)."""
+    held = {}
+    for name, value in vars(g).items():
+        items = value if isinstance(value, tuple) else (value,)
+        for i, item in enumerate(items):
+            if isinstance(item, np.ndarray):
+                held[name, i] = item.tobytes()
+    return held
+
+
+class TestSharedGrid:
+    """No operator writes to its grid, so threads may share one."""
+
+    @pytest.mark.parametrize("g", SHARED_GRIDS, ids=SHARED_IDS)
+    def test_operators_leave_the_grid_unchanged(self, g):
+        every_operator(g, seed=30)
+        held = held_arrays(g)
+        # the tables every operator caches are filled now, and nothing else
+        # may change when the operators run again on other inputs
+        assert ("_neg_k2", 0) in held
+        every_operator(g, seed=31)
+        assert held_arrays(g) == held
+
+    @pytest.mark.parametrize("g", SHARED_GRIDS, ids=SHARED_IDS)
+    def test_threads_sharing_a_grid_get_the_serial_results(self, g):
+        threads, rounds = 4, 20
+        serial = [every_operator(g, seed=40 + t) for t in range(threads)]
+        results = [[] for _ in range(threads)]
+        start = threading.Barrier(threads)
+
+        def work(t):
+            start.wait()
+            for _ in range(rounds):
+                results[t].append(every_operator(g, seed=40 + t))
+
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert all(len(runs) == rounds for runs in results)
+        differing = sum(a.tobytes() != b.tobytes()
+                        for t, runs in enumerate(results) for run in runs
+                        for a, b in zip(run, serial[t]))
+        assert differing == 0
+
+    def test_poisson_solve_holds_one_spectrum_and_a_quarter(self):
+        # one spectrum of the call takes the forward transform, the division
+        # and the complex inverse pass; a solve that lets rfft2 or ifft make
+        # their own arrays holds two spectra
+        g = bv.TorusGrid(2.0, 3.0, 256, 256)
+        rhs = band_limited(g, seed=8)
+        rhs -= rhs.mean()
+        out = np.empty(g.shape)
+        g.poisson_solve_zero_mean(rhs, out=out)
+        spectrum = np.empty(g.laplacian_eigenvalues().shape, complex).nbytes
+        tracemalloc.start()
+        try:
+            g.poisson_solve_zero_mean(rhs, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * spectrum
 
 
 def sine_basis(n):
