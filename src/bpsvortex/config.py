@@ -288,6 +288,8 @@ def validate_config(raw: dict) -> RunConfig:
                 problems.append(("sweep.param2", "must differ from sweep.param"))
             if not isinstance(sweep.get("values2"), list) or not sweep.get("values2"):
                 problems.append(("sweep.values2", "expected a non-empty list"))
+        elif "values2" in sweep:
+            problems.append(("sweep.values2", "needs sweep.param2, the field it sweeps"))
         if sweep.get("action") not in ("check", "solve"):
             problems.append(("sweep.action", "must be 'check' or 'solve'"))
         # every sweep value obeys the rule of the field it replaces, so a bad

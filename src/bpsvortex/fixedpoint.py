@@ -125,7 +125,7 @@ def continuation_solve(bg: Background, params: PhysicalParams,
     raises ``Overflow`` (a divergent iterate), and then reports the last
     iterate the map accepted.  ``iterations`` counts the map applications on
     ``bg.grid``, the overflowing one included, and ``grad_history`` logs the
-    relative residual of each.
+    relative residual of each; each record of ``levels`` counts its level's.
     """
     grid: TorusGrid = bg.grid
     report = check_existence(bg.cfg, grid, params)

@@ -149,23 +149,31 @@ class SolverSettings:
 
 @dataclass
 class Solution:
+    """A solve's result on its fine grid, with one record per level it ran on.
+
+    ``state`` is the fine level's last iterate and ``iterations`` its Newton
+    steps or map applications; ``grad_history`` logs the sup gradient (the
+    fixed point's relative residual) at each, ``energy_history`` Newton's
+    energy, ``newton_steps`` Newton's work per step (forcing term, CG and
+    line search, fallback taken), and ``omega`` is the fixed point's
+    relaxation.  ``levels`` holds a record for every level of
+    :func:`solve_levels`, coarsest first and the fine level last (one
+    without a coarse level): its grid's ``shape``, its ``iterations`` and
+    ``converged``, its first and last ``grad_history`` entry as
+    ``sup_start`` and ``sup_final`` (``None`` when it is empty) and, on a
+    Newton level, its ``newton_steps`` as ``steps``; a record holds no
+    array.  ``coarse_s`` is the wall time of the levels below the fine grid.
+    """
+
     state: np.ndarray
     iterations: int
     grad_history: List[float]
     energy_history: List[float]
     converged: bool
     message: str = ""
-    # fixed-point solve only: the relaxation omega of its Anderson steps
     omega: Optional[float] = None
-    # Newton only: one dict per Newton iteration (forcing term, CG and line
-    # search work, fallback taken)
     newton_steps: Optional[list] = None
-    # the levels below the fine grid of a solve that went through them (see
-    # solve_levels), coarsest first: one record per level, its grid's
-    # ``shape`` and its solve's ``iterations`` and ``converged``; None
-    # without a coarse level
-    coarse: Optional[List[dict]] = None
-    # wall time of those levels, kept apart from the deterministic block
+    levels: Optional[List[dict]] = None
     coarse_s: Optional[float] = None
     # Newton only: the state's mode coefficients (``grid.to_modes``), carried
     # through the solve, and on convergence the stacked Laplacians of its two
@@ -175,6 +183,14 @@ class Solution:
     # with ``keep_coarse`` only: the coefficients on the coarse grid that a
     # continuation path carries (see solve_levels)
     coarse_modes: Optional[np.ndarray] = None
+
+
+def _level_record(grid, sol: Solution) -> dict:
+    """The :attr:`Solution.levels` record of ``sol``, a solve on ``grid``."""
+    history = sol.grad_history or [None]
+    record = {"shape": list(grid.shape), "iterations": sol.iterations,
+              "converged": sol.converged, "sup_start": history[0], "sup_final": history[-1]}
+    return record if sol.newton_steps is None else {**record, "steps": sol.newton_steps}
 
 
 def _pcg(apply_a, b, apply_minv, inner, rel_tol):
@@ -296,13 +312,13 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     runs.
 
     The levels below the fine grid go through one loop.  Each is solved and
-    appends its record ``{"shape", "iterations", "converged"}`` to
-    :attr:`Solution.coarse`; when it converged, its coefficients (its
-    solution's ``modes``, or without them those of its state) are
-    prolonged into the next level's start.  R's start is a new pair of
-    buffers, the fine level's the one allocated before the lower levels
-    (see below).  A level that does not converge ends the walk, and the
-    fine level then starts from ``init`` (the zero start when cold).
+    appends its record (:func:`_level_record`) to :attr:`Solution.levels`;
+    when it converged, its coefficients (its solution's ``modes``, or
+    without them those of its state) are prolonged into the next level's
+    start.  R's start is a new pair of buffers, the fine level's the one
+    allocated before the lower levels (see below).  A level that does not
+    converge ends the walk, and the fine level then starts from ``init``
+    (the zero start when cold).
 
     A cold solve (no ``init``) starts its coarse level from zero.  A warm
     one, from ``init`` (taken over, not copied; its coefficients cost one
@@ -335,9 +351,8 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     levels' short-lived arrays, and the fine level reuses their space (a
     start made after them cost plane-solve 1.1 MB).
 
-    Returns the fine level's solution, with the records of the levels below
-    it, coarsest first, in :attr:`Solution.coarse` and their wall time in
-    :attr:`Solution.coarse_s` (both ``None`` without a coarse solve).
+    Returns the fine level's solution with its :attr:`Solution.levels` and,
+    after lower levels, :attr:`Solution.coarse_s`.
     With ``keep_coarse`` (a sweep row), :attr:`Solution.coarse_modes` holds
     the coefficients the path carries on the coarsest grid: s_c itself,
     held through the levels above it, or without it the restriction of the
@@ -355,7 +370,7 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     coarse = level if keep_coarse else None
     base = None if init is None else grid.to_modes(init)
     fine = [init, base]
-    records = seconds = kept = None
+    records, seconds, kept = [], None, None
     if level is not None and (init is None or coarse_init is not None
                               and level.resolves(1.0 / math.sqrt(params.lam))):
         t0 = time.perf_counter()
@@ -365,12 +380,11 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
         if levels is not None and not levels:
             levels.append(build_background(bg.cfg, level, params))
         start, modes = np.empty((2,) + grid.shape), grid.empty_modes()
-        begin, records = [None if init is None else level.from_modes(coarse_init), None], []
+        begin = [None if init is None else level.from_modes(coarse_init), None]
         while level is not None:
             sol = solve_level(levels[0] if levels and not records
                               else build_background(bg.cfg, level, params), begin)
-            records.append({"shape": list(level.shape), "iterations": sol.iterations,
-                            "converged": sol.converged})
+            records.append(_level_record(level, sol))
             coeffs = ((level.to_modes(sol.state) if sol.modes is None else sol.modes)
                       if sol.converged else None)
             del sol
@@ -398,7 +412,7 @@ def solve_levels(bg: Background, params: PhysicalParams, solve_level: Callable,
     if coarse is not None:
         sol.coarse_modes = (kept if kept is not None
                             else grid.restrict(coarse, sol.modes, coarse.empty_modes()))
-    sol.coarse, sol.coarse_s = records, seconds
+    sol.levels, sol.coarse_s = records + [_level_record(grid, sol)], seconds
     return sol
 
 

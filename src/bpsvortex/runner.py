@@ -41,7 +41,8 @@ goes through it (:func:`~bpsvortex.newton.solve_levels`).
 Every numeric entry under the report's ``results`` key is a deterministic
 function of the configuration; wall-clock data lives under ``timings``
 (solvers and their coarse levels, diagnostics, field and plot output, total)
-so bitwise comparison of reruns stays meaningful.
+so bitwise comparison of reruns stays meaningful.  Each solver's section
+reports its fine level and lists ``Solution.levels`` as they are.
 
 A plane run's plot data are the diagnostics' radial profile, over the one
 window of :func:`~bpsvortex.diagnostics.profile_window`; the runner holds no
@@ -103,18 +104,6 @@ def _threshold_dict(vcfg, grid, params) -> dict:
             **dict(zip(keys, report.constraints))}
 
 
-def _coarse_summary(sol: Solution, work: str, start: str) -> Optional[dict]:
-    # the level driver's records under the solver's own names: the
-    # coarsest level's, the fine level's first ``grad_history`` entry and
-    # the resolving level's (or None)
-    if sol.coarse is None:
-        return None
-    coarsest, *resolving = [{"shape": record["shape"], work: record["iterations"],
-                             "converged": record["converged"]} for record in sol.coarse]
-    return {**coarsest, start: sol.grad_history[0] if sol.grad_history else None,
-            "resolving": resolving[0] if resolving else None}
-
-
 def _newton_summary(sol: Solution) -> dict:
     return {
         "converged": sol.converged,
@@ -122,21 +111,18 @@ def _newton_summary(sol: Solution) -> dict:
         "grad_sup_final": sol.grad_history[-1] if sol.grad_history else None,
         "energy_final": sol.energy_history[-1] if sol.energy_history else None,
         "message": sol.message,
-        "steps": sol.newton_steps,
-        "coarse": _coarse_summary(sol, "iterations", "grad_sup_start"),
+        "levels": sol.levels,
     }
 
 
 def _fixedpoint_summary(sol: Solution) -> dict:
-    # continuation_solve logs the relative residual |T(x) - x| / (1 + |x|)
-    # of every map application in grad_history and counts them as iterations
     return {
         "converged": sol.converged,
         "trials": sol.iterations,
         "residual_final": sol.grad_history[-1] if sol.grad_history else None,
         "omega": sol.omega,
         "message": sol.message,
-        "coarse": _coarse_summary(sol, "trials", "residual_start"),
+        "levels": sol.levels,
     }
 
 
@@ -350,8 +336,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     :func:`~bpsvortex.newton.solve_levels`.
     A solved row records the newest as ``start_row`` and the older row of a
     secant as ``secant_row`` (``None`` for a copy or cold start), its fine
-    Newton ``iterations``, and its Newton's ``coarse`` block (``None`` for a
-    row that did not go through a coarse level), which the CSV leaves out.
+    Newton ``iterations``, and its Newton's ``levels``, which the CSV leaves
+    out.
     A row that does not converge seeds nothing, and the next row starts
     from a copy of the newest converged row, since a secant start spends
     the older row's storage.  A change of any background input
@@ -382,14 +368,12 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
                "analytic_slack": (_analytic_slack(vcfg, grid, params)
                                   if pcfg.mode == "torus" else None)}
         if "newton" in point:
-            row["start_row"] = start_row
-            row["secant_row"] = secant_row
-            row["coarse"] = point["newton"]["coarse"]
+            summary = point["newton"]
+            row.update(start_row=start_row, secant_row=secant_row, levels=summary["levels"],
+                       converged=summary["converged"], iterations=summary["iterations"],
+                       grad_sup_final=summary["grad_sup_final"])
             path = path[-1:] + ([(index, params.lam, sol.state, sol.coarse_modes)]
                                 if sol.converged else [])
-            row["converged"] = point["newton"]["converged"]
-            row["iterations"] = point["newton"]["iterations"]
-            row["grad_sup_final"] = point["newton"]["grad_sup_final"]
             if "diagnostics" in point:
                 row["residual_sup"] = max(point["diagnostics"]["residual_sup"])
         if exit_code == EXIT_NOT_CONVERGED:
@@ -400,8 +384,8 @@ def _run_sweep(cfg: RunConfig, out_dir: Optional[Path], results: dict) -> int:
     plots_path = cfg.output.get("plots_path")
     if plots_path:
         path = _resolve(plots_path, out_dir)
-        # the coarse block stays in the report: the CSV holds scalars only
-        keys = sorted({k for row in rows for k in row} - {"coarse"})
+        # the level records stay in the report: the CSV holds scalars only
+        keys = sorted({k for row in rows for k in row} - {"levels"})
         with open(path, "w") as fh:
             fh.write(",".join(keys) + "\n")
             for row in rows:

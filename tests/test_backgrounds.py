@@ -292,7 +292,7 @@ class TestPointSourceLimit:
         sol = bv.solve(mode, "base", cfg, grid, params, background=bg,
                        settings=bv.SolverSettings(tol_grad_sup=1e-10))
         assert sol.converged
-        return bg.exp_v0 * np.exp(sol.state[1] - sol.state[0]), sol.coarse
+        return bg.exp_v0 * np.exp(sol.state[1] - sol.state[0]), sol.levels
 
     @staticmethod
     def torus(nres):
@@ -310,11 +310,11 @@ class TestPointSourceLimit:
         # the plane: R = 6, n = 193, lambda = 4; tau = 0.1 leaves no grid of
         # the halving chain coarse enough, 0.2 and 0.3 solve on n = 97 first
         plane = bv.PlaneGrid(6.0, 193)
-        ref, coarse = at_tau(plane, self.PLANE_P, 0.2, lam=4.0)
-        assert coarse[0]["shape"] == [97, 97]
+        ref, levels = at_tau(plane, self.PLANE_P, 0.2, lam=4.0)
+        assert levels[0]["shape"] == [97, 97]
         for tau, shape in ((0.1, None), (0.3, [97, 97])):
-            ev, coarse = at_tau(plane, self.PLANE_P, tau, lam=4.0)
-            assert (None if coarse is None else coarse[0]["shape"]) == shape
+            ev, levels = at_tau(plane, self.PLANE_P, tau, lam=4.0)
+            assert (None if len(levels) == 1 else levels[0]["shape"]) == shape
             assert np.max(np.abs(ev - ref)) <= 1e-9
 
     def test_solution_is_resolution_independent(self):

@@ -43,6 +43,13 @@ def workload_sweep(factors=None):
     return validate_config(raw)
 
 
+# the keys of a level record in order; a Newton level's ends with "steps"
+RECORD_KEYS = ["shape", "iterations", "converged", "sup_start", "sup_final"]
+# a plane solve on three levels: 64, 86, 128
+PLANE_THREE_LEVELS = {"mode": "plane", "model": "base", "lambda": 4.0, "domain": {"R": 4.0},
+                      "grid": {"n": 128}, "phi_zeros": [[0.5, -0.3], [-1.0, 0.8]]}
+
+
 def minimal_torus(**kw):
     raw = {
         "mode": "torus",
@@ -145,6 +152,9 @@ class TestParseConfig:
          "sweep.values2[1]"),
         # m above the configured kappa zeros
         ("torus", {"param": "m", "values": [0, 1]}, "sweep.values[1]"),
+        # an inner axis without its field would be dropped from every row
+        ("torus", {"param": "lambda", "values": [1.0, 2.0], "values2": [5, 6]},
+         "sweep.values2"),
     ])
     def test_sweep_values_follow_their_field_rule(self, mode, sweep, path):
         raw = minimal_torus(phi_zeros=[[1.0, 1.0]], sweep=sweep)
@@ -267,7 +277,7 @@ class TestRunCommands:
         assert code == 0
         fixed = report["results"]["fixedpoint"]
         assert set(fixed) == {"converged", "trials", "residual_final", "omega", "message",
-                              "coarse"}
+                              "levels"}
         side = max(raw["domain"]["Lx"], raw["domain"]["Ly"])
         assert fixed["omega"] == pytest.approx(
             1.0 / (1.0 + 4.0 * raw["lambda"] * side ** 2 / (4.0 * math.pi ** 2)), rel=1e-14)
@@ -284,33 +294,82 @@ class TestRunCommands:
         assert code == 0
         res, timings = report["results"], report["timings"]
         assert res["cross_method_sup_diff"] <= 1e-9
-        for method, work, start in (("newton", "iterations", "grad_sup_start"),
-                                    ("fixedpoint", "trials", "residual_start")):
-            block = res[method]["coarse"]
+        for method, work, final, keys in (
+                ("newton", "iterations", "grad_sup_final", RECORD_KEYS + ["steps"]),
+                ("fixedpoint", "trials", "residual_final", RECORD_KEYS)):
+            summary = res[method]
+            levels = summary["levels"]
+            assert [list(record) for record in levels] == [keys] * len(levels)
+            # the fine level is the last record, and the top-level keys are its
+            fine = levels[-1]
+            assert fine["shape"] == [nx, nx]
+            assert [fine["converged"], fine["iterations"], fine["sup_final"]] == \
+                [summary["converged"], summary[work], summary[final]]
             if coarse is None:
-                assert block is None and f"{method}_coarse_s" not in timings
+                assert len(levels) == 1 and f"{method}_coarse_s" not in timings
                 continue
-            assert list(block) == ["shape", work, "converged", start, "resolving"]
-            assert block["shape"] == coarse and block["converged"] and block[work] > 0
-            assert block["resolving"] is None
+            assert len(levels) == 2
+            assert levels[0]["shape"] == coarse and levels[0]["converged"]
+            assert levels[0]["iterations"] > 0
             assert 0.0 < timings[f"{method}_coarse_s"] <= timings[f"{method}_s"]
 
     def test_plane_solve_reports_its_resolving_level(self, tmp_path):
         # R = 4, n = 128: the 64-node coarsest solution is not resolved, so
-        # the solve goes through the resolving level 86, which the coarse
-        # block reports after the fine level's start
-        raw = {"mode": "plane", "model": "base", "lambda": 4.0, "domain": {"R": 4.0},
-               "grid": {"n": 128}, "phi_zeros": [[0.5, -0.3], [-1.0, 0.8]]}
-        code, report = run("solve", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        # the solve goes through the resolving level 86, whose record sits
+        # between the coarsest level's and the fine level's
+        code, report = run("solve", parse_config(json.dumps(PLANE_THREE_LEVELS)),
+                           out_dir=str(tmp_path))
         assert code == 0
-        block = report["results"]["newton"]["coarse"]
-        assert list(block) == ["shape", "iterations", "converged", "grad_sup_start",
-                               "resolving"]
-        assert block["shape"] == [64, 64] and block["converged"] and block["iterations"] > 0
-        assert 0.0 < block["grad_sup_start"] <= 1e-5
-        assert list(block["resolving"]) == ["shape", "iterations", "converged"]
-        assert block["resolving"] == {"shape": [86, 86], "iterations": 1, "converged": True}
+        summary = report["results"]["newton"]
+        levels = summary["levels"]
+        assert [list(record) for record in levels] == [RECORD_KEYS + ["steps"]] * 3
+        assert [record["shape"] for record in levels] == [[64, 64], [86, 86], [128, 128]]
+        assert levels[0]["converged"] and levels[0]["iterations"] > 0
+        assert 0.0 < levels[-1]["sup_start"] <= 1e-5
+        assert levels[1].items() >= {"shape": [86, 86], "iterations": 1,
+                                     "converged": True}.items()
+        assert [levels[-1]["converged"], levels[-1]["iterations"], levels[-1]["sup_final"]] \
+            == [summary["converged"], summary["iterations"], summary["grad_sup_final"]]
+        assert all(len(record["steps"]) == record["iterations"] for record in levels)
         assert 0.0 < report["timings"]["newton_coarse_s"] <= report["timings"]["newton_s"]
+
+    def test_fixedpoint_levels_count_every_map_application(self, tmp_path, monkeypatch):
+        # 22 of the 23 map applications run on the 64^2 level, which the
+        # fine level's count alone leaves out
+        applies = []
+        apply_T = bv.fixedpoint.apply_T
+
+        def counted(*args, **kwargs):
+            applies.append(args[2].grid.shape)
+            return apply_T(*args, **kwargs)
+
+        monkeypatch.setattr(bv.fixedpoint, "apply_T", counted)
+        raw = minimal_torus(phi_zeros=[[0.3 * L20, 0.4 * L20], [0.7 * L20, 0.6 * L20]],
+                            grid={"nx": 128})
+        code, report = run("compare", parse_config(json.dumps(raw)), out_dir=str(tmp_path))
+        assert code == 0
+        levels = report["results"]["fixedpoint"]["levels"]
+        assert len(levels) == 2
+        assert len(applies) == sum(record["iterations"] for record in levels)
+        for record in levels:
+            assert applies.count(tuple(record["shape"])) == record["iterations"]
+
+    def test_newton_levels_list_every_cg_solve(self, tmp_path, monkeypatch):
+        # one CG solve per Newton step, on every level of the three
+        calls = []
+        pcg = newton._pcg
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return pcg(*args, **kwargs)
+
+        monkeypatch.setattr(newton, "_pcg", counted)
+        code, report = run("solve", parse_config(json.dumps(PLANE_THREE_LEVELS)),
+                           out_dir=str(tmp_path))
+        assert code == 0
+        levels = report["results"]["newton"]["levels"]
+        assert len(levels) == 3
+        assert len(calls) == sum(len(record["steps"]) for record in levels) > 0
 
     def test_compare_builds_its_coarse_background_once(self, tmp_path, monkeypatch):
         # both solvers share the 64^2 background, and their results are those
@@ -336,9 +395,9 @@ class TestRunCommands:
                          background=bg)
         fixed = bv.continuation_solve(bg, params)
         res = report["results"]
-        assert res["newton"]["coarse"] == runner._newton_summary(alone)["coarse"]
+        assert res["newton"]["levels"] == runner._newton_summary(alone)["levels"]
         assert res["newton"]["grad_sup_final"] == alone.grad_history[-1]
-        assert res["fixedpoint"]["coarse"] == runner._fixedpoint_summary(fixed)["coarse"]
+        assert res["fixedpoint"]["levels"] == runner._fixedpoint_summary(fixed)["levels"]
         assert res["cross_method_sup_diff"] == float(np.max(np.abs(alone.state - fixed.state)))
 
     @pytest.mark.parametrize("mode", ["torus", "plane"])
@@ -565,7 +624,7 @@ class TestSweepPoints:
                 # no row continues a path: each lambda list starts below the
                 # threshold, and every other param changes the background
                 expected["start_row"] = expected["secant_row"] = None
-                expected["coarse"] = res["newton"]["coarse"]
+                expected["levels"] = res["newton"]["levels"]
                 expected["converged"] = res["newton"]["converged"]
                 expected["iterations"] = res["newton"]["iterations"]
                 expected["grad_sup_final"] = res["newton"]["grad_sup_final"]
@@ -849,7 +908,7 @@ class TestCoarsePath:
         lams = {row["index"]: row["lambda"] for row in rows}
         for k, (row, solve) in enumerate(zip(rows, solves)):
             assert row["converged"] and row["residual_sup"] <= 1e-8
-            assert row["coarse"]["shape"] == list(self.COARSE) and row["coarse"]["converged"]
+            assert row["levels"][0]["shape"] == list(self.COARSE) and row["levels"][0]["converged"]
             # the path carries the coarse solution itself
             assert solve["coarse_modes"].tobytes() == solve["coarse_solution"].tobytes()
             correction, lower = solve["coarse_solution"], coarse
@@ -861,13 +920,14 @@ class TestCoarsePath:
                 resolving = grid.resolving_level()
                 assert resolving.shape == self.RESOLVING
                 assert coarse.spectral_tail(correction) > newton.RESOLVED_TAIL
-                assert row["coarse"]["resolving"] == {"shape": list(self.RESOLVING),
-                                                      "iterations": 1, "converged": True}
+                assert len(row["levels"]) == 3
+                assert row["levels"][1].items() >= {"shape": list(self.RESOLVING),
+                                                    "iterations": 1, "converged": True}.items()
                 correction, lower = solve["resolving_solution"], resolving
                 assert solve["iterations"] == row["iterations"] == 0
                 base = 0.0
             else:
-                assert row["coarse"]["resolving"] is None and "resolving_solution" not in solve
+                assert len(row["levels"]) == 2 and "resolving_solution" not in solve
                 # the coarse predictor follows the path rule on the rows'
                 # coarse solutions, and starts the coarse solve
                 newest = solves[k - 1]["coarse_solution"]
@@ -883,7 +943,7 @@ class TestCoarsePath:
                 correction = correction - solve["predictor"]
                 base = grid.to_modes(solve["init"])
                 # the fine level starts under tol and takes no step
-                assert row["coarse"]["grad_sup_start"] <= cfg.solver["tol"]
+                assert row["levels"][-1]["sup_start"] <= cfg.solver["tol"]
                 assert solve["iterations"] == row["iterations"] == 0
             # the fine solve starts from the fine predictor plus the
             # prolonged coarse correction
@@ -901,7 +961,7 @@ class TestCoarsePath:
         row, solve = rows[-2], solves[-2]
         grid, coarse = self.levels(cfg)
         assert not coarse.resolves(1.0 / math.sqrt(row["lambda"]))
-        assert row["converged"] and row["start_row"] == 1 and row["coarse"] is None
+        assert row["converged"] and row["start_row"] == 1 and len(row["levels"]) == 1
         assert "coarse_init" not in solve
         assert solve["first"].tobytes() == solve["init"].tobytes()
         assert solve["coarse_modes"].tobytes() == \
@@ -909,7 +969,7 @@ class TestCoarsePath:
         assert np.max(np.abs(solve["state"] - self.cold_state(cfg, row))) <= 1e-8
         last = rows[-1]
         assert last["start_row"] == row["index"] and last["secant_row"] is not None
-        assert last["coarse"]["converged"]
+        assert last["levels"][0]["shape"] == list(self.COARSE) and last["levels"][0]["converged"]
         assert last["converged"] and last["residual_sup"] <= 1e-8
         assert np.max(np.abs(solves[-1]["state"] - self.cold_state(cfg, last))) <= 1e-8
 
@@ -925,16 +985,17 @@ class TestCoarsePath:
             for k in fail_coarse:
                 row, solve = rows[k], solves[k]
                 assert row["converged"] and row["start_row"] is not None
-                assert row["coarse"] == {"shape": list(self.COARSE), "iterations": 3,
-                                         "converged": False,
-                                         "grad_sup_start": row["coarse"]["grad_sup_start"],
-                                         "resolving": None}
+                assert len(row["levels"]) == 2
+                assert row["levels"][0] == {"shape": list(self.COARSE), "iterations": 3,
+                                            "converged": False, "sup_start": 1.0,
+                                            "sup_final": 1.0}
                 assert solve["first"].tobytes() == solve["init"].tobytes()
                 assert solve["coarse_modes"].tobytes() == \
                     grid.restrict(coarse, solve["modes"], coarse.empty_modes()).tobytes()
             last = rows[-1]
             assert last["start_row"] == rows[-2]["index"] and last["secant_row"] is not None
-            assert last["coarse"]["converged"] == (2 not in fail_coarse)
+            assert last["levels"][0]["shape"] == list(self.COARSE)
+            assert last["levels"][0]["converged"] == (2 not in fail_coarse)
             assert last["converged"] and last["residual_sup"] <= 1e-8
             assert np.max(np.abs(solves[-1]["state"] - self.cold_state(cfg, last))) <= 1e-8
 
@@ -951,7 +1012,7 @@ class TestCoarsePath:
         assert len(rows) == 9 and rows[0]["start_row"] is None
         for row in rows[1:]:
             assert row["converged"] and row["iterations"] == 0
-            assert row["coarse"]["grad_sup_start"] <= cfg.solver["tol"]
+            assert row["levels"][-1]["sup_start"] <= cfg.solver["tol"]
         assert applies[0] <= 115
         cells = sweep_cells(tmp_path / "sweep.csv")
         assert [cell["iterations"] for cell in cells] == [

@@ -312,8 +312,8 @@ class TestCoarseLevel:
         monkeypatch.setattr(bv.newton, "solve", no_newton)
         fp = bv.continuation_solve(bg, params)
         assert fp.converged
-        assert fp.coarse[0]["shape"] == [64, 64] and fp.coarse[0]["converged"]
-        assert runner._fixedpoint_summary(fp)["coarse"]["residual_start"] == fp.grad_history[0]
+        assert fp.levels[0]["shape"] == [64, 64] and fp.levels[0]["converged"]
+        assert runner._fixedpoint_summary(fp)["levels"][-1]["sup_start"] == fp.grad_history[0]
         # the coarse fixed point, prolonged, is all but the fine one
         assert fp.iterations <= 2
 
@@ -329,10 +329,12 @@ class TestCoarseLevel:
         monkeypatch.setattr(fixedpoint, "apply_T", overflowing_on_the_coarse_grid)
         fp = bv.continuation_solve(bg, params)
         assert fp.converged
-        assert fp.coarse == [{"shape": [64, 64], "iterations": 1, "converged": False}]
-        assert runner._fixedpoint_summary(fp)["coarse"] == {
-            "shape": [64, 64], "trials": 1, "converged": False,
-            "residual_start": fp.grad_history[0], "resolving": None}
+        # the overflowing application is counted and logs no residual
+        assert fp.levels[0] == {"shape": [64, 64], "iterations": 1, "converged": False,
+                                "sup_start": None, "sup_final": None}
+        assert runner._fixedpoint_summary(fp)["levels"] == [fp.levels[0], {
+            "shape": [128, 128], "iterations": fp.iterations, "converged": True,
+            "sup_start": fp.grad_history[0], "sup_final": fp.grad_history[-1]}]
         # the fine iteration started from the zero pair, where the relative
         # residual is sup |T(0)|
         zero = np.zeros((2,) + grid.shape)

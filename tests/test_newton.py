@@ -294,7 +294,7 @@ class TestInexactNewton:
         sol = bv.solve("torus", "base", vcfg, grid, params,
                        settings=bv.SolverSettings(tol_grad_sup=cfg.solver["tol"]),
                        init=np.zeros((2,) + grid.shape))
-        assert sol.converged and sol.coarse is None
+        assert sol.converged and len(sol.levels) == 1
         assert sol.iterations == 4
         assert sol.grad_history[-1] <= cfg.solver["tol"]
         assert applies[0] <= 17
@@ -344,7 +344,7 @@ class TestInexactNewton:
         code, report = run("solve", cfg, out_dir=str(tmp_path))
         assert code == 0
         summary = report["results"]["newton"]
-        steps = summary["steps"]
+        steps = summary["levels"][-1]["steps"]
         assert len(steps) == summary["iterations"] > 0
         assert sum(step["cg_iters"] for step in steps) == applies[0]
         for step in steps:
@@ -575,9 +575,9 @@ class TestCoarseStart:
                         init=np.zeros((2,) + grid.shape))
         seq = bv.solve("torus", "base", vcfg, grid, params, background=bg)
         assert cold.converged and seq.converged
-        assert cold.coarse is None
-        assert seq.coarse[0]["shape"] == [64, 64] and seq.coarse[0]["converged"]
-        assert runner._newton_summary(seq)["coarse"]["grad_sup_start"] == seq.grad_history[0]
+        assert len(cold.levels) == 1
+        assert seq.levels[0]["shape"] == [64, 64] and seq.levels[0]["converged"]
+        assert runner._newton_summary(seq)["levels"][-1]["sup_start"] == seq.grad_history[0]
         assert seq.iterations <= cold.iterations
         assert np.max(np.abs(seq.state - cold.state)) <= 1e-9
 
@@ -597,10 +597,12 @@ class TestCoarseStart:
         cold = bv.solve("torus", "base", vcfg, grid, params, background=bg,
                         init=np.zeros((2,) + grid.shape))
         assert sol.converged
-        assert sol.coarse == [{"shape": [64, 64], "iterations": 3, "converged": False}]
-        assert runner._newton_summary(sol)["coarse"] == {
-            "shape": [64, 64], "iterations": 3, "converged": False,
-            "grad_sup_start": cold.grad_history[0], "resolving": None}
+        assert sol.levels[0] == {"shape": [64, 64], "iterations": 3, "converged": False,
+                                 "sup_start": 1.0, "sup_final": 1.0}
+        assert runner._newton_summary(sol)["levels"] == [sol.levels[0], {
+            "shape": [256, 256], "iterations": sol.iterations, "converged": True,
+            "sup_start": cold.grad_history[0], "sup_final": sol.grad_history[-1],
+            "steps": sol.newton_steps}]
         assert sol.state.tobytes() == cold.state.tobytes()
 
     def test_cold_solve_keeps_its_coarse_solution_without_a_handle(self):
@@ -608,7 +610,7 @@ class TestCoarseStart:
         # from zero finds it
         grid, params, vcfg, bg = self.compare_cell(1.0)
         sol = bv.solve("torus", "base", vcfg, grid, params, background=bg, keep_coarse=True)
-        assert sol.converged and sol.coarse[0]["converged"]
+        assert sol.converged and sol.levels[0]["converged"]
         coarse = grid.coarsest(bv.backgrounds.core_scale(grid))
         alone = bv.minimize(EnergyModel(bv.build_background(vcfg, coarse, params), params),
                             bv.SolverSettings())
@@ -628,7 +630,7 @@ class TestCoarseStart:
         again = bv.solve("torus", "base", vcfg, grid, params, background=bg, levels=levels,
                          init=first.state.copy(), coarse_init=first.coarse_modes,
                          keep_coarse=True)
-        assert again.converged and again.coarse[0]["converged"] and again.iterations == 0
+        assert again.converged and again.levels[0]["converged"] and again.iterations == 0
 
     def test_plane_coarse_level(self):
         # the plane is spectral: the prolonged solution of the level below
@@ -642,7 +644,7 @@ class TestCoarseStart:
         cold = bv.solve("plane", "base", cfg, grid, params, background=bg,
                         init=np.zeros((2,) + grid.shape))
         assert seq.converged and cold.converged
-        assert seq.coarse[0]["shape"] == [64, 64] and seq.coarse[0]["converged"]
+        assert seq.levels[0]["shape"] == [64, 64] and seq.levels[0]["converged"]
         assert 0 < seq.iterations <= 1 < cold.iterations
         assert seq.grad_history[0] <= 1e-5
         assert np.max(np.abs(seq.state - cold.state)) <= 1e-8
@@ -662,9 +664,10 @@ class TestResolvingLevel:
         cold = bv.solve("plane", "base", cfg, grid, params, background=bg,
                         init=np.zeros((2,) + grid.shape))
         assert sol.converged and cold.converged and sol.iterations == 0
-        assert sol.coarse[0]["shape"] == [97, 97] and sol.coarse[0]["converged"]
-        assert sol.coarse[1] == {"shape": [129, 129], "iterations": 1, "converged": True}
-        assert runner._newton_summary(sol)["coarse"]["grad_sup_start"] == sol.grad_history[0]
+        assert sol.levels[0]["shape"] == [97, 97] and sol.levels[0]["converged"]
+        assert sol.levels[1].items() >= {"shape": [129, 129], "iterations": 1,
+                                         "converged": True}.items()
+        assert runner._newton_summary(sol)["levels"][-1]["sup_start"] == sol.grad_history[0]
         assert sol.grad_history[0] <= 1e-9
         assert np.max(np.abs(sol.state - cold.state)) <= 1e-8
 
@@ -686,8 +689,8 @@ class TestResolvingLevel:
         monkeypatch.setattr(newton, "minimize", recorded)
         sol = bv.solve("plane", "base", cfg, grid, params)
         assert sol.converged and sol.iterations == 0
-        assert [record["shape"] for record in sol.coarse] == [[97, 97], [129, 129]]
-        assert all(record["converged"] for record in sol.coarse)
+        assert [record["shape"] for record in sol.levels[:-1]] == [[97, 97], [129, 129]]
+        assert all(record["converged"] for record in sol.levels[:-1])
         assert len(tails) == 2 and min(tails) > newton.RESOLVED_TAIL
 
     def test_resolved_torus_keeps_two_levels(self, tmp_path, monkeypatch):
@@ -700,8 +703,8 @@ class TestResolvingLevel:
         two_level = run("compare", cfg, out_dir=str(tmp_path / "two"))[1]
         assert code == 0
         for method in ("newton", "fixedpoint"):
-            block = report["results"][method]["coarse"]
-            assert block["shape"] == [64, 64] and block["resolving"] is None
+            levels = report["results"][method]["levels"]
+            assert [record["shape"] for record in levels] == [[64, 64], [256, 256]]
         assert json.dumps(report["results"]) == json.dumps(two_level["results"])
 
     def test_large_coupling_plane_takes_no_more_fine_steps(self):
@@ -713,9 +716,9 @@ class TestResolvingLevel:
         grid, params = bv.PlaneGrid(2.0, 256), bv.PhysicalParams(lam=1000.0)
         cfg = bv.VortexConfig(phi_zeros=((0.3, 0.0), (-0.3, 0.2)))
         sol = bv.solve("plane", "base", cfg, grid, params)
-        assert sol.converged and sol.coarse[0]["shape"] == [32, 32]
-        assert sol.coarse[1]["shape"] == [171, 171]
-        assert sol.coarse[1]["converged"]
+        assert sol.converged and sol.levels[0]["shape"] == [32, 32]
+        assert sol.levels[1]["shape"] == [171, 171]
+        assert sol.levels[1]["converged"]
         assert sol.iterations <= 5
         assert sol.grad_history[0] <= 1e2
 
@@ -827,7 +830,7 @@ class TestCarriedModes:
 
         monkeypatch.setattr(newton, "minimize", recording)
         sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
-        assert sol.converged and sol.coarse[0]["converged"] and sol.coarse[0]["shape"] == [64, 64]
+        assert sol.converged and sol.levels[0]["converged"] and sol.levels[0]["shape"] == [64, 64]
         assert len(starts) == 1
         for state, modes in (starts[0], (sol.state, sol.modes)):
             expected = grid.to_modes(state)
@@ -899,7 +902,7 @@ class TestTransformBudget:
             cfg = bv.VortexConfig(phi_zeros=((0.5, -0.3), (-1.0, 0.8)))
             bg = bv.build_background(cfg, grid, params)
         sol = bv.solve(mode, "base", cfg, grid, params, background=bg)
-        assert sol.converged and sol.coarse[0]["shape"] == [64, 64]
+        assert sol.converged and sol.levels[0]["shape"] == [64, 64]
         forward, inverse = step_budget(sol, 0, 2)
         assert count_transforms["forward", grid.shape] == forward
         assert count_transforms["inverse", grid.shape] == inverse
@@ -961,8 +964,9 @@ class TestUnheldStart:
         monkeypatch.setattr(newton, "minimize", recorded)
         sol = bv.solve(mode, "base", cfg, grid, params, background=bg, levels=levels,
                        keep_coarse=keep)
-        assert sol.converged and sol.coarse[0]["converged"]
-        assert sol.coarse[1] == {"shape": [86, 86], "iterations": 1, "converged": True}
+        assert sol.converged and sol.levels[0]["converged"]
+        assert sol.levels[1].items() >= {"shape": [86, 86], "iterations": 1,
+                                         "converged": True}.items()
         assert len(levels or []) == keep
         assert alive == [[], [[keep] * 3], [[keep] * 3, [False] * 3]]
         assert (sol.coarse_modes is refs[0][0]()) if keep else sol.coarse_modes is None

@@ -142,3 +142,28 @@ def test_readme_cli_example_runs(tmp_path, command):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report.json").exists()
+
+
+def test_readme_names_every_report_key(tmp_path):
+    # every key of the results of a compare with a coarse level, a plane
+    # solve on three levels and a solved sweep, of both solver sections, a
+    # level record, a Newton step and a sweep row, in backticks in README
+    from bpsvortex.config import validate_config
+    from bpsvortex.runner import run
+
+    L = math.sqrt(20.0)
+    torus = {"mode": "torus", "model": "base", "lambda": 1.0, "domain": {"Lx": L, "Ly": L},
+             "grid": {"nx": 128}, "phi_zeros": [[0.3 * L, 0.4 * L], [0.7 * L, 0.6 * L]]}
+    plane = {"mode": "plane", "model": "base", "lambda": 4.0, "domain": {"R": 4.0},
+             "grid": {"n": 128}, "phi_zeros": [[0.5, -0.3], [-1.0, 0.8]]}
+    sweep = dict(torus, grid={"nx": 32},
+                 sweep={"param": "lambda", "values": [1.0, 1.5], "action": "solve"})
+    compare, solve, swept = (run(command, validate_config(raw), out_dir=str(tmp_path / command))
+                             [1]["results"] for command, raw in
+                             (("compare", torus), ("solve", plane), ("sweep", sweep)))
+    record = compare["newton"]["levels"][0]
+    sections = [compare, solve, swept, compare["newton"], compare["fixedpoint"], record,
+                record["steps"][0], swept["rows"][-1]]
+    readme = (ROOT / "README.md").read_text()
+    assert sorted({key for section in sections for key in section
+                   if f"`{key}`" not in readme}) == []
